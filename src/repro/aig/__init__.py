@@ -29,7 +29,8 @@ The representation
   construction* — strash is not a pass here, it is the data structure.
 * Node ids are created fanin-first, so ascending id order **is** a
   topological order; :meth:`Aig.live_nodes` gives the dead-node sweep
-  for free.
+  for free, and :func:`live_aig` memoizes a netlist's swept graph so
+  every layer that needs it shares one strash.
 
 Round-trip and passes
 ---------------------
@@ -64,6 +65,7 @@ from repro.aig.aig import (
     lit_complement,
     lit_is_complemented,
     lit_node,
+    live_aig,
     make_lit,
 )
 from repro.aig.balance import balance_and_trees, balance_xor_trees
@@ -85,6 +87,7 @@ __all__ = [
     "lit_complement",
     "lit_is_complemented",
     "lit_node",
+    "live_aig",
     "make_lit",
     "truth_table_to_anf",
 ]

@@ -489,6 +489,60 @@ class Aig:
                 stack.append(lit_node(self.fanin1[node]))
         return sorted(seen)
 
+    def swept(self) -> "Aig":
+        """A read-only copy without the nodes the outputs never reach.
+
+        Strash leaves dead AND nodes behind: recognising a four-NAND
+        XOR cluster creates one XOR node, and the cluster's inner ANDs
+        stay in the table (about two thirds of a NAND-mapped
+        multiplier's nodes).  The copy keeps every leaf and the
+        outputs' transitive fan-in, renumbered in ascending order, so
+        ascending id is still a topological order and every relative
+        node order (cut enumeration, rewriting worklists) is unchanged.
+        :attr:`net_literal` keeps the nets whose node survives.  The
+        strash table is not carried over: adding nodes to the copy
+        would bypass hash-consing.
+
+        >>> from repro.gen.mastrovito import generate_mastrovito
+        >>> from repro.synth.pipeline import synthesize
+        >>> net = synthesize(generate_mastrovito(0b10011),
+        ...                  use_xor_cells=False)
+        >>> full = Aig.from_netlist(net)
+        >>> live = full.swept()
+        >>> len(live) < len(full)
+        True
+        >>> live.simulate({n: 1 for n in net.inputs}) == \\
+        ...     net.simulate({n: 1 for n in net.inputs})
+        True
+        """
+        keep = set(self.live_nodes())
+        keep.update(self.pi_name)
+        keep.add(0)
+        order = sorted(keep)
+        new_id = {node: index for index, node in enumerate(order)}
+
+        def relit(lit: int) -> int:
+            return (new_id[lit >> 1] << 1) | (lit & 1)
+
+        swept = Aig(self.name)
+        swept.kinds = [self.kinds[node] for node in order]
+        swept.fanin0 = [relit(self.fanin0[node]) for node in order]
+        swept.fanin1 = [relit(self.fanin1[node]) for node in order]
+        swept.pi_name = {
+            new_id[node]: name for node, name in self.pi_name.items()
+        }
+        swept.inputs = list(self.inputs)
+        swept.outputs = [(name, relit(lit)) for name, lit in self.outputs]
+        swept._leaf_lit = {
+            name: relit(lit) for name, lit in self._leaf_lit.items()
+        }
+        swept.net_literal = {
+            net: relit(lit)
+            for net, lit in self.net_literal.items()
+            if lit >> 1 in new_id
+        }
+        return swept
+
     def simulate(
         self, assignment: Mapping[str, int], width: int = 1
     ) -> Dict[str, int]:
@@ -526,3 +580,24 @@ class Aig:
             f"Aig({self.name!r}, {len(self.pi_name)} leaves, "
             f"{ands} and, {xors} xor, {len(self.outputs)} outputs)"
         )
+
+
+def live_aig(netlist: Netlist) -> Aig:
+    """The netlist's strashed live graph, derived once per netlist.
+
+    :meth:`Aig.from_netlist` followed by :meth:`Aig.swept`, memoized in
+    :meth:`Netlist.memo <repro.netlist.netlist.Netlist.memo>` so the
+    fingerprint, the cone digests and the aig/vector compile of one
+    netlist share a single strash.  The graph is read-only; a mutation
+    of the netlist clears the memo and the next call re-derives it.
+
+    >>> from repro.gen.mastrovito import generate_mastrovito
+    >>> net = generate_mastrovito(0b10011)
+    >>> live_aig(net) is live_aig(net)
+    True
+    """
+    memo = netlist.memo()
+    aig = memo.get("aig")
+    if aig is None:
+        aig = memo["aig"] = Aig.from_netlist(netlist).swept()
+    return aig

@@ -12,8 +12,11 @@ later.  This backend removes that blowup structurally:
 * the netlist is first **strashed into the AIG**
   (:meth:`repro.aig.Aig.from_netlist`) — inverter pairs vanish into
   complement edges and duplicated mapped structure is shared by
-  construction;
-* a forward pass **flattens** each node into a packed PI-space
+  construction — and swept to the outputs' live fan-in
+  (:func:`repro.aig.live_aig`: the strash the content fingerprint
+  already paid for, and without the dead inner NANDs of every
+  recognised XOR cluster);
+* a forward pass **flattens** each live node into a packed PI-space
   polynomial while it stays below a size bound; complements cost one
   constant-monomial toggle instead of a model substitution, so
   flattening reaches much further than the netlist-level pass;
@@ -39,7 +42,13 @@ from array import array
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.aig import Aig, enumerate_cuts, cut_truth_table, truth_table_to_anf
+from repro.aig import (
+    Aig,
+    cut_truth_table,
+    enumerate_cuts,
+    live_aig,
+    truth_table_to_anf,
+)
 from repro.aig.cuts import iter_cuts
 from repro.engine.base import CompilingEngine, cone_span
 from repro.engine.bitpack import PackedExpression, _flat_product
@@ -88,7 +97,7 @@ class _CompiledAig:
     )
 
     def __init__(self, netlist: Netlist):
-        aig = Aig.from_netlist(netlist)
+        aig = live_aig(netlist)
         self.aig = aig
         self.net_literal = aig.net_literal
         self.n_gates = len(netlist)
@@ -358,17 +367,6 @@ class _CompiledAig:
         return tuple(key for key, parity in counts.items() if parity)
 
 
-def _missing_output_error(output: str) -> BackwardRewriteError:
-    """A net the netlist never mentions: the same failure the other
-    backends report for a dangling variable (shared by the per-bit and
-    fused paths of the compiled engines)."""
-    return BackwardRewriteError(
-        f"rewriting {output!r} left non-input variables "
-        f"[{output!r}] — netlist is not a complete "
-        "combinational cone"
-    )
-
-
 class AigEngine(CompilingEngine):
     """Backward rewriting cut-by-cut over the strashed AIG."""
 
@@ -460,7 +458,19 @@ class AigEngine(CompilingEngine):
         compiled = self._compiled_for(netlist, compile_cache)
         literal = compiled.net_literal.get(output)
         if literal is None:
-            raise _missing_output_error(output)
+            if netlist.driver_of(output) is None:
+                # A net the netlist never mentions: the same failure
+                # the other backends report for a dangling variable.
+                raise BackwardRewriteError(
+                    f"rewriting {output!r} left non-input variables "
+                    f"[{output!r}] — netlist is not a complete "
+                    "combinational cone"
+                )
+            # The program holds the outputs' live graph only; a net no
+            # output reads is rewritten over its own cone.
+            return self._rewrite_cone_impl(
+                netlist.cone(output), output, trace, term_limit, None
+            )
         node = literal >> 1
         complemented = literal & 1
 

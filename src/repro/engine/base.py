@@ -211,8 +211,14 @@ def netlist_token(netlist: Netlist) -> str:
     disagree on.  The token ties a serialized program to the exact
     netlist text it was compiled from, so a fingerprint collision
     between structural twins degrades to a recompile, never to a
-    mis-served program.
+    mis-served program.  Computed once per netlist and memoized in
+    :meth:`Netlist.memo <repro.netlist.netlist.Netlist.memo>`: every
+    store and load of the same netlist's program reuses it.
     """
+    memo = netlist.memo()
+    token = memo.get("token")
+    if token is not None:
+        return token
     parts = [
         "\x1e".join(netlist.inputs),
         "\x1e".join(netlist.outputs),
@@ -223,7 +229,9 @@ def netlist_token(netlist: Netlist) -> str:
     )
     # One join + one hash pass: this runs on every warm program load,
     # so per-gate digest updates would dominate the load itself.
-    return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    token = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
+    memo["token"] = token
+    return token
 
 
 #: Sentinel distinguishing "never persisted to a cache" from a stored

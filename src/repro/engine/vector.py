@@ -116,7 +116,7 @@ from weakref import WeakKeyDictionary
 from repro import telemetry as _telemetry
 from repro.engine import spill as _spill
 from repro.engine import xp as _xp
-from repro.engine.aig import AigEngine, _missing_output_error
+from repro.engine.aig import AigEngine
 from repro.engine.base import EngineError, cone_span
 from repro.engine.bitpack import PackedExpression
 from repro.engine.interning import SignalInterner
@@ -750,11 +750,10 @@ class VectorEngine(AigEngine):
         roots: List[Tuple[str, int, int]] = []
         for output in chosen:
             literal = compiled.net_literal.get(output)
-            if literal is None:
-                raise _missing_output_error(output)
-            node = literal >> 1
-            if node in compiled.flats:
-                # Flat fast path — identical to the per-bit engines.
+            if literal is None or literal >> 1 in compiled.flats:
+                # Flat fast path — identical to the per-bit engines,
+                # which also report unknown nets and rewrite nets that
+                # no output reads.
                 results[output] = super().rewrite_cone(
                     netlist,
                     output,
@@ -762,7 +761,7 @@ class VectorEngine(AigEngine):
                     compile_cache=compile_cache,
                 )
             else:
-                roots.append((output, node, literal & 1))
+                roots.append((output, literal >> 1, literal & 1))
         if roots:
             with _telemetry.current().span(
                 "sweep",

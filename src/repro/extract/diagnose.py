@@ -28,10 +28,14 @@ from repro.extract.extractor import (
     ExtractionResult,
     extract_irreducible_polynomial,
 )
-from repro.extract.verify import VerificationReport, verify_multiplier
+from repro.extract.verify import (
+    VerificationReport,
+    first_mismatch,
+    verify_multiplier,
+)
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.gf2m import GF2m
-from repro.gen.naming import value_assignment
+from repro.gen.naming import input_nets, value_assignment
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import BackwardRewriteError, TermLimitExceeded
 
@@ -323,19 +327,18 @@ def _find_counterexample(
 
     Exhaustive for small m, bounded sweep otherwise; the algebraic
     verdict already proved a mismatch exists, the sweep just makes it
-    concrete (it can miss one when the operand space is large).
+    concrete (it can miss one when the operand space is large).  The
+    ``bound x bound`` window is simulated in one bit-parallel pass;
+    the first disagreeing pair in row-major ``(a, b)`` order wins.
     """
     m = result.m
     field = GF2m(result.modulus, check_irreducible=False)
-    a_nets = [f"a{i}" for i in range(m)]
-    b_nets = [f"b{i}" for i in range(m)]
     bound = min(1 << m, max_values)
-    for a_value in range(bound):
-        for b_value in range(bound):
-            assignment = dict(value_assignment(a_nets, a_value))
-            assignment.update(value_assignment(b_nets, b_value))
-            values = netlist.simulate(assignment)
-            got = sum(values[f"z{i}"] << i for i in range(m))
-            if got != field.mul(a_value, b_value):
-                return assignment
-    return None
+    pairs = [(a, b) for a in range(bound) for b in range(bound)]
+    lane = first_mismatch(netlist, field, m, pairs)
+    if lane is None:
+        return None
+    a_value, b_value = pairs[lane]
+    assignment = dict(value_assignment(input_nets(m, "a"), a_value))
+    assignment.update(value_assignment(input_nets(m, "b"), b_value))
+    return assignment

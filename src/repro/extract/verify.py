@@ -18,15 +18,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import get_engine
 from repro.extract.extractor import ExtractionResult
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.gf2m import GF2m
-from repro.gen.naming import input_nets
+from repro.gen.naming import input_nets, output_nets
 from repro.netlist.netlist import Netlist
 from repro.rewrite.signature import spec_expressions
+
+#: Operand pairs simulated per bit-parallel pass.
+LANE_WIDTH = 1 << 12
 
 
 @dataclass
@@ -152,9 +155,6 @@ def _simulation_check(
     (4096 pairs) is a handful of netlist traversals.
     """
     field = GF2m(modulus, check_irreducible=False)
-    a_nets = input_nets(m, "a")
-    b_nets = input_nets(m, "b")
-
     if m <= max_exhaustive_m:
         pairs = [
             (a, b) for a in range(1 << m) for b in range(1 << m)
@@ -169,30 +169,50 @@ def _simulation_check(
         # Always include the classic corner operands.
         pairs.extend([(0, 0), (1, 1), (top, top), (1, top)])
 
-    lane_width = 1 << 12  # simulate up to 4096 pairs per pass
-    for start in range(0, len(pairs), lane_width):
-        chunk = pairs[start : start + lane_width]
-        width = len(chunk)
-        assignment = {}
-        for idx, net in enumerate(a_nets):
-            packed = 0
-            for lane, (a_val, _) in enumerate(chunk):
-                if (a_val >> idx) & 1:
-                    packed |= 1 << lane
-            assignment[net] = packed
-        for idx, net in enumerate(b_nets):
-            packed = 0
-            for lane, (_, b_val) in enumerate(chunk):
-                if (b_val >> idx) & 1:
-                    packed |= 1 << lane
-            assignment[net] = packed
-        outputs = netlist.simulate(assignment, width=width)
-        for lane, (a_val, b_val) in enumerate(chunk):
-            expected = field.mul(a_val, b_val)
-            actual = 0
-            for idx in range(m):
-                if (outputs[f"z{idx}"] >> lane) & 1:
-                    actual |= 1 << idx
-            if actual != expected:
-                return False, start + lane + 1
+    for start in range(0, len(pairs), LANE_WIDTH):
+        chunk = pairs[start : start + LANE_WIDTH]
+        lane = first_mismatch(netlist, field, m, chunk)
+        if lane is not None:
+            return False, start + lane + 1
     return True, len(pairs)
+
+
+def pack_lanes(nets: Sequence[str], values: Sequence[int]) -> Dict[str, int]:
+    """Bit-parallel net values: lane ``i`` of ``nets[j]`` carries bit
+    ``j`` of ``values[i]`` (every value must fit in ``len(nets)`` bits).
+
+    >>> pack_lanes(["a0", "a1"], [0b01, 0b10, 0b11])
+    {'a0': 5, 'a1': 6}
+    """
+    if not values:
+        return {net: 0 for net in nets}
+    # One binary string per lane, highest lane first: column c of the
+    # transposed rows is bit len(nets)-1-c of every lane, and reads as
+    # a binary number with lane 0 in its least significant bit.
+    rows = [format(value, f"0{len(nets)}b") for value in reversed(values)]
+    columns = list(zip(*rows))[::-1]
+    return {
+        net: int("".join(column), 2) for net, column in zip(nets, columns)
+    }
+
+
+def first_mismatch(
+    netlist: Netlist,
+    field: GF2m,
+    m: int,
+    pairs: Sequence[Tuple[int, int]],
+) -> Optional[int]:
+    """Index of the first operand pair ``(a, b)`` on which the
+    netlist's ``z`` outputs differ from ``field.mul(a, b)``, or
+    ``None``.  All pairs are simulated in one bit-parallel pass."""
+    assignment = pack_lanes(input_nets(m, "a"), [a for a, _ in pairs])
+    assignment.update(pack_lanes(input_nets(m, "b"), [b for _, b in pairs]))
+    outputs = netlist.simulate(assignment, width=len(pairs))
+    z_nets = output_nets(m)
+    expected = pack_lanes(z_nets, [field.mul(a, b) for a, b in pairs])
+    diff = 0
+    for net in z_nets:
+        diff |= outputs[net] ^ expected[net]
+    if not diff:
+        return None
+    return (diff & -diff).bit_length() - 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from repro.netlist.gate import Gate, GateType, evaluate_gate
 
@@ -77,6 +77,7 @@ class Netlist:
         self._driver: Dict[str, Gate] = {}
         self._topo_cache: Optional[List[Gate]] = None
         self._topo_pos_cache: Optional[Dict[str, int]] = None
+        self._memo: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,16 +93,32 @@ class Netlist:
         self._gates.append(gate)
         self._topo_cache = None
         self._topo_pos_cache = None
+        self._memo = None
 
     def add_input(self, name: str) -> None:
         if name in self._driver:
             raise NetlistError(f"net {name!r} is already driven by a gate")
         if name not in self.inputs:
             self.inputs.append(name)
+            self._memo = None
 
     def add_output(self, name: str) -> None:
         if name not in self.outputs:
             self.outputs.append(name)
+            self._memo = None
+
+    def memo(self) -> Dict[str, Any]:
+        """Forms derived from the netlist's current contents.
+
+        The strashed live AIG (:func:`repro.aig.live_aig`), the content
+        fingerprint and cone digests (:mod:`repro.service.fingerprint`)
+        and the exact-content token of compiled programs
+        (:func:`repro.engine.base.netlist_token`) are each derived once
+        and kept here; every mutator clears the dict.
+        """
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     # ------------------------------------------------------------------
     # Introspection

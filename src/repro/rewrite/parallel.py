@@ -173,6 +173,7 @@ def extract_expressions(
     telemetry: Optional["_telemetry.Telemetry"] = None,
     max_bytes: Optional[int] = None,
     cone_cache=None,
+    fused_chunk: Optional[int] = None,
 ) -> ExtractionRun:
     """Extract the canonical GF(2) expression of every output bit.
 
@@ -207,7 +208,11 @@ def extract_expressions(
     to their per-bit loop.  ``jobs`` is ignored (the sweep is the
     parallelism); results are bit-identical to a per-bit run, and the
     ``on_result`` hook still fires once per bit — after the sweep, in
-    request order.
+    request order.  ``fused_chunk`` splits the sweep into sweeps of at
+    most that many outputs, the hook firing after each: the
+    checkpoint granularity of :mod:`repro.service.jobs`.  The chunks
+    share one compile, one cone-cache partition and one final store of
+    the compiled program.
 
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
@@ -260,9 +265,10 @@ def extract_expressions(
 
         # Cone-cache partition: serve every output whose Merkle cone
         # digest already has a stored result, and dispatch only the
-        # dirty remainder.  The digest pass is one AIG lowering —
-        # orders of magnitude below a rewrite — and it is inside the
-        # span, so the warm path's true cost is what the trace shows.
+        # dirty remainder.  The digests are memoized on the netlist
+        # (one AIG lowering per netlist, usually paid by the caller's
+        # fingerprint) and read inside the span, so the warm path's
+        # true cost is what the trace shows.
         dirty = chosen
         cone_digests: Optional[Dict[str, str]] = None
         hit_outputs: List[str] = []
@@ -326,18 +332,21 @@ def extract_expressions(
             extra = (
                 {"max_bytes": max_bytes} if max_bytes is not None else {}
             )
-            cones_by_output = backend.rewrite_cones(
-                work,
-                dirty,
-                term_limit=term_limit,
-                compile_cache=compile_cache,
-                **extra,
-            )
-            for output in dirty:
-                expression, stats = cones_by_output[output]
-                results.append((output, expression, stats))
-                if on_result is not None:
-                    on_result(output, expression, stats)
+            step = max(1, fused_chunk or len(dirty))
+            for start in range(0, len(dirty), step):
+                batch = dirty[start : start + step]
+                cones_by_output = backend.rewrite_cones(
+                    work,
+                    batch,
+                    term_limit=term_limit,
+                    compile_cache=compile_cache,
+                    **extra,
+                )
+                for output in batch:
+                    expression, stats = cones_by_output[output]
+                    results.append((output, expression, stats))
+                    if on_result is not None:
+                        on_result(output, expression, stats)
         elif jobs == 1:
             work.topological_order()
             for output in dirty:

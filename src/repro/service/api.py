@@ -96,6 +96,11 @@ MAX_FINISHED_JOBS = 1024
 #: submissions get 429 + Retry-After instead of unbounded growth.
 MAX_QUEUE_DEPTH = 64
 
+#: How often the HTTP loop checks for a shutdown request.
+#: ``shutdown()`` waits up to this long for the loop to notice; the
+#: idle wake-ups cost nothing measurable.
+SHUTDOWN_POLL_S = 0.02
+
 #: Job states that no longer occupy a worker.
 TERMINAL_STATUSES = ("done", "error", "cancelled", "quarantined")
 
@@ -239,7 +244,10 @@ class ReproAPIServer:
         for worker in self._workers:
             worker.start()
         self._http_thread = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-http", daemon=True
+            target=self.httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S},
+            name="repro-http",
+            daemon=True,
         )
         self._http_thread.start()
 
@@ -247,7 +255,7 @@ class ReproAPIServer:
         """Run in the foreground (the ``repro serve`` path)."""
         for worker in self._workers:
             worker.start()
-        self.httpd.serve_forever()
+        self.httpd.serve_forever(poll_interval=SHUTDOWN_POLL_S)
 
     def shutdown(self, drain: bool = True) -> None:
         """Stop accepting requests; finish or cancel queued work.

@@ -71,7 +71,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-from weakref import WeakKeyDictionary
 
 from repro import chaos as _chaos
 from repro import telemetry as _telemetry
@@ -86,6 +85,7 @@ from repro.rewrite.parallel import ExtractionRun, LazyExpressions
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMA,
     fingerprint_netlist,
+    known_fingerprint,
 )
 
 #: Bump on any change to the serialized artifact layout.
@@ -459,9 +459,6 @@ class ResultCache:
         #: drift low, which only delays eviction until the next scan.
         self._entry_estimate: Optional[int] = None
         self._bytes_estimate: Optional[int] = None
-        self._fingerprint_memo: "WeakKeyDictionary[Netlist, Tuple[int, str]]" = (
-            WeakKeyDictionary()
-        )
 
     @staticmethod
     def _int_env(variable: str) -> Optional[int]:
@@ -480,26 +477,13 @@ class ResultCache:
     def fingerprint(self, key: Union[str, Netlist]) -> str:
         """Normalise a key: pass fingerprints through, hash netlists.
 
-        Netlist fingerprints are memoized weakly (guarded by gate
-        count, like the engines' compiled-program caches), so one
-        request that consults several kinds hashes the netlist once.
+        A netlist's fingerprint is memoized on the netlist itself
+        (:func:`repro.service.fingerprint.known_fingerprint`), so one
+        request that consults several kinds hashes it once.
         """
         if isinstance(key, Netlist):
-            memo = self._fingerprint_memo.get(key)
-            if memo is not None and memo[0] == len(key):
-                return memo[1]
-            fingerprint = fingerprint_netlist(key)
-            self._fingerprint_memo[key] = (len(key), fingerprint)
-            return fingerprint
+            return known_fingerprint(key) or fingerprint_netlist(key)
         return key
-
-    def remember_fingerprint(
-        self, netlist: Netlist, fingerprint: str
-    ) -> None:
-        """Seed the weak fingerprint memo with an externally known
-        value (e.g. from the stat-validated file memo), so keyed
-        accesses on this netlist object never re-hash it."""
-        self._fingerprint_memo[netlist] = (len(netlist), fingerprint)
 
     def path_for(self, kind: str, key: Union[str, Netlist]) -> Path:
         if kind not in KINDS:

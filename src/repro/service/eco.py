@@ -39,7 +39,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro import telemetry as _telemetry
 from repro.netlist.netlist import Netlist
 from repro.service.cache import ResultCache
-from repro.service.fingerprint import fingerprint_with_cones
+from repro.service.fingerprint import (
+    fingerprint_with_cones,
+    remember_fingerprint,
+)
 
 PathLike = Union[str, os.PathLike]
 
@@ -158,7 +161,6 @@ def fingerprint_file(
     except OSError as error:
         raise EcoError(f"cannot read {path}: {error}") from error
     fingerprint, cones = fingerprint_with_cones(netlist)
-    cache.remember_fingerprint(netlist, fingerprint)
     cache.remember_file(
         path, fingerprint, gates=len(netlist), stat=stat, cones=cones
     )
@@ -295,16 +297,16 @@ def eco_reverify(
         edit_fp, edit_cones, edit_net = fingerprint_file(edited_path, cache)
         diff = diff_cones(base_fp, base_cones, edit_fp, edit_cones, tel)
 
-        def load(path, fingerprint):
+        def load(path, fingerprint, cones):
             reader = _readers()[Path(path).suffix]
             netlist = reader(Path(path))
-            cache.remember_fingerprint(netlist, fingerprint)
+            remember_fingerprint(netlist, fingerprint, cones)
             return netlist
 
         def edited_netlist() -> Netlist:
             nonlocal edit_net
             if edit_net is None:
-                edit_net = load(edited_path, edit_fp)
+                edit_net = load(edited_path, edit_fp, edit_cones)
             return edit_net
 
         def cones_present(cones: Dict[str, str]) -> bool:
@@ -331,7 +333,7 @@ def eco_reverify(
             else:
                 baseline_source = "extracted"
                 if base_net is None:
-                    base_net = load(baseline_path, base_fp)
+                    base_net = load(baseline_path, base_fp, base_cones)
                 extract_irreducible_polynomial(
                     base_net,
                     jobs=jobs,

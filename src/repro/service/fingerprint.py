@@ -7,7 +7,11 @@ Graph (:mod:`repro.aig`): the netlist is lowered once with
 :meth:`~repro.aig.Aig.from_netlist` — CSE, BUF aliasing, INV-pair
 removal and constant folding happen by construction — and the Merkle
 labels are derived from the node table in a single traversal instead
-of a separate strash pass plus relabelling.  The fingerprint is a
+of a separate strash pass plus relabelling.  The lowering is the
+netlist's memoized live graph (:func:`repro.aig.live_aig`), which the
+aig/vector engines compile from too, and the fingerprint and cone
+digests are memoized next to it: every caller in one request shares a
+single strash and a single labelling.  The fingerprint is a
 sha256 over that form, with the three documented invariances:
 
 * **gate order** — node labels are computed bottom-up from fan-in and
@@ -35,9 +39,9 @@ entries — including this one: the AIG derivation is schema 2.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.aig import Aig, lit_is_complemented, lit_node
+from repro.aig import Aig, lit_is_complemented, lit_node, live_aig
 from repro.netlist.netlist import Netlist
 
 #: Version of the canonical form; bump on any change to the labelling
@@ -60,11 +64,11 @@ def _edge_label(labels: Dict[int, str], lit: int) -> str:
 
 
 def _canonical_labels(aig: Aig) -> Dict[int, str]:
-    """Merkle label of every live node, in one ascending traversal."""
+    """Merkle label of every node of a swept graph, in one ascending
+    traversal (:meth:`~repro.aig.Aig.swept` keeps only the outputs'
+    fan-in, plus leaves, whose labels the digests ignore)."""
     labels: Dict[int, str] = {0: _digest("const0")}
-    for node in aig.live_nodes():
-        if node == 0:
-            continue
+    for node in range(1, len(aig)):
         if aig.is_leaf(node):
             labels[node] = _digest(f"pi:{aig.pi_name[node]}")
             continue
@@ -75,26 +79,6 @@ def _canonical_labels(aig: Aig) -> Dict[int, str]:
         )
         labels[node] = _digest(kind + ":" + ",".join(operands))
     return labels
-
-
-def fingerprint_netlist(netlist: Netlist, strash: bool = True) -> str:
-    """The content address of a netlist: ``v<schema>-<sha256 hex>``.
-
-    ``strash`` is kept for interface compatibility and is now a no-op:
-    the AIG lowering *is* the structural normalisation, and it is no
-    longer worth skipping.
-
-    >>> from repro.gen.mastrovito import generate_mastrovito
-    >>> a = fingerprint_netlist(generate_mastrovito(0b10011))
-    >>> b = fingerprint_netlist(generate_mastrovito(0b10011))
-    >>> c = fingerprint_netlist(generate_mastrovito(0b11001))
-    >>> a == b, a == c
-    (True, False)
-    """
-    del strash  # normalisation is inherent in the AIG lowering
-    aig = Aig.from_netlist(netlist)
-    labels = _canonical_labels(aig)
-    return _fingerprint_from_labels(netlist, aig, labels)
 
 
 def _fingerprint_from_labels(
@@ -121,6 +105,43 @@ def _cone_digest(name: str, edge_label: str) -> str:
     return _digest(f"cone:{FINGERPRINT_SCHEMA}:{name}={edge_label}")
 
 
+def _memoized(netlist: Netlist) -> Tuple[str, Dict[str, str]]:
+    """Fingerprint and cone digests, derived once per netlist.
+
+    Both come from one labelling of the netlist's memoized live graph
+    (:func:`repro.aig.live_aig`) and are kept in the netlist's memo;
+    the labels themselves are dropped once the digests exist.
+    """
+    memo = netlist.memo()
+    if "cones" not in memo:
+        aig = live_aig(netlist)
+        labels = _canonical_labels(aig)
+        memo["fingerprint"] = _fingerprint_from_labels(netlist, aig, labels)
+        memo["cones"] = {
+            name: _cone_digest(name, _edge_label(labels, lit))
+            for name, lit in aig.outputs
+        }
+    return memo["fingerprint"], memo["cones"]
+
+
+def fingerprint_netlist(netlist: Netlist, strash: bool = True) -> str:
+    """The content address of a netlist: ``v<schema>-<sha256 hex>``.
+
+    ``strash`` is kept for interface compatibility and is now a no-op:
+    the AIG lowering *is* the structural normalisation, and it is no
+    longer worth skipping.
+
+    >>> from repro.gen.mastrovito import generate_mastrovito
+    >>> a = fingerprint_netlist(generate_mastrovito(0b10011))
+    >>> b = fingerprint_netlist(generate_mastrovito(0b10011))
+    >>> c = fingerprint_netlist(generate_mastrovito(0b11001))
+    >>> a == b, a == c
+    (True, False)
+    """
+    del strash  # normalisation is inherent in the AIG lowering
+    return known_fingerprint(netlist) or _memoized(netlist)[0]
+
+
 def cone_fingerprints(netlist: Netlist) -> Dict[str, str]:
     """Per-output-cone digests: ``{output name: sha256 hex}``.
 
@@ -139,12 +160,7 @@ def cone_fingerprints(netlist: Netlist) -> Dict[str, str]:
     >>> sorted(cones) == ["z0", "z1", "z2", "z3"]
     True
     """
-    aig = Aig.from_netlist(netlist)
-    labels = _canonical_labels(aig)
-    return {
-        name: _cone_digest(name, _edge_label(labels, lit))
-        for name, lit in aig.outputs
-    }
+    return dict(_memoized(netlist)[1])
 
 
 def fingerprint_with_cones(
@@ -153,10 +169,26 @@ def fingerprint_with_cones(
     """``(fingerprint_netlist(n), cone_fingerprints(n))`` from one
     AIG lowering — the ECO path needs both, and the lowering (strash)
     dominates the cost of either."""
-    aig = Aig.from_netlist(netlist)
-    labels = _canonical_labels(aig)
-    cones = {
-        name: _cone_digest(name, _edge_label(labels, lit))
-        for name, lit in aig.outputs
-    }
-    return _fingerprint_from_labels(netlist, aig, labels), cones
+    fingerprint, cones = _memoized(netlist)
+    return fingerprint, dict(cones)
+
+
+def known_fingerprint(netlist: Netlist) -> Optional[str]:
+    """The netlist's fingerprint if it is already known, else ``None``
+    (never derives it)."""
+    return netlist.memo().get("fingerprint")
+
+
+def remember_fingerprint(
+    netlist: Netlist,
+    fingerprint: str,
+    cones: Optional[Dict[str, str]] = None,
+) -> None:
+    """Seed the netlist's memo with an externally known fingerprint
+    (and cone digests), e.g. from the stat-validated file memo of
+    :class:`repro.service.cache.ResultCache`, so the parsed netlist is
+    never hashed for them."""
+    memo = netlist.memo()
+    memo["fingerprint"] = fingerprint
+    if cones is not None:
+        memo["cones"] = dict(cones)

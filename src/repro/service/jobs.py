@@ -289,6 +289,8 @@ def checkpointed_extract(
     runs as one fused pass and checkpoints its completions together —
     a kill loses at most one chunk, and the checkpoint format is
     unchanged, so fused and per-bit runs resume each other freely.
+    The chunks share one compile, and the compiled program (grown by
+    every chunk's cut models) is re-stored once, after the last.
     ``max_bytes`` caps each sweep-chunk's live matrix (the vector
     engine's out-of-core tier): spill state lives and dies inside one
     sweep call, so a killed out-of-core run resumes exactly like an
@@ -301,9 +303,9 @@ def checkpointed_extract(
 
     ``telemetry`` selects the registry progress lands in (default:
     the active one): every completed bit updates the
-    ``job.<fingerprint>.done_bits`` gauge, and each fused sweep-chunk
-    runs inside a ``job.chunk`` span — the progress ticks ROADMAP
-    item 1's poll/SSE feed reads.
+    ``job.<fingerprint>.done_bits`` gauge — the progress ticks that
+    ``GET /jobs/<id>/progress`` reads — and each fused sweep-chunk is
+    its own ``sweep`` span.
 
     ``deadline`` (a :class:`repro.service.resilience.Deadline`) is
     checked cooperatively at every persist — i.e. at bit/chunk
@@ -361,61 +363,28 @@ def checkpointed_extract(
             if deadline is not None:
                 deadline.check()
 
-        if fused:
-            # Sweep-chunk scheduling: one fused pass per chunk of
-            # bits, completions recorded together at each chunk end.
-            chunk = max(1, fused_chunk)
-            wall = cpu = 0.0
-            run_jobs = 1
-            run_engine = engine
-            for index, start in enumerate(
-                range(0, len(remaining), chunk)
-            ):
-                batch = remaining[start : start + chunk]
-                with tel.span(
-                    "job.chunk",
-                    fingerprint=fingerprint[:12],
-                    chunk=index,
-                    bits=len(batch),
-                ):
-                    fresh = extract_expressions(
-                        netlist,
-                        outputs=batch,
-                        jobs=jobs,
-                        term_limit=term_limit,
-                        engine=engine,
-                        on_result=persist,
-                        compile_cache=compile_cache,
-                        fused=True,
-                        telemetry=tel,
-                        max_bytes=max_bytes,
-                        cone_cache=cone_cache,
-                    )
-                cones.update(fresh.cones)
-                stats.update(fresh.stats)
-                provenance.update(fresh.cache_provenance)
-                wall += fresh.wall_time_s
-                cpu += fresh.cpu_time_s
-                run_engine = fresh.engine
-        else:
-            fresh = extract_expressions(
-                netlist,
-                outputs=remaining,
-                jobs=jobs,
-                term_limit=term_limit,
-                engine=engine,
-                on_result=persist,
-                compile_cache=compile_cache,
-                telemetry=tel,
-                max_bytes=max_bytes,
-                cone_cache=cone_cache,
-            )
-            cones.update(fresh.cones)
-            stats.update(fresh.stats)
-            provenance.update(fresh.cache_provenance)
-            wall, cpu = fresh.wall_time_s, fresh.cpu_time_s
-            run_jobs = fresh.jobs
-            run_engine = fresh.engine
+        # Fused runs sweep in chunks of ``fused_chunk`` bits, each
+        # chunk's completions recorded together at its end.
+        fresh = extract_expressions(
+            netlist,
+            outputs=remaining,
+            jobs=jobs,
+            term_limit=term_limit,
+            engine=engine,
+            on_result=persist,
+            compile_cache=compile_cache,
+            fused=fused,
+            telemetry=tel,
+            max_bytes=max_bytes,
+            cone_cache=cone_cache,
+            fused_chunk=fused_chunk,
+        )
+        cones.update(fresh.cones)
+        stats.update(fresh.stats)
+        provenance.update(fresh.cache_provenance)
+        wall, cpu = fresh.wall_time_s, fresh.cpu_time_s
+        run_jobs = fresh.jobs
+        run_engine = fresh.engine
     else:
         wall = cpu = 0.0
         run_jobs = max(1, min(jobs if jobs else 1, len(chosen)))

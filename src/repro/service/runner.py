@@ -133,6 +133,10 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     )
     from repro.extract.verify import verify_multiplier
     from repro.service.cache import ResultCache
+    from repro.service.fingerprint import (
+        fingerprint_with_cones,
+        remember_fingerprint,
+    )
     from repro.service.jobs import checkpointed_extract
 
     path = Path(task["path"])
@@ -198,12 +202,11 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
             nonlocal netlist
             if netlist is None:
                 netlist = reader(path)
-                if cache is not None and fingerprint is not None:
+                if fingerprint is not None:
                     # The file memo already knows this netlist's
-                    # fingerprint; seed the cache's weak memo so the
-                    # compiled-program lookups (and every other keyed
-                    # access) skip re-hashing the parsed netlist.
-                    cache.remember_fingerprint(netlist, fingerprint)
+                    # fingerprint; seed the netlist's memo so keyed
+                    # cache accesses skip hashing the parsed netlist.
+                    remember_fingerprint(netlist, fingerprint)
             return netlist
 
         fingerprint = None
@@ -213,15 +216,12 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 fingerprint = memo["fingerprint"]
                 record["gates"] = memo.get("gates")
             else:
-                from repro.service.fingerprint import fingerprint_with_cones
-
                 stat = os.stat(path)  # before the read: overwrite-safe
                 # One AIG lowering yields the netlist fingerprint AND
                 # every per-cone digest; memoizing both means a later
                 # `repro eco` against this unchanged file never
                 # strashes it again.
                 fingerprint, cone_digests = fingerprint_with_cones(load())
-                cache.remember_fingerprint(netlist, fingerprint)
                 record["gates"] = len(netlist)
                 cache.remember_file(
                     path,

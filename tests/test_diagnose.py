@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.extract.diagnose import Verdict, diagnose
+from repro.extract.diagnose import Verdict, _find_counterexample, diagnose
+from repro.extract.extractor import extract_irreducible_polynomial
+from repro.fieldmath.gf2m import GF2m
 from repro.gen.faults import random_fault, stuck_at
 from repro.gen.interleaved import generate_interleaved
 from repro.gen.karatsuba import generate_karatsuba
@@ -10,6 +12,7 @@ from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.montgomery import generate_montgomery
 from repro.gen.normal_basis import generate_massey_omura
 from repro.netlist.build import NetlistBuilder
+from repro.gen.naming import value_assignment
 from repro.netlist.netlist import Netlist
 from tests.conftest import bit_assignment, exhaustive_pairs
 
@@ -128,3 +131,63 @@ class TestRewriteFailure:
         )
         diagnosis = diagnose(netlist)
         assert diagnosis.verdict is Verdict.REWRITE_FAILED
+
+
+def scalar_counterexample(netlist, result, max_values=64):
+    """The reference search: one scalar simulation per operand pair,
+    row-major over the ``bound x bound`` window."""
+    m = result.m
+    field = GF2m(result.modulus, check_irreducible=False)
+    a_nets = [f"a{i}" for i in range(m)]
+    b_nets = [f"b{i}" for i in range(m)]
+    bound = min(1 << m, max_values)
+    for a_value in range(bound):
+        for b_value in range(bound):
+            assignment = dict(value_assignment(a_nets, a_value))
+            assignment.update(value_assignment(b_nets, b_value))
+            values = netlist.simulate(assignment)
+            got = sum(values[f"z{i}"] << i for i in range(m))
+            if got != field.mul(a_value, b_value):
+                return assignment
+    return None
+
+
+class TestCounterexampleSearch:
+    """The bit-parallel window search returns exactly what the scalar
+    loop returns: the same first pair, in the same row-major order."""
+
+    @pytest.mark.parametrize(
+        "modulus, seeds", [(0b10011, 12), (0b100011011, 4)]
+    )
+    def test_caught_mutants_match_the_scalar_loop(self, modulus, seeds):
+        clean = generate_mastrovito(modulus)
+        result = extract_irreducible_polynomial(clean)
+        caught = 0
+        for seed in range(seeds):
+            mutant, _ = random_fault(clean, seed=seed)
+            expected = scalar_counterexample(mutant, result)
+            assert _find_counterexample(mutant, result) == expected
+            caught += expected is not None
+        assert caught > 0
+
+    def test_missed_mutant_matches_the_scalar_loop(self):
+        """A fault visible only when a7 = b7 = 1 lies outside the 64 x 64
+        window: both searches come back empty."""
+        clean = generate_mastrovito(0b100011011)
+        result = extract_irreducible_polynomial(clean)
+        (product,) = [
+            gate.output
+            for gate in clean.gates
+            if set(gate.inputs) == {"a7", "b7"}
+        ]
+        mutant, _ = stuck_at(clean, product, 0)
+        assert mutant.simulate(bit_assignment(8, 0x80, 0x80)) != (
+            clean.simulate(bit_assignment(8, 0x80, 0x80))
+        )
+        assert scalar_counterexample(mutant, result) is None
+        assert _find_counterexample(mutant, result) is None
+
+    def test_clean_multiplier_has_no_counterexample(self):
+        clean = generate_mastrovito(0b100011011)
+        result = extract_irreducible_polynomial(clean)
+        assert _find_counterexample(clean, result) is None

@@ -11,6 +11,8 @@ full cell library, and the structural failure modes."""
 
 import pytest
 
+from repro.aig import Aig, live_aig
+from repro.engine import registered_engines
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
@@ -22,6 +24,7 @@ from repro.gen.montgomery import generate_montgomery
 from repro.gen.normal_basis import generate_massey_omura
 from repro.gen.random_logic import generate_random_netlist
 from repro.gen.schoolbook import generate_schoolbook
+from repro.netlist.eqn_io import write_eqn
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import (
@@ -29,6 +32,9 @@ from repro.rewrite.backward import (
     TermLimitExceeded,
     backward_rewrite,
 )
+from repro.rewrite.parallel import extract_expressions
+from repro.service.fingerprint import fingerprint_with_cones
+from repro.service.runner import CampaignRunner
 from repro.synth.pipeline import synthesize
 
 GENERATORS = {
@@ -170,3 +176,135 @@ class TestCacheInvalidation:
         reference, _ = backward_rewrite(netlist, "extra", engine="reference")
         assert second == reference
         assert str(first) == "a0*b0"
+
+
+def count_strashes(monkeypatch):
+    """Record every netlist ``Aig.from_netlist`` lowers."""
+    calls = []
+    original = Aig.from_netlist.__func__
+
+    def counting(cls, netlist):
+        calls.append(netlist.name)
+        return original(cls, netlist)
+
+    monkeypatch.setattr(Aig, "from_netlist", classmethod(counting))
+    return calls
+
+
+def needs_vector():
+    if "vector" not in registered_engines():
+        pytest.skip("numpy not installed; vector engine unregistered")
+
+
+FORMS = {
+    "flat": lambda netlist: netlist,
+    "synthesized": synthesize,
+    "nand-mapped": lambda netlist: synthesize(netlist, use_xor_cells=False),
+}
+
+
+class TestLiveGraph:
+    """The program compiles the netlist's memoized live graph: the
+    strash the fingerprint already paid for, swept of dead nodes."""
+
+    def test_compile_reuses_the_fingerprint_strash(self, monkeypatch):
+        netlist = synthesize(generate_mastrovito(0b10011), use_xor_cells=False)
+        calls = count_strashes(monkeypatch)
+        fingerprint_with_cones(netlist)
+        extract_irreducible_polynomial(netlist, engine="aig")
+        assert calls == [netlist.name]
+
+    def test_program_holds_only_live_nodes(self):
+        netlist = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
+        full = Aig.from_netlist(netlist)
+        live = live_aig(netlist)
+        assert len(live) < len(full)
+        assert set(live.live_nodes()) | set(live.pi_name) | {0} == set(
+            range(len(live))
+        )
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_per_bit_and_fused_equal_reference(self, name, form):
+        needs_vector()
+        netlist = FORMS[form](GENERATORS[name](0b1011011))
+        fingerprint_with_cones(netlist)  # the memo is shared from here on
+        expected = extract_expressions(netlist, engine="reference")
+        for engine, fused in (("aig", False), ("vector", False), ("vector", True)):
+            run = extract_expressions(netlist, engine=engine, fused=fused)
+            assert dict(run.expressions.items()) == dict(
+                expected.expressions.items()
+            )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fault_mutants_equal_reference(self, seed):
+        needs_vector()
+        base = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
+        mutant, _ = random_fault(base, seed=seed)
+        expected = extract_expressions(mutant, engine="reference")
+        for engine, fused in (("aig", False), ("vector", True)):
+            run = extract_expressions(mutant, engine=engine, fused=fused)
+            assert dict(run.expressions.items()) == dict(
+                expected.expressions.items()
+            )
+
+    @pytest.mark.parametrize("engine", ["aig", "vector"])
+    def test_swept_internal_net_rewrites_over_its_cone(self, engine):
+        """A net whose node the sweep dropped (an inner NAND of a
+        recognised XOR cluster) is still rewritable."""
+        if engine == "vector":
+            needs_vector()
+        netlist = synthesize(generate_mastrovito(0b10011), use_xor_cells=False)
+        live = live_aig(netlist)
+        swept = [
+            gate.output
+            for gate in netlist.gates
+            if gate.output not in live.net_literal
+        ]
+        assert swept
+        for net in swept[:5]:
+            actual, _ = backward_rewrite(netlist, net, engine=engine)
+            expected, _ = backward_rewrite(netlist, net, engine="reference")
+            assert actual == expected
+
+
+class TestOneStrashPerRequest:
+    """A campaign audit strashes each netlist exactly once."""
+
+    def _audit(self, tmp_path, netlist, **options):
+        path = tmp_path / f"{netlist.name}.eqn"
+        write_eqn(netlist, path)
+        runner = CampaignRunner(
+            mode="audit", workers=1, cache_dir=tmp_path / "cache", **options
+        )
+        record = runner.run([path]).records[0]
+        assert record["status"] == "ok"
+        assert record["equivalent"] is True
+        return record
+
+    def test_bitpack_audit(self, tmp_path, monkeypatch):
+        netlist = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
+        calls = count_strashes(monkeypatch)
+        self._audit(tmp_path, netlist, engine="bitpack")
+        assert len(calls) == 1
+
+    def test_fused_audit_over_several_checkpoint_chunks(
+        self, tmp_path, monkeypatch
+    ):
+        """m = 17 is two sweep-chunks of the default 16 bits."""
+        needs_vector()
+        from repro.engine.vector import VectorEngine
+
+        sweeps = []
+        original = VectorEngine.rewrite_cones
+
+        def counting(engine, netlist, outputs, *args, **kwargs):
+            sweeps.append(list(outputs))
+            return original(engine, netlist, outputs, *args, **kwargs)
+
+        monkeypatch.setattr(VectorEngine, "rewrite_cones", counting)
+        netlist = generate_mastrovito((1 << 17) | (1 << 3) | 1)
+        calls = count_strashes(monkeypatch)
+        self._audit(tmp_path, netlist, engine="vector", fused=True)
+        assert [len(chunk) for chunk in sweeps] == [16, 1]
+        assert len(calls) == 1

@@ -12,13 +12,14 @@ import random
 
 import pytest
 
+from repro.aig import Aig
 from repro.gen.faults import flip_gate
 from repro.gen.karatsuba import generate_karatsuba
 from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.montgomery import generate_montgomery
 from repro.gen.schoolbook import generate_schoolbook
 from repro.netlist.eqn_io import write_eqn
-from repro.netlist.gate import Gate
+from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist
 from repro.rewrite.parallel import extract_expressions
 from repro.service.cache import ResultCache
@@ -418,3 +419,49 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "identical" in out and "equivalent" in out
+
+
+def identity_edit(netlist: Netlist, output: str, operand: str) -> Netlist:
+    """``z -> AND(z', OR(z', a))``: same function, new cone structure."""
+    inner = f"{output}_pre"
+    edited = Netlist(netlist.name, netlist.inputs, netlist.outputs)
+    for gate in netlist.gates:
+        if gate.output == output:
+            gate = Gate(inner, gate.gtype, gate.inputs)
+        edited.add_gate(gate)
+    edited.add_gate(Gate(f"{output}_or", GateType.OR, (inner, operand)))
+    edited.add_gate(Gate(output, GateType.AND, (inner, f"{output}_or")))
+    return edited
+
+
+class TestStrashCount:
+    def test_fresh_edit_strashes_twice(self, tmp_path, monkeypatch):
+        """One strash for the edited netlist (fingerprint, cone
+        digests and partition share it) and one for the dirty cone's
+        sub-netlist, whose fingerprint keys the compiled program."""
+        base = generate_mastrovito(P8)
+        paths = {}
+        for name, netlist in (
+            ("base", base),
+            ("first", identity_edit(base, "z2", "a0")),
+            ("second", identity_edit(base, "z5", "b3")),
+        ):
+            paths[name] = tmp_path / f"{name}.eqn"
+            write_eqn(netlist, paths[name])
+        cache = ResultCache(tmp_path / "cache")
+        eco_reverify(paths["base"], paths["first"], cache, engine="bitpack")
+
+        calls = []
+        original = Aig.from_netlist.__func__
+
+        def counting(cls, netlist):
+            calls.append(sorted(netlist.outputs))
+            return original(cls, netlist)
+
+        monkeypatch.setattr(Aig, "from_netlist", classmethod(counting))
+        report = eco_reverify(
+            paths["base"], paths["second"], cache, engine="bitpack"
+        )
+        assert report.ok and report.equivalent
+        assert report.diff.dirty == ["z5"]
+        assert calls == [sorted(base.outputs), ["z5"]]

@@ -1,13 +1,29 @@
 """Fingerprint invariance: the service cache key must identify netlist
 *structure*, not its serialization accidents."""
 
+import hashlib
 import random
 
+import pytest
+
+from repro.aig import Aig, live_aig
+from repro.gen.digit_serial import generate_digit_serial
+from repro.gen.faults import random_fault
+from repro.gen.interleaved import generate_interleaved
+from repro.gen.karatsuba import generate_karatsuba
 from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.montgomery import generate_montgomery
+from repro.gen.schoolbook import generate_schoolbook
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist
-from repro.service.fingerprint import FINGERPRINT_SCHEMA, fingerprint_netlist
+from repro.service.fingerprint import (
+    FINGERPRINT_SCHEMA,
+    cone_fingerprints,
+    fingerprint_netlist,
+    fingerprint_with_cones,
+    remember_fingerprint,
+)
+from repro.synth.pipeline import synthesize
 from repro.synth.strash import structural_hash
 
 
@@ -168,3 +184,142 @@ class TestAigSchema:
 
         mapped = synthesize(flat, use_xor_cells=False)
         assert fingerprint_netlist(mapped) == fingerprint_netlist(mapped)
+
+
+def fresh_derivation(netlist: Netlist):
+    """Fingerprint and cone digests from a fresh, unswept
+    ``Aig.from_netlist``, labelling the outputs' fan-in only — the
+    derivation the memoized live graph must reproduce."""
+
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    aig = Aig.from_netlist(netlist)
+    labels = {0: digest("const0")}
+
+    def edge(lit):
+        label = labels[lit >> 1]
+        return "!" + label if lit & 1 else label
+
+    for node in aig.live_nodes():
+        if node == 0:
+            continue
+        if aig.is_leaf(node):
+            labels[node] = digest(f"pi:{aig.pi_name[node]}")
+            continue
+        kind = "and" if aig.is_and(node) else "xor"
+        operands = sorted(edge(lit) for lit in aig.fanins(node))
+        labels[node] = digest(kind + ":" + ",".join(operands))
+    ports = [
+        "in:" + ",".join(sorted(netlist.inputs)),
+        "out:" + ",".join(f"{name}={edge(lit)}" for name, lit in aig.outputs),
+    ]
+    nodes = sorted(
+        label
+        for node, label in labels.items()
+        if node != 0 and not aig.is_leaf(node)
+    )
+    payload = "\n".join([f"schema:{FINGERPRINT_SCHEMA}"] + ports + nodes)
+    cones = {
+        name: digest(f"cone:{FINGERPRINT_SCHEMA}:{name}={edge(lit)}")
+        for name, lit in aig.outputs
+    }
+    return f"v{FINGERPRINT_SCHEMA}-{digest(payload)}", cones
+
+
+GENERATORS = {
+    "mastrovito": generate_mastrovito,
+    "schoolbook": generate_schoolbook,
+    "montgomery": generate_montgomery,
+    "karatsuba": generate_karatsuba,
+    "interleaved": generate_interleaved,
+    "digit-serial": generate_digit_serial,
+}
+
+FORMS = {
+    "flat": lambda netlist: netlist,
+    "synthesized": synthesize,
+    "nand-mapped": lambda netlist: synthesize(netlist, use_xor_cells=False),
+}
+
+
+class TestMemoizedDerivation:
+    """One strash per netlist: the fingerprint and cone digests are
+    derived from the memoized live graph and kept on the netlist."""
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_equals_fresh_derivation_across_the_zoo(self, name, form):
+        netlist = FORMS[form](GENERATORS[name](0b1011011))
+        expected = fresh_derivation(netlist)
+        assert fingerprint_with_cones(netlist) == expected
+        # Served from the memo now, and still the same.
+        assert fingerprint_netlist(netlist) == expected[0]
+        assert cone_fingerprints(netlist) == expected[1]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_fresh_derivation_on_fault_mutants(self, seed):
+        base = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
+        mutant, _ = random_fault(base, seed=seed)
+        assert fingerprint_with_cones(mutant) == fresh_derivation(mutant)
+
+    def test_derived_once_per_netlist(self, monkeypatch):
+        netlist = generate_montgomery(0b1011)
+        calls = []
+        original = Aig.from_netlist.__func__
+
+        def counting(cls, source):
+            calls.append(source)
+            return original(cls, source)
+
+        monkeypatch.setattr(Aig, "from_netlist", classmethod(counting))
+        fingerprint_netlist(netlist)
+        cone_fingerprints(netlist)
+        fingerprint_with_cones(netlist)
+        live_aig(netlist)
+        assert calls == [netlist]
+
+    def test_returned_digests_are_copies(self):
+        netlist = generate_mastrovito(0b10011)
+        cone_fingerprints(netlist).clear()
+        fingerprint_with_cones(netlist)[1].clear()
+        assert sorted(cone_fingerprints(netlist)) == sorted(netlist.outputs)
+
+    def test_add_gate_then_add_output_refingerprints(self):
+        netlist = generate_mastrovito(0b10011)
+        before, before_cones = fingerprint_with_cones(netlist)
+        netlist.add_gate(Gate("extra", GateType.XOR, ("a0", "b1")))
+        after_gate = fingerprint_with_cones(netlist)
+        # A gate no output reads is swept: same function, same key.
+        assert after_gate == (before, before_cones)
+        netlist.add_output("extra")
+        after, after_cones = fingerprint_with_cones(netlist)
+        assert after != before
+        assert (after, after_cones) == fresh_derivation(netlist)
+        assert set(after_cones) == set(before_cones) | {"extra"}
+
+    def test_add_gate_on_an_output_refingerprints(self):
+        netlist = Netlist("t", inputs=["a0", "b0"], outputs=["z0", "z1"])
+        netlist.add_gate(Gate("z0", GateType.AND, ("a0", "b0")))
+        before, before_cones = fingerprint_with_cones(netlist)
+        netlist.add_gate(Gate("z1", GateType.XOR, ("a0", "b0")))
+        after, after_cones = fingerprint_with_cones(netlist)
+        assert after != before
+        assert after_cones["z0"] == before_cones["z0"]
+        assert after_cones["z1"] != before_cones["z1"]
+        assert (after, after_cones) == fresh_derivation(netlist)
+
+    def test_add_input_refingerprints(self):
+        netlist = generate_mastrovito(0b10011)
+        before = fingerprint_netlist(netlist)
+        netlist.add_input("spare")
+        assert fingerprint_netlist(netlist) != before
+        assert fingerprint_netlist(netlist) == fresh_derivation(netlist)[0]
+
+    def test_remembered_fingerprint_is_served(self):
+        netlist = generate_mastrovito(0b10011)
+        expected = fresh_derivation(netlist)
+        seeded = generate_mastrovito(0b10011)
+        remember_fingerprint(seeded, *expected)
+        assert fingerprint_with_cones(seeded) == expected
+        assert "aig" not in seeded.memo()  # never strashed
