@@ -305,6 +305,27 @@ def extract_expressions(
                             on_result(output, cone, stats)
             jobs = max(1, min(jobs, len(dirty)))
 
+        def store_cones(items) -> None:
+            # Store back what this run actually rewrote, decoded to
+            # the engine-neutral polynomial form (Theorem 1: every
+            # backend produces the same canonical expression, so the
+            # entry is valid for all of them).
+            if cone_digests is None:
+                return
+            schema = getattr(backend, "compile_schema", None)
+            for output, cone, st in items:
+                digest = cone_digests.get(output)
+                if digest is None:
+                    continue
+                cone_cache.put_cone(
+                    digest,
+                    output,
+                    cone.decode(),
+                    st,
+                    engine=backend.name,
+                    compile_schema=schema,
+                )
+
         # Backward rewriting of a bit only ever consults its own
         # transitive fan-in (Theorem 2), so when the cache served part
         # of the run the backend is handed just the dirty cones'
@@ -342,11 +363,16 @@ def extract_expressions(
                     compile_cache=compile_cache,
                     **extra,
                 )
+                fresh = []
                 for output in batch:
                     expression, stats = cones_by_output[output]
-                    results.append((output, expression, stats))
+                    fresh.append((output, expression, stats))
                     if on_result is not None:
                         on_result(output, expression, stats)
+                results.extend(fresh)
+                # Each chunk's cones are stored as it completes, so a
+                # run killed mid-sweep keeps the chunks it finished.
+                store_cones(fresh)
         elif jobs == 1:
             work.topological_order()
             for output in dirty:
@@ -395,27 +421,9 @@ def extract_expressions(
             # re-store.
             backend.finalize(work, compile_cache=compile_cache)
 
-        if cone_cache is not None and cone_digests is not None and dirty:
-            # Store back what this run actually rewrote, decoded to
-            # the engine-neutral polynomial form (Theorem 1: every
-            # backend produces the same canonical expression, so the
-            # entry is valid for all of them).
-            schema = getattr(backend, "compile_schema", None)
-            fresh = set(dirty)
-            for output, cone, st in results:
-                if output not in fresh:
-                    continue
-                digest = cone_digests.get(output)
-                if digest is None:
-                    continue
-                cone_cache.put_cone(
-                    digest,
-                    output,
-                    cone.decode(),
-                    st,
-                    engine=backend.name,
-                    compile_schema=schema,
-                )
+        if not fused and dirty:
+            rewritten = set(dirty)
+            store_cones([item for item in results if item[0] in rewritten])
 
         # Deterministic composition regardless of hit/dirty interleave
         # and pool completion order.

@@ -85,7 +85,6 @@ from repro.rewrite.parallel import ExtractionRun, LazyExpressions
 from repro.service.fingerprint import (
     FINGERPRINT_SCHEMA,
     fingerprint_netlist,
-    known_fingerprint,
 )
 
 #: Bump on any change to the serialized artifact layout.
@@ -478,11 +477,11 @@ class ResultCache:
         """Normalise a key: pass fingerprints through, hash netlists.
 
         A netlist's fingerprint is memoized on the netlist itself
-        (:func:`repro.service.fingerprint.known_fingerprint`), so one
+        (:func:`repro.service.fingerprint.fingerprint_netlist`), so one
         request that consults several kinds hashes it once.
         """
         if isinstance(key, Netlist):
-            return known_fingerprint(key) or fingerprint_netlist(key)
+            return fingerprint_netlist(key)
         return key
 
     def path_for(self, kind: str, key: Union[str, Netlist]) -> Path:

@@ -139,7 +139,7 @@ def fingerprint_netlist(netlist: Netlist, strash: bool = True) -> str:
     (True, False)
     """
     del strash  # normalisation is inherent in the AIG lowering
-    return known_fingerprint(netlist) or _memoized(netlist)[0]
+    return netlist.memo().get("fingerprint") or _memoized(netlist)[0]
 
 
 def cone_fingerprints(netlist: Netlist) -> Dict[str, str]:
@@ -171,12 +171,6 @@ def fingerprint_with_cones(
     dominates the cost of either."""
     fingerprint, cones = _memoized(netlist)
     return fingerprint, dict(cones)
-
-
-def known_fingerprint(netlist: Netlist) -> Optional[str]:
-    """The netlist's fingerprint if it is already known, else ``None``
-    (never derives it)."""
-    return netlist.memo().get("fingerprint")
 
 
 def remember_fingerprint(

@@ -289,6 +289,35 @@ class TestKillAndResumeWithConeCache:
         assert "checkpoint" in origins
         assert origins <= {"checkpoint", "cone_hit", "computed"}
 
+    def test_killed_fused_run_keeps_finished_chunks_cones(self, tmp_path):
+        """A fused run killed in its second sweep-chunk has already
+        stored the first chunk's cones; the killed chunk stores none."""
+        net = generate_mastrovito(P8)
+        cache = ResultCache(tmp_path / "cache")
+        count = [0]
+
+        def die_in_second_chunk(output, cone, stats):
+            count[0] += 1
+            if count[0] == 4:
+                raise Killed("simulated kill")
+
+        with pytest.raises(Killed):
+            extract_expressions(
+                net,
+                engine="bitpack",
+                fused=True,
+                fused_chunk=3,
+                on_result=die_in_second_chunk,
+                cone_cache=cache,
+            )
+        digests = cone_fingerprints(net)
+        stored = [
+            output
+            for output in net.outputs
+            if cache.get_cone(digests[output]) is not None
+        ]
+        assert stored == ["z0", "z1", "z2"]
+
 
 class TestDiffCones:
     def test_partition_is_exact(self):
