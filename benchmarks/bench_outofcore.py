@@ -64,7 +64,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.engine import available_engines, engine_availability  # noqa: E402
+from repro.engine import available_engines  # noqa: E402
 from repro.fieldmath.bitpoly import bitpoly_str  # noqa: E402
 from repro.fieldmath.irreducible import default_irreducible  # noqa: E402
 from repro.fieldmath.polynomial_db import PAPER_POLYNOMIALS  # noqa: E402
@@ -122,7 +122,7 @@ def _spill_stats(sink: MemorySink) -> dict:
     }
 
 
-def _run_once(netlist, engine: str, max_bytes: Optional[int]):
+def _run_once(netlist, max_bytes: Optional[int]):
     """One observed fused sweep; returns (run, wall_s, spill stats)."""
     telemetry = Telemetry()
     sink = telemetry.add_sink(MemorySink())
@@ -130,7 +130,7 @@ def _run_once(netlist, engine: str, max_bytes: Optional[int]):
     started = time.perf_counter()
     with use(telemetry):
         run = extract_expressions(
-            netlist, engine=engine, fused=True, **kwargs
+            netlist, engine="vector", fused=True, **kwargs
         )
     wall = time.perf_counter() - started
     return run, wall, _spill_stats(sink)
@@ -146,12 +146,10 @@ def _matrix_peak_bytes(sink: MemorySink) -> int:
     return max(peaks, default=0)
 
 
-def bench_size(m: int, repeats: int, engine: str = "vector") -> dict:
+def bench_size(m: int, repeats: int) -> dict:
     """The budget ladder on one field size, identity-checked."""
-    import repro.engine.vector as vector_module
-
     netlist = _workload(m)
-    _run_once(netlist, engine, None)  # warm: compile + packed tables
+    _run_once(netlist, None)  # warm: compile + packed tables
 
     # The in-core peak in bytes: watch the resident gauge round by
     # round on one *warm* unbudgeted probe run.  Warm matters: a cold
@@ -168,7 +166,7 @@ def bench_size(m: int, repeats: int, engine: str = "vector") -> dict:
 
     Telemetry.gauge = spy
     try:
-        probe_run, _, _ = _run_once(netlist, engine, None)
+        probe_run, _, _ = _run_once(netlist, None)
     finally:
         Telemetry.gauge = original_gauge
     peak_bytes = max(observed, default=0)
@@ -180,7 +178,7 @@ def bench_size(m: int, repeats: int, engine: str = "vector") -> dict:
 
     # Per-bit vector sweep: the identity oracle for the most-spilled
     # run, and the speedup baseline the fused numbers answer to.
-    perbit_run = extract_expressions(netlist, engine=engine)
+    perbit_run = extract_expressions(netlist, engine="vector")
     perbit = dict(perbit_run.expressions.items())
 
     rows = []
@@ -188,10 +186,10 @@ def bench_size(m: int, repeats: int, engine: str = "vector") -> dict:
         budget = (
             None if fraction is None else max(1024, int(peak_bytes * fraction))
         )
-        _run_once(netlist, engine, budget)  # warm-up
+        _run_once(netlist, budget)  # warm-up
         best, stats, run = float("inf"), None, None
         for _ in range(repeats):
-            run, wall, observed_stats = _run_once(netlist, engine, budget)
+            run, wall, observed_stats = _run_once(netlist, budget)
             if wall < best:
                 best, stats = wall, observed_stats
         row = {
@@ -204,9 +202,7 @@ def bench_size(m: int, repeats: int, engine: str = "vector") -> dict:
 
     # Identity: the deepest-spilled run against the per-bit sweep.
     deepest_budget = rows[-1]["budget_bytes"]
-    deepest_run, _, deepest_stats = _run_once(
-        netlist, engine, deepest_budget
-    )
+    deepest_run, _, deepest_stats = _run_once(netlist, deepest_budget)
     if not deepest_stats["spills"]:
         raise RuntimeError(
             f"m={m}: the smallest budget ({deepest_budget} bytes) never "
@@ -241,7 +237,7 @@ def bench_m163_acceptance() -> dict:
     netlist = synthesize(
         generate_mastrovito(_polynomial_for(163)), use_xor_cells=False
     )
-    _run_once(netlist, "vector", None)  # warm
+    _run_once(netlist, None)  # warm
     observed = []
     original_gauge = Telemetry.gauge
 
@@ -252,12 +248,12 @@ def bench_m163_acceptance() -> dict:
 
     Telemetry.gauge = spy
     try:
-        _, incore_s, _ = _run_once(netlist, "vector", None)
+        _, incore_s, _ = _run_once(netlist, None)
     finally:
         Telemetry.gauge = original_gauge
     peak_bytes = max(observed, default=0)
     budget = max(65536, peak_bytes // 2)
-    capped_run, capped_s, stats = _run_once(netlist, "vector", budget)
+    capped_run, capped_s, stats = _run_once(netlist, budget)
     perbit_run = extract_expressions(netlist, engine="vector")
     identical = dict(capped_run.expressions.items()) == dict(
         perbit_run.expressions.items()
@@ -279,9 +275,7 @@ def bench_m163_acceptance() -> dict:
     }
 
 
-def run_benchmark(
-    sizes: List[int], repeats: int, engine: str = "vector"
-) -> dict:
+def run_benchmark(sizes: List[int], repeats: int) -> dict:
     import repro.engine.aig as aig_module
 
     saved_bound = aig_module._FLAT_BOUND
@@ -289,7 +283,7 @@ def run_benchmark(
     try:
         aig_module._FLAT_BOUND = 2
         for m in sizes:
-            row = bench_size(m, repeats, engine=engine)
+            row = bench_size(m, repeats)
             results.append(row)
             ladder = "  ".join(
                 f"{budget['budget_fraction'] or 'in-core'}:"
@@ -304,7 +298,6 @@ def run_benchmark(
     finally:
         aig_module._FLAT_BOUND = saved_bound
 
-    cuda_reason = engine_availability().get("cuda")
     report = {
         "benchmark": "bench_outofcore",
         "python": platform.python_version(),
@@ -326,26 +319,7 @@ def run_benchmark(
         ),
         "budget_fractions": BUDGET_FRACTIONS,
         "rows": results,
-        "cuda": {
-            "available": cuda_reason is None,
-            "reason": cuda_reason,
-            "note": (
-                "when cupy + a CUDA device are present the same ladder "
-                "runs on engine='cuda' (budgeted rows fall back to the "
-                "host spill path by design; unbudgeted rows run on "
-                "device)"
-            ),
-        },
     }
-    if cuda_reason is None:
-        cuda_rows = []
-        try:
-            aig_module._FLAT_BOUND = 2
-            for m in sizes:
-                cuda_rows.append(bench_size(m, repeats, engine="cuda"))
-        finally:
-            aig_module._FLAT_BOUND = saved_bound
-        report["cuda"]["rows"] = cuda_rows
 
     deepest = [
         (row["m"], row["budgets"][-1]["vs_incore"]) for row in results

@@ -3,8 +3,10 @@ and NAND-mapped Mastrovito multipliers.
 
 Two claims are measured:
 
-1. **Steady state** — the vector engine's numpy bitslice loop against
-   the other backends, methodology of ``bench_aig.py``: per (variant,
+1. **Steady state** — the vector engine's per-bit extraction against
+   the other backends (per-bit ``vector`` runs the ``aig`` engine's
+   loop, so its rows read like ``aig`` within noise; the fused sweep
+   is ``bench_fused.py``'s subject), methodology of ``bench_aig.py``: per (variant,
    m, engine) one warm-up run, then ``--repeats`` timed runs;
    ``min_s`` is the steady state and ``cold_s`` the first call
    including the engine's one-time netlist compile.  Committed

@@ -49,11 +49,11 @@ and the README's Observability section.
 The ``--engine`` choices come from the backend registry
 (:mod:`repro.engine`): ``reference`` (the oracle), ``bitpack``
 (interned bitmask monomials), ``aig`` (cut-based rewriting over the
-strashed AIG), ``vector`` (numpy bitslice rewriting over uint64 mask
-matrices) and ``cuda`` (the same fused sweep through cupy on a GPU).
-Every registered engine parses; selecting one whose dependency is
-missing fails with the registry's recorded reason (e.g. "cupy is not
-installed"), not a bare "unknown engine".
+strashed AIG) and ``vector`` (the aig program with a fused numpy
+sweep over uint64 mask matrices).  Every registered engine parses;
+selecting one whose dependency is missing fails with the registry's
+recorded reason (e.g. "numpy is not installed"), not a bare "unknown
+engine".
 
 ``--max-ram BYTES`` (workload commands, with K/M/G/T suffixes) caps
 the fused sweep's live bit-matrix: past the budget the ``vector``
@@ -113,17 +113,18 @@ _READERS = {"eqn": read_eqn, "blif": read_blif, "v": read_verilog}
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     # Choices come from *registered* engines, not just the currently
-    # usable ones: "--engine cuda" on a box without cupy should parse
-    # and then fail with the registry's recorded reason ("cupy is not
-    # installed ..."), which is actionable — a choices error is not.
+    # usable ones: "--engine vector" on a box without numpy should
+    # parse and then fail with the registry's recorded reason ("numpy
+    # is not installed ..."), which is actionable — a choices error is
+    # not.
     parser.add_argument(
         "--engine",
         choices=sorted(registered_engines()),
         default=DEFAULT_ENGINE,
         help=(
             "rewriting backend: %(choices)s (default: %(default)s; "
-            "'vector' needs numpy, 'cuda' needs cupy + a CUDA device — "
-            "selecting an unavailable engine reports why)"
+            "'vector' needs numpy — selecting an unavailable engine "
+            "reports why)"
         ),
     )
 
@@ -173,8 +174,8 @@ def _add_fallback_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "degrade gracefully instead of failing: when the selected "
             "engine is unavailable (or dies at runtime) walk the "
-            "fallback ladder cuda -> vector -> aig -> bitpack -> "
-            "reference to the first usable backend (results are "
+            "fallback ladder vector -> aig -> bitpack -> reference "
+            "to the first usable backend (results are "
             "bit-identical; the substitution is reported)"
         ),
     )
@@ -925,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Registered-but-unavailable engines (e.g. cuda without cupy)
+    # Registered-but-unavailable engines (e.g. vector without numpy)
     # parse fine; fail here with the probe's recorded reason instead
     # of a traceback deep inside the run.
     engine = getattr(args, "engine", None)

@@ -63,36 +63,24 @@ Backends
     ``benchmarks/bench_aig.py`` / ``BENCH_aig.json``);
 ``vector``
     the same compiled program as ``aig``, with the substitution loop
-    vectorized in numpy: a polynomial is a ``uint64`` bit-matrix (one
-    row per monomial, interned signals packed 64 per word), one
-    substitution is a broadcast OR against the model matrix, and
-    GF(2) cancellation is a lexsort + run-parity pass — or, for steps
-    touching few rows, an incremental merge into the sorted remainder
-    (see ``benchmarks/bench_vector.py`` / ``BENCH_vector.json``).
-    numpy is optional — the backend registers only when it imports.
-    The vector engine also implements the **fused multi-output
-    sweep** (:meth:`~repro.engine.base.Engine.rewrite_cones` /
-    ``fused=True`` on the extraction drivers): all m output cones are
-    rewritten in one output-tagged bit-matrix, amortizing the DAG
-    walk, model packing and cancellation sorts m-fold while the sort
-    keys keep cancellation strictly per-cone — bit-identical to
-    per-bit extraction, ≥3x faster on the NAND-mapped m=32 sweep
-    (``benchmarks/bench_fused.py`` / ``BENCH_fused.json``).  Every
-    other backend serves ``rewrite_cones`` through its per-bit loop,
-    so ``fused=True`` degrades cleanly without numpy.
+    vectorized in numpy for the **fused multi-output sweep**
+    (:meth:`~repro.engine.base.Engine.rewrite_cones` / ``fused=True``
+    on the extraction drivers): all m output cones are rewritten in
+    one output-tagged ``uint64`` bit-matrix (one row per monomial,
+    interned signals packed 64 per word), one substitution is a
+    broadcast OR against the model matrix, and GF(2) cancellation is
+    a lexsort + run-parity pass whose sort keys keep cancellation
+    strictly per-cone — bit-identical to per-bit extraction
+    (``benchmarks/bench_fused.py`` / ``BENCH_fused.json``).  Per-bit
+    ``vector`` runs the ``aig`` engine's loop.  numpy is optional —
+    the backend is availability-probed, and every other backend
+    serves ``rewrite_cones`` through its per-bit loop, so
+    ``fused=True`` degrades cleanly without numpy.
     The fused sweep is additionally **memory-budgeted**: under
     ``REPRO_SWEEP_MAX_BYTES`` / ``max_bytes=`` / ``--max-ram`` the
     live matrix spills to on-disk tag-range shards and rounds stream
     out of core (``benchmarks/bench_outofcore.py`` /
-    ``BENCH_outofcore.json``);
-``cuda``
-    the fused vector sweep dispatched through cupy on a GPU
-    (:mod:`repro.engine.cuda`): same compiled program, same kernels,
-    device→host transfer only at the decode boundary.  Registered
-    unconditionally but availability-probed — without cupy (or a
-    visible CUDA device) the engine is absent from
-    :func:`available_engines` and resolving it fails with the
-    recorded reason.
+    ``BENCH_outofcore.json``).
 
 Compiling backends (bitpack, aig, vector) additionally persist their
 one-time per-netlist compile through the ``compile_cache=`` hook
@@ -124,7 +112,6 @@ from repro.engine.base import (
 from repro.engine.bitpack import BitpackEngine, PackedExpression
 from repro.engine.interning import SignalInterner
 from repro.engine.reference import ReferenceEngine, ReferenceExpression
-from repro.engine.cuda import CudaEngine
 from repro.engine.registry import (
     DEFAULT_ENGINE,
     FALLBACK_LADDER,
@@ -141,16 +128,13 @@ from repro.engine.vector import VectorEngine
 register_engine(ReferenceEngine.name, ReferenceEngine)
 register_engine(BitpackEngine.name, BitpackEngine)
 register_engine(AigEngine.name, AigEngine)
-# numpy/cupy are optional: these backends register unconditionally
-# with an availability probe, so ``available_engines()`` (and thus the
-# differential suite and the benchmarks) skips them cleanly when the
-# dependency is missing, while resolving them by name still fails
-# with the probe's recorded reason instead of "unknown engine".
+# numpy is optional: vector registers unconditionally with an
+# availability probe, so ``available_engines()`` (and thus the
+# differential suite and the benchmarks) skips it cleanly when numpy
+# is missing, while resolving it by name still fails with the probe's
+# recorded reason instead of "unknown engine".
 register_engine(
     VectorEngine.name, VectorEngine, probe=VectorEngine.availability
-)
-register_engine(
-    CudaEngine.name, CudaEngine, probe=CudaEngine.availability
 )
 
 __all__ = [
@@ -166,7 +150,6 @@ __all__ = [
     "ReferenceEngine",
     "ReferenceExpression",
     "VectorEngine",
-    "CudaEngine",
     "DEFAULT_ENGINE",
     "FALLBACK_LADDER",
     "available_engines",

@@ -7,15 +7,14 @@ Third-party backends register themselves with :func:`register_engine`
 — the only requirement is the :class:`~repro.engine.base.Engine`
 interface and exception contract.
 
-Backends with optional dependencies (``vector`` needs numpy, ``cuda``
-needs cupy plus a visible CUDA device) register unconditionally with a
-**probe** — a callable returning ``None`` when the backend is usable
-or a human-readable reason when it is not.  :func:`available_engines`
+Backends with optional dependencies (``vector`` needs numpy) register
+unconditionally with a **probe** — a callable returning ``None`` when
+the backend is usable or a human-readable reason when it is not.  :func:`available_engines`
 lists only the usable ones (so differential suites and benchmarks
 iterate exactly what runs here), :func:`registered_engines` lists
 everything, and :func:`engine_availability` maps every registered name
 to its reason.  Asking for a registered-but-unusable engine fails with
-the *reason* ("cupy is not installed …"), not with "unknown engine" —
+the *reason* ("numpy is not installed …"), not with "unknown engine" —
 the difference between an actionable error and a confusing one.
 """
 
@@ -34,7 +33,6 @@ DEFAULT_ENGINE = "reference"
 #: rung produces bit-identical results, so degradation trades only
 #: speed, never answers.
 FALLBACK_LADDER: Tuple[str, ...] = (
-    "cuda",
     "vector",
     "aig",
     "bitpack",
@@ -118,7 +116,7 @@ def engine_availability() -> Dict[str, Optional[str]]:
     """Every registered name → why it is unusable (``None`` = usable).
 
     The diagnostics surface: the CLI and the HTTP API render this so
-    an operator can see *why* ``cuda`` is missing from the usable set.
+    an operator can see *why* an engine is missing from the usable set.
     """
     return {
         name: _unavailable_reason(name)

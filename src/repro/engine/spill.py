@@ -18,7 +18,7 @@ that let that matrix outgrow RAM:
   (rows, words) shape in the name-side metadata, opened back as
   ``numpy.memmap`` so a chunk loads without a copy;
 * **the parity merge** — :func:`merge_parity` generalizes the vector
-  engine's sorted-merge cancellation to any number of *streamed* runs:
+  engine's run-parity cancellation to any number of *streamed* runs:
   each run is sorted and internally duplicate-free (a cancelled
   matrix), and GF(2) addition of all runs is rows of odd multiplicity
   across them.  The merge advances block by block: the emit boundary
@@ -28,11 +28,6 @@ that let that matrix outgrow RAM:
   Associativity of mod-2 addition makes the composition of boundary
   windows exact globally — the same argument that lets the in-core
   sweep cancel substitution products chunk by chunk.
-
-Everything here is host-side by construction (memmaps and byte-string
-sort keys are meaningless on a GPU); the ``cuda`` engine documents the
-spill path as its fallback when *device* memory is the binding
-constraint.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ python ``int`` at a time; on wide cones the interpreter dispatch, not
 the algebra, is the cost.  This backend keeps the *same* compiled
 program as the ``aig`` engine (strash → flattening → cut-ANF models,
 :class:`repro.engine.aig._CompiledAig` — so the two backends also
-share compiled-program cache entries) but runs Algorithm 1's loop in
-numpy:
+share compiled-program cache entries) but runs Algorithm 1's loop for
+all outputs at once in numpy:
 
 * a polynomial is a ``uint64`` matrix of shape ``(monomials, words)``
   — row ``i`` is monomial ``i``'s bitmask with interned signals packed
@@ -21,11 +21,6 @@ numpy:
 * GF(2) cancellation is a lexsort: the surviving rows plus the fresh
   products are sorted, equal rows grouped, and groups of even
   multiplicity dropped — ``set[int]`` churn becomes two C passes.
-  Because a cancelled matrix comes out *sorted*, a step that produced
-  only a few fresh rows skips the next full lexsort entirely: the
-  fresh slice is cancelled on its own and merge-sorted into the
-  sorted remainder (binary-search positions + one ``insert``), the
-  incremental path below :data:`_MERGE_FRACTION`.
 
 Fused multi-output mode
 -----------------------
@@ -45,9 +40,10 @@ the reverse-topological order Algorithm 1 prescribes, applied row by
 row; intermediate *statistics* therefore differ from the per-bit
 sweep (rounds replace per-gate iterations), but the final expressions
 are bit-identical — cancellation is exact mod-2 algebra at every
-step, and canonical forms are unique (Theorem 1).  The per-bit
-entry point :meth:`rewrite_cone` is unchanged; callers opt in through
-``fused=True`` on the extraction drivers.
+step, and canonical forms are unique (Theorem 1).  Callers opt in
+through ``fused=True`` on the extraction drivers; the per-bit entry
+point :meth:`rewrite_cone` is the ``aig`` engine's own loop, results
+and statistics alike.
 
 Past the memory wall: the out-of-core sweep
 -------------------------------------------
@@ -78,26 +74,10 @@ a round is all-or-nothing per shard, so the mode-neutral sweep-chunk
 checkpoints in ``service/jobs.py`` resume a killed out-of-core run
 the same way they resume an in-core one.
 
-GPU dispatch
-------------
-The kernels above are written against the array surface numpy and
-cupy share, reached through an :class:`repro.engine.xp.ArrayBackend`
-(module handle + host/device boundary).  ``VectorEngine`` always
-picks the host backend; the ``cuda`` engine
-(:mod:`repro.engine.cuda`) subclasses it and swaps in cupy, keeping
-the compiled program, the fused sweep, and the decode path — device
-to host transfer happens exactly once, at the decode boundary.  The
-byte-key incremental merge is host-only (cupy has no fixed-width
-byte dtype), so device sweeps always take the full radix lexsort —
-``supports_byte_keys`` on the backend records that.  Spilling is
-host-only by construction; a budgeted sweep on the cuda engine runs
-on the host spill path instead (its documented fallback when device
-memory is the binding constraint).
-
 Results are bit-identical to the reference backend (the differential
-suite drives all packed engines across the generator zoo, in-core,
-spilled, and device-dispatched); statistics and the memory-out point
-are backend-specific, as the engine contract allows.
+suite drives all packed engines across the generator zoo, in-core and
+spilled); statistics and the memory-out point are backend-specific,
+as the engine contract allows.
 
 numpy is an *optional* dependency: :meth:`VectorEngine.availability`
 reports why the backend is unusable (``None`` when it is), the
@@ -108,25 +88,18 @@ works without it.
 from __future__ import annotations
 
 import time
-from heapq import heappop, heappush
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
 from repro.engine import spill as _spill
-from repro.engine import xp as _xp
 from repro.engine.aig import AigEngine
-from repro.engine.base import EngineError, cone_span
+from repro.engine.base import EngineError
 from repro.engine.bitpack import PackedExpression
 from repro.engine.interning import SignalInterner
-from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
-from repro.rewrite.backward import (
-    RewriteStats,
-    TermLimitExceeded,
-    TraceStep,
-)
+from repro.rewrite.backward import RewriteStats, TermLimitExceeded
 
 try:  # pragma: no cover - exercised via the no-numpy subprocess test
     import numpy as _np
@@ -140,18 +113,6 @@ _WORD_MASK = (1 << _WORD_BITS) - 1
 #: associative — so the transient |affected|x|model| broadcast never
 #: outgrows this bound and ``term_limit`` stays a real memory bound.
 _CHUNK_ROWS = 1 << 16
-#: Incremental-cancellation crossover: when one substitution step
-#: produced fewer fresh rows than this fraction of the already-sorted
-#: remainder, the fresh slice is cancelled on its own and merge-sorted
-#: into place instead of re-lexsorting everything.
-#: ``benchmarks/bench_fused.py`` measures the crossover and commits it
-#: to ``BENCH_fused.json``: numpy's radix lexsort is near-linear, so
-#: the merge only wins for genuinely tiny touches — the measured
-#: break-even sits around 1/16 and the default follows it.
-_MERGE_FRACTION = 0.0625
-#: Below this many remainder rows a full lexsort is always cheaper
-#: than building merge keys.
-_MERGE_MIN_ROWS = 64
 
 
 def _mask_rows(masks: List[int], words: int) -> "Any":
@@ -159,7 +120,6 @@ def _mask_rows(masks: List[int], words: int) -> "Any":
 
     ``int.to_bytes`` writes each mask's little-endian words in one C
     call; ``frombuffer`` reinterprets the joined buffer as the matrix.
-    Always a *host* matrix — device backends ``asarray`` the result.
     """
     width = words * 8
     buffer = b"".join(mask.to_bytes(width, "little") for mask in masks)
@@ -188,10 +148,10 @@ def _pack_model(model, leaf_bits, intern) -> List[int]:
     """Pack one cut model into int bitmasks.
 
     Flat parts arrive as ready PI-space masks; opaque nodes resolve
-    through the shared leaf table or intern via ``intern`` — the
-    caller's hook, which also schedules newly seen nodes on its own
-    worklist (heap for the per-bit sweep, next round for the fused
-    one).  Shared by both sweeps so the packing rules cannot diverge.
+    through the shared leaf table or intern via ``intern`` — a newly
+    interned node simply joins a later round's claim scan.  Shared by
+    the in-core and spilled rounds so the packing rules cannot
+    diverge.
     """
     masks: List[int] = []
     for pi_mask, opaque_nodes in model:
@@ -206,25 +166,23 @@ def _pack_model(model, leaf_bits, intern) -> List[int]:
     return masks
 
 
-def _cancel_mod2(rows: "Any", xp: "Any" = None) -> "Any":
+def _cancel_mod2(rows: "Any") -> "Any":
     """Drop rows of even multiplicity (the GF(2) cancellation).
 
     Lexsort groups equal rows; run lengths come from the boundary
-    mask; odd-length runs keep one representative.  All C (or device
-    kernel) passes — the body is written against the numpy/cupy
-    shared surface and runs wherever ``rows`` lives.
+    mask; odd-length runs keep one representative.  All C passes,
+    and the result comes out sorted in ``lexsort(rows.T)`` order.
     """
-    xp = _np if xp is None else xp
     if rows.shape[0] < 2:
         return rows
-    order = xp.lexsort(rows.T)
+    order = _np.lexsort(rows.T)
     ordered = rows[order]
-    boundary = xp.empty(ordered.shape[0], dtype=bool)
+    boundary = _np.empty(ordered.shape[0], dtype=bool)
     boundary[0] = True
     boundary[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = xp.flatnonzero(boundary)
-    ends = xp.concatenate(
-        [starts[1:], xp.asarray([ordered.shape[0]], dtype=starts.dtype)]
+    starts = _np.flatnonzero(boundary)
+    ends = _np.concatenate(
+        [starts[1:], _np.asarray([ordered.shape[0]], dtype=starts.dtype)]
     )
     lengths = ends - starts
     return ordered[starts[(lengths & 1).astype(bool)]]
@@ -237,10 +195,8 @@ def _row_keys(rows: "Any") -> "Any":
     the *last* column is the primary key — so reversing the columns
     and storing each word big-endian yields byte strings whose
     bytewise comparison reproduces that order exactly (and whose
-    equality is exact row equality).  These keys make the sorted
-    remainder binary-searchable for the incremental merge, and give
-    the out-of-core k-way merge its comparison order.  Host-only:
-    cupy has no fixed-width byte dtype.
+    equality is exact row equality).  These keys give the out-of-core
+    k-way merge its comparison order.
     """
     swapped = _np.ascontiguousarray(rows[:, ::-1]).astype(">u8")
     return _np.frombuffer(
@@ -248,102 +204,31 @@ def _row_keys(rows: "Any") -> "Any":
     )
 
 
-def _merge_sorted(base: "Any", fresh: "Any") -> "Any":
-    """GF(2)-add a small cancelled slice into a sorted remainder.
-
-    Both inputs are sorted and internally duplicate-free (``base`` is
-    a cancelled matrix or a subset of one; ``fresh`` went through
-    :func:`_cancel_mod2`).  Rows present in both carry even total
-    multiplicity and cancel; the rest interleave by binary-searched
-    positions — O(base) memcpy plus O(fresh·log base) search instead
-    of a full lexsort over everything.  Host-only (byte keys).
-    """
-    base_keys = _row_keys(base)
-    fresh_keys = _row_keys(fresh)
-    pos = base_keys.searchsorted(fresh_keys)
-    hit = pos < base_keys.shape[0]
-    dup = _np.zeros(fresh.shape[0], dtype=bool)
-    dup[hit] = base_keys[pos[hit]] == fresh_keys[hit]
-    if dup.any():
-        keep = _np.ones(base.shape[0], dtype=bool)
-        keep[pos[dup]] = False
-        base = base[keep]
-        fresh = fresh[~dup]
-        if not fresh.shape[0]:
-            return base
-        base_keys = base_keys[keep]
-        pos = base_keys.searchsorted(_row_keys(fresh))
-    return _np.insert(base, pos, fresh, axis=0)
-
-
-def _combine(
-    current: "Any",
-    fresh: "Any",
-    xp: "Any" = None,
-    byte_keys: bool = True,
-) -> "Any":
-    """Cancel freshly produced rows into a sorted, cancelled matrix.
-
-    Dispatches between the full lexsort and the incremental merge on
-    the :data:`_MERGE_FRACTION` crossover; either way the result is
-    sorted again, preserving the invariant every substitution step
-    relies on.  ``byte_keys=False`` (device backends) always takes
-    the full lexsort — the merge's binary-searched byte keys are a
-    host-side construct, and the GPU's radix sort is the fast path
-    there anyway.
-    """
-    xp = _np if xp is None else xp
-    if not fresh.shape[0]:
-        return current
-    if (
-        not byte_keys
-        or current.shape[0] < _MERGE_MIN_ROWS
-        or fresh.shape[0] >= _MERGE_FRACTION * current.shape[0]
-    ):
-        return _cancel_mod2(xp.concatenate([current, fresh]), xp)
-    return _merge_sorted(current, _cancel_mod2(fresh))
-
-
-def _or_mask_int(rows: "Any", xp: "Any" = None) -> int:
+def _or_mask_int(rows: "Any") -> int:
     """OR-reduce rows into one python int bitmask (the live image).
 
-    numpy takes the single-pass ufunc reduce; other backends take a
-    logarithmic fold (cupy does not expose ``ufunc.reduce`` for the
-    bitwise family).  The result is a host ``int`` either way — the
-    claim scan walks it bit by bit.
+    The claim scan walks the result bit by bit.
     """
-    xp = _np if xp is None else xp
     if not rows.shape[0]:
         return 0
-    if xp is _np:
-        image = _np.bitwise_or.reduce(rows, axis=0)
-    else:
-        image = rows
-        while image.shape[0] > 1:
-            half = (image.shape[0] + 1) // 2
-            head = image[:half].copy()
-            tail = image[half:]
-            head[: tail.shape[0]] |= tail
-            image = head
-        image = image[0]
+    image = _np.bitwise_or.reduce(rows, axis=0)
     mask = 0
     for word, value in enumerate(image.tolist()):
         mask |= int(value) << (word * _WORD_BITS)
     return mask
 
 
-def _widen_rows(rows: "Any", words: int, grown: int, xp: "Any" = None) -> "Any":
+def _widen_rows(rows: "Any", words: int, grown: int) -> "Any":
     """Grow a tagged matrix's mask region from ``words`` to ``grown``.
 
     Fresh (all-zero) mask words slot in *before* the tag column; zero
     keys tie everywhere, so sortedness and the per-cone grouping both
     survive the widening.
     """
-    xp = _np if xp is None else xp
-    return xp.hstack(
+    return _np.hstack(
         [
             rows[:, :words],
-            xp.zeros((rows.shape[0], grown - words), dtype=xp.uint64),
+            _np.zeros((rows.shape[0], grown - words), dtype=_np.uint64),
             rows[:, words:],
         ]
     )
@@ -473,14 +358,14 @@ class _MatrixExpression(PackedExpression):
 
 
 class VectorEngine(AigEngine):
-    """Backward rewriting over numpy uint64 bit-matrix polynomials.
+    """The ``aig`` engine plus a fused sweep over numpy bit-matrices.
 
     Subclasses :class:`~repro.engine.aig.AigEngine` for everything
-    *around* the loop — the compiled program (and therefore the
-    ``aig`` compiled-cache key), the flat fast path, the residue
-    check, trace formatting — and replaces the per-monomial python
-    loop with the vectorized substitution described in the module
-    docstring.
+    *around* the fused sweep — the compiled program (and therefore
+    the ``aig`` compiled-cache key), the flat fast path, the residue
+    check — and for the per-bit :meth:`rewrite_cone` loop itself; it
+    adds the vectorized multi-output substitution described in the
+    module docstring.
     """
 
     name = "vector"
@@ -504,208 +389,17 @@ class VectorEngine(AigEngine):
         The registry records this probe and surfaces the reason, so a
         request for an unusable engine fails actionably.
         """
-        return _xp.numpy_unavailable_reason()
+        if _np is None:
+            return (
+                "numpy is not installed; "
+                "use engine='aig' or 'bitpack' instead"
+            )
+        return None
 
     @classmethod
     def available(cls) -> bool:
         """Whether the backend is usable (``availability() is None``)."""
         return cls.availability() is None
-
-    def _sweep_backend(self, budget: Optional[int]) -> "_xp.ArrayBackend":
-        """The array backend the fused sweep runs on (host here).
-
-        Subclasses override: the ``cuda`` engine returns the cupy
-        backend — except under a byte budget, where spilling (host-
-        only by construction) is the documented fallback.
-        """
-        return _xp.numpy_backend()
-
-    def rewrite_cone(
-        self,
-        netlist: Netlist,
-        output: str,
-        trace: bool = False,
-        term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
-    ) -> Tuple[PackedExpression, RewriteStats]:
-        if _np is None:
-            raise EngineError(
-                "the vector engine needs numpy, which is not installed; "
-                "use engine='aig' or 'bitpack' instead"
-            )
-        with cone_span(self, output) as span:
-            expression, stats = self._rewrite_cone_matrix(
-                netlist, output, trace, term_limit, compile_cache
-            )
-            span.annotate(
-                iterations=stats.iterations, peak_terms=stats.peak_terms
-            )
-            stats.runtime_s = span.elapsed()
-            return expression, stats
-
-    def _rewrite_cone_matrix(
-        self,
-        netlist: Netlist,
-        output: str,
-        trace: bool,
-        term_limit: Optional[int],
-        compile_cache: Optional[Any],
-    ) -> Tuple[PackedExpression, RewriteStats]:
-        stats = RewriteStats(output=output)
-
-        compiled = self._compiled_for(netlist, compile_cache)
-        literal = compiled.net_literal.get(output)
-        if literal is None:
-            return super().rewrite_cone(
-                netlist, output, trace=trace, term_limit=term_limit
-            )  # raises the shared dangling-variable failure
-        node = literal >> 1
-        complemented = literal & 1
-
-        flat = compiled.flats.get(node)
-        if flat is not None:
-            # Flat fast path — already a packed PI-space answer; no
-            # matrix needed (identical to the aig engine's path).
-            return super().rewrite_cone(
-                netlist,
-                output,
-                trace=trace,
-                term_limit=term_limit,
-                compile_cache=compile_cache,
-            )
-
-        # Cone-local interning: shared leaf region + one bit per
-        # opaque node, exactly as the aig engine assigns them.
-        sig_index: Dict[str, int] = dict(compiled.leaf_index)
-        sig_names: List[str] = list(compiled.leaf_names)
-        index_of_node: Dict[int, int] = {}
-        pending: List[Tuple[int, int]] = []
-
-        def intern_node(opaque: int) -> int:
-            index = index_of_node.get(opaque)
-            if index is None:
-                index = len(sig_names)
-                index_of_node[opaque] = index
-                sig_index[f"__aig{opaque}"] = index
-                sig_names.append(f"__aig{opaque}")
-            return index
-
-        def intern_scheduled(opaque: int) -> int:
-            # First sight also enters the worklist: the new variable's
-            # own substitution is still pending.
-            index = index_of_node.get(opaque)
-            if index is None:
-                index = intern_node(opaque)
-                heappush(pending, (-opaque, index))
-            return index
-
-        out_index = intern_node(node)
-        heappush(pending, (-node, out_index))
-
-        words = (len(sig_names) // _WORD_BITS) + 2  # headroom for interning
-        initial = [1 << out_index]
-        if complemented:
-            initial.append(0)
-        # Cancelled matrices are sorted; establishing the invariant up
-        # front lets every step use the incremental merge path.
-        matrix = _cancel_mod2(_mask_rows(initial, words))
-
-        iterations = 0
-        touched = 0
-        eliminated_total = 0
-        peak_terms = matrix.shape[0]
-
-        model_of = compiled.model_of
-        leaf_bits = compiled.leaf_bits
-
-        while pending:
-            neg_node, var_index = heappop(pending)
-            touched += 1
-
-            # Pack the cut model first: interning may allocate new bit
-            # indices (and grow the matrix width) before the bit-test.
-            model_masks = _pack_model(
-                model_of(-neg_node), leaf_bits, intern_scheduled
-            )
-            needed = (len(sig_names) + _WORD_BITS - 1) // _WORD_BITS
-            if needed > words:
-                grown = needed + 1
-                matrix = _np.hstack(
-                    [
-                        matrix,
-                        _np.zeros(
-                            (matrix.shape[0], grown - words),
-                            dtype=_np.uint64,
-                        ),
-                    ]
-                )
-                words = grown
-
-            # The vectorized occurrence test: one bit probe per row.
-            word, bit = divmod(var_index, _WORD_BITS)
-            selector = (
-                (matrix[:, word] >> _np.uint64(bit)) & _np.uint64(1)
-            ).astype(bool)
-            if not selector.any():
-                # Variable cancelled away before its node was reached
-                # (Algorithm 1 line 4 skip).
-                continue
-
-            affected = matrix[selector]  # boolean indexing copies
-            current = matrix[~selector]
-            affected[:, word] &= _np.uint64(_WORD_MASK ^ (1 << bit))
-            model_rows = _mask_rows(model_masks, words)
-
-            produced = int(current.shape[0])
-            chunk = max(1, _CHUNK_ROWS // max(1, model_rows.shape[0]))
-            for start in range(0, affected.shape[0], chunk):
-                part = affected[start : start + chunk]
-                products = (
-                    part[:, None, :] | model_rows[None, :, :]
-                ).reshape(-1, words)
-                produced += int(products.shape[0])
-                current = _combine(current, products)
-                if current.shape[0] > peak_terms:
-                    peak_terms = int(current.shape[0])
-                    if term_limit is not None and peak_terms > term_limit:
-                        stats.iterations = iterations
-                        stats.cone_gates = touched
-                        stats.eliminated_monomials = eliminated_total
-                        stats.peak_terms = peak_terms
-                        raise TermLimitExceeded(
-                            output, peak_terms, term_limit
-                        )
-            matrix = current
-            step_eliminated = produced - int(matrix.shape[0])
-
-            iterations += 1
-            eliminated_total += step_eliminated
-            if trace:
-                interner = SignalInterner(list(sig_names))
-                decoded = Gf2Poly.from_monomials(
-                    {
-                        interner.unpack(mono)
-                        for mono in _rows_to_masks(matrix)
-                    }
-                )
-                stats.trace.append(
-                    TraceStep(
-                        gate=self._describe_node(compiled, -neg_node),
-                        expression=str(decoded),
-                        eliminated=f"{step_eliminated} monomials cancelled",
-                    )
-                )
-
-        masks = _rows_to_masks(matrix)
-        self._check_residue(compiled, netlist, output, masks)
-        interner = SignalInterner.adopt(sig_index, sig_names)
-
-        stats.iterations = iterations
-        stats.cone_gates = touched
-        stats.eliminated_monomials = eliminated_total
-        stats.peak_terms = peak_terms
-        stats.final_terms = len(masks)
-        return PackedExpression(masks, interner), stats
 
     # -- fused multi-output sweep ---------------------------------------
 
@@ -738,12 +432,6 @@ class VectorEngine(AigEngine):
                 "(or fused=False for the per-bit path)"
             )
         budget = _spill.resolve_sweep_budget(max_bytes)
-        backend = self._sweep_backend(budget)
-        if budget is not None and backend.is_device:
-            raise EngineError(
-                "a sweep byte budget requires the host spill path; "
-                f"the {backend.name} backend cannot honour max_bytes"
-            )
         chosen = list(outputs)
         compiled = self._compiled_for(netlist, compile_cache)
         results: Dict[str, Tuple[PackedExpression, RewriteStats]] = {}
@@ -767,12 +455,11 @@ class VectorEngine(AigEngine):
                 "sweep",
                 engine=self.name,
                 roots=len(roots),
-                backend=backend.name,
                 max_bytes=budget,
             ):
                 results.update(
                     self._rewrite_fused(
-                        netlist, compiled, roots, term_limit, backend, budget
+                        netlist, compiled, roots, term_limit, budget
                     )
                 )
         return {output: results[output] for output in chosen}
@@ -783,34 +470,30 @@ class VectorEngine(AigEngine):
         compiled: Any,
         roots: List[Tuple[str, int, int]],
         term_limit: Optional[int],
-        backend: "_xp.ArrayBackend",
         budget: Optional[int],
     ) -> Dict[str, Tuple[PackedExpression, RewriteStats]]:
         """The shared sweep over every non-flat root.
 
-        Row layout: the monomial mask words first (same bit indices
-        the per-bit sweep would assign, shared across cones), the
-        owning output's tag as the final word — the lexsort's primary
-        key, so cancellation groups per cone and the finished matrix
-        needs no regrouping.  Each *round* claims, per row,
-        the highest pending variable it holds — reverse-topological
+        Row layout: the monomial mask words first (the aig engine's
+        leaf bit indices plus one bit per opaque node, shared across
+        cones), the owning output's tag as the final word — the
+        lexsort's primary key, so cancellation groups per cone and the
+        finished matrix needs no regrouping.  Each *round* claims, per
+        row, the highest pending variable it holds — reverse-topological
         order applied row-wise — substitutes every claimed group with
         one broadcast, and cancels the whole matrix once; the sort
         keys include the tag word, so cancellation never crosses a
         cone boundary (Theorem 2).
 
-        Array ops dispatch through ``backend`` (numpy or cupy); under
-        a byte ``budget`` the matrix spills to tag-range shards and
-        rounds stream shard by shard (module docstring, "Past the
+        Under a byte ``budget`` the matrix spills to tag-range shards
+        and rounds stream shard by shard (module docstring, "Past the
         memory wall").
         """
         started = time.perf_counter()
         n_roots = len(roots)
-        xp = backend.xp
-        byte_keys = backend.supports_byte_keys
 
         # Shared interning: one leaf region and one bit per opaque
-        # node for *all* cones — the per-bit sweep re-interns these
+        # node for *all* cones — the per-bit loop re-interns these
         # per cone; decode only depends on names, not bit positions.
         # The tables live per compiled *program* and are append-only,
         # so every sweep over the same program — including the
@@ -862,53 +545,39 @@ class VectorEngine(AigEngine):
         seed = _np.zeros((len(initial_masks), words + 1), dtype=_np.uint64)
         seed[:, :words] = _mask_rows(initial_masks, words)
         seed[:, words] = initial_tags
-        # establish the sorted invariant (on the sweep's backend)
-        matrix = _cancel_mod2(backend.asarray(seed), xp)
+        matrix = _cancel_mod2(seed)  # establish the sorted invariant
 
         def counts_of(rows: "Any") -> "Any":
             if not rows.shape[0]:
-                return xp.zeros(n_roots, dtype=xp.int64)
-            return xp.bincount(
-                rows[:, -1].astype(xp.int64), minlength=n_roots
+                return _np.zeros(n_roots, dtype=_np.int64)
+            return _np.bincount(
+                rows[:, -1].astype(_np.int64), minlength=n_roots
             )
 
         iterations = [0] * n_roots   # rounds that touched the cone
         substituted = [0] * n_roots  # (round, variable) pairs per cone
         eliminated = [0] * n_roots
-        peaks = _np.maximum(
-            backend.to_host(counts_of(matrix)).astype(_np.int64), 1
-        )
+        peaks = _np.maximum(counts_of(matrix).astype(_np.int64), 1)
 
         model_of = compiled.model_of
         leaf_bits = compiled.leaf_bits
         packed_models: Dict[int, List[int]] = state["packed_models"]
-        model_tables: Dict[Any, Tuple[int, Any]] = state["tables"]
+        model_tables: Dict[int, Tuple[int, Any]] = state["tables"]
 
         def table_of(var_index: int) -> "Any":
-            """The variable's model as matrix rows (cached per width).
-
-            The cache key carries the backend name: a budgeted sweep
-            on a device engine falls back to the host path, and host
-            and device tables must never mix.
-            """
-            key = (backend.name, var_index)
-            entry = model_tables.get(key)
+            """The variable's model as matrix rows (cached per width)."""
+            entry = model_tables.get(var_index)
             if entry is not None and entry[0] == words:
                 return entry[1]
             model_masks = packed_models[var_index]
-            host_table = _np.zeros(
+            table = _np.zeros(
                 (len(model_masks), words + 1), dtype=_np.uint64
             )
-            host_table[:, :words] = _mask_rows(model_masks, words)
-            table = (
-                backend.asarray(host_table)
-                if backend.is_device
-                else host_table
-            )
-            model_tables[key] = (words, table)
+            table[:, :words] = _mask_rows(model_masks, words)
+            model_tables[var_index] = (words, table)
             return table
 
-        one = xp.uint64(1)
+        one = _np.uint64(1)
         leaf_count = len(compiled.leaf_names)
         survivors = 0  # leaf bits left standing when the sweep ends
         telemetry = _telemetry.current()
@@ -940,18 +609,16 @@ class VectorEngine(AigEngine):
                 key=lambda item: -item[0],
             )
 
-        def note_claims(group_of_h: "Any", claim_tags_h: "Any") -> None:
-            """Per-cone round bookkeeping (host arrays).
+        def note_claims(group_of: "Any", claim_tags: "Any") -> None:
+            """Per-cone round bookkeeping.
 
             Tags are disjoint across shards — each cone lives in
             exactly one — so calling this once per shard never
             double-counts a (round, variable, cone) triple.
             """
-            for pair in _np.unique(
-                group_of_h * n_roots + claim_tags_h
-            ).tolist():
+            for pair in _np.unique(group_of * n_roots + claim_tags).tolist():
                 substituted[int(pair) % n_roots] += 1
-            for tag in _np.unique(claim_tags_h).tolist():
+            for tag in _np.unique(claim_tags).tolist():
                 iterations[int(tag)] += 1
 
         try:
@@ -963,7 +630,7 @@ class VectorEngine(AigEngine):
                     # One OR-reduce answers "does any pending variable
                     # survive anywhere" — the common exit — and doubles
                     # as the residue image of the finished matrix.
-                    live_mask = _or_mask_int(matrix[:, :-1], xp)
+                    live_mask = _or_mask_int(matrix[:, :-1])
                     if not live_mask >> leaf_count:
                         survivors = live_mask
                         break  # only leaf bits remain anywhere
@@ -980,10 +647,9 @@ class VectorEngine(AigEngine):
                         ) as spill_span:
                             if spill_dir is None:
                                 spill_dir = _spill.SpillDir()
-                            host = backend.to_host(matrix)
-                            spilled_bytes = int(host.nbytes)
+                            spilled_bytes = int(matrix.nbytes)
                             shards = _write_shards(
-                                host, n_roots, shard_budget, spill_dir
+                                matrix, n_roots, shard_budget, spill_dir
                             )
                             spill_span.annotate(
                                 bytes=spilled_bytes, chunks=len(shards)
@@ -1014,14 +680,9 @@ class VectorEngine(AigEngine):
                         dtype=_np.int64,
                         count=len(var_items),
                     )
-                    var_cols_h = var_bits // _WORD_BITS
-                    var_shift_h = (var_bits % _WORD_BITS).astype(_np.uint64)
-                    strip_h = _np.uint64(_WORD_MASK) ^ (
-                        _np.uint64(1) << var_shift_h
-                    )
-                    var_cols = xp.asarray(var_cols_h)
-                    var_shift = xp.asarray(var_shift_h)
-                    strip = xp.asarray(strip_h)
+                    var_cols = var_bits // _WORD_BITS
+                    var_shift = (var_bits % _WORD_BITS).astype(_np.uint64)
+                    strip = _np.uint64(_WORD_MASK) ^ (one << var_shift)
                     presence = (
                         (matrix[:, var_cols] >> var_shift[None, :]) & one
                     ).astype(bool)
@@ -1033,7 +694,7 @@ class VectorEngine(AigEngine):
                     # rounds) and the matrix must be widened before any
                     # row is combined.
                     group_of = first[has_var]
-                    used_groups = xp.unique(group_of).tolist()
+                    used_groups = _np.unique(group_of).tolist()
                     for group in used_groups:
                         node, var_index = var_items[int(group)]
                         if var_index in packed_models:
@@ -1048,16 +709,16 @@ class VectorEngine(AigEngine):
                     ) // _WORD_BITS
                     if needed > words:
                         grown = needed + 1
-                        matrix = _widen_rows(matrix, words, grown, xp)
+                        matrix = _widen_rows(matrix, words, grown)
                         words = grown
 
                     # One concatenated model table for the round, plus
                     # offsets, so the substitution below is a single
                     # repeat + gather.
-                    model_offset_h = _np.zeros(
+                    model_offset = _np.zeros(
                         len(var_items), dtype=_np.int64
                     )
-                    model_count_h = _np.zeros(
+                    model_count = _np.zeros(
                         len(var_items), dtype=_np.int64
                     )
                     tables: List[Any] = []
@@ -1066,45 +727,40 @@ class VectorEngine(AigEngine):
                         _node, var_index = var_items[int(group)]
                         table = table_of(var_index)
                         tables.append(table)
-                        model_offset_h[int(group)] = offset
-                        model_count_h[int(group)] = table.shape[0]
+                        model_offset[int(group)] = offset
+                        model_count[int(group)] = table.shape[0]
                         offset += int(table.shape[0])
-                    models = xp.concatenate(tables)
-                    model_offset = xp.asarray(model_offset_h)
-                    model_count = xp.asarray(model_count_h)
+                    models = _np.concatenate(tables)
 
                     claimed = matrix[has_var]  # boolean indexing copies
-                    current = matrix[~has_var]  # sorted stays sorted
+                    current = matrix[~has_var]
                     claimed[
-                        xp.arange(claimed.shape[0]), var_cols[group_of]
+                        _np.arange(claimed.shape[0]), var_cols[group_of]
                     ] &= strip[group_of]
 
                     # Per-cone bookkeeping before the rows multiply.
-                    claim_tags = claimed[:, -1].astype(xp.int64)
+                    claim_tags = claimed[:, -1].astype(_np.int64)
                     prior = counts_of(current)
                     rep = model_count[group_of]
-                    produced = xp.bincount(
+                    produced = _np.bincount(
                         claim_tags, weights=rep, minlength=n_roots
-                    ).astype(xp.int64)
-                    note_claims(
-                        backend.to_host(group_of),
-                        backend.to_host(claim_tags),
-                    )
+                    ).astype(_np.int64)
+                    note_claims(group_of, claim_tags)
 
                     # Substitute in chunks: row i expands to its
                     # group's model rows (repeat + gather), the OR
                     # multiplies, and each chunk cancels immediately so
                     # the transient stays bounded.
-                    cum = xp.concatenate(
+                    cum = _np.concatenate(
                         [
-                            xp.zeros(1, dtype=xp.int64),
-                            xp.cumsum(rep).astype(xp.int64),
+                            _np.zeros(1, dtype=_np.int64),
+                            _np.cumsum(rep).astype(_np.int64),
                         ]
                     )
                     start = 0
                     while start < claimed.shape[0]:
                         end = int(
-                            xp.searchsorted(
+                            _np.searchsorted(
                                 cum,
                                 int(cum[start]) + _CHUNK_ROWS,
                                 side="left",
@@ -1117,23 +773,23 @@ class VectorEngine(AigEngine):
                             round=round_index,
                             rows=int(end - start),
                         ):
-                            left = xp.repeat(
+                            left = _np.repeat(
                                 claimed[start:end], rep_part, axis=0
                             )
-                            part_cum = xp.concatenate(
+                            part_cum = _np.concatenate(
                                 [
-                                    xp.zeros(1, dtype=xp.int64),
-                                    xp.cumsum(rep_part).astype(xp.int64),
+                                    _np.zeros(1, dtype=_np.int64),
+                                    _np.cumsum(rep_part).astype(_np.int64),
                                 ]
                             )
                             within = (
-                                xp.arange(
-                                    int(part_cum[-1]), dtype=xp.int64
+                                _np.arange(
+                                    int(part_cum[-1]), dtype=_np.int64
                                 )
-                                - xp.repeat(part_cum[:-1], rep_part)
+                                - _np.repeat(part_cum[:-1], rep_part)
                             )
                             right = models[
-                                xp.repeat(
+                                _np.repeat(
                                     model_offset[group_of[start:end]],
                                     rep_part,
                                 )
@@ -1145,47 +801,37 @@ class VectorEngine(AigEngine):
                             round=round_index,
                             rows=int(products.shape[0]),
                         ):
-                            current = _combine(
-                                current, products, xp, byte_keys
+                            current = _cancel_mod2(
+                                _np.concatenate([current, products])
                             )
-                        counts = counts_of(current)
-                        counts_h = backend.to_host(counts).astype(
-                            _np.int64
-                        )
-                        _np.maximum(peaks, counts_h, out=peaks)
+                        counts = counts_of(current).astype(_np.int64)
+                        _np.maximum(peaks, counts, out=peaks)
                         if term_limit is not None:
-                            worst = int(counts_h.argmax())
-                            if counts_h[worst] > term_limit:
+                            worst = int(counts.argmax())
+                            if counts[worst] > term_limit:
                                 raise TermLimitExceeded(
                                     roots[worst][0],
-                                    int(counts_h[worst]),
+                                    int(counts[worst]),
                                     term_limit,
                                 )
                         start = end
                     matrix = current
-                    gone = backend.to_host(
-                        prior + produced - counts_of(matrix)
-                    )
+                    gone = prior + produced - counts_of(matrix)
                     for tag in range(n_roots):
                         eliminated[tag] += int(gone[tag])
 
                     round_span.annotate(
                         claimed=int(claimed.shape[0]),
-                        produced=int(backend.to_host(produced).sum()),
+                        produced=int(produced.sum()),
                         terms=int(matrix.shape[0]),
                     )
                     round_span.__exit__(None, None, None)
-                    device_bytes = backend.device_bytes()
-                    if device_bytes is not None:
-                        telemetry.gauge("sweep.device_bytes", device_bytes)
                     round_wall = round_span.wall_s
                     accounted += round_wall
-                    claims_h = backend.to_host(
-                        xp.bincount(claim_tags, minlength=n_roots)
-                    )
-                    total_claims = int(claims_h.sum())
+                    claims = _np.bincount(claim_tags, minlength=n_roots)
+                    total_claims = int(claims.sum())
                     if total_claims:
-                        shares = claims_h * (round_wall / total_claims)
+                        shares = claims * (round_wall / total_claims)
                         for tag in range(n_roots):
                             tag_seconds[tag] += float(shares[tag])
                     round_index += 1
@@ -1230,10 +876,7 @@ class VectorEngine(AigEngine):
                 )
                 var_cols = var_bits // _WORD_BITS
                 var_shift = (var_bits % _WORD_BITS).astype(_np.uint64)
-                strip = _np.uint64(_WORD_MASK) ^ (
-                    _np.uint64(1) << var_shift
-                )
-                one_h = _np.uint64(1)
+                strip = _np.uint64(_WORD_MASK) ^ (one << var_shift)
 
                 claimed_round = 0
                 produced_round = 0
@@ -1258,7 +901,7 @@ class VectorEngine(AigEngine):
                     )
                     presence = (
                         (loaded[:, var_cols] >> var_shift[None, :])
-                        & one_h
+                        & one
                     ).astype(bool)
                     has_var = presence.any(axis=1)
                     if not has_var.any():  # pragma: no cover - or_mask
@@ -1356,7 +999,9 @@ class VectorEngine(AigEngine):
                             round=round_index,
                             rows=int(products.shape[0]),
                         ):
-                            acc = _combine(acc, products)
+                            acc = _cancel_mod2(
+                                _np.concatenate([acc, products])
+                            )
                         if int(acc.nbytes) > shard_budget:
                             run = _spill.write_rows(
                                 spill_dir.next_file("run"), acc
@@ -1495,8 +1140,6 @@ class VectorEngine(AigEngine):
         with telemetry.span(
             "decode", cones=n_roots, rows=int(matrix.shape[0])
         ):
-            # The one device→host transfer of the whole sweep.
-            matrix = backend.to_host(matrix)
             bounds = _np.searchsorted(
                 matrix[:, -1],
                 _np.arange(n_roots + 1, dtype=_np.uint64),

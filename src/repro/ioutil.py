@@ -1,4 +1,5 @@
-"""Atomic file-write helpers shared by every artifact producer.
+"""Atomic file-write helpers shared by every artifact producer, and
+the strict UTF-8 read the netlist readers share.
 
 Batch campaigns and checkpointed extractions can be killed at any
 moment (that is the point of checkpointing), so nothing in the system
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Union
+from typing import Callable, Union
 
 PathLike = Union[str, os.PathLike]
 
@@ -48,6 +49,26 @@ def atomic_write_text(path: PathLike, text: str, encoding: str = "utf-8") -> Non
     on the destination directory — inherent to atomic renames.
     """
     atomic_write_bytes(path, text.encode(encoding))
+
+
+def read_utf8(path: PathLike, error: Callable[[str], Exception]) -> str:
+    """Read ``path`` as UTF-8 text with universal newlines.
+
+    Undecodable input raises ``error(message)`` naming the file and
+    the byte offset of the first bad byte, so each reader reports its
+    own format error instead of a bare ``UnicodeDecodeError``.
+    Newlines are translated exactly as a text-mode ``open`` would.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as failure:
+        raise error(
+            f"{os.fspath(path)}: not UTF-8 text: invalid byte "
+            f"0x{data[failure.start]:02x} at byte offset {failure.start}"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def atomic_write_bytes(path: PathLike, payload: bytes) -> None:

@@ -18,7 +18,7 @@ import os
 from itertools import product as _iter_product
 from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_utf8
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
 from repro.netlist.netlist import Netlist, NetlistError
 
@@ -210,5 +210,4 @@ def read_blif(source: PathOrFile) -> Netlist:
     """Read BLIF from a path or open file."""
     if hasattr(source, "read"):
         return parse_blif(source.read())
-    with open(source, "r", encoding="utf-8") as handle:
-        return parse_blif(handle.read())
+    return parse_blif(read_utf8(source, BlifFormatError))

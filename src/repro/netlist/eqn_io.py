@@ -24,7 +24,7 @@ import io
 import os
 from typing import Iterable, List, TextIO, Union
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_utf8
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist, NetlistError
 
@@ -131,7 +131,6 @@ def read_eqn(source: PathOrFile, name: str | None = None) -> Netlist:
     if hasattr(source, "read"):
         text = source.read()
         return parse_eqn(text, name or "netlist")
-    with open(source, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_utf8(source, EqnFormatError)
     default = os.path.splitext(os.path.basename(os.fspath(source)))[0]
     return parse_eqn(text, name or default)

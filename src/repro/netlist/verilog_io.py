@@ -17,7 +17,7 @@ import os
 import re
 from typing import Dict, List, TextIO, Tuple, Union
 
-from repro.ioutil import atomic_write_text
+from repro.ioutil import atomic_write_text, read_utf8
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist, NetlistError
 
@@ -191,5 +191,4 @@ def read_verilog(source: PathOrFile) -> Netlist:
     """Read structural Verilog from a path or open file."""
     if hasattr(source, "read"):
         return parse_verilog(source.read())
-    with open(source, "r", encoding="utf-8") as handle:
-        return parse_verilog(handle.read())
+    return parse_verilog(read_utf8(source, VerilogFormatError))

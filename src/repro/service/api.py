@@ -541,7 +541,7 @@ class ReproAPIServer:
             "engine": self.engine,
             "engines_available": sorted(available_engines()),
             # Registered-but-unusable backends with the probe's reason
-            # (e.g. {"cuda": "cupy is not installed ..."}); usable ones
+            # (e.g. {"vector": "numpy is not installed ..."}); usable ones
             # map to None.
             "engines_unavailable": {
                 name: reason
@@ -893,7 +893,7 @@ def _make_handler(server: "ReproAPIServer"):
                 else:
                     # Distinguish "no such backend" from "registered
                     # but its dependency is missing" — the latter
-                    # names the fix (e.g. install cupy or pick
+                    # names the fix (e.g. install numpy or pick
                     # another engine).
                     reason = engine_availability().get(engine)
                     if reason is not None:

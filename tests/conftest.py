@@ -44,6 +44,26 @@ def netlists_equivalent(
     return True
 
 
+#: The reason the ``vector_unavailable`` fixture reports for ``vector``.
+VECTOR_BLOCKED = "numpy is blocked for this test"
+
+
+@pytest.fixture
+def vector_unavailable(monkeypatch):
+    """Make the registry report ``vector`` unusable, as without numpy.
+
+    Patches the registered availability probe, so listing, resolving
+    and the fallback ladder all see the engine as registered but
+    unusable; returns the reason the probe reports.
+    """
+    from repro.engine import registry
+
+    monkeypatch.setitem(
+        registry._PROBES, "vector", lambda: VECTOR_BLOCKED
+    )
+    return VECTOR_BLOCKED
+
+
 @pytest.fixture
 def gf4_polys():
     """The two GF(2^4) polynomials of Figure 1: (P1, P2)."""

@@ -4,8 +4,7 @@ Covers the engine-level contract (``rewrite_cones``: one output-tagged
 bit-matrix for the vector engine, a clean per-bit loop everywhere
 else), bit-identity against the reference oracle across the generator
 zoo — flat, synthesized, NAND-mapped, and fault-injected, so the
-error path stays mode-independent too — the incremental sorted-merge
-cancellation, and the end-to-end ``fused=True`` threading through
+error path stays mode-independent too — and the end-to-end ``fused=True`` threading through
 extraction, diagnosis, the squarer extension, the campaign runner and
 the CLI.  The no-numpy subprocess test pins the degradation story:
 without numpy, ``fused=True`` still works through the per-bit
@@ -153,7 +152,7 @@ class TestFaultInjected:
 
 class TestMatrixLoopStress:
     """Force multi-round fused sweeps (interning growth, width growth,
-    merge cancellation) and pin them against the oracle."""
+    full-lexsort cancellation) and pin them against the oracle."""
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_forced_substitution_matches_reference(self, name, monkeypatch):
@@ -172,29 +171,6 @@ class TestMatrixLoopStress:
         assert fused.modulus == reference.modulus
         for bit in range(reference.m):
             assert fused.expression_of(bit) == reference.expression_of(bit)
-
-    def test_merge_path_forced_everywhere(self, monkeypatch):
-        """With the merge threshold maxed out every eligible step takes
-        the incremental sorted-merge path; results must not move."""
-        import repro.engine.aig as aig_module
-        import repro.engine.vector as vector_module
-
-        monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
-        monkeypatch.setattr(vector_module, "_MERGE_FRACTION", 1e9)
-        monkeypatch.setattr(vector_module, "_MERGE_MIN_ROWS", 2)
-        netlist = generate_mastrovito(0b1011011)
-        reference = extract_irreducible_polynomial(
-            netlist, engine="reference"
-        )
-        for fused in (False, True):
-            result = extract_irreducible_polynomial(
-                netlist, engine=VectorEngine(), fused=fused
-            )
-            assert result.modulus == reference.modulus
-            for bit in range(reference.m):
-                assert result.expression_of(bit) == reference.expression_of(
-                    bit
-                )
 
     def test_steady_state_reuses_fused_tables(self):
         """Later sweeps — including different output subsets, the
@@ -219,30 +195,6 @@ class TestMatrixLoopStress:
         assert len(state["packed_models"]) == packed_before  # no repack
         for output in outputs:
             assert first[output][0].decode() == again[output][0].decode()
-
-
-class TestIncrementalCancellation:
-    """_combine == ground-truth parity cancellation, both paths."""
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_combine_matches_full_cancellation(self, seed):
-        import repro.engine.vector as V
-
-        rng = numpy.random.default_rng(seed)
-        rows = int(rng.integers(2, 200))
-        words = int(rng.integers(1, 4))
-        base = V._cancel_mod2(
-            rng.integers(0, 8, size=(rows, words)).astype(numpy.uint64)
-        )
-        fresh = rng.integers(0, 8, size=(int(rng.integers(1, 30)), words))
-        fresh = fresh.astype(numpy.uint64)
-        merged = V._merge_sorted(base, V._cancel_mod2(fresh))
-        truth = V._cancel_mod2(numpy.concatenate([base, fresh]))
-        assert merged.shape == truth.shape
-        assert (merged == truth).all()
-        # the merge result stays sorted (the loop invariant)
-        keys = V._row_keys(merged)
-        assert (keys[:-1] <= keys[1:]).all()
 
 
 class TestMultiRootEntryPoints:

@@ -2,9 +2,9 @@
 program cache, and the no-numpy degradation path.
 
 The engine contract (:mod:`repro.engine`) requires bit-identical
-*results* from every backend; this suite drives the vector engine
-across the generator zoo (flat, synthesized, NAND-mapped — the matrix
-loop must survive every shape the other packed engines do), checks
+*results* from every backend; this suite drives the vector engine's
+per-bit entry point (the ``aig`` engine's loop, which it inherits)
+across the generator zoo (flat, synthesized, NAND-mapped), checks
 error parity, and covers the compiled-program cache: round-trips
 through fresh engine instances, invalidation on a compile-schema
 bump, exact-netlist token validation for same-fingerprint twins, and
@@ -136,7 +136,7 @@ class TestFailureModes:
 
         # Small multipliers flatten whole cones below the default
         # bound (no substitution steps at all); shrink it so the
-        # matrix loop actually runs and traces.
+        # substitution loop actually runs and traces.
         monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
         netlist = synthesize(
             generate_mastrovito(0b10011), use_xor_cells=False
@@ -151,12 +151,14 @@ class TestFailureModes:
 
 
 class TestMatrixLoopStress:
-    """Force the vectorized substitution loop across the zoo.
+    """Force per-bit ``vector`` substitution across the zoo.
 
     With the default flat bound, small multipliers collapse entirely
-    into precomputed flat polynomials and the matrix loop never runs;
-    shrinking the bound makes every cone rewrite step-by-step through
-    the numpy path, which is what these tests pin against the oracle.
+    into precomputed flat polynomials and the substitution loop never
+    runs; shrinking the bound makes every cone rewrite step by step,
+    which is what these tests pin against the oracle.  The fused
+    matrix sweep has its own forced-substitution tests in
+    ``test_engine_fused.py``.
     """
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
@@ -487,13 +489,18 @@ class TestWithoutNumpy:
     def test_direct_use_without_numpy_raises_engine_error(
         self, monkeypatch
     ):
-        """An unregistered-but-constructed VectorEngine degrades with
-        the engine error, not an AttributeError."""
+        """An unregistered-but-constructed VectorEngine's fused sweep
+        degrades with the engine error, not an AttributeError; its
+        per-bit loop is aig's and needs no numpy."""
         import repro.engine.vector as vector_module
 
         monkeypatch.setattr(vector_module, "_np", None)
         from repro.engine.base import EngineError
 
+        netlist = generate_mastrovito(0b1011)
         engine = VectorEngine()
         with pytest.raises(EngineError, match="numpy"):
-            engine.rewrite_cone(generate_mastrovito(0b1011), "z0")
+            engine.rewrite_cones(netlist, ["z0"])
+        expression, _ = engine.rewrite_cone(netlist, "z0")
+        expected, _ = AigEngine().rewrite_cone(netlist, "z0")
+        assert expression.decode() == expected.decode()

@@ -27,6 +27,8 @@ from repro.netlist.verilog_io import (
     VerilogFormatError,
     format_verilog,
     parse_verilog,
+    read_verilog,
+    write_verilog,
 )
 from tests.conftest import bit_assignment
 
@@ -175,3 +177,30 @@ endmodule
         netlist = generate_mastrovito(0b10011)
         parsed = parse_verilog(format_verilog(netlist))
         assert extract_irreducible_polynomial(parsed).modulus == 0b10011
+
+
+@pytest.mark.parametrize(
+    "suffix, write, read, error",
+    [
+        ("eqn", write_eqn, read_eqn, EqnFormatError),
+        ("blif", write_blif, read_blif, BlifFormatError),
+        ("v", write_verilog, read_verilog, VerilogFormatError),
+    ],
+)
+def test_non_utf8_file_raises_the_format_error(
+    tmp_path, suffix, write, read, error
+):
+    """A stray non-UTF-8 byte is the reader's own format error (a
+    NetlistError) naming the byte offset, not a UnicodeDecodeError;
+    CRLF files still read like LF files."""
+    path = tmp_path / f"m3.{suffix}"
+    write(generate_mastrovito(0b1011), path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    assert read(path).simulate(bit_assignment(3, 5, 6)) == read(
+        io.StringIO(data.decode("utf-8"))
+    ).simulate(bit_assignment(3, 5, 6))
+    offset = data.index(b"\n") + 1
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    with pytest.raises(error, match=f"byte 0xff at byte offset {offset}"):
+        read(path)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import telemetry as _telemetry
 from repro.engine import EngineError, FALLBACK_LADDER, fallback_chain
+from repro.engine import registry
 from repro.gen.mastrovito import generate_mastrovito
 from repro.netlist.eqn_io import write_eqn
 from repro.service.resilience import (
@@ -18,6 +19,7 @@ from repro.service.resilience import (
     select_engine,
 )
 from repro.service.runner import run_campaign
+from tests.conftest import VECTOR_BLOCKED
 
 
 class TestRetryPolicy:
@@ -186,7 +188,7 @@ class TestRunSupervised:
 class TestFallbackLadder:
     def test_ladder_shape(self):
         assert FALLBACK_LADDER[-1] == "reference"
-        assert fallback_chain("cuda")[0] == "cuda"
+        assert fallback_chain("vector") == FALLBACK_LADDER
         assert fallback_chain("reference") == ("reference",)
         # Unknown engines degrade through the whole ladder.
         assert fallback_chain("warp9")[0] == "warp9"
@@ -202,35 +204,29 @@ class TestFallbackLadder:
         with pytest.raises(EngineError, match="unknown engine"):
             select_engine("warp9", fallback=False)
 
-    def test_cuda_degrades_only_with_fallback(self):
-        # This container has no cupy, so 'cuda' is registered but
-        # unusable — exactly the acceptance scenario.
-        from repro.engine import engine_availability
-
-        reason = engine_availability().get("cuda")
-        if reason is None:  # pragma: no cover - GPU hosts
-            pytest.skip("cuda usable here; degradation not reachable")
+    def test_unavailable_engine_degrades_only_with_fallback(
+        self, vector_unavailable
+    ):
+        # 'vector' registered but unusable: the no-numpy scenario.
         with pytest.raises(EngineError, match="unavailable"):
-            select_engine("cuda", fallback=False)
-        engine_used, why = select_engine("cuda", fallback=True)
-        assert engine_used == "vector"
-        assert "cuda" in why and reason in why
+            select_engine("vector", fallback=False)
+        engine_used, why = select_engine("vector", fallback=True)
+        assert engine_used == "aig"
+        assert "vector" in why and vector_unavailable in why
 
-    def test_engine_ladder(self):
+    def test_engine_ladder(self, vector_unavailable):
         assert engine_ladder("vector") == ("vector",)
         ladder = engine_ladder("vector", fallback=True)
         assert ladder[0] == "vector"
         assert ladder[-1] == "reference"
         # Unusable rungs are filtered; the head survives regardless.
-        assert "cuda" not in engine_ladder("cuda", fallback=True)[1:]
+        assert "vector" not in engine_ladder("warp9", fallback=True)[1:]
 
 
 class TestCampaignFallback:
-    def test_cuda_campaign_bit_identical_with_reason(self, tmp_path):
-        from repro.engine import engine_availability
-
-        if engine_availability().get("cuda") is None:  # pragma: no cover
-            pytest.skip("cuda usable here; degradation not reachable")
+    def test_degraded_campaign_bit_identical_with_reason(
+        self, tmp_path, monkeypatch
+    ):
         designs = tmp_path / "designs"
         designs.mkdir()
         write_eqn(generate_mastrovito(0b10011), designs / "m4.eqn")
@@ -241,32 +237,34 @@ class TestCampaignFallback:
             engine="vector",
             mode="extract",
         )
+        monkeypatch.setitem(
+            registry._PROBES, "vector", lambda: VECTOR_BLOCKED
+        )
         degraded = run_campaign(
             designs,
-            cache_dir=tmp_path / "cache_cuda",
-            engine="cuda",
+            cache_dir=tmp_path / "cache_degraded",
+            engine="vector",
             fallback=True,
             mode="extract",
         )
         assert degraded.ok == 1
         record = degraded.records[0]
-        assert record["engine_used"] == "vector"
-        assert "cuda" in record["fallback_reason"]
+        assert record["engine_used"] == "aig"
+        assert "vector" in record["fallback_reason"]
+        assert VECTOR_BLOCKED in record["fallback_reason"]
         assert record["polynomial"] == baseline.records[0]["polynomial"]
         assert record["member_bits"] == baseline.records[0]["member_bits"]
 
-    def test_cuda_campaign_without_fallback_errors(self, tmp_path):
-        from repro.engine import engine_availability
-
-        if engine_availability().get("cuda") is None:  # pragma: no cover
-            pytest.skip("cuda usable here; degradation not reachable")
+    def test_unavailable_engine_campaign_errors_without_fallback(
+        self, tmp_path, vector_unavailable
+    ):
         designs = tmp_path / "designs"
         designs.mkdir()
         write_eqn(generate_mastrovito(0b1011), designs / "m3.eqn")
         report = run_campaign(
             designs,
             cache_dir=tmp_path / "cache",
-            engine="cuda",
+            engine="vector",
             mode="extract",
         )
         record = report.records[0]

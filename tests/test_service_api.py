@@ -478,36 +478,34 @@ class TestSupervisedJobs:
 
 
 class TestEngineFallbackSubmissions:
-    def test_unavailable_engine_degrades_when_asked(self, base):
-        from repro.engine import engine_availability
-
-        if engine_availability().get("cuda") is None:  # pragma: no cover
-            pytest.skip("cuda usable here; degradation not reachable")
+    def test_unavailable_engine_degrades_when_asked(
+        self, base, vector_unavailable
+    ):
         text = format_eqn(generate_mastrovito(0b1011))
         job = post(
             f"{base}/v1/jobs",
-            {"netlist": text, "mode": "extract", "engine": "cuda",
+            {"netlist": text, "mode": "extract", "engine": "vector",
              "fallback": True},
         )
-        assert job["engine"] == "cuda"
-        assert job["engine_used"] == "vector"
-        assert "cuda" in job["fallback_reason"]
+        assert job["engine"] == "vector"
+        assert job["engine_used"] == "aig"
+        assert "vector" in job["fallback_reason"]
+        assert vector_unavailable in job["fallback_reason"]
         view = wait_done(base, job["job_id"])
         assert view["status"] == "done"
-        assert view["engine_used"] == "vector"
+        assert view["engine_used"] == "aig"
         assert view["result"]["polynomial"] == "x^3 + x + 1"
 
-    def test_unavailable_engine_still_400_without_fallback(self, base):
-        from repro.engine import engine_availability
-
-        reason = engine_availability().get("cuda")
-        if reason is None:  # pragma: no cover - GPU hosts
-            pytest.skip("cuda usable here; degradation not reachable")
+    def test_unavailable_engine_still_400_without_fallback(
+        self, base, vector_unavailable
+    ):
         text = format_eqn(generate_mastrovito(0b1011))
         body = post(
             f"{base}/v1/jobs",
-            {"netlist": text, "engine": "cuda"},
+            {"netlist": text, "engine": "vector"},
             expect=(400,),
         )
         # Byte-identical to the pre-fallback error contract.
-        assert body["error"] == f"engine 'cuda' is unavailable: {reason}"
+        assert body["error"] == (
+            f"engine 'vector' is unavailable: {vector_unavailable}"
+        )

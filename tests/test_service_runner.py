@@ -161,6 +161,19 @@ class TestModesAndRecords:
         assert "FROB" in by_name["broken"]["error"]
         assert report.errors == 1
 
+    def test_non_utf8_netlist_reports_format_error(self, tmp_path):
+        designs = tmp_path / "d"
+        designs.mkdir()
+        write_eqn(generate_mastrovito(0b1011), designs / "ok.eqn")
+        (designs / "latin1.eqn").write_bytes(b"INORDER = a\xff;\n")
+        report = run_campaign(designs, cache_dir=tmp_path / "c")
+        by_name = {r["netlist"]: r for r in report.records}
+        assert by_name["ok"]["status"] == "ok"
+        assert by_name["latin1"]["status"] == "error"
+        assert by_name["latin1"]["error"].startswith("EqnFormatError: ")
+        assert "byte offset 11" in by_name["latin1"]["error"]
+        assert report.errors == 1
+
     def test_no_cache_mode(self, tmp_path):
         designs = tmp_path / "d"
         designs.mkdir()
