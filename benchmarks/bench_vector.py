@@ -143,6 +143,21 @@ def bench_variant(variant: str, netlist, m: int, repeats: int) -> dict:
     return row
 
 
+def _extract_with_program_cache(netlist, engine, cache):
+    """One extraction with only the compiled-program tier in play.
+
+    The program is loaded from (or compiled into) ``cache`` before the
+    rewrite and re-stored after it with the cut models the rewrite
+    built — the prepare/finalize bracket the extraction puts around
+    its rewriting — while results and cones are never cached, so every
+    timed call really rewrites.
+    """
+    engine.prepare(netlist, compile_cache=cache)
+    result = extract_irreducible_polynomial(netlist, engine=engine)
+    engine.finalize(netlist, compile_cache=cache)
+    return result
+
+
 def bench_warm_compile(netlist, m: int, repeats: int) -> dict:
     """Warm compiled-program cache: the batch-runner cold start.
 
@@ -168,8 +183,8 @@ def bench_warm_compile(netlist, m: int, repeats: int) -> dict:
 
             cold_engine = engine_cls()
             started = time.perf_counter()
-            cold_result = extract_irreducible_polynomial(
-                netlist, engine=cold_engine, compile_cache=cache
+            cold_result = _extract_with_program_cache(
+                netlist, cold_engine, cache
             )
             cold = time.perf_counter() - started
             assert cold_result.modulus == reference.modulus
@@ -178,8 +193,8 @@ def bench_warm_compile(netlist, m: int, repeats: int) -> dict:
             remember_fingerprint(netlist, fingerprint)
             warm_engine = engine_cls()
             started = time.perf_counter()
-            warm_result = extract_irreducible_polynomial(
-                netlist, engine=warm_engine, compile_cache=warm_cache
+            warm_result = _extract_with_program_cache(
+                netlist, warm_engine, warm_cache
             )
             warm_cold = time.perf_counter() - started
             assert warm_result.modulus == reference.modulus

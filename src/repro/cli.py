@@ -71,7 +71,10 @@ from typing import Optional, Sequence
 from repro.analysis.xor_count import figure1_report
 from repro.engine import DEFAULT_ENGINE, registered_engines
 from repro.engine.spill import parse_byte_size
-from repro.extract.extractor import extract_irreducible_polynomial
+from repro.extract.extractor import (
+    ExtractionError,
+    extract_irreducible_polynomial,
+)
 from repro.extract.report import format_extraction_report
 from repro.extract.verify import verify_multiplier
 from repro.fieldmath.bitpoly import bitpoly_parse, bitpoly_str
@@ -91,6 +94,7 @@ from repro.gen.normal_basis import generate_massey_omura
 from repro.gen.schoolbook import generate_schoolbook
 from repro.netlist.blif_io import read_blif, write_blif
 from repro.netlist.eqn_io import read_eqn, write_eqn
+from repro.netlist.netlist import NetlistError
 from repro.netlist.verilog_io import read_verilog, write_verilog
 from repro.synth.pipeline import synthesize
 
@@ -923,6 +927,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the subcommand; a netlist that does not parse or is not a
+    multiplier is one stderr line and exit code 2 (1 means reducible
+    or not equivalent)."""
+    try:
+        return args.func(args)
+    except (NetlistError, ExtractionError) as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -959,7 +974,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
     trace_path = getattr(args, "trace", None)
     if not trace_path:
-        return args.func(args)
+        return _run_command(args)
     from repro import telemetry as _telemetry
 
     # --trace taps the process-global registry, so every span the run
@@ -975,7 +990,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     run_calibration(telemetry)
     try:
-        return args.func(args)
+        return _run_command(args)
     finally:
         telemetry.flush_metrics()
         telemetry.remove_sink(sink)

@@ -124,28 +124,21 @@ def diagnose(
     find_counterexample: bool = True,
     engine: str = "reference",
     cache=None,
-    compile_cache=None,
     fused: bool = False,
     max_bytes=None,
-    cone_cache=None,
 ) -> Diagnosis:
     """Triage a netlist: verified multiplier, buggy, or out of scope.
 
     ``engine`` selects the rewriting backend (see :mod:`repro.engine`);
     the verdict is backend-independent.  ``cache`` (optionally, a
     :class:`repro.service.cache.ResultCache`) is threaded through to
-    the extraction phases — the multiplier *and* squarer branches — so
-    a re-diagnosed structural duplicate never rewrites a gate.
-    ``compile_cache`` is forwarded the same way so a compiling backend
-    skips its one-time netlist compile on known structures (see
-    :func:`~repro.extract.extractor.extract_irreducible_polynomial`);
-    both reach the squarer branch too.  ``fused=True`` runs the
-    extraction as one fused multi-cone sweep (fastest with
-    ``engine="vector"``); the verdict is mode-independent.
-    ``cone_cache`` enables the per-output-cone incremental tier: when
-    a baseline version of this netlist was already extracted, blame
-    analysis of an edited version rewrites only the cones the edit
-    touched (the ECO path — see :mod:`repro.service.eco`).
+    the extraction phases — the multiplier *and* squarer branches —
+    with every tier they use: a structural duplicate never rewrites a
+    gate, and an edited version of an extracted baseline rewrites only
+    the cones the edit touched (the ECO path — see
+    :mod:`repro.service.eco`).  ``fused=True`` runs the extraction as
+    one fused multi-cone sweep (fastest with ``engine="vector"``); the
+    verdict is mode-independent.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> diagnose(generate_mastrovito(0b10011)).verdict.value
@@ -160,11 +153,7 @@ def diagnose(
     if _looks_like_squarer(netlist):
         return finish(
             _diagnose_squarer(
-                netlist,
-                cache=cache,
-                engine=engine,
-                compile_cache=compile_cache,
-                fused=fused,
+                netlist, cache=cache, engine=engine, fused=fused
             )
         )
 
@@ -175,31 +164,13 @@ def diagnose(
             term_limit=term_limit,
             engine=engine,
             cache=cache,
-            compile_cache=compile_cache,
             fused=fused,
             max_bytes=max_bytes,
-            cone_cache=cone_cache,
         )
-    except ExtractionError as error:
+    except (ExtractionError, BackwardRewriteError) as error:
         return finish(
             Diagnosis(
-                verdict=Verdict.MALFORMED_PORTS,
-                netlist_name=netlist.name,
-                reason=str(error),
-            )
-        )
-    except TermLimitExceeded as error:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.MEMORY_OUT,
-                netlist_name=netlist.name,
-                reason=str(error),
-            )
-        )
-    except BackwardRewriteError as error:
-        return finish(
-            Diagnosis(
-                verdict=Verdict.REWRITE_FAILED,
+                verdict=_failure_verdict(error),
                 netlist_name=netlist.name,
                 reason=str(error),
             )
@@ -252,6 +223,15 @@ def diagnose(
     )
 
 
+def _failure_verdict(error: Exception) -> Verdict:
+    """The verdict of an extraction that raised ``error``."""
+    if isinstance(error, ExtractionError):
+        return Verdict.MALFORMED_PORTS
+    if isinstance(error, TermLimitExceeded):
+        return Verdict.MEMORY_OUT
+    return Verdict.REWRITE_FAILED
+
+
 def _looks_like_squarer(netlist: Netlist) -> bool:
     """Single-operand multiplier ports: inputs a0.. only, outputs z0..
 
@@ -271,7 +251,6 @@ def _diagnose_squarer(
     netlist: Netlist,
     cache=None,
     engine: str = "reference",
-    compile_cache=None,
     fused: bool = False,
 ) -> Diagnosis:
     """The squarer branch of the decision tree."""
@@ -282,21 +261,15 @@ def _diagnose_squarer(
 
     try:
         result = extract_squarer_polynomial(
-            netlist,
-            cache=cache,
-            engine=engine,
-            compile_cache=compile_cache,
-            fused=fused,
+            netlist, cache=cache, engine=engine, fused=fused
         )
-    except SquarerExtractionError as error:
+    except (SquarerExtractionError, BackwardRewriteError) as error:
         return Diagnosis(
-            verdict=Verdict.NOT_A_SQUARER,
-            netlist_name=netlist.name,
-            reason=str(error),
-        )
-    except BackwardRewriteError as error:
-        return Diagnosis(
-            verdict=Verdict.REWRITE_FAILED,
+            verdict=(
+                Verdict.NOT_A_SQUARER
+                if isinstance(error, SquarerExtractionError)
+                else Verdict.REWRITE_FAILED
+            ),
             netlist_name=netlist.name,
             reason=str(error),
         )

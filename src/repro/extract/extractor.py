@@ -16,7 +16,7 @@ computes ``A·B mod P(x)`` with the standard port naming.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.engine import ConeExpression
@@ -24,7 +24,7 @@ from repro.extract.outfield import outfield_products
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.irreducible import is_irreducible
 from repro.gf2.polynomial import Gf2Poly
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.netlist import Netlist
 from repro.rewrite.parallel import ExtractionRun, extract_expressions
 
 
@@ -59,8 +59,8 @@ class ExtractionResult:
         return self.run.expressions[f"z{bit}"]
 
 
-def _multiplier_ports(netlist: Netlist) -> int:
-    """Validate the standard a/b/z port naming; return m."""
+def multiplier_field_size(netlist: Netlist) -> int:
+    """Validate the a/b/z multiplier port contract; return m."""
     m = len(netlist.outputs)
     if m < 1:
         raise ExtractionError("netlist has no outputs")
@@ -141,11 +141,6 @@ def result_from_run(
     )
 
 
-def multiplier_field_size(netlist: Netlist) -> int:
-    """Validate the a/b/z multiplier port contract; return m."""
-    return _multiplier_ports(netlist)
-
-
 def extract_irreducible_polynomial(
     netlist: Netlist,
     jobs: int = 1,
@@ -153,12 +148,10 @@ def extract_irreducible_polynomial(
     measure_memory: bool = False,
     engine: str = "reference",
     cache=None,
-    compile_cache=None,
     fused: bool = False,
     on_result=None,
     telemetry=None,
     max_bytes=None,
-    cone_cache=None,
 ) -> ExtractionResult:
     """Reverse engineer P(x) from a gate-level GF(2^m) multiplier.
 
@@ -168,16 +161,12 @@ def extract_irreducible_polynomial(
     backend (see :mod:`repro.engine`); every backend recovers the same
     P(x).
 
-    ``cache`` (optionally) is a
-    :class:`repro.service.cache.ResultCache` — or anything with its
-    ``get_extraction`` / ``put_extraction`` contract: a cached result
-    for a structurally identical netlist is returned without rewriting
-    a single gate, and fresh results are stored for the next caller.
-    ``compile_cache`` (typically the same cache) separately persists
-    the *engine's compiled program*: on a result-cache miss a
-    compiling backend (bitpack/aig/vector) then skips its one-time
-    netlist compile whenever the structure was ever compiled before —
-    the service runner passes its cache for both.
+    ``cache`` (optionally, a :class:`repro.service.cache.ResultCache`)
+    answers a structurally identical netlist without rewriting a gate
+    and stores fresh results; on a miss it serves the per-cone and
+    compiled-program tiers of
+    :func:`~repro.rewrite.parallel.extract_expressions`, so an edited
+    netlist rewrites only its dirty cones (the ECO path).
 
     ``fused=True`` extracts all m bits in one fused substitution
     sweep (see :func:`repro.rewrite.parallel.extract_expressions`):
@@ -193,14 +182,6 @@ def extract_irreducible_polynomial(
     registry the run's spans and counters land in (default: the
     active one).  A cache hit short-circuits both.
 
-    ``cone_cache`` (typically the same cache again) enables the
-    incremental tier below the whole-netlist cache: on a result-cache
-    miss, output cones whose Merkle digests already have stored
-    results are served from the per-cone cache and only the dirty
-    cones are rewritten — the ECO path
-    (:mod:`repro.service.eco`) relies on this to re-audit an edited
-    netlist at ~one-cone cost.
-
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> result = extract_irreducible_polynomial(generate_mastrovito(0b10011))
     >>> result.polynomial_str
@@ -211,7 +192,7 @@ def extract_irreducible_polynomial(
     'x^4 + x + 1'
     """
     started = time.perf_counter()
-    m = _multiplier_ports(netlist)
+    m = multiplier_field_size(netlist)
     key = None
     if cache is not None:
         key = cache.fingerprint(netlist)  # once: strash + hash is O(n)
@@ -226,11 +207,10 @@ def extract_irreducible_polynomial(
         measure_memory=measure_memory,
         engine=engine,
         on_result=on_result,
-        compile_cache=compile_cache,
+        cache=cache,
         fused=fused,
         telemetry=telemetry,
         max_bytes=max_bytes,
-        cone_cache=cone_cache,
     )
     result = result_from_run(run, m)
     # Stamp after the Algorithm-2 analysis phase so the total covers

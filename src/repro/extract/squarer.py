@@ -61,23 +61,19 @@ def extract_squarer_polynomial(
     netlist: Netlist,
     cache=None,
     engine: str = "reference",
-    compile_cache=None,
     fused: bool = False,
 ) -> SquarerExtractionResult:
     """Recover P(x) from a gate-level squarer.
 
     ``cache`` (optionally) is a
-    :class:`repro.service.cache.ResultCache` — or anything with its
-    ``get_squarer`` / ``put_squarer`` / ``fingerprint`` contract —
-    keyed, like every other artifact, by the strash-invariant content
-    fingerprint: a structurally identical squarer is answered without
-    rewriting a single gate.
-
-    ``engine`` selects the rewriting backend and ``compile_cache``
-    persists its one-time netlist compile, exactly as on the
-    multiplier path — a squarer-heavy campaign no longer pays a full
-    cold compile per design while the multiplier branch rides the
-    cache.  ``fused=True`` rewrites all m bits in one fused sweep
+    :class:`repro.service.cache.ResultCache`, used for both tiers it
+    has here: the squarer entry, keyed like every other artifact by
+    the strash-invariant content fingerprint — a structurally
+    identical squarer is answered without rewriting a single gate —
+    and, on a miss, the compiled program of the rewriting backend
+    ``engine``, exactly as on the multiplier path, so a squarer-heavy
+    campaign pays no cold compile per known structure.
+    ``fused=True`` rewrites all m bits in one fused sweep
     (:func:`repro.rewrite.backward.backward_rewrite_multi`).
 
     >>> from repro.gen.squarer import generate_squarer
@@ -111,7 +107,7 @@ def extract_squarer_polynomial(
     outputs = [f"z{j}" for j in range(m)]
     if fused:
         rewritten = backward_rewrite_multi(
-            netlist, outputs, engine=engine, compile_cache=compile_cache
+            netlist, outputs, engine=engine, compile_cache=cache
         )
     else:
         rewritten = None
@@ -123,7 +119,7 @@ def extract_squarer_polynomial(
                 netlist,
                 output,
                 engine=engine,
-                compile_cache=compile_cache,
+                compile_cache=cache,
             )
         for monomial in poly.monomials:
             if len(monomial) != 1:

@@ -168,11 +168,10 @@ def extract_expressions(
     measure_memory: bool = False,
     engine: str = "reference",
     on_result: Optional[ResultHook] = None,
-    compile_cache=None,
+    cache=None,
     fused: bool = False,
     telemetry: Optional["_telemetry.Telemetry"] = None,
     max_bytes: Optional[int] = None,
-    cone_cache=None,
     fused_chunk: Optional[int] = None,
 ) -> ExtractionRun:
     """Extract the canonical GF(2) expression of every output bit.
@@ -192,13 +191,16 @@ def extract_expressions(
     the bits still in flight.  The returned run is independent of the
     hook and of completion order.
 
-    ``compile_cache`` is the compiled-program hook of
-    :mod:`repro.service.cache`: the backend's one-time netlist compile
-    is loaded from / stored to the cache *in the coordinating process*
-    before any rewriting starts, so a warm cache collapses the cold
-    first call to near steady-state — and forked workers inherit the
-    prepared program copy-on-write instead of each compiling their
-    own.
+    ``cache`` (a :class:`repro.service.cache.ResultCache`) serves two
+    tiers.  Per cone: the requested outputs are partitioned by Merkle
+    cone digest (:func:`repro.service.fingerprint.cone_fingerprints`);
+    cached bits are served under a ``cone.cached`` span, only the dirty
+    ones are rewritten and stored back — Theorem 1 makes the entries
+    engine-neutral — and the run, bit-identical to a cold one, carries
+    per-bit :attr:`ExtractionRun.cache_provenance`.  Compiled program:
+    the dirty cones' one-time compile is loaded from / stored to the
+    cache in the coordinating process before any rewriting, so forked
+    workers inherit it copy-on-write.
 
     ``fused=True`` rewrites every requested cone through the engine's
     multi-root entry point in this process: a backend with a fused
@@ -225,18 +227,6 @@ def extract_expressions(
     out-of-core tier of the ``vector`` engine; ``--max-ram`` on the
     CLI, ``REPRO_SWEEP_MAX_BYTES`` in the environment).  Per-bit runs
     and backends without a fused matrix ignore it.
-
-    ``cone_cache`` is the incremental-verification hook
-    (:class:`repro.service.cache.ResultCache`): before dispatch the
-    requested outputs are partitioned by per-cone Merkle digest
-    (:func:`repro.service.fingerprint.cone_fingerprints`) into cached
-    and dirty sets; only the dirty set is rewritten (the fused sweep
-    takes the dirty subset of tags, per-bit jobs skip cached bits),
-    cached bits are served under a ``cone.cached`` span, and freshly
-    computed cones are stored back.  Theorem 1 makes cone results
-    engine-neutral, so any engine serves any engine's entries.  The
-    returned run is bit-identical to a cold run and carries per-bit
-    :attr:`ExtractionRun.cache_provenance`.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     if fused:
@@ -272,7 +262,7 @@ def extract_expressions(
         dirty = chosen
         cone_digests: Optional[Dict[str, str]] = None
         hit_outputs: List[str] = []
-        if cone_cache is not None and chosen:
+        if cache is not None and chosen:
             from repro.engine.reference import ReferenceExpression
             from repro.service.cache import poly_from_json, stats_from_json
             from repro.service.fingerprint import cone_fingerprints
@@ -283,7 +273,7 @@ def extract_expressions(
                 digest = cone_digests.get(output)
                 if digest is None:
                     continue
-                entry = cone_cache.get_cone(digest)
+                entry = cache.get_cone(digest)
                 if entry is not None:
                     entries[output] = entry
             dirty = [o for o in chosen if o not in entries]
@@ -317,7 +307,7 @@ def extract_expressions(
                 digest = cone_digests.get(output)
                 if digest is None:
                     continue
-                cone_cache.put_cone(
+                cache.put_cone(
                     digest,
                     output,
                     cone.decode(),
@@ -336,13 +326,13 @@ def extract_expressions(
         if hit_outputs and dirty:
             work = _restrict_to_cones(netlist, dirty)
 
-        if compile_cache is not None and dirty:
+        if cache is not None and dirty:
             # Prepare inside the timed region (the compile is part of
             # this run's cost, cached or not) and in the *coordinating*
             # process, so forked workers inherit the program
             # copy-on-write.  A fully cone-cached run skips the
             # compile entirely — that is the warm ECO path.
-            backend.prepare(work, compile_cache=compile_cache)
+            backend.prepare(work, compile_cache=cache)
 
         if not dirty:
             pass  # every requested cone was served from the cache
@@ -360,7 +350,7 @@ def extract_expressions(
                     work,
                     batch,
                     term_limit=term_limit,
-                    compile_cache=compile_cache,
+                    compile_cache=cache,
                     **extra,
                 )
                 fresh = []
@@ -413,13 +403,13 @@ def extract_expressions(
                     if on_result is not None:
                         on_result(*item)
 
-        if compile_cache is not None and dirty:
+        if cache is not None and dirty:
             # Persist whatever the program accreted during rewriting
             # (lazily built cut models) so the next cold process
             # inherits it.  Pool workers grow their own forked copies,
             # which the coordinator cannot see — only sequential runs
             # re-store.
-            backend.finalize(work, compile_cache=compile_cache)
+            backend.finalize(work, compile_cache=cache)
 
         if not fused and dirty:
             rewritten = set(dirty)
@@ -446,7 +436,7 @@ def extract_expressions(
             output: "cone_hit" if output in hit_set else "computed"
             for output, _, _ in results
         }
-        if cone_cache is not None
+        if cache is not None
         else {}
     )
     return ExtractionRun(

@@ -28,11 +28,14 @@ system around one primitive:
     killed extraction resumes from its completed bits and produces
     results bit-identical to an uninterrupted run.
 
+:mod:`~repro.service.pipeline`
+    the one request pipeline (extract/audit/diagnose over the cache)
+    that the runner, the API and ECO re-audit all call.
+
 :mod:`~repro.service.runner`
     a campaign runner batching a directory (or manifest) of netlists
-    through extract/verify/diagnose on one shared worker pool,
-    emitting a JSONL report with per-netlist timing and cache
-    provenance.
+    through the pipeline on one shared worker pool, emitting a JSONL
+    report with per-netlist timing and cache provenance.
 
 :mod:`~repro.service.api`
     a minimal stdlib ``ThreadingHTTPServer`` JSON API (submit a

@@ -39,12 +39,13 @@ Endpoints (all JSON)::
                                        fetch a cached artifact
                                        (&full=1 for the raw entry)
 
-Jobs run on a fixed pool of worker threads; the heavy lifting happens
-in :func:`repro.extract.extractor.extract_irreducible_polynomial` et
-al., which release no GIL, so the pool bounds *concurrency of
-acceptance*, not CPU parallelism — production deployments put one
-process per core behind this API (the batch runner is the in-process
-version of that layout).  Results are written to the shared
+Jobs run on a fixed pool of worker threads, each through the request
+pipeline of the batch runner and ECO
+(:func:`repro.service.pipeline.run_mode`), which releases no GIL, so
+the pool bounds *concurrency of acceptance*, not CPU parallelism —
+production deployments put one process per core behind this API (the
+batch runner is the in-process version of that layout).  Results are
+written to the shared
 :class:`~repro.service.cache.ResultCache`, so a job computed once is a
 cache hit for every later submission of a structurally identical
 netlist, HTTP or CLI alike.
@@ -57,7 +58,8 @@ import json
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -73,6 +75,12 @@ from repro.netlist.blif_io import parse_blif
 from repro.netlist.eqn_io import parse_eqn
 from repro.netlist.verilog_io import parse_verilog
 from repro.service.cache import KINDS, ResultCache
+from repro.service.pipeline import (
+    MODES,
+    ModeOutcome,
+    cached_outcome,
+    run_mode,
+)
 from repro.service.resilience import (
     Quarantined,
     RetryPolicy,
@@ -82,7 +90,6 @@ from repro.service.resilience import (
 )
 
 _PARSERS = {"eqn": parse_eqn, "blif": parse_blif, "v": parse_verilog}
-_MODES = ("extract", "audit", "diagnose")
 
 #: Submission payloads above this size are rejected outright.
 MAX_NETLIST_BYTES = 8 * 1024 * 1024
@@ -159,31 +166,14 @@ class Job:
         default_factory=threading.Event, repr=False, compare=False
     )
 
-    _VIEW_FIELDS = (
-        "job_id",
-        "mode",
-        "engine",
-        "fingerprint",
-        "status",
-        "submitted_unix",
-        "wall_time_s",
-        "cache",
-        "error",
-        "result",
-        "progress",
-        "engine_used",
-        "fallback_reason",
-        "attempts",
-        "reason",
-        "baseline_fingerprint",
-        "cones_reused",
-    )
-
     def view(self) -> Dict[str, Any]:
+        """The JSON view: every set field but the fallback flag and
+        the cancel event."""
         return {
-            key: getattr(self, key)
-            for key in self._VIEW_FIELDS
-            if getattr(self, key) is not None
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name not in ("fallback", "cancel_event")
+            and getattr(self, spec.name) is not None
         }
 
 
@@ -371,13 +361,13 @@ class ReproAPIServer:
         return "accepted", job
 
     def _serve_from_cache(self, job: Job, fingerprint: str) -> bool:
-        summary = _cached_summary(self.cache, job.mode, fingerprint)
-        if summary is None:
+        outcome = cached_outcome(self.cache, job.mode, fingerprint)
+        if outcome is None:
             return False
         job.status = "done"
         job.cache = "hit"
         job.wall_time_s = 0.0
-        job.result = summary
+        job.result = _summary(job.mode, outcome)
         return True
 
     def _worker_loop(self) -> None:
@@ -408,15 +398,14 @@ class ReproAPIServer:
             def attempt(engine, job=job, netlist=netlist, advance=advance):
                 if job.cancel_event.is_set():
                     raise _JobCancelled(job.job_id)
-                return _run_pipeline(
-                    self.cache,
-                    netlist,
+                return run_mode(
                     job.mode,
-                    engine,
-                    self.jobs,
-                    fingerprint=job.fingerprint,
+                    lambda: netlist,
+                    job.fingerprint,
+                    self.cache,
+                    engine=engine,
+                    jobs=self.jobs,
                     progress=advance,
-                    telemetry=self.telemetry,
                 )
 
             ladder = engine_ladder(
@@ -437,9 +426,8 @@ class ReproAPIServer:
                         telemetry=self.telemetry,
                         label=job.job_id,
                     )
-                    job.result = outcome.value
-                    if isinstance(outcome.value, dict):
-                        job.cones_reused = outcome.value.get("cones_reused")
+                    job.result = _summary(job.mode, outcome.value)
+                    job.cones_reused = outcome.value.cones_reused
                     job.engine_used = outcome.engine_used
                     if outcome.fallback_reason is not None:
                         job.fallback_reason = (
@@ -508,14 +496,15 @@ class ReproAPIServer:
             "fraction": fraction,
         }
 
+    def _job_census(self) -> Dict[str, int]:
+        """Jobs in the table per status."""
+        with self._lock:
+            return dict(Counter(job.status for job in self._table.values()))
+
     def metrics_view(self) -> Dict[str, Any]:
         """The ``GET /metrics`` payload: telemetry registry snapshot
         plus the cache's session counters and the job table census."""
         cache_stats = self.cache.stats()
-        with self._lock:
-            by_status: Dict[str, int] = {}
-            for job in self._table.values():
-                by_status[job.status] = by_status.get(job.status, 0) + 1
         payload = self.telemetry.metrics()
         payload["cache"] = {
             "hits": cache_stats.hits,
@@ -528,15 +517,11 @@ class ReproAPIServer:
             "entries": cache_stats.entries,
             "disk_bytes": cache_stats.disk_bytes,
         }
-        payload["jobs"] = by_status
+        payload["jobs"] = self._job_census()
         return payload
 
     def stats_view(self) -> Dict[str, Any]:
         cache_stats = self.cache.stats()
-        with self._lock:
-            by_status: Dict[str, int] = {}
-            for job in self._table.values():
-                by_status[job.status] = by_status.get(job.status, 0) + 1
         return {
             "engine": self.engine,
             "engines_available": sorted(available_engines()),
@@ -555,121 +540,24 @@ class ReproAPIServer:
                 "hits": cache_stats.hits,
                 "misses": cache_stats.misses,
             },
-            "jobs": by_status,
+            "jobs": self._job_census(),
         }
 
 
 # ----------------------------------------------------------------------
-# Pipeline execution + summaries
+# Summaries
 # ----------------------------------------------------------------------
 
-def _summary_from_extraction(result) -> Dict[str, Any]:
-    return {
-        "kind": "extraction",
-        "m": result.m,
-        "polynomial": result.polynomial_str,
-        "irreducible": result.irreducible,
-        "member_bits": result.member_bits,
-    }
-
-
-def _cached_summary(
-    cache: ResultCache, mode: str, fingerprint: str
-) -> Optional[Dict[str, Any]]:
-    """Assemble a mode's summary purely from cached artifacts."""
-    if mode == "diagnose":
-        diagnosis = cache.get_diagnosis(fingerprint)
-        if diagnosis is None:
-            return None
-        summary = {
-            "kind": "diagnosis",
-            "verdict": diagnosis.verdict.value,
-            "clean": diagnosis.is_clean,
-            "reason": diagnosis.reason,
-        }
-        if diagnosis.extraction is not None:
-            summary["polynomial"] = diagnosis.extraction.polynomial_str
+def _summary(mode: str, outcome: ModeOutcome) -> Dict[str, Any]:
+    """The job/result summary of one mode outcome."""
+    summary = outcome.fields()
+    if mode != "diagnose":
+        summary["kind"] = "audit" if mode == "audit" else "extraction"
         return summary
-    result = cache.get_extraction(fingerprint)
-    if result is None:
-        return None
-    summary = _summary_from_extraction(result)
-    if mode == "audit":
-        report = cache.get_verification(fingerprint)
-        if report is None:
-            return None
-        summary["kind"] = "audit"
-        summary["equivalent"] = report.equivalent
-        summary["simulation_vectors"] = report.simulation_vectors
+    summary.pop("m", None)
+    summary.pop("irreducible", None)
+    summary.update(kind="diagnosis", reason=outcome.diagnosis.reason)
     return summary
-
-
-def _run_pipeline(
-    cache: ResultCache,
-    netlist,
-    mode: str,
-    engine: str,
-    jobs: int,
-    fingerprint: Optional[str] = None,
-    progress=None,
-    telemetry: Optional[_telemetry.Telemetry] = None,
-) -> Dict[str, Any]:
-    """Compute (and cache) the artifacts a mode needs; return summary.
-
-    ``progress`` is forwarded as the extraction's per-bit ``on_result``
-    hook (the job progress feed); diagnose mode reports no per-bit
-    progress.  ``telemetry`` selects the registry the extraction spans
-    land in.
-    """
-    from repro.extract.diagnose import diagnose
-    from repro.extract.extractor import extract_irreducible_polynomial
-    from repro.extract.verify import verify_multiplier
-
-    if fingerprint is None:
-        fingerprint = cache.fingerprint(netlist)
-    cones_reused: Optional[int] = None
-    if mode == "diagnose":
-        # Re-check the cache: a duplicate submission may have finished
-        # while this job sat in the queue (the extract branch below
-        # guards the same race).
-        if cache.get_diagnosis(fingerprint) is None:
-            diagnosis = diagnose(
-                netlist, jobs=jobs, engine=engine, cone_cache=cache
-            )
-            cache.put_diagnosis(fingerprint, diagnosis)
-            if diagnosis.extraction is not None:
-                cones_reused = _count_reused(diagnosis.extraction)
-    else:
-        result = cache.get_extraction(fingerprint)
-        if result is None:
-            result = extract_irreducible_polynomial(
-                netlist,
-                jobs=jobs,
-                engine=engine,
-                on_result=progress,
-                telemetry=telemetry,
-                cone_cache=cache,
-            )
-            cache.put_extraction(fingerprint, result)
-            cones_reused = _count_reused(result)
-        if mode == "audit" and cache.get_verification(fingerprint) is None:
-            cache.put_verification(
-                fingerprint, verify_multiplier(netlist, result, engine=engine)
-            )
-    summary = _cached_summary(cache, mode, fingerprint)
-    assert summary is not None
-    if cones_reused is not None:
-        summary["cones_reused"] = cones_reused
-    return summary
-
-
-def _count_reused(result) -> int:
-    """Bits of an extraction served from the per-cone cache."""
-    return sum(
-        1
-        for origin in result.run.cache_provenance.values()
-        if origin == "cone_hit"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -815,11 +703,9 @@ def _make_handler(server: "ReproAPIServer"):
                     "simulation_vectors": report.simulation_vectors,
                 }
             else:
-                summary = _cached_summary(
-                    server.cache,
-                    "extract" if kind == "extraction" else "diagnose",
-                    fingerprint,
-                )
+                mode = "extract" if kind == "extraction" else "diagnose"
+                outcome = cached_outcome(server.cache, mode, fingerprint)
+                summary = None if outcome is None else _summary(mode, outcome)
             if summary is None:
                 self._error(404, f"no cached {kind} for {fingerprint}")
             else:
@@ -870,8 +756,8 @@ def _make_handler(server: "ReproAPIServer"):
                 self._error(400, f"unknown format {fmt!r}")
                 return
             mode = body.get("mode", "audit")
-            if mode not in _MODES:
-                self._error(400, f"unknown mode {mode!r}; one of {_MODES}")
+            if mode not in MODES:
+                self._error(400, f"unknown mode {mode!r}; one of {MODES}")
                 return
             engine = body.get("engine", server.engine)
             fallback = bool(body.get("fallback", server.fallback))

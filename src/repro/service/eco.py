@@ -14,11 +14,11 @@ re-extraction:
 2. the baseline's extraction — cached, or computed now — warms the
    per-cone store (a netlist-level cache hit back-fills the cone
    entries without rewriting a gate);
-3. the edited netlist is re-extracted with the cone cache: clean
+3. the edited netlist runs the request pipeline of batch and HTTP
+   (:func:`repro.service.pipeline.run_mode`) on the same cache: clean
    cones are served, only dirty cones are rewritten;
-4. on an audit failure, :func:`repro.extract.diagnose.diagnose` runs
-   with the same cone cache, so blame analysis starts from the cached
-   good version instead of re-deriving it.
+4. on an audit failure, its ``diagnose`` mode runs on the same cache,
+   so blame analysis starts from the cached good version.
 
 Full re-extraction still happens when the edit changes what the cone
 digests *mean*: a port-signature change (renamed/added/removed a/b/z
@@ -37,11 +37,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
-from repro.netlist.netlist import Netlist
 from repro.service.cache import ResultCache
-from repro.service.fingerprint import (
-    fingerprint_with_cones,
-    remember_fingerprint,
+from repro.service.pipeline import (
+    NETLIST_READERS,
+    NetlistFile,
+    fingerprint_file,
+    run_mode,
 )
 
 PathLike = Union[str, os.PathLike]
@@ -130,41 +131,15 @@ def diff_cones(
         )
 
 
-def _readers() -> Dict[str, Any]:
-    from repro.service.runner import NETLIST_READERS
-
-    return NETLIST_READERS
-
-
-def fingerprint_file(
-    path: PathLike, cache: ResultCache
-) -> Tuple[str, Dict[str, str], Optional[Netlist]]:
-    """``(fingerprint, cone digests, netlist-or-None)`` for a file.
-
-    When the cache's stat-validated file memo already holds the cone
-    digests (any prior campaign/ECO visit recorded them), the file is
-    never opened — that is the satellite that makes a *repeated*
-    ``repro eco`` on unchanged files skip strash entirely.  The third
-    element is the parsed netlist when a parse was needed, ``None`` on
-    a pure memo hit (callers lazily re-load only if they must run it).
-    """
-    memo = cache.file_fingerprint(path)
-    if memo is not None and isinstance(memo.get("cones"), dict):
-        return memo["fingerprint"], memo["cones"], None
+def _fingerprint(path: PathLike, cache: ResultCache) -> NetlistFile:
+    """:func:`fingerprint_file`, with unreadable input as :class:`EcoError`."""
     path = Path(path)
-    reader = _readers().get(path.suffix)
-    if reader is None:
+    if path.suffix not in NETLIST_READERS:
         raise EcoError(f"unknown netlist format {path.suffix!r}: {path}")
     try:
-        stat = os.stat(path)  # before the read: overwrite-safe
-        netlist = reader(path)
+        return fingerprint_file(path, cache)
     except OSError as error:
         raise EcoError(f"cannot read {path}: {error}") from error
-    fingerprint, cones = fingerprint_with_cones(netlist)
-    cache.remember_file(
-        path, fingerprint, gates=len(netlist), stat=stat, cones=cones
-    )
-    return fingerprint, cones, netlist
 
 
 def warm_cones_from_extraction(
@@ -281,33 +256,27 @@ def eco_reverify(
     re-extract the edited netlist — clean cones come from the cache,
     only the cones the edit touched are rewritten.  ``audit=True``
     additionally checks the edited design against the golden model
-    and, on failure, runs :func:`~repro.extract.diagnose.diagnose`
-    with the same cone cache so blame starts from the cached good
-    version.
+    and, on failure, diagnoses it on the same cache so blame starts
+    from the cached good version — both through
+    :func:`~repro.service.pipeline.run_mode`.
     """
-    from repro.extract.diagnose import diagnose
-    from repro.extract.extractor import extract_irreducible_polynomial
-    from repro.extract.verify import verify_multiplier
     from repro.fieldmath.bitpoly import bitpoly_str
 
     tel = _telemetry.resolve(telemetry)
     started = time.perf_counter()
+    options = dict(
+        engine=engine,
+        jobs=jobs,
+        term_limit=term_limit,
+        fused=fused,
+        max_bytes=max_bytes,
+    )
     with _telemetry.use(tel):
-        base_fp, base_cones, base_net = fingerprint_file(baseline_path, cache)
-        edit_fp, edit_cones, edit_net = fingerprint_file(edited_path, cache)
-        diff = diff_cones(base_fp, base_cones, edit_fp, edit_cones, tel)
-
-        def load(path, fingerprint, cones):
-            reader = _readers()[Path(path).suffix]
-            netlist = reader(Path(path))
-            remember_fingerprint(netlist, fingerprint, cones)
-            return netlist
-
-        def edited_netlist() -> Netlist:
-            nonlocal edit_net
-            if edit_net is None:
-                edit_net = load(edited_path, edit_fp, edit_cones)
-            return edit_net
+        base = _fingerprint(baseline_path, cache)
+        edit = _fingerprint(edited_path, cache)
+        diff = diff_cones(
+            base.fingerprint, base.cones, edit.fingerprint, edit.cones, tel
+        )
 
         def cones_present(cones: Dict[str, str]) -> bool:
             return all(
@@ -321,31 +290,17 @@ def eco_reverify(
         # missing cone entries without rewriting; only a never-seen
         # baseline actually extracts.
         cones_warmed = 0
-        if cones_present(base_cones):
-            baseline_source = "cache"
-        else:
-            baseline_result = cache.get_extraction(base_fp)
-            if baseline_result is not None:
-                baseline_source = "cache"
+        baseline_source = "cache"
+        if not cones_present(base.cones):
+            baseline = run_mode(
+                "extract", base.load, base.fingerprint, cache, **options
+            )
+            if baseline.cache == "hit":
                 cones_warmed = warm_cones_from_extraction(
-                    cache, base_cones, baseline_result
+                    cache, base.cones, baseline.extraction
                 )
             else:
                 baseline_source = "extracted"
-                if base_net is None:
-                    base_net = load(baseline_path, base_fp, base_cones)
-                extract_irreducible_polynomial(
-                    base_net,
-                    jobs=jobs,
-                    term_limit=term_limit,
-                    engine=engine,
-                    cache=cache,
-                    compile_cache=cache,
-                    fused=fused,
-                    telemetry=tel,
-                    max_bytes=max_bytes,
-                    cone_cache=cache,
-                )
 
         # Re-verify the edited version: the cone cache turns this
         # into (diff + dirty cones) work.  A *repeat* re-audit is
@@ -354,74 +309,41 @@ def eco_reverify(
         # per-bit expression payload (which dominates the whole-
         # netlist entry at large m).
         result = None
+        report = None
         summary = None
-        if cones_present(edit_cones):
-            summary = cache.get_extraction_summary(edit_fp)
-        if summary is not None:
+        if cones_present(edit.cones):
+            summary = cache.get_extraction_summary(edit.fingerprint)
+        if summary is not None and audit:
+            report = cache.get_verification(edit.fingerprint)
+        if summary is not None and (report is not None or not audit):
             polynomial = bitpoly_str(summary["modulus"])
             irreducible = bool(summary["irreducible"])
             cones_reused = len(diff.clean)
         else:
-            result = cache.get_extraction(edit_fp)
-            if result is not None:
-                cones_reused = len(diff.clean)
-            else:
-                result = extract_irreducible_polynomial(
-                    edited_netlist(),
-                    jobs=jobs,
-                    term_limit=term_limit,
-                    engine=engine,
-                    cache=cache,
-                    compile_cache=cache,
-                    fused=fused,
-                    telemetry=tel,
-                    max_bytes=max_bytes,
-                    cone_cache=cache,
-                )
-                cones_reused = sum(
-                    1
-                    for origin in result.run.cache_provenance.values()
-                    if origin == "cone_hit"
-                )
+            mode = "audit" if audit else "extract"
+            outcome = run_mode(
+                mode, edit.load, edit.fingerprint, cache, **options
+            )
+            result = outcome.extraction
+            report = outcome.verification
             polynomial = result.polynomial_str
             irreducible = result.irreducible
+            cones_reused = outcome.cones_reused
+            if cones_reused is None:  # served from the result cache
+                cones_reused = len(diff.clean)
 
         equivalent: Optional[bool] = None
         diagnosis = None
         if audit:
-            report = cache.get_verification(edit_fp)
-            if report is None:
-                if result is None:  # sidecar path, but verdict missing
-                    result = cache.get_extraction(edit_fp)
-                if result is None:
-                    raise EcoError(
-                        f"extraction entry for {edited_path} vanished "
-                        "mid-audit (evicted?); re-run to recompute"
-                    )
-                report = verify_multiplier(
-                    edited_netlist(), result, engine=engine
-                )
-                cache.put_verification(edit_fp, report)
             equivalent = report.equivalent
             if diagnose_on_failure and (not equivalent or not irreducible):
                 # Blame analysis starts from the cached good version:
                 # every clean cone is a cone-cache hit — and a repeat
                 # of the same failing re-audit replays the stored
                 # diagnosis instead of re-deriving it.
-                diagnosis = cache.get_diagnosis(edit_fp)
-                if diagnosis is None:
-                    diagnosis = diagnose(
-                        edited_netlist(),
-                        jobs=jobs,
-                        term_limit=term_limit,
-                        engine=engine,
-                        cache=cache,
-                        compile_cache=cache,
-                        fused=fused,
-                        max_bytes=max_bytes,
-                        cone_cache=cache,
-                    )
-                    cache.put_diagnosis(edit_fp, diagnosis)
+                diagnosis = run_mode(
+                    "diagnose", edit.load, edit.fingerprint, cache, **options
+                ).diagnosis
 
     return EcoReport(
         baseline_path=str(baseline_path),

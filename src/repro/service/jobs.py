@@ -35,9 +35,8 @@ yet.  Setting ``REPRO_CHECKPOINT_FSYNC=1`` adds an ``fsync`` after
 every append, upgrading the guarantee to power-loss durability at the
 cost of one disk flush per completed bit — on spinning disks or
 ``fsync``-honest filesystems that can dominate small-cone extraction
-time, which is why it is opt-in.  The header and full-file rewrites
-(:meth:`ExtractionCheckpoint.save`) always fsync, as all
-``atomic_write_*`` paths do.
+time, which is why it is opt-in.  The header write always fsyncs, as
+all ``atomic_write_*`` paths do.
 """
 
 from __future__ import annotations
@@ -204,17 +203,6 @@ class ExtractionCheckpoint:
         # killed worker demonstrably resumes past it.
         chaos.crash()
 
-    def save(self) -> None:
-        """Rewrite the whole file (rarely needed; record() appends)."""
-        lines = [json.dumps(self._header(), sort_keys=True)]
-        lines.extend(
-            self._bit_line(output, poly, stats)
-            for output, (poly, stats) in sorted(self.bits.items())
-        )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
-        self._header_written = True
-
     def discard(self) -> None:
         """Remove the checkpoint file (job completed or abandoned)."""
         try:
@@ -260,13 +248,12 @@ def checkpointed_extract(
     checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
     keep_checkpoint: bool = False,
     fingerprint: Optional[str] = None,
-    compile_cache=None,
+    cache=None,
     fused: bool = False,
     fused_chunk: int = FUSED_CHUNK_BITS,
     telemetry=None,
     max_bytes=None,
     deadline=None,
-    cone_cache=None,
 ) -> CheckpointedExtraction:
     """:func:`~repro.rewrite.parallel.extract_expressions` with resume.
 
@@ -278,10 +265,12 @@ def checkpointed_extract(
     completion.  On success the checkpoint is deleted, unless
     ``keep_checkpoint`` or it still holds bits outside ``outputs``.
 
-    ``compile_cache`` is forwarded to
-    :func:`~repro.rewrite.parallel.extract_expressions`: a resumed job
-    then also skips the engine's one-time netlist compile whenever a
-    compiled program for the same structure is already stored.
+    ``cache`` is forwarded to
+    :func:`~repro.rewrite.parallel.extract_expressions`, so the bits
+    not resumed are served from its per-cone tier where possible; the
+    run's :attr:`~repro.rewrite.parallel.ExtractionRun.cache_provenance`
+    records ``"checkpoint"`` for resumed bits beside the partition's
+    ``"cone_hit"``/``"computed"``.
 
     ``fused=True`` extracts through the engines' fused multi-cone
     sweep instead of the per-bit fork pool; the remaining bits are
@@ -312,15 +301,6 @@ def checkpointed_extract(
     granularity, the natural yield points — so a budgeted job stops
     *between* durable completions and the checkpoint resumes exactly
     the work already paid for.
-
-    ``cone_cache`` is forwarded to
-    :func:`~repro.rewrite.parallel.extract_expressions`: bits not
-    resumed from the checkpoint are first looked up in the per-cone
-    result cache, so the checkpoint plan skips both resumed *and*
-    cached bits.  The assembled run's
-    :attr:`~repro.rewrite.parallel.ExtractionRun.cache_provenance`
-    records ``"checkpoint"`` for resumed bits alongside the
-    partition's ``"cone_hit"``/``"computed"`` entries.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     if fingerprint is None:
@@ -372,11 +352,10 @@ def checkpointed_extract(
             term_limit=term_limit,
             engine=engine,
             on_result=persist,
-            compile_cache=compile_cache,
+            cache=cache,
             fused=fused,
             telemetry=tel,
             max_bytes=max_bytes,
-            cone_cache=cone_cache,
             fused_chunk=fused_chunk,
         )
         cones.update(fresh.cones)

@@ -6,12 +6,11 @@ audit N designs, write one JSONL report line per netlist with timing
 and cache provenance, survive being killed at any point.  The runner
 composes the rest of the service layer:
 
-* every netlist is fingerprinted and looked up in the
-  :class:`~repro.service.cache.ResultCache` first — a repeated
-  campaign over unchanged designs is pure cache traffic;
-* cache misses extract through
-  :func:`~repro.service.jobs.checkpointed_extract`, so a killed
-  campaign resumes mid-netlist, not just mid-directory;
+* every netlist runs the request pipeline of the HTTP API and ECO
+  (:func:`repro.service.pipeline.run_mode`): cached artifacts first —
+  a repeated campaign over unchanged designs is pure cache traffic —
+  and misses extract through checkpointed jobs, so a killed campaign
+  resumes mid-netlist, not just mid-directory;
 * netlists are sharded over *supervised* worker processes
   (``workers`` forked processes, one per in-flight netlist; each
   extraction then runs its own per-bit shards with ``jobs`` workers —
@@ -53,9 +52,13 @@ from repro import chaos as _chaos
 from repro import telemetry as _telemetry
 from repro.engine import DEFAULT_ENGINE
 from repro.ioutil import atomic_append_line, atomic_write_text
-from repro.netlist.blif_io import read_blif
-from repro.netlist.eqn_io import read_eqn
-from repro.netlist.verilog_io import read_verilog
+from repro.service.pipeline import (
+    MODES,
+    NETLIST_READERS,
+    NetlistFile,
+    fingerprint_file,
+    run_mode,
+)
 from repro.service.resilience import (
     Deadline,
     Quarantined,
@@ -64,8 +67,6 @@ from repro.service.resilience import (
     run_supervised,
     select_engine,
 )
-
-NETLIST_READERS = {".eqn": read_eqn, ".blif": read_blif, ".v": read_verilog}
 
 PathLike = Union[str, os.PathLike]
 
@@ -118,33 +119,22 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
 
     Errors are caught and reported as a record, never raised: one
     broken design must not kill a thousand-netlist campaign.  The
-    mode-specific work runs under :func:`run_supervised` — transient
-    failures retry per the task's policy, engine failures walk the
-    fallback ladder when enabled, and an exhausted budget yields a
-    ``status: "quarantined"`` record with a structured reason.
-    Deterministic failures (parse errors, term-limit verdicts,
-    unavailable engine without fallback) keep their single-attempt
-    ``status: "error"`` record exactly as before.
+    mode runs through :func:`~repro.service.pipeline.run_mode` under
+    :func:`run_supervised` — transient failures retry per the task's
+    policy, engine failures walk the fallback ladder when enabled, and
+    an exhausted budget yields a ``status: "quarantined"`` record with
+    a structured reason.  Deterministic failures (parse errors,
+    term-limit verdicts, unavailable engine without fallback) keep
+    their single-attempt ``status: "error"`` record, whose ``cache``
+    is ``miss`` whenever a cache is configured.
     """
-    from repro.extract.diagnose import diagnose
-    from repro.extract.extractor import (
-        multiplier_field_size,
-        result_from_run,
-    )
-    from repro.extract.verify import verify_multiplier
     from repro.service.cache import ResultCache
-    from repro.service.fingerprint import (
-        fingerprint_with_cones,
-        remember_fingerprint,
-    )
-    from repro.service.jobs import checkpointed_extract
 
     path = Path(task["path"])
     mode = task["mode"]
     engine = task["engine"]
     jobs = task["jobs"]
     fused = bool(task.get("fused"))
-    max_bytes = task.get("max_bytes")
     fallback = bool(task.get("fallback"))
     policy: RetryPolicy = task.get("retry_policy") or RetryPolicy()
     import multiprocessing
@@ -182,8 +172,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         max_rss_bytes=task.get("max_rss_bytes"),
     )
     try:
-        reader = NETLIST_READERS.get(path.suffix)
-        if reader is None:
+        if path.suffix not in NETLIST_READERS:
             raise CampaignError(f"unknown netlist format {path.suffix!r}")
 
         # Startup degradation: a registered-but-unusable engine walks
@@ -193,160 +182,40 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         engine_used, startup_reason = select_engine(engine, fallback=fallback)
         ladder = engine_ladder(engine_used, fallback=fallback)
 
-        # Lazy netlist loading: a warm rerun whose artifacts are all
-        # cached (and whose file stat matches the fingerprint memo)
-        # never parses the netlist at all.
-        netlist = None
-
-        def load():
-            nonlocal netlist
-            if netlist is None:
-                netlist = reader(path)
-                if fingerprint is not None:
-                    # The file memo already knows this netlist's
-                    # fingerprint; seed the netlist's memo so keyed
-                    # cache accesses skip hashing the parsed netlist.
-                    remember_fingerprint(netlist, fingerprint)
-            return netlist
-
-        fingerprint = None
+        # A warm rerun whose file stat matches the fingerprint memo
+        # never parses the netlist unless something must be computed.
         if cache is not None:
-            memo = cache.file_fingerprint(path)
-            if memo is not None:
-                fingerprint = memo["fingerprint"]
-                record["gates"] = memo.get("gates")
-            else:
-                stat = os.stat(path)  # before the read: overwrite-safe
-                # One AIG lowering yields the netlist fingerprint AND
-                # every per-cone digest; memoizing both means a later
-                # `repro eco` against this unchanged file never
-                # strashes it again.
-                fingerprint, cone_digests = fingerprint_with_cones(load())
-                record["gates"] = len(netlist)
-                cache.remember_file(
-                    path,
-                    fingerprint,
-                    gates=len(netlist),
-                    stat=stat,
-                    cones=cone_digests,
-                )
+            source = fingerprint_file(path, cache)
         else:
-            record["gates"] = len(load())
-        record["fingerprint"] = fingerprint
+            source = NetlistFile(path)
+            source.gates = len(source.load())
+        record["gates"] = source.gates
+        record["fingerprint"] = source.fingerprint
 
         def work(eng: Optional[str]) -> None:
-            deadline.check()
-            if mode == "diagnose":
-                diagnosis = cache.get_diagnosis(fingerprint) if cache else None
-                if cache is not None:
-                    record["cache"] = "hit" if diagnosis is not None else "miss"
-                if diagnosis is None:
-                    diagnosis = diagnose(
-                        load(),
-                        jobs=jobs,
-                        engine=eng,
-                        cache=cache,
-                        compile_cache=cache,
-                        fused=fused,
-                        max_bytes=max_bytes,
-                        cone_cache=cache,
-                    )
-                    if cache is not None:
-                        cache.put_diagnosis(fingerprint, diagnosis)
-                        extraction = diagnosis.extraction
-                        if extraction is not None:
-                            record["cones_reused"] = sum(
-                                1
-                                for origin in (
-                                    extraction.run.cache_provenance.values()
-                                )
-                                if origin == "cone_hit"
-                            )
-                record["verdict"] = diagnosis.verdict.value
-                record["clean"] = diagnosis.is_clean
-                if diagnosis.extraction is not None:
-                    record["m"] = diagnosis.extraction.m
-                    record["polynomial"] = diagnosis.extraction.polynomial_str
-                    record["irreducible"] = diagnosis.extraction.irreducible
-            else:  # extract / audit share the extraction phase
-                result = cache.get_extraction(fingerprint) if cache else None
-                if cache is not None:
-                    record["cache"] = "hit" if result is not None else "miss"
+            # What the record reports if this attempt fails.
+            record["cache"] = "off" if cache is None else "miss"
+            if mode != "diagnose":
                 record["resumed_bits"] = 0
-                if result is None:
-                    m = multiplier_field_size(load())
-                    sharded = None
-                    if task["checkpoint"] and cache is not None:
-                        # keep_checkpoint: the checkpoint may only die
-                        # once the result is durably in the cache — a
-                        # kill between discard and put would lose
-                        # every bit.
-                        sharded = checkpointed_extract(
-                            load(),
-                            outputs=[f"z{i}" for i in range(m)],
-                            jobs=jobs,
-                            engine=eng,
-                            term_limit=task["term_limit"],
-                            checkpoint_dir=cache.jobs_dir(),
-                            fingerprint=fingerprint,
-                            keep_checkpoint=True,
-                            compile_cache=cache,
-                            fused=fused,
-                            max_bytes=max_bytes,
-                            deadline=deadline if deadline.armed else None,
-                            cone_cache=cache,
-                        )
-                        run = sharded.run
-                        record["resumed_bits"] = len(sharded.resumed_bits)
-                    else:
-                        from repro.rewrite.parallel import extract_expressions
-
-                        run = extract_expressions(
-                            load(),
-                            outputs=[f"z{i}" for i in range(m)],
-                            jobs=jobs,
-                            engine=eng,
-                            term_limit=task["term_limit"],
-                            compile_cache=cache,
-                            fused=fused,
-                            max_bytes=max_bytes,
-                            cone_cache=cache,
-                        )
-                    record["cones_reused"] = sum(
-                        1
-                        for origin in run.cache_provenance.values()
-                        if origin == "cone_hit"
-                    )
-                    result = result_from_run(
-                        run, m, total_time_s=run.wall_time_s
-                    )
-                    if cache is not None:
-                        cache.put_extraction(fingerprint, result)
-                    if sharded is not None:
-                        try:  # result is durable now; checkpoint may go
-                            sharded.checkpoint_path.unlink()
-                        except FileNotFoundError:
-                            pass
-                record["m"] = result.m
-                record["polynomial"] = result.polynomial_str
-                record["irreducible"] = result.irreducible
-                record["member_bits"] = result.member_bits
-
-                if mode == "audit":
-                    report = (
-                        cache.get_verification(fingerprint) if cache else None
-                    )
-                    if report is None:
-                        if record["cache"] == "hit":
-                            record["cache"] = "partial"
-                        report = verify_multiplier(load(), result, engine=eng)
-                        if cache is not None:
-                            cache.put_verification(fingerprint, report)
-                    record["equivalent"] = report.equivalent
-                    record["simulation_vectors"] = report.simulation_vectors
+            outcome = run_mode(
+                mode,
+                source.load,
+                source.fingerprint,
+                cache,
+                engine=eng,
+                jobs=jobs,
+                term_limit=task["term_limit"],
+                fused=fused,
+                max_bytes=task.get("max_bytes"),
+                checkpoint=task["checkpoint"],
+                deadline=deadline if deadline.armed else None,
+            )
+            record.update(outcome.fields(), cache=outcome.cache)
+            if outcome.resumed_bits is not None:
+                record["resumed_bits"] = outcome.resumed_bits
 
         with deadline:
-            outcome = run_supervised(
+            supervised = run_supervised(
                 work,
                 engines=ladder,
                 policy=policy,
@@ -354,12 +223,12 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 telemetry=telemetry,
                 label=path.stem,
             )
-        record["engine_used"] = outcome.engine_used
-        reason = startup_reason or outcome.fallback_reason
+        record["engine_used"] = supervised.engine_used
+        reason = startup_reason or supervised.fallback_reason
         if reason is not None:
             record["fallback_reason"] = reason
-        if outcome.attempts > 1:
-            record["attempts"] = outcome.attempts
+        if supervised.attempts > 1:
+            record["attempts"] = supervised.attempts
     except Quarantined as poison:
         record["status"] = "quarantined"
         record["reason"] = poison.reason
@@ -492,7 +361,7 @@ class CampaignRunner:
         max_rss_bytes: Optional[int] = None,
         fallback: bool = False,
     ):
-        if mode not in ("extract", "audit", "diagnose"):
+        if mode not in MODES:
             raise ValueError(f"unknown campaign mode {mode!r}")
         self.mode = mode
         #: Telemetry registry campaign spans/counters report to

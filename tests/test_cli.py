@@ -102,3 +102,44 @@ class TestInfoCommands:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["extract", str(tmp_path / "file.xyz")])
+
+
+class TestBadInput:
+    """Unparseable or non-multiplier netlists are one stderr line and
+    exit code 2 (1 stays "reducible / not equivalent"), not a
+    traceback."""
+
+    @staticmethod
+    def _expect_error(capsys, argv, kind):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {kind}: ")
+        assert "Traceback" not in err
+
+    def test_extract_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.eqn"
+        bad.write_bytes(b"INORDER = a0 \xff;\n")
+        self._expect_error(capsys, ["extract", str(bad)], "EqnFormatError")
+
+    def test_extract_misnamed_outputs(self, tmp_path, capsys):
+        from repro.gen.mastrovito import generate_mastrovito
+        from repro.netlist.eqn_io import format_eqn
+
+        text = format_eqn(generate_mastrovito(0b10011))
+        for bit in range(4):
+            text = text.replace(f"z{bit}", f"y{bit}")
+        path = tmp_path / "ports.eqn"
+        path.write_text(text)
+        self._expect_error(capsys, ["extract", str(path)], "ExtractionError")
+
+    def test_eco_bad_edited_file(self, tmp_path, capsys):
+        base = tmp_path / "base.eqn"
+        assert main(["gen", "--p", "x^4+x+1", "-o", str(base)]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "edit.eqn"
+        bad.write_bytes(b"INORDER = a0 \xff;\n")
+        self._expect_error(
+            capsys,
+            ["eco", str(base), str(bad), "--cache-dir", str(tmp_path / "c")],
+            "EqnFormatError",
+        )

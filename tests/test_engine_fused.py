@@ -259,7 +259,7 @@ class TestSquarerFused:
         squarer = generate_squarer(0b10011)
         baseline = extract_squarer_polynomial(squarer)
         fused = extract_squarer_polynomial(
-            squarer, engine="vector", compile_cache=cache, fused=True
+            squarer, engine="vector", cache=cache, fused=True
         )
         assert fused.modulus == baseline.modulus
         assert fused.verified and fused.irreducible
@@ -268,9 +268,8 @@ class TestSquarerFused:
         # a fresh engine process loads the stored program
         fresh = VectorEngine()
         fresh._compile = lambda n: pytest.fail("should load, not compile")
-        again = extract_squarer_polynomial(
-            squarer, engine=fresh, compile_cache=cache, fused=True
-        )
+        fresh.prepare(squarer, compile_cache=cache)
+        again = extract_squarer_polynomial(squarer, engine=fresh, fused=True)
         assert again.modulus == baseline.modulus
 
     def test_diagnose_squarer_branch_threads_fused(self, tmp_path):

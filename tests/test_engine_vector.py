@@ -214,7 +214,7 @@ class TestCompiledProgramCache:
         netlist = self._nand()
         first = VectorEngine()
         r1 = extract_irreducible_polynomial(
-            netlist, engine=first, compile_cache=cache
+            netlist, engine=first, cache=cache
         )
         assert cache.stats().entries["compiled"] == 1
 
@@ -222,9 +222,8 @@ class TestCompiledProgramCache:
         compiles = []
         original = fresh._compile
         fresh._compile = lambda n: compiles.append(n) or original(n)
-        r2 = extract_irreducible_polynomial(
-            netlist, engine=fresh, compile_cache=cache
-        )
+        fresh.prepare(netlist, compile_cache=cache)
+        r2 = extract_irreducible_polynomial(netlist, engine=fresh)
         assert compiles == []  # served from the cache, not recompiled
         assert r2.modulus == r1.modulus
         for bit in range(r1.m):
@@ -306,9 +305,7 @@ class TestCompiledProgramCache:
         stored_before = cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
         ).read_bytes()
-        extract_irreducible_polynomial(
-            netlist, engine=engine, compile_cache=cache
-        )
+        extract_irreducible_polynomial(netlist, engine=engine, cache=cache)
         stored_after = cache.compiled_path_for(
             netlist, "aig", VectorEngine.compile_schema
         ).read_bytes()
@@ -328,9 +325,7 @@ class TestCompiledProgramCache:
         engine = VectorEngine()
         extract_irreducible_polynomial(netlist, engine=engine)  # no cache
         assert cache.stats().entries["compiled"] == 0
-        extract_irreducible_polynomial(
-            netlist, engine=engine, compile_cache=cache
-        )
+        extract_irreducible_polynomial(netlist, engine=engine, cache=cache)
         assert cache.stats().entries["compiled"] == 1
 
     def test_rejected_payload_counts_as_miss(self, tmp_path):
@@ -360,7 +355,7 @@ class TestCompiledProgramCache:
         path.write_bytes(b"not a pickle")
         fresh = VectorEngine()
         result = extract_irreducible_polynomial(
-            netlist, engine=fresh, compile_cache=cache
+            netlist, engine=fresh, cache=cache
         )
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"

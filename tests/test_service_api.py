@@ -257,6 +257,14 @@ def delete(url, expect):
         return json.load(error)
 
 
+def stub_outcome():
+    """A real audit outcome of a tiny multiplier, for stubbed pipelines."""
+    from repro.service.pipeline import run_mode
+
+    net = generate_mastrovito(0b1011)
+    return run_mode("audit", lambda: net, None, None, engine="bitpack")
+
+
 @pytest.fixture
 def blocked_server(tmp_path, monkeypatch):
     """worker_threads=1, max_queue=1, pipeline parked on an event."""
@@ -268,15 +276,15 @@ def blocked_server(tmp_path, monkeypatch):
     release = threading.Event()
     entered = threading.Event()
 
-    def parked_pipeline(cache, netlist, mode, engine, jobs, **kwargs):
+    def parked_pipeline(mode, load, fingerprint, cache, **kwargs):
         entered.set()
         release.wait(15)
         progress = kwargs.get("progress")
         if progress is not None:
             progress(None, None, None)  # cancellation observation point
-        return {"kind": "extraction", "stub": True}
+        return stub_outcome()
 
-    monkeypatch.setattr(api_mod, "_run_pipeline", parked_pipeline)
+    monkeypatch.setattr(api_mod, "run_mode", parked_pipeline)
     api = api_mod.serve(
         host="127.0.0.1",
         port=0,
@@ -375,7 +383,7 @@ class TestCancellation:
         release = threading.Event()
         entered = threading.Event()
 
-        def parked(cache, netlist, mode, engine, jobs, **kwargs):
+        def parked(mode, load, fingerprint, cache, **kwargs):
             entered.set()
             progress = kwargs.get("progress")
             # Tick the cancellation observation point until released
@@ -383,9 +391,9 @@ class TestCancellation:
             while not release.wait(0.02):
                 if progress is not None:
                     progress(None, None, None)
-            return {"kind": "extraction", "stub": True}
+            return stub_outcome()
 
-        monkeypatch.setattr(api_mod, "_run_pipeline", parked)
+        monkeypatch.setattr(api_mod, "run_mode", parked)
         api = api_mod.serve(
             host="127.0.0.1",
             port=0,
@@ -412,13 +420,13 @@ class TestSupervisedJobs:
 
         calls = []
 
-        def flaky(cache, netlist, mode, engine, jobs, **kwargs):
-            calls.append(engine)
+        def flaky(mode, load, fingerprint, cache, **kwargs):
+            calls.append(kwargs["engine"])
             if len(calls) < 3:
                 raise OSError("transient")
-            return {"kind": "extraction", "stub": True}
+            return stub_outcome()
 
-        monkeypatch.setattr(api_mod, "_run_pipeline", flaky)
+        monkeypatch.setattr(api_mod, "run_mode", flaky)
         api = api_mod.serve(
             host="127.0.0.1",
             port=0,
@@ -444,10 +452,10 @@ class TestSupervisedJobs:
         from repro.service import api as api_mod
         from repro.service.resilience import RetryPolicy
 
-        def broken(cache, netlist, mode, engine, jobs, **kwargs):
+        def broken(mode, load, fingerprint, cache, **kwargs):
             raise OSError("disk on fire")
 
-        monkeypatch.setattr(api_mod, "_run_pipeline", broken)
+        monkeypatch.setattr(api_mod, "run_mode", broken)
         api = api_mod.serve(
             host="127.0.0.1",
             port=0,

@@ -155,10 +155,10 @@ ZOO = [
 def warm_then_partial(tmp_path, net, mutant, engine, fused=False):
     """Warm the cone cache on ``net``, then extract ``mutant``."""
     cache = ResultCache(tmp_path / f"cache-{engine}-{fused}")
-    extract_expressions(net, engine=engine, fused=fused, cone_cache=cache)
+    extract_expressions(net, engine=engine, fused=fused, cache=cache)
     return (
         extract_expressions(
-            mutant, engine=engine, fused=fused, cone_cache=cache
+            mutant, engine=engine, fused=fused, cache=cache
         ),
         cache,
     )
@@ -201,9 +201,9 @@ class TestPartialRerunBitIdentity:
         base = generate_mastrovito(P5)
         mutant, _ = flip_gate(base, base.gates[20].output)
         cache = ResultCache(tmp_path / "cache")
-        extract_expressions(base, engine="reference", cone_cache=cache)
+        extract_expressions(base, engine="reference", cache=cache)
         warm = extract_expressions(
-            mutant, engine="bitpack", cone_cache=cache
+            mutant, engine="bitpack", cache=cache
         )
         cold = extract_expressions(mutant, engine="bitpack")
         assert cache.cone_hits > 0
@@ -234,8 +234,8 @@ class TestPartialRerunBitIdentity:
         """A fully warm rerun never touches the backend at all."""
         net = generate_mastrovito(P5)
         cache = ResultCache(tmp_path / "cache")
-        extract_expressions(net, engine="bitpack", cone_cache=cache)
-        warm = extract_expressions(net, engine="bitpack", cone_cache=cache)
+        extract_expressions(net, engine="bitpack", cache=cache)
+        warm = extract_expressions(net, engine="bitpack", cache=cache)
         assert set(warm.cache_provenance.values()) == {"cone_hit"}
         assert cache.cone_hits == len(net.outputs)
 
@@ -254,7 +254,7 @@ class TestKillAndResumeWithConeCache:
         base = generate_mastrovito(P8)
         mutant, _ = flip_gate(base, base.gates[60].output)
         cache = ResultCache(tmp_path / "cache")
-        extract_expressions(base, engine="bitpack", cone_cache=cache)
+        extract_expressions(base, engine="bitpack", cache=cache)
         cold = extract_expressions(mutant, engine="bitpack")
 
         path = tmp_path / "job.json"
@@ -278,7 +278,7 @@ class TestKillAndResumeWithConeCache:
             mutant,
             engine="bitpack",
             checkpoint_path=path,
-            cone_cache=cache,
+            cache=cache,
         )
         assert len(resumed.resumed_bits) == 3
         for output in cold.expressions:
@@ -308,7 +308,7 @@ class TestKillAndResumeWithConeCache:
                 fused=True,
                 fused_chunk=3,
                 on_result=die_in_second_chunk,
-                cone_cache=cache,
+                cache=cache,
             )
         digests = cone_fingerprints(net)
         stored = [
@@ -371,9 +371,9 @@ class TestEcoReverify:
         eco_reverify(bpath, epath, cache, engine="bitpack")
         # Unchanged files resolve from the stat-validated memo: no
         # parse, no strash (the returned netlist slot is None).
-        fingerprint, cones, netlist = fingerprint_file(bpath, cache)
-        assert netlist is None
-        assert sorted(cones) == sorted(base.outputs)
+        known = fingerprint_file(bpath, cache)
+        assert known.netlist is None
+        assert sorted(known.cones) == sorted(base.outputs)
         second = eco_reverify(bpath, epath, cache, engine="bitpack")
         assert second.baseline_source == "cache"
 
@@ -387,7 +387,8 @@ class TestEcoReverify:
         cache = ResultCache(tmp_path / "cache")
         from repro.extract.extractor import extract_irreducible_polynomial
 
-        extract_irreducible_polynomial(base, cache=cache)  # no cone_cache
+        # A whole-netlist entry only: no cone entries.
+        cache.put_extraction(base, extract_irreducible_polynomial(base))
         report = eco_reverify(bpath, epath, cache, engine="bitpack")
         assert report.baseline_source == "cache"
         assert report.cones_warmed == len(base.outputs)
