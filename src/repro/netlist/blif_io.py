@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
 from repro.ioutil import atomic_write_text, read_utf8
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.netlist import GC_PAUSE, Netlist, NetlistError
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -146,6 +146,11 @@ def _classify_gate(
 
 def parse_blif(text: str) -> Netlist:
     """Parse BLIF text into a :class:`Netlist`."""
+    with GC_PAUSE:
+        return _parse_blif(text)
+
+
+def _parse_blif(text: str) -> Netlist:
     # Join continuation lines first.
     logical: List[str] = []
     for raw in text.splitlines():

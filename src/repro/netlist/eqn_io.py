@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import io
 import os
+import re
+import sys
 from typing import Iterable, List, TextIO, Union
 
 from repro.ioutil import atomic_write_text, read_utf8
-from repro.netlist.gate import Gate, GateType
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.gate import Gate, GateType, gate_arity
+from repro.netlist.netlist import GC_PAUSE, Netlist, NetlistError
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -60,8 +62,40 @@ def _write_decl(out: TextIO, keyword: str, names: List[str]) -> None:
             out.write(f"{keyword} {chunk}\n")
 
 
+#: A net name on the fast path: ASCII, no whitespace and none of the
+#: characters the grammar gives meaning to (``=(),#/``).
+_NET = r"[\w.\[\]$:<>-]+"
+
+#: A plain gate line ``lhs = TYPE(arg, ...)`` with no comment.  Any line
+#: that does not match takes the general path below, which also writes
+#: every parse error.  The lookahead leaves ``INPUT = ...``-style lines
+#: (a declaration keyword as the first word) to the general path.
+_GATE_LINE = re.compile(
+    rf"\s*(?!(?i:input|output)\s)({_NET})\s*=\s*(\w+)\s*"
+    rf"\(\s*({_NET}(?: *, *{_NET})*)?\s*\)\s*",
+    re.ASCII,
+)
+
+#: Gate type name -> (type, least and most inputs): the arity rule that
+#: ``Gate.__post_init__`` enforces.
+_GATE_TYPES = {
+    gtype.value: (gtype, 2, sys.maxsize)
+    if gate_arity(gtype) is None
+    else (gtype, gate_arity(gtype), gate_arity(gtype))
+    for gtype in GateType
+}
+
+
 def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     """Parse equations-format text into a :class:`Netlist`.
+
+    One pass over the lines builds and checks the netlist: plain gate
+    lines go through one precompiled regex and become gates without
+    the dataclass constructor (the arity is checked inline), every
+    other line through the general line parser.  The closing
+    :meth:`~Netlist.validate` is the single topological sort, so the
+    netlist, its gate order and every error (type, message and which
+    comes first) are those of a line-by-line parse.
 
     >>> net = parse_eqn('''
     ... INPUT a b
@@ -71,23 +105,46 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     >>> net.simulate({"a": 1, "b": 0})
     {'z': 1}
     """
-    netlist = Netlist(name)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split("//", 1)[0].strip()
-        if not line:
-            continue
-        upper = line.split(None, 1)
-        keyword = upper[0].upper()
-        if keyword == "INPUT":
-            for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
-                netlist.add_input(net)
-            continue
-        if keyword == "OUTPUT":
-            for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
-                netlist.add_output(net)
-            continue
-        netlist.add_gate(_parse_gate_line(line, lineno))
-    netlist.validate()
+    match_gate = _GATE_LINE.fullmatch
+    types = _GATE_TYPES
+    new_gate = object.__new__
+    set_field = object.__setattr__
+    with GC_PAUSE:
+        netlist = Netlist(name)
+        add_gate = netlist.add_gate
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            match = match_gate(raw)
+            if match is not None:
+                output, type_name, arg_text = match.groups()
+                kind = types.get(type_name) or types.get(type_name.upper())
+                # Names hold no spaces and separators are " *, *".
+                args = (
+                    tuple(arg_text.replace(" ", "").split(",")) if arg_text else ()
+                )
+                if kind is not None and kind[1] <= len(args) <= kind[2]:
+                    # Gate is frozen and its __post_init__ only checks
+                    # the arity, which was just checked.
+                    gate = new_gate(Gate)
+                    set_field(gate, "output", output)
+                    set_field(gate, "gtype", kind[0])
+                    set_field(gate, "inputs", args)
+                    add_gate(gate)
+                    continue
+            line = raw.split("#", 1)[0].split("//", 1)[0].strip()
+            if not line:
+                continue
+            upper = line.split(None, 1)
+            keyword = upper[0].upper()
+            if keyword == "INPUT":
+                for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
+                    netlist.add_input(net)
+                continue
+            if keyword == "OUTPUT":
+                for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
+                    netlist.add_output(net)
+                continue
+            add_gate(_parse_gate_line(line, lineno))
+        netlist.validate()
     return netlist
 
 

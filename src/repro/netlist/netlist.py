@@ -18,7 +18,8 @@ of the system relies on:
 
 from __future__ import annotations
 
-from collections import deque
+import gc
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
@@ -27,6 +28,46 @@ from repro.netlist.gate import Gate, GateType, evaluate_gate
 
 class NetlistError(ValueError):
     """Structural problem in a netlist (multi-driver, cycle, ...)."""
+
+
+class _CollectorPause:
+    """Context manager: cyclic garbage collector off for a bulk build.
+
+    Reading a netlist allocates a few containers per gate (the gate,
+    its input tuple, a list slot) and creates no reference cycles, so
+    the collector has nothing to free.  Left on, it would still
+    re-traverse the fresh containers every few hundred allocations and
+    the whole heap on each full collection.
+
+    Re-entrant across threads (HTTP handlers parse concurrently): a
+    counter under a lock re-enables the collector only when the last
+    concurrent build leaves, and only if it was enabled when the first
+    one entered.  An exception leaving the block restores it too.
+    There is one instance, :data:`GC_PAUSE`, because the collector's
+    switch is process-wide.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._depth:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._resume:
+                gc.enable()
+
+
+#: The one shared pause; the netlist readers build under ``with GC_PAUSE:``.
+GC_PAUSE = _CollectorPause()
 
 
 @dataclass
@@ -73,6 +114,10 @@ class Netlist:
         self.name = name
         self.inputs: List[str] = list(inputs)
         self.outputs: List[str] = list(outputs)
+        # Membership tests for the public port lists, which only the
+        # add_* methods below may grow.
+        self._input_set: Set[str] = set(self.inputs)
+        self._output_set: Set[str] = set(self.outputs)
         self._gates: List[Gate] = []
         self._driver: Dict[str, Gate] = {}
         self._topo_cache: Optional[List[Gate]] = None
@@ -87,7 +132,7 @@ class Netlist:
         """Append a gate; rejects double-driven nets immediately."""
         if gate.output in self._driver:
             raise NetlistError(f"net {gate.output!r} has multiple drivers")
-        if gate.output in self.inputs:
+        if gate.output in self._input_set:
             raise NetlistError(f"primary input {gate.output!r} cannot be driven")
         self._driver[gate.output] = gate
         self._gates.append(gate)
@@ -98,12 +143,14 @@ class Netlist:
     def add_input(self, name: str) -> None:
         if name in self._driver:
             raise NetlistError(f"net {name!r} is already driven by a gate")
-        if name not in self.inputs:
+        if name not in self._input_set:
+            self._input_set.add(name)
             self.inputs.append(name)
             self._memo = None
 
     def add_output(self, name: str) -> None:
-        if name not in self.outputs:
+        if name not in self._output_set:
+            self._output_set.add(name)
             self.outputs.append(name)
             self._memo = None
 
@@ -144,28 +191,16 @@ class Netlist:
             out.update(gate.inputs)
         return out
 
-    def fanout_map(self) -> Dict[str, List[Gate]]:
-        """Map net -> gates that read it."""
-        fanout: Dict[str, List[Gate]] = {}
-        for gate in self._gates:
-            for net in gate.inputs:
-                fanout.setdefault(net, []).append(gate)
-        return fanout
-
     def validate(self) -> None:
-        """Raise :class:`NetlistError` on any structural defect."""
-        driven = set(self._driver)
-        available = driven | set(self.inputs)
-        for gate in self._gates:
-            for net in gate.inputs:
-                if net not in available:
-                    raise NetlistError(
-                        f"gate {gate.output!r} reads undriven net {net!r}"
-                    )
-        for net in self.outputs:
-            if net not in available:
-                raise NetlistError(f"primary output {net!r} is undriven")
-        self.topological_order()  # raises on cycles
+        """Raise :class:`NetlistError` on any structural defect.
+
+        One pass: the undriven-net and undriven-output checks ride on
+        the indegree count of :meth:`topological_order`, whose order it
+        caches.  The first error raised is the one separate scans would
+        raise first: an undriven read (in gate, then input order), then
+        an undriven output, then a cycle.
+        """
+        self._sort(validate=True)
 
     # ------------------------------------------------------------------
     # Ordering and cones
@@ -174,37 +209,68 @@ class Netlist:
     def topological_order(self) -> List[Gate]:
         """Gates ordered so every gate follows all its input drivers.
 
-        Kahn's algorithm; raises :class:`NetlistError` on combinational
-        cycles.  The result is cached until the netlist changes.
+        Kahn's algorithm over gate indices in one pass: a FIFO seeded
+        with the zero-indegree gates in insertion order, each gate
+        releasing its readers in insertion order (a gate reading a net
+        twice counts it twice).  That is the order of the net-keyed
+        sort it replaced (``tests/test_eqn_differential.py`` keeps a
+        copy as the reference), so written files and schedules do not
+        change.  Raises :class:`NetlistError` on combinational
+        cycles but not on undriven nets (that is :meth:`validate`'s
+        job).  The result is cached until the netlist changes.
         """
-        if self._topo_cache is not None:
-            return self._topo_cache
-        indegree: Dict[str, int] = {}
-        for gate in self._gates:
-            indegree[gate.output] = sum(
-                1 for net in gate.inputs if net in self._driver
-            )
-        ready = deque(
-            gate for gate in self._gates if indegree[gate.output] == 0
-        )
-        fanout = self.fanout_map()
-        order: List[Gate] = []
-        while ready:
-            gate = ready.popleft()
-            order.append(gate)
-            for consumer in fanout.get(gate.output, ()):
-                indegree[consumer.output] -= 1
-                if indegree[consumer.output] == 0:
-                    ready.append(consumer)
-        if len(order) != len(self._gates):
+        if self._topo_cache is None:
+            self._sort(validate=False)
+        return self._topo_cache
+
+    def _sort(self, validate: bool) -> None:
+        """Count indegrees, optionally check drivers, then run Kahn."""
+        gates = self._gates
+        index = {gate.output: i for i, gate in enumerate(gates)}
+        driver_of = index.get
+        indegree: List[int] = []
+        # Reader lists only for gates that are read; the ints from
+        # ``index`` are shared, not re-created per edge.
+        readers: List[Optional[List[int]]] = [None] * len(gates)
+        for i, gate in zip(index.values(), gates):
+            degree = 0
+            for net in gate.inputs:
+                driver = driver_of(net)
+                if driver is None:
+                    if validate and net not in self._input_set:
+                        raise NetlistError(
+                            f"gate {gate.output!r} reads undriven net {net!r}"
+                        )
+                    continue
+                degree += 1
+                fanout = readers[driver]
+                if fanout is None:
+                    readers[driver] = [i]
+                else:
+                    fanout.append(i)
+            indegree.append(degree)
+        if validate:
+            for net in self.outputs:
+                if net not in index and net not in self._input_set:
+                    raise NetlistError(f"primary output {net!r} is undriven")
+        del index, driver_of
+        queue = [i for i, degree in enumerate(indegree) if not degree]
+        for i in queue:  # grows while iterated: a FIFO
+            for reader in readers[i] or ():
+                indegree[reader] -= 1
+                if not indegree[reader]:
+                    queue.append(reader)
+        del readers
+        if len(queue) != len(gates):
             stuck = sorted(
-                out for out, deg in indegree.items() if deg > 0
+                gate.output
+                for gate, degree in zip(gates, indegree)
+                if degree > 0
             )
             raise NetlistError(
                 f"combinational cycle involving nets {stuck[:5]}"
             )
-        self._topo_cache = order
-        return order
+        self._topo_cache = [gates[i] for i in queue]
 
     def topological_positions(self) -> Dict[str, int]:
         """Map gate-output net → its index in :meth:`topological_order`.
@@ -228,7 +294,7 @@ class Netlist:
         backward rewriting of output bit ``z_i`` only ever needs this
         sub-netlist.
         """
-        if output not in self._driver and output not in self.inputs:
+        if output not in self._driver and output not in self._input_set:
             raise NetlistError(f"unknown net {output!r}")
         keep: Set[str] = set()
         stack = [output]

@@ -19,7 +19,7 @@ from typing import Dict, List, TextIO, Tuple, Union
 
 from repro.ioutil import atomic_write_text, read_utf8
 from repro.netlist.gate import Gate, GateType
-from repro.netlist.netlist import Netlist, NetlistError
+from repro.netlist.netlist import GC_PAUSE, Netlist, NetlistError
 
 PathOrFile = Union[str, os.PathLike, TextIO]
 
@@ -128,6 +128,11 @@ def _unescape(token: str) -> str:
 
 def parse_verilog(text: str) -> Netlist:
     """Parse the writer's structural-Verilog subset."""
+    with GC_PAUSE:
+        return _parse_verilog(text)
+
+
+def _parse_verilog(text: str) -> Netlist:
     # Strip comments, join into statements on ';'.
     text = re.sub(r"//[^\n]*", "", text)
     text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
@@ -160,30 +165,40 @@ def parse_verilog(text: str) -> Netlist:
                 raise VerilogFormatError(f"bad instantiation: {statement!r}")
             args = [_unescape(a) for a in inst.group(1).split(",")]
             gtype = _TYPE_OF_PRIMITIVE[keyword]
-            netlist.add_gate(Gate(args[0], gtype, tuple(args[1:])))
+            netlist.add_gate(_gate(args[0], gtype, tuple(args[1:]), statement))
         elif keyword == "assign":
             match = re.match(r"assign\s+(\S+)\s*=\s*(.*)", statement, flags=re.S)
             if not match:
                 raise VerilogFormatError(f"bad assign: {statement!r}")
             target = _unescape(match.group(1))
             rhs = match.group(2).strip()
-            netlist.add_gate(_parse_assign(target, rhs))
+            netlist.add_gate(_parse_assign(target, rhs, statement))
         else:
             raise VerilogFormatError(f"unsupported statement: {statement!r}")
     netlist.validate()
     return netlist
 
 
-def _parse_assign(target: str, rhs: str) -> Gate:
+def _gate(
+    output: str, gtype: GateType, inputs: Tuple[str, ...], statement: str
+) -> Gate:
+    """A gate; a wrong input count is a :class:`VerilogFormatError`."""
+    try:
+        return Gate(output, gtype, inputs)
+    except ValueError as exc:
+        raise VerilogFormatError(f"{exc} in {statement!r}") from exc
+
+
+def _parse_assign(target: str, rhs: str, statement: str) -> Gate:
     if rhs == "1'b0":
-        return Gate(target, GateType.CONST0, ())
+        return _gate(target, GateType.CONST0, (), statement)
     if rhs == "1'b1":
-        return Gate(target, GateType.CONST1, ())
+        return _gate(target, GateType.CONST1, (), statement)
     for gtype, pattern in _ASSIGN_PATTERNS:
         match = pattern.fullmatch(rhs)
         if match:
             inputs = tuple(_unescape(g) for g in match.groups())
-            return Gate(target, gtype, inputs)
+            return _gate(target, gtype, inputs, statement)
     raise VerilogFormatError(f"unsupported assign expression: {rhs!r}")
 
 

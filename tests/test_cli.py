@@ -121,6 +121,17 @@ class TestBadInput:
         bad.write_bytes(b"INORDER = a0 \xff;\n")
         self._expect_error(capsys, ["extract", str(bad)], "EqnFormatError")
 
+    @pytest.mark.parametrize(
+        "instance", ["and g0 (y, a);", "not g0 (y, a, a);"]
+    )
+    def test_extract_wrong_arity_verilog(self, tmp_path, capsys, instance):
+        bad = tmp_path / "bad.v"
+        bad.write_text(
+            f"module bad (a, y);\n  input a;\n  output y;\n"
+            f"  {instance}\nendmodule\n"
+        )
+        self._expect_error(capsys, ["extract", str(bad)], "VerilogFormatError")
+
     def test_extract_misnamed_outputs(self, tmp_path, capsys):
         from repro.gen.mastrovito import generate_mastrovito
         from repro.netlist.eqn_io import format_eqn

@@ -42,6 +42,35 @@ class TestStructure:
         with pytest.raises(NetlistError):
             net.topological_order()
 
+    def test_driving_declared_input_rejected(self):
+        net = half_adder()
+        net.add_input("d")
+        with pytest.raises(NetlistError, match="primary input 'd' cannot be driven"):
+            net.add_gate(Gate("d", GateType.INV, ("a",)))
+
+    def test_undriven_read_reported_before_cycle(self):
+        net = Netlist("both", inputs=["a"], outputs=["y"])
+        net.add_gate(Gate("x", GateType.AND, ("a", "y")))
+        net.add_gate(Gate("y", GateType.INV, ("x",)))
+        net.add_gate(Gate("w", GateType.AND, ("a", "ghost")))
+        with pytest.raises(NetlistError, match="reads undriven net 'ghost'"):
+            net.validate()
+
+    def test_undriven_output_reported_before_cycle(self):
+        net = Netlist("both", inputs=["a"], outputs=["y", "v"])
+        net.add_gate(Gate("x", GateType.AND, ("a", "y")))
+        net.add_gate(Gate("y", GateType.INV, ("x",)))
+        with pytest.raises(NetlistError, match="primary output 'v' is undriven"):
+            net.validate()
+
+    def test_order_ignores_undriven_reads(self):
+        net = Netlist("open", inputs=["a"], outputs=["y"])
+        net.add_gate(Gate("y", GateType.INV, ("t",)))
+        net.add_gate(Gate("t", GateType.AND, ("a", "ghost")))
+        assert [g.output for g in net.topological_order()] == ["t", "y"]
+        with pytest.raises(NetlistError, match="undriven"):
+            net.validate()
+
     def test_driver_lookup(self):
         net = half_adder()
         assert net.driver_of("s").gtype is GateType.XOR

@@ -1,6 +1,9 @@
 """Round-trip tests for the EQN, BLIF and Verilog netlist formats."""
 
+import gc
 import io
+import sys
+import threading
 
 import pytest
 
@@ -22,7 +25,7 @@ from repro.netlist.eqn_io import (
     write_eqn,
 )
 from repro.netlist.gate import Gate, GateType
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import GC_PAUSE, Netlist, NetlistError
 from repro.netlist.verilog_io import (
     VerilogFormatError,
     format_verilog,
@@ -204,3 +207,110 @@ def test_non_utf8_file_raises_the_format_error(
     path.write_bytes(data[:offset] + b"\xff" + data[offset:])
     with pytest.raises(error, match=f"byte 0xff at byte offset {offset}"):
         read(path)
+
+
+class TestCollectorPause:
+    """The readers pause the cyclic collector and always restore it."""
+
+    def test_enabled_after_a_parse_that_raises(self):
+        assert gc.isenabled()
+        for parse, text in [
+            (parse_eqn, "INPUT a\nOUTPUT z\nz = FROB(a, a)\n"),
+            (parse_blif, ".model m\n.inputs a\n.outputs z\n.bogus\n"),
+            (parse_verilog, "module m (a, y); and g0 (y, a); endmodule"),
+        ]:
+            with pytest.raises(NetlistError):
+                parse(text)
+            assert gc.isenabled()
+
+    def test_stays_disabled_if_it_was(self):
+        text = format_eqn(generate_mastrovito(0b10011))
+        gc.disable()
+        try:
+            parse_eqn(text)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_last_of_overlapping_pauses_resumes(self):
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def first():
+            with GC_PAUSE:
+                first_in.set()
+                second_in.wait(5)
+            first_out.set()
+
+        def second():
+            first_in.wait(5)
+            with GC_PAUSE:
+                second_in.set()
+                first_out.wait(5)
+                seen.append(gc.isenabled())
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_many_threads_racing_leave_it_enabled(self):
+        """A lost update of the pause counter would leave the collector
+        off (or re-enable it under a running build)."""
+        rounds = 2000
+        inside = []
+
+        def churn():
+            for _ in range(rounds):
+                with GC_PAUSE:
+                    inside.append(gc.isenabled())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inside) == 8 * rounds
+        assert not any(inside)
+        assert gc.isenabled()
+
+    def test_concurrent_parses_leave_it_enabled(self):
+        barrier = threading.Barrier(2, timeout=10)
+        inside = []
+
+        class Overlapping(str):
+            """Text whose parse holds inside the pause until both
+            threads are there."""
+
+            def splitlines(self, *args):
+                barrier.wait()
+                inside.append(gc.isenabled())
+                barrier.wait()
+                return super().splitlines(*args)
+
+        text = format_eqn(generate_mastrovito(0b10011))
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(parse_eqn(Overlapping(text)))
+            )
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert inside == [False, False]
+        assert len(results) == 2
+        assert gc.isenabled()

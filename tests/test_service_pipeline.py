@@ -3,10 +3,14 @@
 Each netlist goes through :class:`CampaignRunner`, an in-process
 :class:`ReproAPIServer` and :func:`eco_reverify` against a clean
 baseline; polynomial, irreducibility, equivalence/verdict and the error
-type must agree across all three entry points.
+type must agree across all three entry points.  A file that does not
+parse is its reader's format error through every entry point.
 """
 
+import json
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -39,11 +43,21 @@ def wrong_ports():
     return parse_eqn(text, name="wrong_ports")
 
 
+def wrong_arity_verilog():
+    """A file that does not parse, as (suffix, text): a one-input
+    ``and`` instance."""
+    return ".v", (
+        "module bad (a, y);\n  input a;\n  output y;\n"
+        "  and g0 (y, a);\nendmodule\n"
+    )
+
+
 NETLISTS = {
     "clean": clean,
     "single_fault": single_fault,
     "wrong_ports": wrong_ports,
     "squarer": lambda: generate_squarer(0b10011),
+    "wrong_arity_verilog": wrong_arity_verilog,
 }
 
 
@@ -75,6 +89,24 @@ def http_answer(server, netlist, mode):
     return answer(mode, job.result or {}, job.error)
 
 
+def http_text_answer(server, text, fmt, mode):
+    """POST netlist text; here it must fail to parse (HTTP 400)."""
+    host, port = server.address
+    request = urllib.request.Request(
+        f"http://{host}:{port}/v1/jobs",
+        data=json.dumps({"netlist": text, "format": fmt, "mode": mode}).encode(),
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as caught:
+        urllib.request.urlopen(request)
+    assert caught.value.code == 400
+    message = json.load(caught.value)["error"]
+    prefix = "netlist parse failed: "
+    assert message.startswith(prefix), message
+    return answer(mode, {}, message[len(prefix):])
+
+
 def eco_answer(baseline, path, mode, cache_dir):
     """None where ECO has no answer: it diagnoses only a failed audit."""
     try:
@@ -102,8 +134,13 @@ def test_same_answer_through_every_entry_point(tmp_path, name):
     netlist = NETLISTS[name]()
     baseline = tmp_path / "baseline.eqn"
     write_eqn(clean(), baseline)
-    path = tmp_path / f"{name}.eqn"
-    write_eqn(netlist, path)
+    if isinstance(netlist, tuple):
+        suffix, text = netlist
+        path = tmp_path / f"{name}{suffix}"
+        path.write_text(text)
+    else:
+        path = tmp_path / f"{name}.eqn"
+        write_eqn(netlist, path)
 
     server = ReproAPIServer(
         port=0, cache=ResultCache(tmp_path / "http"), engine="bitpack",
@@ -113,7 +150,11 @@ def test_same_answer_through_every_entry_point(tmp_path, name):
     try:
         for mode in MODES:
             batch = batch_answer(path, mode, tmp_path / f"batch-{mode}")
-            http = http_answer(server, netlist, mode)
+            if isinstance(netlist, tuple):
+                assert batch == {"error": "VerilogFormatError"}, batch
+                http = http_text_answer(server, text, suffix[1:], mode)
+            else:
+                http = http_answer(server, netlist, mode)
             assert http == batch, (mode, http, batch)
             eco = eco_answer(baseline, path, mode, tmp_path / f"eco-{mode}")
             if eco is not None:
