@@ -19,7 +19,16 @@ operations the rest of the system relies on:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist
@@ -277,62 +286,25 @@ class Aig:
         self.outputs.append((name, lit))
 
     # ------------------------------------------------------------------
-    # Gate lowering
+    # Gate lowering and the netlist round-trip
     # ------------------------------------------------------------------
 
     def gate_literal(self, gtype: GateType, operands: Sequence[int]) -> int:
         """Lower one netlist cell onto the AND/XOR/complement core.
 
-        Covers every :class:`~repro.netlist.gate.GateType`, including
-        the mapped AOI/OAI/MUX complex cells.
+        A lookup in :data:`_LOWERING`, the one per-type table that
+        :meth:`from_netlist` also calls directly.  It covers every
+        :class:`~repro.netlist.gate.GateType`, including the mapped
+        AOI/OAI/MUX complex cells; ``operands`` must have the cell's
+        arity (n-ary cells take two or more).  Each entry adds the
+        nodes of the balanced-tree lowering in the same order, so the
+        graph stays node-for-node stable (see :meth:`from_netlist`).
         """
-        if gtype is GateType.CONST0:
-            return CONST0
-        if gtype is GateType.CONST1:
-            return CONST1
-        if gtype is GateType.BUF:
-            return operands[0]
-        if gtype is GateType.INV:
-            return lit_complement(operands[0])
-        if gtype is GateType.AND:
-            return self.aig_and_all(operands)
-        if gtype is GateType.NAND:
-            return lit_complement(self.aig_and_all(operands))
-        if gtype is GateType.OR:
-            return self.aig_or_all(operands)
-        if gtype is GateType.NOR:
-            return lit_complement(self.aig_or_all(operands))
-        if gtype is GateType.XOR:
-            return self.aig_xor_all(operands)
-        if gtype is GateType.XNOR:
-            return lit_complement(self.aig_xor_all(operands))
-        if gtype is GateType.AOI21:
-            a, b, c = operands
-            return self.aig_and(
-                lit_complement(self.aig_and(a, b)), lit_complement(c)
-            )
-        if gtype is GateType.AOI22:
-            a, b, c, d = operands
-            return self.aig_and(
-                lit_complement(self.aig_and(a, b)),
-                lit_complement(self.aig_and(c, d)),
-            )
-        if gtype is GateType.OAI21:
-            a, b, c = operands
-            return lit_complement(self.aig_and(self.aig_or(a, b), c))
-        if gtype is GateType.OAI22:
-            a, b, c, d = operands
-            return lit_complement(
-                self.aig_and(self.aig_or(a, b), self.aig_or(c, d))
-            )
-        if gtype is GateType.MUX2:
-            sel, d1, d0 = operands
-            return self.aig_mux(sel, d1, d0)
-        raise AigError(f"no AIG lowering for gate type {gtype}")
-
-    # ------------------------------------------------------------------
-    # Netlist round-trip
-    # ------------------------------------------------------------------
+        try:
+            lower = _LOWERING[gtype]
+        except KeyError:
+            raise AigError(f"no AIG lowering for gate type {gtype}") from None
+        return lower(self, *operands)
 
     @classmethod
     def from_netlist(cls, netlist: Netlist) -> "Aig":
@@ -343,32 +315,43 @@ class Aig:
         driving (and without declaring) become extra leaves, so an
         incomplete cone stays representable — and detectable.
 
+        One loop over the topological order calls each gate's
+        :data:`_LOWERING` entry with its operand literals; one- and
+        two-operand cells reach :meth:`aig_and`/:meth:`aig_xor` without
+        an operand list.  The graph is node-for-node the one the
+        balanced-tree lowering builds (same node ids, fanins, leaves and
+        leaf order, outputs and :attr:`net_literal`), which the
+        fingerprint schema and every cached cone digest rely on.
+
         >>> from repro.gen.mastrovito import generate_mastrovito
         >>> aig = Aig.from_netlist(generate_mastrovito(0b10011))
         >>> sorted(name for name, _ in aig.outputs)
         ['z0', 'z1', 'z2', 'z3']
         """
         aig = cls(netlist.name)
-        literal: Dict[str, int] = {}
+        literal = _NetLiterals(aig)
         for name in netlist.inputs:
             literal[name] = aig.add_input(name)
+        lowering = _LOWERING
+        # Operands are looked up left to right before the entry runs, so
+        # undeclared leaves are created in the order the gates read them.
         for gate in netlist.topological_order():
-            operands = [
-                literal[net]
-                if net in literal
-                else literal.setdefault(
-                    net, aig.add_input(net, declare=False)
+            nets = gate.inputs
+            lower = lowering[gate.gtype]
+            if len(nets) == 2:
+                a, b = nets
+                literal[gate.output] = lower(aig, literal[a], literal[b])
+            elif len(nets) == 1:
+                literal[gate.output] = lower(aig, literal[nets[0]])
+            else:
+                literal[gate.output] = lower(
+                    aig, *[literal[net] for net in nets]
                 )
-                for net in gate.inputs
-            ]
-            literal[gate.output] = aig.gate_literal(gate.gtype, operands)
         for net in netlist.outputs:
-            if net not in literal:
-                # Undriven primary output: surface it as a leaf, like
-                # any other undriven net, rather than failing here.
-                literal[net] = aig.add_input(net, declare=False)
+            # An undriven primary output surfaces as a leaf, like any
+            # other undriven net, rather than failing here.
             aig.add_output(net, literal[net])
-        aig.net_literal = literal
+        aig.net_literal = dict(literal)
         return aig
 
     def to_netlist(self, name: Optional[str] = None) -> Netlist:
@@ -580,6 +563,96 @@ class Aig:
             f"Aig({self.name!r}, {len(self.pi_name)} leaves, "
             f"{ands} and, {xors} xor, {len(self.outputs)} outputs)"
         )
+
+
+class _NetLiterals(dict):
+    """Net name -> literal while :meth:`Aig.from_netlist` runs.
+
+    A net read before any driver or declaration gives it (an undriven,
+    undeclared net) becomes a new undeclared leaf on first lookup.
+    """
+
+    __slots__ = ("_aig",)
+
+    def __init__(self, aig: Aig):
+        super().__init__()
+        self._aig = aig
+
+    def __missing__(self, net: str) -> int:
+        lit = self[net] = self._aig.add_input(net, declare=False)
+        return lit
+
+
+# Lowering entries: ``entry(aig, *operand_literals) -> literal``.  One-
+# and two-operand cells call aig_and/aig_xor once (``^ 1`` is the edge
+# complement); wider n-ary cells go through the balanced trees, whose
+# first pair is the same call.  An entry must create exactly the nodes
+# of the balanced-tree lowering, in the same order: node ids are part
+# of what fingerprints and cached cone digests were computed from.
+
+
+def _lower_and(aig: Aig, a: int, b: int, *more: int) -> int:
+    if more:
+        return aig.aig_and_all((a, b, *more))
+    return aig.aig_and(a, b)
+
+
+def _lower_nand(aig: Aig, a: int, b: int, *more: int) -> int:
+    if more:
+        return aig.aig_and_all((a, b, *more)) ^ 1
+    return aig.aig_and(a, b) ^ 1
+
+
+def _lower_or(aig: Aig, a: int, b: int, *more: int) -> int:
+    if more:
+        return aig.aig_or_all((a, b, *more))
+    return aig.aig_and(a ^ 1, b ^ 1) ^ 1
+
+
+def _lower_nor(aig: Aig, a: int, b: int, *more: int) -> int:
+    if more:
+        return aig.aig_or_all((a, b, *more)) ^ 1
+    return aig.aig_and(a ^ 1, b ^ 1)
+
+
+def _lower_xor(aig: Aig, a: int, b: int, *more: int) -> int:
+    if more:
+        return aig.aig_xor_all((a, b, *more))
+    return aig.aig_xor(a, b)
+
+
+def _lower_xnor(aig: Aig, a: int, b: int, *more: int) -> int:
+    if more:
+        return aig.aig_xor_all((a, b, *more)) ^ 1
+    return aig.aig_xor(a, b) ^ 1
+
+
+#: The AIG lowering of every gate type (see :meth:`Aig.gate_literal`).
+_LOWERING: Dict[GateType, Callable[..., int]] = {
+    GateType.CONST0: lambda aig: CONST0,
+    GateType.CONST1: lambda aig: CONST1,
+    GateType.BUF: lambda aig, a: a,
+    GateType.INV: lambda aig, a: a ^ 1,
+    GateType.AND: _lower_and,
+    GateType.NAND: _lower_nand,
+    GateType.OR: _lower_or,
+    GateType.NOR: _lower_nor,
+    GateType.XOR: _lower_xor,
+    GateType.XNOR: _lower_xnor,
+    GateType.AOI21: lambda aig, a, b, c: aig.aig_and(
+        aig.aig_and(a, b) ^ 1, c ^ 1
+    ),
+    GateType.AOI22: lambda aig, a, b, c, d: aig.aig_and(
+        aig.aig_and(a, b) ^ 1, aig.aig_and(c, d) ^ 1
+    ),
+    GateType.OAI21: lambda aig, a, b, c: aig.aig_and(
+        aig.aig_or(a, b), c
+    ) ^ 1,
+    GateType.OAI22: lambda aig, a, b, c, d: aig.aig_and(
+        aig.aig_or(a, b), aig.aig_or(c, d)
+    ) ^ 1,
+    GateType.MUX2: lambda aig, sel, d1, d0: aig.aig_mux(sel, d1, d0),
+}
 
 
 def live_aig(netlist: Netlist) -> Aig:

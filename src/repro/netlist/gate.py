@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 class GateType(enum.Enum):
@@ -113,62 +113,85 @@ def evaluate_gate(
     """Bit-parallel evaluation of one gate.
 
     ``values`` are the input net values (bit vectors packed in ints),
-    ``mask`` selects the active vector lanes.
+    ``mask`` selects the active vector lanes.  A lookup in
+    :data:`EVALUATION`, the one per-type table that
+    :meth:`Netlist.simulate <repro.netlist.netlist.Netlist.simulate>`
+    also calls directly; ``values`` must have the cell's arity (n-ary
+    cells take two or more).
 
     >>> evaluate_gate(GateType.AOI21, [0b11, 0b01, 0b00], mask=0b11)
     2
     """
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return mask
-    if gtype is GateType.BUF:
-        return values[0] & mask
-    if gtype is GateType.INV:
-        return ~values[0] & mask
-    if gtype is GateType.AND:
-        acc = mask
-        for value in values:
-            acc &= value
-        return acc
-    if gtype is GateType.NAND:
-        acc = mask
-        for value in values:
-            acc &= value
-        return ~acc & mask
-    if gtype is GateType.OR:
-        acc = 0
-        for value in values:
-            acc |= value
-        return acc & mask
-    if gtype is GateType.NOR:
-        acc = 0
-        for value in values:
-            acc |= value
-        return ~acc & mask
-    if gtype is GateType.XOR:
-        acc = 0
-        for value in values:
-            acc ^= value
-        return acc & mask
-    if gtype is GateType.XNOR:
-        acc = 0
-        for value in values:
-            acc ^= value
-        return ~acc & mask
-    if gtype is GateType.AOI21:
-        a, b, c = values
-        return ~((a & b) | c) & mask
-    if gtype is GateType.AOI22:
-        a, b, c, d = values
-        return ~((a & b) | (c & d)) & mask
-    if gtype is GateType.OAI21:
-        a, b, c = values
-        return ~((a | b) & c) & mask
-    if gtype is GateType.OAI22:
-        a, b, c, d = values
-        return ~((a | b) & (c | d)) & mask
-    if gtype is GateType.MUX2:
-        sel, d1, d0 = values
-        return ((sel & d1) | (~sel & d0)) & mask
-    raise ValueError(f"unknown gate type {gtype}")
+    try:
+        evaluate = EVALUATION[gtype]
+    except KeyError:
+        raise ValueError(f"unknown gate type {gtype}") from None
+    return evaluate(mask, *values)
+
+
+# Evaluation entries: ``entry(mask, *values) -> value``.  One- and
+# two-operand cells are one ``&``/``|``/``^`` on the lane ints; wider
+# n-ary cells fold the rest.  Every result is masked, and bits of the
+# operands above ``mask`` never reach it.
+
+
+def _eval_and(mask: int, a: int, b: int, *more: int) -> int:
+    acc = a & b
+    for value in more:
+        acc &= value
+    return acc & mask
+
+
+def _eval_nand(mask: int, a: int, b: int, *more: int) -> int:
+    acc = a & b
+    for value in more:
+        acc &= value
+    return ~acc & mask
+
+
+def _eval_or(mask: int, a: int, b: int, *more: int) -> int:
+    acc = a | b
+    for value in more:
+        acc |= value
+    return acc & mask
+
+
+def _eval_nor(mask: int, a: int, b: int, *more: int) -> int:
+    acc = a | b
+    for value in more:
+        acc |= value
+    return ~acc & mask
+
+
+def _eval_xor(mask: int, a: int, b: int, *more: int) -> int:
+    acc = a ^ b
+    for value in more:
+        acc ^= value
+    return acc & mask
+
+
+def _eval_xnor(mask: int, a: int, b: int, *more: int) -> int:
+    acc = a ^ b
+    for value in more:
+        acc ^= value
+    return ~acc & mask
+
+
+#: Bit-parallel semantics of every gate type (see :func:`evaluate_gate`).
+EVALUATION: Dict[GateType, Callable[..., int]] = {
+    GateType.CONST0: lambda mask: 0,
+    GateType.CONST1: lambda mask: mask,
+    GateType.BUF: lambda mask, a: a & mask,
+    GateType.INV: lambda mask, a: ~a & mask,
+    GateType.AND: _eval_and,
+    GateType.NAND: _eval_nand,
+    GateType.OR: _eval_or,
+    GateType.NOR: _eval_nor,
+    GateType.XOR: _eval_xor,
+    GateType.XNOR: _eval_xnor,
+    GateType.AOI21: lambda mask, a, b, c: ~((a & b) | c) & mask,
+    GateType.AOI22: lambda mask, a, b, c, d: ~((a & b) | (c & d)) & mask,
+    GateType.OAI21: lambda mask, a, b, c: ~((a | b) & c) & mask,
+    GateType.OAI22: lambda mask, a, b, c, d: ~((a | b) & (c | d)) & mask,
+    GateType.MUX2: lambda mask, sel, d1, d0: ((sel & d1) | (~sel & d0)) & mask,
+}

@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from repro.netlist.gate import Gate, GateType, evaluate_gate
+from repro.netlist.gate import EVALUATION, Gate, GateType
 
 
 class NetlistError(ValueError):
@@ -339,17 +339,14 @@ class Netlist:
         ``assignment`` maps every primary input to an int whose low
         ``width`` bits are independent simulation lanes.  Returns the
         primary output values (same packing).
+
+        One loop over the topological order, shared with
+        :meth:`simulate_all_nets`, calls each gate's
+        :data:`~repro.netlist.gate.EVALUATION` entry with its operand
+        values; one- and two-operand cells take a single ``&``/``^``
+        on the lane ints and no operand list.
         """
-        mask = (1 << width) - 1
-        values: Dict[str, int] = {}
-        for net in self.inputs:
-            try:
-                values[net] = assignment[net] & mask
-            except KeyError:
-                raise NetlistError(f"missing value for input {net!r}") from None
-        for gate in self.topological_order():
-            operands = [values[net] for net in gate.inputs]
-            values[gate.output] = evaluate_gate(gate.gtype, operands, mask)
+        values = self._net_values(assignment, width)
         missing = [net for net in self.outputs if net not in values]
         if missing:
             raise NetlistError(f"outputs {missing} were never computed")
@@ -359,13 +356,32 @@ class Netlist:
         self, assignment: Mapping[str, int], width: int = 1
     ) -> Dict[str, int]:
         """Like :meth:`simulate` but returns every internal net too."""
+        return self._net_values(assignment, width)
+
+    def _net_values(
+        self, assignment: Mapping[str, int], width: int
+    ) -> Dict[str, int]:
+        """Value of every primary input and gate output, masked."""
         mask = (1 << width) - 1
-        values: Dict[str, int] = {
-            net: assignment[net] & mask for net in self.inputs
-        }
+        values: Dict[str, int] = {}
+        for net in self.inputs:
+            try:
+                values[net] = assignment[net] & mask
+            except KeyError:
+                raise NetlistError(f"missing value for input {net!r}") from None
+        evaluation = EVALUATION
         for gate in self.topological_order():
-            operands = [values[net] for net in gate.inputs]
-            values[gate.output] = evaluate_gate(gate.gtype, operands, mask)
+            nets = gate.inputs
+            evaluate = evaluation[gate.gtype]
+            if len(nets) == 2:
+                a, b = nets
+                values[gate.output] = evaluate(mask, values[a], values[b])
+            elif len(nets) == 1:
+                values[gate.output] = evaluate(mask, values[nets[0]])
+            else:
+                values[gate.output] = evaluate(
+                    mask, *[values[net] for net in nets]
+                )
         return values
 
     # ------------------------------------------------------------------

@@ -103,7 +103,14 @@ def gate_model_poly(gtype: GateType, inputs: Tuple[str, ...]) -> Gf2Poly:
     raise ValueError(f"no algebraic model for gate type {gtype}")
 
 
-@lru_cache(maxsize=None)
+#: Entries of the gate-model cache.  It is keyed by net names, so a
+#: long-running service meets new keys with every new netlist; the LRU
+#: bound keeps it from growing without limit.  One m=64 NAND-mapped
+#: multiplier needs about 42k entries, so re-audits up to m=64 still hit.
+MODEL_CACHE_SIZE = 1 << 17
+
+
+@lru_cache(maxsize=MODEL_CACHE_SIZE)
 def _cached_model(
     gtype: GateType, inputs: Tuple[str, ...]
 ) -> FrozenSet[Monomial]:

@@ -7,12 +7,16 @@ to the Boolean semantics.
 """
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
+from repro.engine.bitpack import BitpackEngine
 from repro.gf2.parse import parse_poly
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
+from repro.netlist.netlist import Netlist
+from repro.rewrite import gate_models
 from repro.rewrite.gate_models import gate_model, gate_model_poly
 
 _NARY_TYPES = [
@@ -97,6 +101,27 @@ class TestCaching:
         assert gate_model(gate) is gate_model(
             Gate("other", GateType.AND, ("a", "b"))
         )
+
+    def test_cache_is_bounded(self):
+        info = gate_models._cached_model.cache_info()
+        assert info.maxsize == gate_models.MODEL_CACHE_SIZE >= 1 << 17
+
+    def test_compiling_past_the_bound_keeps_the_cache_bounded(
+        self, monkeypatch
+    ):
+        """Compiling netlists with more distinct gates than the bound
+        evicts instead of growing (a small bound stands in for 2^17)."""
+        small = lru_cache(maxsize=8)(gate_models._cached_model.__wrapped__)
+        monkeypatch.setattr(gate_models, "_cached_model", small)
+        for k in range(6):
+            net = Netlist(f"n{k}", [f"a{k}", f"b{k}"], [f"y{k}"])
+            net.add_gate(Gate(f"t{k}", GateType.NAND, (f"a{k}", f"b{k}")))
+            net.add_gate(Gate(f"u{k}", GateType.XOR, (f"t{k}", f"b{k}")))
+            net.add_gate(Gate(f"y{k}", GateType.OR, (f"t{k}", f"u{k}")))
+            BitpackEngine().prepare(net)
+        info = small.cache_info()
+        assert info.misses == 18
+        assert info.currsize <= info.maxsize == 8
 
     def test_cache_distinguishes_input_order(self):
         mux_a = gate_model(Gate("y", GateType.MUX2, ("s", "a", "b")))

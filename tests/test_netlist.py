@@ -149,6 +149,17 @@ class TestSimulation:
         values = net.simulate_all_nets({"a": 1, "b": 1})
         assert values["a"] == 1 and values["s"] == 0 and values["c"] == 1
 
+    def test_simulate_all_nets_missing_input_rejected(self):
+        # Both simulations name the missing input the same way.
+        for simulate in (
+            half_adder().simulate,
+            half_adder().simulate_all_nets,
+        ):
+            with pytest.raises(
+                NetlistError, match="missing value for input 'b'"
+            ):
+                simulate({"a": 1})
+
 
 class TestStats:
     def test_counts(self):

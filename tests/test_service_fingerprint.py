@@ -323,3 +323,86 @@ class TestMemoizedDerivation:
         remember_fingerprint(seeded, *expected)
         assert fingerprint_with_cones(seeded) == expected
         assert "aig" not in seeded.memo()  # never strashed
+
+
+# Fingerprints and cone digests of four deterministic netlists, computed
+# once and committed: a strash change that renumbers or reshapes nodes
+# changes them and orphans every existing cache entry.
+P8 = 0b100011011  # x^8 + x^4 + x^3 + x + 1
+
+PINNED = {
+    "flat Mastrovito": (
+        lambda: generate_mastrovito(P8),
+        "v3-4399775c5591e1b0ee8cfcc4478bf10e56b69"
+        "1bf596010b9abc522e0d4aec200",
+        (
+            "075b1b38a8edb95c588c0923f83afbaec45d2768cbb7320aaa7122adf97bed89",
+            "aa99cff5e5b223a6a7488d945f37845191c9db95a7dc25bdb1c631dd82d8ebb1",
+            "d4ddd95e353b4fa1a1b3980e5b0d5b4e196386bbfb7b290ffb480ea1ad90641d",
+            "b96a8a4f35a35746bac3701d6eca4f969d88c5e6a755bec7c028071a2bdc98dc",
+            "dd1c657ec94b57e8fc872cd6068ffc426b59459ce0ba08f3bcec980774f67201",
+            "574a7d0439df7ce5ec5d4b31784d6ef6ebcf25daeed6f6b1c31b5003e2b67806",
+            "f7ba46b5743cb04cca1f04f91a731990370c49ef6bc5ebdea9c5e1d56d2871bd",
+            "af8547384b70f91b86cf351a0e10770f7426b95b8341b28624fe728a6e771d7a",
+        ),
+    ),
+    "NAND-mapped Mastrovito": (
+        lambda: synthesize(
+            generate_mastrovito(P8), use_xor_cells=False
+        ),
+        "v3-665edf0f297e29054bcf28a7b0902eb673bbc"
+        "5858b7e9361ad7c95b6bcbc4c81",
+        (
+            "15c8cc624eda4f83ff2afce35510adb436d1f650244a713f0dfa0e2447535f63",
+            "b67acab7ce66f6f5e1ab74a1b4c280b603dfe482285e4aaac9e54bec0d6038f2",
+            "a516bd6514dc74ca1e12c411e47b3e4c40125819000aa340014fd09fdbe54b4e",
+            "7db33c727e2acb73a9ad99296d8032600756e6c25a7d49f47bedadb9f8e72520",
+            "cd06d5e8a492c35f6fad971cc2ec6e3899d4cd848a2546fb3a184288f8390518",
+            "6f2e1b44f7a3d93e4bec5df5a23ee8dd0ed0d6442c4290419895160a23da91ca",
+            "23c9f7f7cdfe74ca8901af6fb4b5488ccaa82eef6c495045c3e18349f9723313",
+            "af8547384b70f91b86cf351a0e10770f7426b95b8341b28624fe728a6e771d7a",
+        ),
+    ),
+    "synthesized Montgomery": (
+        lambda: synthesize(generate_montgomery(P8)),
+        "v3-34d229dd8704f7933ad00f943b983a51120f8"
+        "b11abfdbe824f96496ed195f2f6",
+        (
+            "d6f793a5f1d118d69a58dd136cb6df34a439168da6ff18120e3d1dd8fda2d25e",
+            "b0a8dbe980e347f071f28e30e8c46b4c3cf163a9afcdf12c2c20b0cb145489d8",
+            "c1104e09a23fb4a615780057e625c4d2e01b540ee81eb3709ae8a77dcff95897",
+            "415f9313ae5af9a2317f1534f9715c8f173b69cfe29580e99647aa37590b2345",
+            "6fe8e38b3ad1fb5ed5cb05721668bf977a53076cb2f4fe8e099dc682e56774c0",
+            "1ccbf26a30126d406f01ef363bd2529e222b03743fa4b4d6f72a2cabec256ae6",
+            "c617c0a4f2f3289e9580d568906f46853d43a23319f00216ff1cdb298837ba3b",
+            "9a4143b34a4ef0bd4ea5c3808e5748eeedec4db7fbf1782060639c4406807985",
+        ),
+    ),
+    "NAND-mapped Mastrovito, fault seed 5": (
+        lambda: random_fault(
+            synthesize(generate_mastrovito(P8), use_xor_cells=False),
+            seed=5,
+        )[0],
+        "v3-4a3963525442a3095c965fd63dfbbb26b7a8d"
+        "4c8efdbd29a345adedf1ee23dce",
+        (
+            "2dd5b0d9b4837f3bd1c0fa2f3ab77b823f8f568325882411712365c11737bf4f",
+            "b67acab7ce66f6f5e1ab74a1b4c280b603dfe482285e4aaac9e54bec0d6038f2",
+            "a516bd6514dc74ca1e12c411e47b3e4c40125819000aa340014fd09fdbe54b4e",
+            "7db33c727e2acb73a9ad99296d8032600756e6c25a7d49f47bedadb9f8e72520",
+            "cd06d5e8a492c35f6fad971cc2ec6e3899d4cd848a2546fb3a184288f8390518",
+            "6f2e1b44f7a3d93e4bec5df5a23ee8dd0ed0d6442c4290419895160a23da91ca",
+            "23c9f7f7cdfe74ca8901af6fb4b5488ccaa82eef6c495045c3e18349f9723313",
+            "af8547384b70f91b86cf351a0e10770f7426b95b8341b28624fe728a6e771d7a",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_fingerprint_and_cone_digests(name):
+    build, fingerprint, cones = PINNED[name]
+    assert fingerprint_with_cones(build()) == (
+        fingerprint,
+        {f"z{i}": digest for i, digest in enumerate(cones)},
+    )
