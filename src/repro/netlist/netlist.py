@@ -18,8 +18,11 @@ of the system relies on:
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import os
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
@@ -30,43 +33,96 @@ class NetlistError(ValueError):
     """Structural problem in a netlist (multi-driver, cycle, ...)."""
 
 
-class _CollectorPause:
-    """Context manager: cyclic garbage collector off for a bulk build.
+#: Longest the collector stays off while pauses overlap.  A holder that
+#: leaves after the collector has been off this long runs one
+#: young-generation collection before it returns.
+GC_PAUSE_BOUND_S = 4.0
 
-    Reading a netlist allocates a few containers per gate (the gate,
-    its input tuple, a list slot) and creates no reference cycles, so
-    the collector has nothing to free.  Left on, it would still
-    re-traverse the fresh containers every few hundred allocations and
-    the whole heap on each full collection.
 
-    Re-entrant across threads (HTTP handlers parse concurrently): a
-    counter under a lock re-enables the collector only when the last
-    concurrent build leaves, and only if it was enabled when the first
-    one entered.  An exception leaving the block restores it too.
-    There is one instance, :data:`GC_PAUSE`, because the collector's
-    switch is process-wide.
+class _CollectorPause(contextlib.ContextDecorator):
+    """Context manager (and decorator): cyclic garbage collector off
+    for one request.
+
+    A request — reading a netlist, or a whole batch, ECO or HTTP
+    request around it — allocates large acyclic structures (gates,
+    the AIG, the compiled program, decoded JSON) that refcounting
+    frees, and almost no reference cycles.  Left on, the collector
+    would still re-traverse the fresh containers every few hundred
+    allocations and the whole heap on each full collection.  Enter
+    the pause around the *whole* call (as a decorator, or a ``with``
+    around a call), so the request's locals are freed before the
+    collector comes back; what then survives is the request's answer.
+
+    Re-entrant across threads (HTTP handlers and workers run
+    concurrently): a counter under a lock re-enables the collector
+    only when the last concurrent holder leaves, and only if it was
+    enabled when the first one entered.  An exception leaving the
+    block restores it too.  There is one instance, :data:`GC_PAUSE`,
+    because the collector's switch is process-wide.
+
+    * **Starvation bound.**  Overlapping holders could keep the
+      collector off indefinitely.  When a holder leaves while others
+      remain and the collector has been off for longer than
+      :data:`GC_PAUSE_BOUND_S`, that holder runs ``gc.collect(0)``
+      before returning, and the bound starts over.
+    * **Fork safety.**  A child forked while the pause is held (a
+      ``jobs > 1`` rewrite pool, a forked campaign worker) gets a
+      fresh lock, depth 0 and the collector state from before the
+      outermost pause, as if no pause were held.  Leaving a pause
+      the child inherited from its parent changes nothing.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._depth = 0
         self._resume = False
+        self._off_since = 0.0
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self._after_fork_in_child)
+
+    # The depth counts a holder from before the switch flips on entry
+    # until after it flips back on exit, so a child forked between any
+    # two steps still knows whether to restore the collector.
 
     def __enter__(self) -> None:
         with self._lock:
             if not self._depth:
                 self._resume = gc.isenabled()
-                gc.disable()
+                self._off_since = time.monotonic()
             self._depth += 1
+            gc.disable()
 
     def __exit__(self, *exc_info: object) -> None:
+        starved = False
         with self._lock:
+            if not self._depth:
+                return
+            if self._depth == 1:
+                if self._resume:
+                    gc.enable()
+            elif (
+                self._resume
+                and time.monotonic() - self._off_since > GC_PAUSE_BOUND_S
+            ):
+                self._off_since = time.monotonic()
+                starved = True
             self._depth -= 1
-            if not self._depth and self._resume:
+        if starved:
+            # Outside the lock: finalizers run by the collection may
+            # themselves enter the pause.
+            gc.collect(0)
+
+    def _after_fork_in_child(self) -> None:
+        self._lock = threading.Lock()
+        if self._depth:
+            self._depth = 0
+            if self._resume:
                 gc.enable()
 
 
-#: The one shared pause; the netlist readers build under ``with GC_PAUSE:``.
+#: The one shared pause: the netlist readers build under ``with
+#: GC_PAUSE:``, and each service request (a batch netlist, an ECO
+#: re-audit, an HTTP submission or job) runs under it as a whole.
 GC_PAUSE = _CollectorPause()
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.fieldmath.bitpoly import bitpoly_degree, bitpoly_mod
+from repro.fieldmath.bitpoly import bitpoly_degree
 from repro.gf2.polynomial import Gf2Poly
 
 
@@ -29,6 +29,23 @@ def output_signature(m: int, prefix: str = "z") -> Dict[int, Gf2Poly]:
     'z1'
     """
     return {i: Gf2Poly.variable(f"{prefix}{i}") for i in range(m)}
+
+
+def _reduction_bits(modulus: int, m: int) -> List[List[int]]:
+    """Set bits of ``x^d mod P(x)`` for every degree ``d < 2m - 1``.
+
+    Row ``d`` lists the output bits the partial products ``a_j·b_k``
+    with ``j + k = d`` land in.  Each row is the previous one shifted
+    once and reduced when it reaches ``x^m``.
+    """
+    rows = []
+    row = 1
+    for _ in range(2 * m - 1):
+        rows.append([bit for bit in range(m) if (row >> bit) & 1])
+        row <<= 1
+        if (row >> m) & 1:
+            row ^= modulus
+    return rows
 
 
 def spec_expression(
@@ -49,10 +66,11 @@ def spec_expression(
     m = bitpoly_degree(modulus)
     if not 0 <= bit < m:
         raise ValueError(f"bit {bit} out of range for GF(2^{m})")
+    covers = [bit in row for row in _reduction_bits(modulus, m)]
     monomials = set()
     for j in range(m):
         for k in range(m):
-            if (bitpoly_mod(1 << (j + k), modulus) >> bit) & 1:
+            if covers[j + k]:
                 monomials.add(frozenset({f"{a_prefix}{j}", f"{b_prefix}{k}"}))
     return Gf2Poly.from_monomials(monomials)
 
@@ -63,19 +81,22 @@ def spec_expressions(
     b_prefix: str = "b",
 ) -> List[Gf2Poly]:
     """Specification expressions for all m output bits (the input
-    signature, coefficient by coefficient)."""
+    signature, coefficient by coefficient).
+
+    Each partial product visits only the set bits of its reduced
+    weight, so the cost follows the weight of the reduction rows
+    rather than m per pair.
+    """
     m = bitpoly_degree(modulus)
-    reduced = [bitpoly_mod(1 << deg, modulus) for deg in range(2 * m - 1)]
+    rows = _reduction_bits(modulus, m)
     buckets: List[set] = [set() for _ in range(m)]
     for j in range(m):
         for k in range(m):
-            row = reduced[j + k]
             mono = frozenset({f"{a_prefix}{j}", f"{b_prefix}{k}"})
-            for bit in range(m):
-                if (row >> bit) & 1:
-                    bucket = buckets[bit]
-                    if mono in bucket:
-                        bucket.discard(mono)
-                    else:
-                        bucket.add(mono)
+            for bit in rows[j + k]:
+                bucket = buckets[bit]
+                if mono in bucket:
+                    bucket.discard(mono)
+                else:
+                    bucket.add(mono)
     return [Gf2Poly.from_monomials(bucket) for bucket in buckets]

@@ -61,7 +61,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry as _telemetry
@@ -73,6 +73,7 @@ from repro.engine import (
 )
 from repro.netlist.blif_io import parse_blif
 from repro.netlist.eqn_io import parse_eqn
+from repro.netlist.netlist import GC_PAUSE
 from repro.netlist.verilog_io import parse_verilog
 from repro.service.cache import KINDS, ResultCache
 from repro.service.pipeline import (
@@ -205,7 +206,9 @@ class ReproAPIServer:
         #: progress gauge lands in; ``GET /metrics`` snapshots it.
         self.telemetry = _telemetry.resolve(telemetry)
         self._worker_count = max(1, worker_threads)
-        self._queue: "queue.Queue[Optional[Tuple[Job, Any]]]" = queue.Queue(
+        # Entries are ``[job, netlist]`` lists, emptied by the worker
+        # that takes them (see :meth:`_run_job`).
+        self._queue: "queue.Queue[Optional[List[Any]]]" = queue.Queue(
             maxsize=max(1, max_queue)
         )
         self._table: Dict[str, Job] = {}
@@ -318,7 +321,7 @@ class ReproAPIServer:
         if self._serve_from_cache(job, fingerprint):
             return job
         try:
-            self._queue.put_nowait((job, netlist))
+            self._queue.put_nowait([job, netlist])
         except queue.Full:
             with self._lock:
                 self._table.pop(job.job_id, None)
@@ -375,79 +378,91 @@ class ReproAPIServer:
             item = self._queue.get()
             if item is None:
                 return
-            job, netlist = item
-            if job.status == "cancelled":
-                continue  # cancelled while queued; nothing to run
-            job.status = "running"
-            started = time.perf_counter()
-            job.progress = {
-                "done_bits": 0,
-                "total_bits": len(netlist.outputs),
-            }
-            gauge = f"job.{job.job_id}.progress"
-            self.telemetry.gauge(gauge, 0.0)
+            self._run_job(item)
 
-            def advance(output, cone, stats, job=job, gauge=gauge):
-                if job.cancel_event.is_set():
-                    raise _JobCancelled(job.job_id)
-                done = job.progress["done_bits"] + 1
-                job.progress["done_bits"] = done
-                total = job.progress["total_bits"] or 1
-                self.telemetry.gauge(gauge, done / total)
+    @GC_PAUSE
+    def _run_job(self, item: List[Any]) -> None:
+        """Run one dequeued ``[job, netlist]`` entry under
+        :data:`~repro.netlist.netlist.GC_PAUSE`.
 
-            def attempt(engine, job=job, netlist=netlist, advance=advance):
-                if job.cancel_event.is_set():
-                    raise _JobCancelled(job.job_id)
-                return run_mode(
-                    job.mode,
-                    lambda: netlist,
-                    job.fingerprint,
-                    self.cache,
-                    engine=engine,
-                    jobs=self.jobs,
-                    progress=advance,
-                )
+        The entry is emptied first: this frame then holds the only
+        reference to the netlist, which is freed with the frame,
+        before the pause ends.
+        """
+        job, netlist = item
+        item.clear()
+        if job.status == "cancelled":
+            return  # cancelled while queued; nothing to run
+        job.status = "running"
+        started = time.perf_counter()
+        job.progress = {
+            "done_bits": 0,
+            "total_bits": len(netlist.outputs),
+        }
+        gauge = f"job.{job.job_id}.progress"
+        self.telemetry.gauge(gauge, 0.0)
 
-            ladder = engine_ladder(
-                job.engine_used or job.engine, fallback=job.fallback
+        def advance(output, cone, stats):
+            if job.cancel_event.is_set():
+                raise _JobCancelled(job.job_id)
+            done = job.progress["done_bits"] + 1
+            job.progress["done_bits"] = done
+            total = job.progress["total_bits"] or 1
+            self.telemetry.gauge(gauge, done / total)
+
+        def attempt(engine):
+            if job.cancel_event.is_set():
+                raise _JobCancelled(job.job_id)
+            return run_mode(
+                job.mode,
+                lambda: netlist,
+                job.fingerprint,
+                self.cache,
+                engine=engine,
+                jobs=self.jobs,
+                progress=advance,
             )
-            with _telemetry.use(self.telemetry), self.telemetry.span(
-                "job",
-                job_id=job.job_id,
-                mode=job.mode,
-                engine=job.engine,
-                fingerprint=job.fingerprint[:12],
-            ) as span:
-                try:
-                    outcome = run_supervised(
-                        attempt,
-                        engines=ladder,
-                        policy=self.retry_policy,
-                        telemetry=self.telemetry,
-                        label=job.job_id,
+
+        ladder = engine_ladder(
+            job.engine_used or job.engine, fallback=job.fallback
+        )
+        with _telemetry.use(self.telemetry), self.telemetry.span(
+            "job",
+            job_id=job.job_id,
+            mode=job.mode,
+            engine=job.engine,
+            fingerprint=job.fingerprint[:12],
+        ) as span:
+            try:
+                outcome = run_supervised(
+                    attempt,
+                    engines=ladder,
+                    policy=self.retry_policy,
+                    telemetry=self.telemetry,
+                    label=job.job_id,
+                )
+                job.result = _summary(job.mode, outcome.value)
+                job.cones_reused = outcome.value.cones_reused
+                job.engine_used = outcome.engine_used
+                if outcome.fallback_reason is not None:
+                    job.fallback_reason = (
+                        job.fallback_reason or outcome.fallback_reason
                     )
-                    job.result = _summary(job.mode, outcome.value)
-                    job.cones_reused = outcome.value.cones_reused
-                    job.engine_used = outcome.engine_used
-                    if outcome.fallback_reason is not None:
-                        job.fallback_reason = (
-                            job.fallback_reason or outcome.fallback_reason
-                        )
-                    if outcome.attempts > 1:
-                        job.attempts = outcome.attempts
-                    job.status = "done"
-                except _JobCancelled:
-                    job.status = "cancelled"
-                except Quarantined as poison:
-                    job.status = "quarantined"
-                    job.reason = poison.reason
-                    job.error = poison.reason.get("error")
-                except Exception as error:  # noqa: BLE001 - report it
-                    job.status = "error"
-                    job.error = f"{type(error).__name__}: {error}"
-                span.annotate(status=job.status)
-            self.telemetry.counter(f"jobs.{job.status}")
-            job.wall_time_s = time.perf_counter() - started
+                if outcome.attempts > 1:
+                    job.attempts = outcome.attempts
+                job.status = "done"
+            except _JobCancelled:
+                job.status = "cancelled"
+            except Quarantined as poison:
+                job.status = "quarantined"
+                job.reason = poison.reason
+                job.error = poison.reason.get("error")
+            except Exception as error:  # noqa: BLE001 - report it
+                job.status = "error"
+                job.error = f"{type(error).__name__}: {error}"
+            span.annotate(status=job.status)
+        self.telemetry.counter(f"jobs.{job.status}")
+        job.wall_time_s = time.perf_counter() - started
 
     def _evict_finished_locked(self) -> None:
         """Drop the oldest terminal jobs past the retention cap.
@@ -716,7 +731,10 @@ def _make_handler(server: "ReproAPIServer"):
         def do_POST(self) -> None:  # noqa: N802 - stdlib naming
             self._traced("POST", self._route_post)
 
+        @GC_PAUSE
         def _route_post(self, url) -> None:
+            # Body decode, parse and fingerprint run as one request
+            # under the collector pause.
             if [part for part in url.path.split("/") if part] != [
                 "v1", "jobs",
             ]:

@@ -90,6 +90,11 @@ from repro.service.fingerprint import (
 #: Bump on any change to the serialized artifact layout.
 CACHE_SCHEMA_VERSION = 1
 
+#: ``json.dumps`` arguments of artifact and cone entries.  Without
+#: ``indent`` CPython encodes in C; the whitespace is not part of the
+#: layout, so changing it needs no schema bump.
+_ENTRY_FORMAT = {"sort_keys": True, "separators": (",", ":")}
+
 #: Environment variable overriding the cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
@@ -618,7 +623,13 @@ class ResultCache:
             )
 
     def put(self, kind: str, key: Union[str, Netlist], artifact: Any) -> Path:
-        """Encode and atomically store an artifact; returns its path."""
+        """Encode and atomically store an artifact; returns its path.
+
+        Entries are written as compact JSON (sorted keys, no
+        whitespace; see :data:`_ENTRY_FORMAT`), which CPython encodes
+        in C.  Readers parse any JSON layout, so entries written
+        indented by earlier versions are still hits.
+        """
         fingerprint = self.fingerprint(key)  # once: strash+hash is O(n)
         path = self.path_for(kind, fingerprint)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -632,7 +643,7 @@ class ResultCache:
         replaced = self._size_before_write(path)
         chaos = _chaos.get_chaos()
         chaos.io_error(where=f"cache.put {kind}")
-        payload = json.dumps(entry, indent=1, sort_keys=True).encode("utf-8")
+        payload = json.dumps(entry, **_ENTRY_FORMAT).encode("utf-8")
         # Chaos site: deterministically mangled payloads exercise the
         # corrupt-entry quarantine on the next read of this key.
         payload = chaos.corrupt(payload, key=f"{kind}:{fingerprint}")
@@ -888,9 +899,7 @@ class ResultCache:
             replaced = self._size_before_write(path)
             chaos = _chaos.get_chaos()
             chaos.io_error(where=f"cache.put {CONE_KIND}")
-            payload = json.dumps(
-                entry, indent=1, sort_keys=True
-            ).encode("utf-8")
+            payload = json.dumps(entry, **_ENTRY_FORMAT).encode("utf-8")
             payload = chaos.corrupt(payload, key=f"{CONE_KIND}:{digest}")
             atomic_write_bytes(path, payload)
         except OSError:

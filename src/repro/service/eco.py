@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
+from repro.netlist.netlist import GC_PAUSE
 from repro.service.cache import ResultCache
 from repro.service.pipeline import (
     NETLIST_READERS,
@@ -234,6 +235,7 @@ class EcoReport:
         return "\n".join(lines)
 
 
+@GC_PAUSE
 def eco_reverify(
     baseline_path: PathLike,
     edited_path: PathLike,
@@ -258,7 +260,8 @@ def eco_reverify(
     additionally checks the edited design against the golden model
     and, on failure, diagnoses it on the same cache so blame starts
     from the cached good version — both through
-    :func:`~repro.service.pipeline.run_mode`.
+    :func:`~repro.service.pipeline.run_mode`.  The whole call runs
+    under :data:`~repro.netlist.netlist.GC_PAUSE`.
     """
     from repro.fieldmath.bitpoly import bitpoly_str
 

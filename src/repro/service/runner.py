@@ -52,6 +52,7 @@ from repro import chaos as _chaos
 from repro import telemetry as _telemetry
 from repro.engine import DEFAULT_ENGINE
 from repro.ioutil import atomic_append_line, atomic_write_text
+from repro.netlist.netlist import GC_PAUSE
 from repro.service.pipeline import (
     MODES,
     NETLIST_READERS,
@@ -114,6 +115,7 @@ def discover_netlists(target: PathLike) -> List[Path]:
 # Per-netlist worker (runs in pool processes; must stay module-level)
 # ----------------------------------------------------------------------
 
+@GC_PAUSE
 def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     """Audit one netlist; returns the JSON-safe report record.
 
@@ -126,7 +128,8 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     a structured reason.  Deterministic failures (parse errors,
     term-limit verdicts, unavailable engine without fallback) keep
     their single-attempt ``status: "error"`` record, whose ``cache``
-    is ``miss`` whenever a cache is configured.
+    is ``miss`` whenever a cache is configured.  The whole call runs
+    under :data:`~repro.netlist.netlist.GC_PAUSE`.
     """
     from repro.service.cache import ResultCache
 

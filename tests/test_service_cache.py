@@ -409,3 +409,111 @@ class TestCorruptionQuarantine:
         assert cache.get_extraction(fingerprint) is None
         assert path.exists()
         assert cache.corrupt == 0
+
+
+#: Entries exactly as the indented (``indent=1``) writer of earlier
+#: versions stored them: the verification of the GF(2^2) Mastrovito
+#: multiplier and its ``z0`` cone.
+LEGACY_FINGERPRINT = (
+    "v3-56be3e3273bb8b05f0c9bdc62d9ba815e5f6a969d4bb3795cafc2c944b88a755"
+)
+LEGACY_VERIFICATION = """{
+ "created_unix": 1792222548.7331069,
+ "fingerprint": "v3-56be3e3273bb8b05f0c9bdc62d9ba815e5f6a969d4bb3795cafc2c944b88a755",
+ "kind": "verification",
+ "payload": {
+  "algebraic": {
+   "0": true,
+   "1": true
+  },
+  "irreducible": true,
+  "modulus": 7,
+  "runtime_s": 0.0002503460018488113,
+  "simulation_ok": true,
+  "simulation_vectors": 16
+ },
+ "schema": 1
+}
+"""
+LEGACY_CONE_DIGEST = (
+    "17b1d7aed8c57c22daeae1e5ff82e88868af0087bd805879f09ac38238b0e45a"
+)
+LEGACY_CONE = """{
+ "cone": "17b1d7aed8c57c22daeae1e5ff82e88868af0087bd805879f09ac38238b0e45a",
+ "created_unix": 1792222548.7297826,
+ "kind": "cone",
+ "payload": {
+  "compile_schema": 1,
+  "engine": "bitpack",
+  "expression": [
+   [
+    "a0",
+    "b0"
+   ],
+   [
+    "a1",
+    "b1"
+   ]
+  ],
+  "output": "z0",
+  "stats": {
+   "cone_gates": 1,
+   "eliminated_monomials": 0,
+   "final_terms": 2,
+   "iterations": 1,
+   "output": "z0",
+   "peak_terms": 2,
+   "runtime_s": 7.247299799928442e-05
+  }
+ },
+ "schema": 1
+}
+"""
+
+
+class TestCompactEntries:
+    """Entries are written compact; indented entries still read."""
+
+    def test_written_entries_have_no_whitespace(self, cache, net):
+        path = cache.put("verification", net, verify_multiplier(
+            net, extract_irreducible_polynomial(net)
+        ))
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text and ": " not in text and ", " not in text
+        entry = json.loads(text)
+        assert list(entry) == sorted(entry)
+
+    def test_indented_verification_is_a_hit(self, cache, tmp_path):
+        path = cache.path_for("verification", LEGACY_FINGERPRINT)
+        path.parent.mkdir(parents=True)
+        path.write_text(LEGACY_VERIFICATION, encoding="utf-8")
+        report = cache.get_verification(LEGACY_FINGERPRINT)
+        assert cache.hits == 1 and report is not None
+        assert report.equivalent and report.simulation_vectors == 16
+        # Re-stored by the compact writer, it decodes to the same
+        # payload and the same report.
+        fresh = ResultCache(tmp_path / "fresh")
+        fresh.put_verification(LEGACY_FINGERPRINT, report)
+        raw = fresh.get_raw("verification", LEGACY_FINGERPRINT)
+        assert raw["payload"] == json.loads(LEGACY_VERIFICATION)["payload"]
+        assert fresh.get_verification(LEGACY_FINGERPRINT) == report
+
+    def test_indented_cone_is_a_hit(self, cache, tmp_path):
+        from repro.service.cache import poly_from_json, stats_from_json
+
+        path = cache.cone_path_for(LEGACY_CONE_DIGEST)
+        path.parent.mkdir(parents=True)
+        path.write_text(LEGACY_CONE, encoding="utf-8")
+        payload = cache.get_cone(LEGACY_CONE_DIGEST)
+        assert cache.cone_hits == 1
+        assert payload == json.loads(LEGACY_CONE)["payload"]
+        fresh = ResultCache(tmp_path / "fresh")
+        fresh.put_cone(
+            LEGACY_CONE_DIGEST,
+            payload["output"],
+            poly_from_json(payload["expression"]),
+            stats_from_json(payload["stats"]),
+            engine=payload["engine"],
+            compile_schema=payload["compile_schema"],
+        )
+        assert fresh.get_cone(LEGACY_CONE_DIGEST) == payload
