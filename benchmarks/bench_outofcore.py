@@ -64,7 +64,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.engine import available_engines  # noqa: E402
+from repro.engine import available_engines, get_engine  # noqa: E402
 from repro.fieldmath.bitpoly import bitpoly_str  # noqa: E402
 from repro.fieldmath.irreducible import default_irreducible  # noqa: E402
 from repro.fieldmath.polynomial_db import PAPER_POLYNOMIALS  # noqa: E402
@@ -150,6 +150,12 @@ def bench_size(m: int, repeats: int) -> dict:
     """The budget ladder on one field size, identity-checked."""
     netlist = _workload(m)
     _run_once(netlist, None)  # warm: compile + packed tables
+    program = get_engine("vector")._compiled_for(netlist)
+    if all(node in program.flats for node in program.aig.live_nodes()):
+        raise RuntimeError(
+            f"m={m}: the forced flat bound left every live node flat; "
+            "the sweep would never run a matrix round"
+        )
 
     # The in-core peak in bytes: watch the resident gauge round by
     # round on one *warm* unbudgeted probe run.  Warm matters: a cold

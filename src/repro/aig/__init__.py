@@ -52,9 +52,10 @@ Shared by
   identity as its one and only equivalence oracle;
 * ``repro.service`` — the content fingerprint derives its Merkle
   labels directly from the hash-consed node table in one traversal;
-* ``repro.engine`` — the ``aig`` backend backward-rewrites cut-by-cut
-  with each cut's packed PI-space polynomial precomputed through the
-  bitpack interning machinery.
+* ``repro.engine`` — the ``bitpack``, ``aig`` and ``vector`` backends
+  compile the memoized live graph: ``bitpack`` backward-rewrites node
+  by node through direct-fanin models, ``aig`` and ``vector`` cut by
+  cut, all over packed leaf-space polynomials.
 """
 
 from repro.aig.aig import (

@@ -13,8 +13,8 @@ its monomials are represented*, behind a backend registry.
 
 Packing scheme
 --------------
-The ``bitpack`` backend interns every signal of one output cone to a
-bit index (:class:`~repro.engine.interning.SignalInterner`).  Because
+The packed backends intern every signal of one output cone to a bit
+index (:class:`~repro.engine.interning.SignalInterner`).  Because
 netlist variables are idempotent (``x² = x``), a monomial needs no
 exponents: it is exactly the *set* of its signals, packed as one
 python ``int`` with bit ``k`` set iff signal ``k`` occurs.  The
@@ -22,15 +22,16 @@ constant monomial ``1`` is the mask ``0``.  A polynomial is a
 ``set[int]`` and mod-2 cancellation stays structural: adding a monomial
 toggles set membership.  One Algorithm-1 substitution step is then::
 
-    stripped = mono & ~var_bit      # divide by the gate-output variable
+    stripped = mono & ~var_bit      # divide by the node variable
     product  = stripped | model     # multiply by a model monomial
     toggle(current, product)        # cancel pairs mod 2
 
-Gate models come from :func:`repro.rewrite.gate_models.gate_model`
-(already cached per gate type/inputs) and are packed into mask tuples
-when the gate is first rewritten.  Interning is first-seen order during
-the backward walk, so a signal's bit is allocated shortly before its
-driver gate eliminates it, keeping live masks compact.
+The variables are not netlist gates but nodes of the netlist's
+memoized live AIG (:func:`repro.aig.live_aig`, the strash the content
+fingerprint already built): leaves take the low bits every cone
+shares, and node variables intern above them in first-seen order
+during the backward walk, so a variable's bit is allocated shortly
+before its node eliminates it, keeping live masks compact.
 
 Decode boundary
 ---------------
@@ -50,16 +51,15 @@ Backends
 ``reference``
     the original ``Gf2Poly`` path (the differential-testing oracle);
 ``bitpack``
-    interned bitmask monomials, typically ≥5× faster (see
-    ``benchmarks/bench_engines.py`` / ``BENCH_engines.json``);
+    interned bitmask monomials over the live AIG: nodes are flattened
+    forward into packed leaf-space polynomials below a size bound, and
+    every other node is substituted through its direct-fanin model
+    (see ``benchmarks/bench_engines.py`` / ``BENCH_engines.json``);
 ``aig``
-    cut-based rewriting over the hash-consed And-Inverter Graph
-    (:mod:`repro.aig`): the netlist is strashed into complement-edge
-    AND/XOR nodes, flattened node-by-node into packed PI-space
-    polynomials, and the remainder is substituted cut-by-cut from
-    exact k-feasible-cut ANFs — the backend of choice for
-    technology-mapped / NAND-lowered netlists, where gate-granular
-    rewriting suffers intermediate-expression blowup (see
+    bitpack's program and loop with cut-based flattening and cut
+    models: a node above the bound is substituted through the exact
+    ANF of its best k-feasible cut, so technology-mapped clusters
+    collapse before rewriting sees them (see
     ``benchmarks/bench_aig.py`` / ``BENCH_aig.json``);
 ``vector``
     the same compiled program as ``aig``, with the substitution loop
@@ -72,9 +72,9 @@ Backends
     a lexsort + run-parity pass whose sort keys keep cancellation
     strictly per-cone — bit-identical to per-bit extraction
     (``benchmarks/bench_fused.py`` / ``BENCH_fused.json``).  Per-bit
-    ``vector`` runs the ``aig`` engine's loop.  numpy is optional —
-    the backend is availability-probed, and every other backend
-    serves ``rewrite_cones`` through its per-bit loop, so
+    ``vector`` runs the one loop bitpack and aig share.  numpy is
+    optional — the backend is availability-probed, and every other
+    backend serves ``rewrite_cones`` through its per-bit loop, so
     ``fused=True`` degrades cleanly without numpy.
     The fused sweep is additionally **memory-budgeted**: under
     ``REPRO_SWEEP_MAX_BYTES`` / ``max_bytes=`` / ``--max-ram`` the
@@ -86,9 +86,11 @@ Compiling backends (bitpack, aig, vector) additionally persist their
 one-time per-netlist compile through the ``compile_cache=`` hook
 (:class:`~repro.engine.base.CompilingEngine`): programs are stored in
 the service result cache keyed by (fingerprint, compile key, compile
-schema), validated against an exact-netlist token on load, and
-re-stored when rewriting grows them (lazily built cut models), so a
-batch campaign compiles each distinct structure once ever.
+schema) and validated against an exact-netlist token on load, so a
+batch campaign compiles each distinct structure once ever.  bitpack's
+program is complete at compile time and is stored once; aig/vector
+programs are re-stored when rewriting grows them (lazily built cut
+models).
 
 Every backend produces bit-identical *results* — canonical
 expressions, P(x), member bits — and fails structurally broken
@@ -97,8 +99,8 @@ netlists with the same exception types; that contract is enforced by
 behaviour are backend-specific: ``term_limit`` bounds each engine's
 *own* intermediate representation, so a run that memory-outs on the
 reference engine may fit under ``bitpack`` (whose flattening keeps
-intermediates smaller).  New backends (e.g. AIG/cut-based rewriting)
-register via :func:`register_engine`.
+intermediates smaller).  New backends register via
+:func:`register_engine`.
 """
 
 from repro.engine.aig import AigEngine

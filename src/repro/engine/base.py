@@ -247,14 +247,17 @@ class CompilingEngine(Engine):
     check and must pickle) and set :attr:`Engine.compile_schema`.
     Everything else — the weak in-process cache, the serialized
     envelope, token validation, the ``compile_cache`` round-trip — is
-    inherited.
+    inherited.  The bitpack, aig and vector programs all compile the
+    netlist's memoized live AIG, so none of them strashes again.
     """
 
     #: Cache key namespace for stored programs.  Defaults to the
-    #: engine name; backends that share one program format (``aig``
-    #: and ``vector`` both compile a ``_CompiledAig``) share the key
-    #: so a campaign never compiles the same structure twice even
-    #: across those backends.
+    #: engine name; backends that compile the very same program
+    #: (``aig`` and ``vector`` both compile a ``_CompiledAig``) share
+    #: the key so a campaign never compiles the same structure twice
+    #: even across those backends.  bitpack's program has the same
+    #: layout but other contents (its own flat bounds, direct-fanin
+    #: models), so it keeps its own key and schema.
     compile_key: ClassVar[str] = ""
 
     def __init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Bit-packed backward rewriting — monomials as ``int`` bitmasks.
+"""Bit-packed backward rewriting over the netlist's live AIG.
 
 The hot loop of Algorithm 1 is "strip the gate-output variable from a
 monomial, union in a model monomial, toggle the result mod 2".  With
@@ -14,51 +14,60 @@ A polynomial is a ``set[int]``; hashing an ``int`` is word-sized work
 instead of the per-element string hashing of ``frozenset[str]``, and no
 container is allocated per monomial.
 
-Compilation (once per netlist, cached weakly)
----------------------------------------------
-Primary inputs receive the *global* low bit indices ``0..P-1``, so a
-fully-rewritten monomial — a product of primary inputs — is a small
-integer whose packing is shared by every cone.  A forward pass then
-**flattens** cheap fanout-free regions: a gate whose inputs are all
-flat (primary inputs or previously flattened nets) and whose packed
-polynomial stays below a size bound is replaced by that polynomial —
-exact mod-2 algebra, so XOR trees fold into C-level symmetric
-differences of mask sets.  Flattened nets never become rewriting
-variables; the remaining **opaque** gates get their models precompiled
-as ``(pi_mask, opaque_names)`` monomial pairs, i.e. the flat part is
-already a bitmask and only the few opaque signals need per-cone
-interning.
+The program (compiled once per netlist)
+---------------------------------------
+The program is built from the netlist's memoized live AIG
+(:func:`repro.aig.live_aig`), the strash the content fingerprint has
+already paid for: NAND-lowered XORs are XOR nodes there, inverter
+pairs are complement edges and dead structure is swept away.  Leaves
+(primary inputs, plus nets read but never driven) take the *global*
+low bit indices, so a fully-rewritten monomial is a small integer
+whose packing every cone shares.  One forward pass over the node ids
+(ascending id is a topological order) then **flattens** each node into
+a packed leaf-space polynomial while it stays below a size bound: an
+XOR node is a symmetric difference, a complement edge toggles the
+constant monomial and an AND node is a bounded product.  A node read
+by more than one consumer keeps a smaller bound.  Every other node
+gets its **direct-fanin model** — the AND/XOR of its two fanin
+literals, with small flat fanins multiplied out and the rest kept as
+node variables — and a flat node read as such a variable substitutes
+its flat polynomial.  The models are built at compile time, so the
+program is complete before the first cone and is stored once.
 
 Rewriting (per output bit)
 --------------------------
-Opaque signals are interned per cone *above* the global input region —
+Node variables are interned per cone *above* the leaf region —
 cone-local indices keep masks narrow (a global numbering would turn
 every int operation into a kilobyte memcpy).  Two structures remove
 the reference path's per-gate linear scans:
 
-* a **worklist** (max-heap of topological positions) visits only
-  opaque gates whose output variable is *live* in the expression — the
-  reference engine walks the whole structural cone, and extracting
-  that cone already costs a full pass over the netlist per output bit;
+* a **worklist** (max-heap of node ids) visits only nodes whose
+  variable is *live* in the expression;
 * a lazy **occurrence index** (``variable bit → monomials that gained
-  it``) yields each gate's affected monomials via one C-level set
-  intersection — the reference engine rescans every monomial of the
-  expression for every gate.
+  it``) yields each node's affected monomials via one C-level set
+  intersection.
+
+An output whose node flattened is answered from its flat polynomial
+without a loop (unless a trace is requested, which substitutes it as
+one step).  The ``aig`` engine (:mod:`repro.engine.aig`) runs this
+same loop over the same kind of program, with cut-based flattening and
+cut models in place of the direct-fanin ones.
 
 The engine produces bit-identical *results* (canonical expressions,
 P(x), member bits, failure modes) to the reference backend — enforced
 by the differential test suite — but takes algebraically equivalent
-shortcuts, so per-step statistics (iterations, peak terms, eliminated
-monomials, cone gate counts) legitimately differ: flattened regions
-are substituted in one step, and ``term_limit`` bounds this engine's
-own intermediate representation rather than the reference engine's.
+shortcuts, so the statistics (iterations, peak terms, eliminated
+monomials, cone gate counts), the trace step text and the
+``term_limit`` memory-out point are this engine's own.
 """
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.aig import Aig, live_aig
 from repro.engine.base import CompilingEngine, ConeExpression, cone_span
 from repro.engine.interning import SignalInterner
 from repro.gf2.monomial import Monomial
@@ -70,15 +79,20 @@ from repro.rewrite.backward import (
     TermLimitExceeded,
     TraceStep,
 )
-from repro.rewrite.gate_models import gate_model
 
-#: Largest packed polynomial a fanout-free net may flatten to.
-_FLAT_BOUND = 48
-#: Largest packed polynomial a *shared* (fanout > 1) net may flatten
-#: to — bigger ones would be duplicated into every consumer.
-_FLAT_SHARED_BOUND = 4
-#: Abort threshold for expanding flat inputs inside one model monomial.
-_EXPAND_BOUND = 2048
+#: Largest packed polynomial a single-consumer node may flatten to.
+_FLAT_BOUND = 256
+#: Largest packed polynomial a *shared* node (read by more than one
+#: consumer) may flatten to.
+_FLAT_SHARED_BOUND = 64
+#: Largest flat fanin a direct-fanin model multiplies out; bigger ones
+#: stay node variables, so a model never outgrows a few monomials.
+_FANIN_BOUND = 4
+#: Largest pairwise product cost (|p|·|q|) the flattening attempts.
+_PAIR_BUDGET = 1024
+
+#: A substitution model: mod-2 monomials as (leaf_mask, node variables).
+_Model = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 class PackedExpression(ConeExpression):
@@ -144,155 +158,277 @@ def _flat_product(
     return acc
 
 
-def _flat_eval(
-    model, flats: Dict[str, Set[int]], bound: int
-) -> Optional[Set[int]]:
-    """Packed polynomial of a gate whose inputs are all flat.
-
-    ``None`` when a bound is exceeded — or when an input is not flat
-    (the ``KeyError`` doubles as the eligibility check).
-    """
-    total: Set[int] = set()
-    try:
-        for mono in model:
-            if len(mono) == 1:
-                product = flats[next(iter(mono))]
-            else:
-                product = _flat_product(
-                    [flats[name] for name in mono], bound
-                )
-                if product is None:
-                    return None
-            total = total.symmetric_difference(product)
-            if len(total) > bound:
-                return None
-    except KeyError:
-        return None
-    return total
-
-
-class _CompiledNetlist:
-    """One netlist, flattened and model-compiled for mask rewriting."""
+class _CompiledProgram:
+    """One netlist's live AIG, flattened and modelled for rewriting."""
 
     __slots__ = (
-        "pi_index",
-        "pi_names",
-        "pi_ones",
-        "models",
+        "aig",
+        "net_literal",
+        "leaf_index",
+        "leaf_names",
+        "leaf_bits",
+        "undeclared_bits",
         "flats",
         "n_gates",
+        "_models",
+        # The vector engine's fused sweep caches per-program state
+        # (packed model tables) in a weak-keyed map; see VectorEngine.
+        "__weakref__",
     )
 
     def __init__(self, netlist: Netlist):
-        order = netlist.topological_order()
-        outputs = set(netlist.outputs)
-        fanout: Dict[str, int] = {}
-        for gate in order:
-            for name in gate.inputs:
-                fanout[name] = fanout.get(name, 0) + 1
+        aig = live_aig(netlist)
+        self.aig = aig
+        self.net_literal = aig.net_literal
+        self.n_gates = len(netlist)
 
-        self.pi_names: List[str] = list(netlist.inputs)
-        self.pi_index: Dict[str, int] = {
-            name: index for index, name in enumerate(self.pi_names)
-        }
-        pi_count = len(self.pi_names)
-        self.pi_ones = (1 << pi_count) - 1
-        self.n_gates = len(order)
+        #: Leaves occupy the low bit indices, shared by every cone.
+        self.leaf_names: List[str] = []
+        self.leaf_index: Dict[str, int] = {}
+        self.leaf_bits: Dict[int, int] = {}
+        declared = set(netlist.inputs)
+        undeclared = 0
+        for node in sorted(aig.pi_name):
+            bit = len(self.leaf_names)
+            name = aig.pi_name[node]
+            self.leaf_index[name] = bit
+            self.leaf_names.append(name)
+            self.leaf_bits[node] = bit
+            if name not in declared:
+                undeclared |= 1 << bit
+        self.undeclared_bits = undeclared
 
-        name_models = [gate_model(gate) for gate in order]
-        demoted: Set[str] = set()
-        while True:
-            flats = self._flatten(
-                order, name_models, outputs, fanout, demoted
-            )
-            models, offender = self._compile_models(
-                order, name_models, flats
-            )
-            if offender is None:
-                break
-            demoted.add(offender)
-        #: Per topological position: the opaque gate's model as
-        #: ``(pi_mask, opaque_names)`` monomials, or ``None`` for a
-        #: flattened gate (its output never becomes a variable).
-        self.models = models
-        #: Packed PI-space polynomial of every flat net (primary
-        #: inputs included) — the ready answer when a flattened net is
-        #: itself rewritten.
-        self.flats = flats
+        self.flats: Dict[int, Set[int]] = self._flatten()
+        self._models: Dict[int, _Model] = {}
+        self._complete()
 
-    def _flatten(
-        self,
-        order,
-        name_models,
-        outputs: Set[str],
-        fanout: Dict[str, int],
-        demoted: Set[str],
-    ) -> Dict[str, Set[int]]:
-        """Forward pass: pack cheap fanout-free regions into PI space."""
-        flats: Dict[str, Set[int]] = {
-            name: {1 << index} for name, index in self.pi_index.items()
-        }
-        for gate, model in zip(order, name_models):
-            net = gate.output
-            if net in outputs or net in demoted:
-                continue
-            poly = _flat_eval(model, flats, _FLAT_BOUND)
-            if poly is None:
-                continue
-            if fanout.get(net, 0) != 1 and len(poly) > _FLAT_SHARED_BOUND:
-                continue
-            flats[net] = poly
+    # -- forward flattening ---------------------------------------------
+
+    def _flat_bounds(self) -> Tuple[int, int]:
+        """(single-consumer bound, shared-node bound) of flattening."""
+        return _FLAT_BOUND, _FLAT_SHARED_BOUND
+
+    def _flatten(self) -> Dict[int, Set[int]]:
+        """Packed leaf-space polynomial of every node below its bound.
+
+        Exact mod-2 algebra: XOR nodes are symmetric differences,
+        complement edges toggle the constant monomial, AND nodes
+        multiply with cancellation — so flattening performs the same
+        cancellations backward rewriting would, just once per node
+        instead of once per cone.
+        """
+        aig = self.aig
+        bound, shared_bound = self._flat_bounds()
+        fanin0, fanin1 = aig.fanin0, aig.fanin1
+        is_xor = aig.is_xor
+        gates = [
+            node for node in range(1, len(aig)) if node not in aig.pi_name
+        ]
+        readers = [0] * len(aig)
+        if shared_bound < bound:
+            for node in gates:
+                readers[fanin0[node] >> 1] += 1
+                readers[fanin1[node] >> 1] += 1
+            for _, lit in aig.outputs:
+                readers[lit >> 1] += 1
+        flats: Dict[int, Set[int]] = {0: set()}
+        for node, bit in self.leaf_bits.items():
+            flats[node] = {1 << bit}
+        flats_get = flats.get
+        for node in gates:
+            limit = shared_bound if readers[node] > 1 else bound
+            f0, f1 = fanin0[node], fanin1[node]
+            p0 = flats_get(f0 >> 1)
+            p1 = flats_get(f1 >> 1)
+            xor = is_xor(node)
+            poly: Optional[Set[int]] = None
+            if p0 is not None and p1 is not None:
+                if xor:
+                    poly = p0.symmetric_difference(p1)
+                    if (f0 ^ f1) & 1:
+                        poly.symmetric_difference_update((0,))
+                elif len(p0) * len(p1) <= _PAIR_BUDGET:
+                    if f0 & 1:
+                        p0 = p0.symmetric_difference((0,))
+                    if f1 & 1:
+                        p1 = p1.symmetric_difference((0,))
+                    poly = _flat_product([p0, p1], limit)
+            if poly is None and not xor:
+                poly = self._flatten_fallback(node, flats)
+            if poly is not None and len(poly) <= limit:
+                flats[node] = poly
         return flats
 
-    def _compile_models(self, order, name_models, flats: Dict[str, Set[int]]):
-        """Expand flat inputs inside every opaque gate's model.
+    def _flatten_fallback(
+        self, node: int, flats: Dict[int, Set[int]]
+    ) -> Optional[Set[int]]:
+        """Flat polynomial of an AND node the direct product missed."""
+        del node, flats
+        return None
 
-        Returns ``(models, None)`` on success, or ``(None, name)``
-        naming a flat net to demote when an expansion explodes.
-        """
-        models: List[Optional[Tuple[Tuple[int, Tuple[str, ...]], ...]]] = []
-        for gate, name_model in zip(order, name_models):
-            if gate.output in flats:
-                models.append(None)
-                continue
-            counts: Dict[Tuple[int, Tuple[str, ...]], int] = {}
-            for mono in name_model:
-                flat_polys: List[Set[int]] = []
-                opaque: List[str] = []
-                for name in mono:
-                    poly = flats.get(name)
-                    if poly is None:
-                        opaque.append(name)
-                    else:
-                        flat_polys.append(poly)
-                product = _flat_product(flat_polys, _EXPAND_BOUND)
-                if product is None:
-                    biggest = max(flat_polys, key=len)
-                    for name in mono:
-                        if flats.get(name) is biggest:
-                            return None, name
-                    return None, next(  # pragma: no cover - defensive
-                        name for name in mono if name in flats
-                    )
-                key_names = tuple(sorted(opaque))
-                for mask in product:
-                    key = (mask, key_names)
-                    counts[key] = counts.get(key, 0) ^ 1
-            models.append(
-                tuple(key for key, parity in counts.items() if parity)
-            )
-        return models, None
+    # -- substitution models ---------------------------------------------
+
+    def _complete(self) -> None:
+        """Build every model a rewrite can ask for, at compile time."""
+        flats = self.flats
+        leaves = self.aig.pi_name
+        model_of = self.model_of
+        for node in range(1, len(self.aig)):
+            if node not in flats and node not in leaves:
+                for _, variables in model_of(node):
+                    for variable in variables:
+                        model_of(variable)
+
+    def model_of(self, node: int) -> _Model:
+        """Substitution model of an AND/XOR node (memoized)."""
+        model = self._models.get(node)
+        if model is None:
+            model = self._build_model(node)
+            self._models[node] = model
+        return model
+
+    def _build_model(self, node: int) -> _Model:
+        """A flat node's polynomial, else its direct-fanin model."""
+        flat = self.flats.get(node)
+        if flat is not None:
+            return tuple((mask, ()) for mask in flat)
+        aig = self.aig
+        operands = []
+        for lit in aig.fanins(node):
+            child = lit >> 1
+            poly = self.flats.get(child)
+            if poly is not None and len(poly) <= _FANIN_BOUND:
+                terms = {(mask, ()) for mask in poly}
+            else:
+                terms = {(0, (child,))}
+            if lit & 1:
+                terms.symmetric_difference_update({(0, ())})
+            operands.append(terms)
+        lhs, rhs = operands
+        if aig.is_xor(node):
+            return tuple(lhs.symmetric_difference(rhs))
+        counts: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+        for mask0, vars0 in lhs:
+            for mask1, vars1 in rhs:
+                key = (mask0 | mask1, vars0 + vars1)
+                counts[key] = counts.get(key, 0) ^ 1
+        return tuple(key for key, parity in counts.items() if parity)
+
+    # -- serialization ---------------------------------------------------
+    #
+    # Compiled programs travel through the fingerprint-keyed cache
+    # (:mod:`repro.service.cache`), and a warm load must be a small
+    # fraction of a recompile.  The default pickle of the embedded
+    # :class:`~repro.aig.Aig` spends most of its bytes on the strash
+    # table — pure construction state a finished program never touches
+    # — so the custom state drops it and packs the node arrays as raw
+    # ``array('q')`` bytes (memcpy-speed on load).  The models built so
+    # far are included.  The deserialized graph is read-only — growing
+    # it would bypass hash-consing.
+
+    def __getstate__(self):
+        aig = self.aig
+        return {
+            "name": aig.name,
+            "kinds": bytes(aig.kinds),
+            "fanin0": array("q", aig.fanin0).tobytes(),
+            "fanin1": array("q", aig.fanin1).tobytes(),
+            "pi_name": aig.pi_name,
+            "inputs": aig.inputs,
+            "outputs": aig.outputs,
+            "net_literal": aig.net_literal,
+            "leaf_index": self.leaf_index,
+            "leaf_names": self.leaf_names,
+            "leaf_bits": self.leaf_bits,
+            "undeclared_bits": self.undeclared_bits,
+            # Tuples load ~3x faster than sets and every post-compile
+            # consumer only iterates/len()s/copies flat polynomials.
+            "flats": {
+                node: tuple(poly) for node, poly in self.flats.items()
+            },
+            "n_gates": self.n_gates,
+            "models": self._models,
+        }
+
+    def __setstate__(self, state):
+        aig = Aig(state["name"])
+        aig.kinds = list(state["kinds"])
+        fanin0 = array("q")
+        fanin0.frombytes(state["fanin0"])
+        fanin1 = array("q")
+        fanin1.frombytes(state["fanin1"])
+        aig.fanin0 = list(fanin0)
+        aig.fanin1 = list(fanin1)
+        aig.pi_name = state["pi_name"]
+        aig.inputs = state["inputs"]
+        aig.outputs = state["outputs"]
+        aig.net_literal = state["net_literal"]
+        aig._leaf_lit = {
+            name: node << 1 for node, name in aig.pi_name.items()
+        }
+        self.aig = aig
+        self.net_literal = aig.net_literal
+        self.leaf_index = state["leaf_index"]
+        self.leaf_names = state["leaf_names"]
+        self.leaf_bits = state["leaf_bits"]
+        self.undeclared_bits = state["undeclared_bits"]
+        self.flats = state["flats"]
+        self.n_gates = state["n_gates"]
+        self._models = state["models"]
 
 
 class BitpackEngine(CompilingEngine):
     """Backward rewriting over interned bitmask monomials."""
 
     name = "bitpack"
-    #: Bump on any change to :class:`_CompiledNetlist`'s layout.
-    compile_schema = 1
+    #: Bump on any change to :class:`_CompiledProgram`'s layout or
+    #: contents.
+    compile_schema = 2
 
-    def _compile(self, netlist: Netlist) -> _CompiledNetlist:
-        return _CompiledNetlist(netlist)
+    def _compile(self, netlist: Netlist) -> _CompiledProgram:
+        return _CompiledProgram(netlist)
+
+    def _check_residue(
+        self,
+        compiled: _CompiledProgram,
+        netlist: Netlist,
+        output: str,
+        masks: Set[int],
+    ) -> None:
+        """Leaves the netlist never declared must not survive rewriting."""
+        residue = 0
+        for mask in masks:
+            residue |= mask
+        residue &= compiled.undeclared_bits
+        if not residue:
+            return
+        # Inputs declared after compilation still count as inputs.
+        declared_now = set(netlist.inputs)
+        leftovers = []
+        while residue:
+            low = residue & -residue
+            name = compiled.leaf_names[low.bit_length() - 1]
+            if name not in declared_now:
+                leftovers.append(name)
+            residue ^= low
+        if leftovers:
+            raise BackwardRewriteError(
+                f"rewriting {output!r} left non-input variables "
+                f"{sorted(leftovers)[:5]} — netlist is not a complete "
+                "combinational cone"
+            )
+
+    def _describe_node(self, compiled: _CompiledProgram, node: int) -> str:
+        aig = compiled.aig
+        f0, f1 = aig.fanins(node)
+        op = "XOR" if aig.is_xor(node) else "AND"
+        operands = ", ".join(
+            ("!" if lit & 1 else "") + (
+                aig.pi_name.get(lit >> 1, f"n{lit >> 1}")
+            )
+            for lit in (f0, f1)
+        )
+        return f"n{node} = {op}({operands})"
 
     def rewrite_cone(
         self,
@@ -323,101 +459,127 @@ class BitpackEngine(CompilingEngine):
         stats = RewriteStats(output=output)
 
         compiled = self._compiled_for(netlist, compile_cache)
-        models = compiled.models
-        position_of = netlist.topological_positions()
-        position_get = position_of.get
-
-        flat_poly = compiled.flats.get(output)
-        if flat_poly is not None:
-            # The requested net was flattened (a primary input or a
-            # folded fanout-free region): its packed PI-space
-            # polynomial is already the canonical answer.
-            interner = SignalInterner.adopt(
-                dict(compiled.pi_index), list(compiled.pi_names)
-            )
-            masks = set(flat_poly)
-            stats.final_terms = len(masks)
-            stats.peak_terms = max(1, len(masks))
-            if term_limit is not None and stats.peak_terms > term_limit:
-                raise TermLimitExceeded(
-                    output, stats.peak_terms, term_limit
+        literal = compiled.net_literal.get(output)
+        if literal is None:
+            if netlist.driver_of(output) is None:
+                # A net the netlist never mentions: the same failure
+                # the other backends report for a dangling variable.
+                raise BackwardRewriteError(
+                    f"rewriting {output!r} left non-input variables "
+                    f"[{output!r}] — netlist is not a complete "
+                    "combinational cone"
                 )
-            return PackedExpression(masks, interner), stats
+            # The program holds the outputs' live graph only; a net no
+            # output reads is rewritten over its own cone.
+            return self._rewrite_cone_impl(
+                netlist.cone(output), output, trace, term_limit, None
+            )
+        node = literal >> 1
+        complemented = literal & 1
 
-        # Cone-local interning tables, pre-seeded with the global
-        # primary-input region; opaque signals intern above it.  The
-        # tables are raw dict/list locals for the hot loop and become a
-        # SignalInterner for the result.
-        sig_index: Dict[str, int] = dict(compiled.pi_index)
-        sig_names: List[str] = list(compiled.pi_names)
-        index_get = sig_index.get
+        flat = compiled.flats.get(node)
+        traced_gate = trace and node and node not in compiled.leaf_bits
+        if flat is not None and not traced_gate:
+            # The node flattened: its packed leaf-space polynomial is
+            # already the canonical answer.  A traced run substitutes
+            # it instead, as one recorded step.
+            current = set(flat)
+            if complemented:
+                current.symmetric_difference_update((0,))
+            self._check_residue(compiled, netlist, output, current)
+            stats.peak_terms = max(1, len(current))
+            if term_limit is not None and stats.peak_terms > term_limit:
+                raise TermLimitExceeded(output, stats.peak_terms, term_limit)
+        else:
+            current = self._substitute(
+                compiled, node, complemented, stats, trace, term_limit
+            )
+            self._check_residue(compiled, netlist, output, current)
+        stats.final_terms = len(current)
+        # Every node variable is substituted away: the result lives in
+        # the leaf region alone.
+        interner = SignalInterner.adopt(
+            dict(compiled.leaf_index), list(compiled.leaf_names)
+        )
+        return PackedExpression(current, interner), stats
+
+    def _substitute(
+        self,
+        compiled: _CompiledProgram,
+        node: int,
+        complemented: int,
+        stats: RewriteStats,
+        trace: bool,
+        term_limit: Optional[int],
+    ) -> Set[int]:
+        """Algorithm 1's loop from one node down to the leaves."""
+        output = stats.output
+        # Cone-local interning: the shared leaf region, then one bit
+        # per node variable in first-seen order (bits stay compact).
+        leaf_count = len(compiled.leaf_names)
+        index_of_node: Dict[int, int] = {node: leaf_count}
+        interned: List[int] = [node]
 
         # occurs[i]: monomials that contain live tracked variable i.
         # The index is *lazy*: entries are added when a monomial gains
         # bit i but never removed when one is cancelled — at pop time a
         # C-level set intersection against `current` filters the stale
         # entries, which is far cheaper than eager maintenance on every
-        # cancellation.  pending: max-heap (negated topological
-        # positions) of tracked variables awaiting substitution; each
-        # variable is pushed exactly once, when interned, and positions
-        # pop in strictly decreasing order (a gate model only mentions
-        # earlier signals), so no variable re-occurs after its
-        # substitution.
-        occurs: Dict[int, Set[int]] = {}
-        pending: List[Tuple[int, int]] = []
-        tracked_mask = 0
-
-        # F0 = z_i : the single-variable monomial of the output bit.
-        out_index = index_get(output)
-        if out_index is None:
-            out_index = len(sig_names)
-            sig_index[output] = out_index
-            sig_names.append(output)
-        out_mask = 1 << out_index
+        # cancellation.  pending: max-heap (negated node ids) of
+        # tracked variables awaiting substitution; each variable is
+        # pushed exactly once, when interned, and ids pop in strictly
+        # decreasing order (a model only mentions older nodes), so no
+        # variable re-occurs after its substitution.
+        out_mask = 1 << leaf_count
         current: Set[int] = {out_mask}
-        out_position = position_get(output)
-        if out_position is not None:
-            tracked_mask = out_mask
-            occurs[out_index] = {out_mask}
-            heappush(pending, (-out_position, out_index))
+        if complemented:
+            current.add(0)
+        occurs: Dict[int, Set[int]] = {leaf_count: {out_mask}}
+        pending: List[Tuple[int, int]] = [(-node, leaf_count)]
+        tracked_mask = out_mask
 
         iterations = 0
         touched = 0
         eliminated_total = 0
-        peak_terms = 1
+        peak_terms = max(1, len(current))
 
         current_add = current.add
         current_remove = current.remove
         current_intersection = current.intersection
         occurs_pop = occurs.pop
+        model_of = compiled.model_of
+        index_get = index_of_node.get
+        leaf_bits = compiled.leaf_bits
 
         while pending:
-            neg_position, var_index = heappop(pending)
+            neg_node, var_index = heappop(pending)
             touched += 1
             affected = current_intersection(occurs_pop(var_index))
             if not affected:
-                # The variable occurred and then cancelled away before
-                # its driver was reached (Algorithm 1 line 4 skip).
+                # The variable cancelled away before its node was
+                # reached (Algorithm 1 line 4 skip).
                 continue
             keep = ~(1 << var_index)
 
-            # Pack the gate model: the flat part is precompiled, only
-            # opaque signals need the cone-local index (interning on
-            # first sight; newly tracked variables enter the worklist).
+            # Pack the model: the leaf part is a ready bitmask, node
+            # variables intern into cone-local bits (newly tracked
+            # variables enter the worklist).
             model: List[int] = []
-            for pi_mask, opaque_names in models[-neg_position]:
-                mask = pi_mask
-                for name in opaque_names:
-                    index = index_get(name)
+            for leaf_mask, variables in model_of(-neg_node):
+                mask = leaf_mask
+                for variable in variables:
+                    leaf_bit = leaf_bits.get(variable)
+                    if leaf_bit is not None:
+                        mask |= 1 << leaf_bit
+                        continue
+                    index = index_get(variable)
                     if index is None:
-                        index = len(sig_names)
-                        sig_index[name] = index
-                        sig_names.append(name)
-                        gate_position = position_get(name)
-                        if gate_position is not None:
-                            tracked_mask |= 1 << index
-                            occurs[index] = set()
-                            heappush(pending, (-gate_position, index))
+                        index = leaf_count + len(interned)
+                        index_of_node[variable] = index
+                        interned.append(variable)
+                        tracked_mask |= 1 << index
+                        occurs[index] = set()
+                        heappush(pending, (-variable, index))
                     mask |= 1 << index
                 model.append(mask)
 
@@ -451,43 +613,23 @@ class BitpackEngine(CompilingEngine):
                     stats.peak_terms = peak_terms
                     raise TermLimitExceeded(output, peak_terms, term_limit)
             if trace:
-                interner = SignalInterner(list(sig_names))
+                interner = SignalInterner(
+                    compiled.leaf_names
+                    + [f"__aig{variable}" for variable in interned]
+                )
                 decoded = Gf2Poly.from_monomials(
                     {interner.unpack(mono) for mono in current}
                 )
-                gate = netlist.topological_order()[-neg_position]
                 stats.trace.append(
                     TraceStep(
-                        gate=str(gate),
+                        gate=self._describe_node(compiled, -neg_node),
                         expression=str(decoded),
                         eliminated=f"{eliminated} monomials cancelled",
                     )
-                )
-
-        interner = SignalInterner.adopt(sig_index, sig_names)
-
-        residue = 0
-        for mono in current:
-            residue |= mono
-        residue &= ~compiled.pi_ones
-        if residue:
-            # Inputs declared after compilation still count as inputs.
-            declared_inputs = set(netlist.inputs)
-            leftovers = [
-                name
-                for name in interner.names_of(residue)
-                if name not in declared_inputs
-            ]
-            if leftovers:
-                raise BackwardRewriteError(
-                    f"rewriting {output!r} left non-input variables "
-                    f"{sorted(leftovers)[:5]} — netlist is not a complete "
-                    "combinational cone"
                 )
 
         stats.iterations = iterations
         stats.cone_gates = touched
         stats.eliminated_monomials = eliminated_total
         stats.peak_terms = peak_terms
-        stats.final_terms = len(current)
-        return PackedExpression(current, interner), stats
+        return current

@@ -8,12 +8,11 @@ interner is the only component that still knows the names, so it also
 owns the decode direction (mask → :data:`~repro.gf2.monomial.Monomial`)
 used at the API boundary.
 
-Index assignment is first-seen order.  During backward rewriting the
-output variable is interned first and every other signal on first
-occurrence in a gate model, so indices roughly follow the reverse
-topological order of the cone: a signal's bit is allocated shortly
-before its driver gate eliminates it again, which keeps the live
-bitmasks compact.
+Index assignment is first-seen order.  The packed engines intern the
+netlist's leaves first, in one order every cone shares, and number
+the AIG node variables of a cone above them as the backward walk meets
+them, so a variable's bit is allocated shortly before its node is
+eliminated again, which keeps the live bitmasks compact.
 """
 
 from __future__ import annotations

@@ -118,5 +118,6 @@ def _cached_model(
 
 
 def gate_model(gate: Gate) -> FrozenSet[Monomial]:
-    """Monomial set of a gate's model (cached; the engine's hot path)."""
+    """Monomial set of a gate's model (cached; the reference engine's
+    hot path — the packed engines model AIG nodes instead)."""
     return _cached_model(gate.gtype, gate.inputs)

@@ -144,10 +144,15 @@ class TestFaultInjected:
         netlist = synthesize(
             generate_mastrovito(0b100011011), use_xor_cells=False
         )
+        engine = VectorEngine()
         with pytest.raises(TermLimitExceeded):
-            VectorEngine().rewrite_cones(
+            engine.rewrite_cones(
                 netlist, list(netlist.outputs), term_limit=8
             )
+        program = engine._compiled_for(netlist)
+        assert any(  # the forced bound leaves live nodes unflattened
+            node not in program.flats for node in program.aig.live_nodes()
+        )
 
 
 class TestMatrixLoopStress:
@@ -165,12 +170,17 @@ class TestMatrixLoopStress:
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"
         )
+        engine = VectorEngine()
         fused = extract_irreducible_polynomial(
-            netlist, engine=VectorEngine(), fused=True
+            netlist, engine=engine, fused=True
         )
         assert fused.modulus == reference.modulus
         for bit in range(reference.m):
             assert fused.expression_of(bit) == reference.expression_of(bit)
+        program = engine._compiled_for(netlist)
+        assert any(  # the forced bound leaves live nodes unflattened
+            node not in program.flats for node in program.aig.live_nodes()
+        )
 
     def test_steady_state_reuses_fused_tables(self):
         """Later sweeps — including different output subsets, the

@@ -64,6 +64,13 @@ def force_matrix_loop(monkeypatch):
     import repro.engine.aig as aig_module
 
     monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
+    # The forced state must hold: a program compiled now keeps live
+    # nodes unflattened.
+    probe = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
+    program = VectorEngine()._compiled_for(probe)
+    assert any(
+        node not in program.flats for node in program.aig.live_nodes()
+    )
 
 
 def spans_named(sink, name):

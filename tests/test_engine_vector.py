@@ -141,8 +141,11 @@ class TestFailureModes:
         netlist = synthesize(
             generate_mastrovito(0b10011), use_xor_cells=False
         )
-        _, stats = backward_rewrite(
-            netlist, "z0", engine=VectorEngine(), trace=True
+        engine = VectorEngine()
+        _, stats = backward_rewrite(netlist, "z0", engine=engine, trace=True)
+        program = engine._compiled_for(netlist)
+        assert any(  # the forced bound leaves live nodes unflattened
+            node not in program.flats for node in program.aig.live_nodes()
         )
         assert stats.iterations > 0
         assert len(stats.trace) == stats.iterations
@@ -173,8 +176,11 @@ class TestMatrixLoopStress:
             netlist, engine="reference"
         )
         # Fresh instance: it must compile *under* the shrunken bound.
-        vector = extract_irreducible_polynomial(
-            netlist, engine=VectorEngine()
+        engine = VectorEngine()
+        vector = extract_irreducible_polynomial(netlist, engine=engine)
+        program = engine._compiled_for(netlist)
+        assert any(  # the forced bound leaves live nodes unflattened
+            node not in program.flats for node in program.aig.live_nodes()
         )
         assert vector.modulus == reference.modulus
         assert vector.member_bits == reference.member_bits
@@ -311,6 +317,10 @@ class TestCompiledProgramCache:
         ).read_bytes()
         assert stored_after != stored_before  # models travelled along
 
+        program = engine._compiled_for(netlist)
+        assert any(  # the forced bound leaves live nodes unflattened
+            node not in program.flats for node in program.aig.live_nodes()
+        )
         fresh = VectorEngine()
         program = fresh._compiled_for(netlist, compile_cache=cache)
         assert len(program._models) > 0

@@ -11,12 +11,12 @@ from functools import lru_cache
 
 import pytest
 
-from repro.engine.bitpack import BitpackEngine
 from repro.gf2.parse import parse_poly
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
 from repro.netlist.netlist import Netlist
 from repro.rewrite import gate_models
+from repro.rewrite.backward import backward_rewrite
 from repro.rewrite.gate_models import gate_model, gate_model_poly
 
 _NARY_TYPES = [
@@ -109,8 +109,10 @@ class TestCaching:
     def test_compiling_past_the_bound_keeps_the_cache_bounded(
         self, monkeypatch
     ):
-        """Compiling netlists with more distinct gates than the bound
-        evicts instead of growing (a small bound stands in for 2^17)."""
+        """Rewriting netlists with more distinct gates than the bound
+        evicts instead of growing (a small bound stands in for 2^17).
+        The reference engine reads gate models; the packed engines
+        work on the strashed graph instead."""
         small = lru_cache(maxsize=8)(gate_models._cached_model.__wrapped__)
         monkeypatch.setattr(gate_models, "_cached_model", small)
         for k in range(6):
@@ -118,7 +120,7 @@ class TestCaching:
             net.add_gate(Gate(f"t{k}", GateType.NAND, (f"a{k}", f"b{k}")))
             net.add_gate(Gate(f"u{k}", GateType.XOR, (f"t{k}", f"b{k}")))
             net.add_gate(Gate(f"y{k}", GateType.OR, (f"t{k}", f"u{k}")))
-            BitpackEngine().prepare(net)
+            backward_rewrite(net, f"y{k}")
         info = small.cache_info()
         assert info.misses == 18
         assert info.currsize <= info.maxsize == 8
