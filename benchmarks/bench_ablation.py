@@ -7,8 +7,9 @@ Two knobs of our substrate affect extraction cost but not function:
   gates in reverse topological order either way; the ablation measures
   how much the tree shape moves runtime and peak term counts.
 * **Redundancy + synthesis pipeline stages** — from raw decorated
-  netlists through constprop/strash/xor-rebalance/mapping, how does
-  each stage change the extraction cost?  (Table III measures the two
+  netlists through the AIG passes (strash with constant propagation,
+  XOR balancing, AND balancing) and technology mapping, how does each
+  stage change the extraction cost?  (Table III measures the two
   endpoints; this bench fills in the curve.)
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import JOBS, emit, sizes
+from repro.aig import Aig, balance_and_trees, balance_xor_trees
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -24,10 +26,7 @@ from repro.fieldmath.irreducible import default_irreducible
 from repro.fieldmath.polynomial_db import PAPER_POLYNOMIALS
 from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.redundancy import decorate_with_redundancy
-from repro.synth.constprop import propagate_constants
 from repro.synth.mapping import technology_map
-from repro.synth.strash import structural_hash
-from repro.synth.xor_opt import rebalance_xor_trees
 
 #: Full paper-scale harness - excluded from quick CI runs.
 pytestmark = pytest.mark.slow
@@ -91,36 +90,27 @@ def test_tree_shape_report():
         assert rows["chain"]["depth"] >= rows["balanced"]["depth"]
 
 
+def _strashed(net):
+    """Decorate, then build the AIG: strash and constprop by construction."""
+    return Aig.from_netlist(decorate_with_redundancy(net))
+
+
+def _balanced(net):
+    return balance_and_trees(balance_xor_trees(_strashed(net)))
+
+
 #: The synthesis pipeline unrolled stage by stage.
 _STAGES = [
-    ("raw+redundancy", lambda net: decorate_with_redundancy(net)),
+    ("raw+redundancy", decorate_with_redundancy),
+    ("+strash", lambda net: _strashed(net).to_netlist()),
     (
-        "+constprop",
-        lambda net: propagate_constants(decorate_with_redundancy(net)),
+        "+xor-balance",
+        lambda net: balance_xor_trees(_strashed(net)).to_netlist(),
     ),
-    (
-        "+strash",
-        lambda net: structural_hash(
-            propagate_constants(decorate_with_redundancy(net))
-        ),
-    ),
-    (
-        "+xor-rebalance",
-        lambda net: rebalance_xor_trees(
-            structural_hash(
-                propagate_constants(decorate_with_redundancy(net))
-            )
-        ),
-    ),
+    ("+and-balance", lambda net: _balanced(net).to_netlist()),
     (
         "+tech-map",
-        lambda net: technology_map(
-            rebalance_xor_trees(
-                structural_hash(
-                    propagate_constants(decorate_with_redundancy(net))
-                )
-            )
-        ),
+        lambda net: technology_map(_balanced(net).to_netlist()),
     ),
 ]
 
@@ -167,8 +157,8 @@ def test_pipeline_stage_report():
     emit("ablation_pipeline_stages", table.render())
 
     # Shape: strash removes the decoration, so gate count drops
-    # sharply between +constprop and +strash at every size.
+    # sharply between raw+redundancy and +strash at every size.
     for m in {row["m"] for row in _STAGE_ROWS}:
         rows = {r["stage"]: r for r in _STAGE_ROWS if r["m"] == m}
-        if {"+constprop", "+strash"} <= set(rows):
-            assert rows["+strash"]["eqns"] < rows["+constprop"]["eqns"]
+        if {"raw+redundancy", "+strash"} <= set(rows):
+            assert rows["+strash"]["eqns"] < rows["raw+redundancy"]["eqns"]

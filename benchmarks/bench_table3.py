@@ -8,10 +8,11 @@ cones.
 Here: the raw generator output is emulated by redundancy decoration
 (double-inverter pairs + buffered outputs — exactly what raw generator
 netlists carry and ABC removes); the ABC flow is our
-``synthesize()`` pipeline (constprop + strash + XOR rebalancing +
-technology mapping).  Asserted shape: extraction recovers P(x) on the
-mapped netlists, and the synthesized versions extract no slower than
-the redundant flat versions.
+``synthesize()`` pipeline (the AIG passes — strash with constant
+propagation, XOR and AND balancing — then technology mapping).
+Asserted shape: extraction recovers P(x) on the mapped netlists, and
+the synthesized versions extract no slower than the redundant flat
+versions.
 """
 
 from __future__ import annotations

@@ -46,7 +46,8 @@ cut-based rewriting engine (:mod:`repro.engine.aig`).
 Shared by
 ---------
 * ``repro.synth`` — :func:`~repro.synth.pipeline.synthesize` builds
-  the AIG once (constprop + strash + sweep fall out of construction),
+  the AIG once (constant propagation, strash and the dead-node sweep
+  fall out of construction),
   balances it, and hands the result to technology mapping; and
   :func:`~repro.synth.strash.structural_hash` uses AIG literal
   identity as its one and only equivalence oracle;

@@ -1,11 +1,10 @@
 """XOR- and AND-tree rebalancing as AIG→AIG passes.
 
 GF(2^m) multipliers are dominated by XOR trees, and naive elaboration
-produces linear-depth chains.  The netlist-level pass
-(:mod:`repro.synth.xor_opt`) collects each maximal single-fanout XOR
-tree into its leaf multiset, cancels duplicate leaves mod 2, and
-re-emits a balanced tree; this module is the same transformation on
-the AIG, where it is both simpler and stronger:
+produces linear-depth chains.  :func:`balance_xor_trees` collects
+each maximal single-fanout XOR tree into its leaf multiset, cancels
+duplicate leaves mod 2, and re-emits a balanced tree.  On the AIG this
+is both simpler and stronger than over named nets:
 
 * fanin complements are already pulled to the edges, so XNOR chains
   participate in the same trees;

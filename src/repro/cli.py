@@ -54,12 +54,6 @@ sweep over uint64 mask matrices).  Every registered engine parses;
 selecting one whose dependency is missing fails with the registry's
 recorded reason (e.g. "numpy is not installed"), not a bare "unknown
 engine".
-
-``--max-ram BYTES`` (workload commands, with K/M/G/T suffixes) caps
-the fused sweep's live bit-matrix: past the budget the ``vector``
-engine spills to on-disk tag-range shards and streams the sweep out
-of core — bit-identical results, bounded resident set.  See the
-README's "Past the memory wall" section.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.xor_count import figure1_report
 from repro.engine import DEFAULT_ENGINE, registered_engines
-from repro.engine.spill import parse_byte_size
 from repro.extract.extractor import (
     ExtractionError,
     extract_irreducible_polynomial,
@@ -133,28 +126,51 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+_SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
+
+
 def _byte_size(text: str) -> int:
-    """argparse type for --max-ram: '512M', '2G', plain bytes, ..."""
+    """argparse type for --max-rss: '512M', '2GiB', '1.5k', plain bytes.
+
+    An optional single ``K``/``M``/``G``/``T`` suffix (binary
+    multiples, case-insensitive, optional trailing ``B``/``iB``).
+    """
+    cleaned = str(text).strip().lower()
+    for tail in ("ib", "b"):
+        stem = cleaned[: -len(tail)]
+        if cleaned.endswith(tail) and stem[-1:] in _SIZE_SUFFIXES:
+            cleaned = stem
+            break
+    factor = 1
+    if cleaned[-1:] in _SIZE_SUFFIXES:
+        factor = _SIZE_SUFFIXES[cleaned[-1]]
+        cleaned = cleaned[:-1]
     try:
-        return parse_byte_size(text)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error))
+        value = float(cleaned) if "." in cleaned else int(cleaned)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"cannot parse byte size {text!r} "
+            "(expected e.g. 268435456, 256M, 1G)"
+        ) from None
+    result = int(value * factor)
+    if result <= 0:
+        raise argparse.ArgumentTypeError(
+            f"byte size must be positive, got {text!r}"
+        )
+    return result
 
 
-def _add_max_ram_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-ram",
-        metavar="BYTES",
-        type=_byte_size,
-        default=None,
-        help=(
-            "byte budget for the fused sweep's live bit-matrix "
-            "(suffixes K/M/G/T; e.g. 512M).  Past the budget the "
-            "vector engine spills to on-disk shards and streams the "
-            "sweep out of core — results stay bit-identical.  "
-            "Default: REPRO_SWEEP_MAX_BYTES, else unlimited"
-        ),
-    )
+def _non_negative_int(text: str) -> int:
+    """argparse type for the cache budgets: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
 
 
 def _add_fused_argument(parser: argparse.ArgumentParser) -> None:
@@ -268,7 +284,6 @@ def _run_eco(
             jobs=args.jobs,
             term_limit=args.term_limit,
             fused=args.fused,
-            max_bytes=args.max_ram,
             audit=audit,
             diagnose_on_failure=(
                 audit and not getattr(args, "no_diagnose", False)
@@ -299,7 +314,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         term_limit=args.term_limit,
         engine=args.engine,
         fused=args.fused,
-        max_bytes=args.max_ram,
     )
     print(f"P(x) = {result.polynomial_str}")
     if not result.irreducible:
@@ -320,7 +334,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         measure_memory=args.jobs == 1,
         engine=args.engine,
         fused=args.fused,
-        max_bytes=args.max_ram,
     )
     verification = verify_multiplier(netlist, result, engine=args.engine)
     print(
@@ -338,7 +351,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         netlist,
         map_cells=not args.no_map,
         use_xor_cells=not args.nand_only,
-        ir=args.ir,
     )
     out_fmt = _infer_format(args.output, args.format)
     _WRITERS[out_fmt](optimized, args.output)
@@ -359,7 +371,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         find_counterexample=not args.no_counterexample,
         engine=args.engine,
         fused=args.fused,
-        max_bytes=args.max_ram,
     )
     print(diagnosis.render())
     return 0 if diagnosis.is_clean else 1
@@ -403,7 +414,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             checkpoint=not args.no_checkpoint,
             fused=args.fused,
-            max_bytes=args.max_ram,
             retries=args.retries,
             deadline_s=args.deadline,
             max_rss_bytes=args.max_rss,
@@ -445,11 +455,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.service.cache import ResultCache
 
-    cache = ResultCache(
-        args.cache_dir,
-        max_entries=args.max_entries,
-        max_bytes=args.max_bytes,
-    )
+    try:
+        cache = ResultCache(
+            args.cache_dir,
+            max_entries=args.max_entries,
+            max_bytes=args.max_bytes,
+        )
+    except ValueError as error:  # a malformed REPRO_CACHE_MAX_* budget
+        raise SystemExit(f"error: {error}")
     if args.action == "stats":
         print(cache.stats())
     elif args.action == "prune":
@@ -617,7 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fallback_argument(extract)
     _add_engine_argument(extract)
     _add_fused_argument(extract)
-    _add_max_ram_argument(extract)
     _add_trace_argument(extract)
     extract.set_defaults(func=_cmd_extract)
 
@@ -632,7 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fallback_argument(audit)
     _add_engine_argument(audit)
     _add_fused_argument(audit)
-    _add_max_ram_argument(audit)
     _add_trace_argument(audit)
     audit.set_defaults(func=_cmd_audit)
 
@@ -663,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fallback_argument(eco)
     _add_engine_argument(eco)
     _add_fused_argument(eco)
-    _add_max_ram_argument(eco)
     _add_trace_argument(eco)
     eco.set_defaults(func=_cmd_eco)
 
@@ -672,15 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("-o", "--output", required=True)
     synth.add_argument("--no-map", action="store_true")
     synth.add_argument("--nand-only", action="store_true")
-    synth.add_argument(
-        "--ir",
-        choices=["aig", "netlist"],
-        default="aig",
-        help=(
-            "optimization IR: hash-consed AIG passes (default) or the "
-            "legacy gate-level passes"
-        ),
-    )
     synth.add_argument("--format", choices=sorted(_READERS), default=None)
     synth.set_defaults(func=_cmd_synth)
 
@@ -695,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fallback_argument(diag)
     _add_engine_argument(diag)
     _add_fused_argument(diag)
-    _add_max_ram_argument(diag)
     _add_trace_argument(diag)
     diag.set_defaults(func=_cmd_diagnose)
 
@@ -800,7 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fallback_argument(batch)
     _add_engine_argument(batch)
     _add_fused_argument(batch)
-    _add_max_ram_argument(batch)
     _add_trace_argument(batch)
     batch.set_defaults(func=_cmd_batch)
 
@@ -853,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-entries",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help=(
             "entry budget for prune (default: REPRO_CACHE_MAX_ENTRIES); "
@@ -862,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument(
         "--max-bytes",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help=(
             "size budget in bytes for prune (default: "

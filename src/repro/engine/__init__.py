@@ -76,11 +76,6 @@ Backends
     optional — the backend is availability-probed, and every other
     backend serves ``rewrite_cones`` through its per-bit loop, so
     ``fused=True`` degrades cleanly without numpy.
-    The fused sweep is additionally **memory-budgeted**: under
-    ``REPRO_SWEEP_MAX_BYTES`` / ``max_bytes=`` / ``--max-ram`` the
-    live matrix spills to on-disk tag-range shards and rounds stream
-    out of core (``benchmarks/bench_outofcore.py`` /
-    ``BENCH_outofcore.json``).
 
 Compiling backends (bitpack, aig, vector) additionally persist their
 one-time per-netlist compile through the ``compile_cache=`` hook

@@ -133,7 +133,6 @@ class Engine(abc.ABC):
         outputs: Iterable[str],
         term_limit: Optional[int] = None,
         compile_cache: Optional[Any] = None,
-        max_bytes: Optional[int] = None,
     ) -> "dict[str, Tuple[ConeExpression, RewriteStats]]":
         """Algorithm 1 on several output cones of one netlist.
 
@@ -144,9 +143,7 @@ class Engine(abc.ABC):
         ``vector`` engine rewrites all cones in one tagged bit-matrix)
         override this; callers reach it through ``fused=True`` on
         :func:`repro.rewrite.parallel.extract_expressions` and degrade
-        cleanly to this loop everywhere else.  ``max_bytes`` caps the
-        fused sweep's live matrix (the out-of-core tier); per-bit
-        backends have no single shared matrix and ignore it.
+        cleanly to this loop everywhere else.
         """
         # Forward the cache only when one was given, mirroring
         # :meth:`rewrite`: ad-hoc backends written against the

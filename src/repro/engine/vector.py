@@ -29,8 +29,7 @@ cones in one matrix: every row carries an **output tag** in an extra
 trailing word (the lexsort's primary key, so cancelled matrices come
 out grouped by cone), and one bit-matrix holds every output's
 polynomial at once.  The sweep runs in *rounds*: each round claims,
-per row, the
-highest pending (interned, non-leaf) variable present in that row,
+per row, the highest pending (interned, non-leaf) variable present in that row,
 substitutes every claimed group with one broadcast each, and cancels
 the whole matrix once — the lexsort keys on (tag, monomial), so
 cancellation stays strictly per-cone while the walk over the shared
@@ -45,39 +44,10 @@ through ``fused=True`` on the extraction drivers; the per-bit entry
 point :meth:`rewrite_cone` is the ``aig`` engine's own loop, results
 and statistics alike.
 
-Past the memory wall: the out-of-core sweep
--------------------------------------------
-The paper's hard ceiling is memory-out, and in fused mode the whole
-intermediate polynomial is exactly one matrix — so the matrix is the
-unit that spills.  Give the sweep a byte budget
-(``REPRO_SWEEP_MAX_BYTES`` / ``max_bytes=`` / ``--max-ram``) and,
-between rounds, a matrix past half the budget is tiled into
-**per-tag-range shards** on disk (:mod:`repro.engine.spill`).  The
-tag word is the lexsort's *primary* key, so a contiguous tag range is
-closed under cancellation: no row in one shard can ever cancel
-against a row in another, and each shard is a self-contained sorted
-matrix.  A spilled round then streams shard by shard — load one
-shard, claim and substitute exactly as in core, cancel products into
-a bounded accumulator that overflows into sorted **run** files, and
-finish with a k-way parity merge (:func:`repro.engine.spill.
-merge_parity`) of the untouched remainder, the runs, and the
-accumulator back into a fresh shard.  Peak residency is one shard
-plus one accumulator (~budget/2) instead of the whole matrix; the
-budget therefore bounds the *intermediate*, while the final canonical
-matrix — small by comparison, it is the answer — is materialized for
-decode.  When the total shrinks back under half the budget the
-shards are re-concatenated (tag order makes the concatenation
-sorted) and the sweep continues in core.  Statistics stay exact:
-shards partition the tag space, so per-cone counters never double-
-count.  Spill directories are removed on success *and* on error, and
-a round is all-or-nothing per shard, so the mode-neutral sweep-chunk
-checkpoints in ``service/jobs.py`` resume a killed out-of-core run
-the same way they resume an in-core one.
-
 Results are bit-identical to the reference backend (the differential
-suite drives all packed engines across the generator zoo, in-core and
-spilled); statistics and the memory-out point are backend-specific,
-as the engine contract allows.
+suite drives all packed engines across the generator zoo); statistics
+and the memory-out point are backend-specific, as the engine contract
+allows.
 
 numpy is an *optional* dependency: :meth:`VectorEngine.availability`
 reports why the backend is unusable (``None`` when it is), the
@@ -93,7 +63,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
-from repro.engine import spill as _spill
 from repro.engine.aig import AigEngine
 from repro.engine.base import EngineError
 from repro.engine.bitpack import PackedExpression
@@ -149,9 +118,7 @@ def _pack_model(model, leaf_bits, intern) -> List[int]:
 
     Flat parts arrive as ready PI-space masks; opaque nodes resolve
     through the shared leaf table or intern via ``intern`` — a newly
-    interned node simply joins a later round's claim scan.  Shared by
-    the in-core and spilled rounds so the packing rules cannot
-    diverge.
+    interned node simply joins a later round's claim scan.
     """
     masks: List[int] = []
     for pi_mask, opaque_nodes in model:
@@ -188,22 +155,6 @@ def _cancel_mod2(rows: "Any") -> "Any":
     return ordered[starts[(lengths & 1).astype(bool)]]
 
 
-def _row_keys(rows: "Any") -> "Any":
-    """Rows as fixed-width byte strings sorting like the lexsort.
-
-    ``_cancel_mod2`` leaves matrices in ``lexsort(rows.T)`` order —
-    the *last* column is the primary key — so reversing the columns
-    and storing each word big-endian yields byte strings whose
-    bytewise comparison reproduces that order exactly (and whose
-    equality is exact row equality).  These keys give the out-of-core
-    k-way merge its comparison order.
-    """
-    swapped = _np.ascontiguousarray(rows[:, ::-1]).astype(">u8")
-    return _np.frombuffer(
-        swapped.tobytes(), dtype=f"S{8 * rows.shape[1]}"
-    )
-
-
 def _or_mask_int(rows: "Any") -> int:
     """OR-reduce rows into one python int bitmask (the live image).
 
@@ -232,94 +183,6 @@ def _widen_rows(rows: "Any", words: int, grown: int) -> "Any":
             rows[:, words:],
         ]
     )
-
-
-class _Shard:
-    """One spilled tag-range chunk of the fused matrix.
-
-    ``or_mask`` is the OR image of the shard's mask words (tag
-    excluded) — the spilled round's liveness test without touching
-    disk; ``counts`` the per-tag row counts (zero outside the shard's
-    range).  Shards partition the tag space, so summing either across
-    shards is exact.
-    """
-
-    __slots__ = ("file", "or_mask", "counts")
-
-    def __init__(self, file: "_spill.RowFile", or_mask: int, counts: "Any"):
-        self.file = file
-        self.or_mask = or_mask
-        self.counts = counts
-
-
-def _write_shards(
-    rows: "Any",
-    n_roots: int,
-    shard_budget: int,
-    directory: "_spill.SpillDir",
-) -> List[_Shard]:
-    """Tile a sorted tagged matrix into on-disk tag-range shards.
-
-    Cuts happen only at tag boundaries (cancellation closure), packed
-    greedily up to ``shard_budget`` bytes; a single cone whose slice
-    alone exceeds the budget gets an oversized shard of its own — the
-    budget must exceed the largest single cone's working set, which
-    the README documents as the knob's floor.  ``rows`` may be a
-    memmap; blocks stream through bounded host copies.
-    """
-    tags = _np.asarray(rows[:, -1], dtype=_np.uint64)
-    bounds = tags.searchsorted(_np.arange(n_roots + 1, dtype=_np.uint64))
-    row_bytes = rows.shape[1] * 8
-    cuts = [0]
-    pending = 0
-    for tag in range(n_roots):
-        segment = int(bounds[tag + 1] - bounds[tag])
-        if pending and (pending + segment) * row_bytes > shard_budget:
-            cuts.append(int(bounds[tag]))
-            pending = 0
-        pending += segment
-    total = int(rows.shape[0])
-    if cuts[-1] != total:
-        cuts.append(total)
-    shards: List[_Shard] = []
-    for start, end in zip(cuts, cuts[1:]):
-        if end == start:
-            continue
-        spilled = _spill.RowFile(
-            directory.next_file("shard"), rows.shape[1]
-        )
-        or_mask = 0
-        for block_start in range(start, end, _spill.MERGE_BLOCK_ROWS):
-            block_end = min(block_start + _spill.MERGE_BLOCK_ROWS, end)
-            block = _np.asarray(
-                rows[block_start:block_end], dtype=_np.uint64
-            )
-            spilled.append(block)
-            or_mask |= _or_mask_int(block[:, :-1])
-        spilled.close()
-        counts = _np.diff(_np.clip(bounds, start, end)).astype(_np.int64)
-        shards.append(_Shard(spilled, or_mask, counts))
-    return shards
-
-
-def _load_shards(shards: List[_Shard], words: int) -> "Any":
-    """Concatenate shards back into one in-core matrix (and delete).
-
-    Shards are stored in tag order and each is internally sorted with
-    the tag as primary key, so the concatenation is already in global
-    lexsort order — no re-cancellation needed.
-    """
-    parts: List[Any] = []
-    for shard in shards:
-        loaded = _np.array(shard.file.open(), dtype=_np.uint64)
-        if loaded.shape[1] < words + 1:
-            loaded = _widen_rows(loaded, loaded.shape[1] - 1, words)
-        if loaded.shape[0]:
-            parts.append(loaded)
-        shard.file.delete()
-    if not parts:
-        return _np.zeros((0, words + 1), dtype=_np.uint64)
-    return _np.concatenate(parts)
 
 
 class _MatrixExpression(PackedExpression):
@@ -409,16 +272,12 @@ class VectorEngine(AigEngine):
         outputs: Iterable[str],
         term_limit: Optional[int] = None,
         compile_cache: Optional[Any] = None,
-        max_bytes: Optional[int] = None,
     ) -> Dict[str, Tuple[PackedExpression, RewriteStats]]:
         """All requested cones in one fused substitution sweep.
 
         Flat outputs take the same fast path the per-bit engines use;
         the rest share one output-tagged bit-matrix (see the module
-        docstring).  ``max_bytes`` (or ``REPRO_SWEEP_MAX_BYTES``)
-        caps the live matrix: past half the budget the sweep goes
-        out of core and streams rounds over on-disk tag-range shards.
-        Expressions are bit-identical to the per-bit
+        docstring).  Expressions are bit-identical to the per-bit
         sweep; per-cone statistics are round-based and each cone's
         ``runtime_s`` is its attributed slice of the shared sweep:
         round time proportional to the rows the cone claimed, plus an
@@ -431,7 +290,6 @@ class VectorEngine(AigEngine):
                 "use engine='aig' or 'bitpack' instead "
                 "(or fused=False for the per-bit path)"
             )
-        budget = _spill.resolve_sweep_budget(max_bytes)
         chosen = list(outputs)
         compiled = self._compiled_for(netlist, compile_cache)
         results: Dict[str, Tuple[PackedExpression, RewriteStats]] = {}
@@ -452,15 +310,10 @@ class VectorEngine(AigEngine):
                 roots.append((output, literal >> 1, literal & 1))
         if roots:
             with _telemetry.current().span(
-                "sweep",
-                engine=self.name,
-                roots=len(roots),
-                max_bytes=budget,
+                "sweep", engine=self.name, roots=len(roots)
             ):
                 results.update(
-                    self._rewrite_fused(
-                        netlist, compiled, roots, term_limit, budget
-                    )
+                    self._rewrite_fused(netlist, compiled, roots, term_limit)
                 )
         return {output: results[output] for output in chosen}
 
@@ -470,7 +323,6 @@ class VectorEngine(AigEngine):
         compiled: Any,
         roots: List[Tuple[str, int, int]],
         term_limit: Optional[int],
-        budget: Optional[int],
     ) -> Dict[str, Tuple[PackedExpression, RewriteStats]]:
         """The shared sweep over every non-flat root.
 
@@ -484,10 +336,6 @@ class VectorEngine(AigEngine):
         one broadcast, and cancels the whole matrix once; the sort
         keys include the tag word, so cancellation never crosses a
         cone boundary (Theorem 2).
-
-        Under a byte ``budget`` the matrix spills to tag-range shards
-        and rounds stream shard by shard (module docstring, "Past the
-        memory wall").
         """
         started = time.perf_counter()
         n_roots = len(roots)
@@ -588,9 +436,6 @@ class VectorEngine(AigEngine):
         # average) and still sums to the sweep's wall clock.
         tag_seconds = [0.0] * n_roots
         accounted = 0.0
-        spill_dir: Optional[_spill.SpillDir] = None
-        shards: Optional[List[_Shard]] = None
-        shard_budget = max(1, budget // 4) if budget is not None else 0
 
         def claim_items(live_mask: int) -> List[Tuple[int, int]]:
             """Live (node, bit) pairs, highest node id first.
@@ -609,528 +454,174 @@ class VectorEngine(AigEngine):
                 key=lambda item: -item[0],
             )
 
-        def note_claims(group_of: "Any", claim_tags: "Any") -> None:
-            """Per-cone round bookkeeping.
+        while matrix.shape[0]:
+            # One OR-reduce answers "does any pending variable survive
+            # anywhere" — the common exit — and doubles as the residue
+            # image of the finished matrix.
+            live_mask = _or_mask_int(matrix[:, :-1])
+            if not live_mask >> leaf_count:
+                survivors = live_mask
+                break  # only leaf bits remain anywhere
+            telemetry.gauge("sweep.resident_bytes", int(matrix.nbytes))
 
-            Tags are disjoint across shards — each cone lives in
-            exactly one — so calling this once per shard never
-            double-counts a (round, variable, cone) triple.
-            """
+            round_span = telemetry.span(
+                "sweep.round",
+                round=round_index,
+                rows=int(matrix.shape[0]),
+            )
+            round_span.__enter__()
+
+            # Claim, per row, the highest pending variable it holds.
+            # One gather + shift answers every (row, variable) pair,
+            # restricted to the variables the OR image proved live.
+            var_items = claim_items(live_mask)
+            var_bits = _np.fromiter(
+                (index for _, index in var_items),
+                dtype=_np.int64,
+                count=len(var_items),
+            )
+            var_cols = var_bits // _WORD_BITS
+            var_shift = (var_bits % _WORD_BITS).astype(_np.uint64)
+            strip = _np.uint64(_WORD_MASK) ^ (one << var_shift)
+            presence = (
+                (matrix[:, var_cols] >> var_shift[None, :]) & one
+            ).astype(bool)
+            has_var = presence.any(axis=1)
+            first = presence.argmax(axis=1)  # highest id per row
+
+            # Pack every claimed model first: interning may allocate
+            # fresh bits (new opaque nodes join later rounds) and the
+            # matrix must be widened before any row is combined.
+            group_of = first[has_var]
+            used_groups = _np.unique(group_of).tolist()
+            for group in used_groups:
+                node, var_index = var_items[int(group)]
+                if var_index in packed_models:
+                    continue
+                # A node interned here (no scheduling hook needed)
+                # simply joins a later round's scan.
+                packed_models[var_index] = _pack_model(
+                    model_of(node), leaf_bits, intern_node
+                )
+            needed = (len(sig_names) + _WORD_BITS - 1) // _WORD_BITS
+            if needed > words:
+                grown = needed + 1
+                matrix = _widen_rows(matrix, words, grown)
+                words = grown
+
+            # One concatenated model table for the round, plus offsets,
+            # so the substitution below is a single repeat + gather.
+            model_offset = _np.zeros(len(var_items), dtype=_np.int64)
+            model_count = _np.zeros(len(var_items), dtype=_np.int64)
+            tables: List[Any] = []
+            offset = 0
+            for group in used_groups:
+                _node, var_index = var_items[int(group)]
+                table = table_of(var_index)
+                tables.append(table)
+                model_offset[int(group)] = offset
+                model_count[int(group)] = table.shape[0]
+                offset += int(table.shape[0])
+            models = _np.concatenate(tables)
+
+            claimed = matrix[has_var]  # boolean indexing copies
+            current = matrix[~has_var]
+            claimed[
+                _np.arange(claimed.shape[0]), var_cols[group_of]
+            ] &= strip[group_of]
+
+            # Per-cone bookkeeping before the rows multiply.
+            claim_tags = claimed[:, -1].astype(_np.int64)
+            prior = counts_of(current)
+            rep = model_count[group_of]
+            produced = _np.bincount(
+                claim_tags, weights=rep, minlength=n_roots
+            ).astype(_np.int64)
             for pair in _np.unique(group_of * n_roots + claim_tags).tolist():
                 substituted[int(pair) % n_roots] += 1
             for tag in _np.unique(claim_tags).tolist():
                 iterations[int(tag)] += 1
 
-        try:
-            while True:
-                if shards is None:
-                    # ---- in-core mode -------------------------------
-                    if not matrix.shape[0]:
-                        break
-                    # One OR-reduce answers "does any pending variable
-                    # survive anywhere" — the common exit — and doubles
-                    # as the residue image of the finished matrix.
-                    live_mask = _or_mask_int(matrix[:, :-1])
-                    if not live_mask >> leaf_count:
-                        survivors = live_mask
-                        break  # only leaf bits remain anywhere
-                    if (
-                        budget is not None
-                        and int(matrix.nbytes) > budget // 2
-                    ):
-                        # Past half the budget: tile the matrix into
-                        # tag-range shards and go out of core.  The
-                        # other half of the budget stays free for the
-                        # spilled rounds' shard + accumulator.
-                        with telemetry.span(
-                            "sweep.spill", round=round_index
-                        ) as spill_span:
-                            if spill_dir is None:
-                                spill_dir = _spill.SpillDir()
-                            spilled_bytes = int(matrix.nbytes)
-                            shards = _write_shards(
-                                matrix, n_roots, shard_budget, spill_dir
-                            )
-                            spill_span.annotate(
-                                bytes=spilled_bytes, chunks=len(shards)
-                            )
-                        telemetry.counter(
-                            "sweep.spilled_bytes", spilled_bytes
-                        )
-                        matrix = None
-                        continue
-                    telemetry.gauge(
-                        "sweep.resident_bytes", int(matrix.nbytes)
+            # Substitute in chunks: row i expands to its group's model
+            # rows (repeat + gather), the OR multiplies, and each chunk
+            # cancels immediately so the transient stays bounded.
+            cum = _np.concatenate(
+                [
+                    _np.zeros(1, dtype=_np.int64),
+                    _np.cumsum(rep).astype(_np.int64),
+                ]
+            )
+            start = 0
+            while start < claimed.shape[0]:
+                end = int(
+                    _np.searchsorted(
+                        cum,
+                        int(cum[start]) + _CHUNK_ROWS,
+                        side="left",
                     )
-
-                    round_span = telemetry.span(
-                        "sweep.round",
-                        round=round_index,
-                        rows=int(matrix.shape[0]),
-                    )
-                    round_span.__enter__()
-
-                    # Claim, per row, the highest pending variable it
-                    # holds.  One gather + shift answers every
-                    # (row, variable) pair, restricted to the variables
-                    # the OR image proved live.
-                    var_items = claim_items(live_mask)
-                    var_bits = _np.fromiter(
-                        (index for _, index in var_items),
-                        dtype=_np.int64,
-                        count=len(var_items),
-                    )
-                    var_cols = var_bits // _WORD_BITS
-                    var_shift = (var_bits % _WORD_BITS).astype(_np.uint64)
-                    strip = _np.uint64(_WORD_MASK) ^ (one << var_shift)
-                    presence = (
-                        (matrix[:, var_cols] >> var_shift[None, :]) & one
-                    ).astype(bool)
-                    has_var = presence.any(axis=1)
-                    first = presence.argmax(axis=1)  # highest id per row
-
-                    # Pack every claimed model first: interning may
-                    # allocate fresh bits (new opaque nodes join later
-                    # rounds) and the matrix must be widened before any
-                    # row is combined.
-                    group_of = first[has_var]
-                    used_groups = _np.unique(group_of).tolist()
-                    for group in used_groups:
-                        node, var_index = var_items[int(group)]
-                        if var_index in packed_models:
-                            continue
-                        # A node interned here (no scheduling hook
-                        # needed) simply joins a later round's scan.
-                        packed_models[var_index] = _pack_model(
-                            model_of(node), leaf_bits, intern_node
-                        )
-                    needed = (
-                        len(sig_names) + _WORD_BITS - 1
-                    ) // _WORD_BITS
-                    if needed > words:
-                        grown = needed + 1
-                        matrix = _widen_rows(matrix, words, grown)
-                        words = grown
-
-                    # One concatenated model table for the round, plus
-                    # offsets, so the substitution below is a single
-                    # repeat + gather.
-                    model_offset = _np.zeros(
-                        len(var_items), dtype=_np.int64
-                    )
-                    model_count = _np.zeros(
-                        len(var_items), dtype=_np.int64
-                    )
-                    tables: List[Any] = []
-                    offset = 0
-                    for group in used_groups:
-                        _node, var_index = var_items[int(group)]
-                        table = table_of(var_index)
-                        tables.append(table)
-                        model_offset[int(group)] = offset
-                        model_count[int(group)] = table.shape[0]
-                        offset += int(table.shape[0])
-                    models = _np.concatenate(tables)
-
-                    claimed = matrix[has_var]  # boolean indexing copies
-                    current = matrix[~has_var]
-                    claimed[
-                        _np.arange(claimed.shape[0]), var_cols[group_of]
-                    ] &= strip[group_of]
-
-                    # Per-cone bookkeeping before the rows multiply.
-                    claim_tags = claimed[:, -1].astype(_np.int64)
-                    prior = counts_of(current)
-                    rep = model_count[group_of]
-                    produced = _np.bincount(
-                        claim_tags, weights=rep, minlength=n_roots
-                    ).astype(_np.int64)
-                    note_claims(group_of, claim_tags)
-
-                    # Substitute in chunks: row i expands to its
-                    # group's model rows (repeat + gather), the OR
-                    # multiplies, and each chunk cancels immediately so
-                    # the transient stays bounded.
-                    cum = _np.concatenate(
+                )
+                end = max(end - 1, start + 1)
+                rep_part = rep[start:end]
+                with telemetry.span(
+                    "substitute",
+                    round=round_index,
+                    rows=int(end - start),
+                ):
+                    left = _np.repeat(claimed[start:end], rep_part, axis=0)
+                    part_cum = _np.concatenate(
                         [
                             _np.zeros(1, dtype=_np.int64),
-                            _np.cumsum(rep).astype(_np.int64),
+                            _np.cumsum(rep_part).astype(_np.int64),
                         ]
                     )
-                    start = 0
-                    while start < claimed.shape[0]:
-                        end = int(
-                            _np.searchsorted(
-                                cum,
-                                int(cum[start]) + _CHUNK_ROWS,
-                                side="left",
-                            )
+                    within = _np.arange(
+                        int(part_cum[-1]), dtype=_np.int64
+                    ) - _np.repeat(part_cum[:-1], rep_part)
+                    right = models[
+                        _np.repeat(
+                            model_offset[group_of[start:end]],
+                            rep_part,
                         )
-                        end = max(end - 1, start + 1)
-                        rep_part = rep[start:end]
-                        with telemetry.span(
-                            "substitute",
-                            round=round_index,
-                            rows=int(end - start),
-                        ):
-                            left = _np.repeat(
-                                claimed[start:end], rep_part, axis=0
-                            )
-                            part_cum = _np.concatenate(
-                                [
-                                    _np.zeros(1, dtype=_np.int64),
-                                    _np.cumsum(rep_part).astype(_np.int64),
-                                ]
-                            )
-                            within = (
-                                _np.arange(
-                                    int(part_cum[-1]), dtype=_np.int64
-                                )
-                                - _np.repeat(part_cum[:-1], rep_part)
-                            )
-                            right = models[
-                                _np.repeat(
-                                    model_offset[group_of[start:end]],
-                                    rep_part,
-                                )
-                                + within
-                            ]
-                            products = left | right
-                        with telemetry.span(
-                            "cancel",
-                            round=round_index,
-                            rows=int(products.shape[0]),
-                        ):
-                            current = _cancel_mod2(
-                                _np.concatenate([current, products])
-                            )
-                        counts = counts_of(current).astype(_np.int64)
-                        _np.maximum(peaks, counts, out=peaks)
-                        if term_limit is not None:
-                            worst = int(counts.argmax())
-                            if counts[worst] > term_limit:
-                                raise TermLimitExceeded(
-                                    roots[worst][0],
-                                    int(counts[worst]),
-                                    term_limit,
-                                )
-                        start = end
-                    matrix = current
-                    gone = prior + produced - counts_of(matrix)
-                    for tag in range(n_roots):
-                        eliminated[tag] += int(gone[tag])
-
-                    round_span.annotate(
-                        claimed=int(claimed.shape[0]),
-                        produced=int(produced.sum()),
-                        terms=int(matrix.shape[0]),
-                    )
-                    round_span.__exit__(None, None, None)
-                    round_wall = round_span.wall_s
-                    accounted += round_wall
-                    claims = _np.bincount(claim_tags, minlength=n_roots)
-                    total_claims = int(claims.sum())
-                    if total_claims:
-                        shares = claims * (round_wall / total_claims)
-                        for tag in range(n_roots):
-                            tag_seconds[tag] += float(shares[tag])
-                    round_index += 1
-                    continue
-
-                # ---- spilled (out-of-core) mode ---------------------
-                live_mask = 0
-                for shard in shards:
-                    live_mask |= shard.or_mask
-                if not live_mask >> leaf_count:
-                    survivors = live_mask
-                    break
-
-                rows_total = sum(
-                    shard.file.rows for shard in shards
-                )
-                round_span = telemetry.span(
-                    "sweep.round",
+                        + within
+                    ]
+                    products = left | right
+                with telemetry.span(
+                    "cancel",
                     round=round_index,
-                    rows=rows_total,
-                    spilled=True,
-                )
-                round_span.__enter__()
-
-                var_items = claim_items(live_mask)
-                # Pack *every* live model up front: interning settles
-                # the row width before any shard loads, so all of the
-                # round's shards and runs share one width.  (Models
-                # are packed once ever per program either way.)
-                for node, var_index in var_items:
-                    if var_index not in packed_models:
-                        packed_models[var_index] = _pack_model(
-                            model_of(node), leaf_bits, intern_node
+                    rows=int(products.shape[0]),
+                ):
+                    current = _cancel_mod2(
+                        _np.concatenate([current, products])
+                    )
+                counts = counts_of(current).astype(_np.int64)
+                _np.maximum(peaks, counts, out=peaks)
+                if term_limit is not None:
+                    worst = int(counts.argmax())
+                    if counts[worst] > term_limit:
+                        raise TermLimitExceeded(
+                            roots[worst][0], int(counts[worst]), term_limit
                         )
-                needed = (len(sig_names) + _WORD_BITS - 1) // _WORD_BITS
-                if needed > words:
-                    words = needed + 1
-                var_bits = _np.fromiter(
-                    (index for _, index in var_items),
-                    dtype=_np.int64,
-                    count=len(var_items),
-                )
-                var_cols = var_bits // _WORD_BITS
-                var_shift = (var_bits % _WORD_BITS).astype(_np.uint64)
-                strip = _np.uint64(_WORD_MASK) ^ (one << var_shift)
+                start = end
+            matrix = current
+            gone = prior + produced - counts_of(matrix)
+            for tag in range(n_roots):
+                eliminated[tag] += int(gone[tag])
 
-                claimed_round = 0
-                produced_round = 0
-                resident_peak = 0
-                claims_round = _np.zeros(n_roots, dtype=_np.int64)
-                new_shards: List[_Shard] = []
-                for shard in shards:
-                    if not shard.or_mask >> leaf_count:
-                        # Every cone in this shard already finished;
-                        # its rows stay untouched on disk.
-                        new_shards.append(shard)
-                        continue
-                    loaded = _np.array(
-                        shard.file.open(), dtype=_np.uint64
-                    )
-                    if loaded.shape[1] < words + 1:
-                        loaded = _widen_rows(
-                            loaded, loaded.shape[1] - 1, words
-                        )
-                    resident_peak = max(
-                        resident_peak, int(loaded.nbytes)
-                    )
-                    presence = (
-                        (loaded[:, var_cols] >> var_shift[None, :])
-                        & one
-                    ).astype(bool)
-                    has_var = presence.any(axis=1)
-                    if not has_var.any():  # pragma: no cover - or_mask
-                        new_shards.append(shard)  # proved a claim exists
-                        continue
-                    first = presence.argmax(axis=1)
-                    group_of = first[has_var]
-                    claimed = loaded[has_var]
-                    rest = loaded[~has_var]
-                    del loaded, presence, first, has_var
-                    claimed[
-                        _np.arange(claimed.shape[0]),
-                        var_cols[group_of],
-                    ] &= strip[group_of]
-                    claim_tags = claimed[:, -1].astype(_np.int64)
-
-                    used_groups = _np.unique(group_of).tolist()
-                    model_offset = _np.zeros(
-                        len(var_items), dtype=_np.int64
-                    )
-                    model_count = _np.zeros(
-                        len(var_items), dtype=_np.int64
-                    )
-                    tables = []
-                    offset = 0
-                    for group in used_groups:
-                        _node, var_index = var_items[int(group)]
-                        table = table_of(var_index)
-                        tables.append(table)
-                        model_offset[int(group)] = offset
-                        model_count[int(group)] = table.shape[0]
-                        offset += int(table.shape[0])
-                    models = _np.concatenate(tables)
-
-                    rep = model_count[group_of]
-                    produced = _np.bincount(
-                        claim_tags, weights=rep, minlength=n_roots
-                    ).astype(_np.int64)
-                    note_claims(group_of, claim_tags)
-                    claimed_round += int(claimed.shape[0])
-                    produced_round += int(produced.sum())
-                    claims_round += _np.bincount(
-                        claim_tags, minlength=n_roots
-                    )
-
-                    # Substitute into a bounded accumulator; when it
-                    # outgrows its quarter of the budget it flushes to
-                    # a sorted run file — the merge below treats runs
-                    # and the accumulator identically.
-                    acc = _np.zeros((0, words + 1), dtype=_np.uint64)
-                    runs: List[_spill.RowFile] = []
-                    cum = _np.concatenate(
-                        ([0], _np.cumsum(rep))
-                    ).astype(_np.int64)
-                    start = 0
-                    while start < claimed.shape[0]:
-                        end = int(
-                            _np.searchsorted(
-                                cum,
-                                cum[start] + _CHUNK_ROWS,
-                                side="left",
-                            )
-                        )
-                        end = max(end - 1, start + 1)
-                        rep_part = rep[start:end]
-                        with telemetry.span(
-                            "substitute",
-                            round=round_index,
-                            rows=int(end - start),
-                        ):
-                            left = _np.repeat(
-                                claimed[start:end], rep_part, axis=0
-                            )
-                            part_cum = _np.concatenate(
-                                ([0], _np.cumsum(rep_part))
-                            )
-                            within = (
-                                _np.arange(
-                                    part_cum[-1], dtype=_np.int64
-                                )
-                                - _np.repeat(part_cum[:-1], rep_part)
-                            )
-                            right = models[
-                                _np.repeat(
-                                    model_offset[
-                                        group_of[start:end]
-                                    ],
-                                    rep_part,
-                                )
-                                + within
-                            ]
-                            products = left | right
-                        with telemetry.span(
-                            "cancel",
-                            round=round_index,
-                            rows=int(products.shape[0]),
-                        ):
-                            acc = _cancel_mod2(
-                                _np.concatenate([acc, products])
-                            )
-                        if int(acc.nbytes) > shard_budget:
-                            run = _spill.write_rows(
-                                spill_dir.next_file("run"), acc
-                            )
-                            telemetry.counter(
-                                "sweep.spilled_bytes", int(acc.nbytes)
-                            )
-                            runs.append(run)
-                            acc = _np.zeros(
-                                (0, words + 1), dtype=_np.uint64
-                            )
-                        start = end
-                    resident_peak = max(
-                        resident_peak,
-                        int(claimed.nbytes)
-                        + int(rest.nbytes)
-                        + int(acc.nbytes),
-                    )
-                    del claimed
-
-                    # K-way parity merge of the untouched remainder,
-                    # the flushed runs, and the live accumulator back
-                    # into one fresh shard — sorted, cancelled, and
-                    # counted per tag as it streams.
-                    sources: List[Any] = []
-                    if rest.shape[0]:
-                        sources.append(rest)
-                    sources.extend(run.open() for run in runs)
-                    if acc.shape[0]:
-                        sources.append(acc)
-                    merged = _spill.RowFile(
-                        spill_dir.next_file("shard"), words + 1
-                    )
-                    or_mask = 0
-                    after = _np.zeros(n_roots, dtype=_np.int64)
-                    with telemetry.span(
-                        "sweep.merge",
-                        round=round_index,
-                        runs=len(sources),
-                    ) as merge_span:
-                        for block in _spill.merge_parity(
-                            sources, _row_keys, _cancel_mod2
-                        ):
-                            merged.append(block)
-                            or_mask |= _or_mask_int(block[:, :-1])
-                            after += _np.bincount(
-                                block[:, -1].astype(_np.int64),
-                                minlength=n_roots,
-                            )
-                        merged.close()
-                        merge_span.annotate(
-                            rows=merged.rows, bytes=merged.nbytes
-                        )
-                    shard.file.delete()
-                    for run in runs:
-                        run.delete()
-
-                    gone = shard.counts + produced - after
-                    for tag in range(n_roots):
-                        eliminated[tag] += int(gone[tag])
-                    _np.maximum(peaks, after, out=peaks)
-                    if term_limit is not None:
-                        worst = int(after.argmax())
-                        if after[worst] > term_limit:
-                            raise TermLimitExceeded(
-                                roots[worst][0],
-                                int(after[worst]),
-                                term_limit,
-                            )
-
-                    if merged.rows == 0:
-                        merged.delete()
-                    elif (
-                        merged.nbytes > shard_budget
-                        and int((after > 0).sum()) > 1
-                    ):
-                        # The merged shard outgrew its slot and spans
-                        # more than one cone: re-tile it so the next
-                        # round's residency stays bounded.
-                        new_shards.extend(
-                            _write_shards(
-                                merged.open(),
-                                n_roots,
-                                shard_budget,
-                                spill_dir,
-                            )
-                        )
-                        merged.delete()
-                    else:
-                        new_shards.append(
-                            _Shard(merged, or_mask, after)
-                        )
-                shards = new_shards
-
-                telemetry.gauge("sweep.resident_bytes", resident_peak)
-                round_span.annotate(
-                    claimed=claimed_round,
-                    produced=produced_round,
-                    terms=sum(shard.file.rows for shard in shards),
-                )
-                round_span.__exit__(None, None, None)
-                round_wall = round_span.wall_s
-                accounted += round_wall
-                total_claims = int(claims_round.sum())
-                if total_claims:
-                    shares = claims_round * (round_wall / total_claims)
-                    for tag in range(n_roots):
-                        tag_seconds[tag] += float(shares[tag])
-                round_index += 1
-
-                # Shrunk back under half the budget?  Come home: the
-                # shards are in tag order and the tag is the primary
-                # sort key, so concatenation is already sorted.
-                total_bytes = sum(
-                    shard.file.nbytes for shard in shards
-                )
-                if total_bytes <= budget // 2:
-                    matrix = _load_shards(shards, words)
-                    shards = None
-
-            if shards is not None:
-                # The sweep finished out of core; materialize the
-                # canonical matrix (the *answer* — small next to the
-                # intermediates the budget existed to bound).
-                matrix = _load_shards(shards, words)
-                shards = None
-        finally:
-            if spill_dir is not None:
-                spill_dir.cleanup()
+            round_span.annotate(
+                claimed=int(claimed.shape[0]),
+                produced=int(produced.sum()),
+                terms=int(matrix.shape[0]),
+            )
+            round_span.__exit__(None, None, None)
+            round_wall = round_span.wall_s
+            accounted += round_wall
+            claims = _np.bincount(claim_tags, minlength=n_roots)
+            total_claims = int(claims.sum())
+            if total_claims:
+                shares = claims * (round_wall / total_claims)
+                for tag in range(n_roots):
+                    tag_seconds[tag] += float(shares[tag])
+            round_index += 1
 
         # The tag is the sort's primary key, so the cancelled matrix
         # is already grouped by cone: per-cone results are zero-copy

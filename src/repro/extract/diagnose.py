@@ -125,7 +125,6 @@ def diagnose(
     engine: str = "reference",
     cache=None,
     fused: bool = False,
-    max_bytes=None,
 ) -> Diagnosis:
     """Triage a netlist: verified multiplier, buggy, or out of scope.
 
@@ -165,7 +164,6 @@ def diagnose(
             engine=engine,
             cache=cache,
             fused=fused,
-            max_bytes=max_bytes,
         )
     except (ExtractionError, BackwardRewriteError) as error:
         return finish(

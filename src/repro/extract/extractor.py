@@ -151,7 +151,6 @@ def extract_irreducible_polynomial(
     fused: bool = False,
     on_result=None,
     telemetry=None,
-    max_bytes=None,
 ) -> ExtractionResult:
     """Reverse engineer P(x) from a gate-level GF(2^m) multiplier.
 
@@ -172,9 +171,7 @@ def extract_irreducible_polynomial(
     sweep (see :func:`repro.rewrite.parallel.extract_expressions`):
     fastest with ``engine="vector"``, a clean per-bit fallback on
     every other backend, bit-identical results either way.  ``jobs``
-    is ignored in fused mode.  ``max_bytes`` caps the fused sweep's
-    live matrix — past the budget it spills to disk and streams out
-    of core, bit-identical again (``--max-ram`` on the CLI).
+    is ignored in fused mode.
 
     ``on_result`` fires once per completed bit with ``(output, cone,
     stats)`` — the progress feed of the HTTP API's job endpoints —
@@ -210,7 +207,6 @@ def extract_irreducible_polynomial(
         cache=cache,
         fused=fused,
         telemetry=telemetry,
-        max_bytes=max_bytes,
     )
     result = result_from_run(run, m)
     # Stamp after the Algorithm-2 analysis phase so the total covers

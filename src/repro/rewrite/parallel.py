@@ -171,7 +171,6 @@ def extract_expressions(
     cache=None,
     fused: bool = False,
     telemetry: Optional["_telemetry.Telemetry"] = None,
-    max_bytes: Optional[int] = None,
     fused_chunk: Optional[int] = None,
 ) -> ExtractionRun:
     """Extract the canonical GF(2) expression of every output bit.
@@ -222,11 +221,6 @@ def extract_expressions(
     spans nest under it, and ``measure_memory`` rides on the span's
     tracemalloc handling — nested-measurement safe, stopped even when
     a bit raises.
-
-    ``max_bytes`` caps the fused sweep's live bit-matrix (the
-    out-of-core tier of the ``vector`` engine; ``--max-ram`` on the
-    CLI, ``REPRO_SWEEP_MAX_BYTES`` in the environment).  Per-bit runs
-    and backends without a fused matrix ignore it.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     if fused:
@@ -337,21 +331,11 @@ def extract_expressions(
         if not dirty:
             pass  # every requested cone was served from the cache
         elif fused:
-            # Forward the budget only when one was given: ad-hoc
-            # backends written against the pre-budget rewrite_cones
-            # signature keep working.
-            extra = (
-                {"max_bytes": max_bytes} if max_bytes is not None else {}
-            )
             step = max(1, fused_chunk or len(dirty))
             for start in range(0, len(dirty), step):
                 batch = dirty[start : start + step]
                 cones_by_output = backend.rewrite_cones(
-                    work,
-                    batch,
-                    term_limit=term_limit,
-                    compile_cache=cache,
-                    **extra,
+                    work, batch, term_limit=term_limit, compile_cache=cache
                 )
                 fresh = []
                 for output in batch:

@@ -131,6 +131,13 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def _check_budgets(**budgets: Optional[int]) -> None:
+    """Reject negative budgets: truthy, they would evict every entry."""
+    for name, value in budgets.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name}={value!r} is negative")
+
+
 # ----------------------------------------------------------------------
 # JSON codec for the three artifact kinds
 # ----------------------------------------------------------------------
@@ -452,6 +459,7 @@ class ResultCache:
             max_entries = self._int_env(CACHE_MAX_ENTRIES_ENV)
         if max_bytes is None:
             max_bytes = self._int_env(CACHE_MAX_BYTES_ENV)
+        _check_budgets(max_entries=max_entries, max_bytes=max_bytes)
         #: Artifact-entry budget; ``None``/``0`` disables eviction.
         self.max_entries = max_entries or None
         #: Artifact-bytes budget; ``None``/``0`` disables eviction.
@@ -470,11 +478,14 @@ class ResultCache:
         if not env:
             return None
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
+            value = -1
+        if value < 0:
             raise ValueError(
-                f"{variable}={env!r} is not an integer"
-            ) from None
+                f"{variable}={env!r} is not a non-negative integer"
+            )
+        return value
 
     # -- key handling ---------------------------------------------------
 
@@ -1110,6 +1121,7 @@ class ResultCache:
             max_entries = self.max_entries
         if max_bytes is None:
             max_bytes = self.max_bytes
+        _check_budgets(max_entries=max_entries, max_bytes=max_bytes)
         if max_entries is None and max_bytes is None:
             return 0
         aged: List[Tuple[int, int, Path]] = []

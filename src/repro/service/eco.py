@@ -244,7 +244,6 @@ def eco_reverify(
     jobs: int = 1,
     term_limit: Optional[int] = None,
     fused: bool = False,
-    max_bytes: Optional[int] = None,
     audit: bool = True,
     diagnose_on_failure: bool = True,
     telemetry: Optional["_telemetry.Telemetry"] = None,
@@ -268,11 +267,7 @@ def eco_reverify(
     tel = _telemetry.resolve(telemetry)
     started = time.perf_counter()
     options = dict(
-        engine=engine,
-        jobs=jobs,
-        term_limit=term_limit,
-        fused=fused,
-        max_bytes=max_bytes,
+        engine=engine, jobs=jobs, term_limit=term_limit, fused=fused
     )
     with _telemetry.use(tel):
         base = _fingerprint(baseline_path, cache)

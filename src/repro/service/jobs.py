@@ -252,7 +252,6 @@ def checkpointed_extract(
     fused: bool = False,
     fused_chunk: int = FUSED_CHUNK_BITS,
     telemetry=None,
-    max_bytes=None,
     deadline=None,
 ) -> CheckpointedExtraction:
     """:func:`~repro.rewrite.parallel.extract_expressions` with resume.
@@ -280,11 +279,6 @@ def checkpointed_extract(
     unchanged, so fused and per-bit runs resume each other freely.
     The chunks share one compile, and the compiled program (grown by
     every chunk's cut models) is re-stored once, after the last.
-    ``max_bytes`` caps each sweep-chunk's live matrix (the vector
-    engine's out-of-core tier): spill state lives and dies inside one
-    sweep call, so a killed out-of-core run resumes exactly like an
-    in-core one — the next sweep reaps any spill directory the dead
-    process left behind.
 
     The assembled run reports only the *fresh* wall/cpu time (resumed
     bits cost nothing now — that is the point), but per-bit stats are
@@ -355,7 +349,6 @@ def checkpointed_extract(
             cache=cache,
             fused=fused,
             telemetry=tel,
-            max_bytes=max_bytes,
             fused_chunk=fused_chunk,
         )
         cones.update(fresh.cones)

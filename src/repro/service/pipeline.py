@@ -91,7 +91,6 @@ def run_mode(
     jobs: int = 1,
     term_limit: Optional[int] = None,
     fused: bool = False,
-    max_bytes: Optional[int] = None,
     checkpoint: bool = False,
     deadline=None,
     progress=None,
@@ -135,7 +134,6 @@ def run_mode(
                 engine=engine,
                 cache=cache,
                 fused=fused,
-                max_bytes=max_bytes,
             )
             if cache is not None:
                 cache.put_diagnosis(fingerprint, diagnosis)
@@ -160,7 +158,6 @@ def run_mode(
             engine=engine,
             term_limit=term_limit,
             fused=fused,
-            max_bytes=max_bytes,
             cache=cache,
         )
         sharded = None

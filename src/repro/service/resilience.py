@@ -14,11 +14,10 @@ Three primitives, composed by :func:`run_supervised`:
 
 :class:`Deadline`
     A wall-clock and/or RSS budget.  The RSS watchdog is a daemon
-    monitor thread sampling ``/proc`` (the ``--max-ram`` shape applied
-    to the whole attempt rather than one sweep); the work cooperates
-    by calling :meth:`Deadline.check` at natural yield points — the
-    per-bit/per-chunk persist hooks of checkpointed extraction, which
-    exist on every code path already.
+    monitor thread sampling ``/proc`` for the whole attempt; the work
+    cooperates by calling :meth:`Deadline.check` at natural yield
+    points — the per-bit/per-chunk persist hooks of checkpointed
+    extraction, which exist on every code path already.
 
 :func:`run_supervised`
     The attempt loop: per engine rung × per attempt, emitting a

@@ -209,7 +209,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 jobs=jobs,
                 term_limit=task["term_limit"],
                 fused=fused,
-                max_bytes=task.get("max_bytes"),
                 checkpoint=task["checkpoint"],
                 deadline=deadline if deadline.armed else None,
             )
@@ -357,7 +356,6 @@ class CampaignRunner:
         checkpoint: bool = True,
         fused: bool = False,
         telemetry: Optional["_telemetry.Telemetry"] = None,
-        max_bytes: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         retries: Optional[int] = None,
         deadline_s: Optional[float] = None,
@@ -377,9 +375,6 @@ class CampaignRunner:
         #: Fused multi-cone extraction per netlist (one sweep instead
         #: of per-bit shards; ``jobs`` then only matters as a no-op).
         self.fused = fused
-        #: Byte budget of each fused sweep's live matrix (the vector
-        #: engine's out-of-core tier); ``None`` = unbounded.
-        self.max_bytes = max_bytes
         #: Per-netlist supervision: attempt budget/backoff (``retries``
         #: is shorthand for ``RetryPolicy(max_attempts=retries)``),
         #: wall/RSS deadline, and engine-ladder fallback.
@@ -414,7 +409,6 @@ class CampaignRunner:
             "cache_dir": self.cache_dir,
             "checkpoint": self.checkpoint,
             "fused": self.fused,
-            "max_bytes": self.max_bytes,
             "retry_policy": self.retry_policy,
             "deadline_s": self.deadline_s,
             "max_rss_bytes": self.max_rss_bytes,

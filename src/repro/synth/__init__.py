@@ -4,36 +4,32 @@ Table III of the paper extracts P(x) from multipliers that were
 "optimized and mapped using synthesis tool ABC".  This package provides
 the equivalent transformation pipeline, entirely in-repo:
 
-``constprop``
-    constant propagation and dead-logic folding;
 ``strash``
     structural hashing (common-subexpression elimination), BUF
     aliasing and double-inverter removal;
-``xor_opt``
-    XOR-chain collection and balanced re-decomposition;
+``sweep``
+    dead-gate removal;
 ``mapping``
     technology mapping onto an INV/NAND/NOR/XOR2/AOI/OAI cell library,
     with peephole AOI/OAI pattern extraction;
 ``pipeline``
-    :func:`synthesize` — the full pass sequence.
+    :func:`synthesize` — the full pass sequence: constant propagation,
+    strash and XOR/AND rebalancing run on the hash-consed AIG
+    (:mod:`repro.aig`), then technology mapping.
 
 Every pass is function-preserving; the test suite checks simulation
 equivalence on random vectors and that extraction still recovers the
 same P(x) after any pass combination.
 """
 
-from repro.synth.constprop import propagate_constants
 from repro.synth.strash import structural_hash
 from repro.synth.sweep import sweep_dead_gates
-from repro.synth.xor_opt import rebalance_xor_trees
 from repro.synth.mapping import technology_map
 from repro.synth.pipeline import synthesize
 
 __all__ = [
-    "propagate_constants",
     "structural_hash",
     "sweep_dead_gates",
-    "rebalance_xor_trees",
     "technology_map",
     "synthesize",
 ]

@@ -17,36 +17,27 @@ a composition of passes over the hash-consed IR (:mod:`repro.aig`):
 
 The result is the kind of netlist the paper's Table III extracts from:
 functionally identical, structurally reshaped, expressed in mapped
-cells rather than plain AND/XOR.  ``ir="netlist"`` selects the legacy
-pass-by-pass pipeline over named nets (constprop → strash → XOR
-rebalancing → strash → map), kept as a cross-check for the AIG flow.
+cells rather than plain AND/XOR.
 """
 
 from __future__ import annotations
 
 from repro.aig import Aig, balance_and_trees, balance_xor_trees
 from repro.netlist.netlist import Netlist
-from repro.synth.constprop import propagate_constants
 from repro.synth.mapping import technology_map
-from repro.synth.strash import structural_hash
-from repro.synth.xor_opt import rebalance_xor_trees
 
 
 def synthesize(
     netlist: Netlist,
     map_cells: bool = True,
     use_xor_cells: bool = True,
-    ir: str = "aig",
 ) -> Netlist:
     """Optimize and (optionally) technology-map a netlist.
 
     ``map_cells=False`` stops after the technology-independent passes
     (AIG construction + XOR rebalancing).  ``use_xor_cells=False``
     additionally lowers XORs to NAND networks — the harshest mapped
-    form for the extraction engine.  ``ir`` selects the pipeline
-    implementation: ``"aig"`` (the default) runs the AIG passes,
-    ``"netlist"`` the legacy gate-level passes; both produce
-    functionally equivalent output.
+    form for the extraction engine.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> flat = generate_mastrovito(0b10011, balanced=False)
@@ -54,17 +45,9 @@ def synthesize(
     >>> opt.name.endswith("_syn")
     True
     """
-    if ir == "aig":
-        staged = balance_and_trees(
-            balance_xor_trees(Aig.from_netlist(netlist))
-        ).to_netlist()
-    elif ir == "netlist":
-        staged = propagate_constants(netlist)
-        staged = structural_hash(staged)
-        staged = rebalance_xor_trees(staged)
-        staged = structural_hash(staged)
-    else:
-        raise ValueError(f"unknown synthesis IR {ir!r} (aig or netlist)")
+    staged = balance_and_trees(
+        balance_xor_trees(Aig.from_netlist(netlist))
+    ).to_netlist()
     if map_cells:
         staged = technology_map(staged, use_xor_cells=use_xor_cells)
     staged.name = f"{netlist.name}_syn"

@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _byte_size, main
 
 
 class TestGen:
@@ -73,15 +75,50 @@ class TestSynth:
         assert dst.exists()
         assert main(["extract", str(dst)]) == 0
 
-    @pytest.mark.parametrize("ir", ["aig", "netlist"])
-    def test_synth_ir_flag(self, tmp_path, capsys, ir):
+    def test_synth_then_extract_with_aig(self, tmp_path, capsys):
         src = tmp_path / "flat.eqn"
-        dst = tmp_path / f"opt_{ir}.eqn"
+        dst = tmp_path / "opt.eqn"
         main(["gen", "--p", "x^4+x+1", "-o", str(src)])
-        assert main(["synth", str(src), "--ir", ir, "-o", str(dst)]) == 0
+        assert main(["synth", str(src), "-o", str(dst)]) == 0
         assert main(["extract", str(dst), "--engine", "aig"]) == 0
         out = capsys.readouterr().out
         assert "x^4 + x + 1" in out
+
+    def test_ir_flag_rejected(self, capsys):
+        """The AIG passes are the only synthesis flow."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synth", "m.eqn", "-o", "out.eqn", "--ir", "netlist"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestByteSize:
+    """``--max-rss`` sizes: K/M/G/T suffixes, optional B/iB."""
+
+    @pytest.mark.parametrize(
+        ("text", "expected"),
+        [
+            ("65536", 65536),
+            ("1K", 1 << 10),
+            ("1k", 1 << 10),
+            ("256M", 256 << 20),
+            ("1g", 1 << 30),
+            ("2T", 2 << 40),
+            ("2GiB", 2 << 30),
+            ("16KB", 16 << 10),
+            ("1.5k", 1536),
+            (" 512m ", 512 << 20),
+        ],
+    )
+    def test_valid(self, text, expected):
+        assert _byte_size(text) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["banana", "", "-3", "0", "12X", "K", "1.2.3M"]
+    )
+    def test_invalid(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _byte_size(text)
 
 
 class TestInfoCommands:

@@ -324,9 +324,7 @@ ZOO = {
     "digit-serial": lambda: generate_digit_serial(MODULUS),
     "squarer": lambda: generate_squarer(MODULUS),
     "synthesized": lambda: synthesize(generate_montgomery(MODULUS)),
-    "synthesized-netlist-ir": lambda: synthesize(
-        generate_karatsuba(MODULUS), ir="netlist"
-    ),
+    "synthesized-karatsuba": lambda: synthesize(generate_karatsuba(MODULUS)),
     "nand-mapped": lambda: synthesize(
         generate_mastrovito(MODULUS), use_xor_cells=False
     ),

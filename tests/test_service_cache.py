@@ -325,6 +325,40 @@ class TestByteBudget:
         assert "4 KiB" in rendered
 
 
+@pytest.mark.parametrize("budget", ["max_entries", "max_bytes"])
+@pytest.mark.parametrize("spelling", ["env", "constructor", "cli"])
+def test_negative_budget_rejected(
+    tmp_path, monkeypatch, capsys, spelling, budget
+):
+    """A negative budget is truthy and would evict every entry, so each
+    way of setting one fails loudly instead of disabling the cache."""
+    from repro.cli import main
+    from repro.service.cache import (
+        CACHE_MAX_BYTES_ENV,
+        CACHE_MAX_ENTRIES_ENV,
+    )
+
+    root = tmp_path / "cache"
+    if spelling == "env":
+        env = {
+            "max_entries": CACHE_MAX_ENTRIES_ENV,
+            "max_bytes": CACHE_MAX_BYTES_ENV,
+        }[budget]
+        monkeypatch.setenv(env, "-1")
+        with pytest.raises(ValueError, match="non-negative"):
+            ResultCache(root)
+    elif spelling == "constructor":
+        with pytest.raises(ValueError, match="negative"):
+            ResultCache(root, **{budget: -1})
+    else:
+        flag = "--" + budget.replace("_", "-")
+        argv = ["cache", "prune", "--cache-dir", str(root), flag, "-1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+
 class TestFingerprintSchemaMemo:
     def test_memo_from_older_schema_is_stale(self, tmp_path):
         """A FINGERPRINT_SCHEMA bump must invalidate file memos, or

@@ -1,5 +1,10 @@
-"""Tests for the synthesis passes (constprop, strash, XOR rebalancing,
-technology mapping) and the full pipeline."""
+"""Tests for the synthesis passes (strash, technology mapping) and the
+full pipeline.
+
+Constant propagation and XOR rebalancing run on the hash-consed AIG
+inside :func:`synthesize`, so their cases go through
+``synthesize(..., map_cells=False)`` — the technology-independent
+half of the flow."""
 
 import pytest
 
@@ -9,11 +14,9 @@ from repro.gen.redundancy import decorate_with_redundancy
 from repro.netlist.build import NetlistBuilder
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist
-from repro.synth.constprop import propagate_constants
 from repro.synth.mapping import technology_map
 from repro.synth.pipeline import synthesize
 from repro.synth.strash import structural_hash
-from repro.synth.xor_opt import rebalance_xor_trees
 from tests.conftest import bit_assignment, exhaustive_pairs
 
 
@@ -25,19 +28,24 @@ def _equivalent(lhs: Netlist, rhs: Netlist, m: int) -> bool:
     return True
 
 
+def _optimize(netlist: Netlist) -> Netlist:
+    """The AIG passes alone: constprop, strash, XOR/AND balancing."""
+    return synthesize(netlist, map_cells=False)
+
+
 class TestConstProp:
     def test_and_with_zero_folds(self):
         builder = NetlistBuilder("t", inputs=["a"])
         out = builder.and2("a", builder.const0())
         builder.set_outputs([out])
-        folded = propagate_constants(builder.finish())
+        folded = _optimize(builder.finish())
         assert [g.gtype for g in folded.gates] == [GateType.CONST0]
 
     def test_xor_with_zero_aliases(self):
         builder = NetlistBuilder("t", inputs=["a"])
         out = builder.xor2("a", builder.const0())
         builder.set_outputs([out])
-        folded = propagate_constants(builder.finish())
+        folded = _optimize(builder.finish())
         assert folded.simulate({"a": 1})[out] == 1
         assert len(folded) == 1  # a single BUF/driver for the PO
 
@@ -45,14 +53,14 @@ class TestConstProp:
         builder = NetlistBuilder("t", inputs=["a"])
         out = builder.inv(builder.const1())
         builder.set_outputs([out])
-        folded = propagate_constants(builder.finish())
+        folded = _optimize(builder.finish())
         assert folded.simulate({"a": 0})[out] == 0
 
     def test_mux_constant_select(self):
         net = Netlist("m", inputs=["d1", "d0"], outputs=["y"])
         net.add_gate(Gate("sel", GateType.CONST1, ()))
         net.add_gate(Gate("y", GateType.MUX2, ("sel", "d1", "d0")))
-        folded = propagate_constants(net)
+        folded = _optimize(net)
         assert folded.simulate({"d1": 1, "d0": 0})["y"] == 1
 
     def test_dead_logic_swept(self):
@@ -60,12 +68,12 @@ class TestConstProp:
         builder.and2("a", "b")  # dead
         out = builder.xor2("a", "b")
         builder.set_outputs([out])
-        folded = propagate_constants(builder.finish())
+        folded = _optimize(builder.finish())
         assert len(folded) == 1
 
     def test_multiplier_unchanged_functionally(self):
         netlist = generate_montgomery(0b1011)
-        folded = propagate_constants(netlist)
+        folded = _optimize(netlist)
         assert _equivalent(netlist, folded, 3)
 
 
@@ -105,7 +113,7 @@ class TestStrash:
     def test_redundant_decoration_removed(self):
         lean = generate_mastrovito(0b1011)
         fat = decorate_with_redundancy(lean)
-        slim = structural_hash(propagate_constants(fat))
+        slim = structural_hash(fat)
         assert len(slim) <= len(lean) + len(lean.outputs)
         assert _equivalent(lean, slim, 3)
 
@@ -122,7 +130,7 @@ class TestXorRebalance:
         out = builder.xor_tree([f"i{k}" for k in range(16)])
         builder.set_outputs([out])
         chain = builder.finish()
-        balanced = rebalance_xor_trees(chain)
+        balanced = _optimize(chain)
         assert balanced.stats().depth <= 4 < chain.stats().depth
 
     def test_duplicate_leaves_cancel(self):
@@ -131,9 +139,10 @@ class TestXorRebalance:
         )
         out = builder.xor_tree(["a", "b", "a"])
         builder.set_outputs([out])
-        optimized = rebalance_xor_trees(builder.finish())
+        optimized = _optimize(builder.finish())
         assert optimized.simulate({"a": 1, "b": 0})[out] == 0
         assert optimized.simulate({"a": 0, "b": 1})[out] == 1
+        assert [g.gtype for g in optimized.gates] == [GateType.BUF]
 
     def test_all_leaves_cancel_to_const0(self):
         builder = NetlistBuilder(
@@ -141,8 +150,9 @@ class TestXorRebalance:
         )
         out = builder.xor_tree(["a", "a"])
         builder.set_outputs([out])
-        optimized = rebalance_xor_trees(builder.finish())
+        optimized = _optimize(builder.finish())
         assert optimized.simulate({"a": 1})[out] == 0
+        assert [g.gtype for g in optimized.gates] == [GateType.CONST0]
 
     def test_multi_fanout_xor_not_dissolved(self):
         builder = NetlistBuilder("t", inputs=["a", "b", "c"])
@@ -150,14 +160,14 @@ class TestXorRebalance:
         out1 = builder.xor2(shared, "c")
         out2 = builder.and2(shared, "c")
         builder.set_outputs([out1, out2])
-        optimized = rebalance_xor_trees(builder.finish())
+        optimized = _optimize(builder.finish())
         for bits in range(8):
             env = {"a": bits & 1, "b": (bits >> 1) & 1, "c": (bits >> 2) & 1}
             assert optimized.simulate(env) == builder.netlist.simulate(env)
 
     def test_multiplier_function_preserved(self):
         netlist = generate_mastrovito(0b10011, balanced=False)
-        assert _equivalent(netlist, rebalance_xor_trees(netlist), 4)
+        assert _equivalent(netlist, _optimize(netlist), 4)
 
 
 class TestTechnologyMap:
@@ -235,6 +245,12 @@ class TestPipeline:
         optimized = synthesize(flat)
         assert len(optimized) < len(flat)
 
+    def test_nand_only_synthesis(self):
+        flat = generate_mastrovito(0b1011)
+        mapped = synthesize(flat, use_xor_cells=False)
+        assert GateType.XOR not in {g.gtype for g in mapped.gates}
+        assert _equivalent(flat, mapped, 3)
+
     def test_name_suffix(self):
         optimized = synthesize(generate_mastrovito(0b111))
         assert optimized.name.endswith("_syn")
@@ -267,23 +283,3 @@ class TestStrashName:
             1 for g in hashed.gates if g.gtype is GateType.AND
         ) == 1
         assert sum(1 for g in hashed.gates if g.gtype is GateType.INV) == 0
-
-
-class TestPipelineIr:
-    @pytest.mark.parametrize("ir", ["aig", "netlist"])
-    def test_both_irs_equivalent(self, ir):
-        flat = decorate_with_redundancy(generate_mastrovito(0b10011))
-        optimized = synthesize(flat, ir=ir)
-        assert optimized.name.endswith("_syn")
-        assert _equivalent(flat, optimized, 4)
-
-    @pytest.mark.parametrize("ir", ["aig", "netlist"])
-    def test_nand_only_in_both_irs(self, ir):
-        flat = generate_mastrovito(0b1011)
-        mapped = synthesize(flat, use_xor_cells=False, ir=ir)
-        assert GateType.XOR not in {g.gtype for g in mapped.gates}
-        assert _equivalent(flat, mapped, 3)
-
-    def test_unknown_ir_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize(generate_mastrovito(0b111), ir="rtl")

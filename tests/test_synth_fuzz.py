@@ -10,12 +10,11 @@ dead logic removed) must hold for arbitrary inputs.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.aig import Aig, balance_xor_trees
 from repro.gen.random_logic import generate_random_netlist
-from repro.synth.constprop import propagate_constants
 from repro.synth.pipeline import synthesize
 from repro.synth.strash import structural_hash
 from repro.synth.sweep import sweep_dead_gates
-from repro.synth.xor_opt import rebalance_xor_trees
 from repro.synth.mapping import technology_map
 
 _SETTINGS = dict(
@@ -45,8 +44,9 @@ class TestPassesPreserveFunction:
     @settings(**_SETTINGS)
     @given(seed=st.integers(0, 10_000))
     def test_constprop(self, seed):
+        # Constant propagation happens while the AIG is built.
         netlist = generate_random_netlist(seed)
-        assert _equivalent(netlist, propagate_constants(netlist))
+        assert _equivalent(netlist, Aig.from_netlist(netlist).to_netlist())
 
     @settings(**_SETTINGS)
     @given(seed=st.integers(0, 10_000))
@@ -58,7 +58,8 @@ class TestPassesPreserveFunction:
     @given(seed=st.integers(0, 10_000))
     def test_xor_rebalance(self, seed):
         netlist = generate_random_netlist(seed)
-        assert _equivalent(netlist, rebalance_xor_trees(netlist))
+        balanced = balance_xor_trees(Aig.from_netlist(netlist))
+        assert _equivalent(netlist, balanced.to_netlist())
 
     @settings(**_SETTINGS)
     @given(seed=st.integers(0, 10_000))
