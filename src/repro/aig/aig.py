@@ -30,7 +30,7 @@ from typing import (
     Tuple,
 )
 
-from repro.netlist.gate import Gate, GateType
+from repro.netlist.gate import GATE_TYPES, Gate, GateType
 from repro.netlist.netlist import Netlist
 
 #: Literal of the constant-0 function (node 0, uncomplemented).
@@ -39,10 +39,10 @@ CONST0 = 0
 CONST1 = 1
 
 #: Node kinds (stored per node id).
-_KIND_CONST = 0
-_KIND_PI = 1
-_KIND_AND = 2
-_KIND_XOR = 3
+KIND_CONST = 0
+KIND_PI = 1
+KIND_AND = 2
+KIND_XOR = 3
 
 
 class AigError(ValueError):
@@ -98,7 +98,7 @@ class Aig:
     def __init__(self, name: str = "aig"):
         self.name = name
         #: Parallel node arrays; node 0 is the constant-0 node.
-        self.kinds: List[int] = [_KIND_CONST]
+        self.kinds: List[int] = [KIND_CONST]
         self.fanin0: List[int] = [0]
         self.fanin1: List[int] = [0]
         #: node id -> primary-input name (leaves only).
@@ -137,7 +137,7 @@ class Aig:
         """
         lit = self._leaf_lit.get(name)
         if lit is None:
-            node = self._new_node(_KIND_PI, 0, 0)
+            node = self._new_node(KIND_PI, 0, 0)
             self.pi_name[node] = name
             lit = make_lit(node)
             self._leaf_lit[name] = lit
@@ -165,10 +165,10 @@ class Aig:
                 return detected
         if a > b:
             a, b = b, a
-        key = (_KIND_AND, a, b)
+        key = (KIND_AND, a, b)
         node = self._strash.get(key)
         if node is None:
-            node = self._new_node(_KIND_AND, a, b)
+            node = self._new_node(KIND_AND, a, b)
             self._strash[key] = node
         return make_lit(node)
 
@@ -191,7 +191,7 @@ class Aig:
         equivalent literal, or ``None`` when no shape matches.
         """
         na, nb = a >> 1, b >> 1
-        if self.kinds[na] != _KIND_AND or self.kinds[nb] != _KIND_AND:
+        if self.kinds[na] != KIND_AND or self.kinds[nb] != KIND_AND:
             return None
         p, q = self.fanin0[na], self.fanin1[na]
         r, s = self.fanin0[nb], self.fanin1[nb]
@@ -205,7 +205,7 @@ class Aig:
             if w not in (p, q) or not (w & 1):
                 continue
             m = w >> 1
-            if self.kinds[m] != _KIND_AND:
+            if self.kinds[m] != KIND_AND:
                 continue
             other_a = q if w == p else p
             other_b = s if w == r else r
@@ -235,10 +235,10 @@ class Aig:
             return a ^ out
         if a > b:
             a, b = b, a
-        key = (_KIND_XOR, a, b)
+        key = (KIND_XOR, a, b)
         node = self._strash.get(key)
         if node is None:
-            node = self._new_node(_KIND_XOR, a, b)
+            node = self._new_node(KIND_XOR, a, b)
             self._strash[key] = node
         return make_lit(node) ^ out
 
@@ -315,13 +315,15 @@ class Aig:
         driving (and without declaring) become extra leaves, so an
         incomplete cone stays representable — and detectable.
 
-        One loop over the topological order calls each gate's
-        :data:`_LOWERING` entry with its operand literals; one- and
-        two-operand cells reach :meth:`aig_and`/:meth:`aig_xor` without
-        an operand list.  The graph is node-for-node the one the
-        balanced-tree lowering builds (same node ids, fanins, leaves and
-        leaf order, outputs and :attr:`net_literal`), which the
-        fingerprint schema and every cached cone digest rely on.
+        One loop over the netlist's integer core, in topological order,
+        keeps a literal per net id and calls each gate's
+        :data:`_LOWERING` entry (through a list indexed by type code)
+        with its operand literals; two-operand cells reach
+        :meth:`aig_and`/:meth:`aig_xor` without an operand list.  The
+        graph is node-for-node the one the balanced-tree lowering
+        builds (same node ids, fanins, leaves and leaf order, outputs
+        and :attr:`net_literal`), which the fingerprint schema and every
+        cached cone digest rely on.
 
         >>> from repro.gen.mastrovito import generate_mastrovito
         >>> aig = Aig.from_netlist(generate_mastrovito(0b10011))
@@ -329,29 +331,52 @@ class Aig:
         ['z0', 'z1', 'z2', 'z3']
         """
         aig = cls(netlist.name)
-        literal = _NetLiterals(aig)
+        names = netlist.net_names
+        net_id = netlist.net_id
+        # Literal per net id; ``None`` until the net is computed.
+        literal: List[Optional[int]] = [None] * len(names)
         for name in netlist.inputs:
-            literal[name] = aig.add_input(name)
-        lowering = _LOWERING
-        # Operands are looked up left to right before the entry runs, so
-        # undeclared leaves are created in the order the gates read them.
-        for gate in netlist.topological_order():
-            nets = gate.inputs
-            lower = lowering[gate.gtype]
-            if len(nets) == 2:
-                a, b = nets
-                literal[gate.output] = lower(aig, literal[a], literal[b])
-            elif len(nets) == 1:
-                literal[gate.output] = lower(aig, literal[nets[0]])
-            else:
-                literal[gate.output] = lower(
-                    aig, *[literal[net] for net in nets]
-                )
-        for net in netlist.outputs:
+            literal[net_id(name)] = aig.add_input(name)
+        leaf = aig.add_input
+        lowering = [_LOWERING[gtype] for gtype in GATE_TYPES]
+        codes = netlist.gate_codes
+        outs = netlist.gate_outputs
+        fanins = netlist.gate_fanins
+        # Operands are looked up left to right before the entry runs; a
+        # net nothing computes becomes an undeclared leaf on its first
+        # read, so those leaves are created in the order gates read them.
+        for index in netlist.gate_order():
+            fanin = fanins[index]
+            lower = lowering[codes[index]]
+            if len(fanin) == 2:
+                a, b = fanin
+                lit_a = literal[a]
+                if lit_a is None:
+                    lit_a = literal[a] = leaf(names[a], False)
+                lit_b = literal[b]
+                if lit_b is None:
+                    lit_b = literal[b] = leaf(names[b], False)
+                literal[outs[index]] = lower(aig, lit_a, lit_b)
+                continue
+            operands = []
+            for net in fanin:
+                lit = literal[net]
+                if lit is None:
+                    lit = literal[net] = leaf(names[net], False)
+                operands.append(lit)
+            literal[outs[index]] = lower(aig, *operands)
+        for name in netlist.outputs:
             # An undriven primary output surfaces as a leaf, like any
             # other undriven net, rather than failing here.
-            aig.add_output(net, literal[net])
-        aig.net_literal = dict(literal)
+            lit = literal[net_id(name)]
+            if lit is None:
+                lit = literal[net_id(name)] = leaf(name, False)
+            aig.add_output(name, lit)
+        aig.net_literal = {
+            name: lit
+            for name, lit in zip(names, literal)
+            if lit is not None
+        }
         return aig
 
     def to_netlist(self, name: Optional[str] = None) -> Netlist:
@@ -384,7 +409,7 @@ class Aig:
             node = lit_node(lit)
             if (
                 not lit_is_complemented(lit)
-                and self.kinds[node] in (_KIND_AND, _KIND_XOR)
+                and self.kinds[node] in (KIND_AND, KIND_XOR)
                 and node not in claimed
             ):
                 claimed[node] = po_name
@@ -406,15 +431,15 @@ class Aig:
 
         for node in live:
             kind = self.kinds[node]
-            if kind == _KIND_CONST:
+            if kind == KIND_CONST:
                 # Constants fold during construction, so node 0 can only
                 # be reached by an output edge — handled below.
                 continue
-            elif kind == _KIND_PI:
+            elif kind == KIND_PI:
                 node_net[node] = self.pi_name[node]
             else:
                 operands = (net_of(self.fanin0[node]), net_of(self.fanin1[node]))
-                gtype = GateType.AND if kind == _KIND_AND else GateType.XOR
+                gtype = GateType.AND if kind == KIND_AND else GateType.XOR
                 net = claimed.get(node, f"{prefix}{node}")
                 result.add_gate(Gate(net, gtype, operands))
                 node_net[node] = net
@@ -443,13 +468,13 @@ class Aig:
         return self.fanin0[node], self.fanin1[node]
 
     def is_leaf(self, node: int) -> bool:
-        return self.kinds[node] == _KIND_PI
+        return self.kinds[node] == KIND_PI
 
     def is_and(self, node: int) -> bool:
-        return self.kinds[node] == _KIND_AND
+        return self.kinds[node] == KIND_AND
 
     def is_xor(self, node: int) -> bool:
-        return self.kinds[node] == _KIND_XOR
+        return self.kinds[node] == KIND_XOR
 
     def live_nodes(self, roots: Optional[Iterable[int]] = None) -> List[int]:
         """Node ids in the transitive fan-in of ``roots``, ascending.
@@ -460,17 +485,25 @@ class Aig:
         """
         if roots is None:
             roots = [lit_node(lit) for _, lit in self.outputs]
-        seen = set()
+        marks = self._live_marks(roots)
+        return [node for node, live in enumerate(marks) if live]
+
+    def _live_marks(self, roots: Iterable[int]) -> bytearray:
+        """Per node id, 1 if it is in the transitive fan-in of ``roots``."""
+        kinds = self.kinds
+        fanin0 = self.fanin0
+        fanin1 = self.fanin1
+        marks = bytearray(len(kinds))
         stack = list(roots)
         while stack:
             node = stack.pop()
-            if node in seen:
+            if marks[node]:
                 continue
-            seen.add(node)
-            if self.kinds[node] in (_KIND_AND, _KIND_XOR):
-                stack.append(lit_node(self.fanin0[node]))
-                stack.append(lit_node(self.fanin1[node]))
-        return sorted(seen)
+            marks[node] = 1
+            if kinds[node] in (KIND_AND, KIND_XOR):
+                stack.append(fanin0[node] >> 1)
+                stack.append(fanin1[node] >> 1)
+        return marks
 
     def swept(self) -> "Aig":
         """A read-only copy without the nodes the outputs never reach.
@@ -498,31 +531,41 @@ class Aig:
         ...     net.simulate({n: 1 for n in net.inputs})
         True
         """
-        keep = set(self.live_nodes())
-        keep.update(self.pi_name)
-        keep.add(0)
-        order = sorted(keep)
-        new_id = {node: index for index, node in enumerate(order)}
-
-        def relit(lit: int) -> int:
-            return (new_id[lit >> 1] << 1) | (lit & 1)
+        marks = self._live_marks(lit_node(lit) for _, lit in self.outputs)
+        for node in self.pi_name:
+            marks[node] = 1
+        marks[0] = 1
+        order = [node for node, kept in enumerate(marks) if kept]
+        # Node id -> its uncomplemented literal in the copy (-1: dropped).
+        new_lit = [-1] * len(marks)
+        for index, node in enumerate(order):
+            new_lit[node] = index << 1
 
         swept = Aig(self.name)
         swept.kinds = [self.kinds[node] for node in order]
-        swept.fanin0 = [relit(self.fanin0[node]) for node in order]
-        swept.fanin1 = [relit(self.fanin1[node]) for node in order]
+        swept.fanin0 = [
+            new_lit[lit >> 1] | (lit & 1)
+            for lit in map(self.fanin0.__getitem__, order)
+        ]
+        swept.fanin1 = [
+            new_lit[lit >> 1] | (lit & 1)
+            for lit in map(self.fanin1.__getitem__, order)
+        ]
         swept.pi_name = {
-            new_id[node]: name for node, name in self.pi_name.items()
+            new_lit[node] >> 1: name for node, name in self.pi_name.items()
         }
         swept.inputs = list(self.inputs)
-        swept.outputs = [(name, relit(lit)) for name, lit in self.outputs]
+        swept.outputs = [
+            (name, new_lit[lit >> 1] | (lit & 1)) for name, lit in self.outputs
+        ]
         swept._leaf_lit = {
-            name: relit(lit) for name, lit in self._leaf_lit.items()
+            name: new_lit[lit >> 1] | (lit & 1)
+            for name, lit in self._leaf_lit.items()
         }
         swept.net_literal = {
-            net: relit(lit)
+            net: new_lit[lit >> 1] | (lit & 1)
             for net, lit in self.net_literal.items()
-            if lit >> 1 in new_id
+            if new_lit[lit >> 1] >= 0
         }
         return swept
 
@@ -539,12 +582,12 @@ class Aig:
                 raise AigError(f"missing value for input {name!r}") from None
         for node in range(1, len(self.kinds)):
             kind = self.kinds[node]
-            if kind == _KIND_PI:
+            if kind == KIND_PI:
                 continue
             f0, f1 = self.fanin0[node], self.fanin1[node]
             v0 = values[lit_node(f0)] ^ (mask if f0 & 1 else 0)
             v1 = values[lit_node(f1)] ^ (mask if f1 & 1 else 0)
-            values[node] = (v0 & v1) if kind == _KIND_AND else (v0 ^ v1)
+            values[node] = (v0 & v1) if kind == KIND_AND else (v0 ^ v1)
         out: Dict[str, int] = {}
         for name, lit in self.outputs:
             value = values[lit_node(lit)]
@@ -557,30 +600,12 @@ class Aig:
         return (value ^ mask if lit & 1 else value) & mask
 
     def __repr__(self) -> str:
-        ands = sum(1 for kind in self.kinds if kind == _KIND_AND)
-        xors = sum(1 for kind in self.kinds if kind == _KIND_XOR)
+        ands = sum(1 for kind in self.kinds if kind == KIND_AND)
+        xors = sum(1 for kind in self.kinds if kind == KIND_XOR)
         return (
             f"Aig({self.name!r}, {len(self.pi_name)} leaves, "
             f"{ands} and, {xors} xor, {len(self.outputs)} outputs)"
         )
-
-
-class _NetLiterals(dict):
-    """Net name -> literal while :meth:`Aig.from_netlist` runs.
-
-    A net read before any driver or declaration gives it (an undriven,
-    undeclared net) becomes a new undeclared leaf on first lookup.
-    """
-
-    __slots__ = ("_aig",)
-
-    def __init__(self, aig: Aig):
-        super().__init__()
-        self._aig = aig
-
-    def __missing__(self, net: str) -> int:
-        lit = self[net] = self._aig.add_input(net, declare=False)
-        return lit
 
 
 # Lowering entries: ``entry(aig, *operand_literals) -> literal``.  One-

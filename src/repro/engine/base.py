@@ -45,8 +45,12 @@ from __future__ import annotations
 import abc
 import contextlib
 import hashlib
+import itertools
+import json
 import pickle
-from typing import Any, ClassVar, Iterable, Optional, Tuple
+from array import array
+from operator import itemgetter
+from typing import Any, ClassVar, Iterable, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
@@ -199,6 +203,13 @@ class Engine(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _gather(items: Sequence[Any], indices: Sequence[int]) -> Tuple[Any, ...]:
+    """``tuple(items[i] for i in indices)`` in one C-level call."""
+    if len(indices) < 2:  # itemgetter of one index returns no tuple
+        return tuple(items[index] for index in indices)
+    return itemgetter(*indices)(items)
+
+
 def netlist_token(netlist: Netlist) -> str:
     """Exact-content token of a netlist (ports, gates, order, names).
 
@@ -206,28 +217,45 @@ def netlist_token(netlist: Netlist) -> str:
     compiled program may bake in topological gate positions and
     internal net names — properties two same-fingerprint netlists can
     disagree on.  The token ties a serialized program to the exact
-    netlist text it was compiled from, so a fingerprint collision
-    between structural twins degrades to a recompile, never to a
-    mis-served program.  Computed once per netlist and memoized in
+    netlist it was compiled from, so a fingerprint collision between
+    structural twins degrades to a recompile, never to a mis-served
+    program.  Computed once per netlist and memoized in
     :meth:`Netlist.memo <repro.netlist.netlist.Netlist.memo>`: every
     store and load of the same netlist's program reuses it.
+
+    It hashes an unambiguous encoding of the integer core in
+    topological order: the port and gate counts, each gate's arity and
+    type code, then the names — inputs, outputs, the nets the gates drive
+    and the nets they read — NUL-separated, or as one JSON list if a
+    name holds a NUL.  Net ids and insertion order do not enter, so a
+    netlist and its ``format_eqn`` round trip share one token.
     """
     memo = netlist.memo()
     token = memo.get("token")
     if token is not None:
         return token
-    parts = [
-        "\x1e".join(netlist.inputs),
-        "\x1e".join(netlist.outputs),
-    ]
-    parts.extend(
-        "\x1e".join((gate.output, gate.gtype.name) + tuple(gate.inputs))
-        for gate in netlist.gates
-    )
-    # One join + one hash pass: this runs on every warm program load,
-    # so per-gate digest updates would dominate the load itself.
-    token = hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
-    memo["token"] = token
+    # Whole-list C-level passes and one hash: this runs on every warm
+    # program load, where per-gate work would dominate the load.
+    names = netlist.net_names
+    order = netlist.gate_order()
+    fanins = _gather(netlist.gate_fanins, order)
+    reads = _gather(names, list(itertools.chain.from_iterable(fanins)))
+    strings = netlist.inputs + netlist.outputs
+    strings += _gather(names, _gather(netlist.gate_outputs, order))
+    strings += reads
+    digest = hashlib.sha256(b"netlist-token-2")
+    counts = [len(netlist.inputs), len(netlist.outputs), len(order)]
+    digest.update(array("q", counts))
+    digest.update(array("q", list(map(len, fanins))))
+    digest.update(bytes(_gather(netlist.gate_codes, order)))
+    text = "\x00".join(strings)
+    if text.count("\x00") == len(strings) - 1:
+        digest.update(b"\x00")
+    else:
+        digest.update(b"\x01")
+        text = json.dumps(strings)
+    digest.update(text.encode("utf-8", "surrogatepass"))
+    token = memo["token"] = digest.hexdigest()
     return token
 
 

@@ -57,7 +57,10 @@ def read_utf8(path: PathLike, error: Callable[[str], Exception]) -> str:
     Undecodable input raises ``error(message)`` naming the file and
     the byte offset of the first bad byte, so each reader reports its
     own format error instead of a bare ``UnicodeDecodeError``.
-    Newlines are translated exactly as a text-mode ``open`` would.
+    Newlines are translated exactly as a text-mode ``open`` would, and
+    one leading byte-order mark is dropped.  (Decoding as
+    ``utf-8-sig`` would drop it too, but its error offsets would not
+    count the mark's three bytes.)
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -68,6 +71,8 @@ def read_utf8(path: PathLike, error: Callable[[str], Exception]) -> str:
             f"{os.fspath(path)}: not UTF-8 text: invalid byte "
             f"0x{data[failure.start]:02x} at byte offset {failure.start}"
         ) from None
+    if text.startswith("\ufeff"):
+        text = text[1:]
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

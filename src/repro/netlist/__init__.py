@@ -9,9 +9,11 @@ the equivalent substrate:
     n-ary where it makes sense) plus the complex standard cells
     (AOI21/AOI22/OAI21/OAI22, MUX2) produced by technology mapping;
 ``netlist``
-    the :class:`Netlist` container with topological sorting, per-output
-    logic-cone extraction (Theorem 2 works cone-by-cone), bit-parallel
-    simulation and statistics;
+    the :class:`Netlist` container — an integer-indexed core (net-name
+    table, gate type codes, fan-in ids, cached Kahn order) with
+    :class:`Gate` views built on demand — with topological sorting,
+    per-output logic-cone extraction (Theorem 2 works cone-by-cone),
+    bit-parallel simulation and statistics;
 ``build``
     :class:`NetlistBuilder` — the convenience layer the multiplier
     generators and the synthesizer use to emit gates, with optional

@@ -27,7 +27,7 @@ import sys
 from typing import Iterable, List, TextIO, Union
 
 from repro.ioutil import atomic_write_text, read_utf8
-from repro.netlist.gate import Gate, GateType, gate_arity
+from repro.netlist.gate import GATE_CODE, Gate, GateType, gate_arity
 from repro.netlist.netlist import GC_PAUSE, Netlist, NetlistError
 
 PathOrFile = Union[str, os.PathLike, TextIO]
@@ -76,12 +76,12 @@ _GATE_LINE = re.compile(
     re.ASCII,
 )
 
-#: Gate type name -> (type, least and most inputs): the arity rule that
-#: ``Gate.__post_init__`` enforces.
+#: Gate type name -> (type code, least and most inputs): the arity rule
+#: that ``Gate.__post_init__`` enforces.
 _GATE_TYPES = {
-    gtype.value: (gtype, 2, sys.maxsize)
+    gtype.value: (GATE_CODE[gtype], 2, sys.maxsize)
     if gate_arity(gtype) is None
-    else (gtype, gate_arity(gtype), gate_arity(gtype))
+    else (GATE_CODE[gtype], gate_arity(gtype), gate_arity(gtype))
     for gtype in GateType
 }
 
@@ -90,9 +90,11 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     """Parse equations-format text into a :class:`Netlist`.
 
     One pass over the lines builds and checks the netlist: plain gate
-    lines go through one precompiled regex and become gates without
-    the dataclass constructor (the arity is checked inline), every
-    other line through the general line parser.  The closing
+    lines go through one precompiled regex and are appended straight
+    to the netlist's integer core (net ids, type code, fan-in ids; the
+    arity and the driver checks are inline), every other line through
+    the general line parser.  A plain line that fails a check takes
+    the general path too, which raises the error.  The closing
     :meth:`~Netlist.validate` is the single topological sort, so the
     netlist, its gate order and every error (type, message and which
     comes first) are those of a line-by-line parse.
@@ -107,29 +109,43 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     """
     match_gate = _GATE_LINE.fullmatch
     types = _GATE_TYPES
-    new_gate = object.__new__
-    set_field = object.__setattr__
     with GC_PAUSE:
         netlist = Netlist(name)
-        add_gate = netlist.add_gate
+        # The core of the netlist, appended to in place as add_gate
+        # would (see repro.netlist.netlist).
+        nets = netlist._nets
+        intern = nets.__getitem__
+        lookup = nets.get
+        names = nets.names
+        driver = nets.driver
+        inputs = netlist._input_set
+        codes = netlist._codes
+        outs = netlist._outs
+        fanins = netlist._fanins
         for lineno, raw in enumerate(text.splitlines(), start=1):
             match = match_gate(raw)
             if match is not None:
                 output, type_name, arg_text = match.groups()
                 kind = types.get(type_name) or types.get(type_name.upper())
                 # Names hold no spaces and separators are " *, *".
-                args = (
-                    tuple(arg_text.replace(" ", "").split(",")) if arg_text else ()
-                )
+                args = arg_text.replace(" ", "").split(",") if arg_text else ()
                 if kind is not None and kind[1] <= len(args) <= kind[2]:
-                    # Gate is frozen and its __post_init__ only checks
-                    # the arity, which was just checked.
-                    gate = new_gate(Gate)
-                    set_field(gate, "output", output)
-                    set_field(gate, "gtype", kind[0])
-                    set_field(gate, "inputs", args)
-                    add_gate(gate)
-                    continue
+                    out = lookup(output)
+                    if out is None:  # a new net, interned inline
+                        out = nets[output] = len(names)
+                        names.append(output)
+                        driver.append(len(codes))
+                    elif driver[out] is None and output not in inputs:
+                        driver[out] = len(codes)
+                    else:
+                        # Already driven, or a primary input: the
+                        # general path raises add_gate's error.
+                        out = None
+                    if out is not None:
+                        codes.append(kind[0])
+                        outs.append(out)
+                        fanins.append(tuple(map(intern, args)))
+                        continue
             line = raw.split("#", 1)[0].split("//", 1)[0].strip()
             if not line:
                 continue
@@ -143,7 +159,7 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
                 for net in (upper[1].replace(",", " ").split() if len(upper) > 1 else []):
                     netlist.add_output(net)
                 continue
-            add_gate(_parse_gate_line(line, lineno))
+            netlist.add_gate(_parse_gate_line(line, lineno))
         netlist.validate()
     return netlist
 

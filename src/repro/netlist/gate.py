@@ -72,6 +72,18 @@ COMMUTATIVE_TYPES = frozenset(
 )
 
 
+#: Every gate type in a fixed order; a type's index here is its *code*,
+#: the small int a :class:`~repro.netlist.netlist.Netlist` stores per
+#: gate.  Per-type tables indexed by code are built from the
+#: ``GateType``-keyed ones (``[EVALUATION[t] for t in GATE_TYPES]``).
+GATE_TYPES: Tuple[GateType, ...] = tuple(GateType)
+
+#: Gate type -> its code (index in :data:`GATE_TYPES`).
+GATE_CODE: Dict[GateType, int] = {
+    gtype: code for code, gtype in enumerate(GATE_TYPES)
+}
+
+
 def gate_arity(gtype: GateType) -> Optional[int]:
     """Fixed arity of a gate type, or ``None`` for n-ary gates."""
     return _FIXED_ARITY.get(gtype)

@@ -1,8 +1,28 @@
 """The :class:`Netlist` container.
 
-A netlist is a DAG of :class:`~repro.netlist.gate.Gate` cells between
-declared primary inputs and primary outputs.  The operations the rest
-of the system relies on:
+A netlist is a DAG of gate cells between declared primary inputs and
+primary outputs.  Its only storage is an integer-indexed core, in the
+style of ABC's networks (Brayton and Mishchenko, "ABC: An Academic
+Industrial-Strength Verification Tool", CAV 2010):
+
+* a net-name table: ``net_names[id]``, and :meth:`Netlist.net_id` for
+  the way back;
+* per gate, in insertion order: its type code (an index into
+  :data:`~repro.netlist.gate.GATE_TYPES`), its output net id and its
+  fan-in net ids;
+* the cached Kahn order, as gate indices (:meth:`Netlist.gate_order`).
+
+Validation, ordering, cone walks and bit-parallel simulation loop over
+these integers, and so do the AIG strash
+(:meth:`repro.aig.Aig.from_netlist`), the exact-content token of
+compiled programs (:func:`repro.engine.base.netlist_token`) and the
+EQN reader, which fills the core directly.  :class:`~repro.netlist.gate.Gate`
+objects are *views*: :meth:`Netlist.add_gate` takes one and appends it
+to the core, and ``gates``, ``driver_of``, ``topological_order``,
+``cone_gates`` and the writers build them on demand.  No list of them
+is kept.
+
+The operations the rest of the system relies on:
 
 * **validation** — single driver per net, no undriven non-PI nets, no
   combinational cycles;
@@ -23,10 +43,17 @@ import gc
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from array import array
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.netlist.gate import EVALUATION, Gate, GateType
+from repro.netlist.gate import (
+    EVALUATION,
+    GATE_CODE,
+    GATE_TYPES,
+    Gate,
+    GateType,
+)
 
 
 class NetlistError(ValueError):
@@ -151,6 +178,34 @@ class NetlistStats:
         )
 
 
+class _NetTable(dict):
+    """Net name -> net id; the first lookup of a new name interns it.
+
+    ``names[id]`` is the way back, and ``driver[id]`` is the index of
+    the gate driving the net (``None`` for primary inputs and
+    undriven nets).  ``.get`` never interns, so lookups that must not
+    grow the table use it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: List[str] = []
+        self.driver: List[Optional[int]] = []
+
+    def __missing__(self, name: str) -> int:
+        net = self[name] = len(self.names)
+        self.names.append(name)
+        self.driver.append(None)
+        return net
+
+    def copy(self) -> "_NetTable":
+        dup = _NetTable()
+        dup.update(self)
+        dup.names = list(self.names)
+        dup.driver = list(self.driver)
+        return dup
+
+
 class Netlist:
     """A combinational gate-level netlist.
 
@@ -174,10 +229,15 @@ class Netlist:
         # add_* methods below may grow.
         self._input_set: Set[str] = set(self.inputs)
         self._output_set: Set[str] = set(self.outputs)
-        self._gates: List[Gate] = []
-        self._driver: Dict[str, Gate] = {}
-        self._topo_cache: Optional[List[Gate]] = None
-        self._topo_pos_cache: Optional[Dict[str, int]] = None
+        # The integer core (see the module docstring).  The EQN reader
+        # appends to these lists directly.
+        self._nets = _NetTable()
+        for net in self.inputs + self.outputs:
+            self._nets[net]  # interns the name
+        self._codes = array("B")
+        self._outs: List[int] = []
+        self._fanins: List[Tuple[int, ...]] = []
+        self._order: Optional[List[int]] = None
         self._memo: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -186,26 +246,33 @@ class Netlist:
 
     def add_gate(self, gate: Gate) -> None:
         """Append a gate; rejects double-driven nets immediately."""
-        if gate.output in self._driver:
+        nets = self._nets
+        out = nets.get(gate.output)
+        if out is not None and nets.driver[out] is not None:
             raise NetlistError(f"net {gate.output!r} has multiple drivers")
         if gate.output in self._input_set:
             raise NetlistError(f"primary input {gate.output!r} cannot be driven")
-        self._driver[gate.output] = gate
-        self._gates.append(gate)
-        self._topo_cache = None
-        self._topo_pos_cache = None
+        out = nets[gate.output]
+        nets.driver[out] = len(self._codes)
+        self._codes.append(GATE_CODE[gate.gtype])
+        self._outs.append(out)
+        self._fanins.append(tuple(map(nets.__getitem__, gate.inputs)))
+        self._order = None
         self._memo = None
 
     def add_input(self, name: str) -> None:
-        if name in self._driver:
+        net = self._nets.get(name)
+        if net is not None and self._nets.driver[net] is not None:
             raise NetlistError(f"net {name!r} is already driven by a gate")
         if name not in self._input_set:
+            self._nets[name]  # interns the name
             self._input_set.add(name)
             self.inputs.append(name)
             self._memo = None
 
     def add_output(self, name: str) -> None:
         if name not in self._output_set:
+            self._nets[name]  # interns the name
             self._output_set.add(name)
             self.outputs.append(name)
             self._memo = None
@@ -224,28 +291,76 @@ class Netlist:
         return self._memo
 
     # ------------------------------------------------------------------
-    # Introspection
+    # The integer core (read-only: mutate through the add_* methods)
     # ------------------------------------------------------------------
+
+    @property
+    def net_names(self) -> List[str]:
+        """Net id -> net name, for every net the netlist mentions."""
+        return self._nets.names
+
+    def net_id(self, name: str) -> Optional[int]:
+        """Id of a net, or ``None`` if the netlist never mentions it."""
+        return self._nets.get(name)
+
+    @property
+    def gate_codes(self) -> Sequence[int]:
+        """Per gate, in insertion order: its type code, an index into
+        :data:`~repro.netlist.gate.GATE_TYPES` (a byte array)."""
+        return self._codes
+
+    @property
+    def gate_outputs(self) -> List[int]:
+        """Per gate, in insertion order: the id of the net it drives."""
+        return self._outs
+
+    @property
+    def gate_fanins(self) -> List[Tuple[int, ...]]:
+        """Per gate, in insertion order: the ids of the nets it reads."""
+        return self._fanins
+
+    def gate_order(self) -> List[int]:
+        """Gate indices in :meth:`topological_order` (cached)."""
+        if self._order is None:
+            self._sort(validate=False)
+        return self._order
+
+    # ------------------------------------------------------------------
+    # Introspection (Gate views, built on demand)
+    # ------------------------------------------------------------------
+
+    def _gate(self, index: int) -> Gate:
+        """The :class:`Gate` view of one gate.  Its arity was checked
+        when it was added, so the frozen dataclass's ``__post_init__``
+        is skipped."""
+        names = self._nets.names
+        gate = object.__new__(Gate)
+        vars(gate).update(
+            output=names[self._outs[index]],
+            gtype=GATE_TYPES[self._codes[index]],
+            inputs=tuple(map(names.__getitem__, self._fanins[index])),
+        )
+        return gate
 
     @property
     def gates(self) -> List[Gate]:
         """Gates in insertion order (not necessarily topological)."""
-        return list(self._gates)
+        return [self._gate(index) for index in range(len(self._codes))]
 
     def __len__(self) -> int:
-        return len(self._gates)
+        return len(self._codes)
 
     def driver_of(self, net: str) -> Optional[Gate]:
         """The gate driving ``net``, or ``None`` for PIs/undriven nets."""
-        return self._driver.get(net)
+        net_id = self._nets.get(net)
+        if net_id is None:
+            return None
+        index = self._nets.driver[net_id]
+        return None if index is None else self._gate(index)
 
     def nets(self) -> Set[str]:
         """Every net name mentioned anywhere in the netlist."""
-        out: Set[str] = set(self.inputs) | set(self.outputs)
-        for gate in self._gates:
-            out.add(gate.output)
-            out.update(gate.inputs)
-        return out
+        return set(self._nets.names)
 
     def validate(self) -> None:
         """Raise :class:`NetlistError` on any structural defect.
@@ -273,74 +388,110 @@ class Netlist:
         copy as the reference), so written files and schedules do not
         change.  Raises :class:`NetlistError` on combinational
         cycles but not on undriven nets (that is :meth:`validate`'s
-        job).  The result is cached until the netlist changes.
+        job).  The order is cached until the netlist changes, the
+        gates are built per call.
         """
-        if self._topo_cache is None:
-            self._sort(validate=False)
-        return self._topo_cache
+        return [self._gate(index) for index in self.gate_order()]
 
     def _sort(self, validate: bool) -> None:
         """Count indegrees, optionally check drivers, then run Kahn."""
-        gates = self._gates
-        index = {gate.output: i for i, gate in enumerate(gates)}
-        driver_of = index.get
+        nets = self._nets
+        driver = nets.driver
+        fanins = self._fanins
+        inputs = self._input_set
         indegree: List[int] = []
-        # Reader lists only for gates that are read; the ints from
-        # ``index`` are shared, not re-created per edge.
-        readers: List[Optional[List[int]]] = [None] * len(gates)
-        for i, gate in zip(index.values(), gates):
+        # Reader lists only for gates that are read.  The gate indices
+        # are the int objects ``driver`` holds, so the order shares them.
+        gates = list(map(driver.__getitem__, self._outs))
+        readers: List[Optional[List[int]]] = [None] * len(fanins)
+        for index, fanin in zip(gates, fanins):
             degree = 0
-            for net in gate.inputs:
-                driver = driver_of(net)
-                if driver is None:
-                    if validate and net not in self._input_set:
+            for net in fanin:
+                source = driver[net]
+                if source is None:
+                    if validate and nets.names[net] not in inputs:
                         raise NetlistError(
-                            f"gate {gate.output!r} reads undriven net {net!r}"
+                            f"gate {nets.names[self._outs[index]]!r} "
+                            f"reads undriven net {nets.names[net]!r}"
                         )
                     continue
                 degree += 1
-                fanout = readers[driver]
+                fanout = readers[source]
                 if fanout is None:
-                    readers[driver] = [i]
+                    readers[source] = [index]
                 else:
-                    fanout.append(i)
+                    fanout.append(index)
             indegree.append(degree)
         if validate:
-            for net in self.outputs:
-                if net not in index and net not in self._input_set:
-                    raise NetlistError(f"primary output {net!r} is undriven")
-        del index, driver_of
-        queue = [i for i, degree in enumerate(indegree) if not degree]
-        for i in queue:  # grows while iterated: a FIFO
-            for reader in readers[i] or ():
+            for name in self.outputs:
+                if driver[nets[name]] is None and name not in inputs:
+                    raise NetlistError(f"primary output {name!r} is undriven")
+        queue = [index for index, degree in zip(gates, indegree) if not degree]
+        for index in queue:  # grows while iterated: a FIFO
+            for reader in readers[index] or ():
                 indegree[reader] -= 1
                 if not indegree[reader]:
                     queue.append(reader)
-        del readers
-        if len(queue) != len(gates):
+        del readers, gates
+        if len(queue) != len(fanins):
             stuck = sorted(
-                gate.output
-                for gate, degree in zip(gates, indegree)
+                nets.names[out]
+                for out, degree in zip(self._outs, indegree)
                 if degree > 0
             )
             raise NetlistError(
                 f"combinational cycle involving nets {stuck[:5]}"
             )
-        self._topo_cache = [gates[i] for i in queue]
+        self._order = queue
 
-    def topological_positions(self) -> Dict[str, int]:
-        """Map gate-output net → its index in :meth:`topological_order`.
+    def _reach(self, roots: Sequence[str]) -> bytearray:
+        """Marks, by net id, of the transitive fan-in of the named
+        nets (names the netlist never mentions are skipped)."""
+        nets = self._nets
+        driver = nets.driver
+        fanins = self._fanins
+        seen = bytearray(len(nets.names))
+        stack = [net for net in map(nets.get, roots) if net is not None]
+        while stack:
+            net = stack.pop()
+            if seen[net]:
+                continue
+            seen[net] = 1
+            index = driver[net]
+            if index is not None:
+                stack.extend(fanins[index])
+        return seen
 
-        Cached like the order itself.  Per-cone engines use this to
-        schedule backward rewriting by topological position without
-        rescanning the gate list for every output bit.
+    def restrict(
+        self, outputs: Sequence[str], name: Optional[str] = None
+    ) -> "Netlist":
+        """The union of the fan-in cones of ``outputs``, as a netlist.
+
+        Its inputs are the primary inputs the cones reach, in
+        declaration order; its outputs are ``outputs``; its gates keep
+        their insertion order.  Built core to core: no
+        :class:`Gate` is made.
         """
-        if self._topo_pos_cache is None:
-            self._topo_pos_cache = {
-                gate.output: position
-                for position, gate in enumerate(self.topological_order())
-            }
-        return self._topo_pos_cache
+        seen = self._reach(outputs)
+        nets = self._nets
+        names = nets.names
+        sub = Netlist(
+            self.name if name is None else name,
+            [net for net in self.inputs if seen[nets[net]]],
+            outputs,
+        )
+        sub_nets = sub._nets
+        intern = sub_nets.__getitem__
+        for index, out in enumerate(self._outs):
+            if seen[out]:
+                sub_out = intern(names[out])
+                sub_nets.driver[sub_out] = len(sub._codes)
+                sub._codes.append(self._codes[index])
+                sub._outs.append(sub_out)
+                sub._fanins.append(
+                    tuple([intern(names[net]) for net in self._fanins[index]])
+                )
+        return sub
 
     def cone(self, output: str) -> "Netlist":
         """Transitive fan-in cone of one net, as a standalone netlist.
@@ -350,38 +501,22 @@ class Netlist:
         backward rewriting of output bit ``z_i`` only ever needs this
         sub-netlist.
         """
-        if output not in self._driver and output not in self._input_set:
+        net = self._nets.get(output)
+        if (
+            net is None or self._nets.driver[net] is None
+        ) and output not in self._input_set:
             raise NetlistError(f"unknown net {output!r}")
-        keep: Set[str] = set()
-        stack = [output]
-        while stack:
-            net = stack.pop()
-            if net in keep:
-                continue
-            keep.add(net)
-            gate = self._driver.get(net)
-            if gate is not None:
-                stack.extend(gate.inputs)
-        cone_inputs = [net for net in self.inputs if net in keep]
-        sub = Netlist(f"{self.name}.{output}", cone_inputs, [output])
-        for gate in self._gates:
-            if gate.output in keep:
-                sub.add_gate(gate)
-        return sub
+        return self.restrict([output], f"{self.name}.{output}")
 
     def cone_gates(self, output: str) -> List[Gate]:
         """Gates of the fan-in cone of ``output`` in topological order."""
-        keep: Set[str] = set()
-        stack = [output]
-        while stack:
-            net = stack.pop()
-            if net in keep:
-                continue
-            keep.add(net)
-            gate = self._driver.get(net)
-            if gate is not None:
-                stack.extend(gate.inputs)
-        return [gate for gate in self.topological_order() if gate.output in keep]
+        seen = self._reach([output])
+        outs = self._outs
+        return [
+            self._gate(index)
+            for index in self.gate_order()
+            if seen[outs[index]]
+        ]
 
     # ------------------------------------------------------------------
     # Simulation
@@ -397,47 +532,69 @@ class Netlist:
         primary output values (same packing).
 
         One loop over the topological order, shared with
-        :meth:`simulate_all_nets`, calls each gate's
+        :meth:`simulate_all_nets`, keeps the values in a list indexed
+        by net id and calls each gate's
         :data:`~repro.netlist.gate.EVALUATION` entry with its operand
         values; one- and two-operand cells take a single ``&``/``^``
         on the lane ints and no operand list.
         """
         values = self._net_values(assignment, width)
-        missing = [net for net in self.outputs if net not in values]
+        ids = self._nets
+        missing = [net for net in self.outputs if values[ids[net]] is None]
         if missing:
             raise NetlistError(f"outputs {missing} were never computed")
-        return {net: values[net] for net in self.outputs}
+        return {net: values[ids[net]] for net in self.outputs}
 
     def simulate_all_nets(
         self, assignment: Mapping[str, int], width: int = 1
     ) -> Dict[str, int]:
         """Like :meth:`simulate` but returns every internal net too."""
-        return self._net_values(assignment, width)
+        values = self._net_values(assignment, width)
+        names = self._nets.names
+        result = {net: values[self._nets[net]] for net in self.inputs}
+        outs = self._outs
+        for index in self.gate_order():
+            out = outs[index]
+            result[names[out]] = values[out]
+        return result
 
     def _net_values(
         self, assignment: Mapping[str, int], width: int
-    ) -> Dict[str, int]:
-        """Value of every primary input and gate output, masked."""
+    ) -> List[Optional[int]]:
+        """Value of every primary input and gate output by net id,
+        masked; ``None`` for the nets nothing computes."""
         mask = (1 << width) - 1
-        values: Dict[str, int] = {}
+        nets = self._nets
+        values: List[Optional[int]] = [None] * len(nets.names)
         for net in self.inputs:
             try:
-                values[net] = assignment[net] & mask
+                values[nets[net]] = assignment[net] & mask
             except KeyError:
                 raise NetlistError(f"missing value for input {net!r}") from None
-        evaluation = EVALUATION
-        for gate in self.topological_order():
-            nets = gate.inputs
-            evaluate = evaluation[gate.gtype]
-            if len(nets) == 2:
-                a, b = nets
-                values[gate.output] = evaluate(mask, values[a], values[b])
-            elif len(nets) == 1:
-                values[gate.output] = evaluate(mask, values[nets[0]])
-            else:
-                values[gate.output] = evaluate(
-                    mask, *[values[net] for net in nets]
-                )
+        evaluation = [EVALUATION[gtype] for gtype in GATE_TYPES]
+        codes = self._codes
+        outs = self._outs
+        fanins = self._fanins
+        order = self.gate_order()
+        try:
+            for index in order:
+                fanin = fanins[index]
+                evaluate = evaluation[codes[index]]
+                if len(fanin) == 2:
+                    a, b = fanin
+                    values[outs[index]] = evaluate(mask, values[a], values[b])
+                elif len(fanin) == 1:
+                    values[outs[index]] = evaluate(mask, values[fanin[0]])
+                else:
+                    values[outs[index]] = evaluate(
+                        mask, *[values[net] for net in fanin]
+                    )
+        except TypeError:
+            # A ``None`` operand: the gate reads a net nothing drives.
+            for net in fanins[index]:
+                if values[net] is None:
+                    raise KeyError(nets.names[net]) from None
+            raise
         return values
 
     # ------------------------------------------------------------------
@@ -447,18 +604,21 @@ class Netlist:
     def stats(self) -> NetlistStats:
         """Gate counts, logic depth, and the paper's '# eqns' metric."""
         counts: Dict[str, int] = {}
-        for gate in self._gates:
-            counts[gate.gtype.value] = counts.get(gate.gtype.value, 0) + 1
-        depth: Dict[str, int] = {net: 0 for net in self.inputs}
+        for code in self._codes:
+            name = GATE_TYPES[code].value
+            counts[name] = counts.get(name, 0) + 1
+        depth = [0] * len(self._nets.names)
+        fanins = self._fanins
+        outs = self._outs
         max_depth = 0
-        for gate in self.topological_order():
+        for index in self.gate_order():
             level = 1 + max(
-                (depth.get(net, 0) for net in gate.inputs), default=0
+                (depth[net] for net in fanins[index]), default=0
             )
-            depth[gate.output] = level
+            depth[outs[index]] = level
             max_depth = max(max_depth, level)
         return NetlistStats(
-            num_gates=len(self._gates),
+            num_gates=len(self._codes),
             num_inputs=len(self.inputs),
             num_outputs=len(self.outputs),
             depth=max_depth,
@@ -466,14 +626,17 @@ class Netlist:
         )
 
     def copy(self, name: Optional[str] = None) -> "Netlist":
-        """Shallow-ish copy (gates are immutable and shared)."""
+        """A copy with its own core (the fan-in tuples are shared)."""
         dup = Netlist(name or self.name, self.inputs, self.outputs)
-        for gate in self._gates:
-            dup.add_gate(gate)
+        dup._nets = self._nets.copy()
+        dup._codes = array("B", self._codes)
+        dup._outs = list(self._outs)
+        dup._fanins = list(self._fanins)
+        dup._order = self._order
         return dup
 
     def __repr__(self) -> str:
         return (
             f"Netlist({self.name!r}, {len(self.inputs)} in, "
-            f"{len(self.outputs)} out, {len(self._gates)} gates)"
+            f"{len(self.outputs)} out, {len(self._codes)} gates)"
         )

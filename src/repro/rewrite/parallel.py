@@ -55,7 +55,7 @@ def _worker_init(
     _WORKER_ENGINE = engine
     # Precompute the topological order once per worker; it is cached on
     # the netlist and shared by every cone extraction.
-    netlist.topological_order()
+    netlist.gate_order()
 
 
 def _worker_rewrite(
@@ -316,9 +316,11 @@ def extract_expressions(
         # sub-netlist: a compiling engine then prices the *edit*, not
         # the design — on a single-gate ECO of a NAND-mapped m=64
         # multiplier that is one cone's compile instead of 50k gates.
+        # The canonical expressions extracted from the restriction are
+        # identical to the full netlist's.
         work = netlist
         if hit_outputs and dirty:
-            work = _restrict_to_cones(netlist, dirty)
+            work = netlist.restrict(dirty)
 
         if cache is not None and dirty:
             # Prepare inside the timed region (the compile is part of
@@ -348,7 +350,7 @@ def extract_expressions(
                 # run killed mid-sweep keeps the chunks it finished.
                 store_cones(fresh)
         elif jobs == 1:
-            work.topological_order()
+            work.gate_order()
             for output in dirty:
                 expression, stats = backend.rewrite_cone(
                     work, output, term_limit=term_limit
@@ -436,35 +438,6 @@ def extract_expressions(
         cones=cones,
         cache_provenance=provenance,
     )
-
-
-def _restrict_to_cones(netlist: Netlist, outputs: List[str]) -> Netlist:
-    """The union of the given outputs' fan-in cones, as a netlist.
-
-    Theorem 2: a bit's backward rewriting only consults its own
-    transitive fan-in, so the canonical expressions extracted from the
-    restriction are identical to the full netlist's — but a compiling
-    backend now compiles (and a pool now forks) only the dirty slice.
-    """
-    keep: set = set()
-    stack = list(outputs)
-    while stack:
-        net = stack.pop()
-        if net in keep:
-            continue
-        keep.add(net)
-        gate = netlist.driver_of(net)
-        if gate is not None:
-            stack.extend(gate.inputs)
-    sub = Netlist(
-        netlist.name,
-        [net for net in netlist.inputs if net in keep],
-        list(outputs),
-    )
-    for gate in netlist.gates:
-        if gate.output in keep:
-            sub.add_gate(gate)
-    return sub
 
 
 def _pool_context():

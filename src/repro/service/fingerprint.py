@@ -41,7 +41,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional, Tuple
 
-from repro.aig import Aig, lit_is_complemented, lit_node, live_aig
+from repro.aig import Aig, live_aig
+from repro.aig.aig import KIND_AND, KIND_PI, KIND_XOR
 from repro.netlist.netlist import Netlist
 
 #: Version of the canonical form; bump on any change to the labelling
@@ -58,31 +59,44 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _edge_label(labels: Dict[int, str], lit: int) -> str:
-    label = labels[lit_node(lit)]
-    return "!" + label if lit_is_complemented(lit) else label
+def _edge_label(labels: List[str], lit: int) -> str:
+    label = labels[lit >> 1]
+    return "!" + label if lit & 1 else label
 
 
-def _canonical_labels(aig: Aig) -> Dict[int, str]:
-    """Merkle label of every node of a swept graph, in one ascending
-    traversal (:meth:`~repro.aig.Aig.swept` keeps only the outputs'
-    fan-in, plus leaves, whose labels the digests ignore)."""
-    labels: Dict[int, str] = {0: _digest("const0")}
-    for node in range(1, len(aig)):
-        if aig.is_leaf(node):
-            labels[node] = _digest(f"pi:{aig.pi_name[node]}")
+def _canonical_labels(aig: Aig) -> List[str]:
+    """Merkle label of every node of a swept graph, by node id, in one
+    ascending traversal (:meth:`~repro.aig.Aig.swept` keeps only the
+    outputs' fan-in, plus leaves, whose labels the digests ignore)."""
+    sha256 = hashlib.sha256
+    kinds = aig.kinds
+    fanin0 = aig.fanin0
+    fanin1 = aig.fanin1
+    pi_name = aig.pi_name
+    labels: List[str] = [_digest("const0")]
+    append = labels.append
+    for node in range(1, len(kinds)):
+        kind = kinds[node]
+        if kind == KIND_PI:
+            append(_digest(f"pi:{pi_name[node]}"))
             continue
-        kind = "and" if aig.is_and(node) else "xor"
-        f0, f1 = aig.fanins(node)
-        operands = sorted(
-            (_edge_label(labels, f0), _edge_label(labels, f1))
-        )
-        labels[node] = _digest(kind + ":" + ",".join(operands))
+        f0 = fanin0[node]
+        f1 = fanin1[node]
+        label0 = labels[f0 >> 1]
+        if f0 & 1:
+            label0 = "!" + label0
+        label1 = labels[f1 >> 1]
+        if f1 & 1:
+            label1 = "!" + label1
+        if label1 < label0:
+            label0, label1 = label1, label0
+        payload = ("and:" if kind == KIND_AND else "xor:") + label0
+        append(sha256((payload + "," + label1).encode()).hexdigest())
     return labels
 
 
 def _fingerprint_from_labels(
-    netlist: Netlist, aig: Aig, labels: Dict[int, str]
+    netlist: Netlist, aig: Aig, labels: List[str]
 ) -> str:
     ports = [
         "in:" + ",".join(sorted(netlist.inputs)),
@@ -90,10 +104,11 @@ def _fingerprint_from_labels(
             f"{name}={_edge_label(labels, lit)}" for name, lit in aig.outputs
         ),
     ]
+    kinds = aig.kinds
     node_labels: List[str] = sorted(
         label
-        for node, label in labels.items()
-        if not aig.is_leaf(node) and node != 0
+        for label, kind in zip(labels, kinds)
+        if kind == KIND_AND or kind == KIND_XOR
     )
     payload = "\n".join(
         [f"schema:{FINGERPRINT_SCHEMA}"] + ports + node_labels
@@ -124,12 +139,8 @@ def _memoized(netlist: Netlist) -> Tuple[str, Dict[str, str]]:
     return memo["fingerprint"], memo["cones"]
 
 
-def fingerprint_netlist(netlist: Netlist, strash: bool = True) -> str:
+def fingerprint_netlist(netlist: Netlist) -> str:
     """The content address of a netlist: ``v<schema>-<sha256 hex>``.
-
-    ``strash`` is kept for interface compatibility and is now a no-op:
-    the AIG lowering *is* the structural normalisation, and it is no
-    longer worth skipping.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> a = fingerprint_netlist(generate_mastrovito(0b10011))
@@ -138,7 +149,6 @@ def fingerprint_netlist(netlist: Netlist, strash: bool = True) -> str:
     >>> a == b, a == c
     (True, False)
     """
-    del strash  # normalisation is inherent in the AIG lowering
     return netlist.memo().get("fingerprint") or _memoized(netlist)[0]
 
 

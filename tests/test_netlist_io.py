@@ -33,6 +33,7 @@ from repro.netlist.verilog_io import (
     read_verilog,
     write_verilog,
 )
+from repro.service.fingerprint import fingerprint_with_cones
 from tests.conftest import bit_assignment
 
 
@@ -207,6 +208,32 @@ def test_non_utf8_file_raises_the_format_error(
     path.write_bytes(data[:offset] + b"\xff" + data[offset:])
     with pytest.raises(error, match=f"byte 0xff at byte offset {offset}"):
         read(path)
+
+
+@pytest.mark.parametrize(
+    "suffix, write, read",
+    [
+        ("eqn", write_eqn, read_eqn),
+        ("blif", write_blif, read_blif),
+        ("v", write_verilog, read_verilog),
+    ],
+)
+def test_byte_order_mark_is_ignored(tmp_path, suffix, write, read):
+    """A file that starts with a UTF-8 byte-order mark reads as the
+    same netlist, with the same fingerprint, as the file without it."""
+    plain = tmp_path / "plain" / f"m8.{suffix}"
+    marked = tmp_path / "marked" / f"m8.{suffix}"
+    plain.parent.mkdir()
+    marked.parent.mkdir()
+    write(generate_mastrovito(0b100011011), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected, actual = read(plain), read(marked)
+    assert actual.name == expected.name
+    assert actual.inputs == expected.inputs
+    assert actual.outputs == expected.outputs
+    assert actual.gates == expected.gates
+    assert actual.topological_order() == expected.topological_order()
+    assert fingerprint_with_cones(actual) == fingerprint_with_cones(expected)
 
 
 class TestCollectorPause:

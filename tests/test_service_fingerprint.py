@@ -142,12 +142,6 @@ class TestAigSchema:
             generate_mastrovito(0b111)
         ).startswith("v3-")
 
-    def test_strash_flag_is_inert(self):
-        net = generate_montgomery(0b1011)
-        assert fingerprint_netlist(net, strash=False) == fingerprint_netlist(
-            net
-        )
-
     def test_xnor_equals_inverted_xor(self):
         """Complement pulling: XNOR(a,b) and INV(XOR(a,b)) share the
         XOR node, so they must share the fingerprint."""
