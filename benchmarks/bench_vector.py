@@ -1,44 +1,15 @@
-"""The numpy ``vector`` engine and the compiled-program cache on flat
-and NAND-mapped Mastrovito multipliers.
+"""The numpy ``vector`` engine on flat and NAND-mapped Mastrovito
+multipliers.
 
-Two claims are measured:
-
-1. **Steady state** — the vector engine's per-bit extraction against
-   the other backends (per-bit ``vector`` runs the ``aig`` engine's
-   loop, so its rows read like ``aig`` within noise; the fused sweep
-   is ``bench_fused.py``'s subject), methodology of ``bench_aig.py``: per (variant,
-   m, engine) one warm-up run, then ``--repeats`` timed runs;
-   ``min_s`` is the steady state and ``cold_s`` the first call
-   including the engine's one-time netlist compile.  Committed
-   acceptance: ``vector`` beats ``bitpack`` by ≥3x steady-state on
-   the NAND-mapped m=32 extraction.
-
-2. **Warm compiled-program cache** — the service-campaign situation:
-   a *fresh* engine (a cold process) extracting a structure whose
-   compiled program is already in the fingerprint-keyed cache
-   (:mod:`repro.service.cache`), with the fingerprint known from the
-   runner's stat-validated file memo (it is seeded exactly the way
-   ``repro batch`` seeds it).  ``warm_cold_s`` then pays only the
-   program load (unpickle + exact-netlist token check) plus the
-   rewrite itself — the compile tax is gone.  The netlist object is
-   the one the steady table already ran on, so only the *engine* is
-   cold: the netlist's topological order and its memoized strash and
-   token are warm (a fresh process pays those too, about 40-50 ms at
-   m=32).  Committed acceptance: for both compiling engines the warm
-   cold start lands *below bitpack's steady state*, so a batch
-   campaign over fresh-but-known structures never falls behind the
-   non-compiling backend.  The order-of-magnitude collapse
-   (``collapse_factor >= 5``) that was also required while the
-   compile flattened every strashed node is retired: the compile now
-   flattens only the outputs' live graph and a cold m=32 start itself
-   costs tens of milliseconds, so the factor is recorded separately
-   (``stated_target_collapse``) and is not part of the verdict.  The
-   ``ratio_to_steady`` column reports ``warm_cold_s / min_s`` against
-   the originally stated 1.5x target, which is recorded separately
-   (``stated_target_ratio_to_steady``) and is **not met**: the
-   residual gap is the program-load floor (unpickle, a few ms at
-   m=32), small against ``bitpack``'s steady state, but not against
-   these engines' ~1-5 ms steady states.
+**Steady state** — the vector engine's per-bit extraction against the
+other backends (per-bit ``vector`` runs the ``aig`` engine's loop, so
+its rows read like ``aig`` within noise; the fused sweep is
+``bench_fused.py``'s subject), methodology of ``bench_aig.py``: per
+(variant, m, engine) one warm-up run, then ``--repeats`` timed runs;
+``min_s`` is the steady state and ``cold_s`` the first call including
+the engine's one-time netlist compile.  Committed acceptance:
+``vector`` beats ``bitpack`` by ≥3x steady-state on the NAND-mapped
+m=32 extraction.
 
 Usage::
 
@@ -58,7 +29,6 @@ import json
 import pathlib
 import platform
 import sys
-import tempfile
 import time
 from typing import List, Optional
 
@@ -82,7 +52,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = ROOT / "BENCH_vector.json"
 
 ENGINES = ("reference", "bitpack", "aig", "vector")
-COMPILING = ("aig", "vector")
 
 FULL_SIZES = [16, 32]
 SMOKE_SIZES = [16]
@@ -143,83 +112,8 @@ def bench_variant(variant: str, netlist, m: int, repeats: int) -> dict:
     return row
 
 
-def _extract_with_program_cache(netlist, engine, cache):
-    """One extraction with only the compiled-program tier in play.
-
-    The program is loaded from (or compiled into) ``cache`` before the
-    rewrite and re-stored after it with the cut models the rewrite
-    built — the prepare/finalize bracket the extraction puts around
-    its rewriting — while results and cones are never cached, so every
-    timed call really rewrites.
-    """
-    engine.prepare(netlist, compile_cache=cache)
-    result = extract_irreducible_polynomial(netlist, engine=engine)
-    engine.finalize(netlist, compile_cache=cache)
-    return result
-
-
-def bench_warm_compile(netlist, m: int, repeats: int) -> dict:
-    """Warm compiled-program cache: the batch-runner cold start.
-
-    Per compiling engine: ``cold_s`` compiles from scratch (fresh
-    engine, empty cache — and populates it, models included, via the
-    run's finalize), ``warm_cold_s`` is another fresh engine loading
-    the stored program with the fingerprint pre-seeded, ``min_s`` the
-    subsequent steady state of that same engine.
-    """
-    from repro.engine import get_engine
-    from repro.service.cache import ResultCache
-    from repro.service.fingerprint import remember_fingerprint
-
-    row: dict = {"m": m, "variant": "nand-mapped", "engines": {}}
-    reference = extract_irreducible_polynomial(netlist, engine="reference")
-    for name in COMPILING:
-        if name not in available_engines():
-            continue
-        engine_cls = type(get_engine(name))
-        with tempfile.TemporaryDirectory() as tmp:
-            cache = ResultCache(tmp)
-            fingerprint = cache.fingerprint(netlist)
-
-            cold_engine = engine_cls()
-            started = time.perf_counter()
-            cold_result = _extract_with_program_cache(
-                netlist, cold_engine, cache
-            )
-            cold = time.perf_counter() - started
-            assert cold_result.modulus == reference.modulus
-
-            warm_cache = ResultCache(tmp)
-            remember_fingerprint(netlist, fingerprint)
-            warm_engine = engine_cls()
-            started = time.perf_counter()
-            warm_result = _extract_with_program_cache(
-                netlist, warm_engine, warm_cache
-            )
-            warm_cold = time.perf_counter() - started
-            assert warm_result.modulus == reference.modulus
-            assert warm_cache.compile_hits >= 1  # loaded, not compiled
-
-            timings = []
-            for _ in range(repeats):
-                started = time.perf_counter()
-                extract_irreducible_polynomial(netlist, engine=warm_engine)
-                timings.append(time.perf_counter() - started)
-            steady = min(timings)
-
-        row["engines"][name] = {
-            "cold_s": round(cold, 6),
-            "warm_cold_s": round(warm_cold, 6),
-            "min_s": round(steady, 6),
-            "collapse_factor": round(cold / max(warm_cold, 1e-9), 2),
-            "ratio_to_steady": round(warm_cold / max(steady, 1e-9), 2),
-        }
-    return row
-
-
 def run_benchmark(sizes: List[int], repeats: int) -> dict:
     rows = []
-    warm_rows = []
     for m in sizes:
         for variant, netlist in _netlists(m):
             row = bench_variant(variant, netlist, m, repeats)
@@ -233,18 +127,6 @@ def run_benchmark(sizes: List[int], repeats: int) -> dict:
                     for name, data in row["engines"].items()
                 )
             )
-            if variant == "nand-mapped":
-                warm = bench_warm_compile(netlist, m, repeats)
-                warm_rows.append(warm)
-                print(
-                    f"  warm-compile       "
-                    + "  ".join(
-                        f"{name}: cold {data['cold_s']:.4f}s -> warm "
-                        f"{data['warm_cold_s']:.4f}s "
-                        f"({data['collapse_factor']}x collapse)"
-                        for name, data in warm["engines"].items()
-                    )
-                )
     report = {
         "benchmark": "bench_vector",
         "python": platform.python_version(),
@@ -252,15 +134,10 @@ def run_benchmark(sizes: List[int], repeats: int) -> dict:
         "methodology": (
             "steady table: one warm-up per engine then `repeats` timed "
             "runs (min_s = steady state, cold_s = first call incl. "
-            "compile).  warm-compile table: cold_s compiles into an "
-            "empty compiled-program cache; warm_cold_s is a fresh "
-            "engine loading that program with the fingerprint seeded "
-            "from the file memo, as `repro batch` does; min_s is that "
-            "engine's subsequent steady state"
+            "compile)"
         ),
         "engines": [e for e in ENGINES if e in available_engines()],
         "rows": rows,
-        "warm_compile_rows": warm_rows,
     }
     target = next(
         (
@@ -269,9 +146,6 @@ def run_benchmark(sizes: List[int], repeats: int) -> dict:
             if row["m"] == 32 and row["variant"] == "nand-mapped"
         ),
         None,
-    )
-    warm_target = next(
-        (row for row in warm_rows if row["m"] == 32), None
     )
     if target is not None and "vector" in target["engines"]:
         vector = target["engines"]["vector"]["min_s"]
@@ -286,62 +160,6 @@ def run_benchmark(sizes: List[int], repeats: int) -> dict:
             "speedup": round(bitpack / max(vector, 1e-9), 2),
             "passed": vector * 3 <= bitpack,
         }
-    if warm_target is not None and target is not None:
-        bitpack = target["engines"]["bitpack"]["min_s"]
-        engines = warm_target["engines"]
-        target_ratio = 1.5
-        report["warm_compile_acceptance"] = {
-            "criterion": (
-                "with a warm compiled-program cache, the compiling "
-                "engines' cold start lands below bitpack's steady "
-                "state (the once-ever-compile criterion)"
-            ),
-            "bitpack_min_s": bitpack,
-            "engines": {
-                name: {
-                    "warm_cold_s": data["warm_cold_s"],
-                    "collapse_factor": data["collapse_factor"],
-                    "ratio_to_steady": data["ratio_to_steady"],
-                    "below_bitpack_steady": data["warm_cold_s"] < bitpack,
-                }
-                for name, data in engines.items()
-            },
-            "passed": all(
-                data["warm_cold_s"] < bitpack for data in engines.values()
-            ),
-            # Retired from the verdict: a 5x collapse of the cold start
-            # was required while the compile flattened every strashed
-            # node (a cold m=32 start then took ~0.6-0.9 s).
-            "stated_target_collapse": {
-                "target": 5,
-                "engines": {
-                    name: data["collapse_factor"]
-                    for name, data in engines.items()
-                },
-                "met": all(
-                    data["collapse_factor"] >= 5
-                    for data in engines.values()
-                ),
-            },
-            # The originally stated target, reported separately and
-            # honestly: warm_cold_s <= 1.5x the engine's own steady
-            # state.  The residual program load (unpickle, a few ms at
-            # m=32) is small against bitpack's steady state, but not
-            # against these engines' ~1-5 ms steady states, so the
-            # ratio target is NOT met — do not read the overall
-            # "passed" as covering it.
-            "stated_target_ratio_to_steady": {
-                "target": target_ratio,
-                "engines": {
-                    name: data["ratio_to_steady"]
-                    for name, data in engines.items()
-                },
-                "met": all(
-                    data["ratio_to_steady"] <= target_ratio
-                    for data in engines.values()
-                ),
-            },
-        }
     return report
 
 
@@ -350,14 +168,11 @@ def run_benchmark(sizes: List[int], repeats: int) -> dict:
 # ----------------------------------------------------------------------
 
 def test_vector_engine_smoke():
-    """CI-sized run (m=16): identical results, warm cache engaged."""
+    """CI-sized run (m=16): identical results."""
     if not _vector_available():
         pytest.skip("numpy not installed; vector engine unregistered")
     report = run_benchmark(SMOKE_SIZES, repeats=1)
     assert all(row["identical"] for row in report["rows"])
-    for warm in report["warm_compile_rows"]:
-        for data in warm["engines"].values():
-            assert data["warm_cold_s"] < data["cold_s"]
 
 
 @pytest.mark.slow
@@ -367,7 +182,6 @@ def test_vector_engine_full_acceptance():
         pytest.skip("numpy not installed; vector engine unregistered")
     report = run_benchmark(FULL_SIZES, repeats=5)
     assert report["acceptance"]["passed"]
-    assert report["warm_compile_acceptance"]["passed"]
 
 
 # ----------------------------------------------------------------------
@@ -389,10 +203,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     sizes = SMOKE_SIZES if args.smoke else FULL_SIZES
     report = run_benchmark(sizes, repeats=args.repeats)
-    for key in ("acceptance", "warm_compile_acceptance"):
-        if key in report:
-            status = "PASS" if report[key]["passed"] else "FAIL"
-            print(f"{key} [{status}]: {report[key]['criterion']}")
+    if "acceptance" in report:
+        status = "PASS" if report["acceptance"]["passed"] else "FAIL"
+        print(f"acceptance [{status}]: {report['acceptance']['criterion']}")
     output = args.output
     if output is None and not args.smoke:
         output = DEFAULT_OUTPUT

@@ -77,15 +77,13 @@ Backends
     backend serves ``rewrite_cones`` through its per-bit loop, so
     ``fused=True`` degrades cleanly without numpy.
 
-Compiling backends (bitpack, aig, vector) additionally persist their
-one-time per-netlist compile through the ``compile_cache=`` hook
-(:class:`~repro.engine.base.CompilingEngine`): programs are stored in
-the service result cache keyed by (fingerprint, compile key, compile
-schema) and validated against an exact-netlist token on load, so a
-batch campaign compiles each distinct structure once ever.  bitpack's
-program is complete at compile time and is stored once; aig/vector
-programs are re-stored when rewriting grows them (lazily built cut
-models).
+Compiling backends (bitpack, aig, vector) keep their one-time
+per-netlist compile in a weak in-process memo
+(:class:`~repro.engine.base.CompilingEngine`) and never persist it:
+the program is built from the live AIG the content fingerprint
+already strashed, which is cheaper than loading a stored copy.
+bitpack's program is complete at compile time; aig/vector build cut
+models lazily while rewriting.
 
 Every backend produces bit-identical *results* — canonical
 expressions, P(x), member bits — and fails structurally broken
@@ -104,7 +102,6 @@ from repro.engine.base import (
     ConeExpression,
     Engine,
     EngineError,
-    netlist_token,
 )
 from repro.engine.bitpack import BitpackEngine, PackedExpression
 from repro.engine.interning import SignalInterner
@@ -139,7 +136,6 @@ __all__ = [
     "ConeExpression",
     "Engine",
     "EngineError",
-    "netlist_token",
     "AigEngine",
     "BitpackEngine",
     "PackedExpression",

@@ -17,10 +17,8 @@ cut-based additions (:mod:`repro.aig.cuts`):
   mapped cluster inside the cut collapses to its polynomial *before*
   backward rewriting sees it, cut by cut instead of node by node.
 
-Cut models are built lazily, one per node the rewriting reaches, and
-the program is re-stored after rewriting when it grew
-(:meth:`AigEngine._program_marker`), so the next cold process inherits
-them.  The loop, the flat fast path, the residue check and the trace
+Cut models are built lazily, one per node the rewriting reaches.  The
+loop, the flat fast path, the residue check and the trace
 format are bitpack's.  Results are bit-identical to the reference
 backend (differential-tested); statistics and the memory-out point are
 backend-specific, as the engine contract allows.
@@ -53,10 +51,9 @@ _CUT_LIMIT = 16
 class _CompiledAig(_CompiledProgram):
     """The bitpack program with cut flattening and cut models.
 
-    Same layout (and pickled state) as the bitpack program; only the
-    flattening fallback, the bounds and the models differ.  Cut models
-    are built lazily during rewriting and travel with the program when
-    :meth:`AigEngine.finalize` re-stores it.
+    Same layout as the bitpack program; only the flattening fallback,
+    the bounds and the models differ.  Cut models are built lazily
+    during rewriting.
     """
 
     __slots__ = ()
@@ -206,17 +203,9 @@ class AigEngine(BitpackEngine):
     """Backward rewriting cut-by-cut over the strashed AIG."""
 
     name = "aig"
-    #: Bump on any change to :class:`_CompiledAig`'s layout.  The
-    #: ``vector`` backend compiles the very same program, so both
-    #: share the ``aig`` key in the compiled-program cache.
+    #: Recorded in cone entries as provenance; the ``vector`` backend
+    #: compiles the very same program and inherits it.
     compile_schema = 1
-    compile_key = "aig"
 
     def _compile(self, netlist: Netlist) -> _CompiledAig:
         return _CompiledAig(netlist)
-
-    def _program_marker(self, compiled: _CompiledAig) -> int:
-        # Cut models accrete lazily during rewriting; a changed count
-        # makes finalize() re-store the program so the next cold
-        # process inherits them.
-        return len(compiled._models)

@@ -32,7 +32,8 @@ gets its **direct-fanin model** — the AND/XOR of its two fanin
 literals, with small flat fanins multiplied out and the rest kept as
 node variables — and a flat node read as such a variable substitutes
 its flat polynomial.  The models are built at compile time, so the
-program is complete before the first cone and is stored once.
+program is complete before the first cone, and forked workers share
+it copy-on-write.
 
 Rewriting (per output bit)
 --------------------------
@@ -63,11 +64,10 @@ monomials, cone gate counts), the trace step text and the
 
 from __future__ import annotations
 
-from array import array
 from heapq import heappop, heappush
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.aig import Aig, live_aig
+from repro.aig import live_aig
 from repro.engine.base import CompilingEngine, ConeExpression, cone_span
 from repro.engine.interning import SignalInterner
 from repro.gf2.monomial import Monomial
@@ -107,6 +107,10 @@ class PackedExpression(ConeExpression):
     def decode(self) -> Gf2Poly:
         unpack = self.interner.unpack
         return Gf2Poly.from_monomials({unpack(mask) for mask in self.masks})
+
+    def _encode(self) -> List[List[str]]:
+        names_of = self.interner.names_of
+        return sorted(sorted(names_of(mask)) for mask in self.masks)
 
     def term_count(self) -> int:
         return len(self.masks)
@@ -314,75 +318,12 @@ class _CompiledProgram:
                 counts[key] = counts.get(key, 0) ^ 1
         return tuple(key for key, parity in counts.items() if parity)
 
-    # -- serialization ---------------------------------------------------
-    #
-    # Compiled programs travel through the fingerprint-keyed cache
-    # (:mod:`repro.service.cache`), and a warm load must be a small
-    # fraction of a recompile.  The default pickle of the embedded
-    # :class:`~repro.aig.Aig` spends most of its bytes on the strash
-    # table — pure construction state a finished program never touches
-    # — so the custom state drops it and packs the node arrays as raw
-    # ``array('q')`` bytes (memcpy-speed on load).  The models built so
-    # far are included.  The deserialized graph is read-only — growing
-    # it would bypass hash-consing.
-
-    def __getstate__(self):
-        aig = self.aig
-        return {
-            "name": aig.name,
-            "kinds": bytes(aig.kinds),
-            "fanin0": array("q", aig.fanin0).tobytes(),
-            "fanin1": array("q", aig.fanin1).tobytes(),
-            "pi_name": aig.pi_name,
-            "inputs": aig.inputs,
-            "outputs": aig.outputs,
-            "net_literal": aig.net_literal,
-            "leaf_index": self.leaf_index,
-            "leaf_names": self.leaf_names,
-            "leaf_bits": self.leaf_bits,
-            "undeclared_bits": self.undeclared_bits,
-            # Tuples load ~3x faster than sets and every post-compile
-            # consumer only iterates/len()s/copies flat polynomials.
-            "flats": {
-                node: tuple(poly) for node, poly in self.flats.items()
-            },
-            "n_gates": self.n_gates,
-            "models": self._models,
-        }
-
-    def __setstate__(self, state):
-        aig = Aig(state["name"])
-        aig.kinds = list(state["kinds"])
-        fanin0 = array("q")
-        fanin0.frombytes(state["fanin0"])
-        fanin1 = array("q")
-        fanin1.frombytes(state["fanin1"])
-        aig.fanin0 = list(fanin0)
-        aig.fanin1 = list(fanin1)
-        aig.pi_name = state["pi_name"]
-        aig.inputs = state["inputs"]
-        aig.outputs = state["outputs"]
-        aig.net_literal = state["net_literal"]
-        aig._leaf_lit = {
-            name: node << 1 for node, name in aig.pi_name.items()
-        }
-        self.aig = aig
-        self.net_literal = aig.net_literal
-        self.leaf_index = state["leaf_index"]
-        self.leaf_names = state["leaf_names"]
-        self.leaf_bits = state["leaf_bits"]
-        self.undeclared_bits = state["undeclared_bits"]
-        self.flats = state["flats"]
-        self.n_gates = state["n_gates"]
-        self._models = state["models"]
-
 
 class BitpackEngine(CompilingEngine):
     """Backward rewriting over interned bitmask monomials."""
 
     name = "bitpack"
-    #: Bump on any change to :class:`_CompiledProgram`'s layout or
-    #: contents.
+    #: Recorded in cone entries as provenance.
     compile_schema = 2
 
     def _compile(self, netlist: Netlist) -> _CompiledProgram:
@@ -436,11 +377,10 @@ class BitpackEngine(CompilingEngine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
         with cone_span(self, output) as span:
             expression, stats = self._rewrite_cone_impl(
-                netlist, output, trace, term_limit, compile_cache
+                netlist, output, trace, term_limit
             )
             span.annotate(
                 iterations=stats.iterations, peak_terms=stats.peak_terms
@@ -454,11 +394,10 @@ class BitpackEngine(CompilingEngine):
         output: str,
         trace: bool,
         term_limit: Optional[int],
-        compile_cache: Optional[Any],
     ) -> Tuple[PackedExpression, RewriteStats]:
         stats = RewriteStats(output=output)
 
-        compiled = self._compiled_for(netlist, compile_cache)
+        compiled = self._compiled_for(netlist)
         literal = compiled.net_literal.get(output)
         if literal is None:
             if netlist.driver_of(output) is None:
@@ -472,7 +411,7 @@ class BitpackEngine(CompilingEngine):
             # The program holds the outputs' live graph only; a net no
             # output reads is rewritten over its own cone.
             return self._rewrite_cone_impl(
-                netlist.cone(output), output, trace, term_limit, None
+                netlist.cone(output), output, trace, term_limit
             )
         node = literal >> 1
         complemented = literal & 1

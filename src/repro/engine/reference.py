@@ -10,9 +10,9 @@ the differential-testing oracle.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.engine.base import ConeExpression, Engine
+from repro.engine.base import ConeExpression, Engine, poly_from_json
 from repro.gf2.monomial import Monomial
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
@@ -26,6 +26,13 @@ class ReferenceExpression(ConeExpression):
 
     def __init__(self, poly: Gf2Poly):
         self.poly = poly
+
+    @classmethod
+    def from_json(cls, data: List[List[str]]) -> "ReferenceExpression":
+        """Decode a ``poly_to_json`` list, keeping it as the encoding."""
+        expression = cls(poly_from_json(data))
+        expression._json = data
+        return expression
 
     def decode(self) -> Gf2Poly:
         return self.poly
@@ -51,9 +58,7 @@ class ReferenceEngine(Engine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Tuple[ReferenceExpression, RewriteStats]:
-        del compile_cache  # nothing to compile on this backend
         poly, stats = backward_rewrite(
             netlist,
             output,

@@ -4,8 +4,7 @@ The pure-python backends spend the substitution loop hashing one
 python ``int`` at a time; on wide cones the interpreter dispatch, not
 the algebra, is the cost.  This backend keeps the *same* compiled
 program as the ``aig`` engine (strash → flattening → cut-ANF models,
-:class:`repro.engine.aig._CompiledAig` — so the two backends also
-share compiled-program cache entries) but runs Algorithm 1's loop for
+:class:`repro.engine.aig._CompiledAig`) but runs Algorithm 1's loop for
 all outputs at once in numpy:
 
 * a polynomial is a ``uint64`` matrix of shape ``(monomials, words)``
@@ -224,11 +223,10 @@ class VectorEngine(AigEngine):
     """The ``aig`` engine plus a fused sweep over numpy bit-matrices.
 
     Subclasses :class:`~repro.engine.aig.AigEngine` for everything
-    *around* the fused sweep — the compiled program (and therefore
-    the ``aig`` compiled-cache key), the flat fast path, the residue
-    check — and for the per-bit :meth:`rewrite_cone` loop itself; it
-    adds the vectorized multi-output substitution described in the
-    module docstring.
+    *around* the fused sweep — the compiled program, the flat fast
+    path, the residue check — and for the per-bit
+    :meth:`rewrite_cone` loop itself; it adds the vectorized
+    multi-output substitution described in the module docstring.
     """
 
     name = "vector"
@@ -271,7 +269,6 @@ class VectorEngine(AigEngine):
         netlist: Netlist,
         outputs: Iterable[str],
         term_limit: Optional[int] = None,
-        compile_cache: Optional[Any] = None,
     ) -> Dict[str, Tuple[PackedExpression, RewriteStats]]:
         """All requested cones in one fused substitution sweep.
 
@@ -291,7 +288,7 @@ class VectorEngine(AigEngine):
                 "(or fused=False for the per-bit path)"
             )
         chosen = list(outputs)
-        compiled = self._compiled_for(netlist, compile_cache)
+        compiled = self._compiled_for(netlist)
         results: Dict[str, Tuple[PackedExpression, RewriteStats]] = {}
         roots: List[Tuple[str, int, int]] = []
         for output in chosen:
@@ -301,10 +298,7 @@ class VectorEngine(AigEngine):
                 # which also report unknown nets and rewrite nets that
                 # no output reads.
                 results[output] = super().rewrite_cone(
-                    netlist,
-                    output,
-                    term_limit=term_limit,
-                    compile_cache=compile_cache,
+                    netlist, output, term_limit=term_limit
                 )
             else:
                 roots.append((output, literal >> 1, literal & 1))

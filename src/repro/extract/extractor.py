@@ -162,8 +162,7 @@ def extract_irreducible_polynomial(
 
     ``cache`` (optionally, a :class:`repro.service.cache.ResultCache`)
     answers a structurally identical netlist without rewriting a gate
-    and stores fresh results; on a miss it serves the per-cone and
-    compiled-program tiers of
+    and stores fresh results; on a miss it serves the per-cone tier of
     :func:`~repro.rewrite.parallel.extract_expressions`, so an edited
     netlist rewrites only its dirty cones (the ECO path).
 

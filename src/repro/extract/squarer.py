@@ -66,13 +66,10 @@ def extract_squarer_polynomial(
     """Recover P(x) from a gate-level squarer.
 
     ``cache`` (optionally) is a
-    :class:`repro.service.cache.ResultCache`, used for both tiers it
-    has here: the squarer entry, keyed like every other artifact by
-    the strash-invariant content fingerprint — a structurally
-    identical squarer is answered without rewriting a single gate —
-    and, on a miss, the compiled program of the rewriting backend
-    ``engine``, exactly as on the multiplier path, so a squarer-heavy
-    campaign pays no cold compile per known structure.
+    :class:`repro.service.cache.ResultCache` holding the squarer
+    entry, keyed like every other artifact by the strash-invariant
+    content fingerprint: a structurally identical squarer is answered
+    without rewriting a single gate.
     ``fused=True`` rewrites all m bits in one fused sweep
     (:func:`repro.rewrite.backward.backward_rewrite_multi`).
 
@@ -106,21 +103,14 @@ def extract_squarer_polynomial(
     columns = [0] * m
     outputs = [f"z{j}" for j in range(m)]
     if fused:
-        rewritten = backward_rewrite_multi(
-            netlist, outputs, engine=engine, compile_cache=cache
-        )
+        rewritten = backward_rewrite_multi(netlist, outputs, engine=engine)
     else:
         rewritten = None
     for j, output in enumerate(outputs):
         if rewritten is not None:
             poly, _stats = rewritten[output]
         else:
-            poly, _stats = backward_rewrite(
-                netlist,
-                output,
-                engine=engine,
-                compile_cache=cache,
-            )
+            poly, _stats = backward_rewrite(netlist, output, engine=engine)
         for monomial in poly.monomials:
             if len(monomial) != 1:
                 raise SquarerExtractionError(

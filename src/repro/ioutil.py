@@ -81,8 +81,7 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
 
     The one shared implementation of the write-temp-then-replace
     recipe (the text variant encodes and delegates); also used
-    directly for the compiled-program blobs of the result cache,
-    which are pickles rather than JSON.
+    directly for the result cache's compact JSON entries.
     """
     # realpath: os.replace onto a symlink would clobber the link
     # itself; writers that previously wrote through links must keep

@@ -14,9 +14,8 @@ Industrial-Strength Verification Tool", CAV 2010):
 
 Validation, ordering, cone walks and bit-parallel simulation loop over
 these integers, and so do the AIG strash
-(:meth:`repro.aig.Aig.from_netlist`), the exact-content token of
-compiled programs (:func:`repro.engine.base.netlist_token`) and the
-EQN reader, which fills the core directly.  :class:`~repro.netlist.gate.Gate`
+(:meth:`repro.aig.Aig.from_netlist`) and the EQN reader, which fills
+the core directly.  :class:`~repro.netlist.gate.Gate`
 objects are *views*: :meth:`Netlist.add_gate` takes one and appends it
 to the core, and ``gates``, ``driver_of``, ``topological_order``,
 ``cone_gates`` and the writers build them on demand.  No list of them
@@ -280,11 +279,10 @@ class Netlist:
     def memo(self) -> Dict[str, Any]:
         """Forms derived from the netlist's current contents.
 
-        The strashed live AIG (:func:`repro.aig.live_aig`), the content
-        fingerprint and cone digests (:mod:`repro.service.fingerprint`)
-        and the exact-content token of compiled programs
-        (:func:`repro.engine.base.netlist_token`) are each derived once
-        and kept here; every mutator clears the dict.
+        The strashed live AIG (:func:`repro.aig.live_aig`) and the
+        content fingerprint and cone digests
+        (:mod:`repro.service.fingerprint`) are each derived once and
+        kept here; every mutator clears the dict.
         """
         if self._memo is None:
             self._memo = {}

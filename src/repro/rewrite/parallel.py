@@ -190,16 +190,15 @@ def extract_expressions(
     the bits still in flight.  The returned run is independent of the
     hook and of completion order.
 
-    ``cache`` (a :class:`repro.service.cache.ResultCache`) serves two
-    tiers.  Per cone: the requested outputs are partitioned by Merkle
+    ``cache`` (a :class:`repro.service.cache.ResultCache`) serves the
+    per-cone tier: the requested outputs are partitioned by Merkle
     cone digest (:func:`repro.service.fingerprint.cone_fingerprints`);
     cached bits are served under a ``cone.cached`` span, only the dirty
     ones are rewritten and stored back — Theorem 1 makes the entries
     engine-neutral — and the run, bit-identical to a cold one, carries
-    per-bit :attr:`ExtractionRun.cache_provenance`.  Compiled program:
-    the dirty cones' one-time compile is loaded from / stored to the
-    cache in the coordinating process before any rewriting, so forked
-    workers inherit it copy-on-write.
+    per-bit :attr:`ExtractionRun.cache_provenance`.  The dirty cones'
+    one-time compile then runs in the coordinating process before any
+    rewriting, so forked workers inherit the program copy-on-write.
 
     ``fused=True`` rewrites every requested cone through the engine's
     multi-root entry point in this process: a backend with a fused
@@ -212,8 +211,7 @@ def extract_expressions(
     request order.  ``fused_chunk`` splits the sweep into sweeps of at
     most that many outputs, the hook firing after each: the
     checkpoint granularity of :mod:`repro.service.jobs`.  The chunks
-    share one compile, one cone-cache partition and one final store of
-    the compiled program.
+    share one compile and one cone-cache partition.
 
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
@@ -258,7 +256,7 @@ def extract_expressions(
         hit_outputs: List[str] = []
         if cache is not None and chosen:
             from repro.engine.reference import ReferenceExpression
-            from repro.service.cache import poly_from_json, stats_from_json
+            from repro.service.cache import stats_from_json
             from repro.service.fingerprint import cone_fingerprints
 
             cone_digests = cone_fingerprints(netlist)
@@ -280,8 +278,8 @@ def extract_expressions(
                 ):
                     for output in hit_outputs:
                         entry = entries[output]
-                        cone = ReferenceExpression(
-                            poly_from_json(entry["expression"])
+                        cone = ReferenceExpression.from_json(
+                            entry["expression"]
                         )
                         stats = stats_from_json(entry["stats"])
                         results.append((output, cone, stats))
@@ -290,10 +288,10 @@ def extract_expressions(
             jobs = max(1, min(jobs, len(dirty)))
 
         def store_cones(items) -> None:
-            # Store back what this run actually rewrote, decoded to
-            # the engine-neutral polynomial form (Theorem 1: every
-            # backend produces the same canonical expression, so the
-            # entry is valid for all of them).
+            # Store back what this run actually rewrote, in the
+            # engine-neutral encoded form (Theorem 1: every backend
+            # produces the same canonical expression, so the entry is
+            # valid for all of them).
             if cone_digests is None:
                 return
             schema = getattr(backend, "compile_schema", None)
@@ -304,7 +302,7 @@ def extract_expressions(
                 cache.put_cone(
                     digest,
                     output,
-                    cone.decode(),
+                    cone.to_json(),
                     st,
                     engine=backend.name,
                     compile_schema=schema,
@@ -323,12 +321,11 @@ def extract_expressions(
             work = netlist.restrict(dirty)
 
         if cache is not None and dirty:
-            # Prepare inside the timed region (the compile is part of
-            # this run's cost, cached or not) and in the *coordinating*
+            # Compile inside the timed region and in the *coordinating*
             # process, so forked workers inherit the program
             # copy-on-write.  A fully cone-cached run skips the
             # compile entirely — that is the warm ECO path.
-            backend.prepare(work, compile_cache=cache)
+            backend.prepare(work)
 
         if not dirty:
             pass  # every requested cone was served from the cache
@@ -337,7 +334,7 @@ def extract_expressions(
             for start in range(0, len(dirty), step):
                 batch = dirty[start : start + step]
                 cones_by_output = backend.rewrite_cones(
-                    work, batch, term_limit=term_limit, compile_cache=cache
+                    work, batch, term_limit=term_limit
                 )
                 fresh = []
                 for output in batch:
@@ -388,14 +385,6 @@ def extract_expressions(
                     results.append(item)
                     if on_result is not None:
                         on_result(*item)
-
-        if cache is not None and dirty:
-            # Persist whatever the program accreted during rewriting
-            # (lazily built cut models) so the next cold process
-            # inherits it.  Pool workers grow their own forked copies,
-            # which the coordinator cannot see — only sequential runs
-            # re-store.
-            backend.finalize(work, compile_cache=cache)
 
         if not fused and dirty:
             rewritten = set(dirty)

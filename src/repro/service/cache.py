@@ -43,17 +43,23 @@ which is what the HTTP API's ``GET /metrics`` endpoint scrapes.
 
 Compiled programs
 -----------------
-Besides the JSON artifacts, the cache stores the **compiled programs**
-of the rewriting engines (``compiled/<aa>/<fingerprint>.<engine>.s<N>.bin``)
-— the pickled per-netlist structures a compiling backend (bitpack,
-aig, vector) builds before its first rewrite.  Entries are keyed by
-``(fingerprint, engine compile key, engine compile schema)``: a schema
-bump changes the file name, so stale layouts are never loaded, and the
-engine layer additionally validates an exact-netlist token inside the
-payload (see :class:`repro.engine.base.CompilingEngine`).  Compiled
-blobs count against both budgets and are evicted like any artifact.
-They are pickles: treat the cache directory with the trust you would
-give any local build cache.
+The cache does not store the rewriting engines' compiled programs:
+an engine compiles from the live AIG the fingerprint already built,
+which costs less than loading a stored program, and nothing in the
+cache directory is ever unpickled.  Directories written by earlier
+versions may still hold compiled-program blobs
+(``compiled/<aa>/<fingerprint>.<engine>.s<N>.bin``, and ``.bin``
+fragments beside cone entries): :meth:`ResultCache.stats` counts them,
+and :meth:`ResultCache.prune` and :meth:`ResultCache.clear` evict them
+like any artifact.  Nothing reads them.
+
+Hostile entries
+---------------
+An entry that does not parse as JSON, parses to something other than
+an object, lacks its ``payload``, or whose payload the decoder rejects
+is *corrupt*: it is moved to ``quarantine/``, counted in
+``cache.corrupt`` and read as a miss, so the recomputed artifact
+replaces it.
 
 Decoded polynomials are stored as sorted lists of sorted variable
 lists (the canonical set-of-monomials form), so cached expressions are
@@ -74,10 +80,10 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import chaos as _chaos
 from repro import telemetry as _telemetry
+from repro.engine.base import poly_to_json
 from repro.extract.diagnose import Diagnosis, Verdict
 from repro.extract.extractor import ExtractionResult
 from repro.extract.verify import VerificationReport
-from repro.gf2.polynomial import Gf2Poly
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats
@@ -107,6 +113,12 @@ CACHE_MAX_ENTRIES_ENV = "REPRO_CACHE_MAX_ENTRIES"
 #: disk; oldest-mtime entries are evicted past it (0/unset = keep
 #: everything).
 CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
+
+#: What decoding an entry of the wrong shape raises: valid JSON that is
+#: not an object, an object without ``payload``, or a payload missing
+#: or mistyping a field.  Such an entry is corrupt, like one that does
+#: not parse.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
 #: The JSON artifact kinds the cache stores.
 KINDS = ("extraction", "verification", "diagnosis", "squarer")
@@ -142,16 +154,6 @@ def _check_budgets(**budgets: Optional[int]) -> None:
 # JSON codec for the three artifact kinds
 # ----------------------------------------------------------------------
 
-def poly_to_json(poly: Gf2Poly) -> List[List[str]]:
-    return sorted(sorted(mono) for mono in poly.monomials)
-
-
-def poly_from_json(data: List[List[str]]) -> Gf2Poly:
-    return Gf2Poly.from_monomials(
-        frozenset(frozenset(mono) for mono in data)
-    )
-
-
 def stats_to_json(stats: RewriteStats) -> Dict[str, Any]:
     return {
         "output": stats.output,
@@ -169,7 +171,13 @@ def stats_from_json(data: Dict[str, Any]) -> RewriteStats:
 
 
 def encode_extraction_run(run: ExtractionRun) -> Dict[str, Any]:
-    """Engine-neutral JSON form of a run (expressions fully decoded)."""
+    """Engine-neutral JSON form of a run.
+
+    Each expression is its cone's memoized
+    :meth:`~repro.engine.base.ConeExpression.to_json` form when the run
+    carries cones, so a cold run encodes every cone once.
+    """
+    cones = run.cones
     return {
         "netlist_name": run.netlist_name,
         "jobs": run.jobs,
@@ -179,7 +187,11 @@ def encode_extraction_run(run: ExtractionRun) -> Dict[str, Any]:
         "peak_memory_bytes": run.peak_memory_bytes,
         "engine": run.engine,
         "expressions": {
-            output: poly_to_json(run.expressions[output])
+            output: (
+                cones[output].to_json()
+                if output in cones
+                else poly_to_json(run.expressions[output])
+            )
             for output in sorted(run.expressions)
         },
         "stats": {
@@ -209,7 +221,7 @@ class _JsonCones(Mapping):
 
         cone = self._cache.get(key)
         if cone is None:
-            cone = ReferenceExpression(poly_from_json(self._raw[key]))
+            cone = ReferenceExpression.from_json(self._raw[key])
             self._cache[key] = cone
         return cone
 
@@ -532,7 +544,9 @@ class ResultCache:
     ) -> Optional[Dict[str, Any]]:
         """The memoized ``{"fingerprint", "gates"}`` (plus ``"cones"``
         when recorded — see :meth:`remember_file`) for an unchanged
-        file, or None when unseen/stale/unreadable."""
+        file, or None when unseen/stale/unreadable.  A memo that is not
+        a JSON object, or that matches the file but holds no string
+        fingerprint, is quarantined like a corrupt artifact."""
         try:
             stat = os.stat(path)
         except OSError:
@@ -541,7 +555,12 @@ class ResultCache:
         try:
             with open(memo_path, "r", encoding="utf-8") as handle:
                 memo = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except FileNotFoundError:
+            return None
+        except ValueError:  # not JSON, or not UTF-8
+            memo = None
+        if not isinstance(memo, dict):
+            self._quarantine_corrupt("files", memo_path)
             return None
         if (
             memo.get("mtime_ns") != stat.st_mtime_ns
@@ -551,6 +570,9 @@ class ResultCache:
             # A schema bump stales every memo: the recorded fingerprint
             # was computed under the old canonical form and would stop
             # structurally identical designs from deduplicating.
+            return None
+        if not isinstance(memo.get("fingerprint"), str):
+            self._quarantine_corrupt("files", memo_path)
             return None
         return memo
 
@@ -616,18 +638,25 @@ class ResultCache:
                 self.misses += 1
                 _telemetry.current().counter("cache.miss")
                 return None
-            except json.JSONDecodeError:
-                self._quarantine_corrupt(kind, path)
+            except ValueError:  # not JSON, or not UTF-8
+                entry = None
+            if isinstance(entry, dict) and (
+                entry.get("schema") != CACHE_SCHEMA_VERSION
+            ):
                 self.misses += 1
                 _telemetry.current().counter("cache.miss")
                 return None
-            if entry.get("schema") != CACHE_SCHEMA_VERSION:
+            try:
+                # Unparsed (None) and non-object entries raise here too.
+                artifact = _DECODERS[kind](entry["payload"])
+            except _MALFORMED:
+                self._quarantine_corrupt(kind, path)
                 self.misses += 1
                 _telemetry.current().counter("cache.miss")
                 return None
             self.hits += 1
             _telemetry.current().counter("cache.hit")
-            return _DECODERS[kind](entry["payload"])
+            return artifact
         finally:
             _telemetry.current().observe(
                 "cache.lookup", time.perf_counter() - started
@@ -769,9 +798,12 @@ class ResultCache:
     ) -> Optional[bytes]:
         """The stored compiled-program payload, or ``None`` (a miss).
 
-        The payload is returned as opaque bytes; deserialization and
-        exact-netlist validation belong to the engine layer
-        (:class:`repro.engine.base.CompilingEngine`).
+        The payload is returned as opaque bytes, never unpickled.
+
+        No code in ``src/`` calls it: engines no longer persist their
+        programs.  It stays only because ``perfbench/layers.py`` wraps
+        it by name, and goes when that probe stops wrapping ``src/``
+        functions (ROADMAP item 1).
         """
         started = time.perf_counter()
         try:
@@ -790,20 +822,6 @@ class ResultCache:
                 "cache.lookup", time.perf_counter() - started
             )
 
-    def note_compile_rejected(self) -> None:
-        """Reclassify the last compiled read as a miss.
-
-        The engine layer validates the payload (exact-netlist token,
-        unpickling) *after* :meth:`get_compiled` returned it; a
-        rejected program forced a full recompile, and the stats must
-        say so or a token-mismatch churn looks like a 100% hit rate.
-        """
-        self.compile_hits -= 1
-        self.compile_misses += 1
-        telemetry = _telemetry.current()
-        telemetry.counter("cache.compile_hit", -1)
-        telemetry.counter("cache.compile_miss")
-
     def put_compiled(
         self,
         key: Union[str, Netlist],
@@ -811,7 +829,13 @@ class ResultCache:
         schema: Optional[int],
         payload: bytes,
     ) -> Path:
-        """Atomically store one engine's compiled program."""
+        """Atomically store one engine's compiled program.
+
+        No code in ``src/`` calls it: engines no longer persist their
+        programs.  It stays only because ``perfbench/layers.py`` wraps
+        it by name, and goes when that probe stops wrapping ``src/``
+        functions (ROADMAP item 1).
+        """
         path = self.compiled_path_for(key, engine, schema)
         path.parent.mkdir(parents=True, exist_ok=True)
         replaced = self._size_before_write(path)
@@ -827,9 +851,7 @@ class ResultCache:
     # (repro.service.fingerprint.cone_fingerprints — a Merkle hash of
     # the output's transitive fan-in), and any engine may serve or
     # store it.  Engine identity and compile schema are *recorded* in
-    # the payload as provenance, and the optional compiled-program
-    # fragment for a cone IS engine/schema-keyed, mirroring the
-    # netlist-level compiled kind.
+    # the payload as provenance.
 
     def cone_path_for(self, digest: str) -> Path:
         """Location of one output cone's cached result."""
@@ -841,7 +863,9 @@ class ResultCache:
         The payload is the raw JSON dict: ``output``, ``expression``
         (``poly_to_json`` form), ``stats`` (``stats_to_json`` form),
         plus ``engine``/``compile_schema`` provenance.  Decoding to a
-        backend expression belongs to the extraction driver.
+        backend expression belongs to the extraction driver.  An entry
+        whose payload has no decodable ``stats`` or no ``expression``
+        list is quarantined and read as a miss.
         """
         started = time.perf_counter()
         try:
@@ -859,18 +883,28 @@ class ResultCache:
                 self.cone_misses += 1
                 _telemetry.current().counter("cache.cone_miss")
                 return None
-            except json.JSONDecodeError:
-                self._quarantine_corrupt(CONE_KIND, path)
+            except ValueError:  # not JSON, or not UTF-8
+                entry = None
+            if isinstance(entry, dict) and (
+                entry.get("schema") != CACHE_SCHEMA_VERSION
+            ):
                 self.cone_misses += 1
                 _telemetry.current().counter("cache.cone_miss")
                 return None
-            if entry.get("schema") != CACHE_SCHEMA_VERSION:
+            try:
+                # Unparsed (None) and non-object entries raise here too.
+                payload = entry["payload"]
+                stats_from_json(payload["stats"])
+                if not isinstance(payload["expression"], list):
+                    raise TypeError("cone expression is not a list")
+            except _MALFORMED:
+                self._quarantine_corrupt(CONE_KIND, path)
                 self.cone_misses += 1
                 _telemetry.current().counter("cache.cone_miss")
                 return None
             self.cone_hits += 1
             _telemetry.current().counter("cache.cone_hit")
-            return entry["payload"]
+            return payload
         finally:
             _telemetry.current().observe(
                 "cache.lookup", time.perf_counter() - started
@@ -880,13 +914,15 @@ class ResultCache:
         self,
         digest: str,
         output: str,
-        expression: Gf2Poly,
+        expression: List[List[str]],
         stats: RewriteStats,
         engine: Optional[str] = None,
         compile_schema: Optional[int] = None,
     ) -> Path:
         """Atomically store one output cone's result (best-effort).
 
+        ``expression`` is the cone's ``poly_to_json`` form, as
+        :meth:`~repro.engine.base.ConeExpression.to_json` memoizes it.
         A failed store is swallowed: population happens per bit
         inside extraction, and losing one cache entry must not abort
         (and force a retry of) the surrounding design.
@@ -899,7 +935,7 @@ class ResultCache:
             "created_unix": time.time(),
             "payload": {
                 "output": output,
-                "expression": poly_to_json(expression),
+                "expression": expression,
                 "stats": stats_to_json(stats),
                 "engine": engine,
                 "compile_schema": compile_schema,
@@ -938,7 +974,13 @@ class ResultCache:
     def get_cone_compiled(
         self, digest: str, engine: str, schema: Optional[int]
     ) -> Optional[bytes]:
-        """A cone's stored compiled fragment (opaque bytes), or None."""
+        """A cone's stored compiled fragment (opaque bytes), or None.
+
+        No code in ``src/`` calls it: engines no longer persist their
+        programs.  It stays only because ``perfbench/layers.py`` wraps
+        it by name, and goes when that probe stops wrapping ``src/``
+        functions (ROADMAP item 1).
+        """
         path = self.cone_compiled_path_for(digest, engine, schema)
         try:
             payload = path.read_bytes()
@@ -961,6 +1003,11 @@ class ResultCache:
 
         Best-effort like :meth:`put_cone`: a failed store is never
         worth aborting the extraction that produced the fragment.
+
+        No code in ``src/`` calls it: engines no longer persist their
+        programs.  It stays only because ``perfbench/layers.py`` wraps
+        it by name, and goes when that probe stops wrapping ``src/``
+        functions (ROADMAP item 1).
         """
         path = self.cone_compiled_path_for(digest, engine, schema)
         try:
@@ -1023,9 +1070,11 @@ class ResultCache:
                 self.extraction_summary_path(key), "r", encoding="utf-8"
             ) as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
             return None
-        if data.get("schema") != CACHE_SCHEMA_VERSION:
+        if not isinstance(data, dict) or (
+            data.get("schema") != CACHE_SCHEMA_VERSION
+        ):
             return None
         return data
 

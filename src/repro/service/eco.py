@@ -60,7 +60,7 @@ class ConeDiff:
     baseline_fingerprint: str
     edited_fingerprint: str
     #: Outputs whose cone digest is unchanged — their cached results
-    #: (and compiled fragments) stay valid.
+    #: stay valid.
     clean: List[str] = field(default_factory=list)
     #: Outputs present in both versions whose cone digest changed.
     dirty: List[str] = field(default_factory=list)
@@ -150,9 +150,10 @@ def warm_cones_from_extraction(
 
     A baseline extracted before the cone tier existed (or through a
     path that bypassed it) has a whole-netlist entry but no per-cone
-    entries; its decoded expressions are exactly the engine-neutral
-    payloads the cone store wants, so the warm-up costs JSON decode,
-    not rewriting.  Returns how many entries were written.
+    entries; its stored expressions are exactly the engine-neutral
+    payloads the cone store wants, so the warm-up writes back the lists
+    it read, without re-encoding or rewriting.  Returns how many
+    entries were written.
     """
     written = 0
     run = result.run
@@ -164,7 +165,7 @@ def warm_cones_from_extraction(
         cache.put_cone(
             digest,
             output,
-            run.expressions[output],
+            run.cones[output].to_json(),
             run.stats[output],
             engine=run.engine,
         )

@@ -50,7 +50,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro import chaos as _chaos
 from repro import telemetry as _telemetry
 from repro.engine.reference import ReferenceExpression
-from repro.gf2.polynomial import Gf2Poly
 from repro.ioutil import atomic_append_line, atomic_write_text
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats
@@ -59,12 +58,7 @@ from repro.rewrite.parallel import (
     LazyExpressions,
     extract_expressions,
 )
-from repro.service.cache import (
-    poly_from_json,
-    poly_to_json,
-    stats_from_json,
-    stats_to_json,
-)
+from repro.service.cache import stats_from_json, stats_to_json
 from repro.service.fingerprint import fingerprint_netlist
 
 #: Bump on any change to the checkpoint layout.
@@ -92,18 +86,19 @@ FUSED_CHUNK_BITS = 16
 class ExtractionCheckpoint:
     """The persisted state of one sharded extraction job.
 
-    ``bits`` maps a completed output net to its decoded canonical
-    expression and rewrite statistics — engine-neutral, so a job
-    started under one backend can resume under another.  On disk the
-    checkpoint is JSONL (header + one record per bit): recording a
-    bit appends one line instead of rewriting every earlier bit.
+    ``bits`` maps a completed output net to its canonical expression,
+    in the ``poly_to_json`` form the line stores, and its rewrite
+    statistics — engine-neutral, so a job started under one backend
+    can resume under another.  On disk the checkpoint is JSONL
+    (header + one record per bit): recording a bit appends one line
+    instead of rewriting every earlier bit.
     """
 
     path: Path
     fingerprint: str
     engine: str
     term_limit: Optional[int]
-    bits: Dict[str, Tuple[Gf2Poly, RewriteStats]] = field(
+    bits: Dict[str, Tuple[List[List[str]], RewriteStats]] = field(
         default_factory=dict
     )
     _header_written: bool = False
@@ -118,12 +113,12 @@ class ExtractionCheckpoint:
 
     @staticmethod
     def _bit_line(
-        output: str, poly: Gf2Poly, stats: RewriteStats
+        output: str, expression: List[List[str]], stats: RewriteStats
     ) -> str:
         return json.dumps(
             {
                 "output": output,
-                "expression": poly_to_json(poly),
+                "expression": expression,
                 "stats": stats_to_json(stats),
             },
             sort_keys=True,
@@ -163,7 +158,8 @@ class ExtractionCheckpoint:
         except json.JSONDecodeError:
             return checkpoint
         if (
-            header.get("schema") != CHECKPOINT_SCHEMA
+            not isinstance(header, dict)
+            or header.get("schema") != CHECKPOINT_SCHEMA
             or header.get("fingerprint") != fingerprint
             or header.get("term_limit") != term_limit
         ):
@@ -172,22 +168,31 @@ class ExtractionCheckpoint:
         for line in lines[1:]:
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
+                checkpoint.bits[entry["output"]] = (
+                    entry["expression"],
+                    stats_from_json(entry["stats"]),
+                )
+            except (ValueError, KeyError, TypeError):
                 continue  # torn append from a kill; the bit re-runs
-            checkpoint.bits[entry["output"]] = (
-                poly_from_json(entry["expression"]),
-                stats_from_json(entry["stats"]),
-            )
         return checkpoint
 
     def completed(self) -> List[str]:
         return sorted(self.bits)
 
-    def record(self, output: str, poly: Gf2Poly, stats: RewriteStats) -> None:
-        """Persist one completed shard (one appended line)."""
+    def record(
+        self,
+        output: str,
+        expression: List[List[str]],
+        stats: RewriteStats,
+    ) -> None:
+        """Persist one completed shard (one appended line).
+
+        ``expression`` is the cone's memoized
+        :meth:`~repro.engine.base.ConeExpression.to_json` form.
+        """
         chaos = _chaos.get_chaos()
         chaos.io_error(where=f"checkpoint append {self.path.name}")
-        self.bits[output] = (poly, stats)
+        self.bits[output] = (expression, stats)
         if not self._header_written:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_text(
@@ -196,7 +201,7 @@ class ExtractionCheckpoint:
             self._header_written = True
         atomic_append_line(
             self.path,
-            self._bit_line(output, poly, stats),
+            self._bit_line(output, expression, stats),
             fsync=_fsync_appends(),
         )
         # Post-append crash site: the bit is durably recorded, so a
@@ -277,8 +282,7 @@ def checkpointed_extract(
     runs as one fused pass and checkpoints its completions together —
     a kill loses at most one chunk, and the checkpoint format is
     unchanged, so fused and per-bit runs resume each other freely.
-    The chunks share one compile, and the compiled program (grown by
-    every chunk's cut models) is re-stored once, after the last.
+    The chunks share one compile.
 
     The assembled run reports only the *fresh* wall/cpu time (resumed
     bits cost nothing now — that is the point), but per-bit stats are
@@ -319,8 +323,8 @@ def checkpointed_extract(
     stats: Dict[str, RewriteStats] = {}
     provenance: Dict[str, str] = {}
     for output in resumed:
-        poly, bit_stats = checkpoint.bits[output]
-        cones[output] = ReferenceExpression(poly)
+        expression, bit_stats = checkpoint.bits[output]
+        cones[output] = ReferenceExpression.from_json(expression)
         stats[output] = bit_stats
         provenance[output] = "checkpoint"
 
@@ -331,7 +335,7 @@ def checkpointed_extract(
 
     if remaining:
         def persist(output, cone, bit_stats) -> None:
-            checkpoint.record(output, cone.decode(), bit_stats)
+            checkpoint.record(output, cone.to_json(), bit_stats)
             tel.counter("job.bits_completed")
             tel.gauge(done_gauge, len(checkpoint.bits))
             if deadline is not None:

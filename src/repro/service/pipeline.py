@@ -101,8 +101,8 @@ def run_mode(
     something must be computed, so a fully cached request never
     parses.  ``fingerprint`` keys every whole-netlist cache entry;
     ``cache`` (a :class:`~repro.service.cache.ResultCache`, or None)
-    also serves the per-cone and compiled-program tiers to the
-    extraction.  ``checkpoint=True`` (with a cache) extracts through
+    also serves the per-cone tier to the extraction.
+    ``checkpoint=True`` (with a cache) extracts through
     :func:`~repro.service.jobs.checkpointed_extract`, so a killed run
     resumes mid-netlist; the checkpoint is dropped only once the
     result is stored.  ``deadline`` (a

@@ -197,7 +197,7 @@ class TestMatrixLoopStress:
         half = len(outputs) // 2
         first = engine.rewrite_cones(netlist, outputs[:half])
         first.update(engine.rewrite_cones(netlist, outputs[half:]))
-        compiled = engine._compiled_for(netlist, None)
+        compiled = engine._compiled_for(netlist)
         state = engine._fused_state[compiled]
         packed_before = len(state["packed_models"])
         assert packed_before > 0
@@ -261,7 +261,7 @@ class TestMultiRootEntryPoints:
 
 
 class TestSquarerFused:
-    def test_squarer_fused_and_cached_compile(self, tmp_path):
+    def test_squarer_fused_with_result_cache(self, tmp_path):
         from repro.extract.squarer import extract_squarer_polynomial
         from repro.service.cache import ResultCache
 
@@ -273,14 +273,16 @@ class TestSquarerFused:
         )
         assert fused.modulus == baseline.modulus
         assert fused.verified and fused.irreducible
-        assert cache.stats().entries["compiled"] == 1
+        assert cache.stats().entries["squarer"] == 1
 
-        # a fresh engine process loads the stored program
+        # a repeat is answered by the squarer entry, without rewriting
         fresh = VectorEngine()
-        fresh._compile = lambda n: pytest.fail("should load, not compile")
-        fresh.prepare(squarer, compile_cache=cache)
-        again = extract_squarer_polynomial(squarer, engine=fresh, fused=True)
+        fresh._compile = lambda n: pytest.fail("should hit, not compile")
+        again = extract_squarer_polynomial(
+            squarer, engine=fresh, cache=cache, fused=True
+        )
         assert again.modulus == baseline.modulus
+        assert cache.hits == 1
 
     def test_diagnose_squarer_branch_threads_fused(self, tmp_path):
         verdict = diagnose(

@@ -3,8 +3,9 @@
 ``bitpack``, ``aig`` and ``vector`` compile the memoized strash that
 the fingerprint already built; only ``reference`` walks raw gates.
 These tests pin what follows from that: bitpack's program is complete
-at compile time and is stored once, and a broken strash recognition
-shows up as a wrong answer instead of going unnoticed.
+at compile time, so forked workers share it as built, and a broken
+strash recognition shows up as a wrong answer instead of going
+unnoticed.
 """
 
 import pytest
@@ -20,22 +21,9 @@ from repro.rewrite.parallel import extract_expressions
 from repro.synth.pipeline import synthesize
 
 
-class CountingCompileCache:
-    """The ``get_compiled``/``put_compiled`` contract, counted."""
-
-    def __init__(self):
-        self.puts = []
-
-    def get_compiled(self, netlist, engine, schema):
-        return None
-
-    def put_compiled(self, netlist, engine, schema, payload):
-        self.puts.append((engine, schema))
-
-
-class TestOneStorePerNetlist:
+class TestCompleteAtCompileTime:
     @pytest.mark.parametrize("forced", [False, True])
-    def test_prepare_rewrite_finalize_stores_once(self, forced, monkeypatch):
+    def test_rewriting_adds_no_model(self, forced, monkeypatch):
         if forced:
             # Keep live nodes unflattened so the rewrite reads models.
             monkeypatch.setattr(bitpack_module, "_FLAT_BOUND", 2)
@@ -43,9 +31,8 @@ class TestOneStorePerNetlist:
         netlist = synthesize(
             generate_mastrovito(0b100011011), use_xor_cells=False
         )
-        cache = CountingCompileCache()
         engine = BitpackEngine()
-        engine.prepare(netlist, compile_cache=cache)
+        engine.prepare(netlist)
         program = engine._compiled_for(netlist)
         models = dict(program._models)
         if forced:
@@ -54,10 +41,8 @@ class TestOneStorePerNetlist:
                 for node in program.aig.live_nodes()
             )
         for output in netlist.outputs:
-            engine.rewrite_cone(netlist, output, compile_cache=cache)
-        engine.finalize(netlist, compile_cache=cache)
-        assert cache.puts == [("bitpack", BitpackEngine.compile_schema)]
-        # Complete at compile time: rewriting added no model.
+            engine.rewrite_cone(netlist, output)
+        assert engine._compiled_for(netlist) is program
         assert program._models == models
 
 

@@ -1,14 +1,11 @@
-"""Differential tests for the numpy ``vector`` engine, the compiled-
-program cache, and the no-numpy degradation path.
+"""Differential tests for the numpy ``vector`` engine and the no-numpy
+degradation path.
 
 The engine contract (:mod:`repro.engine`) requires bit-identical
 *results* from every backend; this suite drives the vector engine's
 per-bit entry point (the ``aig`` engine's loop, which it inherits)
-across the generator zoo (flat, synthesized, NAND-mapped), checks
-error parity, and covers the compiled-program cache: round-trips
-through fresh engine instances, invalidation on a compile-schema
-bump, exact-netlist token validation for same-fingerprint twins, and
-the runner-level warm-compile flow."""
+across the generator zoo (flat, synthesized, NAND-mapped) and checks
+error parity."""
 
 import os
 import pathlib
@@ -19,7 +16,6 @@ import textwrap
 import pytest
 
 from repro.engine import AigEngine, VectorEngine, available_engines
-from repro.engine.base import netlist_token
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
@@ -37,7 +33,6 @@ from repro.rewrite.backward import (
     TermLimitExceeded,
     backward_rewrite,
 )
-from repro.service.cache import ResultCache
 from repro.synth.pipeline import synthesize
 
 numpy = pytest.importorskip("numpy")
@@ -203,231 +198,6 @@ class TestMatrixLoopStress:
         assert vector.modulus == reference.modulus
         for bit in range(reference.m):
             assert vector.expression_of(bit) == reference.expression_of(bit)
-
-
-class TestCompiledProgramCache:
-    """The fingerprint-keyed compiled-program store."""
-
-    def _nand(self, modulus=0b1011011):
-        return synthesize(
-            generate_mastrovito(modulus), use_xor_cells=False
-        )
-
-    def test_round_trip_fresh_engine(self, tmp_path):
-        """A fresh engine instance (a cold process) loads the stored
-        program instead of recompiling."""
-        cache = ResultCache(tmp_path)
-        netlist = self._nand()
-        first = VectorEngine()
-        r1 = extract_irreducible_polynomial(
-            netlist, engine=first, cache=cache
-        )
-        assert cache.stats().entries["compiled"] == 1
-
-        fresh = VectorEngine()
-        compiles = []
-        original = fresh._compile
-        fresh._compile = lambda n: compiles.append(n) or original(n)
-        fresh.prepare(netlist, compile_cache=cache)
-        r2 = extract_irreducible_polynomial(netlist, engine=fresh)
-        assert compiles == []  # served from the cache, not recompiled
-        assert r2.modulus == r1.modulus
-        for bit in range(r1.m):
-            assert r2.expression_of(bit) == r1.expression_of(bit)
-
-    def test_aig_and_vector_share_the_program(self, tmp_path):
-        """Both backends compile a ``_CompiledAig`` and share the
-        ``aig`` compile key, so one campaign never compiles a
-        structure twice across them."""
-        cache = ResultCache(tmp_path)
-        netlist = self._nand()
-        AigEngine().prepare(netlist, compile_cache=cache)
-        assert cache.stats().entries["compiled"] == 1
-        fresh = VectorEngine()
-        fresh._compile = lambda n: pytest.fail("should load, not compile")
-        fresh.prepare(netlist, compile_cache=cache)
-        assert cache.compile_hits >= 1
-
-    def test_schema_bump_invalidates(self, tmp_path, monkeypatch):
-        """A compile-schema bump retires stored programs (different
-        file name -> miss -> recompile + fresh store)."""
-        cache = ResultCache(tmp_path)
-        netlist = self._nand()
-        engine = VectorEngine()
-        engine.prepare(netlist, compile_cache=cache)
-        path_v1 = cache.compiled_path_for(
-            netlist, "aig", VectorEngine.compile_schema
-        )
-        assert path_v1.exists()
-
-        monkeypatch.setattr(
-            VectorEngine, "compile_schema", VectorEngine.compile_schema + 1
-        )
-        bumped = VectorEngine()
-        compiles = []
-        original = bumped._compile
-        bumped._compile = lambda n: compiles.append(n) or original(n)
-        bumped.prepare(netlist, compile_cache=cache)
-        assert len(compiles) == 1  # old entry invisible under new schema
-        assert cache.compiled_path_for(
-            netlist, "aig", VectorEngine.compile_schema
-        ).exists()
-        assert path_v1.exists()  # retired, not clobbered
-
-    def test_same_fingerprint_different_names_recompiles(self, tmp_path):
-        """Fingerprints are strash-invariant; the exact-netlist token
-        inside the payload stops a structural twin with different
-        internal names from being mis-served."""
-        cache = ResultCache(tmp_path)
-
-        def twin(inner):
-            netlist = Netlist("t", inputs=["a0", "b0"], outputs=["z0"])
-            netlist.add_gate(Gate(inner, GateType.AND, ("a0", "b0")))
-            netlist.add_gate(Gate("z0", GateType.BUF, (inner,)))
-            return netlist
-
-        lhs, rhs = twin("mid"), twin("other")
-        assert cache.fingerprint(lhs) == cache.fingerprint(rhs)
-        assert netlist_token(lhs) != netlist_token(rhs)
-
-        VectorEngine().prepare(lhs, compile_cache=cache)
-        poly, _ = backward_rewrite(
-            rhs, "other", engine="vector", compile_cache=cache
-        )
-        assert str(poly) == "a0*b0"  # rhs's own naming, not lhs's
-
-    def test_finalize_stores_accreted_models(self, tmp_path, monkeypatch):
-        """Rewriting grows the program (lazy cut models); the run
-        re-stores it so the next cold process inherits them."""
-        import repro.engine.aig as aig_module
-
-        # Shrink the flat bound so the rewrite must build cut models
-        # (a small multiplier otherwise flattens entirely).
-        monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
-        cache = ResultCache(tmp_path)
-        netlist = self._nand(0b100011011)
-        engine = VectorEngine()
-        engine.prepare(netlist, compile_cache=cache)
-        stored_before = cache.compiled_path_for(
-            netlist, "aig", VectorEngine.compile_schema
-        ).read_bytes()
-        extract_irreducible_polynomial(netlist, engine=engine, cache=cache)
-        stored_after = cache.compiled_path_for(
-            netlist, "aig", VectorEngine.compile_schema
-        ).read_bytes()
-        assert stored_after != stored_before  # models travelled along
-
-        program = engine._compiled_for(netlist)
-        assert any(  # the forced bound leaves live nodes unflattened
-            node not in program.flats for node in program.aig.live_nodes()
-        )
-        fresh = VectorEngine()
-        program = fresh._compiled_for(netlist, compile_cache=cache)
-        assert len(program._models) > 0
-
-    def test_program_compiled_before_cache_is_persisted_later(
-        self, tmp_path
-    ):
-        """A program compiled while no cache was in play is stored as
-        soon as one appears — "once ever", not "once per process"."""
-        cache = ResultCache(tmp_path)
-        netlist = self._nand()
-        engine = VectorEngine()
-        extract_irreducible_polynomial(netlist, engine=engine)  # no cache
-        assert cache.stats().entries["compiled"] == 0
-        extract_irreducible_polynomial(netlist, engine=engine, cache=cache)
-        assert cache.stats().entries["compiled"] == 1
-
-    def test_rejected_payload_counts_as_miss(self, tmp_path):
-        """A token-mismatched load forces a recompile; the stats must
-        call that a miss, not a hit."""
-
-        def twin(inner):
-            netlist = Netlist("t", inputs=["a0", "b0"], outputs=["z0"])
-            netlist.add_gate(Gate(inner, GateType.AND, ("a0", "b0")))
-            netlist.add_gate(Gate("z0", GateType.BUF, (inner,)))
-            return netlist
-
-        cache = ResultCache(tmp_path)
-        VectorEngine().prepare(twin("mid"), compile_cache=cache)
-        VectorEngine().prepare(twin("other"), compile_cache=cache)
-        assert cache.compile_hits == 0
-        assert cache.compile_misses == 2
-
-    def test_corrupt_payload_recompiles(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        netlist = self._nand()
-        engine = VectorEngine()
-        engine.prepare(netlist, compile_cache=cache)
-        path = cache.compiled_path_for(
-            netlist, "aig", VectorEngine.compile_schema
-        )
-        path.write_bytes(b"not a pickle")
-        fresh = VectorEngine()
-        result = extract_irreducible_polynomial(
-            netlist, engine=fresh, cache=cache
-        )
-        reference = extract_irreducible_polynomial(
-            netlist, engine="reference"
-        )
-        assert result.modulus == reference.modulus
-
-
-class TestRunnerWarmCompile:
-    """Runner-level: a campaign threads the compiled-program cache, so
-    a rerun whose *results* were evicted still skips the compile."""
-
-    def test_campaign_reuses_compiled_programs(self, tmp_path, monkeypatch):
-        from repro.netlist.eqn_io import write_eqn
-        from repro.service.runner import run_campaign
-
-        designs = tmp_path / "designs"
-        designs.mkdir()
-        write_eqn(
-            synthesize(
-                generate_mastrovito(0b1011011), use_xor_cells=False
-            ),
-            designs / "nand6.eqn",
-        )
-        cache_dir = tmp_path / "cache"
-
-        first = run_campaign(
-            designs,
-            mode="extract",
-            engine="vector",
-            cache_dir=cache_dir,
-        )
-        assert first.ok == 1
-        cache = ResultCache(cache_dir)
-        assert cache.stats().entries["compiled"] == 1
-
-        # Evict only the extraction result; keep the compiled program.
-        for kind, path in cache._artifact_files():
-            if kind == "extraction":
-                path.unlink()
-
-        # The rerun must re-extract (result evicted) but *load* the
-        # compiled program instead of compiling — any compile fails
-        # the test outright.
-        monkeypatch.setattr(
-            VectorEngine,
-            "_compile",
-            lambda self, netlist: pytest.fail(
-                "warm campaign recompiled instead of loading"
-            ),
-        )
-        second = run_campaign(
-            designs,
-            mode="extract",
-            engine="vector",
-            cache_dir=cache_dir,
-        )
-        assert second.ok == 1
-        assert second.records[0]["cache"] == "miss"  # result was evicted
-        assert (
-            second.records[0]["polynomial"]
-            == first.records[0]["polynomial"]
-        )
 
 
 class TestWithoutNumpy:

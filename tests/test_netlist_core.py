@@ -4,8 +4,8 @@ A netlist stores net ids, type codes and fan-in ids only; ``Gate``
 objects are views built on demand.  These tests pin the properties
 that follow: both ways of building a netlist (``add_gate`` and the EQN
 reader, which fills the core directly) reach the same core, the audit
-path builds no ``Gate``, and the exact-content token encodes the core
-unambiguously.
+path builds no ``Gate``, and restricting to a cone union works on the
+core.
 """
 
 import gc
@@ -13,7 +13,6 @@ import gc
 import pytest
 
 from repro.aig import Aig
-from repro.engine.base import netlist_token
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.extract.verify import verify_multiplier
 from repro.fieldmath.irreducible import default_irreducible
@@ -26,8 +25,7 @@ from repro.gen.random_logic import generate_random_netlist
 from repro.gen.schoolbook import generate_schoolbook
 from repro.gen.squarer import generate_squarer
 from repro.netlist.eqn_io import format_eqn, parse_eqn
-from repro.netlist.gate import Gate, GateType
-from repro.netlist.netlist import Netlist
+from repro.netlist.gate import Gate
 from repro.service.fingerprint import fingerprint_with_cones
 from repro.synth.pipeline import synthesize
 
@@ -60,7 +58,7 @@ def test_add_gate_and_the_reader_reach_the_same_core(name):
     for table in AIG_TABLES:
         assert getattr(actual, table) == getattr(expected, table), table
     assert fingerprint_with_cones(parsed) == fingerprint_with_cones(built)
-    assert netlist_token(parsed) == netlist_token(built)
+    assert (parsed.inputs, parsed.outputs) == (built.inputs, built.outputs)
 
 
 def _gates_alive():
@@ -101,40 +99,3 @@ def test_restrict_builds_the_cone_union_core_to_core():
     assert part == {"z0": full["z0"], "z3": full["z3"]}
     cone = set(netlist.cone_gates("z0"))
     assert netlist.cone("z0").gates == [g for g in netlist.gates if g in cone]
-
-
-def _one_gate(output, inputs, gtype=GateType.AND, name="t"):
-    net = Netlist(name, [n for n in inputs if n], [output])
-    net.add_gate(Gate(output, gtype, tuple(inputs)))
-    return net
-
-
-class TestToken:
-    def test_equal_content_equal_token(self):
-        assert netlist_token(_one_gate("z", ["a", "b"])) == netlist_token(
-            _one_gate("z", ["a", "b"], name="other")
-        )
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            lambda: _one_gate("z", ["b", "a"]),
-            lambda: _one_gate("z", ["a", "b"], GateType.XOR),
-            lambda: _one_gate("y", ["a", "b"]),
-            lambda: _one_gate("z", ["a", "b", "c"]),
-        ],
-    )
-    def test_any_change_changes_the_token(self, other):
-        assert netlist_token(other()) != netlist_token(_one_gate("z", ["a", "b"]))
-
-    def test_names_holding_separators_stay_distinct(self):
-        """``a\\0b`` + ``c`` and ``a`` + ``b\\0c`` would join alike."""
-        first = _one_gate("z", ["a\x00b", "c"])
-        second = _one_gate("z", ["a", "b\x00c"])
-        assert netlist_token(first) != netlist_token(second)
-
-    def test_a_new_port_changes_the_memoized_token(self):
-        netlist = generate_mastrovito(MODULUS)
-        token = netlist_token(netlist)
-        netlist.add_output("a0")
-        assert netlist_token(netlist) != token

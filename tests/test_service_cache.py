@@ -533,7 +533,7 @@ class TestCompactEntries:
         assert fresh.get_verification(LEGACY_FINGERPRINT) == report
 
     def test_indented_cone_is_a_hit(self, cache, tmp_path):
-        from repro.service.cache import poly_from_json, stats_from_json
+        from repro.service.cache import stats_from_json
 
         path = cache.cone_path_for(LEGACY_CONE_DIGEST)
         path.parent.mkdir(parents=True)
@@ -545,7 +545,7 @@ class TestCompactEntries:
         fresh.put_cone(
             LEGACY_CONE_DIGEST,
             payload["output"],
-            poly_from_json(payload["expression"]),
+            payload["expression"],
             stats_from_json(payload["stats"]),
             engine=payload["engine"],
             compile_schema=payload["compile_schema"],

@@ -265,7 +265,7 @@ class TestKillAndResumeWithConeCache:
         count = [0]
 
         def persist_then_die(output, cone, stats):
-            checkpoint.record(output, cone.decode(), stats)
+            checkpoint.record(output, cone.to_json(), stats)
             count[0] += 1
             if count[0] >= 3:
                 raise Killed("simulated kill")

@@ -44,7 +44,7 @@ class TestKillAndResume:
         checkpoint = ExtractionCheckpoint.load(path, fingerprint, engine, None)
 
         def persist_then_die(output, cone, stats, _count=[0]):
-            checkpoint.record(output, cone.decode(), stats)
+            checkpoint.record(output, cone.to_json(), stats)
             _count[0] += 1
             if _count[0] >= 3:
                 raise Killed("simulated kill")
@@ -89,7 +89,7 @@ class TestKillAndResume:
         killer = kill_after(2)
 
         def persist(output, cone, stats):
-            checkpoint.record(output, cone.decode(), stats)
+            checkpoint.record(output, cone.to_json(), stats)
             killer(output, cone, stats)
 
         with pytest.raises(Killed):
@@ -117,7 +117,7 @@ class TestCheckpointStore:
         )
 
         def check_file(output, cone, stats):
-            checkpoint.record(output, cone.decode(), stats)
+            checkpoint.record(output, cone.to_json(), stats)
             lines = path.read_text().splitlines()
             header = json.loads(lines[0])
             assert header["fingerprint"] == fingerprint
@@ -137,7 +137,7 @@ class TestCheckpointStore:
         )
         extract_expressions(
             net,
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
         # Simulate a kill mid-append: truncate the final record.
         torn = path.read_text()[:-20]
@@ -155,7 +155,7 @@ class TestCheckpointStore:
         )
         extract_expressions(
             net,
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
         stale = ExtractionCheckpoint.load(
             path, "v1-" + "0" * 64, "reference", None
@@ -169,7 +169,7 @@ class TestCheckpointStore:
         checkpoint = ExtractionCheckpoint.load(path, fingerprint, "reference", None)
         extract_expressions(
             net,
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
         stale = ExtractionCheckpoint.load(path, fingerprint, "reference", 10)
         assert stale.completed() == []
@@ -192,7 +192,7 @@ class TestCheckpointStore:
         extract_expressions(
             net,
             outputs=["z2", "z3"],
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
 
         subset = checkpointed_extract(
@@ -244,7 +244,7 @@ class TestFusedSweepChunks:
             outputs=[f"z{i}" for i in range(4)],
             engine="vector",
             fused=True,
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
 
         reloaded = ExtractionCheckpoint.load(
@@ -296,7 +296,7 @@ class TestFusedSweepChunks:
         killer = kill_after(2)
 
         def persist(output, cone, stats):
-            checkpoint.record(output, cone.decode(), stats)
+            checkpoint.record(output, cone.to_json(), stats)
             killer(output, cone, stats)
 
         with pytest.raises(Killed):
@@ -364,7 +364,7 @@ class TestCheckpointFsync:
         )
         extract_expressions(
             net,
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
         assert len(checkpoint.completed()) == 3
         return synced

@@ -163,22 +163,39 @@ def test_same_answer_through_every_entry_point(tmp_path, name):
         server.shutdown()
 
 
-def test_http_job_stores_compiled_program_like_batch(tmp_path):
-    """An HTTP job on a compiling engine persists its compiled program,
-    as a batch record always has."""
+def _entries(cache):
+    """Cache files by relative path, minus the per-path file memos."""
+    root = cache.version_dir
+    return sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*")
+        if path.is_file() and path.relative_to(root).parts[0] != "files"
+    )
+
+
+def test_http_job_and_batch_record_leave_the_same_entries(tmp_path):
+    """An HTTP job writes exactly the entries a batch record writes,
+    and on a compiling engine neither stores a compiled program."""
     netlist = clean()
     path = tmp_path / "clean.eqn"
     write_eqn(netlist, path)
     CampaignRunner(
-        mode="extract", engine="aig", cache_dir=tmp_path / "batch"
+        mode="audit", engine="aig", cache_dir=tmp_path / "batch"
     ).run([path])
-    assert ResultCache(tmp_path / "batch").stats().entries["compiled"] >= 1
+    batch = _entries(ResultCache(tmp_path / "batch"))
 
     cache = ResultCache(tmp_path / "http")
     server = ReproAPIServer(port=0, cache=cache, engine="aig")
     server.start()
     try:
-        assert http_answer(server, netlist, "extract")["irreducible"]
+        job = server.submit(netlist, mode="audit", engine="aig")
+        deadline = time.monotonic() + 30
+        while job.status not in TERMINAL_STATUSES:
+            assert time.monotonic() < deadline, job.view()
+            time.sleep(0.01)
+        assert job.result["equivalent"], job.view()
     finally:
         server.shutdown()
-    assert cache.stats().entries["compiled"] >= 1
+    assert _entries(cache) == batch
+    assert any(entry.startswith("cone/") for entry in batch)
+    assert not any(entry.startswith("compiled/") for entry in batch)

@@ -240,7 +240,7 @@ class TestModesAndRecords:
             net,
             outputs=["z0", "z1", "z2", "z3"],
             engine="bitpack",
-            on_result=lambda o, c, s: checkpoint.record(o, c.decode(), s),
+            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
         )
 
         report = run_campaign(
