@@ -8,7 +8,7 @@ reference engine:
    output-tagged bit-matrix for all m cones, rounds of batched
    substitutions, per-(tag, monomial) cancellation) against the
    per-bit ``vector`` sweep (m independent ``rewrite_cone`` calls,
-   which run the ``aig`` engine's loop).  Both run warm (compiled
+   which run the ``bitpack`` engine's loop).  Both run warm (compiled
    program + packed model tables cached), so the comparison isolates
    the substitution sweep the fused mode amortizes.  The NAND-mapped
    m=32 ratio is reported as a diagnostic, without a pass/fail.
@@ -181,7 +181,7 @@ def run_benchmark(sizes: List[int], repeats: int) -> dict:
             "the fused mode amortizes; decode is lazy on both paths), "
             "extract rows time extract_irreducible_polynomial "
             "end-to-end including the mode-independent Algorithm-2 "
-            "phase.  Per-bit vector runs the aig engine's loop"
+            "phase.  Per-bit vector runs the bitpack engine's loop"
         ),
         "rows": rows,
     }

@@ -2,9 +2,9 @@
 multipliers.
 
 **Steady state** — the vector engine's per-bit extraction against the
-other backends (per-bit ``vector`` runs the ``aig`` engine's loop, so
-its rows read like ``aig`` within noise; the fused sweep is
-``bench_fused.py``'s subject), methodology of ``bench_aig.py``: per
+other backends (per-bit ``vector`` runs the ``bitpack`` engine's loop
+over the same program, so its rows read like ``bitpack`` within
+noise; the fused sweep is ``bench_fused.py``'s subject): per
 (variant, m, engine) one warm-up run, then ``--repeats`` timed runs;
 ``min_s`` is the steady state and ``cold_s`` the first call including
 the engine's one-time netlist compile.  Committed acceptance:
@@ -51,7 +51,7 @@ from repro.synth.pipeline import synthesize  # noqa: E402
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = ROOT / "BENCH_vector.json"
 
-ENGINES = ("reference", "bitpack", "aig", "vector")
+ENGINES = ("reference", "bitpack", "vector")
 
 FULL_SIZES = [16, 32]
 SMOKE_SIZES = [16]

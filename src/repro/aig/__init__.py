@@ -39,9 +39,7 @@ Round-trip and passes
 MUX cells) onto the AND/XOR/complement core;
 :meth:`Aig.to_netlist` re-emits a plain ``AND``/``XOR``/``INV``
 netlist with the original port names.  :mod:`repro.aig.balance`
-rebalances XOR and AND trees AIG→AIG, and :mod:`repro.aig.cuts` enumerates
-k-feasible cuts with truth tables — the unit of work for the
-cut-based rewriting engine (:mod:`repro.engine.aig`).
+rebalances XOR and AND trees AIG→AIG.
 
 Shared by
 ---------
@@ -53,10 +51,10 @@ Shared by
   identity as its one and only equivalence oracle;
 * ``repro.service`` — the content fingerprint derives its Merkle
   labels directly from the hash-consed node table in one traversal;
-* ``repro.engine`` — the ``bitpack``, ``aig`` and ``vector`` backends
-  compile the memoized live graph: ``bitpack`` backward-rewrites node
-  by node through direct-fanin models, ``aig`` and ``vector`` cut by
-  cut, all over packed leaf-space polynomials.
+* ``repro.engine`` — the ``bitpack`` and ``vector`` backends compile
+  the memoized live graph into one program and backward-rewrite it
+  node by node through direct-fanin models, over packed leaf-space
+  polynomials (``vector`` also runs a fused numpy sweep over it).
 """
 
 from repro.aig.aig import (
@@ -71,11 +69,6 @@ from repro.aig.aig import (
     make_lit,
 )
 from repro.aig.balance import balance_and_trees, balance_xor_trees
-from repro.aig.cuts import (
-    cut_truth_table,
-    enumerate_cuts,
-    truth_table_to_anf,
-)
 
 __all__ = [
     "Aig",
@@ -84,12 +77,9 @@ __all__ = [
     "CONST1",
     "balance_and_trees",
     "balance_xor_trees",
-    "cut_truth_table",
-    "enumerate_cuts",
     "lit_complement",
     "lit_is_complemented",
     "lit_node",
     "live_aig",
     "make_lit",
-    "truth_table_to_anf",
 ]

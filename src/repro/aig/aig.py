@@ -514,7 +514,7 @@ class Aig:
         multiplier's nodes).  The copy keeps every leaf and the
         outputs' transitive fan-in, renumbered in ascending order, so
         ascending id is still a topological order and every relative
-        node order (cut enumeration, rewriting worklists) is unchanged.
+        node order (the rewriting worklists) is unchanged.
         :attr:`net_literal` keeps the nets whose node survives.  The
         strash table is not carried over: adding nodes to the copy
         would bypass hash-consing.

@@ -48,9 +48,9 @@ and the README's Observability section.
 
 The ``--engine`` choices come from the backend registry
 (:mod:`repro.engine`): ``reference`` (the oracle), ``bitpack``
-(interned bitmask monomials), ``aig`` (cut-based rewriting over the
-strashed AIG) and ``vector`` (the aig program with a fused numpy
-sweep over uint64 mask matrices).  Every registered engine parses;
+(interned bitmask monomials over the strashed AIG) and ``vector``
+(the bitpack program with a fused numpy sweep over uint64 mask
+matrices).  Every registered engine parses;
 selecting one whose dependency is missing fails with the registry's
 recorded reason (e.g. "numpy is not installed"), not a bare "unknown
 engine".
@@ -194,7 +194,7 @@ def _add_fallback_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "degrade gracefully instead of failing: when the selected "
             "engine is unavailable (or dies at runtime) walk the "
-            "fallback ladder vector -> aig -> bitpack -> reference "
+            "fallback ladder vector -> bitpack -> reference "
             "to the first usable backend (results are "
             "bit-identical; the substitution is reported)"
         ),

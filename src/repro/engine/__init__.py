@@ -55,15 +55,9 @@ Backends
     forward into packed leaf-space polynomials below a size bound, and
     every other node is substituted through its direct-fanin model
     (see ``benchmarks/bench_engines.py`` / ``BENCH_engines.json``);
-``aig``
-    bitpack's program and loop with cut-based flattening and cut
-    models: a node above the bound is substituted through the exact
-    ANF of its best k-feasible cut, so technology-mapped clusters
-    collapse before rewriting sees them (see
-    ``benchmarks/bench_aig.py`` / ``BENCH_aig.json``);
 ``vector``
-    the same compiled program as ``aig``, with the substitution loop
-    vectorized in numpy for the **fused multi-output sweep**
+    bitpack's compiled program, with the substitution loop vectorized
+    in numpy for the **fused multi-output sweep**
     (:meth:`~repro.engine.base.Engine.rewrite_cones` / ``fused=True``
     on the extraction drivers): all m output cones are rewritten in
     one output-tagged ``uint64`` bit-matrix (one row per monomial,
@@ -72,18 +66,18 @@ Backends
     a lexsort + run-parity pass whose sort keys keep cancellation
     strictly per-cone — bit-identical to per-bit extraction
     (``benchmarks/bench_fused.py`` / ``BENCH_fused.json``).  Per-bit
-    ``vector`` runs the one loop bitpack and aig share.  numpy is
-    optional — the backend is availability-probed, and every other
-    backend serves ``rewrite_cones`` through its per-bit loop, so
-    ``fused=True`` degrades cleanly without numpy.
+    ``vector`` runs bitpack's loop.  numpy is optional — the backend
+    is availability-probed, and every other backend serves
+    ``rewrite_cones`` through its per-bit loop, so ``fused=True``
+    degrades cleanly without numpy.
 
-Compiling backends (bitpack, aig, vector) keep their one-time
-per-netlist compile in a weak in-process memo
+Compiling backends (bitpack, vector) keep their one-time per-netlist
+compile in a weak in-process memo
 (:class:`~repro.engine.base.CompilingEngine`) and never persist it:
 the program is built from the live AIG the content fingerprint
-already strashed, which is cheaper than loading a stored copy.
-bitpack's program is complete at compile time; aig/vector build cut
-models lazily while rewriting.
+already strashed, which is cheaper than loading a stored copy.  The
+program is complete at compile time: every model a rewrite can ask
+for is built before the first cone.
 
 Every backend produces bit-identical *results* — canonical
 expressions, P(x), member bits — and fails structurally broken
@@ -96,7 +90,6 @@ intermediates smaller).  New backends register via
 :func:`register_engine`.
 """
 
-from repro.engine.aig import AigEngine
 from repro.engine.base import (
     CompilingEngine,
     ConeExpression,
@@ -121,7 +114,6 @@ from repro.engine.vector import VectorEngine
 
 register_engine(ReferenceEngine.name, ReferenceEngine)
 register_engine(BitpackEngine.name, BitpackEngine)
-register_engine(AigEngine.name, AigEngine)
 # numpy is optional: vector registers unconditionally with an
 # availability probe, so ``available_engines()`` (and thus the
 # differential suite and the benchmarks) skips it cleanly when numpy
@@ -136,7 +128,6 @@ __all__ = [
     "ConeExpression",
     "Engine",
     "EngineError",
-    "AigEngine",
     "BitpackEngine",
     "PackedExpression",
     "SignalInterner",

@@ -43,14 +43,24 @@ from __future__ import annotations
 
 import abc
 import contextlib
-from typing import Any, ClassVar, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
 from repro.gf2.monomial import Monomial
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
-from repro.rewrite.backward import RewriteStats
+
+if TYPE_CHECKING:  # a runtime import would cycle through repro.rewrite
+    from repro.rewrite.backward import RewriteStats
 
 
 class EngineError(ValueError):
@@ -61,7 +71,7 @@ def cone_span(engine: "Engine", output: str):
     """The ``"cone"`` telemetry span of one ``rewrite_cone`` call.
 
     Engines delegate special cases to a parent class's ``rewrite_cone``
-    (the vector engine's flat path reuses the aig path verbatim); when
+    (the vector engine's flat path reuses the bitpack path verbatim); when
     the caller is already inside this cone's span, the open span is
     reused instead of double-counting the same work as a nested twin.
     """

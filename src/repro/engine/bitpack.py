@@ -50,9 +50,9 @@ the reference path's per-gate linear scans:
 
 An output whose node flattened is answered from its flat polynomial
 without a loop (unless a trace is requested, which substitutes it as
-one step).  The ``aig`` engine (:mod:`repro.engine.aig`) runs this
-same loop over the same kind of program, with cut-based flattening and
-cut models in place of the direct-fanin ones.
+one step).  The ``vector`` engine (:mod:`repro.engine.vector`) runs
+this loop for its per-bit path and feeds the same program's models to
+its fused numpy sweep.
 
 The engine produces bit-identical *results* (canonical expressions,
 P(x), member bits, failure modes) to the reference backend — enforced
@@ -208,10 +208,6 @@ class _CompiledProgram:
 
     # -- forward flattening ---------------------------------------------
 
-    def _flat_bounds(self) -> Tuple[int, int]:
-        """(single-consumer bound, shared-node bound) of flattening."""
-        return _FLAT_BOUND, _FLAT_SHARED_BOUND
-
     def _flatten(self) -> Dict[int, Set[int]]:
         """Packed leaf-space polynomial of every node below its bound.
 
@@ -222,7 +218,8 @@ class _CompiledProgram:
         instead of once per cone.
         """
         aig = self.aig
-        bound, shared_bound = self._flat_bounds()
+        # Read at call time, so a patched bound reaches a fresh compile.
+        bound, shared_bound = _FLAT_BOUND, _FLAT_SHARED_BOUND
         fanin0, fanin1 = aig.fanin0, aig.fanin1
         is_xor = aig.is_xor
         gates = [
@@ -257,18 +254,9 @@ class _CompiledProgram:
                     if f1 & 1:
                         p1 = p1.symmetric_difference((0,))
                     poly = _flat_product([p0, p1], limit)
-            if poly is None and not xor:
-                poly = self._flatten_fallback(node, flats)
             if poly is not None and len(poly) <= limit:
                 flats[node] = poly
         return flats
-
-    def _flatten_fallback(
-        self, node: int, flats: Dict[int, Set[int]]
-    ) -> Optional[Set[int]]:
-        """Flat polynomial of an AND node the direct product missed."""
-        del node, flats
-        return None
 
     # -- substitution models ---------------------------------------------
 

@@ -32,12 +32,7 @@ DEFAULT_ENGINE = "reference"
 #: next rung that is *usable* (per :func:`engine_availability`); every
 #: rung produces bit-identical results, so degradation trades only
 #: speed, never answers.
-FALLBACK_LADDER: Tuple[str, ...] = (
-    "vector",
-    "aig",
-    "bitpack",
-    "reference",
-)
+FALLBACK_LADDER: Tuple[str, ...] = ("vector", "bitpack", "reference")
 
 
 def fallback_chain(engine: str) -> Tuple[str, ...]:
@@ -49,7 +44,7 @@ def fallback_chain(engine: str) -> Tuple[str, ...]:
     and never repeats a name.
 
     >>> fallback_chain("vector")
-    ('vector', 'aig', 'bitpack', 'reference')
+    ('vector', 'bitpack', 'reference')
     >>> fallback_chain("reference")
     ('reference',)
     """

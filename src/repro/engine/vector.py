@@ -3,9 +3,9 @@
 The pure-python backends spend the substitution loop hashing one
 python ``int`` at a time; on wide cones the interpreter dispatch, not
 the algebra, is the cost.  This backend keeps the *same* compiled
-program as the ``aig`` engine (strash → flattening → cut-ANF models,
-:class:`repro.engine.aig._CompiledAig`) but runs Algorithm 1's loop for
-all outputs at once in numpy:
+program as the ``bitpack`` engine (strash → flattening → direct-fanin
+models, :class:`repro.engine.bitpack._CompiledProgram`) but runs
+Algorithm 1's loop for all outputs at once in numpy:
 
 * a polynomial is a ``uint64`` matrix of shape ``(monomials, words)``
   — row ``i`` is monomial ``i``'s bitmask with interned signals packed
@@ -32,7 +32,7 @@ per row, the highest pending (interned, non-leaf) variable present in that row,
 substitutes every claimed group with one broadcast each, and cancels
 the whole matrix once — the lexsort keys on (tag, monomial), so
 cancellation stays strictly per-cone while the walk over the shared
-gate DAG, the cut-model lookups and the sorts are amortized over all
+gate DAG, the model lookups and the sorts are amortized over all
 m outputs.  Substituting per-row-highest variables first is exactly
 the reverse-topological order Algorithm 1 prescribes, applied row by
 row; intermediate *statistics* therefore differ from the per-bit
@@ -40,8 +40,8 @@ sweep (rounds replace per-gate iterations), but the final expressions
 are bit-identical — cancellation is exact mod-2 algebra at every
 step, and canonical forms are unique (Theorem 1).  Callers opt in
 through ``fused=True`` on the extraction drivers; the per-bit entry
-point :meth:`rewrite_cone` is the ``aig`` engine's own loop, results
-and statistics alike.
+point :meth:`rewrite_cone` is the ``bitpack`` engine's own loop,
+results and statistics alike.
 
 Results are bit-identical to the reference backend (the differential
 suite drives all packed engines across the generator zoo); statistics
@@ -62,9 +62,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
-from repro.engine.aig import AigEngine
 from repro.engine.base import EngineError
-from repro.engine.bitpack import PackedExpression
+from repro.engine.bitpack import BitpackEngine, PackedExpression
 from repro.engine.interning import SignalInterner
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats, TermLimitExceeded
@@ -113,21 +112,21 @@ def _rows_to_masks(matrix: "Any") -> "Any":
 
 
 def _pack_model(model, leaf_bits, intern) -> List[int]:
-    """Pack one cut model into int bitmasks.
+    """Pack one substitution model into int bitmasks.
 
-    Flat parts arrive as ready PI-space masks; opaque nodes resolve
+    Flat parts arrive as ready PI-space masks; node variables resolve
     through the shared leaf table or intern via ``intern`` — a newly
     interned node simply joins a later round's claim scan.
     """
     masks: List[int] = []
-    for pi_mask, opaque_nodes in model:
-        mask = pi_mask
-        for opaque in opaque_nodes:
-            leaf_bit = leaf_bits.get(opaque)
+    for leaf_mask, variables in model:
+        mask = leaf_mask
+        for variable in variables:
+            leaf_bit = leaf_bits.get(variable)
             if leaf_bit is not None:
                 mask |= 1 << leaf_bit
             else:
-                mask |= 1 << intern(opaque)
+                mask |= 1 << intern(variable)
         masks.append(mask)
     return masks
 
@@ -219,10 +218,10 @@ class _MatrixExpression(PackedExpression):
         return len(self._masks)
 
 
-class VectorEngine(AigEngine):
-    """The ``aig`` engine plus a fused sweep over numpy bit-matrices.
+class VectorEngine(BitpackEngine):
+    """The ``bitpack`` engine plus a fused sweep over numpy bit-matrices.
 
-    Subclasses :class:`~repro.engine.aig.AigEngine` for everything
+    Subclasses :class:`~repro.engine.bitpack.BitpackEngine` for everything
     *around* the fused sweep — the compiled program, the flat fast
     path, the residue check — and for the per-bit
     :meth:`rewrite_cone` loop itself; it adds the vectorized
@@ -251,10 +250,7 @@ class VectorEngine(AigEngine):
         request for an unusable engine fails actionably.
         """
         if _np is None:
-            return (
-                "numpy is not installed; "
-                "use engine='aig' or 'bitpack' instead"
-            )
+            return "numpy is not installed; use engine='bitpack' instead"
         return None
 
     @classmethod
@@ -284,7 +280,7 @@ class VectorEngine(AigEngine):
         if _np is None:
             raise EngineError(
                 "the vector engine needs numpy, which is not installed; "
-                "use engine='aig' or 'bitpack' instead "
+                "use engine='bitpack' instead "
                 "(or fused=False for the per-bit path)"
             )
         chosen = list(outputs)
@@ -320,8 +316,8 @@ class VectorEngine(AigEngine):
     ) -> Dict[str, Tuple[PackedExpression, RewriteStats]]:
         """The shared sweep over every non-flat root.
 
-        Row layout: the monomial mask words first (the aig engine's
-        leaf bit indices plus one bit per opaque node, shared across
+        Row layout: the monomial mask words first (the program's
+        leaf bit indices plus one bit per node variable, shared across
         cones), the owning output's tag as the final word — the
         lexsort's primary key, so cancellation groups per cone and the
         finished matrix needs no regrouping.  Each *round* claims, per
@@ -334,14 +330,14 @@ class VectorEngine(AigEngine):
         started = time.perf_counter()
         n_roots = len(roots)
 
-        # Shared interning: one leaf region and one bit per opaque
-        # node for *all* cones — the per-bit loop re-interns these
+        # Shared interning: one leaf region and one bit per node
+        # variable for *all* cones — the per-bit loop re-interns these
         # per cone; decode only depends on names, not bit positions.
         # The tables live per compiled *program* and are append-only,
         # so every sweep over the same program — including the
         # sweep-chunks a checkpointed campaign splits into — reuses
         # the bits and packed models of everything already seen:
-        # each cut model is packed once ever per program.  Indices
+        # each model is packed once ever per program.  Indices
         # never move, so interners adopted by earlier sweeps' results
         # stay valid, and variables interned for another chunk's
         # cones are simply never live in this matrix.
@@ -359,13 +355,13 @@ class VectorEngine(AigEngine):
         sig_names: List[str] = state["sig_names"]
         index_of_node: Dict[int, int] = state["index_of_node"]
 
-        def intern_node(opaque: int) -> int:
-            index = index_of_node.get(opaque)
+        def intern_node(node: int) -> int:
+            index = index_of_node.get(node)
             if index is None:
                 index = len(sig_names)
-                index_of_node[opaque] = index
-                sig_index[f"__aig{opaque}"] = index
-                sig_names.append(f"__aig{opaque}")
+                index_of_node[node] = index
+                sig_index[f"__aig{node}"] = index
+                sig_names.append(f"__aig{node}")
             return index
 
         initial_masks: List[int] = []
@@ -484,7 +480,7 @@ class VectorEngine(AigEngine):
             first = presence.argmax(axis=1)  # highest id per row
 
             # Pack every claimed model first: interning may allocate
-            # fresh bits (new opaque nodes join later rounds) and the
+            # fresh bits (new node variables join later rounds) and the
             # matrix must be widened before any row is combined.
             group_of = first[has_var]
             used_groups = _np.unique(group_of).tolist()

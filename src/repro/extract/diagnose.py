@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.engine import DEFAULT_ENGINE
 from repro.extract.extractor import (
     ExtractionError,
     ExtractionResult,
@@ -122,7 +123,7 @@ def diagnose(
     jobs: int = 1,
     term_limit: Optional[int] = None,
     find_counterexample: bool = True,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     cache=None,
     fused: bool = False,
 ) -> Diagnosis:
@@ -248,7 +249,7 @@ def _looks_like_squarer(netlist: Netlist) -> bool:
 def _diagnose_squarer(
     netlist: Netlist,
     cache=None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     fused: bool = False,
 ) -> Diagnosis:
     """The squarer branch of the decision tree."""

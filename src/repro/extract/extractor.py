@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.engine import ConeExpression
+from repro.engine import DEFAULT_ENGINE, ConeExpression
 from repro.extract.outfield import outfield_products
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.irreducible import is_irreducible
@@ -146,7 +146,7 @@ def extract_irreducible_polynomial(
     jobs: int = 1,
     term_limit: Optional[int] = None,
     measure_memory: bool = False,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     cache=None,
     fused: bool = False,
     on_result=None,

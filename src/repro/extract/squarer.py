@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.engine import DEFAULT_ENGINE
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.irreducible import is_irreducible
 from repro.gen.squarer import squaring_matrix
@@ -60,7 +61,7 @@ class SquarerExtractionResult:
 def extract_squarer_polynomial(
     netlist: Netlist,
     cache=None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     fused: bool = False,
 ) -> SquarerExtractionResult:
     """Recover P(x) from a gate-level squarer.

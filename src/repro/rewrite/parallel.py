@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # runtime import would cycle through repro.engine
     from repro.engine.base import ConeExpression
 
 from repro import telemetry as _telemetry
+from repro.engine.registry import DEFAULT_ENGINE
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats
@@ -128,7 +129,7 @@ class ExtractionRun:
     peak_terms: int
     peak_memory_bytes: Optional[int] = None
     #: Backend that produced the run (see :mod:`repro.engine`).
-    engine: str = "reference"
+    engine: str = DEFAULT_ENGINE
     #: Backend-native expressions (``ConeExpression`` per output);
     #: Algorithm 2 and the verifier consult these so packed backends
     #: never decode just to answer a membership/equality question.
@@ -166,7 +167,7 @@ def extract_expressions(
     jobs: int = 1,
     term_limit: Optional[int] = None,
     measure_memory: bool = False,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     on_result: Optional[ResultHook] = None,
     cache=None,
     fused: bool = False,

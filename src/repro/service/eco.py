@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
+from repro.engine import DEFAULT_ENGINE
 from repro.netlist.netlist import GC_PAUSE
 from repro.service.cache import ResultCache
 from repro.service.pipeline import (
@@ -241,7 +242,7 @@ def eco_reverify(
     baseline_path: PathLike,
     edited_path: PathLike,
     cache: ResultCache,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     jobs: int = 1,
     term_limit: Optional[int] = None,
     fused: bool = False,

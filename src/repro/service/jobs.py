@@ -49,6 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import chaos as _chaos
 from repro import telemetry as _telemetry
+from repro.engine import DEFAULT_ENGINE
 from repro.engine.reference import ReferenceExpression
 from repro.ioutil import atomic_append_line, atomic_write_text
 from repro.netlist.netlist import Netlist
@@ -248,7 +249,7 @@ def checkpointed_extract(
     outputs: Optional[List[str]] = None,
     jobs: int = 1,
     term_limit: Optional[int] = None,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     checkpoint_path: Optional[Union[str, os.PathLike]] = None,
     checkpoint_dir: Optional[Union[str, os.PathLike]] = None,
     keep_checkpoint: bool = False,

@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import chaos as _chaos
 from repro import telemetry as _telemetry
-from repro.engine import DEFAULT_ENGINE
+from repro.engine import DEFAULT_ENGINE, get_engine, registered_engines
 from repro.ioutil import atomic_append_line, atomic_write_text
 from repro.netlist.netlist import GC_PAUSE
 from repro.service.pipeline import (
@@ -364,6 +364,11 @@ class CampaignRunner:
     ):
         if mode not in MODES:
             raise ValueError(f"unknown campaign mode {mode!r}")
+        if engine not in registered_engines():
+            # A name no engine answers to is a configuration error, not
+            # a per-netlist failure; an unusable engine still reaches
+            # the netlists, where the fallback ladder can apply.
+            get_engine(engine)  # canonical "unknown engine" error
         self.mode = mode
         #: Telemetry registry campaign spans/counters report to
         #: (default: the active one at :meth:`run` time).

@@ -1,5 +1,5 @@
 """The hash-consed AIG IR: construction invariants, netlist round-trip
-property tests, XOR balancing, and cut enumeration."""
+property tests and XOR balancing."""
 
 import random
 
@@ -11,11 +11,8 @@ from repro.aig import (
     Aig,
     balance_and_trees,
     balance_xor_trees,
-    cut_truth_table,
-    enumerate_cuts,
     lit_complement,
     lit_node,
-    truth_table_to_anf,
 )
 from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.montgomery import generate_montgomery
@@ -347,61 +344,6 @@ class TestStructuralDetection:
         xor_net.add_gate(_Gate("z0", GateType.XOR, ("a0", "b0")))
         assert fingerprint_netlist(rhs) == fingerprint_netlist(xor_net)
         assert fingerprint_netlist(rhs) != fingerprint_netlist(lhs)
-
-
-class TestCuts:
-    def test_trivial_cut_first(self):
-        aig = Aig.from_netlist(generate_mastrovito(0b1011))
-        _, lit = aig.outputs[0]
-        cuts = enumerate_cuts(aig, lit_node(lit))
-        assert cuts[0] == (lit_node(lit),)
-
-    def test_leaves_precede_root(self):
-        aig = Aig.from_netlist(generate_mastrovito(0b10011))
-        for _, lit in aig.outputs:
-            root = lit_node(lit)
-            for cut in enumerate_cuts(aig, root, k=4, limit=12):
-                if cut == (root,):
-                    continue
-                assert all(leaf < root for leaf in cut)
-                assert len(cut) <= 4
-
-    def test_cut_function_matches_simulation(self):
-        """The cut truth table composed with leaf values equals the
-        node's simulated value — for every enumerated cut."""
-        aig = Aig.from_netlist(generate_montgomery(0b1011))
-        rng = random.Random(1)
-        live = [n for n in aig.live_nodes() if aig.is_and(n) or aig.is_xor(n)]
-        for node in rng.sample(live, min(10, len(live))):
-            for cut in enumerate_cuts(aig, node, k=4, limit=8):
-                table = cut_truth_table(aig, node, cut)
-                for _ in range(8):
-                    assignment = {
-                        name: rng.getrandbits(1) for name in aig.inputs
-                    }
-                    values = [0] * len(aig)
-                    for n2 in range(1, len(aig)):
-                        if aig.is_leaf(n2):
-                            values[n2] = assignment[aig.pi_name[n2]]
-                        else:
-                            f0, f1 = aig.fanins(n2)
-                            v0 = aig.lit_value(f0, values)
-                            v1 = aig.lit_value(f1, values)
-                            values[n2] = (
-                                v0 & v1 if aig.is_and(n2) else v0 ^ v1
-                            )
-                    minterm = sum(
-                        values[leaf] << position
-                        for position, leaf in enumerate(cut)
-                    )
-                    assert (table >> minterm) & 1 == values[node]
-
-    def test_anf_is_moebius_transform(self):
-        assert truth_table_to_anf(0b0110, 2) == [1, 2]          # a ⊕ b
-        assert truth_table_to_anf(0b1000, 2) == [3]             # a·b
-        assert truth_table_to_anf(0b1110, 2) == [1, 2, 3]       # a ∨ b
-        assert truth_table_to_anf(0b0000, 2) == []
-        assert truth_table_to_anf(0b1111, 2) == [0]             # const 1
 
 
 class TestDeepChains:

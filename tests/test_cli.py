@@ -80,7 +80,7 @@ class TestSynth:
         dst = tmp_path / "opt.eqn"
         main(["gen", "--p", "x^4+x+1", "-o", str(src)])
         assert main(["synth", str(src), "-o", str(dst)]) == 0
-        assert main(["extract", str(dst), "--engine", "aig"]) == 0
+        assert main(["extract", str(dst), "--engine", "vector"]) == 0
         out = capsys.readouterr().out
         assert "x^4 + x + 1" in out
 

@@ -1,18 +1,21 @@
-"""Differential tests: the cut-based ``aig`` engine against the
-reference oracle.
+"""Differential tests: the engines that compile the live AIG against
+the reference oracle.
 
-The engine contract (:mod:`repro.engine`) requires bit-identical
-*results* — canonical expressions, extracted P(x), member bits,
-verdicts, and failure modes — from every backend.  This suite drives
-the ``aig`` engine across the full generator zoo in both flat and
-synthesized/technology-mapped forms (mapped netlists are the case this
-backend exists for), across faulty mutants, random netlists over the
-full cell library, and the structural failure modes."""
+``bitpack`` and ``vector`` compile one program from the netlist's
+memoized live AIG; per-bit ``vector`` runs bitpack's loop over it and
+fused ``vector`` runs a numpy sweep.  The engine contract
+(:mod:`repro.engine`) requires bit-identical *results* — canonical
+expressions, extracted P(x), member bits, verdicts, and failure modes
+— from every backend.  This suite drives both engines across the full
+generator zoo in flat, synthesized and technology-mapped forms, across
+faulty mutants, random netlists over the full cell library, and the
+structural failure modes, and pins that a request strashes each
+netlist once."""
 
 import pytest
 
 from repro.aig import Aig, live_aig
-from repro.engine import registered_engines
+from repro.engine import available_engines
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
@@ -37,6 +40,16 @@ from repro.service.fingerprint import fingerprint_with_cones
 from repro.service.runner import CampaignRunner
 from repro.synth.pipeline import synthesize
 
+
+def packed_engines():
+    """The live-AIG engines usable here (``vector`` needs numpy)."""
+    return tuple(
+        engine
+        for engine in ("bitpack", "vector")
+        if engine in available_engines()
+    )
+
+
 GENERATORS = {
     "mastrovito": generate_mastrovito,
     "schoolbook": generate_schoolbook,
@@ -51,14 +64,16 @@ GENERATORS = {
 
 
 def assert_extractions_identical(netlist):
-    """Both engines agree on every observable extraction result."""
+    """Every engine agrees with the oracle on every observable
+    extraction result."""
     reference = extract_irreducible_polynomial(netlist, engine="reference")
-    aig = extract_irreducible_polynomial(netlist, engine="aig")
-    assert aig.modulus == reference.modulus
-    assert aig.member_bits == reference.member_bits
-    assert aig.irreducible == reference.irreducible
-    for bit in range(reference.m):
-        assert aig.expression_of(bit) == reference.expression_of(bit)
+    for engine in packed_engines():
+        packed = extract_irreducible_polynomial(netlist, engine=engine)
+        assert packed.modulus == reference.modulus
+        assert packed.member_bits == reference.member_bits
+        assert packed.irreducible == reference.irreducible
+        for bit in range(reference.m):
+            assert packed.expression_of(bit) == reference.expression_of(bit)
 
 
 class TestGeneratorZoo:
@@ -72,7 +87,8 @@ class TestGeneratorZoo:
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_nand_mapped(self, name):
-        """The harshest form — the case this backend exists for."""
+        """The harshest form: XORs survive only as NAND clusters that
+        the strash must recognise."""
         assert_extractions_identical(
             synthesize(GENERATORS[name](0b100101), use_xor_cells=False)
         )
@@ -95,87 +111,82 @@ class TestRandomNetlists:
                     netlist, output, engine="reference"
                 )
             except BackwardRewriteError:
-                with pytest.raises(BackwardRewriteError):
-                    backward_rewrite(netlist, output, engine="aig")
+                for engine in packed_engines():
+                    with pytest.raises(BackwardRewriteError):
+                        backward_rewrite(netlist, output, engine=engine)
                 continue
-            actual, _ = backward_rewrite(netlist, output, engine="aig")
-            assert actual == expected
+            for engine in packed_engines():
+                actual, _ = backward_rewrite(netlist, output, engine=engine)
+                assert actual == expected
 
 
 class TestVerdictsAndFaults:
     def test_clean_multiplier(self):
-        diagnosis = diagnose(generate_mastrovito(0b10011), engine="aig")
-        assert diagnosis.verdict.value == "verified-multiplier"
+        for engine in packed_engines():
+            diagnosis = diagnose(generate_mastrovito(0b10011), engine=engine)
+            assert diagnosis.verdict.value == "verified-multiplier"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fault_verdicts_match(self, seed):
         mutant, _ = random_fault(generate_mastrovito(0b10011), seed=seed)
-        assert (
-            diagnose(mutant, engine="aig").verdict
-            is diagnose(mutant, engine="reference").verdict
-        )
+        expected = diagnose(mutant, engine="reference").verdict
+        for engine in packed_engines():
+            assert diagnose(mutant, engine=engine).verdict is expected
 
     def test_normal_basis_rejected(self):
         """The Theorem-3 negative case is backend-independent."""
         netlist = generate_massey_omura(0b1011)
-        assert (
-            diagnose(netlist, engine="aig").verdict
-            is diagnose(netlist, engine="reference").verdict
-        )
+        expected = diagnose(netlist, engine="reference").verdict
+        for engine in packed_engines():
+            assert diagnose(netlist, engine=engine).verdict is expected
 
 
 class TestFailureModes:
     def test_incomplete_cone_raises(self):
         netlist = Netlist("t", inputs=["a0"], outputs=["z0"])
         netlist.add_gate(Gate("z0", GateType.AND, ("a0", "floating")))
-        with pytest.raises(BackwardRewriteError):
-            backward_rewrite(netlist, "z0", engine="aig")
+        for engine in packed_engines():
+            with pytest.raises(BackwardRewriteError):
+                backward_rewrite(netlist, "z0", engine=engine)
 
     def test_unknown_output_raises(self):
         netlist = generate_mastrovito(0b1011)
-        with pytest.raises(BackwardRewriteError):
-            backward_rewrite(netlist, "nonexistent", engine="aig")
+        for engine in packed_engines():
+            with pytest.raises(BackwardRewriteError):
+                backward_rewrite(netlist, "nonexistent", engine=engine)
 
     def test_term_limit_is_memory_out(self):
-        with pytest.raises(TermLimitExceeded):
-            extract_irreducible_polynomial(
-                generate_mastrovito(0b100011011),
-                engine="aig",
-                term_limit=2,
-            )
+        for engine in packed_engines():
+            with pytest.raises(TermLimitExceeded):
+                extract_irreducible_polynomial(
+                    generate_mastrovito(0b100011011),
+                    engine=engine,
+                    term_limit=2,
+                )
 
     def test_rewriting_a_primary_input(self):
         netlist = generate_mastrovito(0b1011)
-        poly, _ = backward_rewrite(netlist, "a0", engine="aig")
-        assert str(poly) == "a0"
-
-
-class TestTrace:
-    def test_trace_records_cut_steps(self):
-        netlist = synthesize(
-            generate_mastrovito(0b10011), use_xor_cells=False
-        )
-        _, stats = backward_rewrite(
-            netlist, "z0", engine="aig", trace=True
-        )
-        assert len(stats.trace) == stats.iterations
-        for step in stats.trace:
-            assert "=" in step.gate
+        for engine in packed_engines():
+            poly, _ = backward_rewrite(netlist, "a0", engine=engine)
+            assert str(poly) == "a0"
 
 
 class TestCacheInvalidation:
     def test_compiled_netlist_tracks_mutation(self):
-        """Appending gates after a rewrite must recompile, like the
-        bitpack engine's weak cache does."""
-        netlist = Netlist("t", inputs=["a0", "b0"], outputs=["z0"])
-        netlist.add_gate(Gate("z0", GateType.AND, ("a0", "b0")))
-        first, _ = backward_rewrite(netlist, "z0", engine="aig")
-        netlist.add_gate(Gate("extra", GateType.XOR, ("a0", "b0")))
-        netlist.add_output("extra")
-        second, _ = backward_rewrite(netlist, "extra", engine="aig")
-        reference, _ = backward_rewrite(netlist, "extra", engine="reference")
-        assert second == reference
-        assert str(first) == "a0*b0"
+        """Appending gates after a rewrite must recompile: the
+        compiled-program memo is keyed weakly by the netlist's state."""
+        for engine in packed_engines():
+            netlist = Netlist("t", inputs=["a0", "b0"], outputs=["z0"])
+            netlist.add_gate(Gate("z0", GateType.AND, ("a0", "b0")))
+            first, _ = backward_rewrite(netlist, "z0", engine=engine)
+            netlist.add_gate(Gate("extra", GateType.XOR, ("a0", "b0")))
+            netlist.add_output("extra")
+            second, _ = backward_rewrite(netlist, "extra", engine=engine)
+            reference, _ = backward_rewrite(
+                netlist, "extra", engine="reference"
+            )
+            assert second == reference
+            assert str(first) == "a0*b0"
 
 
 def count_strashes(monkeypatch):
@@ -192,8 +203,8 @@ def count_strashes(monkeypatch):
 
 
 def needs_vector():
-    if "vector" not in registered_engines():
-        pytest.skip("numpy not installed; vector engine unregistered")
+    if "vector" not in available_engines():
+        pytest.skip("numpy not installed; vector engine unavailable")
 
 
 FORMS = {
@@ -211,7 +222,8 @@ class TestLiveGraph:
         netlist = synthesize(generate_mastrovito(0b10011), use_xor_cells=False)
         calls = count_strashes(monkeypatch)
         fingerprint_with_cones(netlist)
-        extract_irreducible_polynomial(netlist, engine="aig")
+        for engine in packed_engines():
+            extract_irreducible_polynomial(netlist, engine=engine)
         assert calls == [netlist.name]
 
     def test_program_holds_only_live_nodes(self):
@@ -230,7 +242,11 @@ class TestLiveGraph:
         netlist = FORMS[form](GENERATORS[name](0b1011011))
         fingerprint_with_cones(netlist)  # the memo is shared from here on
         expected = extract_expressions(netlist, engine="reference")
-        for engine, fused in (("aig", False), ("vector", False), ("vector", True)):
+        for engine, fused in (
+            ("bitpack", False),
+            ("vector", False),
+            ("vector", True),
+        ):
             run = extract_expressions(netlist, engine=engine, fused=fused)
             assert dict(run.expressions.items()) == dict(
                 expected.expressions.items()
@@ -242,13 +258,13 @@ class TestLiveGraph:
         base = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
         mutant, _ = random_fault(base, seed=seed)
         expected = extract_expressions(mutant, engine="reference")
-        for engine, fused in (("aig", False), ("vector", True)):
+        for engine, fused in (("bitpack", False), ("vector", True)):
             run = extract_expressions(mutant, engine=engine, fused=fused)
             assert dict(run.expressions.items()) == dict(
                 expected.expressions.items()
             )
 
-    @pytest.mark.parametrize("engine", ["aig", "vector"])
+    @pytest.mark.parametrize("engine", ["bitpack", "vector"])
     def test_swept_internal_net_rewrites_over_its_cone(self, engine):
         """A net whose node the sweep dropped (an inner NAND of a
         recognised XOR cluster) is still rewritable."""

@@ -19,6 +19,7 @@ import textwrap
 
 import pytest
 
+import repro.engine.bitpack as bitpack_module
 from repro.engine import VectorEngine, available_engines, get_engine
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -51,6 +52,23 @@ GENERATORS = {
 }
 
 
+def force_small_flat_bounds(monkeypatch):
+    """Shrink both flattening bounds so live nodes stay unflattened
+    and the sweep substitutes through models (fresh compiles only)."""
+    monkeypatch.setattr(bitpack_module, "_FLAT_BOUND", 2)
+    monkeypatch.setattr(bitpack_module, "_FLAT_SHARED_BOUND", 2)
+
+
+def sweep_input():
+    """NAND-mapped m=16 Montgomery: no output flattens under the
+    default bounds, so every cone goes through the fused sweep."""
+    from repro.fieldmath.irreducible import default_irreducible
+
+    return synthesize(
+        generate_montgomery(default_irreducible(16)), use_xor_cells=False
+    )
+
+
 def assert_fused_identical(netlist):
     reference = extract_irreducible_polynomial(netlist, engine="reference")
     fused = extract_irreducible_polynomial(
@@ -79,17 +97,23 @@ class TestGeneratorZoo:
         )
 
     def test_m24_nand_mapped_drives_the_fused_matrix(self):
-        """From m=24 the cones outgrow the flat bound (smaller sizes
-        flatten entirely), so the production configuration genuinely
-        exercises the tagged matrix sweep."""
+        """At m=24 some NAND-mapped Karatsuba cones outgrow the flat
+        bounds (smaller sizes flatten entirely), so the production
+        configuration exercises the tagged matrix sweep beside the
+        flat fast path."""
         from repro.fieldmath.irreducible import default_irreducible
 
-        assert_fused_identical(
-            synthesize(
-                generate_mastrovito(default_irreducible(24)),
-                use_xor_cells=False,
-            )
+        netlist = synthesize(
+            generate_karatsuba(default_irreducible(24)),
+            use_xor_cells=False,
         )
+        program = get_engine("vector")._compiled_for(netlist)
+        flat = [
+            program.net_literal[output] >> 1 in program.flats
+            for output in netlist.outputs
+        ]
+        assert any(flat) and not all(flat)
+        assert_fused_identical(netlist)
 
 
 class TestFaultInjected:
@@ -138,9 +162,7 @@ class TestFaultInjected:
     def test_term_limit_in_the_matrix_loop(self, monkeypatch):
         """Force the fused matrix loop (no flat shortcut) and make an
         intermediate expression outgrow the budget there."""
-        import repro.engine.aig as aig_module
-
-        monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
+        force_small_flat_bounds(monkeypatch)
         netlist = synthesize(
             generate_mastrovito(0b100011011), use_xor_cells=False
         )
@@ -161,9 +183,7 @@ class TestMatrixLoopStress:
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_forced_substitution_matches_reference(self, name, monkeypatch):
-        import repro.engine.aig as aig_module
-
-        monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
+        force_small_flat_bounds(monkeypatch)
         netlist = synthesize(
             GENERATORS[name](0b100101), use_xor_cells=False
         )
@@ -186,12 +206,7 @@ class TestMatrixLoopStress:
         """Later sweeps — including different output subsets, the
         shape a chunked campaign produces — serve packed models from
         the per-program state instead of repacking them."""
-        from repro.fieldmath.irreducible import default_irreducible
-
-        netlist = synthesize(
-            generate_mastrovito(default_irreducible(24)),
-            use_xor_cells=False,
-        )
+        netlist = sweep_input()
         engine = VectorEngine()
         outputs = list(netlist.outputs)
         half = len(outputs) // 2
@@ -241,17 +256,19 @@ class TestMultiRootEntryPoints:
     def test_fused_stats_cover_the_sweep(self):
         """Per-cone stats are round-based but present: runtimes sum to
         the sweep and matrix cones report final term counts."""
-        from repro.fieldmath.irreducible import default_irreducible
+        from repro import telemetry
 
-        netlist = synthesize(
-            generate_mastrovito(default_irreducible(24)),
-            use_xor_cells=False,
+        registry = telemetry.Telemetry()
+        sink = registry.add_sink(telemetry.MemorySink())
+        run = extract_expressions(
+            sweep_input(), engine="vector", fused=True, telemetry=registry
         )
-        run = extract_expressions(netlist, engine="vector", fused=True)
+        spans = {e["name"] for e in sink.events if e.get("type") == "span"}
+        assert {"sweep", "sweep.round"} <= spans
         for output, stats in run.stats.items():
             assert stats.final_terms == run.cones[output].term_count()
             assert stats.runtime_s >= 0.0
-        assert any(stats.iterations for stats in run.stats.values())
+        assert all(stats.iterations for stats in run.stats.values())
 
     def test_unknown_output_raises(self):
         with pytest.raises(BackwardRewriteError):
@@ -366,10 +383,10 @@ class TestWithoutNumpy:
             from repro.gen.mastrovito import generate_mastrovito
             net = generate_mastrovito(0b10011)
             fused = extract_irreducible_polynomial(
-                net, engine="aig", fused=True
+                net, engine="bitpack", fused=True
             )
             assert fused.polynomial_str == "x^4 + x + 1"
-            perbit = extract_irreducible_polynomial(net, engine="aig")
+            perbit = extract_irreducible_polynomial(net, engine="bitpack")
             assert fused.modulus == perbit.modulus
             for bit in range(4):
                 assert fused.expression_of(bit) == perbit.expression_of(bit)

@@ -1,6 +1,6 @@
 """The packed engines' program is the netlist's live AIG.
 
-``bitpack``, ``aig`` and ``vector`` compile the memoized strash that
+``bitpack`` and ``vector`` compile the memoized strash that
 the fingerprint already built; only ``reference`` walks raw gates.
 These tests pin what follows from that: bitpack's program is complete
 at compile time, so forked workers share it as built, and a broken
@@ -65,7 +65,7 @@ def zoo_netlists():
 class TestStrashMutantsBite:
     """A wrong XOR/MUX recognition must change the packed answers."""
 
-    @pytest.mark.parametrize("engine", ["bitpack", "aig"])
+    @pytest.mark.parametrize("engine", ["bitpack", "vector"])
     def test_flipped_xor_polarity_disagrees_with_reference(
         self, engine, monkeypatch
     ):

@@ -38,7 +38,7 @@ def unusable_engine():
 
 class TestRegistryDiagnostics:
     def test_builtin_engines(self):
-        assert registered_engines() == ("aig", "bitpack", "reference", "vector")
+        assert registered_engines() == ("bitpack", "reference", "vector")
 
     def test_unusable_engine_is_registered(self, unusable_engine):
         assert unusable_engine in registered_engines()
@@ -77,3 +77,37 @@ class TestRegistryDiagnostics:
         assert str(caught.value) == (
             f"engine 'vector' is unavailable: {vector_unavailable}"
         )
+
+
+class TestRetiredAigName:
+    """``aig`` is no engine: it fails like any unregistered name."""
+
+    def test_cli_rejects_it_as_an_invalid_choice(self, tmp_path):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.netlist.eqn_io import write_eqn
+
+        path = tmp_path / "m4.eqn"
+        write_eqn(generate_mastrovito(0b10011), path)
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "extract", str(path),
+             "--engine", "aig"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 2
+        assert "argument --engine: invalid choice: 'aig'" in completed.stderr
+        assert "Traceback" not in completed.stderr
+
+    def test_campaign_runner_raises_unknown_engine(self, tmp_path):
+        from repro.service.runner import CampaignRunner
+
+        with pytest.raises(EngineError, match="unknown engine 'aig'"):
+            CampaignRunner(engine="aig", cache_dir=tmp_path / "cache")

@@ -3,7 +3,7 @@ degradation path.
 
 The engine contract (:mod:`repro.engine`) requires bit-identical
 *results* from every backend; this suite drives the vector engine's
-per-bit entry point (the ``aig`` engine's loop, which it inherits)
+per-bit entry point (the ``bitpack`` engine's loop, which it inherits)
 across the generator zoo (flat, synthesized, NAND-mapped) and checks
 error parity."""
 
@@ -15,7 +15,8 @@ import textwrap
 
 import pytest
 
-from repro.engine import AigEngine, VectorEngine, available_engines
+import repro.engine.bitpack as bitpack_module
+from repro.engine import BitpackEngine, VectorEngine, available_engines
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
@@ -48,6 +49,13 @@ GENERATORS = {
     ),
     "digit-serial": generate_digit_serial,
 }
+
+
+def force_small_flat_bounds(monkeypatch):
+    """Shrink both flattening bounds so live nodes stay unflattened
+    and rewriting substitutes through models (fresh compiles only)."""
+    monkeypatch.setattr(bitpack_module, "_FLAT_BOUND", 2)
+    monkeypatch.setattr(bitpack_module, "_FLAT_SHARED_BOUND", 2)
 
 
 def assert_extractions_identical(netlist):
@@ -127,12 +135,10 @@ class TestFailureModes:
         )
 
     def test_trace_records_steps(self, monkeypatch):
-        import repro.engine.aig as aig_module
-
         # Small multipliers flatten whole cones below the default
-        # bound (no substitution steps at all); shrink it so the
+        # bounds (no substitution steps at all); shrink them so the
         # substitution loop actually runs and traces.
-        monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
+        force_small_flat_bounds(monkeypatch)
         netlist = synthesize(
             generate_mastrovito(0b10011), use_xor_cells=False
         )
@@ -163,9 +169,7 @@ class TestMatrixLoopStress:
     def test_forced_substitution_matches_reference(
         self, name, monkeypatch
     ):
-        import repro.engine.aig as aig_module
-
-        monkeypatch.setattr(aig_module, "_FLAT_BOUND", 2)
+        force_small_flat_bounds(monkeypatch)
         netlist = synthesize(GENERATORS[name](0b100101), use_xor_cells=False)
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"
@@ -183,21 +187,58 @@ class TestMatrixLoopStress:
             assert vector.expression_of(bit) == reference.expression_of(bit)
 
     def test_m16_nand_mapped_exceeds_flat_bound(self):
-        """At m=16 the real expressions outgrow the default flat
-        bound, so the production configuration drives the loop too."""
+        """The NAND-mapped m=16 Montgomery cones outgrow the default
+        flat bounds, so the production configuration drives the loop
+        too."""
         from repro.fieldmath.irreducible import default_irreducible
 
         netlist = synthesize(
-            generate_mastrovito(default_irreducible(16)),
+            generate_montgomery(default_irreducible(16)),
             use_xor_cells=False,
         )
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"
         )
-        vector = extract_irreducible_polynomial(netlist, engine="vector")
+        engine = VectorEngine()
+        vector = extract_irreducible_polynomial(netlist, engine=engine)
+        program = engine._compiled_for(netlist)
+        assert any(
+            program.net_literal[output] >> 1 not in program.flats
+            for output in netlist.outputs
+        )
         assert vector.modulus == reference.modulus
         for bit in range(reference.m):
             assert vector.expression_of(bit) == reference.expression_of(bit)
+
+
+class TestPerBitIsBitpack:
+    """Per-bit ``vector`` is bitpack's loop over bitpack's program."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_rewrite_cone_matches_bitpack_stats(self, trace, monkeypatch):
+        import dataclasses
+
+        force_small_flat_bounds(monkeypatch)
+        netlist = synthesize(
+            generate_montgomery(0b100101), use_xor_cells=False
+        )
+        vector, bitpack = VectorEngine(), BitpackEngine()
+        substituted = 0
+        for output in netlist.outputs:
+            expected, expected_stats = bitpack.rewrite_cone(
+                netlist, output, trace=trace
+            )
+            actual, actual_stats = vector.rewrite_cone(
+                netlist, output, trace=trace
+            )
+            assert actual.masks == expected.masks
+            assert actual.decode() == expected.decode()
+            fields = dataclasses.asdict(actual_stats)
+            expected_fields = dataclasses.asdict(expected_stats)
+            del fields["runtime_s"], expected_fields["runtime_s"]
+            assert fields == expected_fields
+            substituted += actual_stats.iterations
+        assert substituted > 0  # the forced bounds reach the loop
 
 
 class TestWithoutNumpy:
@@ -223,14 +264,14 @@ class TestWithoutNumpy:
             assert not VectorEngine.available()
             engines = available_engines()
             assert "vector" not in engines
-            assert {"reference", "bitpack", "aig"} <= set(engines)
+            assert set(engines) == {"reference", "bitpack"}
 
             from repro.extract.extractor import (
                 extract_irreducible_polynomial,
             )
             from repro.gen.mastrovito import generate_mastrovito
             result = extract_irreducible_polynomial(
-                generate_mastrovito(0b10011), engine="aig"
+                generate_mastrovito(0b10011), engine="bitpack"
             )
             assert result.polynomial_str == "x^4 + x + 1"
 
@@ -266,7 +307,7 @@ class TestWithoutNumpy:
     ):
         """An unregistered-but-constructed VectorEngine's fused sweep
         degrades with the engine error, not an AttributeError; its
-        per-bit loop is aig's and needs no numpy."""
+        per-bit loop is bitpack's and needs no numpy."""
         import repro.engine.vector as vector_module
 
         monkeypatch.setattr(vector_module, "_np", None)
@@ -277,5 +318,5 @@ class TestWithoutNumpy:
         with pytest.raises(EngineError, match="numpy"):
             engine.rewrite_cones(netlist, ["z0"])
         expression, _ = engine.rewrite_cone(netlist, "z0")
-        expected, _ = AigEngine().rewrite_cone(netlist, "z0")
+        expected, _ = BitpackEngine().rewrite_cone(netlist, "z0")
         assert expression.decode() == expected.decode()

@@ -211,7 +211,7 @@ class TestFallbackLadder:
         with pytest.raises(EngineError, match="unavailable"):
             select_engine("vector", fallback=False)
         engine_used, why = select_engine("vector", fallback=True)
-        assert engine_used == "aig"
+        assert engine_used == "bitpack"
         assert "vector" in why and vector_unavailable in why
 
     def test_engine_ladder(self, vector_unavailable):
@@ -249,7 +249,7 @@ class TestCampaignFallback:
         )
         assert degraded.ok == 1
         record = degraded.records[0]
-        assert record["engine_used"] == "aig"
+        assert record["engine_used"] == "bitpack"
         assert "vector" in record["fallback_reason"]
         assert VECTOR_BLOCKED in record["fallback_reason"]
         assert record["polynomial"] == baseline.records[0]["polynomial"]

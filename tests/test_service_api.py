@@ -229,6 +229,11 @@ class TestRejections:
             f"{base}/v1/jobs", {"netlist": text, "engine": "frob"},
             expect=(400,),
         )
+        # The retired cut-based engine is no alias of a live one.
+        assert post(
+            f"{base}/v1/jobs", {"netlist": text, "engine": "aig"},
+            expect=(400,),
+        ) == {"error": "unknown engine 'aig'"}
         assert "error" in post(
             f"{base}/v1/jobs", {"netlist": text, "format": "frob"},
             expect=(400,),
@@ -496,12 +501,12 @@ class TestEngineFallbackSubmissions:
              "fallback": True},
         )
         assert job["engine"] == "vector"
-        assert job["engine_used"] == "aig"
+        assert job["engine_used"] == "bitpack"
         assert "vector" in job["fallback_reason"]
         assert vector_unavailable in job["fallback_reason"]
         view = wait_done(base, job["job_id"])
         assert view["status"] == "done"
-        assert view["engine_used"] == "aig"
+        assert view["engine_used"] == "bitpack"
         assert view["result"]["polynomial"] == "x^3 + x + 1"
 
     def test_unavailable_engine_still_400_without_fallback(

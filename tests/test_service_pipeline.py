@@ -180,15 +180,15 @@ def test_http_job_and_batch_record_leave_the_same_entries(tmp_path):
     path = tmp_path / "clean.eqn"
     write_eqn(netlist, path)
     CampaignRunner(
-        mode="audit", engine="aig", cache_dir=tmp_path / "batch"
+        mode="audit", engine="bitpack", cache_dir=tmp_path / "batch"
     ).run([path])
     batch = _entries(ResultCache(tmp_path / "batch"))
 
     cache = ResultCache(tmp_path / "http")
-    server = ReproAPIServer(port=0, cache=cache, engine="aig")
+    server = ReproAPIServer(port=0, cache=cache, engine="bitpack")
     server.start()
     try:
-        job = server.submit(netlist, mode="audit", engine="aig")
+        job = server.submit(netlist, mode="audit", engine="bitpack")
         deadline = time.monotonic() + 30
         while job.status not in TERMINAL_STATUSES:
             assert time.monotonic() < deadline, job.view()

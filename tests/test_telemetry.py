@@ -242,7 +242,7 @@ def test_measure_emits_span(tel):
 # ----------------------------------------------------------------------
 
 def test_per_bit_cone_spans_not_duplicated(tel):
-    """The vector engine delegates flat cones to the aig path; the
+    """The vector engine delegates flat cones to the bitpack path; the
     delegation must not nest a second 'cone' span per bit."""
     if "vector" not in available_engines():
         pytest.skip("numpy not installed")
@@ -263,8 +263,8 @@ def test_per_bit_cone_spans_not_duplicated(tel):
 
 @pytest.fixture(scope="module")
 def mapped_montgomery16():
-    """NAND-only m=16 Montgomery: the cones stay above the AIG flat
-    bound, so the fused vector sweep actually runs rounds."""
+    """NAND-only m=16 Montgomery: the cones stay above the flat
+    bounds, so the fused vector sweep actually runs rounds."""
     return synthesize(
         generate_montgomery(default_irreducible(16)), use_xor_cells=False
     )
