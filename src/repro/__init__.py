@@ -23,151 +23,79 @@ See README.md at the repository root for the quickstart and the
 architecture map (netlist model, the shared hash-consed AIG IR,
 generators, rewriting engines, extraction/verification, synthesis,
 the caching/batch/HTTP service layer, CLI, benchmarks).
+
+A bare ``import repro`` stays light: every re-export resolves lazily
+(PEP 562) and loads its subpackage on first use, so ``import repro``
+imports no generator, no engine and no numpy.  ``__all__``,
+``dir(repro)`` and ``from repro import *`` still list every name.
 """
 
-from repro.fieldmath import (
-    GF2m,
-    bitpoly_parse,
-    bitpoly_str,
-    is_irreducible,
-    nist_polynomial,
-)
-from repro.gen import (
-    decorate_with_redundancy,
-    flip_gate,
-    generate_digit_serial,
-    generate_interleaved,
-    generate_karatsuba,
-    generate_massey_omura,
-    generate_mastrovito,
-    generate_montgomery,
-    generate_montgomery_step,
-    generate_schoolbook,
-    random_fault,
-    stuck_at,
-    swap_input,
-)
-from repro.gf2 import Gf2Poly, parse_poly
-from repro.netlist import (
-    Gate,
-    GateType,
-    Netlist,
-    NetlistBuilder,
-    read_blif,
-    read_eqn,
-    read_verilog,
-    write_blif,
-    write_eqn,
-    write_verilog,
-)
-from repro.aig import Aig, balance_and_trees, balance_xor_trees
-from repro.telemetry import (
-    Histogram,
-    JsonlSink,
-    MemorySink,
-    Telemetry,
-    get_telemetry,
-    use as use_telemetry,
-)
-from repro.engine import available_engines, get_engine, register_engine
-from repro.rewrite import (
-    backward_rewrite,
-    backward_rewrite_multi,
-    extract_expressions,
-)
-from repro.rewrite.backward import RewriteStats
-from repro.rewrite.parallel import ExtractionRun
-from repro.extract import (
-    Diagnosis,
-    ExtractionError,
-    ExtractionResult,
-    Verdict,
-    VerificationReport,
-    diagnose,
-    extract_irreducible_polynomial,
-    format_extraction_report,
-    verify_multiplier,
-)
+from repro._lazy import lazy_exports
+
 __version__ = "1.9.0"
 
-#: Service-layer conveniences re-exported lazily (PEP 562) so that a
-#: bare ``import repro`` stays as light as it was before the service
-#: subsystem existed.
-_SERVICE_EXPORTS = ("ResultCache", "fingerprint_netlist", "run_campaign")
+#: Public name → the subpackage it is re-exported from.
+_EXPORTS = {
+    "Aig": "repro.aig",
+    "GF2m": "repro.fieldmath",
+    "bitpoly_parse": "repro.fieldmath",
+    "bitpoly_str": "repro.fieldmath",
+    "is_irreducible": "repro.fieldmath",
+    "nist_polynomial": "repro.fieldmath",
+    "decorate_with_redundancy": "repro.gen",
+    "flip_gate": "repro.gen",
+    "generate_digit_serial": "repro.gen",
+    "generate_interleaved": "repro.gen",
+    "generate_karatsuba": "repro.gen",
+    "generate_massey_omura": "repro.gen",
+    "generate_mastrovito": "repro.gen",
+    "generate_montgomery": "repro.gen",
+    "generate_montgomery_step": "repro.gen",
+    "generate_schoolbook": "repro.gen",
+    "random_fault": "repro.gen",
+    "stuck_at": "repro.gen",
+    "swap_input": "repro.gen",
+    "Gf2Poly": "repro.gf2",
+    "parse_poly": "repro.gf2",
+    "Gate": "repro.netlist",
+    "GateType": "repro.netlist",
+    "Netlist": "repro.netlist",
+    "NetlistBuilder": "repro.netlist",
+    "read_blif": "repro.netlist",
+    "read_eqn": "repro.netlist",
+    "read_verilog": "repro.netlist",
+    "write_blif": "repro.netlist",
+    "write_eqn": "repro.netlist",
+    "write_verilog": "repro.netlist",
+    "balance_and_trees": "repro.aig",
+    "balance_xor_trees": "repro.aig",
+    "available_engines": "repro.engine",
+    "get_engine": "repro.engine",
+    "register_engine": "repro.engine",
+    "backward_rewrite": "repro.rewrite",
+    "backward_rewrite_multi": "repro.rewrite",
+    "extract_expressions": "repro.rewrite",
+    "Telemetry": "repro.telemetry",
+    "Histogram": "repro.telemetry",
+    "JsonlSink": "repro.telemetry",
+    "MemorySink": "repro.telemetry",
+    "get_telemetry": "repro.telemetry",
+    "use_telemetry": "repro.telemetry:use",
+    "ExtractionRun": "repro.rewrite.parallel",
+    "RewriteStats": "repro.rewrite.backward",
+    "ResultCache": "repro.service",
+    "fingerprint_netlist": "repro.service",
+    "run_campaign": "repro.service",
+    "Diagnosis": "repro.extract",
+    "ExtractionError": "repro.extract",
+    "ExtractionResult": "repro.extract",
+    "Verdict": "repro.extract",
+    "VerificationReport": "repro.extract",
+    "diagnose": "repro.extract",
+    "extract_irreducible_polynomial": "repro.extract",
+    "format_extraction_report": "repro.extract",
+    "verify_multiplier": "repro.extract",
+}
 
-
-def __getattr__(name):
-    if name in _SERVICE_EXPORTS:
-        import repro.service
-
-        value = getattr(repro.service, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_SERVICE_EXPORTS))
-
-__all__ = [
-    "Aig",
-    "GF2m",
-    "bitpoly_parse",
-    "bitpoly_str",
-    "is_irreducible",
-    "nist_polynomial",
-    "decorate_with_redundancy",
-    "flip_gate",
-    "generate_digit_serial",
-    "generate_interleaved",
-    "generate_karatsuba",
-    "generate_massey_omura",
-    "generate_mastrovito",
-    "generate_montgomery",
-    "generate_montgomery_step",
-    "generate_schoolbook",
-    "random_fault",
-    "stuck_at",
-    "swap_input",
-    "Gf2Poly",
-    "parse_poly",
-    "Gate",
-    "GateType",
-    "Netlist",
-    "NetlistBuilder",
-    "read_blif",
-    "read_eqn",
-    "read_verilog",
-    "write_blif",
-    "write_eqn",
-    "write_verilog",
-    "balance_and_trees",
-    "balance_xor_trees",
-    "available_engines",
-    "get_engine",
-    "register_engine",
-    "backward_rewrite",
-    "backward_rewrite_multi",
-    "extract_expressions",
-    "Telemetry",
-    "Histogram",
-    "JsonlSink",
-    "MemorySink",
-    "get_telemetry",
-    "use_telemetry",
-    "ExtractionRun",
-    "RewriteStats",
-    "ResultCache",
-    "fingerprint_netlist",
-    "run_campaign",
-    "Diagnosis",
-    "ExtractionError",
-    "ExtractionResult",
-    "Verdict",
-    "VerificationReport",
-    "diagnose",
-    "extract_irreducible_polynomial",
-    "format_extraction_report",
-    "verify_multiplier",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -57,29 +57,21 @@ Shared by
   polynomials (``vector`` also runs a fused numpy sweep over it).
 """
 
-from repro.aig.aig import (
-    CONST0,
-    CONST1,
-    Aig,
-    AigError,
-    lit_complement,
-    lit_is_complemented,
-    lit_node,
-    live_aig,
-    make_lit,
-)
-from repro.aig.balance import balance_and_trees, balance_xor_trees
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Aig",
-    "AigError",
-    "CONST0",
-    "CONST1",
-    "balance_and_trees",
-    "balance_xor_trees",
-    "lit_complement",
-    "lit_is_complemented",
-    "lit_node",
-    "live_aig",
-    "make_lit",
-]
+_EXPORTS = {
+    "Aig": "repro.aig.aig",
+    "AigError": "repro.aig.aig",
+    "CONST0": "repro.aig.aig",
+    "CONST1": "repro.aig.aig",
+    "balance_and_trees": "repro.aig.balance",
+    "balance_xor_trees": "repro.aig.balance",
+    "lit_complement": "repro.aig.aig",
+    "lit_is_complemented": "repro.aig.aig",
+    "lit_node": "repro.aig.aig",
+    "live_aig": "repro.aig.aig",
+    "make_lit": "repro.aig.aig",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -14,29 +14,20 @@
     predicted-vs-measured correlation.
 """
 
-from repro.analysis.xor_count import (
-    figure1_report,
-    multiplication_example,
-    xor_cost_comparison,
-)
-from repro.analysis.tables import Table
-from repro.analysis.instrument import Measurement, measure
-from repro.analysis.predict import (
-    cost_correlation,
-    predicted_column_cost,
-    predicted_total_cost,
-    rank_polynomials,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "figure1_report",
-    "multiplication_example",
-    "xor_cost_comparison",
-    "Table",
-    "Measurement",
-    "measure",
-    "cost_correlation",
-    "predicted_column_cost",
-    "predicted_total_cost",
-    "rank_polynomials",
-]
+_EXPORTS = {
+    "figure1_report": "repro.analysis.xor_count",
+    "multiplication_example": "repro.analysis.xor_count",
+    "xor_cost_comparison": "repro.analysis.xor_count",
+    "Table": "repro.analysis.tables",
+    "Measurement": "repro.analysis.instrument",
+    "measure": "repro.analysis.instrument",
+    "cost_correlation": "repro.analysis.predict",
+    "predicted_column_cost": "repro.analysis.predict",
+    "predicted_total_cost": "repro.analysis.predict",
+    "rank_polynomials": "repro.analysis.predict",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -22,30 +22,21 @@ the claims can be measured rather than cited:
     designs, quantifying what the algebraic method actually buys.
 """
 
-from repro.baselines.groebner import GroebnerReport, verify_known_polynomial
-from repro.baselines.sat import (
-    DpllSolver,
-    SatResult,
-    equivalence_check_sat,
-    tseitin_encode,
-)
-from repro.baselines.bdd import BddManager, build_output_bdds
-from repro.baselines.simprobe import (
-    ProbeResult,
-    probe_polynomial,
-    probe_then_extract,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GroebnerReport",
-    "verify_known_polynomial",
-    "DpllSolver",
-    "SatResult",
-    "equivalence_check_sat",
-    "tseitin_encode",
-    "BddManager",
-    "build_output_bdds",
-    "ProbeResult",
-    "probe_polynomial",
-    "probe_then_extract",
-]
+_EXPORTS = {
+    "GroebnerReport": "repro.baselines.groebner",
+    "verify_known_polynomial": "repro.baselines.groebner",
+    "DpllSolver": "repro.baselines.sat",
+    "SatResult": "repro.baselines.sat",
+    "equivalence_check_sat": "repro.baselines.sat",
+    "tseitin_encode": "repro.baselines.sat",
+    "BddManager": "repro.baselines.bdd",
+    "build_output_bdds": "repro.baselines.bdd",
+    "ProbeResult": "repro.baselines.simprobe",
+    "probe_polynomial": "repro.baselines.simprobe",
+    "probe_then_extract": "repro.baselines.simprobe",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -62,7 +62,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.xor_count import figure1_report
+import repro.gen
+import repro.netlist
 from repro.engine import DEFAULT_ENGINE, registered_engines
 from repro.extract.extractor import (
     ExtractionError,
@@ -77,35 +78,33 @@ from repro.fieldmath.irreducible import (
     is_irreducible,
 )
 from repro.extract.diagnose import diagnose
-from repro.gen.faults import flip_gate, random_fault, stuck_at, swap_input
-from repro.gen.digit_serial import generate_digit_serial
-from repro.gen.interleaved import generate_interleaved
-from repro.gen.karatsuba import generate_karatsuba
-from repro.gen.mastrovito import generate_mastrovito
-from repro.gen.montgomery import generate_montgomery
-from repro.gen.normal_basis import generate_massey_omura
-from repro.gen.schoolbook import generate_schoolbook
-from repro.netlist.blif_io import read_blif, write_blif
-from repro.netlist.eqn_io import read_eqn, write_eqn
 from repro.netlist.netlist import NetlistError
-from repro.netlist.verilog_io import read_verilog, write_verilog
-from repro.synth.pipeline import synthesize
 
+# Generators, readers and writers are named here and resolved through
+# the lazy ``repro.gen`` and ``repro.netlist`` packages, so a command
+# imports only the generator and file format it uses.
+#: ``--algorithm`` → (generator in :mod:`repro.gen`, its keyword options)
 _GENERATORS = {
-    "mastrovito": generate_mastrovito,
-    "montgomery": generate_montgomery,
-    "schoolbook": generate_schoolbook,
-    "karatsuba": generate_karatsuba,
-    "interleaved": generate_interleaved,
-    "interleaved-lsb": lambda modulus: generate_interleaved(
-        modulus, msb_first=False
-    ),
-    "digit-serial": generate_digit_serial,
-    "massey-omura": generate_massey_omura,
+    "mastrovito": ("generate_mastrovito", {}),
+    "montgomery": ("generate_montgomery", {}),
+    "schoolbook": ("generate_schoolbook", {}),
+    "karatsuba": ("generate_karatsuba", {}),
+    "interleaved": ("generate_interleaved", {}),
+    "interleaved-lsb": ("generate_interleaved", {"msb_first": False}),
+    "digit-serial": ("generate_digit_serial", {}),
+    "massey-omura": ("generate_massey_omura", {}),
 }
 
-_WRITERS = {"eqn": write_eqn, "blif": write_blif, "v": write_verilog}
-_READERS = {"eqn": read_eqn, "blif": read_blif, "v": read_verilog}
+_WRITERS = {"eqn": "write_eqn", "blif": "write_blif", "v": "write_verilog"}
+_READERS = {"eqn": "read_eqn", "blif": "read_blif", "v": "read_verilog"}
+
+
+def _read(fmt: str, path: str):
+    return getattr(repro.netlist, _READERS[fmt])(path)
+
+
+def _write(fmt: str, netlist, path: str) -> None:
+    getattr(repro.netlist, _WRITERS[fmt])(netlist, path)
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
@@ -252,11 +251,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "will not implement a field multiplier",
             file=sys.stderr,
         )
-    netlist = _GENERATORS[args.algorithm](modulus)
+    generator, options = _GENERATORS[args.algorithm]
+    netlist = getattr(repro.gen, generator)(modulus, **options)
     if args.synthesize:
+        from repro.synth.pipeline import synthesize
+
         netlist = synthesize(netlist)
-    fmt = _infer_format(args.output, args.format)
-    _WRITERS[fmt](netlist, args.output)
+    _write(_infer_format(args.output, args.format), netlist, args.output)
     stats = netlist.stats()
     print(
         f"wrote {args.output}: GF(2^{len(netlist.outputs)}) "
@@ -306,8 +307,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         # Incremental path: diff output-cone fingerprints against the
         # verified baseline and rewrite only the dirty cones.
         return _run_eco(args, args.baseline, args.netlist, audit=False)
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
     result = extract_irreducible_polynomial(
         netlist,
         jobs=args.jobs,
@@ -325,8 +325,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         return _run_eco(args, args.baseline, args.netlist, audit=True)
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
     result = extract_irreducible_polynomial(
         netlist,
         jobs=args.jobs,
@@ -345,15 +344,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    in_fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[in_fmt](args.netlist)
+    from repro.synth.pipeline import synthesize
+
+    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
     optimized = synthesize(
         netlist,
         map_cells=not args.no_map,
         use_xor_cells=not args.nand_only,
     )
-    out_fmt = _infer_format(args.output, args.format)
-    _WRITERS[out_fmt](optimized, args.output)
+    _write(_infer_format(args.output, args.format), optimized, args.output)
     print(
         f"synthesized {args.netlist}: {len(netlist)} -> "
         f"{len(optimized)} gates"
@@ -362,8 +361,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
     diagnosis = diagnose(
         netlist,
         jobs=args.jobs,
@@ -377,8 +375,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    fmt = _infer_format(args.netlist, args.format)
-    netlist = _READERS[fmt](args.netlist)
+    from repro.gen.faults import flip_gate, random_fault, stuck_at, swap_input
+
+    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
     if args.kind == "random":
         mutant, fault = random_fault(netlist, seed=args.seed)
     elif args.gate is None:
@@ -391,8 +390,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
         mutant, fault = stuck_at(netlist, args.gate, 0)
     else:  # stuck-at-1
         mutant, fault = stuck_at(netlist, args.gate, 1)
-    out_fmt = _infer_format(args.output, args.format)
-    _WRITERS[out_fmt](mutant, args.output)
+    _write(_infer_format(args.output, args.format), mutant, args.output)
     print(f"injected {fault}")
     print(f"wrote {args.output}")
     return 0
@@ -572,6 +570,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduction(args: argparse.Namespace) -> int:
+    from repro.analysis.xor_count import figure1_report
+
     moduli = [bitpoly_parse(text) for text in args.p]
     print(figure1_report(moduli))
     return 0

@@ -13,30 +13,20 @@ recovered P(x) all the way to a working protocol:
     map, the MixColumns column transform, and the circuit constants.
 """
 
-from repro.crypto.ecc import (
-    INFINITY,
-    BinaryCurve,
-    Point,
-    koblitz_curve_k163,
-)
-from repro.crypto.aes_field import (
-    AES_MODULUS,
-    aes_sbox,
-    aes_inv_sbox,
-    mix_column,
-    inv_mix_column,
-    xtime,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "INFINITY",
-    "BinaryCurve",
-    "Point",
-    "koblitz_curve_k163",
-    "AES_MODULUS",
-    "aes_sbox",
-    "aes_inv_sbox",
-    "mix_column",
-    "inv_mix_column",
-    "xtime",
-]
+_EXPORTS = {
+    "INFINITY": "repro.crypto.ecc",
+    "BinaryCurve": "repro.crypto.ecc",
+    "Point": "repro.crypto.ecc",
+    "koblitz_curve_k163": "repro.crypto.ecc",
+    "AES_MODULUS": "repro.crypto.aes_field",
+    "aes_sbox": "repro.crypto.aes_field",
+    "aes_inv_sbox": "repro.crypto.aes_field",
+    "mix_column": "repro.crypto.aes_field",
+    "inv_mix_column": "repro.crypto.aes_field",
+    "xtime": "repro.crypto.aes_field",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -51,11 +51,14 @@ allows.
 numpy is an *optional* dependency: :meth:`VectorEngine.availability`
 reports why the backend is unusable (``None`` when it is), the
 registry surfaces that reason, and everything else in the package
-works without it.
+works without it.  The probe only locates numpy; the import itself
+happens on the first fused sweep, so entry points that never run one
+do not pay for it.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -68,10 +71,15 @@ from repro.engine.interning import SignalInterner
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats, TermLimitExceeded
 
-try:  # pragma: no cover - exercised via the no-numpy subprocess test
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+_UNLOADED = object()
+#: numpy, bound by :func:`_require_numpy` on the first fused sweep so
+#: that importing the engine registry does not load it; ``None`` once
+#: that import has failed.  A plain module global, not a proxy: the
+#: sweep's hot loops look it up as they would an eager import.
+_np: Any = _UNLOADED
+
+_NUMPY_MISSING = "numpy is not installed; use engine='bitpack' instead"
+_NUMPY_BROKEN = "numpy failed to import; use engine='bitpack' instead"
 
 _WORD_BITS = 64
 _WORD_MASK = (1 << _WORD_BITS) - 1
@@ -80,6 +88,39 @@ _WORD_MASK = (1 << _WORD_BITS) - 1
 #: associative — so the transient |affected|x|model| broadcast never
 #: outgrows this bound and ``term_limit`` stays a real memory bound.
 _CHUNK_ROWS = 1 << 16
+
+
+def _numpy_found() -> bool:
+    """Whether numpy can be located, without importing it."""
+    try:
+        return importlib.util.find_spec("numpy") is not None
+    except (ImportError, ValueError):
+        return False
+
+
+def _require_numpy() -> None:
+    """Bind ``_np`` on first use; raise the engine error if unusable."""
+    global _np
+    if _np is _UNLOADED:
+        # A span of its own, so the one-time import is not left as
+        # unattributed self time of the request that pays it.
+        with _telemetry.current().span("import", module="numpy"):
+            try:
+                import numpy
+            except ImportError as error:  # missing, or found but broken
+                _np = None
+                raise _numpy_unusable() from error
+        _np = numpy
+    if _np is None:
+        raise _numpy_unusable()
+
+
+def _numpy_unusable() -> EngineError:
+    reason = _NUMPY_BROKEN if _numpy_found() else _NUMPY_MISSING
+    return EngineError(
+        f"engine 'vector' is unavailable: {reason} "
+        "(or fused=False for the per-bit path)"
+    )
 
 
 def _mask_rows(masks: List[int], words: int) -> "Any":
@@ -249,8 +290,10 @@ class VectorEngine(BitpackEngine):
         The registry records this probe and surfaces the reason, so a
         request for an unusable engine fails actionably.
         """
+        if not _numpy_found():
+            return _NUMPY_MISSING
         if _np is None:
-            return "numpy is not installed; use engine='bitpack' instead"
+            return _NUMPY_BROKEN
         return None
 
     @classmethod
@@ -277,12 +320,7 @@ class VectorEngine(BitpackEngine):
         equal share of the out-of-round overhead — the per-bit series
         sums to the sweep's wall clock.
         """
-        if _np is None:
-            raise EngineError(
-                "the vector engine needs numpy, which is not installed; "
-                "use engine='bitpack' instead "
-                "(or fused=False for the per-bit path)"
-            )
+        _require_numpy()
         chosen = list(outputs)
         compiled = self._compiled_for(netlist)
         results: Dict[str, Tuple[PackedExpression, RewriteStats]] = {}

@@ -17,35 +17,28 @@
     wrong basis / malformed), with counterexamples.
 """
 
-from repro.extract.outfield import outfield_products
-from repro.extract.extractor import (
-    ExtractionError,
-    ExtractionResult,
-    extract_irreducible_polynomial,
-    extract_from_cones,
-    extract_from_expressions,
-)
-from repro.extract.verify import VerificationReport, verify_multiplier
-from repro.extract.report import format_extraction_report
-from repro.extract.diagnose import Diagnosis, Verdict, diagnose
-from repro.extract.squarer import (
-    SquarerExtractionResult,
-    extract_squarer_polynomial,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "outfield_products",
-    "ExtractionError",
-    "ExtractionResult",
-    "extract_irreducible_polynomial",
-    "extract_from_cones",
-    "extract_from_expressions",
-    "VerificationReport",
-    "verify_multiplier",
-    "format_extraction_report",
-    "Diagnosis",
-    "Verdict",
-    "diagnose",
-    "SquarerExtractionResult",
-    "extract_squarer_polynomial",
-]
+# Eager: ``diagnose`` is also a submodule, and importing it would bind
+# the package attribute to the module and shadow a lazy export.
+from repro.extract.diagnose import Diagnosis, Verdict, diagnose
+
+_EXPORTS = {
+    "outfield_products": "repro.extract.outfield",
+    "ExtractionError": "repro.extract.extractor",
+    "ExtractionResult": "repro.extract.extractor",
+    "extract_irreducible_polynomial": "repro.extract.extractor",
+    "extract_from_cones": "repro.extract.extractor",
+    "extract_from_expressions": "repro.extract.extractor",
+    "VerificationReport": "repro.extract.verify",
+    "verify_multiplier": "repro.extract.verify",
+    "format_extraction_report": "repro.extract.report",
+    "Diagnosis": "repro.extract.diagnose",
+    "Verdict": "repro.extract.diagnose",
+    "diagnose": "repro.extract.diagnose",
+    "SquarerExtractionResult": "repro.extract.squarer",
+    "extract_squarer_polynomial": "repro.extract.squarer",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -34,86 +34,47 @@ Contents:
     composite fields GF((2^k)^2) — the Canright/Satoh AES structure.
 """
 
-from repro.fieldmath.bitpoly import (
-    bitpoly_degree,
-    bitpoly_divmod,
-    bitpoly_from_exponents,
-    bitpoly_gcd,
-    bitpoly_mod,
-    bitpoly_mul,
-    bitpoly_mulmod,
-    bitpoly_parse,
-    bitpoly_powmod,
-    bitpoly_str,
-    bitpoly_to_exponents,
-)
-from repro.fieldmath.irreducible import (
-    find_irreducible_pentanomials,
-    find_irreducible_trinomials,
-    is_irreducible,
-)
-from repro.fieldmath.element import FieldElement
-from repro.fieldmath.gf2m import GF2m
-from repro.fieldmath.linalg2 import (
-    gf2_invert,
-    gf2_rank,
-    gf2_solve,
-    matvec,
-    transpose,
-)
-from repro.fieldmath.polynomial_db import (
-    ARCH_OPTIMAL_233,
-    NIST_POLYNOMIALS,
-    PAPER_POLYNOMIALS,
-    arch_optimal_polynomials,
-    nist_polynomial,
-    scaled_arch_suite,
-)
-from repro.fieldmath.montgomery_math import mont_mul, mont_r2, to_mont, from_mont
-from repro.fieldmath.normal import NormalBasis, find_normal_element
-from repro.fieldmath.tower import TowerField
-from repro.fieldmath.reduction import (
-    reduction_rows,
-    reduction_table,
-    reduction_xor_cost,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bitpoly_degree",
-    "bitpoly_divmod",
-    "bitpoly_from_exponents",
-    "bitpoly_gcd",
-    "bitpoly_mod",
-    "bitpoly_mul",
-    "bitpoly_mulmod",
-    "bitpoly_parse",
-    "bitpoly_powmod",
-    "bitpoly_str",
-    "bitpoly_to_exponents",
-    "find_irreducible_pentanomials",
-    "find_irreducible_trinomials",
-    "is_irreducible",
-    "FieldElement",
-    "GF2m",
-    "gf2_invert",
-    "gf2_rank",
-    "gf2_solve",
-    "matvec",
-    "transpose",
-    "ARCH_OPTIMAL_233",
-    "NIST_POLYNOMIALS",
-    "PAPER_POLYNOMIALS",
-    "arch_optimal_polynomials",
-    "nist_polynomial",
-    "scaled_arch_suite",
-    "mont_mul",
-    "mont_r2",
-    "to_mont",
-    "from_mont",
-    "NormalBasis",
-    "find_normal_element",
-    "TowerField",
-    "reduction_rows",
-    "reduction_table",
-    "reduction_xor_cost",
-]
+_EXPORTS = {
+    "bitpoly_degree": "repro.fieldmath.bitpoly",
+    "bitpoly_divmod": "repro.fieldmath.bitpoly",
+    "bitpoly_from_exponents": "repro.fieldmath.bitpoly",
+    "bitpoly_gcd": "repro.fieldmath.bitpoly",
+    "bitpoly_mod": "repro.fieldmath.bitpoly",
+    "bitpoly_mul": "repro.fieldmath.bitpoly",
+    "bitpoly_mulmod": "repro.fieldmath.bitpoly",
+    "bitpoly_parse": "repro.fieldmath.bitpoly",
+    "bitpoly_powmod": "repro.fieldmath.bitpoly",
+    "bitpoly_str": "repro.fieldmath.bitpoly",
+    "bitpoly_to_exponents": "repro.fieldmath.bitpoly",
+    "find_irreducible_pentanomials": "repro.fieldmath.irreducible",
+    "find_irreducible_trinomials": "repro.fieldmath.irreducible",
+    "is_irreducible": "repro.fieldmath.irreducible",
+    "FieldElement": "repro.fieldmath.element",
+    "GF2m": "repro.fieldmath.gf2m",
+    "gf2_invert": "repro.fieldmath.linalg2",
+    "gf2_rank": "repro.fieldmath.linalg2",
+    "gf2_solve": "repro.fieldmath.linalg2",
+    "matvec": "repro.fieldmath.linalg2",
+    "transpose": "repro.fieldmath.linalg2",
+    "ARCH_OPTIMAL_233": "repro.fieldmath.polynomial_db",
+    "NIST_POLYNOMIALS": "repro.fieldmath.polynomial_db",
+    "PAPER_POLYNOMIALS": "repro.fieldmath.polynomial_db",
+    "arch_optimal_polynomials": "repro.fieldmath.polynomial_db",
+    "nist_polynomial": "repro.fieldmath.polynomial_db",
+    "scaled_arch_suite": "repro.fieldmath.polynomial_db",
+    "mont_mul": "repro.fieldmath.montgomery_math",
+    "mont_r2": "repro.fieldmath.montgomery_math",
+    "to_mont": "repro.fieldmath.montgomery_math",
+    "from_mont": "repro.fieldmath.montgomery_math",
+    "NormalBasis": "repro.fieldmath.normal",
+    "find_normal_element": "repro.fieldmath.normal",
+    "TowerField": "repro.fieldmath.tower",
+    "reduction_rows": "repro.fieldmath.reduction",
+    "reduction_table": "repro.fieldmath.reduction",
+    "reduction_xor_cost": "repro.fieldmath.reduction",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

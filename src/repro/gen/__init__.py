@@ -39,48 +39,32 @@ computing ``Z = A·B mod P(x)``:
     the concrete 2-bit and 4-bit circuits of Figures 1-3.
 """
 
-from repro.gen.naming import input_nets, output_nets
-from repro.gen.partial_products import emit_partial_products
-from repro.gen.mastrovito import generate_mastrovito
-from repro.gen.schoolbook import generate_schoolbook
-from repro.gen.montgomery import generate_montgomery, generate_montgomery_step
-from repro.gen.karatsuba import generate_karatsuba
-from repro.gen.interleaved import generate_interleaved
-from repro.gen.digit_serial import generate_digit_serial
-from repro.gen.normal_basis import generate_massey_omura
-from repro.gen.squarer import generate_squarer, squaring_matrix
-from repro.gen.tower import generate_tower, tower_reference
-from repro.gen.redundancy import decorate_with_redundancy
-from repro.gen.faults import (
-    FaultDescription,
-    FaultError,
-    flip_gate,
-    random_fault,
-    stuck_at,
-    swap_input,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "input_nets",
-    "output_nets",
-    "emit_partial_products",
-    "generate_mastrovito",
-    "generate_schoolbook",
-    "generate_montgomery",
-    "generate_montgomery_step",
-    "generate_karatsuba",
-    "generate_interleaved",
-    "generate_digit_serial",
-    "generate_massey_omura",
-    "generate_squarer",
-    "squaring_matrix",
-    "generate_tower",
-    "tower_reference",
-    "decorate_with_redundancy",
-    "FaultDescription",
-    "FaultError",
-    "flip_gate",
-    "random_fault",
-    "stuck_at",
-    "swap_input",
-]
+_EXPORTS = {
+    "input_nets": "repro.gen.naming",
+    "output_nets": "repro.gen.naming",
+    "emit_partial_products": "repro.gen.partial_products",
+    "generate_mastrovito": "repro.gen.mastrovito",
+    "generate_schoolbook": "repro.gen.schoolbook",
+    "generate_montgomery": "repro.gen.montgomery",
+    "generate_montgomery_step": "repro.gen.montgomery",
+    "generate_karatsuba": "repro.gen.karatsuba",
+    "generate_interleaved": "repro.gen.interleaved",
+    "generate_digit_serial": "repro.gen.digit_serial",
+    "generate_massey_omura": "repro.gen.normal_basis",
+    "generate_squarer": "repro.gen.squarer",
+    "squaring_matrix": "repro.gen.squarer",
+    "generate_tower": "repro.gen.tower",
+    "tower_reference": "repro.gen.tower",
+    "decorate_with_redundancy": "repro.gen.redundancy",
+    "FaultDescription": "repro.gen.faults",
+    "FaultError": "repro.gen.faults",
+    "flip_gate": "repro.gen.faults",
+    "random_fault": "repro.gen.faults",
+    "stuck_at": "repro.gen.faults",
+    "swap_input": "repro.gen.faults",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -23,27 +23,25 @@ the equivalent substrate:
     structural Verilog).
 """
 
-from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
-from repro.netlist.netlist import Netlist, NetlistError
-from repro.netlist.build import NetlistBuilder
-from repro.netlist.eqn_io import read_eqn, write_eqn, parse_eqn, format_eqn
-from repro.netlist.blif_io import read_blif, write_blif
-from repro.netlist.verilog_io import read_verilog, write_verilog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Gate",
-    "GateType",
-    "evaluate_gate",
-    "gate_arity",
-    "Netlist",
-    "NetlistError",
-    "NetlistBuilder",
-    "read_eqn",
-    "write_eqn",
-    "parse_eqn",
-    "format_eqn",
-    "read_blif",
-    "write_blif",
-    "read_verilog",
-    "write_verilog",
-]
+_EXPORTS = {
+    "Gate": "repro.netlist.gate",
+    "GateType": "repro.netlist.gate",
+    "evaluate_gate": "repro.netlist.gate",
+    "gate_arity": "repro.netlist.gate",
+    "Netlist": "repro.netlist.netlist",
+    "NetlistError": "repro.netlist.netlist",
+    "NetlistBuilder": "repro.netlist.build",
+    "read_eqn": "repro.netlist.eqn_io",
+    "write_eqn": "repro.netlist.eqn_io",
+    "parse_eqn": "repro.netlist.eqn_io",
+    "format_eqn": "repro.netlist.eqn_io",
+    "read_blif": "repro.netlist.blif_io",
+    "write_blif": "repro.netlist.blif_io",
+    "read_verilog": "repro.netlist.verilog_io",
+    "write_verilog": "repro.netlist.verilog_io",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

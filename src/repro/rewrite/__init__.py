@@ -16,33 +16,22 @@
     specification expressions of ``A·B mod P(x)`` per output bit.
 """
 
-from repro.rewrite.gate_models import gate_model, gate_model_poly
-from repro.rewrite.backward import (
-    BackwardRewriteError,
-    RewriteStats,
-    TermLimitExceeded,
-    backward_rewrite,
-    backward_rewrite_all,
-    backward_rewrite_multi,
-)
-from repro.rewrite.parallel import extract_expressions
-from repro.rewrite.signature import (
-    output_signature,
-    spec_expression,
-    spec_expressions,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "gate_model",
-    "gate_model_poly",
-    "BackwardRewriteError",
-    "RewriteStats",
-    "TermLimitExceeded",
-    "backward_rewrite",
-    "backward_rewrite_all",
-    "backward_rewrite_multi",
-    "extract_expressions",
-    "output_signature",
-    "spec_expression",
-    "spec_expressions",
-]
+_EXPORTS = {
+    "gate_model": "repro.rewrite.gate_models",
+    "gate_model_poly": "repro.rewrite.gate_models",
+    "BackwardRewriteError": "repro.rewrite.backward",
+    "RewriteStats": "repro.rewrite.backward",
+    "TermLimitExceeded": "repro.rewrite.backward",
+    "backward_rewrite": "repro.rewrite.backward",
+    "backward_rewrite_all": "repro.rewrite.backward",
+    "backward_rewrite_multi": "repro.rewrite.backward",
+    "extract_expressions": "repro.rewrite.parallel",
+    "output_signature": "repro.rewrite.signature",
+    "spec_expression": "repro.rewrite.signature",
+    "spec_expressions": "repro.rewrite.signature",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -16,7 +16,6 @@ statistics in the units of Tables I-IV.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections.abc import Mapping as MappingABC
@@ -431,7 +430,13 @@ def extract_expressions(
 
 
 def _pool_context():
-    """Prefer fork (copy-on-write netlist sharing) where available."""
+    """Prefer fork (copy-on-write netlist sharing) where available.
+
+    ``multiprocessing`` is imported here, on the ``jobs>1`` path, so a
+    sequential run never loads it.
+    """
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms

@@ -50,10 +50,11 @@ CLI verbs: ``repro batch``, ``repro serve``, ``repro eco``,
 ``repro cache {stats,clear}``.
 """
 
-# Exports resolve lazily (PEP 562): `import repro` (which re-exports a
-# few service names) must not drag in http.server, multiprocessing
-# helpers, or the extract stack until a service feature is actually
-# used.
+from repro._lazy import lazy_exports
+
+# Exports resolve lazily (PEP 562): `import repro.service` must not
+# drag in http.server, multiprocessing helpers, or the extract stack
+# until a service feature is actually used.
 _EXPORTS = {
     "CACHE_SCHEMA_VERSION": "repro.service.cache",
     "CacheStats": "repro.service.cache",
@@ -77,20 +78,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache for the next access
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -17,16 +17,31 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from repro.netlist.blif_io import read_blif
-from repro.netlist.eqn_io import read_eqn
+import repro.netlist
 from repro.netlist.netlist import Netlist
-from repro.netlist.verilog_io import read_verilog
 from repro.service.fingerprint import (
     fingerprint_with_cones,
     remember_fingerprint,
 )
 
-NETLIST_READERS = {".eqn": read_eqn, ".blif": read_blif, ".v": read_verilog}
+
+def _reader(name: str) -> Callable[[Path], Netlist]:
+    """The ``repro.netlist`` reader ``name``, loaded on its first call."""
+
+    def read(path: Path) -> Netlist:
+        return getattr(repro.netlist, name)(path)
+
+    return read
+
+
+#: File suffix → reader.  A format's parser loads with the first file
+#: of that format, so a service that reads only EQN never imports the
+#: BLIF or Verilog reader.
+NETLIST_READERS: Dict[str, Callable[[Path], Netlist]] = {
+    ".eqn": _reader("read_eqn"),
+    ".blif": _reader("read_blif"),
+    ".v": _reader("read_verilog"),
+}
 
 MODES = ("extract", "audit", "diagnose")
 

@@ -140,13 +140,14 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     fused = bool(task.get("fused"))
     fallback = bool(task.get("fallback"))
     policy: RetryPolicy = task.get("retry_policy") or RetryPolicy()
-    import multiprocessing
+    if jobs != 1:
+        import multiprocessing
 
-    if jobs != 1 and multiprocessing.current_process().daemon:
-        # Inside the shared campaign pool: daemonic workers cannot
-        # spawn a nested per-bit pool, so the netlist-level sharding
-        # *is* the parallelism and each extraction runs sequentially.
-        jobs = 1
+        if multiprocessing.current_process().daemon:
+            # Inside the shared campaign pool: daemonic workers cannot
+            # spawn a nested per-bit pool, so the netlist-level sharding
+            # *is* the parallelism and each extraction runs sequentially.
+            jobs = 1
     started = time.perf_counter()
     record: Dict[str, Any] = {
         "path": str(path),

@@ -22,14 +22,14 @@ equivalence on random vectors and that extraction still recovers the
 same P(x) after any pass combination.
 """
 
-from repro.synth.strash import structural_hash
-from repro.synth.sweep import sweep_dead_gates
-from repro.synth.mapping import technology_map
-from repro.synth.pipeline import synthesize
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "structural_hash",
-    "sweep_dead_gates",
-    "technology_map",
-    "synthesize",
-]
+_EXPORTS = {
+    "structural_hash": "repro.synth.strash",
+    "sweep_dead_gates": "repro.synth.sweep",
+    "technology_map": "repro.synth.mapping",
+    "synthesize": "repro.synth.pipeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
