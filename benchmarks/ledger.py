@@ -12,12 +12,12 @@ Usage::
 
     # Append a row for a finished benchmark report:
     PYTHONPATH=src python benchmarks/ledger.py \
-        --bench bench_fused --report BENCH_fused.json \
+        --bench bench_eco --report BENCH_eco.json \
         --trace trace.jsonl
 
     # Or from another benchmark script:
     from ledger import append_row
-    append_row("bench_fused", report=report, trace_path="trace.jsonl")
+    append_row("bench_eco", report=report, trace_path="trace.jsonl")
 
 Row schema (``LEDGER_SCHEMA = 1``)::
 
@@ -152,15 +152,6 @@ def _summarize_report(bench: str, report: dict) -> dict:
     rows = report.get("rows")
     if isinstance(rows, list):
         summary["rows"] = len(rows)
-        sweeps = {}
-        for row in rows:
-            sweep = row.get("sweep")
-            if not isinstance(sweep, dict):
-                continue
-            key = f"m{row.get('m')}.{row.get('variant', '?')}"
-            sweeps[key] = sweep.get("speedup")
-        if sweeps:
-            summary["sweep_speedups"] = sweeps
     return summary
 
 

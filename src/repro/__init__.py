@@ -26,7 +26,7 @@ the caching/batch/HTTP service layer, CLI, benchmarks).
 
 A bare ``import repro`` stays light: every re-export resolves lazily
 (PEP 562) and loads its subpackage on first use, so ``import repro``
-imports no generator, no engine and no numpy.  ``__all__``,
+imports no generator and no engine.  ``__all__``,
 ``dir(repro)`` and ``from repro import *`` still list every name.
 """
 
@@ -73,7 +73,6 @@ _EXPORTS = {
     "get_engine": "repro.engine",
     "register_engine": "repro.engine",
     "backward_rewrite": "repro.rewrite",
-    "backward_rewrite_multi": "repro.rewrite",
     "extract_expressions": "repro.rewrite",
     "Telemetry": "repro.telemetry",
     "Histogram": "repro.telemetry",

@@ -51,10 +51,9 @@ Shared by
   identity as its one and only equivalence oracle;
 * ``repro.service`` — the content fingerprint derives its Merkle
   labels directly from the hash-consed node table in one traversal;
-* ``repro.engine`` — the ``bitpack`` and ``vector`` backends compile
-  the memoized live graph into one program and backward-rewrite it
-  node by node through direct-fanin models, over packed leaf-space
-  polynomials (``vector`` also runs a fused numpy sweep over it).
+* ``repro.engine`` — the ``bitpack`` backend compiles the memoized
+  live graph into one program and backward-rewrites it node by node
+  through direct-fanin models, over packed leaf-space polynomials.
 """
 
 from repro._lazy import lazy_exports

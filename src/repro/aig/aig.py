@@ -685,7 +685,7 @@ def live_aig(netlist: Netlist) -> Aig:
 
     :meth:`Aig.from_netlist` followed by :meth:`Aig.swept`, memoized in
     :meth:`Netlist.memo <repro.netlist.netlist.Netlist.memo>` so the
-    fingerprint, the cone digests and the aig/vector compile of one
+    fingerprint, the cone digests and the bitpack compile of one
     netlist share a single strash.  The graph is read-only; a mutation
     of the netlist clears the memo and the next call re-derives it.
 

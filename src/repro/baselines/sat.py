@@ -298,7 +298,7 @@ def equivalence_check_sat(
     The whole check runs inside a ``baseline.sat`` telemetry span
     (annotated with CNF size and solver statistics), so
     rewriting-vs-SAT comparisons land in the same traces as the
-    engine's ``cone``/``sweep`` spans.
+    engine's ``cone`` spans.
     """
     if set(golden.inputs) != set(candidate.inputs):
         raise ValueError("netlists have different primary inputs")

@@ -2,7 +2,7 @@
 
 ``REPRO_CHAOS`` turns on seeded chaos at named *sites*::
 
-    REPRO_CHAOS="crash_worker=0.1,io_error=0.05,delay.sweep=0.2@seed=7"
+    REPRO_CHAOS="crash_worker=0.1,io_error=0.05,delay.cone=0.2@seed=7"
 
 Each ``site=value`` entry is a firing probability in ``[0, 1]`` except
 ``delay.<span>=SECONDS`` entries, which slow the named telemetry span
@@ -76,9 +76,9 @@ class ChaosSpec:
     def parse(cls, raw: Optional[str]) -> Optional["ChaosSpec"]:
         """Parse the env syntax; ``None``/blank/unparseable → ``None``.
 
-        >>> spec = ChaosSpec.parse("crash_worker=0.5,delay.sweep=0.2@seed=7")
+        >>> spec = ChaosSpec.parse("crash_worker=0.5,delay.cone=0.2@seed=7")
         >>> spec.rates, dict(spec.delays), spec.seed
-        ({'crash_worker': 0.5}, {'sweep': 0.2}, 7)
+        ({'crash_worker': 0.5}, {'cone': 0.2}, 7)
         """
         if raw is None or not raw.strip():
             return None

@@ -42,18 +42,16 @@ Commands mirror the paper's tool flow:
 
 The workload commands (``extract``/``audit``/``diagnose``/``batch``/
 ``serve``) accept ``--trace out.jsonl``: every telemetry span
-(compile, sweep rounds, cancellation, cache traffic, HTTP requests)
+(compile, per-cone rewriting, cache traffic, HTTP requests)
 is streamed to the file as it closes — see :mod:`repro.telemetry`
 and the README's Observability section.
 
 The ``--engine`` choices come from the backend registry
 (:mod:`repro.engine`): ``reference`` (the oracle), ``bitpack``
 (interned bitmask monomials over the strashed AIG) and ``vector``
-(the bitpack program with a fused numpy sweep over uint64 mask
-matrices).  Every registered engine parses;
-selecting one whose dependency is missing fails with the registry's
-recorded reason (e.g. "numpy is not installed"), not a bare "unknown
-engine".
+(another name for ``bitpack``).  Every registered engine parses;
+selecting one whose probe reports it unusable fails with the
+registry's recorded reason, not a bare "unknown engine".
 """
 
 from __future__ import annotations
@@ -109,18 +107,17 @@ def _write(fmt: str, netlist, path: str) -> None:
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
     # Choices come from *registered* engines, not just the currently
-    # usable ones: "--engine vector" on a box without numpy should
-    # parse and then fail with the registry's recorded reason ("numpy
-    # is not installed ..."), which is actionable — a choices error is
-    # not.
+    # usable ones: an engine whose probe fails should parse and then
+    # fail with the registry's recorded reason, which is actionable —
+    # a choices error is not.
     parser.add_argument(
         "--engine",
         choices=sorted(registered_engines()),
         default=DEFAULT_ENGINE,
         help=(
             "rewriting backend: %(choices)s (default: %(default)s; "
-            "'vector' needs numpy — selecting an unavailable engine "
-            "reports why)"
+            "'vector' is another name for 'bitpack'; selecting an "
+            "unavailable engine reports why)"
         ),
     )
 
@@ -172,20 +169,6 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _add_fused_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fused",
-        action="store_true",
-        help=(
-            "rewrite all output cones in one fused substitution sweep "
-            "(single process, amortizes the netlist walk and the GF(2) "
-            "cancellation over every bit; fastest with --engine "
-            "vector, other engines fall back to their per-bit loop; "
-            "results are bit-identical either way)"
-        ),
-    )
-
-
 def _add_fallback_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fallback",
@@ -193,7 +176,7 @@ def _add_fallback_argument(parser: argparse.ArgumentParser) -> None:
         help=(
             "degrade gracefully instead of failing: when the selected "
             "engine is unavailable (or dies at runtime) walk the "
-            "fallback ladder vector -> bitpack -> reference "
+            "fallback ladder bitpack -> reference "
             "to the first usable backend (results are "
             "bit-identical; the substitution is reported)"
         ),
@@ -207,7 +190,7 @@ def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "stream telemetry spans/counters to this JSONL file "
-            "(hierarchical compile/sweep/cancel/cache/request spans "
+            "(hierarchical compile/cone/cache/request spans "
             "with wall+CPU times; render it with 'repro trace')"
         ),
     )
@@ -284,7 +267,6 @@ def _run_eco(
             engine=args.engine,
             jobs=args.jobs,
             term_limit=args.term_limit,
-            fused=args.fused,
             audit=audit,
             diagnose_on_failure=(
                 audit and not getattr(args, "no_diagnose", False)
@@ -313,7 +295,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         term_limit=args.term_limit,
         engine=args.engine,
-        fused=args.fused,
     )
     print(f"P(x) = {result.polynomial_str}")
     if not result.irreducible:
@@ -332,7 +313,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         term_limit=args.term_limit,
         measure_memory=args.jobs == 1,
         engine=args.engine,
-        fused=args.fused,
     )
     verification = verify_multiplier(netlist, result, engine=args.engine)
     print(
@@ -368,7 +348,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         term_limit=args.term_limit,
         find_counterexample=not args.no_counterexample,
         engine=args.engine,
-        fused=args.fused,
     )
     print(diagnosis.render())
     return 0 if diagnosis.is_clean else 1
@@ -411,7 +390,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
             checkpoint=not args.no_checkpoint,
-            fused=args.fused,
             retries=args.retries,
             deadline_s=args.deadline,
             max_rss_bytes=args.max_rss,
@@ -629,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_baseline_arguments(extract)
     _add_fallback_argument(extract)
     _add_engine_argument(extract)
-    _add_fused_argument(extract)
     _add_trace_argument(extract)
     extract.set_defaults(func=_cmd_extract)
 
@@ -643,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_baseline_arguments(audit)
     _add_fallback_argument(audit)
     _add_engine_argument(audit)
-    _add_fused_argument(audit)
     _add_trace_argument(audit)
     audit.set_defaults(func=_cmd_audit)
 
@@ -673,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fallback_argument(eco)
     _add_engine_argument(eco)
-    _add_fused_argument(eco)
     _add_trace_argument(eco)
     eco.set_defaults(func=_cmd_eco)
 
@@ -695,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--format", choices=sorted(_READERS), default=None)
     _add_fallback_argument(diag)
     _add_engine_argument(diag)
-    _add_fused_argument(diag)
     _add_trace_argument(diag)
     diag.set_defaults(func=_cmd_diagnose)
 
@@ -799,7 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fallback_argument(batch)
     _add_engine_argument(batch)
-    _add_fused_argument(batch)
     _add_trace_argument(batch)
     batch.set_defaults(func=_cmd_batch)
 
@@ -940,9 +913,9 @@ def _run_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Registered-but-unavailable engines (e.g. vector without numpy)
-    # parse fine; fail here with the probe's recorded reason instead
-    # of a traceback deep inside the run.
+    # Registered-but-unavailable engines parse fine; fail here with
+    # the probe's recorded reason instead of a traceback deep inside
+    # the run.
     engine = getattr(args, "engine", None)
     if engine is not None:
         from repro.engine import engine_availability

@@ -56,22 +56,9 @@ Backends
     every other node is substituted through its direct-fanin model
     (see ``benchmarks/bench_engines.py`` / ``BENCH_engines.json``);
 ``vector``
-    bitpack's compiled program, with the substitution loop vectorized
-    in numpy for the **fused multi-output sweep**
-    (:meth:`~repro.engine.base.Engine.rewrite_cones` / ``fused=True``
-    on the extraction drivers): all m output cones are rewritten in
-    one output-tagged ``uint64`` bit-matrix (one row per monomial,
-    interned signals packed 64 per word), one substitution is a
-    broadcast OR against the model matrix, and GF(2) cancellation is
-    a lexsort + run-parity pass whose sort keys keep cancellation
-    strictly per-cone — bit-identical to per-bit extraction
-    (``benchmarks/bench_fused.py`` / ``BENCH_fused.json``).  Per-bit
-    ``vector`` runs bitpack's loop.  numpy is optional — the backend
-    is availability-probed, and every other backend serves
-    ``rewrite_cones`` through its per-bit loop, so ``fused=True``
-    degrades cleanly without numpy.
+    another name for ``bitpack``: it resolves to the same instance.
 
-Compiling backends (bitpack, vector) keep their one-time per-netlist
+The compiling backend (bitpack) keeps its one-time per-netlist
 compile in a weak in-process memo
 (:class:`~repro.engine.base.CompilingEngine`) and never persist it:
 the program is built from the live AIG the content fingerprint
@@ -110,18 +97,12 @@ from repro.engine.registry import (
     register_engine,
     registered_engines,
 )
-from repro.engine.vector import VectorEngine
 
 register_engine(ReferenceEngine.name, ReferenceEngine)
 register_engine(BitpackEngine.name, BitpackEngine)
-# numpy is optional: vector registers unconditionally with an
-# availability probe, so ``available_engines()`` (and thus the
-# differential suite and the benchmarks) skips it cleanly when numpy
-# is missing, while resolving it by name still fails with the probe's
-# recorded reason instead of "unknown engine".
-register_engine(
-    VectorEngine.name, VectorEngine, probe=VectorEngine.availability
-)
+# perfbench still selects ``vector``: the name stays, as an alias,
+# until the benchmark stops using it.
+register_engine("vector", lambda: get_engine(BitpackEngine.name))
 
 __all__ = [
     "CompilingEngine",
@@ -133,7 +114,6 @@ __all__ = [
     "SignalInterner",
     "ReferenceEngine",
     "ReferenceExpression",
-    "VectorEngine",
     "DEFAULT_ENGINE",
     "FALLBACK_LADDER",
     "available_engines",

@@ -22,8 +22,8 @@ their *internal* expression representation; the contract is:
 
 Compiled programs
 -----------------
-Backends that precompile a netlist into a reusable *program* (bitpack,
-aig, vector) derive from :class:`CompilingEngine`, which keeps one
+Backends that precompile a netlist into a reusable *program* (bitpack)
+derive from :class:`CompilingEngine`, which keeps one
 program per live netlist in a weak in-process memo.  The program is
 built from the netlist's memoized live AIG, which the content
 fingerprint has already paid for; compiling it costs less than
@@ -42,7 +42,6 @@ encoding.
 from __future__ import annotations
 
 import abc
-import contextlib
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -65,25 +64,6 @@ if TYPE_CHECKING:  # a runtime import would cycle through repro.rewrite
 
 class EngineError(ValueError):
     """Unknown engine name or invalid engine registration."""
-
-
-def cone_span(engine: "Engine", output: str):
-    """The ``"cone"`` telemetry span of one ``rewrite_cone`` call.
-
-    Engines delegate special cases to a parent class's ``rewrite_cone``
-    (the vector engine's flat path reuses the bitpack path verbatim); when
-    the caller is already inside this cone's span, the open span is
-    reused instead of double-counting the same work as a nested twin.
-    """
-    telemetry = _telemetry.current()
-    active = telemetry.active_span()
-    if (
-        active is not None
-        and active.name == "cone"
-        and active.attrs.get("output") == output
-    ):
-        return contextlib.nullcontext(active)
-    return telemetry.span("cone", engine=engine.name, output=output)
 
 
 def poly_to_json(poly: Gf2Poly) -> List[List[str]]:
@@ -155,28 +135,6 @@ class Engine(abc.ABC):
     ) -> Tuple[ConeExpression, RewriteStats]:
         """Algorithm 1 on one output cone, in native representation."""
 
-    def rewrite_cones(
-        self,
-        netlist: Netlist,
-        outputs: Iterable[str],
-        term_limit: Optional[int] = None,
-    ) -> "dict[str, Tuple[ConeExpression, RewriteStats]]":
-        """Algorithm 1 on several output cones of one netlist.
-
-        The default implementation is the per-bit loop — one
-        :meth:`rewrite_cone` call per output, in request order — so
-        every backend supports the multi-root entry point.  Backends
-        with a genuinely *fused* substitution sweep (the numpy
-        ``vector`` engine rewrites all cones in one tagged bit-matrix)
-        override this; callers reach it through ``fused=True`` on
-        :func:`repro.rewrite.parallel.extract_expressions` and degrade
-        cleanly to this loop everywhere else.
-        """
-        return {
-            output: self.rewrite_cone(netlist, output, term_limit=term_limit)
-            for output in outputs
-        }
-
     def rewrite(
         self,
         netlist: Netlist,
@@ -205,8 +163,8 @@ class CompilingEngine(Engine):
     Subclasses implement :meth:`_compile` (netlist → program object;
     the program must expose ``n_gates`` for the staleness check) and
     set :attr:`Engine.compile_schema`.  The weak in-process memo is
-    inherited.  The bitpack, aig and vector programs all compile the
-    netlist's memoized live AIG, so none of them strashes again.
+    inherited.  The bitpack program compiles the netlist's memoized
+    live AIG, so it does not strash again.
     """
 
     def __init__(self) -> None:

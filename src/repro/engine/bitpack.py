@@ -50,9 +50,7 @@ the reference path's per-gate linear scans:
 
 An output whose node flattened is answered from its flat polynomial
 without a loop (unless a trace is requested, which substitutes it as
-one step).  The ``vector`` engine (:mod:`repro.engine.vector`) runs
-this loop for its per-bit path and feeds the same program's models to
-its fused numpy sweep.
+one step).  The registry name ``vector`` resolves to this engine.
 
 The engine produces bit-identical *results* (canonical expressions,
 P(x), member bits, failure modes) to the reference backend — enforced
@@ -67,8 +65,9 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro import telemetry as _telemetry
 from repro.aig import live_aig
-from repro.engine.base import CompilingEngine, ConeExpression, cone_span
+from repro.engine.base import CompilingEngine, ConeExpression
 from repro.engine.interning import SignalInterner
 from repro.gf2.monomial import Monomial
 from repro.gf2.polynomial import Gf2Poly
@@ -175,9 +174,6 @@ class _CompiledProgram:
         "flats",
         "n_gates",
         "_models",
-        # The vector engine's fused sweep caches per-program state
-        # (packed model tables) in a weak-keyed map; see VectorEngine.
-        "__weakref__",
     )
 
     def __init__(self, netlist: Netlist):
@@ -366,7 +362,9 @@ class BitpackEngine(CompilingEngine):
         trace: bool = False,
         term_limit: Optional[int] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
-        with cone_span(self, output) as span:
+        with _telemetry.current().span(
+            "cone", engine=self.name, output=output
+        ) as span:
             expression, stats = self._rewrite_cone_impl(
                 netlist, output, trace, term_limit
             )

@@ -7,15 +7,16 @@ Third-party backends register themselves with :func:`register_engine`
 — the only requirement is the :class:`~repro.engine.base.Engine`
 interface and exception contract.
 
-Backends with optional dependencies (``vector`` needs numpy) register
-unconditionally with a **probe** — a callable returning ``None`` when
-the backend is usable or a human-readable reason when it is not.  :func:`available_engines`
+A backend with an optional dependency registers unconditionally with a
+**probe** — a callable returning ``None`` when the backend is usable
+or a human-readable reason when it is not.  :func:`available_engines`
 lists only the usable ones (so differential suites and benchmarks
 iterate exactly what runs here), :func:`registered_engines` lists
 everything, and :func:`engine_availability` maps every registered name
 to its reason.  Asking for a registered-but-unusable engine fails with
-the *reason* ("numpy is not installed …"), not with "unknown engine" —
-the difference between an actionable error and a confusing one.
+the *reason* (say, "its library is not installed"), not with "unknown
+engine" — the difference between an actionable error and a confusing
+one.  The built-in backends need no probe.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ DEFAULT_ENGINE = "reference"
 #: next rung that is *usable* (per :func:`engine_availability`); every
 #: rung produces bit-identical results, so degradation trades only
 #: speed, never answers.
-FALLBACK_LADDER: Tuple[str, ...] = ("vector", "bitpack", "reference")
+FALLBACK_LADDER: Tuple[str, ...] = ("bitpack", "reference")
 
 
 def fallback_chain(engine: str) -> Tuple[str, ...]:
@@ -43,8 +44,8 @@ def fallback_chain(engine: str) -> Tuple[str, ...]:
     capable first).  The chain always starts with ``engine`` itself
     and never repeats a name.
 
-    >>> fallback_chain("vector")
-    ('vector', 'bitpack', 'reference')
+    >>> fallback_chain("bitpack")
+    ('bitpack', 'reference')
     >>> fallback_chain("reference")
     ('reference',)
     """

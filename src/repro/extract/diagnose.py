@@ -125,7 +125,6 @@ def diagnose(
     find_counterexample: bool = True,
     engine: str = DEFAULT_ENGINE,
     cache=None,
-    fused: bool = False,
 ) -> Diagnosis:
     """Triage a netlist: verified multiplier, buggy, or out of scope.
 
@@ -136,9 +135,7 @@ def diagnose(
     with every tier they use: a structural duplicate never rewrites a
     gate, and an edited version of an extracted baseline rewrites only
     the cones the edit touched (the ECO path — see
-    :mod:`repro.service.eco`).  ``fused=True`` runs the extraction as
-    one fused multi-cone sweep (fastest with ``engine="vector"``); the
-    verdict is mode-independent.
+    :mod:`repro.service.eco`).
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> diagnose(generate_mastrovito(0b10011)).verdict.value
@@ -152,9 +149,7 @@ def diagnose(
 
     if _looks_like_squarer(netlist):
         return finish(
-            _diagnose_squarer(
-                netlist, cache=cache, engine=engine, fused=fused
-            )
+            _diagnose_squarer(netlist, cache=cache, engine=engine)
         )
 
     try:
@@ -164,7 +159,6 @@ def diagnose(
             term_limit=term_limit,
             engine=engine,
             cache=cache,
-            fused=fused,
         )
     except (ExtractionError, BackwardRewriteError) as error:
         return finish(
@@ -250,7 +244,6 @@ def _diagnose_squarer(
     netlist: Netlist,
     cache=None,
     engine: str = DEFAULT_ENGINE,
-    fused: bool = False,
 ) -> Diagnosis:
     """The squarer branch of the decision tree."""
     from repro.extract.squarer import (
@@ -260,7 +253,7 @@ def _diagnose_squarer(
 
     try:
         result = extract_squarer_polynomial(
-            netlist, cache=cache, engine=engine, fused=fused
+            netlist, cache=cache, engine=engine
         )
     except (SquarerExtractionError, BackwardRewriteError) as error:
         return Diagnosis(

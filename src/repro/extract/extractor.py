@@ -148,7 +148,6 @@ def extract_irreducible_polynomial(
     measure_memory: bool = False,
     engine: str = DEFAULT_ENGINE,
     cache=None,
-    fused: bool = False,
     on_result=None,
     telemetry=None,
 ) -> ExtractionResult:
@@ -165,12 +164,6 @@ def extract_irreducible_polynomial(
     and stores fresh results; on a miss it serves the per-cone tier of
     :func:`~repro.rewrite.parallel.extract_expressions`, so an edited
     netlist rewrites only its dirty cones (the ECO path).
-
-    ``fused=True`` extracts all m bits in one fused substitution
-    sweep (see :func:`repro.rewrite.parallel.extract_expressions`):
-    fastest with ``engine="vector"``, a clean per-bit fallback on
-    every other backend, bit-identical results either way.  ``jobs``
-    is ignored in fused mode.
 
     ``on_result`` fires once per completed bit with ``(output, cone,
     stats)`` — the progress feed of the HTTP API's job endpoints —
@@ -204,7 +197,6 @@ def extract_irreducible_polynomial(
         engine=engine,
         on_result=on_result,
         cache=cache,
-        fused=fused,
         telemetry=telemetry,
     )
     result = result_from_run(run, m)

@@ -29,7 +29,7 @@ from repro.fieldmath.bitpoly import bitpoly_str
 from repro.fieldmath.irreducible import is_irreducible
 from repro.gen.squarer import squaring_matrix
 from repro.netlist.netlist import Netlist
-from repro.rewrite.backward import backward_rewrite, backward_rewrite_multi
+from repro.rewrite.backward import backward_rewrite
 
 
 class SquarerExtractionError(RuntimeError):
@@ -62,7 +62,6 @@ def extract_squarer_polynomial(
     netlist: Netlist,
     cache=None,
     engine: str = DEFAULT_ENGINE,
-    fused: bool = False,
 ) -> SquarerExtractionResult:
     """Recover P(x) from a gate-level squarer.
 
@@ -71,8 +70,6 @@ def extract_squarer_polynomial(
     entry, keyed like every other artifact by the strash-invariant
     content fingerprint: a structurally identical squarer is answered
     without rewriting a single gate.
-    ``fused=True`` rewrites all m bits in one fused sweep
-    (:func:`repro.rewrite.backward.backward_rewrite_multi`).
 
     >>> from repro.gen.squarer import generate_squarer
     >>> extract_squarer_polynomial(generate_squarer(0b10011)).polynomial_str
@@ -98,20 +95,11 @@ def extract_squarer_polynomial(
             f"outputs must be z0..z{m - 1}, got {netlist.outputs}"
         )
 
-    # Backward rewriting per output bit (Algorithm 1, unchanged);
-    # fused mode batches every bit into one multi-root engine call,
-    # per-bit mode rewrites lazily so a non-squarer fails fast.
+    # Backward rewriting per output bit (Algorithm 1, unchanged), one
+    # bit at a time so a non-squarer fails fast.
     columns = [0] * m
-    outputs = [f"z{j}" for j in range(m)]
-    if fused:
-        rewritten = backward_rewrite_multi(netlist, outputs, engine=engine)
-    else:
-        rewritten = None
-    for j, output in enumerate(outputs):
-        if rewritten is not None:
-            poly, _stats = rewritten[output]
-        else:
-            poly, _stats = backward_rewrite(netlist, output, engine=engine)
+    for j in range(m):
+        poly, _stats = backward_rewrite(netlist, f"z{j}", engine=engine)
         for monomial in poly.monomials:
             if len(monomial) != 1:
                 raise SquarerExtractionError(

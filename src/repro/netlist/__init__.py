@@ -38,8 +38,10 @@ _EXPORTS = {
     "parse_eqn": "repro.netlist.eqn_io",
     "format_eqn": "repro.netlist.eqn_io",
     "read_blif": "repro.netlist.blif_io",
+    "parse_blif": "repro.netlist.blif_io",
     "write_blif": "repro.netlist.blif_io",
     "read_verilog": "repro.netlist.verilog_io",
+    "parse_verilog": "repro.netlist.verilog_io",
     "write_verilog": "repro.netlist.verilog_io",
 }
 

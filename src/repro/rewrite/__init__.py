@@ -26,7 +26,6 @@ _EXPORTS = {
     "TermLimitExceeded": "repro.rewrite.backward",
     "backward_rewrite": "repro.rewrite.backward",
     "backward_rewrite_all": "repro.rewrite.backward",
-    "backward_rewrite_multi": "repro.rewrite.backward",
     "extract_expressions": "repro.rewrite.parallel",
     "output_signature": "repro.rewrite.signature",
     "spec_expression": "repro.rewrite.signature",

@@ -207,42 +207,6 @@ def backward_rewrite_all(
     }
 
 
-def backward_rewrite_multi(
-    netlist: Netlist,
-    outputs: Optional[List[str]] = None,
-    term_limit: Optional[int] = None,
-    engine: str = "reference",
-    telemetry=None,
-) -> Dict[str, Tuple[Gf2Poly, RewriteStats]]:
-    """Multi-root Algorithm 1: every requested cone in one engine call.
-
-    This is the decoded face of the engines' multi-root entry point
-    (:meth:`repro.engine.base.Engine.rewrite_cones`): a backend with a
-    fused substitution sweep (the numpy ``vector`` engine) rewrites
-    all cones in one amortized pass over the shared gate DAG, while
-    every other backend runs the same per-bit loop
-    :func:`backward_rewrite` would — results are bit-identical either
-    way (Theorem 1), only statistics and wall-clock differ.
-
-    >>> from repro.gen.mastrovito import generate_mastrovito
-    >>> net = generate_mastrovito(0b1011)
-    >>> polys = backward_rewrite_multi(net, ["z0", "z1"])
-    >>> str(polys["z0"][0])
-    'a0*b0 + a1*b2 + a2*b1'
-    """
-    from repro.engine import get_engine
-
-    chosen = list(outputs) if outputs is not None else list(netlist.outputs)
-    with _telemetry.use(_telemetry.resolve(telemetry)):
-        cones = get_engine(engine).rewrite_cones(
-            netlist, chosen, term_limit=term_limit
-        )
-    return {
-        output: (cone.decode(), stats)
-        for output, (cone, stats) in cones.items()
-    }
-
-
 def format_trace(stats: RewriteStats) -> str:
     """Render a recorded trace like Figure 3 of the paper."""
     lines = [f"backward rewriting of {stats.output}:"]

@@ -169,9 +169,7 @@ def extract_expressions(
     engine: str = DEFAULT_ENGINE,
     on_result: Optional[ResultHook] = None,
     cache=None,
-    fused: bool = False,
     telemetry: Optional["_telemetry.Telemetry"] = None,
-    fused_chunk: Optional[int] = None,
 ) -> ExtractionRun:
     """Extract the canonical GF(2) expression of every output bit.
 
@@ -200,29 +198,14 @@ def extract_expressions(
     one-time compile then runs in the coordinating process before any
     rewriting, so forked workers inherit the program copy-on-write.
 
-    ``fused=True`` rewrites every requested cone through the engine's
-    multi-root entry point in this process: a backend with a fused
-    substitution sweep (the numpy ``vector`` engine) amortizes the
-    DAG walk, model lookups and cancellation sorts over all m bits in
-    one tagged bit-matrix, while backends without one degrade cleanly
-    to their per-bit loop.  ``jobs`` is ignored (the sweep is the
-    parallelism); results are bit-identical to a per-bit run, and the
-    ``on_result`` hook still fires once per bit — after the sweep, in
-    request order.  ``fused_chunk`` splits the sweep into sweeps of at
-    most that many outputs, the hook firing after each: the
-    checkpoint granularity of :mod:`repro.service.jobs`.  The chunks
-    share one compile and one cone-cache partition.
-
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
-    run is one ``extract`` span; engine ``compile``/``cone``/``sweep``
-    spans nest under it, and ``measure_memory`` rides on the span's
+    run is one ``extract`` span; engine ``compile``/``cone`` spans
+    nest under it, and ``measure_memory`` rides on the span's
     tracemalloc handling — nested-measurement safe, stopped even when
     a bit raises.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
-    if fused:
-        jobs = 1  # the fused sweep is single-process by construction
     if jobs == 0:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(chosen)))
@@ -241,7 +224,6 @@ def extract_expressions(
         engine=backend.name,
         bits=len(chosen),
         jobs=jobs,
-        fused=fused,
     ) as span:
         started_cpu = time.process_time()
 
@@ -287,27 +269,6 @@ def extract_expressions(
                             on_result(output, cone, stats)
             jobs = max(1, min(jobs, len(dirty)))
 
-        def store_cones(items) -> None:
-            # Store back what this run actually rewrote, in the
-            # engine-neutral encoded form (Theorem 1: every backend
-            # produces the same canonical expression, so the entry is
-            # valid for all of them).
-            if cone_digests is None:
-                return
-            schema = getattr(backend, "compile_schema", None)
-            for output, cone, st in items:
-                digest = cone_digests.get(output)
-                if digest is None:
-                    continue
-                cache.put_cone(
-                    digest,
-                    output,
-                    cone.to_json(),
-                    st,
-                    engine=backend.name,
-                    compile_schema=schema,
-                )
-
         # Backward rewriting of a bit only ever consults its own
         # transitive fan-in (Theorem 2), so when the cache served part
         # of the run the backend is handed just the dirty cones'
@@ -329,23 +290,6 @@ def extract_expressions(
 
         if not dirty:
             pass  # every requested cone was served from the cache
-        elif fused:
-            step = max(1, fused_chunk or len(dirty))
-            for start in range(0, len(dirty), step):
-                batch = dirty[start : start + step]
-                cones_by_output = backend.rewrite_cones(
-                    work, batch, term_limit=term_limit
-                )
-                fresh = []
-                for output in batch:
-                    expression, stats = cones_by_output[output]
-                    fresh.append((output, expression, stats))
-                    if on_result is not None:
-                        on_result(output, expression, stats)
-                results.extend(fresh)
-                # Each chunk's cones are stored as it completes, so a
-                # run killed mid-sweep keeps the chunks it finished.
-                store_cones(fresh)
         elif jobs == 1:
             work.gate_order()
             for output in dirty:
@@ -386,9 +330,25 @@ def extract_expressions(
                     if on_result is not None:
                         on_result(*item)
 
-        if not fused and dirty:
+        if cone_digests is not None and dirty:
+            # Store back what this run actually rewrote, in the
+            # engine-neutral encoded form (Theorem 1: every backend
+            # produces the same canonical expression, so the entry is
+            # valid for all of them).
             rewritten = set(dirty)
-            store_cones([item for item in results if item[0] in rewritten])
+            schema = getattr(backend, "compile_schema", None)
+            for output, cone, st in results:
+                digest = cone_digests.get(output)
+                if output not in rewritten or digest is None:
+                    continue
+                cache.put_cone(
+                    digest,
+                    output,
+                    cone.to_json(),
+                    st,
+                    engine=backend.name,
+                    compile_schema=schema,
+                )
 
         # Deterministic composition regardless of hit/dirty interleave
         # and pool completion order.

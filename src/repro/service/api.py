@@ -71,13 +71,11 @@ from repro.engine import (
     available_engines,
     engine_availability,
 )
-from repro.netlist.blif_io import parse_blif
-from repro.netlist.eqn_io import parse_eqn
 from repro.netlist.netlist import GC_PAUSE
-from repro.netlist.verilog_io import parse_verilog
 from repro.service.cache import KINDS, ResultCache
 from repro.service.pipeline import (
     MODES,
+    NETLIST_PARSERS,
     ModeOutcome,
     cached_outcome,
     run_mode,
@@ -89,8 +87,6 @@ from repro.service.resilience import (
     run_supervised,
     select_engine,
 )
-
-_PARSERS = {"eqn": parse_eqn, "blif": parse_blif, "v": parse_verilog}
 
 #: Submission payloads above this size are rejected outright.
 MAX_NETLIST_BYTES = 8 * 1024 * 1024
@@ -540,9 +536,8 @@ class ReproAPIServer:
         return {
             "engine": self.engine,
             "engines_available": sorted(available_engines()),
-            # Registered-but-unusable backends with the probe's reason
-            # (e.g. {"vector": "numpy is not installed ..."}); usable ones
-            # map to None.
+            # Registered-but-unusable backends with the probe's reason;
+            # usable ones map to None.
             "engines_unavailable": {
                 name: reason
                 for name, reason in sorted(engine_availability().items())
@@ -770,7 +765,7 @@ def _make_handler(server: "ReproAPIServer"):
                 self._error(400, "missing 'netlist' text")
                 return
             fmt = body.get("format", "eqn")
-            if fmt not in _PARSERS:
+            if fmt not in NETLIST_PARSERS:
                 self._error(400, f"unknown format {fmt!r}")
                 return
             mode = body.get("mode", "audit")
@@ -797,8 +792,8 @@ def _make_handler(server: "ReproAPIServer"):
                 else:
                     # Distinguish "no such backend" from "registered
                     # but its dependency is missing" — the latter
-                    # names the fix (e.g. install numpy or pick
-                    # another engine).
+                    # names the fix (install it or pick another
+                    # engine).
                     reason = engine_availability().get(engine)
                     if reason is not None:
                         self._error(
@@ -809,7 +804,7 @@ def _make_handler(server: "ReproAPIServer"):
                         self._error(400, f"unknown engine {engine!r}")
                     return
             try:
-                netlist = _PARSERS[fmt](text)
+                netlist = NETLIST_PARSERS[fmt](text)
             except Exception as error:  # noqa: BLE001 - surface parse errors
                 self._error(
                     400, f"netlist parse failed: "

@@ -76,14 +76,20 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro import chaos as _chaos
 from repro import telemetry as _telemetry
 from repro.engine.base import poly_to_json
-from repro.extract.diagnose import Diagnosis, Verdict
-from repro.extract.extractor import ExtractionResult
-from repro.extract.verify import VerificationReport
 from repro.ioutil import atomic_write_bytes, atomic_write_text
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats
@@ -92,6 +98,13 @@ from repro.service.fingerprint import (
     FINGERPRINT_SCHEMA,
     fingerprint_netlist,
 )
+
+# The extract types are imported where they are decoded, so loading
+# the cache does not load the extract stack.
+if TYPE_CHECKING:
+    from repro.extract.diagnose import Diagnosis
+    from repro.extract.extractor import ExtractionResult
+    from repro.extract.verify import VerificationReport
 
 #: Bump on any change to the serialized artifact layout.
 CACHE_SCHEMA_VERSION = 1
@@ -264,6 +277,8 @@ def encode_extraction_result(result: ExtractionResult) -> Dict[str, Any]:
 
 
 def decode_extraction_result(data: Dict[str, Any]) -> ExtractionResult:
+    from repro.extract.extractor import ExtractionResult
+
     return ExtractionResult(
         modulus=data["modulus"],
         m=data["m"],
@@ -288,6 +303,8 @@ def encode_verification_report(report: VerificationReport) -> Dict[str, Any]:
 
 
 def decode_verification_report(data: Dict[str, Any]) -> VerificationReport:
+    from repro.extract.verify import VerificationReport
+
     return VerificationReport(
         modulus=data["modulus"],
         algebraic={int(bit): ok for bit, ok in data["algebraic"].items()},
@@ -319,6 +336,8 @@ def encode_diagnosis(diagnosis: Diagnosis) -> Dict[str, Any]:
 
 
 def decode_diagnosis(data: Dict[str, Any]) -> Diagnosis:
+    from repro.extract.diagnose import Diagnosis, Verdict
+
     return Diagnosis(
         verdict=Verdict(data["verdict"]),
         netlist_name=data["netlist_name"],

@@ -245,7 +245,7 @@ def eco_reverify(
     engine: str = DEFAULT_ENGINE,
     jobs: int = 1,
     term_limit: Optional[int] = None,
-    fused: bool = False,
+    fused: bool = False,  # ignored; perfbench/worker.py still passes it
     audit: bool = True,
     diagnose_on_failure: bool = True,
     telemetry: Optional["_telemetry.Telemetry"] = None,
@@ -268,9 +268,7 @@ def eco_reverify(
 
     tel = _telemetry.resolve(telemetry)
     started = time.perf_counter()
-    options = dict(
-        engine=engine, jobs=jobs, term_limit=term_limit, fused=fused
-    )
+    options = dict(engine=engine, jobs=jobs, term_limit=term_limit)
     with _telemetry.use(tel):
         base = _fingerprint(baseline_path, cache)
         edit = _fingerprint(edited_path, cache)

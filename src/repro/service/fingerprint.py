@@ -9,7 +9,7 @@ removal and constant folding happen by construction — and the Merkle
 labels are derived from the node table in a single traversal instead
 of a separate strash pass plus relabelling.  The lowering is the
 netlist's memoized live graph (:func:`repro.aig.live_aig`), which the
-aig/vector engines compile from too, and the fingerprint and cone
+bitpack engine compiles from too, and the fingerprint and cone
 digests are memoized next to it: every caller in one request shares a
 single strash and a single labelling.  The fingerprint is a
 sha256 over that form, with the three documented invariances:

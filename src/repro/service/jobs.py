@@ -77,11 +77,6 @@ def _fsync_appends() -> bool:
         "on",
     )
 
-#: Output bits per fused substitution sweep (``fused=True``): each
-#: sweep-chunk is one multi-root engine call and its completions are
-#: checkpointed together, so a kill loses at most one chunk's work.
-FUSED_CHUNK_BITS = 16
-
 
 @dataclass
 class ExtractionCheckpoint:
@@ -255,8 +250,6 @@ def checkpointed_extract(
     keep_checkpoint: bool = False,
     fingerprint: Optional[str] = None,
     cache=None,
-    fused: bool = False,
-    fused_chunk: int = FUSED_CHUNK_BITS,
     telemetry=None,
     deadline=None,
 ) -> CheckpointedExtraction:
@@ -277,14 +270,6 @@ def checkpointed_extract(
     records ``"checkpoint"`` for resumed bits beside the partition's
     ``"cone_hit"``/``"computed"``.
 
-    ``fused=True`` extracts through the engines' fused multi-cone
-    sweep instead of the per-bit fork pool; the remaining bits are
-    grouped into sweep-chunks of ``fused_chunk`` outputs, each chunk
-    runs as one fused pass and checkpoints its completions together —
-    a kill loses at most one chunk, and the checkpoint format is
-    unchanged, so fused and per-bit runs resume each other freely.
-    The chunks share one compile.
-
     The assembled run reports only the *fresh* wall/cpu time (resumed
     bits cost nothing now — that is the point), but per-bit stats are
     preserved across the kill, so Figure-4 series stay complete.
@@ -292,11 +277,10 @@ def checkpointed_extract(
     ``telemetry`` selects the registry progress lands in (default:
     the active one): every completed bit updates the
     ``job.<fingerprint>.done_bits`` gauge — the progress ticks that
-    ``GET /jobs/<id>/progress`` reads — and each fused sweep-chunk is
-    its own ``sweep`` span.
+    ``GET /jobs/<id>/progress`` reads.
 
     ``deadline`` (a :class:`repro.service.resilience.Deadline`) is
-    checked cooperatively at every persist — i.e. at bit/chunk
+    checked cooperatively at every persist — i.e. at bit
     granularity, the natural yield points — so a budgeted job stops
     *between* durable completions and the checkpoint resumes exactly
     the work already paid for.
@@ -342,8 +326,6 @@ def checkpointed_extract(
             if deadline is not None:
                 deadline.check()
 
-        # Fused runs sweep in chunks of ``fused_chunk`` bits, each
-        # chunk's completions recorded together at its end.
         fresh = extract_expressions(
             netlist,
             outputs=remaining,
@@ -352,9 +334,7 @@ def checkpointed_extract(
             engine=engine,
             on_result=persist,
             cache=cache,
-            fused=fused,
             telemetry=tel,
-            fused_chunk=fused_chunk,
         )
         cones.update(fresh.cones)
         stats.update(fresh.stats)

@@ -25,11 +25,11 @@ from repro.service.fingerprint import (
 )
 
 
-def _reader(name: str) -> Callable[[Path], Netlist]:
-    """The ``repro.netlist`` reader ``name``, loaded on its first call."""
+def _reader(name: str) -> Callable[[Any], Netlist]:
+    """The ``repro.netlist`` function ``name``, loaded on its first call."""
 
-    def read(path: Path) -> Netlist:
-        return getattr(repro.netlist, name)(path)
+    def read(source) -> Netlist:
+        return getattr(repro.netlist, name)(source)
 
     return read
 
@@ -41,6 +41,13 @@ NETLIST_READERS: Dict[str, Callable[[Path], Netlist]] = {
     ".eqn": _reader("read_eqn"),
     ".blif": _reader("read_blif"),
     ".v": _reader("read_verilog"),
+}
+
+#: Submission ``format`` → text parser, loaded the same way.
+NETLIST_PARSERS: Dict[str, Callable[[str], Netlist]] = {
+    "eqn": _reader("parse_eqn"),
+    "blif": _reader("parse_blif"),
+    "v": _reader("parse_verilog"),
 }
 
 MODES = ("extract", "audit", "diagnose")
@@ -105,7 +112,6 @@ def run_mode(
     engine: str,
     jobs: int = 1,
     term_limit: Optional[int] = None,
-    fused: bool = False,
     checkpoint: bool = False,
     deadline=None,
     progress=None,
@@ -143,13 +149,7 @@ def run_mode(
         if diagnosis is not None:
             outcome.cache = "hit"
         else:
-            diagnosis = diagnose(
-                load(),
-                jobs=jobs,
-                engine=engine,
-                cache=cache,
-                fused=fused,
-            )
+            diagnosis = diagnose(load(), jobs=jobs, engine=engine, cache=cache)
             if cache is not None:
                 cache.put_diagnosis(fingerprint, diagnosis)
                 if diagnosis.extraction is not None:
@@ -172,7 +172,6 @@ def run_mode(
             jobs=jobs,
             engine=engine,
             term_limit=term_limit,
-            fused=fused,
             cache=cache,
         )
         sharded = None

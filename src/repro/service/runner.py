@@ -28,7 +28,7 @@ multi-worker scheduler is process-per-task with a result pipe per
 worker: a worker that dies (SIGKILL, OOM, injected
 :mod:`repro.chaos` crash) is *detected* via pipe EOF + process
 liveness and its netlist is resubmitted — resuming from the
-sweep-chunk checkpoints the dead worker already persisted — instead
+per-bit checkpoints the dead worker already persisted — instead
 of hanging a shared ``imap_unordered``.  A netlist that exhausts its
 budget is recorded as ``status: "quarantined"`` (or
 ``"worker_died"`` when every resubmission crashed) with a structured
@@ -137,7 +137,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     mode = task["mode"]
     engine = task["engine"]
     jobs = task["jobs"]
-    fused = bool(task.get("fused"))
     fallback = bool(task.get("fallback"))
     policy: RetryPolicy = task.get("retry_policy") or RetryPolicy()
     if jobs != 1:
@@ -154,7 +153,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         "netlist": path.stem,
         "mode": mode,
         "engine": engine,
-        "fused": fused,
         "status": "ok",
         "cache": "off",
     }
@@ -209,7 +207,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 engine=eng,
                 jobs=jobs,
                 term_limit=task["term_limit"],
-                fused=fused,
                 checkpoint=task["checkpoint"],
                 deadline=deadline if deadline.armed else None,
             )
@@ -355,7 +352,7 @@ class CampaignRunner:
         cache_dir: Optional[PathLike] = None,
         use_cache: bool = True,
         checkpoint: bool = True,
-        fused: bool = False,
+        fused: bool = False,  # ignored; perfbench/worker.py still passes it
         telemetry: Optional["_telemetry.Telemetry"] = None,
         retry_policy: Optional[RetryPolicy] = None,
         retries: Optional[int] = None,
@@ -378,9 +375,6 @@ class CampaignRunner:
         self.jobs = jobs
         self.workers = max(1, workers)
         self.term_limit = term_limit
-        #: Fused multi-cone extraction per netlist (one sweep instead
-        #: of per-bit shards; ``jobs`` then only matters as a no-op).
-        self.fused = fused
         #: Per-netlist supervision: attempt budget/backoff (``retries``
         #: is shorthand for ``RetryPolicy(max_attempts=retries)``),
         #: wall/RSS deadline, and engine-ladder fallback.
@@ -414,7 +408,6 @@ class CampaignRunner:
             "term_limit": self.term_limit,
             "cache_dir": self.cache_dir,
             "checkpoint": self.checkpoint,
-            "fused": self.fused,
             "retry_policy": self.retry_policy,
             "deadline_s": self.deadline_s,
             "max_rss_bytes": self.max_rss_bytes,
@@ -492,7 +485,7 @@ class CampaignRunner:
         EOF when the child died mid-task) and ``Process.is_alive`` /
         ``exitcode``.  A dead worker's netlist is resubmitted up to
         the retry policy's attempt budget — resuming from whatever
-        sweep-chunk checkpoints the dead worker persisted — and then
+        per-bit checkpoints the dead worker persisted — and then
         recorded as ``status: "worker_died"``.
         """
         import multiprocessing
@@ -559,7 +552,6 @@ class CampaignRunner:
                     "netlist": Path(task["path"]).stem,
                     "mode": task["mode"],
                     "engine": task["engine"],
-                    "fused": bool(task.get("fused")),
                     "status": "worker_died",
                     "error": (
                         f"worker died (exitcode {exitcode}) "

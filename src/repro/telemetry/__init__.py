@@ -7,15 +7,15 @@ stopwatch, and the result cache counted hits privately.  This module is
 the one place all of them report to:
 
 * **Spans** — hierarchical timed regions (``span("compile")``,
-  ``span("sweep.round", round=3)``) recording wall time
+  ``span("cone", output="z3")``) recording wall time
   (``perf_counter``), per-thread CPU time (``thread_time``) and — when
   asked — the ``tracemalloc`` peak.  Nesting is tracked per thread, so
   concurrent server jobs build separate subtrees.
 * **Counters / gauges / histograms** — named process-wide metrics
   behind one lock (``cache.hit``, ``job.<id>.progress``); every span
   exit also feeds a ``span.<name>`` log-bucket latency histogram
-  (:mod:`repro.telemetry.histogram`), so request, cone, sweep-round
-  and cache-lookup latencies are distributions with p50/p90/p99, not
+  (:mod:`repro.telemetry.histogram`), so request, cone and
+  cache-lookup latencies are distributions with p50/p90/p99, not
   averages.  The HTTP ``/metrics`` endpoint serves the same registry
   as JSON or Prometheus text (:mod:`repro.telemetry.prometheus`).
 * **Sinks** — span/metrics events fan out to pluggable sinks: a JSONL
@@ -27,10 +27,10 @@ the one place all of them report to:
 
 Trace JSONL schema (one event per line, :data:`TRACE_SCHEMA`)::
 
-    {"type": "span", "schema": 1, "name": "sweep.round",
+    {"type": "span", "schema": 1, "name": "cone",
      "span_id": 7, "parent_id": 6, "pid": 4242, "thread": "MainThread",
      "start_unix": 1754500000.1, "wall_s": 0.0021, "cpu_s": 0.0020,
-     "peak_bytes": null, "status": "ok", "attrs": {"round": 3}}
+     "peak_bytes": null, "status": "ok", "attrs": {"output": "z3"}}
     {"type": "metrics", "schema": 1, "unix": ...,
      "counters": {"cache.hit": 4}, "gauges": {...}}
 
@@ -80,7 +80,7 @@ TRACE_SCHEMA = 2
 
 
 def _parse_delays(raw: Optional[str]) -> Dict[str, float]:
-    """Parse ``REPRO_TELEMETRY_DELAY`` (``"sweep=0.5,decode=0.1"``)."""
+    """Parse ``REPRO_TELEMETRY_DELAY`` (``"cone=0.5,compile=0.1"``)."""
     delays: Dict[str, float] = {}
     for item in (raw or "").split(","):
         name, _, seconds = item.partition("=")
@@ -99,7 +99,7 @@ _SPAN_DELAYS = _parse_delays(os.environ.get("REPRO_TELEMETRY_DELAY"))
 def add_span_delays(delays: Dict[str, float]) -> None:
     """Merge extra span slowdowns into the fault-injection hook.
 
-    Used by :mod:`repro.chaos` so ``REPRO_CHAOS="delay.sweep=0.2"``
+    Used by :mod:`repro.chaos` so ``REPRO_CHAOS="delay.cone=0.2"``
     rides the exact same mechanism as ``REPRO_TELEMETRY_DELAY``.
     """
     _SPAN_DELAYS.update(delays)
@@ -295,7 +295,7 @@ class Telemetry:
 
     def span(self, name: str, memory: bool = False, **attrs: Any) -> Span:
         """A new span; enter it with ``with``.  ``attrs`` are free-form
-        JSON-serializable annotations (``engine="vector"``)."""
+        JSON-serializable annotations (``engine="bitpack"``)."""
         return Span(self, name, attrs, memory=memory)
 
     def _stack(self) -> List[Span]:

@@ -57,7 +57,7 @@ DEFAULT_POLICY: Dict[str, Any] = {
     "min_wall_s": 0.01,
     # Normalize by the calibrate spans when both traces carry one.
     "calibrate": True,
-    # Per-span-name overrides: {"sweep": {"max_ratio": 1.5}}.
+    # Per-span-name overrides: {"cone": {"max_ratio": 1.5}}.
     "per_span": {},
     # Structural guard: spans that must appear / counters that must be
     # positive in the *current* trace (replaces check_trace.py).

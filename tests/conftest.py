@@ -44,24 +44,28 @@ def netlists_equivalent(
     return True
 
 
-#: The reason the ``vector_unavailable`` fixture reports for ``vector``.
-VECTOR_BLOCKED = "numpy is blocked for this test"
+#: The engine the ``unusable_engine`` fixture registers, and the
+#: reason its availability probe reports.
+UNUSABLE_ENGINE = "unusable-test"
+UNUSABLE_REASON = "the flux capacitor is not installed"
 
 
 @pytest.fixture
-def vector_unavailable(monkeypatch):
-    """Make the registry report ``vector`` unusable, as without numpy.
+def unusable_engine():
+    """Register an engine whose probe reports it unusable.
 
-    Patches the registered availability probe, so listing, resolving
-    and the fallback ladder all see the engine as registered but
-    unusable; returns the reason the probe reports.
+    Listing, resolving and the fallback ladder all see it as registered
+    but unusable, as for a backend whose dependency is missing; yields
+    its name and unregisters it afterwards.
     """
-    from repro.engine import registry
+    from repro.engine import BitpackEngine, register_engine, registry
 
-    monkeypatch.setitem(
-        registry._PROBES, "vector", lambda: VECTOR_BLOCKED
+    register_engine(
+        UNUSABLE_ENGINE, BitpackEngine, probe=lambda: UNUSABLE_REASON
     )
-    return VECTOR_BLOCKED
+    yield UNUSABLE_ENGINE
+    for table in (registry._FACTORIES, registry._PROBES, registry._INSTANCES):
+        table.pop(UNUSABLE_ENGINE, None)
 
 
 @pytest.fixture

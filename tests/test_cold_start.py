@@ -6,14 +6,15 @@ how long loading took, so they are deterministic on any host:
 * the service readiness probe (``perfbench/ready.py``) and ``import
   repro.cli`` load no numpy, no ``multiprocessing``, no HTTP server,
   no synthesis, baselines or analysis, and no netlist generator — and
-  the deferred paths (a ``jobs=2`` pool, a fused numpy sweep) still
-  work in the same interpreter afterwards;
+  the deferred ``jobs=2`` pool still works in the same interpreter
+  afterwards;
+* the result cache loads no extract module and the HTTP API no BLIF
+  or Verilog parser until a request needs one;
 * every package that re-exports lazily (PEP 562) resolves each
   ``__all__`` name to the object its defining module holds, even after
   every submodule was imported first (a submodule must never shadow a
   re-exported name);
-* a numpy that is found but fails to import makes the first fused
-  sweep raise the engine error, and the fallback ladder degrades.
+* no module under ``src/`` imports numpy.
 """
 
 import json
@@ -50,8 +51,6 @@ ENTRY_POINTS = {
 
 AFTERWARDS = textwrap.dedent(
     """
-    import repro.engine.bitpack as bitpack_module
-    from repro.engine import available_engines
     from repro.extract.extractor import extract_irreducible_polynomial
     from repro.gen.montgomery import generate_montgomery
 
@@ -61,17 +60,6 @@ AFTERWARDS = textwrap.dedent(
     )
     assert pooled.polynomial_str == "x^4 + x + 1", pooled.polynomial_str
     assert "multiprocessing" in sys.modules
-    if "vector" in available_engines():
-        # Tiny flattening bounds keep the cones out of the flat fast
-        # path, so the sweep really runs numpy rounds.
-        bitpack_module._FLAT_BOUND = bitpack_module._FLAT_SHARED_BOUND = 2
-        fused = extract_irreducible_polynomial(
-            netlist, engine="vector", fused=True
-        )
-        assert fused.modulus == pooled.modulus
-        for bit in range(4):
-            assert fused.expression_of(bit) == pooled.expression_of(bit)
-        assert "numpy" in sys.modules
     print("AFTERWARDS OK")
     """
 )
@@ -217,66 +205,44 @@ def test_bare_import_reaches_subpackages_as_attributes():
     assert "OK" in _run(script).stdout
 
 
-def test_broken_numpy_fails_the_fused_sweep_with_the_engine_error():
-    """numpy is found but its import fails: the probe (which imports
-    nothing) passes, the first fused sweep raises the actionable
-    ``EngineError``, the probe then reports the engine unusable, and
-    the fallback ladder degrades to bitpack bit-identically."""
-    script = textwrap.dedent(
-        """
-        import importlib.machinery
-        import sys
-
-        class _BrokenNumpy:
-            def find_spec(self, name, path=None, target=None):
-                if name == "numpy" or name.startswith("numpy."):
-                    return importlib.machinery.ModuleSpec(name, self)
-                return None
-
-            def create_module(self, spec):
-                return None
-
-            def exec_module(self, module):
-                raise ImportError("numpy is broken for this test")
-
-        sys.meta_path.insert(0, _BrokenNumpy())
-        for cached in [m for m in sys.modules if m.startswith("numpy")]:
-            del sys.modules[cached]
-
-        from repro.engine import (
-            EngineError, available_engines, engine_availability, get_engine,
-        )
-        from repro.extract.extractor import extract_irreducible_polynomial
-        from repro.gen.mastrovito import generate_mastrovito
-        from repro.service.resilience import engine_ladder, run_supervised
-
-        assert "vector" in available_engines()
-        assert "numpy" not in sys.modules
-        netlist = generate_mastrovito(0b10011)
-        outcome = run_supervised(
-            lambda engine: extract_irreducible_polynomial(
-                netlist, engine=engine, fused=True
+@pytest.mark.parametrize(
+    "module,unloaded",
+    [
+        (
+            "repro.service.cache",
+            (
+                "repro.extract.diagnose",
+                "repro.extract.extractor",
+                "repro.extract.verify",
             ),
-            engines=engine_ladder("vector", fallback=True),
-        )
-        assert outcome.engine_used == "bitpack", outcome
-        reason = outcome.fallback_reason
-        assert "EngineError" in reason and "numpy" in reason, reason
-        assert "engine='bitpack'" in reason, reason
-        perbit = extract_irreducible_polynomial(netlist, engine="bitpack")
-        assert outcome.value.modulus == perbit.modulus
-        for bit in range(4):
-            assert outcome.value.expression_of(bit) == perbit.expression_of(bit)
-
-        assert "vector" not in available_engines()
-        assert "numpy failed to import" in engine_availability()["vector"]
-        try:
-            get_engine("vector")
-        except EngineError as error:
-            assert "numpy failed to import" in str(error), error
-        else:
-            raise AssertionError("an unusable engine resolved")
-        print("OK")
+        ),
+        (
+            "repro.service.api",
+            ("repro.netlist.blif_io", "repro.netlist.verilog_io"),
+        ),
+    ],
+)
+def test_service_module_defers_what_only_requests_use(module, unloaded):
+    """The cache decodes results with the extract types only when it
+    reads one; the HTTP API loads a netlist format's parser with its
+    first submission in that format."""
+    script = textwrap.dedent(
+        f"""
+        import json, sys
+        import {module}
+        print(json.dumps(sorted(sys.modules)))
         """
     )
-    assert "OK" in _run(script).stdout
+    loaded = set(json.loads(_run(script).stdout))
+    assert module in loaded
+    assert not [name for name in unloaded if name in loaded]
+
+
+def test_no_module_under_src_imports_numpy():
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.lstrip().startswith(("import numpy", "from numpy"))
+    ]
+    assert not offenders

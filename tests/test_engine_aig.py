@@ -1,12 +1,11 @@
 """Differential tests: the engines that compile the live AIG against
 the reference oracle.
 
-``bitpack`` and ``vector`` compile one program from the netlist's
-memoized live AIG; per-bit ``vector`` runs bitpack's loop over it and
-fused ``vector`` runs a numpy sweep.  The engine contract
+``bitpack`` compiles one program from the netlist's memoized live
+AIG, and ``vector`` is another name for it.  The engine contract
 (:mod:`repro.engine`) requires bit-identical *results* — canonical
 expressions, extracted P(x), member bits, verdicts, and failure modes
-— from every backend.  This suite drives both engines across the full
+— from every backend.  This suite drives both names across the full
 generator zoo in flat, synthesized and technology-mapped forms, across
 faulty mutants, random netlists over the full cell library, and the
 structural failure modes, and pins that a request strashes each
@@ -15,7 +14,6 @@ netlist once."""
 import pytest
 
 from repro.aig import Aig, live_aig
-from repro.engine import available_engines
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
@@ -42,12 +40,8 @@ from repro.synth.pipeline import synthesize
 
 
 def packed_engines():
-    """The live-AIG engines usable here (``vector`` needs numpy)."""
-    return tuple(
-        engine
-        for engine in ("bitpack", "vector")
-        if engine in available_engines()
-    )
+    """The engine names that compile the live AIG."""
+    return ("bitpack", "vector")
 
 
 GENERATORS = {
@@ -202,11 +196,6 @@ def count_strashes(monkeypatch):
     return calls
 
 
-def needs_vector():
-    if "vector" not in available_engines():
-        pytest.skip("numpy not installed; vector engine unavailable")
-
-
 FORMS = {
     "flat": lambda netlist: netlist,
     "synthesized": synthesize,
@@ -238,28 +227,24 @@ class TestLiveGraph:
     @pytest.mark.parametrize("form", sorted(FORMS))
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_per_bit_and_fused_equal_reference(self, name, form):
-        needs_vector()
+        """Both names, ``vector`` included (it ran per-bit and fused
+        before the fused sweep was retired), equal the oracle."""
         netlist = FORMS[form](GENERATORS[name](0b1011011))
         fingerprint_with_cones(netlist)  # the memo is shared from here on
         expected = extract_expressions(netlist, engine="reference")
-        for engine, fused in (
-            ("bitpack", False),
-            ("vector", False),
-            ("vector", True),
-        ):
-            run = extract_expressions(netlist, engine=engine, fused=fused)
+        for engine in packed_engines():
+            run = extract_expressions(netlist, engine=engine)
             assert dict(run.expressions.items()) == dict(
                 expected.expressions.items()
             )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_fault_mutants_equal_reference(self, seed):
-        needs_vector()
         base = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
         mutant, _ = random_fault(base, seed=seed)
         expected = extract_expressions(mutant, engine="reference")
-        for engine, fused in (("bitpack", False), ("vector", True)):
-            run = extract_expressions(mutant, engine=engine, fused=fused)
+        for engine in packed_engines():
+            run = extract_expressions(mutant, engine=engine)
             assert dict(run.expressions.items()) == dict(
                 expected.expressions.items()
             )
@@ -268,8 +253,6 @@ class TestLiveGraph:
     def test_swept_internal_net_rewrites_over_its_cone(self, engine):
         """A net whose node the sweep dropped (an inner NAND of a
         recognised XOR cluster) is still rewritable."""
-        if engine == "vector":
-            needs_vector()
         netlist = synthesize(generate_mastrovito(0b10011), use_xor_cells=False)
         live = live_aig(netlist)
         swept = [
@@ -302,25 +285,4 @@ class TestOneStrashPerRequest:
         netlist = synthesize(generate_mastrovito(0b100101), use_xor_cells=False)
         calls = count_strashes(monkeypatch)
         self._audit(tmp_path, netlist, engine="bitpack")
-        assert len(calls) == 1
-
-    def test_fused_audit_over_several_checkpoint_chunks(
-        self, tmp_path, monkeypatch
-    ):
-        """m = 17 is two sweep-chunks of the default 16 bits."""
-        needs_vector()
-        from repro.engine.vector import VectorEngine
-
-        sweeps = []
-        original = VectorEngine.rewrite_cones
-
-        def counting(engine, netlist, outputs, *args, **kwargs):
-            sweeps.append(list(outputs))
-            return original(engine, netlist, outputs, *args, **kwargs)
-
-        monkeypatch.setattr(VectorEngine, "rewrite_cones", counting)
-        netlist = generate_mastrovito((1 << 17) | (1 << 3) | 1)
-        calls = count_strashes(monkeypatch)
-        self._audit(tmp_path, netlist, engine="vector", fused=True)
-        assert [len(chunk) for chunk in sweeps] == [16, 1]
         assert len(calls) == 1

@@ -1,14 +1,15 @@
-"""The fused multi-output substitution sweep.
+"""What used to run the fused multi-output sweep.
 
-Covers the engine-level contract (``rewrite_cones``: one output-tagged
-bit-matrix for the vector engine, a clean per-bit loop everywhere
-else), bit-identity against the reference oracle across the generator
-zoo — flat, synthesized, NAND-mapped, and fault-injected, so the
-error path stays mode-independent too — and the end-to-end ``fused=True`` threading through
-extraction, diagnosis, the squarer extension, the campaign runner and
-the CLI.  The no-numpy subprocess test pins the degradation story:
-without numpy, ``fused=True`` still works through the per-bit
-fallback of every other backend.
+``engine="vector"`` with ``fused=True`` rewrote every output cone in
+one numpy bit-matrix.  The sweep is gone: ``vector`` is another name
+for the bitpack engine and runs its per-bit loop.  This suite pins
+that configuration to the reference oracle across the generator zoo
+(flat, synthesized, NAND-mapped and fault-injected, so the error path
+stays engine-independent too), and checks the two entry points that
+still accept ``fused=True`` (``CampaignRunner`` and ``eco_reverify``,
+which perfbench calls with it) ignore it: same P(x), verdicts, member
+bits and blame as ``engine="bitpack"``.  The CLI no longer has a
+``--fused`` option, and nothing needs numpy.
 """
 
 import os
@@ -20,11 +21,11 @@ import textwrap
 import pytest
 
 import repro.engine.bitpack as bitpack_module
-from repro.engine import VectorEngine, available_engines, get_engine
+from repro.engine import BitpackEngine
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
-from repro.gen.faults import random_fault
+from repro.gen.faults import flip_gate, random_fault
 from repro.gen.interleaved import generate_interleaved
 from repro.gen.karatsuba import generate_karatsuba
 from repro.gen.mastrovito import generate_mastrovito
@@ -32,15 +33,14 @@ from repro.gen.montgomery import generate_montgomery
 from repro.gen.random_logic import generate_random_netlist
 from repro.gen.schoolbook import generate_schoolbook
 from repro.gen.squarer import generate_squarer
+from repro.netlist.eqn_io import write_eqn
 from repro.rewrite.backward import (
     BackwardRewriteError,
     TermLimitExceeded,
-    backward_rewrite_multi,
+    backward_rewrite_all,
 )
 from repro.rewrite.parallel import extract_expressions
 from repro.synth.pipeline import synthesize
-
-numpy = pytest.importorskip("numpy")
 
 GENERATORS = {
     "mastrovito": generate_mastrovito,
@@ -54,70 +54,40 @@ GENERATORS = {
 
 def force_small_flat_bounds(monkeypatch):
     """Shrink both flattening bounds so live nodes stay unflattened
-    and the sweep substitutes through models (fresh compiles only)."""
+    and rewriting substitutes through models (fresh compiles only)."""
     monkeypatch.setattr(bitpack_module, "_FLAT_BOUND", 2)
     monkeypatch.setattr(bitpack_module, "_FLAT_SHARED_BOUND", 2)
 
 
-def sweep_input():
-    """NAND-mapped m=16 Montgomery: no output flattens under the
-    default bounds, so every cone goes through the fused sweep."""
-    from repro.fieldmath.irreducible import default_irreducible
-
-    return synthesize(
-        generate_montgomery(default_irreducible(16)), use_xor_cells=False
-    )
-
-
-def assert_fused_identical(netlist):
+def assert_vector_identical(netlist):
     reference = extract_irreducible_polynomial(netlist, engine="reference")
-    fused = extract_irreducible_polynomial(
-        netlist, engine="vector", fused=True
-    )
-    assert fused.modulus == reference.modulus
-    assert fused.member_bits == reference.member_bits
-    assert fused.irreducible == reference.irreducible
+    vector = extract_irreducible_polynomial(netlist, engine="vector")
+    assert vector.modulus == reference.modulus
+    assert vector.member_bits == reference.member_bits
+    assert vector.irreducible == reference.irreducible
     for bit in range(reference.m):
-        assert fused.expression_of(bit) == reference.expression_of(bit)
+        assert vector.expression_of(bit) == reference.expression_of(bit)
 
 
 class TestGeneratorZoo:
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_flat(self, name):
-        assert_fused_identical(GENERATORS[name](0b1011011))
+        assert_vector_identical(GENERATORS[name](0b1011011))
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_synthesized(self, name):
-        assert_fused_identical(synthesize(GENERATORS[name](0b100101)))
+        assert_vector_identical(synthesize(GENERATORS[name](0b100101)))
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_nand_mapped(self, name):
-        assert_fused_identical(
+        assert_vector_identical(
             synthesize(GENERATORS[name](0b100101), use_xor_cells=False)
         )
 
-    def test_m24_nand_mapped_drives_the_fused_matrix(self):
-        """At m=24 some NAND-mapped Karatsuba cones outgrow the flat
-        bounds (smaller sizes flatten entirely), so the production
-        configuration exercises the tagged matrix sweep beside the
-        flat fast path."""
-        from repro.fieldmath.irreducible import default_irreducible
-
-        netlist = synthesize(
-            generate_karatsuba(default_irreducible(24)),
-            use_xor_cells=False,
-        )
-        program = get_engine("vector")._compiled_for(netlist)
-        flat = [
-            program.net_literal[output] >> 1 in program.flats
-            for output in netlist.outputs
-        ]
-        assert any(flat) and not all(flat)
-        assert_fused_identical(netlist)
-
 
 class TestFaultInjected:
-    """Error-path parity: fused and per-bit agree on broken designs."""
+    """Error-path parity: ``vector`` and the oracle agree on broken
+    designs."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fault_verdicts_match(self, seed):
@@ -125,9 +95,9 @@ class TestFaultInjected:
             synthesize(generate_mastrovito(0b10011), use_xor_cells=False),
             seed=seed,
         )
-        fused = diagnose(mutant, engine="vector", fused=True)
-        perbit = diagnose(mutant, engine="reference")
-        assert fused.verdict is perbit.verdict
+        vector = diagnose(mutant, engine="vector")
+        reference = diagnose(mutant, engine="reference")
+        assert vector.verdict is reference.verdict
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_netlists_error_parity(self, seed):
@@ -135,18 +105,12 @@ class TestFaultInjected:
         structural failure type where it raises."""
         netlist = generate_random_netlist(seed)
         try:
-            expected = backward_rewrite_multi(
-                netlist, list(netlist.outputs), engine="reference"
-            )
+            expected = backward_rewrite_all(netlist, engine="reference")
         except BackwardRewriteError:
             with pytest.raises(BackwardRewriteError):
-                backward_rewrite_multi(
-                    netlist, list(netlist.outputs), engine="vector"
-                )
+                backward_rewrite_all(netlist, engine="vector")
             return
-        actual = backward_rewrite_multi(
-            netlist, list(netlist.outputs), engine="vector"
-        )
+        actual = backward_rewrite_all(netlist, engine="vector")
         for output, (poly, _stats) in expected.items():
             assert actual[output][0] == poly
 
@@ -155,31 +119,13 @@ class TestFaultInjected:
             extract_irreducible_polynomial(
                 generate_mastrovito(0b100011011),
                 engine="vector",
-                fused=True,
                 term_limit=2,
             )
 
-    def test_term_limit_in_the_matrix_loop(self, monkeypatch):
-        """Force the fused matrix loop (no flat shortcut) and make an
-        intermediate expression outgrow the budget there."""
-        force_small_flat_bounds(monkeypatch)
-        netlist = synthesize(
-            generate_mastrovito(0b100011011), use_xor_cells=False
-        )
-        engine = VectorEngine()
-        with pytest.raises(TermLimitExceeded):
-            engine.rewrite_cones(
-                netlist, list(netlist.outputs), term_limit=8
-            )
-        program = engine._compiled_for(netlist)
-        assert any(  # the forced bound leaves live nodes unflattened
-            node not in program.flats for node in program.aig.live_nodes()
-        )
-
 
 class TestMatrixLoopStress:
-    """Force multi-round fused sweeps (interning growth, width growth,
-    full-lexsort cancellation) and pin them against the oracle."""
+    """Force model substitution (no flat shortcut) across the zoo and
+    pin it against the oracle."""
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_forced_substitution_matches_reference(self, name, monkeypatch):
@@ -190,179 +136,175 @@ class TestMatrixLoopStress:
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"
         )
-        engine = VectorEngine()
-        fused = extract_irreducible_polynomial(
-            netlist, engine=engine, fused=True
-        )
-        assert fused.modulus == reference.modulus
+        # Fresh instance: it must compile *under* the shrunken bound.
+        engine = BitpackEngine()
+        vector = extract_irreducible_polynomial(netlist, engine=engine)
+        assert vector.modulus == reference.modulus
         for bit in range(reference.m):
-            assert fused.expression_of(bit) == reference.expression_of(bit)
+            assert vector.expression_of(bit) == reference.expression_of(bit)
         program = engine._compiled_for(netlist)
         assert any(  # the forced bound leaves live nodes unflattened
             node not in program.flats for node in program.aig.live_nodes()
         )
 
-    def test_steady_state_reuses_fused_tables(self):
-        """Later sweeps — including different output subsets, the
-        shape a chunked campaign produces — serve packed models from
-        the per-program state instead of repacking them."""
-        netlist = sweep_input()
-        engine = VectorEngine()
-        outputs = list(netlist.outputs)
-        half = len(outputs) // 2
-        first = engine.rewrite_cones(netlist, outputs[:half])
-        first.update(engine.rewrite_cones(netlist, outputs[half:]))
-        compiled = engine._compiled_for(netlist)
-        state = engine._fused_state[compiled]
-        packed_before = len(state["packed_models"])
-        assert packed_before > 0
-        again = engine.rewrite_cones(netlist, outputs)  # full sweep
-        assert len(state["packed_models"]) == packed_before  # no repack
-        for output in outputs:
-            assert first[output][0].decode() == again[output][0].decode()
-
 
 class TestMultiRootEntryPoints:
-    def test_base_fallback_matches_per_bit(self):
-        """Engines without a fused sweep serve rewrite_cones through
-        their per-bit loop — same cones, same stats shape."""
-        netlist = generate_mastrovito(0b10011)
-        backend = get_engine("bitpack")
-        multi = backend.rewrite_cones(netlist, list(netlist.outputs))
-        for output in netlist.outputs:
-            single, _stats = backend.rewrite_cone(netlist, output)
-            assert multi[output][0].decode() == single.decode()
-
-    def test_extract_expressions_fused_run_shape(self):
-        netlist = synthesize(
-            generate_mastrovito(0b1011011), use_xor_cells=False
-        )
-        seen = []
-        run = extract_expressions(
-            netlist,
-            engine="vector",
-            fused=True,
-            jobs=8,  # ignored in fused mode
-            on_result=lambda output, cone, stats: seen.append(output),
-        )
-        assert run.jobs == 1
-        assert seen == [f"z{i}" for i in range(6)]
-        assert list(run.stats) == seen
-        perbit = extract_expressions(netlist, engine="vector")
-        assert dict(run.expressions.items()) == dict(
-            perbit.expressions.items()
-        )
-
-    def test_fused_stats_cover_the_sweep(self):
-        """Per-cone stats are round-based but present: runtimes sum to
-        the sweep and matrix cones report final term counts."""
-        from repro import telemetry
-
-        registry = telemetry.Telemetry()
-        sink = registry.add_sink(telemetry.MemorySink())
-        run = extract_expressions(
-            sweep_input(), engine="vector", fused=True, telemetry=registry
-        )
-        spans = {e["name"] for e in sink.events if e.get("type") == "span"}
-        assert {"sweep", "sweep.round"} <= spans
-        for output, stats in run.stats.items():
-            assert stats.final_terms == run.cones[output].term_count()
-            assert stats.runtime_s >= 0.0
-        assert all(stats.iterations for stats in run.stats.values())
-
     def test_unknown_output_raises(self):
         with pytest.raises(BackwardRewriteError):
-            VectorEngine().rewrite_cones(
-                generate_mastrovito(0b1011), ["z0", "nonexistent"]
+            extract_expressions(
+                generate_mastrovito(0b1011),
+                outputs=["z0", "nonexistent"],
+                engine="vector",
             )
 
 
 class TestSquarerFused:
     def test_squarer_fused_with_result_cache(self, tmp_path):
+        """The squarer through ``vector``, stored and then answered
+        from the squarer entry without compiling."""
         from repro.extract.squarer import extract_squarer_polynomial
         from repro.service.cache import ResultCache
 
         cache = ResultCache(tmp_path)
         squarer = generate_squarer(0b10011)
         baseline = extract_squarer_polynomial(squarer)
-        fused = extract_squarer_polynomial(
-            squarer, engine="vector", cache=cache, fused=True
+        vector = extract_squarer_polynomial(
+            squarer, engine="vector", cache=cache
         )
-        assert fused.modulus == baseline.modulus
-        assert fused.verified and fused.irreducible
+        assert vector.modulus == baseline.modulus
+        assert vector.verified and vector.irreducible
         assert cache.stats().entries["squarer"] == 1
 
         # a repeat is answered by the squarer entry, without rewriting
-        fresh = VectorEngine()
+        fresh = BitpackEngine()
         fresh._compile = lambda n: pytest.fail("should hit, not compile")
         again = extract_squarer_polynomial(
-            squarer, engine=fresh, cache=cache, fused=True
+            squarer, engine=fresh, cache=cache
         )
         assert again.modulus == baseline.modulus
         assert cache.hits == 1
 
     def test_diagnose_squarer_branch_threads_fused(self, tmp_path):
-        verdict = diagnose(
-            generate_squarer(0b10011), engine="vector", fused=True
-        ).verdict
-        assert verdict is diagnose(generate_squarer(0b10011)).verdict
+        """A diagnose campaign's ``fused=True`` reaches the squarer
+        branch as a no-op: the verdict is the per-bit one."""
+        from repro.service.runner import CampaignRunner
+
+        write_eqn(generate_squarer(0b10011), tmp_path / "sq4.eqn")
+        record = CampaignRunner(
+            mode="diagnose",
+            engine="vector",
+            fused=True,
+            cache_dir=tmp_path / "cache",
+        ).run([tmp_path / "sq4.eqn"]).records[0]
+        expected = diagnose(generate_squarer(0b10011)).verdict
+        assert record["verdict"] == expected.value == "verified-squarer"
+
+
+def _records(tmp_path, paths, mode, **options):
+    from repro.service.runner import CampaignRunner
+
+    cache_dir = tmp_path / f"cache-{mode}-{options['engine']}"
+    report = CampaignRunner(mode=mode, cache_dir=cache_dir, **options).run(
+        paths
+    )
+    return [
+        {
+            key: value
+            for key, value in record.items()
+            if key not in ("engine", "engine_used", "wall_time_s")
+        }
+        for record in report.records
+    ]
 
 
 class TestCampaignFused:
     def test_campaign_fused_records_and_matches(self, tmp_path):
-        from repro.netlist.eqn_io import write_eqn
-        from repro.service.runner import run_campaign
+        """``CampaignRunner(engine="vector", fused=True)`` — what
+        perfbench's cold-fused workload runs — gives every record of
+        ``engine="bitpack"``: P(x), verdicts, member bits and blame."""
+        mapped = synthesize(
+            generate_mastrovito(0b1011011), use_xor_cells=False
+        )
+        mutant, _ = flip_gate(mapped, mapped.gates[len(mapped) // 2].output)
+        paths = [tmp_path / "nand6.eqn", tmp_path / "nand6_bad.eqn"]
+        write_eqn(mapped, paths[0])
+        write_eqn(mutant, paths[1])
+        for mode in ("extract", "audit", "diagnose"):
+            fused = _records(
+                tmp_path, paths, mode, engine="vector", fused=True
+            )
+            bitpack = _records(tmp_path, paths, mode, engine="bitpack")
+            assert fused == bitpack, mode
+            assert all(record["status"] == "ok" for record in fused)
+            assert all("fused" not in record for record in fused)
+        assert [r["verdict"] for r in fused] == [
+            "verified-multiplier",
+            "not-equivalent",
+        ]
 
-        designs = tmp_path / "designs"
-        designs.mkdir()
-        write_eqn(
-            synthesize(generate_mastrovito(0b1011011), use_xor_cells=False),
-            designs / "nand6.eqn",
+    def test_eco_reverify_ignores_fused(self, tmp_path):
+        """``eco_reverify(..., fused=True)`` reports exactly what
+        ``engine="bitpack"`` does, blame included."""
+        from repro.service.cache import ResultCache
+        from repro.service.eco import eco_reverify
+
+        base = synthesize(generate_montgomery(0b100101), use_xor_cells=False)
+        mutant, _ = flip_gate(base, base.gates[len(base) // 2].output)
+        write_eqn(base, tmp_path / "base.eqn")
+        write_eqn(mutant, tmp_path / "edit.eqn")
+
+        def report(engine, **options):
+            return eco_reverify(
+                tmp_path / "base.eqn",
+                tmp_path / "edit.eqn",
+                ResultCache(tmp_path / f"cache-{engine}"),
+                engine=engine,
+                **options,
+            )
+
+        fused = report("vector", fused=True)
+        bitpack = report("bitpack")
+        assert not fused.ok
+        assert fused.diff == bitpack.diff
+        assert (fused.polynomial, fused.irreducible, fused.equivalent) == (
+            bitpack.polynomial,
+            bitpack.irreducible,
+            bitpack.equivalent,
         )
-        fused = run_campaign(
-            designs,
-            mode="extract",
-            engine="vector",
-            fused=True,
-            cache_dir=tmp_path / "cache_fused",
+        assert fused.result.member_bits == bitpack.result.member_bits
+        assert (fused.cones_reused, fused.cones_warmed) == (
+            bitpack.cones_reused,
+            bitpack.cones_warmed,
         )
-        perbit = run_campaign(
-            designs,
-            mode="extract",
-            engine="vector",
-            cache_dir=tmp_path / "cache_perbit",
-        )
-        assert fused.ok == perbit.ok == 1
-        assert fused.records[0]["fused"] is True
-        assert perbit.records[0]["fused"] is False
+        blame, expected = fused.diagnosis, bitpack.diagnosis
+        assert blame.verdict is expected.verdict
+        assert blame.reason == expected.reason
+        assert blame.counterexample == expected.counterexample
         assert (
-            fused.records[0]["polynomial"] == perbit.records[0]["polynomial"]
+            blame.verification.algebraic == expected.verification.algebraic
         )
 
 
 class TestCliFused:
-    def test_extract_and_diagnose_accept_fused(self, tmp_path, capsys):
+    def test_extract_rejects_fused(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.netlist.eqn_io import write_eqn
 
         path = tmp_path / "m5.eqn"
-        write_eqn(
-            synthesize(generate_mastrovito(0b100101), use_xor_cells=False),
-            path,
-        )
-        assert main(["extract", str(path), "--engine", "vector", "--fused"]) == 0
-        out = capsys.readouterr().out
-        assert "P(x) = x^5 + x^2 + 1" in out
-        assert main(["diagnose", str(path), "--fused"]) == 0
+        write_eqn(generate_mastrovito(0b100101), path)
+        with pytest.raises(SystemExit) as caught:
+            main(["extract", str(path), "--engine", "vector", "--fused"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --fused" in capsys.readouterr().err
 
 
 class TestWithoutNumpy:
     def test_fused_degrades_to_per_bit_without_numpy(self):
-        """A numpy-less interpreter still honours fused=True: the
-        engines' default multi-root loop answers, bit-identically."""
+        """A numpy-less interpreter lists every engine, ``vector``
+        included, and a ``fused=True`` campaign runs the per-bit loop
+        and agrees with bitpack."""
         script = textwrap.dedent(
             """
-            import sys
+            import pathlib, sys, tempfile
 
             class _Block:
                 def find_spec(self, name, path=None, target=None):
@@ -375,24 +317,30 @@ class TestWithoutNumpy:
                 del sys.modules[cached]
 
             from repro.engine import available_engines
-            assert "vector" not in available_engines()
+            assert set(available_engines()) == {
+                "bitpack", "reference", "vector"
+            }
 
-            from repro.extract.extractor import (
-                extract_irreducible_polynomial,
-            )
             from repro.gen.mastrovito import generate_mastrovito
-            net = generate_mastrovito(0b10011)
-            fused = extract_irreducible_polynomial(
-                net, engine="bitpack", fused=True
-            )
-            assert fused.polynomial_str == "x^4 + x + 1"
-            perbit = extract_irreducible_polynomial(net, engine="bitpack")
-            assert fused.modulus == perbit.modulus
-            for bit in range(4):
-                assert fused.expression_of(bit) == perbit.expression_of(bit)
+            from repro.netlist.eqn_io import write_eqn
+            from repro.service.runner import CampaignRunner
 
-            from repro.extract.diagnose import diagnose
-            assert diagnose(net, fused=True).is_clean
+            work = pathlib.Path(tempfile.mkdtemp())
+            write_eqn(generate_mastrovito(0b10011), work / "m4.eqn")
+            records = [
+                CampaignRunner(
+                    mode="diagnose", cache_dir=work / engine, **options
+                ).run([work / "m4.eqn"]).records[0]
+                for engine, options in (
+                    ("vector", {"engine": "vector", "fused": True}),
+                    ("bitpack", {"engine": "bitpack"}),
+                )
+            ]
+            for record in records:
+                assert record["status"] == "ok", record
+                assert record["polynomial"] == "x^4 + x + 1"
+                assert record["verdict"] == "verified-multiplier"
+            assert "numpy" not in sys.modules
             print("OK")
             """
         )
@@ -412,15 +360,3 @@ class TestWithoutNumpy:
         )
         assert completed.returncode == 0, completed.stderr
         assert "OK" in completed.stdout
-
-    def test_direct_fused_use_without_numpy_raises_engine_error(
-        self, monkeypatch
-    ):
-        import repro.engine.vector as vector_module
-        from repro.engine.base import EngineError
-
-        monkeypatch.setattr(vector_module, "_np", None)
-        with pytest.raises(EngineError, match="numpy"):
-            VectorEngine().rewrite_cones(
-                generate_mastrovito(0b1011), ["z0"]
-            )

@@ -3,37 +3,22 @@
 An engine with an optional dependency is always *registered*, listed
 as unavailable with a concrete reason when the dependency is missing,
 and resolving it then fails with that reason — never with "unknown
-engine".  The tests register their own unusable engine (and, for the
-CLI, patch the ``vector`` probe) so the contract is checked on every
-host, whatever it has installed.
+engine".  The tests register their own unusable engine (the
+``unusable_engine`` fixture of ``conftest.py``) so the contract is
+checked on every host, whatever it has installed.
 """
-
-import importlib.util
 
 import pytest
 
 from repro.engine import (
     EngineError,
-    ReferenceEngine,
     available_engines,
     engine_availability,
     get_engine,
-    register_engine,
     registered_engines,
 )
-from repro.engine import registry
 from repro.gen.mastrovito import generate_mastrovito
-
-UNUSABLE = "unusable-test"
-REASON = "the flux capacitor is not installed"
-
-
-@pytest.fixture
-def unusable_engine():
-    register_engine(UNUSABLE, ReferenceEngine, probe=lambda: REASON)
-    yield UNUSABLE
-    for table in (registry._FACTORIES, registry._PROBES, registry._INSTANCES):
-        table.pop(UNUSABLE, None)
+from tests.conftest import UNUSABLE_REASON as REASON
 
 
 class TestRegistryDiagnostics:
@@ -59,13 +44,14 @@ class TestRegistryDiagnostics:
         with pytest.raises(EngineError, match="unknown engine"):
             get_engine("tpu")
 
-    def test_vector_probe_matches_numpy_presence(self):
-        has_numpy = importlib.util.find_spec("numpy") is not None
-        assert (engine_availability()["vector"] is None) == has_numpy
-        assert ("vector" in available_engines()) == has_numpy
+    def test_vector_is_the_bitpack_engine(self):
+        """``vector`` needs nothing installed: it is another name for
+        the bitpack instance."""
+        assert engine_availability()["vector"] is None
+        assert get_engine("vector") is get_engine("bitpack")
 
     def test_cli_unusable_engine_fails_with_reason(
-        self, tmp_path, vector_unavailable
+        self, tmp_path, unusable_engine
     ):
         from repro.cli import main
         from repro.netlist.eqn_io import write_eqn
@@ -73,9 +59,9 @@ class TestRegistryDiagnostics:
         path = tmp_path / "m4.eqn"
         write_eqn(generate_mastrovito(0b10011), path)
         with pytest.raises(SystemExit) as caught:
-            main(["extract", str(path), "--engine", "vector", "--fused"])
+            main(["extract", str(path), "--engine", unusable_engine])
         assert str(caught.value) == (
-            f"engine 'vector' is unavailable: {vector_unavailable}"
+            f"engine {unusable_engine!r} is unavailable: {REASON}"
         )
 
 

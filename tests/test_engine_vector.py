@@ -1,22 +1,14 @@
-"""Differential tests for the numpy ``vector`` engine and the no-numpy
-degradation path.
+"""Differential tests for the ``vector`` engine name.
 
 The engine contract (:mod:`repro.engine`) requires bit-identical
-*results* from every backend; this suite drives the vector engine's
-per-bit entry point (the ``bitpack`` engine's loop, which it inherits)
-across the generator zoo (flat, synthesized, NAND-mapped) and checks
-error parity."""
-
-import os
-import pathlib
-import subprocess
-import sys
-import textwrap
+*results* from every backend; ``vector`` is another name for the
+``bitpack`` engine, and this suite drives it across the generator zoo
+(flat, synthesized, NAND-mapped) and checks error parity."""
 
 import pytest
 
 import repro.engine.bitpack as bitpack_module
-from repro.engine import BitpackEngine, VectorEngine, available_engines
+from repro.engine import BitpackEngine, available_engines, get_engine
 from repro.extract.diagnose import diagnose
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.digit_serial import generate_digit_serial
@@ -35,8 +27,6 @@ from repro.rewrite.backward import (
     backward_rewrite,
 )
 from repro.synth.pipeline import synthesize
-
-numpy = pytest.importorskip("numpy")
 
 GENERATORS = {
     "mastrovito": generate_mastrovito,
@@ -85,7 +75,7 @@ class TestGeneratorZoo:
 
     def test_registered(self):
         assert "vector" in available_engines()
-        assert VectorEngine.available()
+        assert get_engine("vector") is get_engine("bitpack")
 
 
 class TestRandomNetlists:
@@ -142,7 +132,7 @@ class TestFailureModes:
         netlist = synthesize(
             generate_mastrovito(0b10011), use_xor_cells=False
         )
-        engine = VectorEngine()
+        engine = BitpackEngine()
         _, stats = backward_rewrite(netlist, "z0", engine=engine, trace=True)
         program = engine._compiled_for(netlist)
         assert any(  # the forced bound leaves live nodes unflattened
@@ -160,9 +150,7 @@ class TestMatrixLoopStress:
     With the default flat bound, small multipliers collapse entirely
     into precomputed flat polynomials and the substitution loop never
     runs; shrinking the bound makes every cone rewrite step by step,
-    which is what these tests pin against the oracle.  The fused
-    matrix sweep has its own forced-substitution tests in
-    ``test_engine_fused.py``.
+    which is what these tests pin against the oracle.
     """
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
@@ -175,7 +163,7 @@ class TestMatrixLoopStress:
             netlist, engine="reference"
         )
         # Fresh instance: it must compile *under* the shrunken bound.
-        engine = VectorEngine()
+        engine = BitpackEngine()
         vector = extract_irreducible_polynomial(netlist, engine=engine)
         program = engine._compiled_for(netlist)
         assert any(  # the forced bound leaves live nodes unflattened
@@ -199,7 +187,7 @@ class TestMatrixLoopStress:
         reference = extract_irreducible_polynomial(
             netlist, engine="reference"
         )
-        engine = VectorEngine()
+        engine = BitpackEngine()
         vector = extract_irreducible_polynomial(netlist, engine=engine)
         program = engine._compiled_for(netlist)
         assert any(
@@ -222,7 +210,7 @@ class TestPerBitIsBitpack:
         netlist = synthesize(
             generate_montgomery(0b100101), use_xor_cells=False
         )
-        vector, bitpack = VectorEngine(), BitpackEngine()
+        vector, bitpack = type(get_engine("vector"))(), BitpackEngine()
         substituted = 0
         for output in netlist.outputs:
             expected, expected_stats = bitpack.rewrite_cone(
@@ -239,84 +227,3 @@ class TestPerBitIsBitpack:
             assert fields == expected_fields
             substituted += actual_stats.iterations
         assert substituted > 0  # the forced bounds reach the loop
-
-
-class TestWithoutNumpy:
-    def test_skips_cleanly_when_numpy_missing(self):
-        """A numpy-less interpreter imports the package, lists every
-        other engine, and never registers ``vector``."""
-        script = textwrap.dedent(
-            """
-            import sys
-
-            class _Block:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy blocked for test")
-                    return None
-
-            sys.meta_path.insert(0, _Block())
-            for cached in [m for m in sys.modules if m.startswith("numpy")]:
-                del sys.modules[cached]
-
-            import repro
-            from repro.engine import available_engines, VectorEngine
-            assert not VectorEngine.available()
-            engines = available_engines()
-            assert "vector" not in engines
-            assert set(engines) == {"reference", "bitpack"}
-
-            from repro.extract.extractor import (
-                extract_irreducible_polynomial,
-            )
-            from repro.gen.mastrovito import generate_mastrovito
-            result = extract_irreducible_polynomial(
-                generate_mastrovito(0b10011), engine="bitpack"
-            )
-            assert result.polynomial_str == "x^4 + x + 1"
-
-            from repro.engine import EngineError, get_engine
-            try:
-                get_engine("vector")
-            except EngineError as error:
-                assert "vector" in str(error)
-            else:
-                raise AssertionError("unregistered engine resolved")
-            print("OK")
-            """
-        )
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else src
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "OK" in completed.stdout
-
-    def test_direct_use_without_numpy_raises_engine_error(
-        self, monkeypatch
-    ):
-        """An unregistered-but-constructed VectorEngine's fused sweep
-        degrades with the engine error, not an AttributeError; its
-        per-bit loop is bitpack's and needs no numpy."""
-        import repro.engine.vector as vector_module
-
-        monkeypatch.setattr(vector_module, "_np", None)
-        from repro.engine.base import EngineError
-
-        netlist = generate_mastrovito(0b1011)
-        engine = VectorEngine()
-        with pytest.raises(EngineError, match="numpy"):
-            engine.rewrite_cones(netlist, ["z0"])
-        expression, _ = engine.rewrite_cone(netlist, "z0")
-        expected, _ = BitpackEngine().rewrite_cone(netlist, "z0")
-        assert expression.decode() == expected.decode()

@@ -6,7 +6,6 @@ import pytest
 
 from repro import telemetry as _telemetry
 from repro.engine import EngineError, FALLBACK_LADDER, fallback_chain
-from repro.engine import registry
 from repro.gen.mastrovito import generate_mastrovito
 from repro.netlist.eqn_io import write_eqn
 from repro.service.resilience import (
@@ -19,7 +18,7 @@ from repro.service.resilience import (
     select_engine,
 )
 from repro.service.runner import run_campaign
-from tests.conftest import VECTOR_BLOCKED
+from tests.conftest import UNUSABLE_REASON
 
 
 class TestRetryPolicy:
@@ -123,20 +122,20 @@ class TestRunSupervised:
 
     def test_engine_failure_walks_ladder(self):
         def work(engine):
-            if engine == "vector":
+            if engine == "bitpack":
                 raise EngineError("simulated backend death")
             return f"ran on {engine}"
 
         telemetry = _telemetry.Telemetry()
         outcome = run_supervised(
             work,
-            engines=("vector", "reference"),
+            engines=("bitpack", "reference"),
             policy=RetryPolicy(max_attempts=1),
             telemetry=telemetry,
         )
         assert outcome.value == "ran on reference"
         assert outcome.engine_used == "reference"
-        assert "vector" in outcome.fallback_reason
+        assert "bitpack" in outcome.fallback_reason
         assert outcome.fallbacks == 1
         assert telemetry.metrics()["counters"]["resilience.fallback"] == 1
 
@@ -151,7 +150,7 @@ class TestRunSupervised:
         with pytest.raises(EngineError, match="reference died"):
             run_supervised(
                 work,
-                engines=("vector", "reference"),
+                engines=("bitpack", "reference"),
                 policy=RetryPolicy(max_attempts=1),
                 telemetry=telemetry,
             )
@@ -188,7 +187,8 @@ class TestRunSupervised:
 class TestFallbackLadder:
     def test_ladder_shape(self):
         assert FALLBACK_LADDER[-1] == "reference"
-        assert fallback_chain("vector") == FALLBACK_LADDER
+        assert FALLBACK_LADDER == ("bitpack", "reference")
+        assert fallback_chain("bitpack") == FALLBACK_LADDER
         assert fallback_chain("reference") == ("reference",)
         # Unknown engines degrade through the whole ladder.
         assert fallback_chain("warp9")[0] == "warp9"
@@ -205,27 +205,32 @@ class TestFallbackLadder:
             select_engine("warp9", fallback=False)
 
     def test_unavailable_engine_degrades_only_with_fallback(
-        self, vector_unavailable
+        self, unusable_engine
     ):
-        # 'vector' registered but unusable: the no-numpy scenario.
+        # Registered but unusable: the missing-dependency scenario.
         with pytest.raises(EngineError, match="unavailable"):
-            select_engine("vector", fallback=False)
-        engine_used, why = select_engine("vector", fallback=True)
+            select_engine(unusable_engine, fallback=False)
+        engine_used, why = select_engine(unusable_engine, fallback=True)
         assert engine_used == "bitpack"
-        assert "vector" in why and vector_unavailable in why
+        assert unusable_engine in why and UNUSABLE_REASON in why
 
-    def test_engine_ladder(self, vector_unavailable):
-        assert engine_ladder("vector") == ("vector",)
-        ladder = engine_ladder("vector", fallback=True)
-        assert ladder[0] == "vector"
-        assert ladder[-1] == "reference"
+    def test_engine_ladder(self, unusable_engine, monkeypatch):
+        assert engine_ladder(unusable_engine) == (unusable_engine,)
+        ladder = engine_ladder(unusable_engine, fallback=True)
+        assert ladder == (unusable_engine,) + FALLBACK_LADDER
         # Unusable rungs are filtered; the head survives regardless.
-        assert "vector" not in engine_ladder("warp9", fallback=True)[1:]
+        monkeypatch.setattr(
+            "repro.engine.registry.FALLBACK_LADDER",
+            (unusable_engine,) + FALLBACK_LADDER,
+        )
+        assert engine_ladder("warp9", fallback=True) == (
+            ("warp9",) + FALLBACK_LADDER
+        )
 
 
 class TestCampaignFallback:
     def test_degraded_campaign_bit_identical_with_reason(
-        self, tmp_path, monkeypatch
+        self, tmp_path, unusable_engine
     ):
         designs = tmp_path / "designs"
         designs.mkdir()
@@ -233,30 +238,27 @@ class TestCampaignFallback:
 
         baseline = run_campaign(
             designs,
-            cache_dir=tmp_path / "cache_vec",
-            engine="vector",
+            cache_dir=tmp_path / "cache_bitpack",
+            engine="bitpack",
             mode="extract",
-        )
-        monkeypatch.setitem(
-            registry._PROBES, "vector", lambda: VECTOR_BLOCKED
         )
         degraded = run_campaign(
             designs,
             cache_dir=tmp_path / "cache_degraded",
-            engine="vector",
+            engine=unusable_engine,
             fallback=True,
             mode="extract",
         )
         assert degraded.ok == 1
         record = degraded.records[0]
         assert record["engine_used"] == "bitpack"
-        assert "vector" in record["fallback_reason"]
-        assert VECTOR_BLOCKED in record["fallback_reason"]
+        assert unusable_engine in record["fallback_reason"]
+        assert UNUSABLE_REASON in record["fallback_reason"]
         assert record["polynomial"] == baseline.records[0]["polynomial"]
         assert record["member_bits"] == baseline.records[0]["member_bits"]
 
     def test_unavailable_engine_campaign_errors_without_fallback(
-        self, tmp_path, vector_unavailable
+        self, tmp_path, unusable_engine
     ):
         designs = tmp_path / "designs"
         designs.mkdir()
@@ -264,7 +266,7 @@ class TestCampaignFallback:
         report = run_campaign(
             designs,
             cache_dir=tmp_path / "cache",
-            engine="vector",
+            engine=unusable_engine,
             mode="extract",
         )
         record = report.records[0]

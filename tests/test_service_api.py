@@ -12,6 +12,7 @@ from repro.gen.mastrovito import generate_mastrovito
 from repro.netlist.blif_io import format_blif
 from repro.netlist.eqn_io import format_eqn
 from repro.service.api import serve
+from tests.conftest import UNUSABLE_REASON
 
 
 @pytest.fixture
@@ -492,33 +493,33 @@ class TestSupervisedJobs:
 
 class TestEngineFallbackSubmissions:
     def test_unavailable_engine_degrades_when_asked(
-        self, base, vector_unavailable
+        self, base, unusable_engine
     ):
         text = format_eqn(generate_mastrovito(0b1011))
         job = post(
             f"{base}/v1/jobs",
-            {"netlist": text, "mode": "extract", "engine": "vector",
+            {"netlist": text, "mode": "extract", "engine": unusable_engine,
              "fallback": True},
         )
-        assert job["engine"] == "vector"
+        assert job["engine"] == unusable_engine
         assert job["engine_used"] == "bitpack"
-        assert "vector" in job["fallback_reason"]
-        assert vector_unavailable in job["fallback_reason"]
+        assert unusable_engine in job["fallback_reason"]
+        assert UNUSABLE_REASON in job["fallback_reason"]
         view = wait_done(base, job["job_id"])
         assert view["status"] == "done"
         assert view["engine_used"] == "bitpack"
         assert view["result"]["polynomial"] == "x^3 + x + 1"
 
     def test_unavailable_engine_still_400_without_fallback(
-        self, base, vector_unavailable
+        self, base, unusable_engine
     ):
         text = format_eqn(generate_mastrovito(0b1011))
         body = post(
             f"{base}/v1/jobs",
-            {"netlist": text, "engine": "vector"},
+            {"netlist": text, "engine": unusable_engine},
             expect=(400,),
         )
         # Byte-identical to the pre-fallback error contract.
         assert body["error"] == (
-            f"engine 'vector' is unavailable: {vector_unavailable}"
+            f"engine {unusable_engine!r} is unavailable: {UNUSABLE_REASON}"
         )

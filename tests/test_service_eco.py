@@ -4,7 +4,7 @@ Cone fingerprints must be exactly as strash-invariant as the netlist
 fingerprint, a fault must dirty exactly its fan-out cones, and a
 partial rerun (clean cones from the per-cone cache, dirty cones
 rewritten) must be bit-identical to a cold run — across the generator
-zoo, engines, and both fused and per-bit modes.
+zoo and engines.
 """
 
 import json
@@ -152,16 +152,11 @@ ZOO = [
 ]
 
 
-def warm_then_partial(tmp_path, net, mutant, engine, fused=False):
+def warm_then_partial(tmp_path, net, mutant, engine):
     """Warm the cone cache on ``net``, then extract ``mutant``."""
-    cache = ResultCache(tmp_path / f"cache-{engine}-{fused}")
-    extract_expressions(net, engine=engine, fused=fused, cache=cache)
-    return (
-        extract_expressions(
-            mutant, engine=engine, fused=fused, cache=cache
-        ),
-        cache,
-    )
+    cache = ResultCache(tmp_path / f"cache-{engine}")
+    extract_expressions(net, engine=engine, cache=cache)
+    return extract_expressions(mutant, engine=engine, cache=cache), cache
 
 
 class TestPartialRerunBitIdentity:
@@ -207,26 +202,6 @@ class TestPartialRerunBitIdentity:
         )
         cold = extract_expressions(mutant, engine="bitpack")
         assert cache.cone_hits > 0
-        for output in cold.expressions:
-            assert warm.expressions[output] == cold.expressions[output]
-
-    def test_fused_dirty_subset_sweep(self, tmp_path):
-        """Fused mode sweeps only the dirty cones; the reassembled run
-        is still bit-identical and fully attributed."""
-        base = generate_mastrovito(P8)
-        gate = base.gates[len(base.gates) // 2].output
-        mutant, _ = flip_gate(base, gate)
-        cold = extract_expressions(mutant, engine="vector", fused=True)
-        warm, cache = warm_then_partial(
-            tmp_path, base, mutant, "vector", fused=True
-        )
-        assert cache.cone_hits > 0
-        hits = [
-            o
-            for o, origin in warm.cache_provenance.items()
-            if origin == "cone_hit"
-        ]
-        assert hits and len(hits) < len(base.outputs)
         for output in cold.expressions:
             assert warm.expressions[output] == cold.expressions[output]
 
@@ -288,35 +263,6 @@ class TestKillAndResumeWithConeCache:
         origins = set(resumed.run.cache_provenance.values())
         assert "checkpoint" in origins
         assert origins <= {"checkpoint", "cone_hit", "computed"}
-
-    def test_killed_fused_run_keeps_finished_chunks_cones(self, tmp_path):
-        """A fused run killed in its second sweep-chunk has already
-        stored the first chunk's cones; the killed chunk stores none."""
-        net = generate_mastrovito(P8)
-        cache = ResultCache(tmp_path / "cache")
-        count = [0]
-
-        def die_in_second_chunk(output, cone, stats):
-            count[0] += 1
-            if count[0] == 4:
-                raise Killed("simulated kill")
-
-        with pytest.raises(Killed):
-            extract_expressions(
-                net,
-                engine="bitpack",
-                fused=True,
-                fused_chunk=3,
-                on_result=die_in_second_chunk,
-                cache=cache,
-            )
-        digests = cone_fingerprints(net)
-        stored = [
-            output
-            for output in net.outputs
-            if cache.get_cone(digests[output]) is not None
-        ]
-        assert stored == ["z0", "z1", "z2"]
 
 
 class TestDiffCones:

@@ -215,105 +215,6 @@ class TestCheckpointStore:
             checkpointed_extract(generate_mastrovito(0b111))
 
 
-class TestFusedSweepChunks:
-    """Fused extraction checkpoints per sweep-chunk, resumes freely."""
-
-    def _vector_or_skip(self):
-        from repro.engine import available_engines
-
-        if "vector" not in available_engines():
-            pytest.skip("numpy not installed; vector engine unregistered")
-
-    def test_fused_kill_and_resume_is_bit_identical(self, tmp_path):
-        """Killed at the first sweep-chunk boundary: the chunk's bits
-        are all persisted, and the fused resume recomputes only the
-        remaining chunks, bit-identical to a cold run."""
-        self._vector_or_skip()
-        net = generate_mastrovito(0b100011011)  # GF(2^8)
-        cold = extract_expressions(net, engine="reference")
-        fingerprint = fingerprint_netlist(net)
-        path = checkpoint_path_for(tmp_path, fingerprint, None)
-        checkpoint = ExtractionCheckpoint.load(
-            path, fingerprint, "vector", None
-        )
-
-        # The first fused_chunk=4 sweep completes and persists its
-        # bits; the process "dies" before the second chunk starts.
-        extract_expressions(
-            net,
-            outputs=[f"z{i}" for i in range(4)],
-            engine="vector",
-            fused=True,
-            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
-        )
-
-        reloaded = ExtractionCheckpoint.load(
-            path, fingerprint, "vector", None
-        )
-        assert len(reloaded.completed()) == 4
-
-        resumed = checkpointed_extract(
-            net,
-            engine="vector",
-            fused=True,
-            fused_chunk=4,
-            checkpoint_path=path,
-        )
-        assert len(resumed.resumed_bits) == 4
-        assert len(resumed.computed_bits) == 4
-        assert dict(resumed.run.expressions.items()) == dict(
-            cold.expressions.items()
-        )
-        assert not path.exists()  # consumed on completion
-
-    def test_chunked_fused_extraction_matches_cold(self, tmp_path):
-        """fused_chunk=3 on 8 bits → three sweeps (3+3+2), one run."""
-        self._vector_or_skip()
-        net = generate_mastrovito(0b100011011)
-        sharded = checkpointed_extract(
-            net,
-            engine="vector",
-            fused=True,
-            fused_chunk=3,
-            checkpoint_dir=tmp_path,
-        )
-        assert sharded.computed_bits == [f"z{i}" for i in range(8)]
-        cold = extract_expressions(net, engine="reference")
-        assert dict(sharded.run.expressions.items()) == dict(
-            cold.expressions.items()
-        )
-
-    def test_fused_and_perbit_resume_each_other(self, tmp_path):
-        """A checkpoint written by a fused run resumes per-bit and
-        vice versa — the on-disk format is mode-neutral."""
-        self._vector_or_skip()
-        net = generate_montgomery(0b1000011)  # GF(2^6)
-        fingerprint = fingerprint_netlist(net)
-        path = checkpoint_path_for(tmp_path, fingerprint, None)
-        checkpoint = ExtractionCheckpoint.load(
-            path, fingerprint, "vector", None
-        )
-        killer = kill_after(2)
-
-        def persist(output, cone, stats):
-            checkpoint.record(output, cone.to_json(), stats)
-            killer(output, cone, stats)
-
-        with pytest.raises(Killed):
-            extract_expressions(
-                net, engine="vector", fused=True, on_result=persist
-            )
-
-        resumed = checkpointed_extract(
-            net, engine="bitpack", checkpoint_dir=tmp_path
-        )
-        assert len(resumed.resumed_bits) == 2
-        cold = extract_expressions(net, engine="reference")
-        assert dict(resumed.run.expressions.items()) == dict(
-            cold.expressions.items()
-        )
-
-
 class TestParallelHook:
     def test_hook_fires_per_bit_with_pool(self, tmp_path):
         """jobs > 1 exercises imap_unordered + deterministic reassembly."""

@@ -78,7 +78,7 @@ def test_span_error_status(tel):
 
 def test_span_orphan_cleanup(tel):
     """An explicitly entered child that never exits must not corrupt
-    later parenting (the fused sweep uses explicit begin/end)."""
+    later parenting (a span may be entered and exited explicitly)."""
     registry, sink = tel
     with registry.span("outer"):
         registry.span("leaked").__enter__()  # never exited
@@ -242,10 +242,7 @@ def test_measure_emits_span(tel):
 # ----------------------------------------------------------------------
 
 def test_per_bit_cone_spans_not_duplicated(tel):
-    """The vector engine delegates flat cones to the bitpack path; the
-    delegation must not nest a second 'cone' span per bit."""
-    if "vector" not in available_engines():
-        pytest.skip("numpy not installed")
+    """One 'cone' span per bit, also through the ``vector`` name."""
     registry, sink = tel
     netlist = generate_mastrovito(0b10011)
     with telemetry.use(registry):
@@ -264,49 +261,10 @@ def test_per_bit_cone_spans_not_duplicated(tel):
 @pytest.fixture(scope="module")
 def mapped_montgomery16():
     """NAND-only m=16 Montgomery: the cones stay above the flat
-    bounds, so the fused vector sweep actually runs rounds."""
+    bounds, so every cone runs the substitution loop."""
     return synthesize(
         generate_montgomery(default_irreducible(16)), use_xor_cells=False
     )
-
-
-def test_fused_trace_covers_the_sweep(tel, mapped_montgomery16):
-    if "vector" not in available_engines():
-        pytest.skip("numpy not installed")
-    registry, sink = tel
-    result = extract_irreducible_polynomial(
-        mapped_montgomery16, engine="vector", fused=True, telemetry=registry
-    )
-    assert result.irreducible
-
-    names = {e["name"] for e in sink.events if e.get("type") == "span"}
-    assert {
-        "extract", "compile", "sweep", "sweep.round", "substitute",
-        "cancel", "decode",
-    } <= names
-    rounds = spans_named(sink, "sweep.round")
-    assert [e["attrs"]["round"] for e in rounds] == list(range(len(rounds)))
-    assert len(rounds) > 1
-    (sweep,) = spans_named(sink, "sweep")
-    for event in rounds:
-        assert event["parent_id"] == sweep["span_id"]
-        assert event["attrs"]["rows"] > 0
-
-
-def test_fused_per_bit_stats_informative(mapped_montgomery16):
-    """Satellite: fused runs must populate per-bit runtime_s and
-    peak_terms comparably to per-bit mode — positive everywhere and
-    attributed (not one uniform share)."""
-    if "vector" not in available_engines():
-        pytest.skip("numpy not installed")
-    run = extract_expressions(
-        mapped_montgomery16, engine="vector", fused=True
-    )
-    runtimes = [stats.runtime_s for stats in run.stats.values()]
-    peaks = [stats.peak_terms for stats in run.stats.values()]
-    assert all(runtime > 0.0 for runtime in runtimes)
-    assert all(peak > 0 for peak in peaks)
-    assert max(runtimes) > min(runtimes)  # proportional, not uniform
 
 
 def test_tracing_bit_identical_across_engines(tmp_path):
@@ -336,11 +294,9 @@ def test_tracing_bit_identical_across_engines(tmp_path):
 
 
 def test_tracing_overhead_smoke(mapped_montgomery16):
-    """Tracing must stay cheap: fused m=16 with a memory sink within
-    25% of the untraced wall time (min-of-3 each, one retry — CI
-    machines are noisy; the real budget is ~5%)."""
-    if "vector" not in available_engines():
-        pytest.skip("numpy not installed")
+    """Tracing must stay cheap: m=16 with a memory sink within 25% of
+    the untraced wall time (min-of-3 each, one retry — CI machines
+    are noisy; the real budget is ~5%)."""
 
     def best(telemetry_arg):
         times = []
@@ -348,8 +304,7 @@ def test_tracing_overhead_smoke(mapped_montgomery16):
             started = time.perf_counter()
             extract_expressions(
                 mapped_montgomery16,
-                engine="vector",
-                fused=True,
+                engine="bitpack",
                 telemetry=telemetry_arg,
             )
             times.append(time.perf_counter() - started)
