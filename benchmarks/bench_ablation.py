@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, emit, sizes
+from benchmarks.conftest import emit, sizes
 from repro.aig import Aig, balance_and_trees, balance_xor_trees
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
@@ -52,7 +52,7 @@ def test_tree_shape_ablation(benchmark, shape, m):
     netlist = generate_mastrovito(modulus, balanced=(shape == "balanced"))
     measured = measure(
         lambda: benchmark.pedantic(
-            lambda: extract_irreducible_polynomial(netlist, jobs=JOBS),
+            lambda: extract_irreducible_polynomial(netlist, engine="reference"),
             rounds=1,
             iterations=1,
         )
@@ -124,7 +124,7 @@ def test_pipeline_stage_ablation(benchmark, stage, pipeline, m):
     netlist = pipeline(generate_mastrovito(modulus))
     measured = measure(
         lambda: benchmark.pedantic(
-            lambda: extract_irreducible_polynomial(netlist, jobs=JOBS),
+            lambda: extract_irreducible_polynomial(netlist, engine="reference"),
             rounds=1,
             iterations=1,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, emit, sizes
+from benchmarks.conftest import emit, sizes
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -66,7 +66,7 @@ def test_architecture_extraction(benchmark, label, generator, m):
     netlist = generator(modulus)
     measured = measure(
         lambda: benchmark.pedantic(
-            lambda: extract_irreducible_polynomial(netlist, jobs=JOBS),
+            lambda: extract_irreducible_polynomial(netlist, engine="reference"),
             rounds=1,
             iterations=1,
         )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, emit, sizes
+from benchmarks.conftest import emit, sizes
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.baselines.bdd import build_output_bdds
@@ -49,7 +49,7 @@ def test_groebner_verification_with_known_p(benchmark, m):
         iterations=1,
     )
     assert report.verified
-    extraction = extract_irreducible_polynomial(netlist, jobs=JOBS)
+    extraction = extract_irreducible_polynomial(netlist, engine="reference")
     assert extraction.modulus == modulus
     _GROEBNER_ROWS.append(
         {

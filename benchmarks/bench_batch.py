@@ -94,7 +94,7 @@ def run_benchmark(fleet: List, verbose: bool = True) -> Dict:
         cache_dir = workdir / "cache"
 
         phases = {}
-        # Cold/warm under the default engine is the acceptance pair
+        # Cold/warm under the reference engine is the acceptance pair
         # ("an immediately repeated run"); the cross-engine rerun shows
         # the cache is engine-independent.
         for phase, engine in (

@@ -43,7 +43,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-from repro.engine import available_engines  # noqa: E402
+from repro.engine import registered_engines  # noqa: E402
 from repro.extract.extractor import (  # noqa: E402
     extract_irreducible_polynomial,
 )
@@ -162,7 +162,7 @@ def run_matrix(
             "`repeats` timed runs; min_s is steady state, cold_s the "
             "first call including compilation"
         ),
-        "engines": sorted(available_engines()),
+        "engines": list(registered_engines()),
         "rows": rows,
     }
     acceptance = next(

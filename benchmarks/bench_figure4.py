@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, PROFILE, emit, sizes
+from benchmarks.conftest import PROFILE, emit, sizes
 from repro.analysis.tables import ascii_series_plot
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.fieldmath.bitpoly import bitpoly_str
@@ -45,7 +45,7 @@ def test_figure4_per_bit_runtime(benchmark, name, modulus):
     netlist = generate_mastrovito(modulus)
 
     def run():
-        return extract_irreducible_polynomial(netlist, jobs=1)
+        return extract_irreducible_polynomial(netlist, engine="reference")
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     assert result.modulus == modulus

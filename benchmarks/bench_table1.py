@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, emit, sizes
+from benchmarks.conftest import emit, sizes
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -44,7 +44,7 @@ def test_table1_mastrovito(benchmark, m):
 
     def run():
         return extract_irreducible_polynomial(
-            netlist, jobs=JOBS, measure_memory=False
+            netlist, engine="reference", measure_memory=False
         )
 
     measured = measure(lambda: benchmark.pedantic(run, rounds=1, iterations=1))

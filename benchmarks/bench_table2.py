@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, emit, sizes
+from benchmarks.conftest import emit, sizes
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -48,7 +48,7 @@ def test_table2_montgomery(benchmark, m):
     netlist = generate_montgomery(modulus)
 
     def run():
-        return extract_irreducible_polynomial(netlist, jobs=JOBS)
+        return extract_irreducible_polynomial(netlist, engine="reference")
 
     measured = measure(lambda: benchmark.pedantic(run, rounds=1, iterations=1))
     result = measured.value
@@ -75,7 +75,7 @@ def test_table2_memory_out():
     modulus = _polynomial_for(m)
     netlist = generate_montgomery(modulus)
     with pytest.raises(TermLimitExceeded):
-        extract_irreducible_polynomial(netlist, jobs=1, term_limit=8)
+        extract_irreducible_polynomial(netlist, engine="reference", term_limit=8)
     _ROWS.append(
         {
             "m": m,
@@ -113,7 +113,7 @@ def test_table2_report():
         r for r in _ROWS if r["m"] == m and r["runtime"] == r["runtime"]
     )
     mast = extract_irreducible_polynomial(
-        generate_mastrovito(modulus), jobs=JOBS
+        generate_mastrovito(modulus), engine="reference"
     )
     assert mont_row["runtime"] > 1.5 * mast.total_time_s, (
         "Montgomery extraction must cost a multiple of Mastrovito"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, emit, sizes
+from benchmarks.conftest import emit, sizes
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -58,11 +58,11 @@ def _run_pair(algorithm: str, generator, m: int, benchmark) -> None:
     mapped = synthesize(flat)
 
     flat_measured = measure(
-        lambda: extract_irreducible_polynomial(flat, jobs=JOBS)
+        lambda: extract_irreducible_polynomial(flat, engine="reference")
     )
     mapped_measured = measure(
         lambda: benchmark.pedantic(
-            lambda: extract_irreducible_polynomial(mapped, jobs=JOBS),
+            lambda: extract_irreducible_polynomial(mapped, engine="reference"),
             rounds=1,
             iterations=1,
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import JOBS, PROFILE, emit, sizes
+from benchmarks.conftest import PROFILE, emit, sizes
 from repro.analysis.instrument import measure
 from repro.analysis.tables import Table
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -53,7 +53,7 @@ def test_table4_polynomial_choice(benchmark, name, modulus):
     netlist = generate_mastrovito(modulus)
 
     def run():
-        return extract_irreducible_polynomial(netlist, jobs=JOBS)
+        return extract_irreducible_polynomial(netlist, engine="reference")
 
     measured = measure(lambda: benchmark.pedantic(run, rounds=1, iterations=1))
     result = measured.value

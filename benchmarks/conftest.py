@@ -11,9 +11,10 @@ harness has three size profiles, selected with ``REPRO_PROFILE``:
   them (Mastrovito up to GF(2^233), Montgomery up to GF(2^163));
   budget tens of minutes.
 
-``REPRO_JOBS`` sets the worker count (the paper uses 16 threads);
-jobs=1 (default) additionally reports tracemalloc peaks like the
-paper's Mem column.
+The table harnesses pin ``engine="reference"``: its ``peak_terms`` is
+the paper's memory proxy for gate-granular Algorithm 1.  Every
+extraction runs its output bits one after another in this process (the
+paper uses 16 threads).
 
 Every harness prints its rows in the format of the corresponding table
 in the paper and appends them to ``results/``.
@@ -25,10 +26,8 @@ import os
 import pathlib
 from typing import List
 
-import pytest
 
 PROFILE = os.environ.get("REPRO_PROFILE", "default")
-JOBS = int(os.environ.get("REPRO_JOBS", "1"))
 
 if PROFILE not in ("quick", "default", "paper"):
     raise RuntimeError(f"unknown REPRO_PROFILE {PROFILE!r}")
@@ -43,17 +42,13 @@ def sizes(quick: List, default: List, paper: List) -> List:
 
 def emit(name: str, text: str) -> None:
     """Print a finished table and persist it under results/."""
-    banner = f"\n{'=' * 72}\n{name}  [profile={PROFILE}, jobs={JOBS}]\n{'=' * 72}"
+    banner = f"\n{'=' * 72}\n{name}  [profile={PROFILE}]\n{'=' * 72}"
     print(banner)
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{name}  [profile={PROFILE}, jobs={JOBS}]\n\n")
+        handle.write(f"{name}  [profile={PROFILE}]\n\n")
         handle.write(text)
         handle.write("\n")
 
-
-@pytest.fixture(scope="session")
-def jobs() -> int:
-    return JOBS

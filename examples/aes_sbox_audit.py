@@ -35,7 +35,7 @@ def main() -> None:
     # 1. The genuine part: an unrolled serial multiplier over 0x11B.
     # ------------------------------------------------------------------
     genuine = generate_interleaved(AES_MODULUS, name="aes_mul_genuine")
-    result = extract_irreducible_polynomial(genuine, jobs=4)
+    result = extract_irreducible_polynomial(genuine)
     print(f"genuine part : recovered P(x) = {result.polynomial_str}")
     print(f"               verdict = {diagnose(genuine).verdict.value}")
     assert result.modulus == AES_MODULUS
@@ -57,7 +57,7 @@ def main() -> None:
     # 2. The counterfeit: same architecture, wrong byte field (0x11D).
     # ------------------------------------------------------------------
     counterfeit = generate_interleaved(0x11D, name="aes_mul_counterfeit")
-    result_bad = extract_irreducible_polynomial(counterfeit, jobs=4)
+    result_bad = extract_irreducible_polynomial(counterfeit)
     print(f"counterfeit  : recovered P(x) = {result_bad.polynomial_str}")
     assert result_bad.modulus != AES_MODULUS
     print("               => flagged: not the AES polynomial")

@@ -62,7 +62,7 @@ def main() -> None:
     recovered = {}
     for label, generator, modulus in PORTFOLIO:
         netlist = generator(modulus, name=label)
-        result = extract_irreducible_polynomial(netlist, jobs=2)
+        result = extract_irreducible_polynomial(netlist)
         report = verify_multiplier(netlist, result, random_vectors=64)
         assert result.modulus == modulus, "audit must recover the truth"
         recovered[label] = result.modulus

@@ -48,7 +48,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. Recover the polynomial from gates alone.
     # ------------------------------------------------------------------
-    result = extract_irreducible_polynomial(netlist, jobs=4)
+    result = extract_irreducible_polynomial(netlist)
     print(f"recovered: P(x) = {result.polynomial_str}")
     verdict = diagnose(netlist)
     print(f"diagnosis: {verdict.verdict.value} — {verdict.reason}\n")

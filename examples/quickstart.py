@@ -28,7 +28,7 @@ def main() -> None:
 
     # 2. We receive only the netlist and recover the polynomial
     #    (Algorithm 1 + Algorithm 2 of the paper).
-    result = extract_irreducible_polynomial(netlist, jobs=4)
+    result = extract_irreducible_polynomial(netlist)
     print(f"\nextracted: P(x) = {result.polynomial_str}")
     assert result.modulus == secret_polynomial
 

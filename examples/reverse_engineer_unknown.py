@@ -67,7 +67,7 @@ def evaluator_analyzes(path: Path) -> None:
     m = len(netlist.outputs)
     print(f"[evaluator] loaded {path.name}: GF(2^{m}), {len(netlist)} cells")
 
-    result = extract_irreducible_polynomial(netlist, jobs=4)
+    result = extract_irreducible_polynomial(netlist)
     print(f"[evaluator] recovered P(x) = {result.polynomial_str}")
 
     report = verify_multiplier(netlist, result)

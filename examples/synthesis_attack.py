@@ -50,7 +50,7 @@ def main() -> None:
     )
     for netlist in (lean, raw, mapped, nand_only, double):
         measured = measure(
-            lambda nl=netlist: extract_irreducible_polynomial(nl, jobs=4),
+            lambda nl=netlist: extract_irreducible_polynomial(nl),
             track_memory=False,
         )
         result = measured.value

@@ -15,7 +15,7 @@ Quickstart::
     )
 
     netlist = generate_mastrovito(bitpoly_parse("x^8 + x^4 + x^3 + x + 1"))
-    result = extract_irreducible_polynomial(netlist, jobs=4, engine="bitpack")
+    result = extract_irreducible_polynomial(netlist)
     print(result.polynomial_str)            # x^8 + x^4 + x^3 + x + 1
     print(verify_multiplier(netlist, result).equivalent)   # True
 
@@ -69,7 +69,6 @@ _EXPORTS = {
     "write_verilog": "repro.netlist",
     "balance_and_trees": "repro.aig",
     "balance_xor_trees": "repro.aig",
-    "available_engines": "repro.engine",
     "get_engine": "repro.engine",
     "register_engine": "repro.engine",
     "backward_rewrite": "repro.rewrite",

@@ -127,7 +127,6 @@ def probe_polynomial(
 
 def probe_then_extract(
     netlist: Netlist,
-    jobs: int = 1,
     telemetry: Optional[_telemetry.Telemetry] = None,
 ):
     """The pragmatic pipeline: probe for a candidate, then *prove* it.
@@ -143,5 +142,5 @@ def probe_then_extract(
     registry = _telemetry.resolve(telemetry)
     with _telemetry.use(registry):
         probe = probe_polynomial(netlist, telemetry=registry)
-        extraction = extract_irreducible_polynomial(netlist, jobs=jobs)
+        extraction = extract_irreducible_polynomial(netlist)
     return probe, extraction

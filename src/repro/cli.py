@@ -47,11 +47,12 @@ is streamed to the file as it closes — see :mod:`repro.telemetry`
 and the README's Observability section.
 
 The ``--engine`` choices come from the backend registry
-(:mod:`repro.engine`): ``reference`` (the oracle), ``bitpack``
-(interned bitmask monomials over the strashed AIG) and ``vector``
-(another name for ``bitpack``).  Every registered engine parses;
-selecting one whose probe reports it unusable fails with the
-registry's recorded reason, not a bare "unknown engine".
+(:mod:`repro.engine`): ``bitpack`` (the default: interned bitmask
+monomials over the strashed AIG), ``reference`` (the oracle) and
+``vector`` (another name for ``bitpack``).  With ``--fallback`` an
+engine that fails at run time degrades down the ladder
+``bitpack -> reference``, with a note on stderr.  Every command
+rewrites the output bits one after another in this process.
 """
 
 from __future__ import annotations
@@ -106,18 +107,13 @@ def _write(fmt: str, netlist, path: str) -> None:
 
 
 def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    # Choices come from *registered* engines, not just the currently
-    # usable ones: an engine whose probe fails should parse and then
-    # fail with the registry's recorded reason, which is actionable —
-    # a choices error is not.
     parser.add_argument(
         "--engine",
         choices=sorted(registered_engines()),
         default=DEFAULT_ENGINE,
         help=(
             "rewriting backend: %(choices)s (default: %(default)s; "
-            "'vector' is another name for 'bitpack'; selecting an "
-            "unavailable engine reports why)"
+            "'vector' is another name for 'bitpack')"
         ),
     )
 
@@ -175,9 +171,8 @@ def _add_fallback_argument(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "degrade gracefully instead of failing: when the selected "
-            "engine is unavailable (or dies at runtime) walk the "
-            "fallback ladder bitpack -> reference "
-            "to the first usable backend (results are "
+            "engine fails at run time walk the fallback ladder "
+            "bitpack -> reference to the next backend (results are "
             "bit-identical; the substitution is reported)"
         ),
     )
@@ -249,6 +244,32 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _with_fallback(args: argparse.Namespace, call):
+    """``call(engine)`` on ``--engine``; with ``--fallback``, an engine
+    that fails at run time degrades down the ladder, noted on stderr.
+    """
+    if not getattr(args, "fallback", False):
+        return call(args.engine)
+    from repro.service.resilience import (
+        RetryPolicy,
+        engine_ladder,
+        run_supervised,
+    )
+
+    supervised = run_supervised(
+        call,
+        engines=engine_ladder(args.engine, fallback=True),
+        policy=RetryPolicy(max_attempts=1, retryable_types=()),
+    )
+    if supervised.fallback_reason is not None:
+        print(
+            f"warning: {supervised.fallback_reason}; using engine "
+            f"{supervised.engine_used!r}",
+            file=sys.stderr,
+        )
+    return supervised.value
+
+
 def _run_eco(
     args: argparse.Namespace,
     baseline: str,
@@ -260,16 +281,18 @@ def _run_eco(
 
     cache = ResultCache(getattr(args, "cache_dir", None))
     try:
-        report = eco_reverify(
-            baseline,
-            edited,
-            cache,
-            engine=args.engine,
-            jobs=args.jobs,
-            term_limit=args.term_limit,
-            audit=audit,
-            diagnose_on_failure=(
-                audit and not getattr(args, "no_diagnose", False)
+        report = _with_fallback(
+            args,
+            lambda engine: eco_reverify(
+                baseline,
+                edited,
+                cache,
+                engine=engine,
+                term_limit=args.term_limit,
+                audit=audit,
+                diagnose_on_failure=(
+                    audit and not getattr(args, "no_diagnose", False)
+                ),
             ),
         )
     except EcoError as error:
@@ -290,11 +313,11 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         # verified baseline and rewrite only the dirty cones.
         return _run_eco(args, args.baseline, args.netlist, audit=False)
     netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    result = extract_irreducible_polynomial(
-        netlist,
-        jobs=args.jobs,
-        term_limit=args.term_limit,
-        engine=args.engine,
+    result = _with_fallback(
+        args,
+        lambda engine: extract_irreducible_polynomial(
+            netlist, term_limit=args.term_limit, engine=engine
+        ),
     )
     print(f"P(x) = {result.polynomial_str}")
     if not result.irreducible:
@@ -307,14 +330,17 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         return _run_eco(args, args.baseline, args.netlist, audit=True)
     netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    result = extract_irreducible_polynomial(
-        netlist,
-        jobs=args.jobs,
-        term_limit=args.term_limit,
-        measure_memory=args.jobs == 1,
-        engine=args.engine,
-    )
-    verification = verify_multiplier(netlist, result, engine=args.engine)
+
+    def audit(engine):
+        result = extract_irreducible_polynomial(
+            netlist,
+            term_limit=args.term_limit,
+            measure_memory=True,
+            engine=engine,
+        )
+        return result, verify_multiplier(netlist, result, engine=engine)
+
+    result, verification = _with_fallback(args, audit)
     print(
         format_extraction_report(
             result, verification, netlist_gates=len(netlist)
@@ -342,12 +368,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    diagnosis = diagnose(
-        netlist,
-        jobs=args.jobs,
-        term_limit=args.term_limit,
-        find_counterexample=not args.no_counterexample,
-        engine=args.engine,
+    diagnosis = _with_fallback(
+        args,
+        lambda engine: diagnose(
+            netlist,
+            term_limit=args.term_limit,
+            find_counterexample=not args.no_counterexample,
+            engine=engine,
+        ),
     )
     print(diagnosis.render())
     return 0 if diagnosis.is_clean else 1
@@ -384,7 +412,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             report_path=args.output,
             mode=args.mode,
             engine=args.engine,
-            jobs=args.jobs,
             workers=args.workers,
             term_limit=args.term_limit,
             cache_dir=args.cache_dir,
@@ -411,7 +438,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         cache_dir=args.cache_dir,
         engine=args.engine,
-        jobs=args.jobs,
         worker_threads=args.worker_threads,
         max_queue=args.max_queue,
         retries=args.retries,
@@ -601,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     extract = sub.add_parser("extract", help="recover P(x) from a netlist")
     extract.add_argument("netlist")
-    extract.add_argument("--jobs", type=int, default=1)
     extract.add_argument("--term-limit", type=int, default=None)
     extract.add_argument("--format", choices=sorted(_READERS), default=None)
     _add_baseline_arguments(extract)
@@ -614,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", help="extract P(x), verify, print a full report"
     )
     audit.add_argument("netlist")
-    audit.add_argument("--jobs", type=int, default=1)
     audit.add_argument("--term-limit", type=int, default=None)
     audit.add_argument("--format", choices=sorted(_READERS), default=None)
     _add_baseline_arguments(audit)
@@ -632,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eco.add_argument("baseline", help="the previously verified version")
     eco.add_argument("edited", help="the post-ECO version to re-audit")
-    eco.add_argument("--jobs", type=int, default=1)
     eco.add_argument("--term-limit", type=int, default=None)
     eco.add_argument(
         "--cache-dir", default=None, help="override REPRO_CACHE_DIR"
@@ -664,7 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
         "diagnose", help="triage an unknown netlist (full decision tree)"
     )
     diag.add_argument("netlist")
-    diag.add_argument("--jobs", type=int, default=1)
     diag.add_argument("--term-limit", type=int, default=None)
     diag.add_argument("--no-counterexample", action="store_true")
     diag.add_argument("--format", choices=sorted(_READERS), default=None)
@@ -720,9 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["extract", "audit", "diagnose"],
         default="audit",
-    )
-    batch.add_argument(
-        "--jobs", type=int, default=1, help="per-netlist bit shards"
     )
     batch.add_argument(
         "--workers", type=int, default=1, help="concurrent netlists"
@@ -783,9 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8017)
     serve.add_argument(
         "--cache-dir", default=None, help="override REPRO_CACHE_DIR"
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=1, help="per-netlist bit shards"
     )
     serve.add_argument(
         "--worker-threads", type=int, default=2, help="job worker threads"
@@ -913,37 +929,6 @@ def _run_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Registered-but-unavailable engines parse fine; fail here with
-    # the probe's recorded reason instead of a traceback deep inside
-    # the run.
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        from repro.engine import engine_availability
-
-        reason = engine_availability().get(engine)
-        if reason is not None:
-            if not getattr(args, "fallback", False):
-                raise SystemExit(
-                    f"engine {engine!r} is unavailable: {reason}"
-                )
-            if args.func not in (_cmd_batch, _cmd_serve):
-                # batch/serve resolve per-task/per-submission so the
-                # substitution lands on every record; single-shot
-                # commands degrade here, once, with a note.
-                from repro.engine import EngineError
-                from repro.service.resilience import select_engine
-
-                try:
-                    args.engine, substituted = select_engine(
-                        engine, fallback=True
-                    )
-                except EngineError as error:
-                    raise SystemExit(str(error))
-                print(
-                    f"warning: {substituted}; using engine "
-                    f"{args.engine!r}",
-                    file=sys.stderr,
-                )
     trace_path = getattr(args, "trace", None)
     if not trace_path:
         return _run_command(args)

@@ -49,8 +49,10 @@ that is negligible next to rewriting.
 Backends
 --------
 ``reference``
-    the original ``Gf2Poly`` path (the differential-testing oracle);
-``bitpack``
+    the original ``Gf2Poly`` path (the differential-testing oracle,
+    the last fallback rung, and the engine the paper tables pin for
+    their ``peak_terms`` memory proxy);
+``bitpack`` (the default)
     interned bitmask monomials over the live AIG: nodes are flattened
     forward into packed leaf-space polynomials below a size bound, and
     every other node is substituted through its direct-fanin model
@@ -89,7 +91,6 @@ from repro.engine.reference import ReferenceEngine, ReferenceExpression
 from repro.engine.registry import (
     DEFAULT_ENGINE,
     FALLBACK_LADDER,
-    available_engines,
     engine_availability,
     engine_name,
     fallback_chain,
@@ -116,7 +117,6 @@ __all__ = [
     "ReferenceExpression",
     "DEFAULT_ENGINE",
     "FALLBACK_LADDER",
-    "available_engines",
     "engine_availability",
     "engine_name",
     "fallback_chain",

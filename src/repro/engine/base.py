@@ -150,8 +150,9 @@ class Engine(abc.ABC):
 
     def prepare(self, netlist: Netlist) -> None:
         """Warm whatever per-netlist state the backend keeps (no-op
-        here; compiling backends build their program so that forked
-        workers inherit it copy-on-write)."""
+        here).  The extraction driver calls it once before the first
+        cone, so a compiling backend's one-time ``compile`` span is a
+        sibling of the per-bit ``cone`` spans, not nested in one."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

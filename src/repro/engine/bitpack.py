@@ -32,8 +32,7 @@ gets its **direct-fanin model** — the AND/XOR of its two fanin
 literals, with small flat fanins multiplied out and the rest kept as
 node variables — and a flat node read as such a variable substitutes
 its flat polynomial.  The models are built at compile time, so the
-program is complete before the first cone, and forked workers share
-it copy-on-write.
+program is complete before the first cone.
 
 Rewriting (per output bit)
 --------------------------

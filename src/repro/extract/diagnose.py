@@ -120,7 +120,6 @@ class Diagnosis:
 
 def diagnose(
     netlist: Netlist,
-    jobs: int = 1,
     term_limit: Optional[int] = None,
     find_counterexample: bool = True,
     engine: str = DEFAULT_ENGINE,
@@ -155,7 +154,6 @@ def diagnose(
     try:
         result = extract_irreducible_polynomial(
             netlist,
-            jobs=jobs,
             term_limit=term_limit,
             engine=engine,
             cache=cache,

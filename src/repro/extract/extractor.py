@@ -143,7 +143,6 @@ def result_from_run(
 
 def extract_irreducible_polynomial(
     netlist: Netlist,
-    jobs: int = 1,
     term_limit: Optional[int] = None,
     measure_memory: bool = False,
     engine: str = DEFAULT_ENGINE,
@@ -153,7 +152,6 @@ def extract_irreducible_polynomial(
 ) -> ExtractionResult:
     """Reverse engineer P(x) from a gate-level GF(2^m) multiplier.
 
-    ``jobs`` controls the parallel effort (the paper runs 16 threads);
     ``term_limit`` bounds intermediate expression size per bit (the
     paper's memory-out condition).  ``engine`` selects the rewriting
     backend (see :mod:`repro.engine`); every backend recovers the same
@@ -191,7 +189,6 @@ def extract_irreducible_polynomial(
     run = extract_expressions(
         netlist,
         outputs=[f"z{i}" for i in range(m)],
-        jobs=jobs,
         term_limit=term_limit,
         measure_memory=measure_memory,
         engine=engine,

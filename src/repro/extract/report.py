@@ -44,7 +44,7 @@ def format_extraction_report(
         "P_m found in bits     : "
         + (", ".join(f"z{bit}" for bit in result.member_bits) or "(none)")
     )
-    lines.append(f"threads               : {result.run.jobs}")
+    lines.append(f"engine                : {result.run.engine}")
     lines.append(f"extraction runtime    : {result.total_time_s:.3f} s")
     lines.append(f"peak expression terms : {result.run.peak_terms}")
     if result.run.peak_memory_bytes is not None:

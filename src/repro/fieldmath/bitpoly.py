@@ -6,7 +6,7 @@ Bit ``i`` of the integer is the coefficient of ``x^i``:
 'x^4 + x + 1'
 
 All functions are pure and operate on plain ``int`` values, which keeps
-them trivially usable inside multiprocessing workers and benchmark
+them trivially usable inside forked campaign workers and benchmark
 loops.
 """
 

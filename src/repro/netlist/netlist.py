@@ -92,10 +92,10 @@ class _CollectorPause(contextlib.ContextDecorator):
       :data:`GC_PAUSE_BOUND_S`, that holder runs ``gc.collect(0)``
       before returning, and the bound starts over.
     * **Fork safety.**  A child forked while the pause is held (a
-      ``jobs > 1`` rewrite pool, a forked campaign worker) gets a
-      fresh lock, depth 0 and the collector state from before the
-      outermost pause, as if no pause were held.  Leaving a pause
-      the child inherited from its parent changes nothing.
+      forked campaign worker) gets a fresh lock, depth 0 and the
+      collector state from before the outermost pause, as if no pause
+      were held.  Leaving a pause the child inherited from its parent
+      changes nothing.
     """
 
     def __init__(self) -> None:

@@ -1,12 +1,12 @@
-"""Parallel per-output-bit extraction driver.
+"""Per-output-bit extraction driver.
 
 The paper's headline: an n-bit GF multiplier can be reverse engineered
 in n threads, because Theorem 2 makes each output bit's rewriting
-independent.  The C++ original uses 16 hardware threads; in CPython
-threads cannot speed up this CPU-bound workload, so the driver uses a
-``multiprocessing`` pool (fork start method when available, so the
-netlist is shared copy-on-write) and falls back to sequential execution
-for ``jobs=1`` or tiny netlists.
+independent.  The C++ original uses 16 hardware threads.  This port
+rewrites the bits one after another in the calling process: a
+``multiprocessing`` pool over the bits was measured slower than the
+sequential loop on a 2-vCPU host at every field size tried (up to flat
+Mastrovito m=571, see the README), so it was retired.
 
 The result of a run is an :class:`ExtractionRun`: the per-bit canonical
 expressions, per-bit :class:`~repro.rewrite.backward.RewriteStats`
@@ -16,7 +16,6 @@ statistics in the units of Tables I-IV.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
@@ -39,34 +38,6 @@ from repro.engine.registry import DEFAULT_ENGINE
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats
-
-# Worker-global netlist, installed once per process by the initializer.
-_WORKER_NETLIST: Optional[Netlist] = None
-_WORKER_TERM_LIMIT: Optional[int] = None
-_WORKER_ENGINE: str = "reference"
-
-
-def _worker_init(
-    netlist: Netlist, term_limit: Optional[int], engine: str
-) -> None:
-    global _WORKER_NETLIST, _WORKER_TERM_LIMIT, _WORKER_ENGINE
-    _WORKER_NETLIST = netlist
-    _WORKER_TERM_LIMIT = term_limit
-    _WORKER_ENGINE = engine
-    # Precompute the topological order once per worker; it is cached on
-    # the netlist and shared by every cone extraction.
-    netlist.gate_order()
-
-
-def _worker_rewrite(
-    output: str,
-) -> Tuple[str, "ConeExpression", RewriteStats]:
-    assert _WORKER_NETLIST is not None
-    expression, stats = _resolve_engine(_WORKER_ENGINE).rewrite_cone(
-        _WORKER_NETLIST, output, term_limit=_WORKER_TERM_LIMIT
-    )
-    return output, expression, stats
-
 
 def _resolve_engine(engine):
     """Resolve an engine selector (lazy import to avoid a cycle)."""
@@ -122,7 +93,6 @@ class ExtractionRun:
     netlist_name: str
     expressions: Mapping[str, Gf2Poly]
     stats: Dict[str, RewriteStats]
-    jobs: int
     wall_time_s: float
     cpu_time_s: float
     peak_terms: int
@@ -155,15 +125,13 @@ class ExtractionRun:
 
 
 #: Checkpoint hook: called with ``(output, cone, stats)`` as soon as a
-#: bit's rewriting completes (in completion order, from the coordinating
-#: process).  See :mod:`repro.service.jobs`.
+#: bit's rewriting completes.  See :mod:`repro.service.jobs`.
 ResultHook = Callable[[str, "ConeExpression", RewriteStats], None]
 
 
 def extract_expressions(
     netlist: Netlist,
     outputs: Optional[List[str]] = None,
-    jobs: int = 1,
     term_limit: Optional[int] = None,
     measure_memory: bool = False,
     engine: str = DEFAULT_ENGINE,
@@ -173,20 +141,17 @@ def extract_expressions(
 ) -> ExtractionRun:
     """Extract the canonical GF(2) expression of every output bit.
 
-    ``jobs`` is the paper's thread count (its experiments use 16);
-    ``jobs=0`` means one worker per CPU.  ``term_limit`` bounds the
-    intermediate expression size per bit, converting runaway runs into
+    ``term_limit`` bounds the intermediate expression size per bit,
+    converting runaway runs into
     :class:`~repro.rewrite.backward.TermLimitExceeded` — the paper's
     "MO" outcome.  ``measure_memory`` additionally tracks the
-    ``tracemalloc`` peak (sequential runs only; it measures this
-    process).  ``engine`` selects the rewriting backend (see
-    :mod:`repro.engine`); results are backend-independent.
+    ``tracemalloc`` peak.  ``engine`` selects the rewriting backend
+    (see :mod:`repro.engine`); results are backend-independent.
 
     ``on_result`` is the checkpoint hook of :mod:`repro.service.jobs`:
-    it fires in the coordinating process the moment each bit finishes
-    (completion order, not bit order), so a killed run loses at most
-    the bits still in flight.  The returned run is independent of the
-    hook and of completion order.
+    it fires the moment each bit finishes, so a killed run loses at
+    most the bit in flight.  The returned run is independent of the
+    hook.
 
     ``cache`` (a :class:`repro.service.cache.ResultCache`) serves the
     per-cone tier: the requested outputs are partitioned by Merkle
@@ -194,24 +159,18 @@ def extract_expressions(
     cached bits are served under a ``cone.cached`` span, only the dirty
     ones are rewritten and stored back — Theorem 1 makes the entries
     engine-neutral — and the run, bit-identical to a cold one, carries
-    per-bit :attr:`ExtractionRun.cache_provenance`.  The dirty cones'
-    one-time compile then runs in the coordinating process before any
-    rewriting, so forked workers inherit the program copy-on-write.
+    per-bit :attr:`ExtractionRun.cache_provenance`.
 
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
-    run is one ``extract`` span; engine ``compile``/``cone`` spans
-    nest under it, and ``measure_memory`` rides on the span's
+    run is one ``extract`` span; the engine's one-time ``compile``
+    span and its per-bit ``cone`` spans are its children, and ``measure_memory`` rides on the span's
     tracemalloc handling — nested-measurement safe, stopped even when
     a bit raises.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    jobs = max(1, min(jobs, len(chosen)))
     backend = _resolve_engine(engine)
 
-    tracking = measure_memory and jobs == 1
     tel = _telemetry.resolve(telemetry)
     results: List[Tuple[str, "ConeExpression", RewriteStats]] = []
     # The span is the timed region: engines deep below resolve the
@@ -219,11 +178,10 @@ def extract_expressions(
     # the span (nested-measurement safe, stopped even on a raise).
     with _telemetry.use(tel), tel.span(
         "extract",
-        memory=tracking,
+        memory=measure_memory,
         netlist=netlist.name,
         engine=backend.name,
         bits=len(chosen),
-        jobs=jobs,
     ) as span:
         started_cpu = time.process_time()
 
@@ -267,7 +225,6 @@ def extract_expressions(
                         results.append((output, cone, stats))
                         if on_result is not None:
                             on_result(output, cone, stats)
-            jobs = max(1, min(jobs, len(dirty)))
 
         # Backward rewriting of a bit only ever consults its own
         # transitive fan-in (Theorem 2), so when the cache served part
@@ -281,16 +238,11 @@ def extract_expressions(
         if hit_outputs and dirty:
             work = netlist.restrict(dirty)
 
-        if cache is not None and dirty:
-            # Compile inside the timed region and in the *coordinating*
-            # process, so forked workers inherit the program
-            # copy-on-write.  A fully cone-cached run skips the
-            # compile entirely — that is the warm ECO path.
+        if dirty:
+            # The one-time compile gets its own span, a sibling of the
+            # first ``cone`` rather than a child of it.  A fully
+            # cone-cached run skips it: that is the warm ECO path.
             backend.prepare(work)
-
-        if not dirty:
-            pass  # every requested cone was served from the cache
-        elif jobs == 1:
             work.gate_order()
             for output in dirty:
                 expression, stats = backend.rewrite_cone(
@@ -299,36 +251,6 @@ def extract_expressions(
                 results.append((output, expression, stats))
                 if on_result is not None:
                     on_result(output, expression, stats)
-        else:
-            # Workers re-resolve the backend from its registry name, so
-            # an injected instance that the registry does not resolve
-            # back to would be silently replaced — reject that instead.
-            from repro.engine import EngineError, get_engine
-
-            try:
-                registered = get_engine(backend.name)
-            except EngineError:
-                registered = None
-            if registered is not backend:
-                raise EngineError(
-                    f"engine {backend!r} is not resolvable from the "
-                    f"registry by name; register_engine() it (or pass "
-                    f"the registered name) to use jobs > 1"
-                )
-            context = _pool_context()
-            with context.Pool(
-                processes=jobs,
-                initializer=_worker_init,
-                initargs=(work, term_limit, backend.name),
-            ) as pool:
-                # Unordered iteration so the checkpoint hook observes
-                # each completion as it happens; re-sorted to the
-                # requested output order below for deterministic run
-                # composition.
-                for item in pool.imap_unordered(_worker_rewrite, dirty):
-                    results.append(item)
-                    if on_result is not None:
-                        on_result(*item)
 
         if cone_digests is not None and dirty:
             # Store back what this run actually rewrote, in the
@@ -350,14 +272,13 @@ def extract_expressions(
                     compile_schema=schema,
                 )
 
-        # Deterministic composition regardless of hit/dirty interleave
-        # and pool completion order.
+        # Deterministic composition regardless of hit/dirty interleave.
         position = {output: idx for idx, output in enumerate(chosen)}
         results.sort(key=lambda item: position[item[0]])
 
         wall = span.elapsed()
         cpu = time.process_time() - started_cpu
-    peak_memory = span.peak_bytes if tracking else None
+    peak_memory = span.peak_bytes if measure_memory else None
 
     # Decode boundary: the run's expressions read as Gf2Poly but are
     # decoded lazily from the backend-native cones, which Algorithm 2
@@ -378,7 +299,6 @@ def extract_expressions(
         netlist_name=netlist.name,
         expressions=expressions,
         stats=stats,
-        jobs=jobs,
         wall_time_s=wall,
         cpu_time_s=cpu,
         peak_terms=max((st.peak_terms for st in stats.values()), default=0),
@@ -388,16 +308,3 @@ def extract_expressions(
         cache_provenance=provenance,
     )
 
-
-def _pool_context():
-    """Prefer fork (copy-on-write netlist sharing) where available.
-
-    ``multiprocessing`` is imported here, on the ``jobs>1`` path, so a
-    sequential run never loads it.
-    """
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()

@@ -65,12 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry as _telemetry
-from repro.engine import (
-    DEFAULT_ENGINE,
-    EngineError,
-    available_engines,
-    engine_availability,
-)
+from repro.engine import DEFAULT_ENGINE, registered_engines
 from repro.netlist.netlist import GC_PAUSE
 from repro.service.cache import KINDS, ResultCache
 from repro.service.pipeline import (
@@ -85,7 +80,6 @@ from repro.service.resilience import (
     RetryPolicy,
     engine_ladder,
     run_supervised,
-    select_engine,
 )
 
 #: Submission payloads above this size are rejected outright.
@@ -183,7 +177,6 @@ class ReproAPIServer:
         port: int = 8017,
         cache: Optional[ResultCache] = None,
         engine: str = DEFAULT_ENGINE,
-        jobs: int = 1,
         worker_threads: int = 2,
         telemetry: Optional[_telemetry.Telemetry] = None,
         max_queue: int = MAX_QUEUE_DEPTH,
@@ -192,7 +185,6 @@ class ReproAPIServer:
     ):
         self.cache = cache if cache is not None else ResultCache()
         self.engine = engine
-        self.jobs = jobs
         #: Per-job supervision policy (attempt budget + backoff) and
         #: whether the engine ladder applies by default (a submission
         #: may override with ``"fallback": true/false``).
@@ -289,8 +281,6 @@ class ReproAPIServer:
         netlist,
         mode: str,
         engine: str,
-        engine_used: Optional[str] = None,
-        fallback_reason: Optional[str] = None,
         fallback: Optional[bool] = None,
         baseline_fingerprint: Optional[str] = None,
     ) -> Job:
@@ -307,8 +297,6 @@ class ReproAPIServer:
                 mode=mode,
                 engine=engine,
                 fingerprint=fingerprint,
-                engine_used=engine_used,
-                fallback_reason=fallback_reason,
                 fallback=self.fallback if fallback is None else fallback,
                 baseline_fingerprint=baseline_fingerprint,
             )
@@ -415,13 +403,10 @@ class ReproAPIServer:
                 job.fingerprint,
                 self.cache,
                 engine=engine,
-                jobs=self.jobs,
                 progress=advance,
             )
 
-        ladder = engine_ladder(
-            job.engine_used or job.engine, fallback=job.fallback
-        )
+        ladder = engine_ladder(job.engine, fallback=job.fallback)
         with _telemetry.use(self.telemetry), self.telemetry.span(
             "job",
             job_id=job.job_id,
@@ -440,10 +425,7 @@ class ReproAPIServer:
                 job.result = _summary(job.mode, outcome.value)
                 job.cones_reused = outcome.value.cones_reused
                 job.engine_used = outcome.engine_used
-                if outcome.fallback_reason is not None:
-                    job.fallback_reason = (
-                        job.fallback_reason or outcome.fallback_reason
-                    )
+                job.fallback_reason = outcome.fallback_reason
                 if outcome.attempts > 1:
                     job.attempts = outcome.attempts
                 job.status = "done"
@@ -535,14 +517,7 @@ class ReproAPIServer:
         cache_stats = self.cache.stats()
         return {
             "engine": self.engine,
-            "engines_available": sorted(available_engines()),
-            # Registered-but-unusable backends with the probe's reason;
-            # usable ones map to None.
-            "engines_unavailable": {
-                name: reason
-                for name, reason in sorted(engine_availability().items())
-                if reason is not None
-            },
+            "engines_available": list(registered_engines()),
             "cache": {
                 "root": cache_stats.root,
                 "entries": cache_stats.entries,
@@ -778,31 +753,9 @@ def _make_handler(server: "ReproAPIServer"):
             if baseline is not None and not isinstance(baseline, str):
                 self._error(400, "'baseline_fingerprint' must be a string")
                 return
-            engine_used = None
-            fallback_reason = None
-            if engine not in available_engines():
-                if fallback:
-                    try:
-                        engine_used, fallback_reason = select_engine(
-                            engine, fallback=True
-                        )
-                    except EngineError as error:
-                        self._error(400, str(error))
-                        return
-                else:
-                    # Distinguish "no such backend" from "registered
-                    # but its dependency is missing" — the latter
-                    # names the fix (install it or pick another
-                    # engine).
-                    reason = engine_availability().get(engine)
-                    if reason is not None:
-                        self._error(
-                            400,
-                            f"engine {engine!r} is unavailable: {reason}",
-                        )
-                    else:
-                        self._error(400, f"unknown engine {engine!r}")
-                    return
+            if engine not in registered_engines():
+                self._error(400, f"unknown engine {engine!r}")
+                return
             try:
                 netlist = NETLIST_PARSERS[fmt](text)
             except Exception as error:  # noqa: BLE001 - surface parse errors
@@ -816,8 +769,6 @@ def _make_handler(server: "ReproAPIServer"):
                     netlist,
                     mode=mode,
                     engine=engine,
-                    engine_used=engine_used,
-                    fallback_reason=fallback_reason,
                     fallback=fallback,
                     baseline_fingerprint=baseline,
                 )
@@ -872,7 +823,6 @@ def serve(
     port: int = 8017,
     cache_dir: Optional[str] = None,
     engine: str = DEFAULT_ENGINE,
-    jobs: int = 1,
     worker_threads: int = 2,
     telemetry: Optional[_telemetry.Telemetry] = None,
     max_queue: int = MAX_QUEUE_DEPTH,
@@ -896,7 +846,6 @@ def serve(
         port=port,
         cache=cache,
         engine=engine,
-        jobs=jobs,
         worker_threads=worker_threads,
         telemetry=telemetry,
         max_queue=max_queue,

@@ -193,7 +193,6 @@ def encode_extraction_run(run: ExtractionRun) -> Dict[str, Any]:
     cones = run.cones
     return {
         "netlist_name": run.netlist_name,
-        "jobs": run.jobs,
         "wall_time_s": run.wall_time_s,
         "cpu_time_s": run.cpu_time_s,
         "peak_terms": run.peak_terms,
@@ -254,7 +253,6 @@ def decode_extraction_run(data: Dict[str, Any]) -> ExtractionRun:
             output: stats_from_json(stats)
             for output, stats in data["stats"].items()
         },
-        jobs=data["jobs"],
         wall_time_s=data["wall_time_s"],
         cpu_time_s=data["cpu_time_s"],
         peak_terms=data["peak_terms"],

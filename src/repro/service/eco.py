@@ -243,9 +243,11 @@ def eco_reverify(
     edited_path: PathLike,
     cache: ResultCache,
     engine: str = DEFAULT_ENGINE,
+    # perfbench/worker.py still passes ``jobs=1`` and ``fused``; both go
+    # with the benchmark change that retires its ``cold-fused`` workload.
     jobs: int = 1,
     term_limit: Optional[int] = None,
-    fused: bool = False,  # ignored; perfbench/worker.py still passes it
+    fused: bool = False,
     audit: bool = True,
     diagnose_on_failure: bool = True,
     telemetry: Optional["_telemetry.Telemetry"] = None,
@@ -266,9 +268,11 @@ def eco_reverify(
     """
     from repro.fieldmath.bitpoly import bitpoly_str
 
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     tel = _telemetry.resolve(telemetry)
     started = time.perf_counter()
-    options = dict(engine=engine, jobs=jobs, term_limit=term_limit)
+    options = dict(engine=engine, term_limit=term_limit)
     with _telemetry.use(tel):
         base = _fingerprint(baseline_path, cache)
         edit = _fingerprint(edited_path, cache)

@@ -20,7 +20,7 @@ started under one backend resumes under any other.
 
 The flow::
 
-    run = checkpointed_extract(netlist, jobs=4, engine="bitpack",
+    run = checkpointed_extract(netlist, engine="bitpack",
                                checkpoint_dir=cache.jobs_dir())
     # ... killed at bit 17/32?  Run the same call again: bits 0..16
     # load from the checkpoint, 17..31 are computed, and the
@@ -242,7 +242,6 @@ class CheckpointedExtraction:
 def checkpointed_extract(
     netlist: Netlist,
     outputs: Optional[List[str]] = None,
-    jobs: int = 1,
     term_limit: Optional[int] = None,
     engine: str = DEFAULT_ENGINE,
     checkpoint_path: Optional[Union[str, os.PathLike]] = None,
@@ -329,7 +328,6 @@ def checkpointed_extract(
         fresh = extract_expressions(
             netlist,
             outputs=remaining,
-            jobs=jobs,
             term_limit=term_limit,
             engine=engine,
             on_result=persist,
@@ -340,11 +338,9 @@ def checkpointed_extract(
         stats.update(fresh.stats)
         provenance.update(fresh.cache_provenance)
         wall, cpu = fresh.wall_time_s, fresh.cpu_time_s
-        run_jobs = fresh.jobs
         run_engine = fresh.engine
     else:
         wall = cpu = 0.0
-        run_jobs = max(1, min(jobs if jobs else 1, len(chosen)))
         run_engine = engine
 
     ordered_cones = {output: cones[output] for output in chosen}
@@ -353,7 +349,6 @@ def checkpointed_extract(
         netlist_name=netlist.name,
         expressions=LazyExpressions(ordered_cones),
         stats=ordered_stats,
-        jobs=run_jobs,
         wall_time_s=wall,
         cpu_time_s=cpu,
         peak_terms=max(

@@ -110,7 +110,6 @@ def run_mode(
     cache,
     *,
     engine: str,
-    jobs: int = 1,
     term_limit: Optional[int] = None,
     checkpoint: bool = False,
     deadline=None,
@@ -149,7 +148,7 @@ def run_mode(
         if diagnosis is not None:
             outcome.cache = "hit"
         else:
-            diagnosis = diagnose(load(), jobs=jobs, engine=engine, cache=cache)
+            diagnosis = diagnose(load(), engine=engine, cache=cache)
             if cache is not None:
                 cache.put_diagnosis(fingerprint, diagnosis)
                 if diagnosis.extraction is not None:
@@ -169,7 +168,6 @@ def run_mode(
         m = multiplier_field_size(netlist)
         options = dict(
             outputs=[f"z{i}" for i in range(m)],
-            jobs=jobs,
             engine=engine,
             term_limit=term_limit,
             cache=cache,

@@ -27,13 +27,11 @@ Three primitives, composed by :func:`run_supervised`:
     every rung and attempt is exhausted — the caller records the
     poison unit and *keeps going* instead of killing the run.
 
-Engine degradation has two moments: **startup** (the requested backend
-is registered but unusable — :func:`select_engine` walks the
-:data:`~repro.engine.registry.FALLBACK_LADDER` for the first usable
-rung and reports why) and **runtime** (a backend blows up mid-attempt
-with an engine-shaped error — the loop moves down the ladder).  Every
-rung is bit-identical by the differential contract, so degradation
-trades speed, never answers.
+Engine degradation happens at run time: when a backend blows up
+mid-attempt with an engine-shaped error, the loop moves down the
+:data:`~repro.engine.registry.FALLBACK_LADDER` (:func:`engine_ladder`)
+and records why.  Every rung is bit-identical by the differential
+contract, so degradation trades speed, never answers.
 """
 
 from __future__ import annotations
@@ -45,12 +43,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.engine import (
-    EngineError,
-    engine_availability,
-    fallback_chain,
-    get_engine,
-)
+from repro.engine import EngineError, fallback_chain, registered_engines
 from repro.telemetry import Telemetry, current as current_telemetry
 
 #: OSError subclasses that are deterministic facts about the
@@ -237,58 +230,24 @@ class Deadline:
             raise DeadlineExceeded(self.exceeded)
 
 
-def select_engine(
-    engine: Optional[str], fallback: bool = False
-) -> Tuple[str, Optional[str]]:
-    """Resolve ``engine`` against availability, optionally degrading.
-
-    Returns ``(engine_used, fallback_reason)``.  With ``fallback``
-    off (or the engine usable) this is a pass-through that raises the
-    registry's canonical errors — "unknown engine" and "unavailable:
-    <reason>" stay byte-for-byte what they were.  With ``fallback``
-    on, a registered-but-unusable engine degrades to the first usable
-    rung below it on the ladder, and the reason records what was
-    skipped.
-    """
-    from repro.engine.registry import DEFAULT_ENGINE
-
-    name = engine or DEFAULT_ENGINE
-    availability = engine_availability()
-    if name not in availability or availability[name] is None:
-        if name not in availability:
-            get_engine(name)  # canonical "unknown engine" error
-        return name, None
-    if not fallback:
-        get_engine(name)  # canonical "unavailable: <reason>" error
-    reason = availability[name]
-    for candidate in fallback_chain(name)[1:]:
-        if availability.get(candidate, "unregistered") is None:
-            return candidate, f"engine {name!r} unavailable: {reason}"
-    get_engine(name)  # nothing usable below either; canonical error
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def engine_ladder(engine: Optional[str], fallback: bool = False) -> Tuple[str, ...]:
     """The runtime degradation ladder to hand :func:`run_supervised`.
 
     Without fallback the ladder is just the engine itself.  With it,
-    the chain below ``engine`` filtered to currently-usable rungs
-    (availability can only improve mid-run, and a rung that fails at
-    runtime is skipped by the loop anyway).
+    the chain below ``engine`` filtered to registered rungs (a rung
+    that fails at runtime is skipped by the loop anyway).
     """
     from repro.engine.registry import DEFAULT_ENGINE
 
     name = engine or DEFAULT_ENGINE
     if not fallback:
         return (name,)
-    availability = engine_availability()
-    chain = tuple(
+    registered = registered_engines()
+    return tuple(
         candidate
         for candidate in fallback_chain(name)
-        if candidate == name
-        or availability.get(candidate, "unregistered") is None
+        if candidate == name or candidate in registered
     )
-    return chain or (name,)
 
 
 @dataclass

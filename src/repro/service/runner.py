@@ -13,8 +13,8 @@ composes the rest of the service layer:
   resumes mid-netlist, not just mid-directory;
 * netlists are sharded over *supervised* worker processes
   (``workers`` forked processes, one per in-flight netlist; each
-  extraction then runs its own per-bit shards with ``jobs`` workers —
-  keep ``workers * jobs`` near the core count);
+  extraction rewrites its output bits one after another in its
+  worker);
 * report lines are appended as results arrive, so a killed campaign
   leaves a valid JSONL prefix.
 
@@ -22,7 +22,7 @@ composes the rest of the service layer:
 :mod:`repro.service.resilience` tier: a :class:`RetryPolicy` retries
 transient failures (with exponential backoff and seeded jitter), a
 :class:`Deadline` bounds wall time and RSS, and with ``fallback=True``
-an unusable or failing engine degrades down the registry ladder —
+an engine that fails at run time degrades down the registry ladder —
 recorded per-record as ``engine_used``/``fallback_reason``.  The
 multi-worker scheduler is process-per-task with a result pipe per
 worker: a worker that dies (SIGKILL, OOM, injected
@@ -66,7 +66,6 @@ from repro.service.resilience import (
     RetryPolicy,
     engine_ladder,
     run_supervised,
-    select_engine,
 )
 
 PathLike = Union[str, os.PathLike]
@@ -126,7 +125,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     policy, engine failures walk the fallback ladder when enabled, and
     an exhausted budget yields a ``status: "quarantined"`` record with
     a structured reason.  Deterministic failures (parse errors,
-    term-limit verdicts, unavailable engine without fallback) keep
+    term-limit verdicts, a failing engine without fallback) keep
     their single-attempt ``status: "error"`` record, whose ``cache``
     is ``miss`` whenever a cache is configured.  The whole call runs
     under :data:`~repro.netlist.netlist.GC_PAUSE`.
@@ -136,17 +135,8 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     path = Path(task["path"])
     mode = task["mode"]
     engine = task["engine"]
-    jobs = task["jobs"]
     fallback = bool(task.get("fallback"))
     policy: RetryPolicy = task.get("retry_policy") or RetryPolicy()
-    if jobs != 1:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            # Inside the shared campaign pool: daemonic workers cannot
-            # spawn a nested per-bit pool, so the netlist-level sharding
-            # *is* the parallelism and each extraction runs sequentially.
-            jobs = 1
     started = time.perf_counter()
     record: Dict[str, Any] = {
         "path": str(path),
@@ -177,12 +167,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         if path.suffix not in NETLIST_READERS:
             raise CampaignError(f"unknown netlist format {path.suffix!r}")
 
-        # Startup degradation: a registered-but-unusable engine walks
-        # the ladder here (recording why); without fallback this
-        # raises the registry's canonical "unavailable" error into
-        # the plain-error path below, unchanged.
-        engine_used, startup_reason = select_engine(engine, fallback=fallback)
-        ladder = engine_ladder(engine_used, fallback=fallback)
+        ladder = engine_ladder(engine, fallback=fallback)
 
         # A warm rerun whose file stat matches the fingerprint memo
         # never parses the netlist unless something must be computed.
@@ -205,7 +190,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 source.fingerprint,
                 cache,
                 engine=eng,
-                jobs=jobs,
                 term_limit=task["term_limit"],
                 checkpoint=task["checkpoint"],
                 deadline=deadline if deadline.armed else None,
@@ -224,9 +208,8 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 label=path.stem,
             )
         record["engine_used"] = supervised.engine_used
-        reason = startup_reason or supervised.fallback_reason
-        if reason is not None:
-            record["fallback_reason"] = reason
+        if supervised.fallback_reason is not None:
+            record["fallback_reason"] = supervised.fallback_reason
         if supervised.attempts > 1:
             record["attempts"] = supervised.attempts
     except Quarantined as poison:
@@ -346,13 +329,15 @@ class CampaignRunner:
         self,
         mode: str = "audit",
         engine: str = DEFAULT_ENGINE,
+        # perfbench/worker.py still passes ``jobs=1`` and ``fused``; both go
+        # with the benchmark change that retires its ``cold-fused`` workload.
         jobs: int = 1,
         workers: int = 1,
         term_limit: Optional[int] = None,
         cache_dir: Optional[PathLike] = None,
         use_cache: bool = True,
         checkpoint: bool = True,
-        fused: bool = False,  # ignored; perfbench/worker.py still passes it
+        fused: bool = False,
         telemetry: Optional["_telemetry.Telemetry"] = None,
         retry_policy: Optional[RetryPolicy] = None,
         retries: Optional[int] = None,
@@ -362,17 +347,17 @@ class CampaignRunner:
     ):
         if mode not in MODES:
             raise ValueError(f"unknown campaign mode {mode!r}")
+        if jobs != 1:
+            raise ValueError(f"jobs must be 1, got {jobs!r}")
         if engine not in registered_engines():
             # A name no engine answers to is a configuration error, not
-            # a per-netlist failure; an unusable engine still reaches
-            # the netlists, where the fallback ladder can apply.
+            # a per-netlist failure.
             get_engine(engine)  # canonical "unknown engine" error
         self.mode = mode
         #: Telemetry registry campaign spans/counters report to
         #: (default: the active one at :meth:`run` time).
         self.telemetry = telemetry
         self.engine = engine
-        self.jobs = jobs
         self.workers = max(1, workers)
         self.term_limit = term_limit
         #: Per-netlist supervision: attempt budget/backoff (``retries``
@@ -404,7 +389,6 @@ class CampaignRunner:
             "path": str(path),
             "mode": self.mode,
             "engine": self.engine,
-            "jobs": self.jobs,
             "term_limit": self.term_limit,
             "cache_dir": self.cache_dir,
             "checkpoint": self.checkpoint,

@@ -45,26 +45,32 @@ def netlists_equivalent(
 
 
 #: The engine the ``unusable_engine`` fixture registers, and the
-#: reason its availability probe reports.
+#: message of the ``EngineError`` its every rewrite raises.
 UNUSABLE_ENGINE = "unusable-test"
 UNUSABLE_REASON = "the flux capacitor is not installed"
 
 
 @pytest.fixture
 def unusable_engine():
-    """Register an engine whose probe reports it unusable.
+    """Register an engine that fails at run time.
 
-    Listing, resolving and the fallback ladder all see it as registered
-    but unusable, as for a backend whose dependency is missing; yields
+    It is a :class:`BitpackEngine` whose ``rewrite_cone`` raises
+    ``EngineError(UNUSABLE_REASON)``, as a backend that breaks
+    mid-job; the fallback ladder degrades it to ``bitpack``.  Yields
     its name and unregisters it afterwards.
     """
-    from repro.engine import BitpackEngine, register_engine, registry
+    from repro.engine import BitpackEngine, EngineError, register_engine
+    from repro.engine import registry
 
-    register_engine(
-        UNUSABLE_ENGINE, BitpackEngine, probe=lambda: UNUSABLE_REASON
-    )
+    class Unusable(BitpackEngine):
+        name = UNUSABLE_ENGINE
+
+        def rewrite_cone(self, *args, **kwargs):
+            raise EngineError(UNUSABLE_REASON)
+
+    register_engine(UNUSABLE_ENGINE, Unusable)
     yield UNUSABLE_ENGINE
-    for table in (registry._FACTORIES, registry._PROBES, registry._INSTANCES):
+    for table in (registry._FACTORIES, registry._INSTANCES):
         table.pop(UNUSABLE_ENGINE, None)
 
 

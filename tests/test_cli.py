@@ -61,9 +61,33 @@ class TestAudit:
         assert "EQUIVALENT" in out
 
     def test_audit_jobs_flag(self, tmp_path, capsys):
+        """The per-bit pool is retired: ``--jobs`` no longer parses."""
         path = tmp_path / "mult.eqn"
         main(["gen", "--p", "x^4+x+1", "-o", str(path)])
-        assert main(["audit", str(path), "--jobs", "2"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as caught:
+            main(["audit", str(path), "--jobs", "2"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extract", "m.eqn"],
+        ["audit", "m.eqn"],
+        ["eco", "base.eqn", "edit.eqn"],
+        ["diagnose", "m.eqn"],
+        ["batch", "designs"],
+        ["serve"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_flag_is_an_argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(argv + ["--jobs", "2"])
+    assert caught.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestSynth:

@@ -6,8 +6,8 @@ how long loading took, so they are deterministic on any host:
 * the service readiness probe (``perfbench/ready.py``) and ``import
   repro.cli`` load no numpy, no ``multiprocessing``, no HTTP server,
   no synthesis, baselines or analysis, and no netlist generator — and
-  the deferred ``jobs=2`` pool still works in the same interpreter
-  afterwards;
+  an extraction in the same interpreter afterwards still loads no
+  ``multiprocessing``;
 * the result cache loads no extract module and the HTTP API no BLIF
   or Verilog parser until a request needs one;
 * every package that re-exports lazily (PEP 562) resolves each
@@ -55,11 +55,9 @@ AFTERWARDS = textwrap.dedent(
     from repro.gen.montgomery import generate_montgomery
 
     netlist = generate_montgomery(0b10011)
-    pooled = extract_irreducible_polynomial(
-        netlist, jobs=2, engine="bitpack"
-    )
-    assert pooled.polynomial_str == "x^4 + x + 1", pooled.polynomial_str
-    assert "multiprocessing" in sys.modules
+    result = extract_irreducible_polynomial(netlist)
+    assert result.polynomial_str == "x^4 + x + 1", result.polynomial_str
+    assert "multiprocessing" not in sys.modules
     print("AFTERWARDS OK")
     """
 )

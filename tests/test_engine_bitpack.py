@@ -10,6 +10,7 @@ cross-backend equivalence properties live in
 import pytest
 
 from repro.engine import (
+    DEFAULT_ENGINE,
     BitpackEngine,
     ConeExpression,
     Engine,
@@ -17,10 +18,10 @@ from repro.engine import (
     PackedExpression,
     ReferenceEngine,
     SignalInterner,
-    available_engines,
     engine_name,
     get_engine,
     register_engine,
+    registered_engines,
 )
 from repro.engine.registry import _FACTORIES, _INSTANCES
 from repro.extract.extractor import extract_irreducible_polynomial
@@ -75,14 +76,15 @@ class TestSignalInterner:
 
 class TestRegistry:
     def test_builtins_available(self):
-        assert "reference" in available_engines()
-        assert "bitpack" in available_engines()
+        assert "reference" in registered_engines()
+        assert "bitpack" in registered_engines()
 
     def test_get_engine_is_singleton(self):
         assert get_engine("bitpack") is get_engine("bitpack")
 
     def test_get_engine_default(self):
-        assert get_engine(None).name == "reference"
+        assert DEFAULT_ENGINE == "bitpack"
+        assert get_engine(None).name == "bitpack"
 
     def test_unknown_engine_raises(self):
         with pytest.raises(EngineError, match="unknown engine"):
@@ -93,7 +95,7 @@ class TestRegistry:
         assert get_engine(engine) is engine
 
     def test_engine_name_resolution(self):
-        assert engine_name(None) == "reference"
+        assert engine_name(None) == "bitpack"
         assert engine_name("bitpack") == "bitpack"
         assert engine_name(ReferenceEngine()) == "reference"
 
@@ -108,7 +110,7 @@ class TestRegistry:
         register_engine("custom-test", Custom)
         try:
             assert isinstance(get_engine("custom-test"), Custom)
-            assert "custom-test" in available_engines()
+            assert "custom-test" in registered_engines()
         finally:
             _FACTORIES.pop("custom-test", None)
             _INSTANCES.pop("custom-test", None)
@@ -269,22 +271,6 @@ class TestEngineSelectionAPIs:
         engine = BitpackEngine()
         poly, _ = backward_rewrite(netlist, "z0", engine=engine)
         assert poly == backward_rewrite(netlist, "z0")[0]
-
-    def test_unregistered_instance_rejected_for_parallel_jobs(self):
-        """jobs > 1 workers resolve engines by name — an instance the
-        registry cannot resolve back must fail loudly, not be swapped
-        for the registered builtin."""
-        from repro.rewrite.parallel import extract_expressions
-
-        class Tweaked(BitpackEngine):
-            pass  # same name, different (unregistered) instance
-
-        netlist = generate_mastrovito(0b1011)
-        with pytest.raises(EngineError, match="register_engine"):
-            extract_expressions(netlist, jobs=2, engine=Tweaked())
-        # jobs=1 keeps accepting ad-hoc instances.
-        run = extract_expressions(netlist, jobs=1, engine=Tweaked())
-        assert run.engine == "bitpack"
 
     def test_verify_multiplier_validates_engine(self):
         from repro.extract.verify import verify_multiplier

@@ -29,6 +29,7 @@ from repro.gen.montgomery import generate_montgomery
 from repro.gen.random_logic import generate_random_netlist
 from repro.gen.schoolbook import generate_schoolbook
 from repro.rewrite.backward import BackwardRewriteError, backward_rewrite
+from repro.rewrite.parallel import extract_expressions
 from repro.synth.pipeline import synthesize
 
 GENERATORS = {
@@ -144,15 +145,24 @@ def test_faulty_netlists_identical(m, seed):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(jobs=st.sampled_from([1, 2, 3]), m=st.integers(2, 5))
-def test_parallel_bitpack_identical(jobs, m):
-    """Theorem 2 holds per backend: any worker count, same answer."""
+@given(m=st.integers(2, 5), data=st.data())
+def test_parallel_bitpack_identical(m, data):
+    """Theorem 2 holds per backend: each bit is independent (so the
+    bits could run in parallel), so any subset of outputs in any order
+    gives each bit the expression of the full run."""
     netlist = generate_mastrovito(default_irreducible(m))
-    result = extract_irreducible_polynomial(
-        netlist, jobs=jobs, engine="bitpack"
+    full = extract_irreducible_polynomial(netlist, engine="bitpack")
+    assert full.modulus == default_irreducible(m)
+    assert full.run.engine == "bitpack"
+    outputs = data.draw(
+        st.lists(
+            st.sampled_from(list(netlist.outputs)), min_size=1, unique=True
+        )
     )
-    assert result.modulus == default_irreducible(m)
-    assert result.run.engine == "bitpack"
+    part = extract_expressions(netlist, outputs=outputs, engine="bitpack")
+    assert list(part.expressions) == outputs
+    for output in outputs:
+        assert part.expressions[output] == full.run.expressions[output]
 
 
 def test_incomplete_cone_fails_identically():

@@ -316,8 +316,8 @@ class TestWithoutNumpy:
             for cached in [m for m in sys.modules if m.startswith("numpy")]:
                 del sys.modules[cached]
 
-            from repro.engine import available_engines
-            assert set(available_engines()) == {
+            from repro.engine import registered_engines
+            assert set(registered_engines()) == {
                 "bitpack", "reference", "vector"
             }
 

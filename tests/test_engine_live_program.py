@@ -3,7 +3,7 @@
 ``bitpack`` and ``vector`` compile the memoized strash that
 the fingerprint already built; only ``reference`` walks raw gates.
 These tests pin what follows from that: bitpack's program is complete
-at compile time, so forked workers share it as built, and a broken
+at compile time, so every cone reads it as built, and a broken
 strash recognition shows up as a wrong answer instead of going
 unnoticed.
 """
@@ -78,7 +78,8 @@ class TestStrashMutantsBite:
         monkeypatch.setattr(Aig, "_detect_xor_mux", flipped)
         disagreements = 0
         for netlist in zoo_netlists():
-            expected = extract_expressions(netlist)  # reference: raw gates
+            # reference: raw gates
+            expected = extract_expressions(netlist, engine="reference")
             run = extract_expressions(netlist, engine=engine)
             disagreements += dict(run.expressions.items()) != dict(
                 expected.expressions.items()

@@ -1,18 +1,15 @@
-"""The availability-probed engine registry's diagnostics contract.
+"""The engine registry's contract.
 
-An engine with an optional dependency is always *registered*, listed
-as unavailable with a concrete reason when the dependency is missing,
-and resolving it then fails with that reason — never with "unknown
-engine".  The tests register their own unusable engine (the
-``unusable_engine`` fixture of ``conftest.py``) so the contract is
-checked on every host, whatever it has installed.
+Every registered engine is listed and resolves: there are no startup
+availability probes.  An engine that breaks does so at run time, with
+its own error (the ``unusable_engine`` fixture of ``conftest.py``
+registers one), and only a name nobody registered is "unknown".
 """
 
 import pytest
 
 from repro.engine import (
     EngineError,
-    available_engines,
     engine_availability,
     get_engine,
     registered_engines,
@@ -27,17 +24,19 @@ class TestRegistryDiagnostics:
 
     def test_unusable_engine_is_registered(self, unusable_engine):
         assert unusable_engine in registered_engines()
-        assert unusable_engine in engine_availability()
-
-    def test_availability_reason_is_listed(self, unusable_engine):
-        assert engine_availability()[unusable_engine] == REASON
-        assert unusable_engine not in available_engines()
+        # Kept for perfbench/ready.py: every registered name maps to None.
+        assert engine_availability() == {
+            name: None for name in registered_engines()
+        }
 
     def test_resolving_unusable_engine_names_the_reason(self, unusable_engine):
+        """Resolution succeeds; the engine's own error surfaces when it
+        runs, never "unknown engine"."""
+        engine = get_engine(unusable_engine)
         with pytest.raises(EngineError) as caught:
-            get_engine(unusable_engine)
+            engine.rewrite_cone(generate_mastrovito(0b10011), "z0")
         message = str(caught.value)
-        assert message == f"engine {unusable_engine!r} is unavailable: {REASON}"
+        assert message == REASON
         assert "unknown engine" not in message
 
     def test_unknown_name_still_says_unknown(self):
@@ -58,11 +57,28 @@ class TestRegistryDiagnostics:
 
         path = tmp_path / "m4.eqn"
         write_eqn(generate_mastrovito(0b10011), path)
-        with pytest.raises(SystemExit) as caught:
+        with pytest.raises(EngineError, match=REASON):
             main(["extract", str(path), "--engine", unusable_engine])
-        assert str(caught.value) == (
-            f"engine {unusable_engine!r} is unavailable: {REASON}"
+
+    @pytest.mark.parametrize("command", ["extract", "audit", "diagnose"])
+    def test_cli_fallback_degrades_at_run_time(
+        self, tmp_path, capsys, unusable_engine, command
+    ):
+        from repro.cli import main
+        from repro.netlist.eqn_io import write_eqn
+
+        path = tmp_path / "m4.eqn"
+        write_eqn(generate_mastrovito(0b10011), path)
+        code = main(
+            [command, str(path), "--engine", unusable_engine, "--fallback"]
         )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "x^4 + x + 1" in captured.out
+        assert (
+            f"warning: engine {unusable_engine!r} failed: EngineError: "
+            f"{REASON}; using engine 'bitpack'"
+        ) in captured.err
 
 
 class TestRetiredAigName:

@@ -32,7 +32,7 @@ class TestFullFlow:
         write_eqn(vendor_netlist, path)
 
         received = read_eqn(path)
-        result = extract_irreducible_polynomial(received, jobs=2)
+        result = extract_irreducible_polynomial(received)
         assert result.modulus == secret_p
         report = verify_multiplier(received, result)
         assert report.equivalent

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.extract.diagnose import diagnose
-from repro.extract.extractor import extract_irreducible_polynomial
+from repro.extract.extractor import (
+    extract_irreducible_polynomial,
+    result_from_run,
+)
 from repro.extract.verify import verify_multiplier
 from repro.fieldmath.irreducible import is_irreducible
 from repro.gen.faults import random_fault
@@ -21,6 +24,7 @@ from repro.gen.montgomery import generate_montgomery
 from repro.gen.naming import value_assignment
 from repro.gen.redundancy import decorate_with_redundancy
 from repro.gen.schoolbook import generate_schoolbook
+from repro.rewrite.parallel import extract_expressions
 from repro.synth.pipeline import synthesize
 
 GENERATORS = [
@@ -123,15 +127,16 @@ def test_verification_always_passes_for_honest_circuits(modulus):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(
-    modulus=random_irreducible(min_m=2, max_m=7),
-    jobs=st.sampled_from([1, 2, 3]),
-)
-def test_parallelism_does_not_change_result(modulus, jobs):
-    """Theorem 2 in practice: any thread count, same answer."""
+@given(modulus=random_irreducible(min_m=2, max_m=7), data=st.data())
+def test_parallelism_does_not_change_result(modulus, data):
+    """Theorem 2 in practice: the bits are independent, so the order
+    they are rewritten in does not change the answer."""
     netlist = generate_mastrovito(modulus)
-    result = extract_irreducible_polynomial(netlist, jobs=jobs)
+    order = data.draw(st.permutations(list(netlist.outputs)))
+    run = extract_expressions(netlist, outputs=order)
+    result = result_from_run(run, len(order))
     assert result.modulus == modulus
+    assert result.modulus == extract_irreducible_polynomial(netlist).modulus
 
 
 @settings(

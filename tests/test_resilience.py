@@ -15,7 +15,6 @@ from repro.service.resilience import (
     RetryPolicy,
     engine_ladder,
     run_supervised,
-    select_engine,
 )
 from repro.service.runner import run_campaign
 from tests.conftest import UNUSABLE_REASON
@@ -194,34 +193,36 @@ class TestFallbackLadder:
         assert fallback_chain("warp9")[0] == "warp9"
         assert fallback_chain("warp9")[1:] == FALLBACK_LADDER
 
-    def test_select_engine_passthrough(self):
-        assert select_engine("reference") == ("reference", None)
-        assert select_engine(None)[1] is None
-
-    def test_select_engine_unknown_error_unchanged(self):
-        with pytest.raises(EngineError, match="unknown engine"):
-            select_engine("warp9", fallback=True)
-        with pytest.raises(EngineError, match="unknown engine"):
-            select_engine("warp9", fallback=False)
-
     def test_unavailable_engine_degrades_only_with_fallback(
         self, unusable_engine
     ):
-        # Registered but unusable: the missing-dependency scenario.
-        with pytest.raises(EngineError, match="unavailable"):
-            select_engine(unusable_engine, fallback=False)
-        engine_used, why = select_engine(unusable_engine, fallback=True)
-        assert engine_used == "bitpack"
+        # Registered, but every rewrite raises: the broken-backend
+        # scenario.  The runtime ladder is the only degradation.
+        from repro.extract.extractor import extract_irreducible_polynomial
+
+        netlist = generate_mastrovito(0b10011)
+
+        def extract(engine):
+            return extract_irreducible_polynomial(netlist, engine=engine)
+
+        with pytest.raises(EngineError, match=UNUSABLE_REASON):
+            run_supervised(extract, engines=engine_ladder(unusable_engine))
+        outcome = run_supervised(
+            extract, engines=engine_ladder(unusable_engine, fallback=True)
+        )
+        assert outcome.engine_used == "bitpack"
+        assert outcome.value.polynomial_str == "x^4 + x + 1"
+        why = outcome.fallback_reason
         assert unusable_engine in why and UNUSABLE_REASON in why
 
     def test_engine_ladder(self, unusable_engine, monkeypatch):
         assert engine_ladder(unusable_engine) == (unusable_engine,)
         ladder = engine_ladder(unusable_engine, fallback=True)
         assert ladder == (unusable_engine,) + FALLBACK_LADDER
-        # Unusable rungs are filtered; the head survives regardless.
+        # Unregistered rungs are filtered; the head survives regardless.
         monkeypatch.setattr(
             "repro.engine.registry.FALLBACK_LADDER",
-            (unusable_engine,) + FALLBACK_LADDER,
+            ("ghost",) + FALLBACK_LADDER,
         )
         assert engine_ladder("warp9", fallback=True) == (
             ("warp9",) + FALLBACK_LADDER
@@ -271,5 +272,5 @@ class TestCampaignFallback:
         )
         record = report.records[0]
         assert record["status"] == "error"
-        assert "unavailable" in record["error"]
+        assert record["error"] == f"EngineError: {UNUSABLE_REASON}"
         assert "engine_used" not in record

@@ -166,7 +166,10 @@ class TestEndpoints:
         stats = get(f"{base}/v1/stats")
         assert stats["jobs"].get("done", 0) >= 1
         assert stats["cache"]["entries"]["extraction"] >= 1
-        assert "bitpack" in stats["engines_available"]
+        assert stats["engines_available"] == [
+            "bitpack", "reference", "vector"
+        ]
+        assert "engines_unavailable" not in stats
 
 
 class TestRejections:
@@ -502,24 +505,34 @@ class TestEngineFallbackSubmissions:
              "fallback": True},
         )
         assert job["engine"] == unusable_engine
-        assert job["engine_used"] == "bitpack"
-        assert unusable_engine in job["fallback_reason"]
-        assert UNUSABLE_REASON in job["fallback_reason"]
         view = wait_done(base, job["job_id"])
         assert view["status"] == "done"
         assert view["engine_used"] == "bitpack"
+        assert unusable_engine in view["fallback_reason"]
+        assert UNUSABLE_REASON in view["fallback_reason"]
         assert view["result"]["polynomial"] == "x^3 + x + 1"
 
-    def test_unavailable_engine_still_400_without_fallback(
+    def test_unavailable_engine_job_errors_without_fallback(
         self, base, unusable_engine
     ):
         text = format_eqn(generate_mastrovito(0b1011))
-        body = post(
+        job = post(
             f"{base}/v1/jobs",
             {"netlist": text, "engine": unusable_engine},
-            expect=(400,),
         )
-        # Byte-identical to the pre-fallback error contract.
-        assert body["error"] == (
-            f"engine {unusable_engine!r} is unavailable: {UNUSABLE_REASON}"
-        )
+        view = wait_done(base, job["job_id"])
+        assert view["status"] == "error"
+        assert view["error"] == f"EngineError: {UNUSABLE_REASON}"
+        assert "fallback_reason" not in view
+
+    def test_unavailable_engine_still_400_without_fallback(self, base):
+        """A name nobody registered is rejected up front, with or
+        without ``fallback``."""
+        text = format_eqn(generate_mastrovito(0b1011))
+        for fallback in (False, True):
+            body = post(
+                f"{base}/v1/jobs",
+                {"netlist": text, "engine": "warp9", "fallback": fallback},
+                expect=(400,),
+            )
+            assert body["error"] == "unknown engine 'warp9'"

@@ -130,6 +130,28 @@ class TestStoreSemantics:
         path.write_text(json.dumps(entry))
         assert cache.get_extraction(net) is None
 
+    def test_entry_with_retired_jobs_key_is_a_hit(self, cache, net):
+        """Entries written while runs still recorded their worker count
+        carry a ``"jobs"`` key; they decode and are served as hits."""
+        from repro.service.pipeline import run_mode
+
+        result = extract_irreducible_polynomial(net)
+        path = cache.put("extraction", net, result)
+        entry = json.loads(path.read_text())
+        assert "jobs" not in entry["payload"]["run"]
+        entry["payload"]["run"]["jobs"] = 2
+        path.write_text(json.dumps(entry))
+        outcome = run_mode(
+            "extract",
+            lambda: pytest.fail("a hit must not parse"),
+            cache.fingerprint(net),
+            cache,
+            engine="bitpack",
+        )
+        assert outcome.cache == "hit"
+        assert outcome.extraction.modulus == result.modulus
+        assert outcome.extraction.member_bits == result.member_bits
+
     def test_corrupt_entry_is_a_miss(self, cache, net):
         path = cache.put("extraction", net, extract_irreducible_polynomial(net))
         path.write_text("{truncated")

@@ -283,6 +283,14 @@ class TestEcoReverify:
         write_eqn(netlist, path)
         return path
 
+    def test_jobs_other_than_one_is_rejected(self, tmp_path):
+        """``jobs`` survives only as a keyword the benchmark passes as 1."""
+        path = self._write(tmp_path, "base", generate_mastrovito(P8))
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            eco_reverify(path, path, cache, jobs=2)
+        assert eco_reverify(path, path, cache, jobs=1).ok
+
     def test_gate_flip_reaudit_blames_dirty_cones(self, tmp_path):
         base = generate_mastrovito(P8)
         gate = base.gates[len(base.gates) // 2].output

@@ -215,31 +215,6 @@ class TestCheckpointStore:
             checkpointed_extract(generate_mastrovito(0b111))
 
 
-class TestParallelHook:
-    def test_hook_fires_per_bit_with_pool(self, tmp_path):
-        """jobs > 1 exercises imap_unordered + deterministic reassembly."""
-        net = generate_mastrovito(0b10011)
-        seen = []
-        run = extract_expressions(
-            net, jobs=2, engine="bitpack",
-            on_result=lambda o, c, s: seen.append(o),
-        )
-        assert sorted(seen) == ["z0", "z1", "z2", "z3"]
-        assert list(run.stats) == ["z0", "z1", "z2", "z3"]
-        cold = extract_expressions(net, engine="bitpack")
-        assert dict(run.expressions.items()) == dict(cold.expressions.items())
-
-    def test_checkpointed_extract_with_pool(self, tmp_path):
-        net = generate_mastrovito(0b10011)
-        sharded = checkpointed_extract(
-            net, jobs=2, engine="bitpack", checkpoint_dir=tmp_path
-        )
-        cold = extract_expressions(net, engine="reference")
-        assert dict(sharded.run.expressions.items()) == dict(
-            cold.expressions.items()
-        )
-
-
 class TestCheckpointFsync:
     """REPRO_CHECKPOINT_FSYNC=1 upgrades appends to power-loss durable."""
 

@@ -17,6 +17,7 @@ from repro.netlist.eqn_io import write_eqn
 from repro.netlist.verilog_io import write_verilog
 from repro.service.runner import (
     CampaignError,
+    CampaignRunner,
     discover_netlists,
     run_campaign,
 )
@@ -203,16 +204,21 @@ class TestModesAndRecords:
         # Report order is deterministic even with unordered completion.
         assert [l["netlist"] for l in lines] == ["m0", "m1", "m2", "m3"]
 
-    def test_workers_with_jobs_does_not_nest_pools(self, tmp_path):
-        """Daemonic campaign workers cannot fork a per-bit pool; the
-        runner must degrade to sequential per-bit extraction instead of
-        erroring every netlist."""
+    def test_jobs_other_than_one_is_rejected(self, tmp_path):
+        """``jobs`` survives only as a keyword the benchmark passes as 1."""
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            CampaignRunner(jobs=2, cache_dir=tmp_path / "c")
+        assert CampaignRunner(jobs=1, cache_dir=tmp_path / "c").workers == 1
+
+    def test_two_workers_audit_every_netlist(self, tmp_path):
+        """Each forked campaign worker extracts its netlist in its own
+        process, one bit after another."""
         designs = tmp_path / "d"
         designs.mkdir()
         write_eqn(generate_mastrovito(0b10011), designs / "a.eqn")
         write_eqn(generate_mastrovito(0b11001), designs / "b.eqn")
         report = run_campaign(
-            designs, cache_dir=tmp_path / "c", workers=2, jobs=2
+            designs, cache_dir=tmp_path / "c", workers=2
         )
         assert report.errors == 0
         assert all(r["equivalent"] for r in report.records)

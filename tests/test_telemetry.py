@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro import telemetry
-from repro.engine import available_engines
+from repro.engine import registered_engines
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.fieldmath.irreducible import default_irreducible
 from repro.gen.mastrovito import generate_mastrovito
@@ -267,11 +267,25 @@ def mapped_montgomery16():
     )
 
 
+def test_compile_span_is_a_sibling_of_the_cones(mapped_montgomery16, tel):
+    """A cache-less bitpack extraction compiles once, under ``extract``
+    and before the first ``cone``, not nested inside bit z0's span."""
+    registry, sink = tel
+    netlist = mapped_montgomery16.copy()  # a netlist no engine compiled
+    extract_expressions(netlist, engine="bitpack", telemetry=registry)
+    (extract,) = spans_named(sink, "extract")
+    (compile_span,) = spans_named(sink, "compile")
+    cones = spans_named(sink, "cone")
+    assert compile_span["parent_id"] == extract["span_id"]
+    assert len(cones) == 16
+    assert all(cone["parent_id"] == extract["span_id"] for cone in cones)
+
+
 def test_tracing_bit_identical_across_engines(tmp_path):
     """Differential guard: tracing attached or not, every engine
     recovers the same expressions and stats counters."""
     netlist = generate_mastrovito(0b100011011)
-    for engine in sorted(available_engines()):
+    for engine in registered_engines():
         plain = extract_expressions(netlist, engine=engine)
         registry = telemetry.Telemetry()
         registry.add_sink(telemetry.MemorySink())
