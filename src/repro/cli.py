@@ -63,7 +63,7 @@ from typing import Optional, Sequence
 
 import repro.gen
 import repro.netlist
-from repro.engine import DEFAULT_ENGINE, registered_engines
+from repro.engine import DEFAULT_ENGINE, EngineError, registered_engines
 from repro.extract.extractor import (
     ExtractionError,
     extract_irreducible_polynomial,
@@ -917,11 +917,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args: argparse.Namespace) -> int:
     """Run the subcommand; a netlist that does not parse or is not a
-    multiplier is one stderr line and exit code 2 (1 means reducible
-    or not equivalent)."""
+    multiplier, or an engine that fails without ``--fallback``, is one
+    stderr line and exit code 2 (1 means reducible or not
+    equivalent)."""
     try:
         return args.func(args)
-    except (NetlistError, ExtractionError) as error:
+    except (NetlistError, ExtractionError, EngineError) as error:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 

@@ -17,6 +17,7 @@ Layout (all JSON, all written atomically)::
     $REPRO_CACHE_DIR/                   default: ~/.cache/repro
       v1/                               CACHE_SCHEMA_VERSION
         extraction/<aa>/<fingerprint>.json
+        extraction/<aa>/<fingerprint>.sum   (verdict sidecar; see below)
         verification/<aa>/<fingerprint>.json
         diagnosis/<aa>/<fingerprint>.json
         squarer/<aa>/<fingerprint>.json
@@ -53,13 +54,27 @@ fragments beside cone entries): :meth:`ResultCache.stats` counts them,
 and :meth:`ResultCache.prune` and :meth:`ResultCache.clear` evict them
 like any artifact.  Nothing reads them.
 
+Verdict sidecar
+---------------
+Most of an extraction entry is its per-bit expressions, yet a fully
+cached extract or audit reports only Algorithm 2's answer.  Every
+extraction entry is therefore written with a small ``.sum`` sidecar
+holding ``modulus``, ``m``, ``irreducible``, ``member_bits`` and the
+sha256 ``digest`` of the bytes meant for the main entry.
+:meth:`ResultCache.get_verdict` serves the sidecar only when the main
+entry still hashes to that digest and begins with the same verdict
+fields, so it answers exactly what decoding the entry would.  Any
+other sidecar falls back to decoding the main entry.
+
 Hostile entries
 ---------------
 An entry that does not parse as JSON, parses to something other than
 an object, lacks its ``payload``, or whose payload the decoder rejects
 is *corrupt*: it is moved to ``quarantine/``, counted in
 ``cache.corrupt`` and read as a miss, so the recomputed artifact
-replaces it.
+replaces it.  A verdict sidecar that is not an object, or whose fields
+are mistyped or contradict each other or their main entry, is
+quarantined the same way.
 
 Decoded polynomials are stored as sorted lists of sorted variable
 lists (the canonical set-of-monomials form), so cached expressions are
@@ -394,6 +409,115 @@ _DECODERS = {
 
 
 # ----------------------------------------------------------------------
+# The verdict sidecar
+# ----------------------------------------------------------------------
+
+#: What an extraction's sidecar serves, in the key order of its entry.
+_VERDICT_FIELDS = ("irreducible", "m", "member_bits", "modulus")
+
+
+def _is_int(value: Any) -> bool:
+    return type(value) is int  # JSON true/false decode to bools
+
+
+def _check_verdict(data: Dict[str, Any]) -> None:
+    """Raise a :data:`_MALFORMED` error unless ``data`` holds a
+    well-typed, self-consistent verdict: ``member_bits`` strictly
+    ascending in ``[0, m)`` and ``modulus == x^m + sum x^bit``."""
+    m, modulus, bits = data["m"], data["modulus"], data["member_bits"]
+    if not (
+        _is_int(m)
+        and _is_int(modulus)
+        and type(data["irreducible"]) is bool
+        and isinstance(bits, list)
+        and all(_is_int(bit) for bit in bits)
+    ):
+        raise TypeError("verdict field of the wrong type")
+    # The bit length is compared first, so a hostile m never sizes an
+    # integer larger than the modulus the entry already holds.
+    if m < 1 or modulus.bit_length() != m + 1:
+        raise ValueError("modulus is not of degree m")
+    if any(low >= high for low, high in zip(bits, bits[1:])):
+        raise ValueError("member_bits not strictly ascending")
+    if bits and not 0 <= bits[0] <= bits[-1] < m:
+        raise ValueError("member bit out of range")
+    if modulus != (1 << m) | sum(1 << bit for bit in bits):
+        raise ValueError("modulus disagrees with member_bits")
+    if not isinstance(data.get("digest", ""), str):
+        raise TypeError("digest is not a string")
+
+
+def _sidecar_bytes(kind: Optional[str], path: Path) -> int:
+    """Size of the verdict sidecar of an extraction entry (else 0)."""
+    if kind != "extraction":
+        return 0
+    try:
+        return path.with_suffix(".sum").stat().st_size
+    except OSError:
+        return 0
+
+
+def _unlink(path: Path) -> bool:
+    """Delete a file; False when it is already gone or cannot go."""
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
+
+
+def _begins_with(data: bytes, fingerprint: str, fields) -> bool:
+    """Whether extraction entry bytes ``data`` begin as
+    :meth:`ResultCache.put` writes an entry with the verdict ``fields``.
+
+    After ``created_unix`` come the fingerprint, the kind and the
+    payload, whose keys sort as ``irreducible, m, member_bits,
+    modulus, run, ...``: the verdict precedes every expression.
+    """
+    verdict = json.dumps(
+        {name: fields[name] for name in _VERDICT_FIELDS}, **_ENTRY_FORMAT
+    )
+    head = (
+        f',"fingerprint":{json.dumps(fingerprint)},"kind":"extraction",'
+        f'"payload":{verdict[:-1]},"run":'
+    )
+    return data.startswith(head.encode("utf-8"), data.find(b","))
+
+
+@dataclass
+class ExtractionVerdict:
+    """Algorithm 2's answer for a cached extraction.
+
+    What :meth:`ResultCache.get_verdict` serves: the P(x) fields of an
+    :class:`~repro.extract.extractor.ExtractionResult` without its
+    per-bit expressions.  :meth:`result` decodes the full extraction
+    from the main entry bytes the verdict was checked against.
+    """
+
+    modulus: int
+    m: int
+    irreducible: bool
+    member_bits: List[int]
+    #: The checked main entry bytes, or the result decoded from them.
+    source: Any = field(default=None, repr=False, compare=False)
+
+    @property
+    def polynomial_str(self) -> str:
+        """P(x) in the paper's notation, e.g. ``x^4 + x + 1``."""
+        from repro.fieldmath.bitpoly import bitpoly_str
+
+        return bitpoly_str(self.modulus)
+
+    def result(self) -> ExtractionResult:
+        """The full extraction, decoded on first use."""
+        if isinstance(self.source, bytes):
+            self.source = decode_extraction_result(
+                json.loads(self.source)["payload"]
+            )
+        return self.source
+
+
+# ----------------------------------------------------------------------
 # The store
 # ----------------------------------------------------------------------
 
@@ -644,40 +768,51 @@ class ResultCache:
         started = time.perf_counter()
         try:
             path = self.path_for(kind, key)
-            # Chaos site: a transient read failure here is retryable
-            # by the supervision layer, unlike the corrupt-entry path
-            # below, which is a deterministic fact about the disk.
-            _chaos.get_chaos().io_error(where=f"cache.get {kind}")
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except FileNotFoundError:
-                self.misses += 1
-                _telemetry.current().counter("cache.miss")
-                return None
-            except ValueError:  # not JSON, or not UTF-8
-                entry = None
-            if isinstance(entry, dict) and (
-                entry.get("schema") != CACHE_SCHEMA_VERSION
-            ):
-                self.misses += 1
-                _telemetry.current().counter("cache.miss")
-                return None
-            try:
-                # Unparsed (None) and non-object entries raise here too.
-                artifact = _DECODERS[kind](entry["payload"])
-            except _MALFORMED:
-                self._quarantine_corrupt(kind, path)
-                self.misses += 1
-                _telemetry.current().counter("cache.miss")
-                return None
-            self.hits += 1
-            _telemetry.current().counter("cache.hit")
+            data = self._read_entry(kind, path)
+            artifact = None if data is None else self._decode(kind, path, data)
+            self._count_lookup(artifact is not None)
             return artifact
         finally:
             _telemetry.current().observe(
                 "cache.lookup", time.perf_counter() - started
             )
+
+    def _read_entry(self, kind: str, path: Path) -> Optional[bytes]:
+        """An entry's bytes, or None when it does not exist."""
+        # Chaos site: a transient read failure here is retryable by
+        # the supervision layer, unlike the corrupt-entry path of
+        # _decode, which is a deterministic fact about the disk.
+        _chaos.get_chaos().io_error(where=f"cache.get {kind}")
+        try:
+            return path.read_bytes()
+        except FileNotFoundError:
+            return None
+
+    def _decode(self, kind: str, path: Path, data: bytes) -> Optional[Any]:
+        """Decode entry bytes; None for an entry of another schema, and
+        None after quarantining a corrupt one."""
+        try:
+            entry = json.loads(data.decode("utf-8"))
+        except ValueError:  # not JSON, or not UTF-8
+            entry = None
+        if isinstance(entry, dict) and (
+            entry.get("schema") != CACHE_SCHEMA_VERSION
+        ):
+            return None
+        try:
+            # Unparsed (None) and non-object entries raise here too.
+            return _DECODERS[kind](entry["payload"])
+        except _MALFORMED:
+            self._quarantine_corrupt(kind, path)
+            return None
+
+    def _count_lookup(self, hit: bool) -> None:
+        if hit:
+            self.hits += 1
+            _telemetry.current().counter("cache.hit")
+        else:
+            self.misses += 1
+            _telemetry.current().counter("cache.miss")
 
     def put(self, kind: str, key: Union[str, Netlist], artifact: Any) -> Path:
         """Encode and atomically store an artifact; returns its path.
@@ -685,7 +820,9 @@ class ResultCache:
         Entries are written as compact JSON (sorted keys, no
         whitespace; see :data:`_ENTRY_FORMAT`), which CPython encodes
         in C.  Readers parse any JSON layout, so entries written
-        indented by earlier versions are still hits.
+        indented by earlier versions are still hits.  An extraction
+        entry is written with its verdict sidecar (see the module
+        docstring).
         """
         fingerprint = self.fingerprint(key)  # once: strash+hash is O(n)
         path = self.path_for(kind, fingerprint)
@@ -697,19 +834,26 @@ class ResultCache:
             "created_unix": time.time(),
             "payload": _ENCODERS[kind](artifact),
         }
-        replaced = self._size_before_write(path)
+        replaced = self._size_before_write(path, kind)
         chaos = _chaos.get_chaos()
         chaos.io_error(where=f"cache.put {kind}")
         payload = json.dumps(entry, **_ENTRY_FORMAT).encode("utf-8")
         # Chaos site: deterministically mangled payloads exercise the
         # corrupt-entry quarantine on the next read of this key.
-        payload = chaos.corrupt(payload, key=f"{kind}:{fingerprint}")
-        atomic_write_bytes(path, payload)
+        atomic_write_bytes(
+            path, chaos.corrupt(payload, key=f"{kind}:{fingerprint}")
+        )
         _telemetry.current().counter("cache.put")
-        self._after_budgeted_write(path, replaced)
+        if kind == "extraction":
+            # Bound to the bytes meant for the entry: a mangled write
+            # fails the digest and is decoded (and quarantined).
+            self._put_sidecar(path, entry["payload"], payload)
+        self._after_budgeted_write(path, replaced, kind)
         return path
 
-    def _size_before_write(self, path: Path) -> Optional[int]:
+    def _size_before_write(
+        self, path: Path, kind: Optional[str] = None
+    ) -> Optional[int]:
         """Size of the entry a write is about to replace (None = new).
 
         Only consulted when a budget is active; an overwrite (re-put
@@ -719,12 +863,15 @@ class ResultCache:
         if self.max_entries is None and self.max_bytes is None:
             return None
         try:
-            return path.stat().st_size
+            return path.stat().st_size + _sidecar_bytes(kind, path)
         except OSError:
             return None
 
     def _after_budgeted_write(
-        self, path: Path, replaced: Optional[int] = None
+        self,
+        path: Path,
+        replaced: Optional[int] = None,
+        kind: Optional[str] = None,
     ) -> None:
         """Update the entry/byte estimates; prune when a budget trips."""
         if self.max_entries is None and self.max_bytes is None:
@@ -738,6 +885,7 @@ class ResultCache:
             self._bytes_estimate = (
                 (self._bytes_estimate or 0)
                 + path.stat().st_size
+                + _sidecar_bytes(kind, path)
                 - (replaced or 0)
             )
         except OSError:  # pragma: no cover - concurrently evicted
@@ -1043,57 +1191,112 @@ class ResultCache:
 
     def put_extraction(self, key, result: ExtractionResult) -> None:
         self.put("extraction", key, result)
-        # Sidecar: Algorithm 2's verdict alone, so the ECO warm path
-        # can re-report P(x) without parsing the full per-bit
-        # expression payload (which dominates the entry at large m).
-        # Keyed by content fingerprint it can never go stale; an
-        # evicted main entry may strand a (tiny) sidecar, which is why
-        # readers must pair it with their own freshness evidence.
-        path = self.extraction_summary_path(key)
-        try:
-            atomic_write_text(
-                path,
-                json.dumps(
-                    {
-                        "schema": CACHE_SCHEMA_VERSION,
-                        "modulus": result.modulus,
-                        "m": result.m,
-                        "irreducible": result.irreducible,
-                        "member_bits": list(result.member_bits),
-                    },
-                    sort_keys=True,
-                ),
-            )
-        except OSError:
-            # Best-effort: the sidecar only accelerates repeat
-            # re-audits; the main entry above already landed.
-            pass
 
     def extraction_summary_path(self, key) -> Path:
+        """Location of an extraction's verdict sidecar."""
         return self.path_for("extraction", key).with_suffix(".sum")
+
+    def _put_sidecar(
+        self, path: Path, fields: Dict[str, Any], entry: bytes
+    ) -> None:
+        """Write the verdict sidecar of the main entry ``path``, bound
+        to the entry bytes ``entry`` (best-effort: without a sidecar a
+        lookup decodes the main entry)."""
+        sidecar = {name: fields[name] for name in _VERDICT_FIELDS}
+        sidecar["schema"] = CACHE_SCHEMA_VERSION
+        sidecar["digest"] = hashlib.sha256(entry).hexdigest()
+        try:
+            atomic_write_text(
+                path.with_suffix(".sum"), json.dumps(sidecar, sort_keys=True)
+            )
+        except OSError:
+            pass
 
     def get_extraction_summary(self, key) -> Optional[Dict[str, Any]]:
         """The verdict sidecar of a stored extraction, or None.
 
-        Milliseconds where :meth:`get_extraction` is tenths of a
-        second: no expressions, just ``modulus``/``m``/``irreducible``/
-        ``member_bits``.  Because eviction can strand a sidecar after
-        its main entry is gone, treat a hit as authoritative only
-        alongside independent evidence the result is still servable
-        (the ECO path requires every cone entry to be present).
+        Holds ``modulus``/``m``/``irreducible``/``member_bits`` and the
+        ``digest`` of the main entry it was written with (absent in
+        sidecars of earlier versions).  Only :meth:`get_verdict`, which
+        checks that binding, may serve it.  A sidecar that is not a JSON
+        object, or whose fields are mistyped or inconsistent, is
+        quarantined and read as None; one of another schema is None.
         """
+        path = self.extraction_summary_path(key)
         try:
-            with open(
-                self.extraction_summary_path(key), "r", encoding="utf-8"
-            ) as handle:
+            with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except (OSError, ValueError):
+        except OSError:
             return None
-        if not isinstance(data, dict) or (
+        except ValueError:  # not JSON, or not UTF-8
+            data = None
+        if isinstance(data, dict) and (
             data.get("schema") != CACHE_SCHEMA_VERSION
         ):
             return None
+        try:
+            # Unparsed (None) and non-object sidecars raise here too.
+            _check_verdict(data)
+        except _MALFORMED:
+            self._quarantine_corrupt("extraction", path)
+            return None
         return data
+
+    def get_verdict(self, key) -> Optional[ExtractionVerdict]:
+        """Algorithm 2's answer for a stored extraction, or None (a miss).
+
+        Served from the verdict sidecar when the main entry hashes to
+        the sidecar's digest and begins with the sidecar's fields, so
+        no expression is decoded.  Otherwise (no sidecar, one without a
+        digest, a main entry rewritten since) the main entry is decoded
+        as by :meth:`get_extraction`, which quarantines a corrupt one,
+        and a sidecar bound to it is written for the next lookup.  A
+        sidecar whose digest matches but whose fields do not is
+        quarantined.  Counts, times and fails (chaos site ``cache.get
+        extraction``) like :meth:`get`.
+        """
+        started = time.perf_counter()
+        try:
+            fingerprint = self.fingerprint(key)
+            path = self.path_for("extraction", fingerprint)
+            data = self._read_entry("extraction", path)
+            verdict = (
+                None if data is None
+                else self._verdict_of_entry(fingerprint, path, data)
+            )
+            self._count_lookup(verdict is not None)
+            return verdict
+        finally:
+            _telemetry.current().observe(
+                "cache.lookup", time.perf_counter() - started
+            )
+
+    def _verdict_of_entry(
+        self, fingerprint: str, path: Path, data: bytes
+    ) -> Optional[ExtractionVerdict]:
+        sidecar = self.get_extraction_summary(fingerprint)
+        if sidecar is not None and (
+            sidecar.get("digest") == hashlib.sha256(data).hexdigest()
+        ):
+            if _begins_with(data, fingerprint, sidecar):
+                return ExtractionVerdict(
+                    **{name: sidecar[name] for name in _VERDICT_FIELDS},
+                    source=data,
+                )
+            self._quarantine_corrupt("extraction", path.with_suffix(".sum"))
+        result = self._decode("extraction", path, data)
+        if result is None:
+            return None
+        fields = {
+            "modulus": result.modulus,
+            "m": result.m,
+            "irreducible": result.irreducible,
+            "member_bits": list(result.member_bits),
+        }
+        # Only an entry in put's own layout can serve a later lookup.
+        if _begins_with(data, fingerprint, fields):
+            self._put_sidecar(path, fields, data)
+        return ExtractionVerdict(**fields, source=result)
 
     def get_verification(self, key) -> Optional[VerificationReport]:
         return self.get("verification", key)
@@ -1117,9 +1320,11 @@ class ResultCache:
 
     def _artifact_files(self) -> Iterator[Tuple[str, Path]]:
         """Every budgeted artifact file as ``(kind, path)`` — the JSON
-        kinds plus the compiled-program blobs.  File-fingerprint memos
-        and job checkpoints are deliberately excluded (tiny, and
-        rebuilding them costs a re-parse, not a re-extraction)."""
+        kinds plus the compiled-program blobs.  An extraction entry's
+        verdict sidecar is not listed: it counts and is evicted with
+        its main entry.  File-fingerprint memos and job checkpoints are
+        deliberately excluded (tiny, and rebuilding them costs a
+        re-parse, not a re-extraction)."""
         for kind in KINDS:
             kind_dir = self.version_dir / kind
             if kind_dir.is_dir():
@@ -1149,6 +1354,7 @@ class ResultCache:
                 disk_bytes += path.stat().st_size
             except OSError:  # pragma: no cover - concurrently evicted
                 continue
+            disk_bytes += _sidecar_bytes(kind, path)
         return CacheStats(
             root=str(self.root),
             hits=self.hits,
@@ -1180,7 +1386,9 @@ class ResultCache:
         or ``REPRO_CACHE_MAX_BYTES``); passing either explicitly
         prunes to any size, including ``0`` (drop all artifact
         entries).  Compiled-program blobs count and are evicted like
-        any other artifact; file-fingerprint memos and job checkpoints
+        any other artifact; an extraction's verdict sidecar counts and
+        goes with its main entry, and a sidecar whose main entry is
+        gone is deleted.  File-fingerprint memos and job checkpoints
         are not counted and not evicted.  Returns the eviction count.
         """
         if max_entries is None:
@@ -1190,31 +1398,37 @@ class ResultCache:
         _check_budgets(max_entries=max_entries, max_bytes=max_bytes)
         if max_entries is None and max_bytes is None:
             return 0
-        aged: List[Tuple[int, int, Path]] = []
-        for _, path in self._artifact_files():
+        aged: List[Tuple[int, int, Path, str]] = []
+        for kind, path in self._artifact_files():
             try:
                 stat = path.stat()
             except OSError:
                 continue  # concurrently evicted by another writer
-            aged.append((stat.st_mtime_ns, stat.st_size, path))
+            size = stat.st_size + _sidecar_bytes(kind, path)
+            aged.append((stat.st_mtime_ns, size, path, kind))
         aged.sort(key=lambda item: (item[0], item[2]))
         kept_count = len(aged)
-        kept_bytes = sum(size for _, size, _ in aged)
+        kept_bytes = sum(size for _, size, _, _ in aged)
         removed = 0
-        for _, size, path in aged:
+        for _, size, path, kind in aged:
             over_entries = (
                 max_entries is not None and kept_count > max_entries
             )
             over_bytes = max_bytes is not None and kept_bytes > max_bytes
             if not (over_entries or over_bytes):
                 break
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass  # concurrently evicted; budget-wise it is gone
+            # A failed unlink was a concurrent eviction: budget-wise
+            # the entry is gone either way.
+            removed += _unlink(path)
+            if kind == "extraction":
+                _unlink(path.with_suffix(".sum"))
             kept_count -= 1
             kept_bytes -= size
+        extraction_dir = self.version_dir / "extraction"
+        if extraction_dir.is_dir():
+            for sidecar in extraction_dir.rglob("*.sum"):
+                if not sidecar.with_suffix(".json").exists():
+                    _unlink(sidecar)
         self.evictions += removed
         if removed:
             _telemetry.current().counter("cache.evict", removed)

@@ -190,9 +190,9 @@ class EcoReport:
     #: Whether that P(x) passes the irreducibility test.
     irreducible: Optional[bool] = None
     #: Extraction of the *edited* netlist (clean cones served from
-    #: the cache, dirty cones rewritten).  None on the millisecond
-    #: repeat path, where the verdict sidecar answers without parsing
-    #: the per-bit expression payload.
+    #: the cache, dirty cones rewritten).  None when the result cache
+    #: answered the whole request: the verdict sidecar answers without
+    #: decoding the per-bit expression payload.
     result: Any = None
     #: Golden-model verdict of the edited netlist.
     equivalent: Optional[bool] = None
@@ -266,8 +266,6 @@ def eco_reverify(
     :func:`~repro.service.pipeline.run_mode`.  The whole call runs
     under :data:`~repro.netlist.netlist.GC_PAUSE`.
     """
-    from repro.fieldmath.bitpoly import bitpoly_str
-
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
     tel = _telemetry.resolve(telemetry)
@@ -280,12 +278,6 @@ def eco_reverify(
             base.fingerprint, base.cones, edit.fingerprint, edit.cones, tel
         )
 
-        def cones_present(cones: Dict[str, str]) -> bool:
-            return all(
-                cache.cone_path_for(digest).exists()
-                for digest in cones.values()
-            )
-
         # Make sure the baseline's cones are servable.  Presence
         # probes first (the warm path touches nothing bigger than a
         # stat); then a cached whole-netlist extraction back-fills
@@ -293,46 +285,32 @@ def eco_reverify(
         # baseline actually extracts.
         cones_warmed = 0
         baseline_source = "cache"
-        if not cones_present(base.cones):
+        if not all(
+            cache.cone_path_for(digest).exists()
+            for digest in base.cones.values()
+        ):
             baseline = run_mode(
                 "extract", base.load, base.fingerprint, cache, **options
             )
             if baseline.cache == "hit":
                 cones_warmed = warm_cones_from_extraction(
-                    cache, base.cones, baseline.extraction
+                    cache, base.cones, baseline.extraction.result()
                 )
             else:
                 baseline_source = "extracted"
 
         # Re-verify the edited version: the cone cache turns this
-        # into (diff + dirty cones) work.  A *repeat* re-audit is
-        # cheaper still: when every edited cone is already stored, the
-        # verdict sidecar answers in milliseconds without parsing the
-        # per-bit expression payload (which dominates the whole-
-        # netlist entry at large m).
-        result = None
-        report = None
-        summary = None
-        if cones_present(edit.cones):
-            summary = cache.get_extraction_summary(edit.fingerprint)
-        if summary is not None and audit:
-            report = cache.get_verification(edit.fingerprint)
-        if summary is not None and (report is not None or not audit):
-            polynomial = bitpoly_str(summary["modulus"])
-            irreducible = bool(summary["irreducible"])
+        # into (diff + dirty cones) work, and a repeat is served from
+        # the result cache's checked verdict without parsing the file.
+        mode = "audit" if audit else "extract"
+        outcome = run_mode(mode, edit.load, edit.fingerprint, cache, **options)
+        result = None if outcome.cache == "hit" else outcome.extraction
+        report = outcome.verification
+        polynomial = outcome.extraction.polynomial_str
+        irreducible = outcome.extraction.irreducible
+        cones_reused = outcome.cones_reused
+        if cones_reused is None:  # served from the result cache
             cones_reused = len(diff.clean)
-        else:
-            mode = "audit" if audit else "extract"
-            outcome = run_mode(
-                mode, edit.load, edit.fingerprint, cache, **options
-            )
-            result = outcome.extraction
-            report = outcome.verification
-            polynomial = result.polynomial_str
-            irreducible = result.irreducible
-            cones_reused = outcome.cones_reused
-            if cones_reused is None:  # served from the result cache
-                cones_reused = len(diff.clean)
 
         equivalent: Optional[bool] = None
         diagnosis = None

@@ -58,7 +58,9 @@ class ModeOutcome:
     """What one run of a mode produced."""
 
     #: The extraction (extract/audit; diagnose keeps its own inside
-    #: :attr:`diagnosis`).
+    #: :attr:`diagnosis`): an ``ExtractionResult`` when this call
+    #: extracted it or decoded it to verify, else the cache's
+    #: :class:`~repro.service.cache.ExtractionVerdict`.
     extraction: Any = None
     #: The golden-model report (audit only).
     verification: Any = None
@@ -158,8 +160,9 @@ def run_mode(
         outcome.diagnosis = diagnosis
         return outcome
 
-    # extract / audit share the extraction phase
-    result = cache.get_extraction(fingerprint) if cache else None
+    # extract / audit share the extraction phase; a hit decodes no
+    # expression unless the audit must verify it
+    result = cache.get_verdict(fingerprint) if cache else None
     if result is not None:
         outcome.cache = "hit"
     outcome.resumed_bits = 0
@@ -198,15 +201,32 @@ def run_mode(
     outcome.extraction = result
 
     if mode == "audit":
-        report = cache.get_verification(fingerprint) if cache else None
+        report = _verification(cache, fingerprint, result) if cache else None
         if report is None:
             if outcome.cache == "hit":
                 outcome.cache = "partial"
+                result = outcome.extraction = result.result()
             report = verify_multiplier(load(), result, engine=engine)
             if cache is not None:
                 cache.put_verification(fingerprint, report)
         outcome.verification = report
     return outcome
+
+
+def _verification(cache, fingerprint: str, result):
+    """The cached golden-model report on ``result``'s P(x), or None.
+
+    A stored report whose ``modulus`` or ``irreducible`` differs from
+    the extraction's is a verdict on another polynomial, so it is not
+    served: the audit recomputes it.
+    """
+    report = cache.get_verification(fingerprint)
+    if report is not None and (report.modulus, report.irreducible) != (
+        result.modulus,
+        result.irreducible,
+    ):
+        return None
+    return report
 
 
 def cached_outcome(
@@ -222,12 +242,12 @@ def cached_outcome(
         if diagnosis is None:
             return None
         return ModeOutcome(diagnosis=diagnosis, cache="hit")
-    result = cache.get_extraction(fingerprint)
+    result = cache.get_verdict(fingerprint)
     if result is None:
         return None
     outcome = ModeOutcome(extraction=result, cache="hit")
     if mode == "audit":
-        outcome.verification = cache.get_verification(fingerprint)
+        outcome.verification = _verification(cache, fingerprint, result)
         if outcome.verification is None:
             return None
     return outcome

@@ -50,15 +50,22 @@ class TestRegistryDiagnostics:
         assert get_engine("vector") is get_engine("bitpack")
 
     def test_cli_unusable_engine_fails_with_reason(
-        self, tmp_path, unusable_engine
+        self, tmp_path, capsys, unusable_engine
     ):
+        """Without ``--fallback`` an engine that fails at run time is
+        one stderr line and exit code 2, not a traceback with exit 1
+        (which means reducible / not equivalent)."""
         from repro.cli import main
         from repro.netlist.eqn_io import write_eqn
 
         path = tmp_path / "m4.eqn"
         write_eqn(generate_mastrovito(0b10011), path)
-        with pytest.raises(EngineError, match=REASON):
-            main(["extract", str(path), "--engine", unusable_engine])
+        for command in ("extract", "audit", "diagnose"):
+            code = main([command, str(path), "--engine", unusable_engine])
+            captured = capsys.readouterr()
+            assert code == 2, command
+            assert captured.err == f"error: EngineError: {REASON}\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["extract", "audit", "diagnose"])
     def test_cli_fallback_degrades_at_run_time(

@@ -349,6 +349,31 @@ class TestEcoReverify:
         assert report.cones_reused == len(report.diff.clean) > 0
 
 
+    @pytest.mark.parametrize(
+        "modulus", [0b100011101, "283"], ids=["wrong", "string"]
+    )
+    def test_repeat_ignores_a_tampered_sidecar(self, tmp_path, modulus):
+        """A repeat re-audit reads the edited netlist's verdict sidecar;
+        a wrong or mistyped ``modulus`` there must cost a decode, never
+        a wrong P(x) or an exception."""
+        base = generate_mastrovito(P8)
+        bpath = self._write(tmp_path, "base", base)
+        epath = self._write(tmp_path, "edit", identity_edit(base, "z2", "a0"))
+        cache = ResultCache(tmp_path / "cache")
+        first = eco_reverify(bpath, epath, cache, engine="bitpack")
+        assert first.polynomial == "x^8 + x^4 + x^3 + x + 1"
+
+        sidecar = cache.extraction_summary_path(first.diff.edited_fingerprint)
+        data = json.loads(sidecar.read_text())
+        data["modulus"] = modulus
+        sidecar.write_text(json.dumps(data))
+        again = eco_reverify(bpath, epath, cache, engine="bitpack")
+        assert again.polynomial == first.polynomial
+        assert again.irreducible is again.equivalent is True
+        assert again.cones_reused == first.cones_reused
+        assert cache.corrupt == 1
+
+
 class TestCampaignProvenance:
     def test_jsonl_records_carry_cones_reused(self, tmp_path):
         from repro.service.runner import run_campaign

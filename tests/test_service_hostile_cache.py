@@ -2,7 +2,9 @@
 answer.
 
 Valid JSON of the wrong shape in an entry is corrupt like unparsable
-bytes: it is quarantined and read as a miss.  Compiled-program blobs
+bytes: it is quarantined and read as a miss.  A verdict sidecar of the
+wrong shape, or with fields that contradict each other, is quarantined
+too; the main extraction entry then answers.  Compiled-program blobs
 left by earlier versions are counted and evicted but never unpickled.
 """
 
@@ -40,12 +42,14 @@ def _entry(cache, kind, netlist_path, fingerprint):
         extraction.unlink()
         extraction.with_suffix(".sum").unlink()
         return cache.cone_path_for(cones["z0"])
+    if kind == "sidecar":
+        return cache.extraction_summary_path(fingerprint)
     return cache.path_for(kind, fingerprint)
 
 
 @pytest.mark.parametrize("shape", [[1], {"schema": 1}], ids=["list", "bare"])
 @pytest.mark.parametrize(
-    "kind", ["verification", "extraction", "files", "cone"]
+    "kind", ["verification", "extraction", "files", "cone", "sidecar"]
 )
 def test_a_wrong_shape_entry_is_a_quarantined_miss(tmp_path, kind, shape):
     path = tmp_path / "m8.eqn"
@@ -66,6 +70,41 @@ def test_a_wrong_shape_entry_is_a_quarantined_miss(tmp_path, kind, shape):
     assert cache.stats().quarantined == (0 if stale else 1)
     # The recomputed artifact replaced the hostile one.
     assert json.loads(entry.read_text(encoding="utf-8")) != shape
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"modulus": 0b100011101},
+        {"member_bits": [4, 3, 1, 0]},
+        {"member_bits": [0, 1, 3, 4, 8]},
+        {"m": 9},
+        {"irreducible": 1},
+        {"digest": 7},
+    ],
+    ids=["modulus", "unsorted", "out-of-range", "degree", "int-flag", "digest"],
+)
+def test_an_inconsistent_sidecar_is_a_quarantined_decode(tmp_path, fields):
+    """A well-typed JSON sidecar whose verdict fields contradict each
+    other is corrupt: quarantined, and the main entry answers."""
+    path = tmp_path / "m8.eqn"
+    write_eqn(generate_mastrovito(M8), path)
+    cache_dir = tmp_path / "cache"
+    first = _audit(path, cache_dir)
+    cache = ResultCache(cache_dir)
+    sidecar = cache.extraction_summary_path(first["fingerprint"])
+    data = json.loads(sidecar.read_text(encoding="utf-8"))
+    data.update(fields)
+    sidecar.write_text(json.dumps(data), encoding="utf-8")
+
+    again = _audit(path, cache_dir)
+    verdict = ("m", "polynomial", "irreducible", "member_bits", "equivalent")
+    assert {key: again[key] for key in verdict} == {
+        key: first[key] for key in verdict
+    }
+    assert again["cache"] == "hit"
+    assert cache.stats().quarantined == 1
+    assert json.loads(sidecar.read_text(encoding="utf-8"))["modulus"] == M8
 
 
 class _Tripwire:
