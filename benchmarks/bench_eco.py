@@ -13,15 +13,16 @@ on that curve for NAND-mapped Mastrovito multipliers:
 2. **warm fresh edit** — the baseline is verified and its cones are
    stored; a *never-seen* single-gate edit arrives.  The re-audit
    pays: parse + strash of the edited file, the cone diff, and one
-   dirty cone's rewrite (against a cone-restricted sub-netlist, so a
-   compiling backend prices the edit, not the design).  The clean
+   dirty cone's rewrite (from the cut of the edited file's live AIG
+   that holds the dirty cone, so a compiling backend prices the edit,
+   not the design, and strashes nothing twice).  The clean
    cones are cache hits — asserted from the ``cache.cone_hit``
    counter, so a row cannot claim reuse it did not exercise.
 3. **warm repeat** — the same re-audit re-run (the edit is being
    iterated on, CI re-checks a landed ECO, ...).  Both files resolve
-   from the stat-validated memo (no parse, no strash), every cone is
-   present, and the verdict sidecar answers without decoding a single
-   expression: milliseconds.
+   from the stat-validated memo (no parse, no strash), and the verdict
+   sidecar answers before any baseline cone is probed, without
+   decoding a single expression: under a millisecond.
 
 Identity is checked each run: the warm fresh-edit extraction (clean
 cones from the cache + dirty cones recomputed) must be bit-identical

@@ -535,39 +535,96 @@ class Aig:
         for node in self.pi_name:
             marks[node] = 1
         marks[0] = 1
-        order = [node for node, kept in enumerate(marks) if kept]
-        # Node id -> its uncomplemented literal in the copy (-1: dropped).
-        new_lit = [-1] * len(marks)
-        for index, node in enumerate(order):
-            new_lit[node] = index << 1
-
-        swept = Aig(self.name)
-        swept.kinds = [self.kinds[node] for node in order]
-        swept.fanin0 = [
-            new_lit[lit >> 1] | (lit & 1)
-            for lit in map(self.fanin0.__getitem__, order)
-        ]
-        swept.fanin1 = [
-            new_lit[lit >> 1] | (lit & 1)
-            for lit in map(self.fanin1.__getitem__, order)
-        ]
-        swept.pi_name = {
-            new_lit[node] >> 1: name for node, name in self.pi_name.items()
-        }
-        swept.inputs = list(self.inputs)
+        swept, new_lit = self._renumbered(
+            [node for node, kept in enumerate(marks) if kept]
+        )
         swept.outputs = [
             (name, new_lit[lit >> 1] | (lit & 1)) for name, lit in self.outputs
         ]
-        swept._leaf_lit = {
-            name: new_lit[lit >> 1] | (lit & 1)
-            for name, lit in self._leaf_lit.items()
-        }
         swept.net_literal = {
             net: new_lit[lit >> 1] | (lit & 1)
             for net, lit in self.net_literal.items()
             if new_lit[lit >> 1] >= 0
         }
         return swept
+
+    def cut(self, nets: Sequence[str]) -> "Aig":
+        """A read-only copy holding only the fan-in of the named nets.
+
+        The copy's outputs, and its :attr:`net_literal`, are ``nets``
+        in the given order (names :attr:`net_literal` does not hold are
+        skipped); its leaves are the leaves that fan-in reaches.  Node
+        ids keep their relative order, so ascending id is still a
+        topological order.  Only the named cones' nodes are visited.
+
+        Cut from a netlist's live graph (:func:`live_aig`), the copy is
+        the live graph of ``netlist.restrict(nets)`` without strashing
+        that sub-netlist, up to numbering: a node that a gate outside
+        the cones built first keeps that earlier place here (two
+        outputs' XOR trees that each compute one same sum, with a gate
+        of their own, share its node), and a declared input that strash
+        folded out of every cone is no leaf here.
+
+        >>> from repro.gen.mastrovito import generate_mastrovito
+        >>> net = generate_mastrovito(0b10011)
+        >>> part = live_aig(net).cut(["z2"])
+        >>> part.outputs[0][0], len(part) < len(live_aig(net))
+        ('z2', True)
+        >>> part.simulate({n: 1 for n in net.inputs})["z2"] == \\
+        ...     net.simulate({n: 1 for n in net.inputs})["z2"]
+        True
+        """
+        net_literal = self.net_literal
+        roots = [(net, net_literal[net]) for net in nets if net in net_literal]
+        kinds = self.kinds
+        fanin0 = self.fanin0
+        fanin1 = self.fanin1
+        seen = {0}
+        stack = [lit >> 1 for _, lit in roots]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            if kinds[node] != KIND_PI:
+                stack.append(fanin0[node] >> 1)
+                stack.append(fanin1[node] >> 1)
+        part, new_lit = self._renumbered(sorted(seen))
+        part.outputs = [
+            (net, new_lit[lit >> 1] | (lit & 1)) for net, lit in roots
+        ]
+        part.net_literal = dict(part.outputs)
+        return part
+
+    def _renumbered(self, order: List[int]) -> Tuple["Aig", List[int]]:
+        """A copy holding the nodes ``order`` (ascending, node 0 first),
+        numbered densely, and the map old node id -> new literal (-1:
+        dropped).  Outputs and :attr:`net_literal` are the caller's."""
+        new_lit = [-1] * len(self.kinds)
+        for index, node in enumerate(order):
+            new_lit[node] = index << 1
+        copy = Aig(self.name)
+        copy.kinds = [self.kinds[node] for node in order]
+        copy.fanin0 = [
+            new_lit[lit >> 1] | (lit & 1)
+            for lit in map(self.fanin0.__getitem__, order)
+        ]
+        copy.fanin1 = [
+            new_lit[lit >> 1] | (lit & 1)
+            for lit in map(self.fanin1.__getitem__, order)
+        ]
+        copy.pi_name = {
+            new_lit[node] >> 1: name
+            for node, name in self.pi_name.items()
+            if new_lit[node] >= 0
+        }
+        copy._leaf_lit = {
+            name: new_lit[lit >> 1] | (lit & 1)
+            for name, lit in self._leaf_lit.items()
+            if new_lit[lit >> 1] >= 0
+        }
+        copy.inputs = [name for name in self.inputs if name in copy._leaf_lit]
+        return copy, new_lit
 
     def simulate(
         self, assignment: Mapping[str, int], width: int = 1

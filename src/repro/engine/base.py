@@ -27,7 +27,11 @@ derive from :class:`CompilingEngine`, which keeps one
 program per live netlist in a weak in-process memo.  The program is
 built from the netlist's memoized live AIG, which the content
 fingerprint has already paid for; compiling it costs less than
-loading a stored copy did, so nothing is persisted.
+loading a stored copy did, so nothing is persisted.  A program may be
+*scoped* to some outputs (``scope``): it is then built from the cut
+of the live AIG that holds just their fan-in (:meth:`repro.aig.Aig.cut`),
+which is how a partly cone-cached extraction prices the edit, not the
+design.
 
 Encoded expressions
 -------------------
@@ -132,8 +136,15 @@ class Engine(abc.ABC):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
+        scope: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[ConeExpression, RewriteStats]:
-        """Algorithm 1 on one output cone, in native representation."""
+        """Algorithm 1 on one output cone, in native representation.
+
+        ``scope`` is the :meth:`prepare` scope of the run ``output``
+        belongs to (None: the whole netlist); it names outputs, and
+        ``output`` is one of them.  A backend that walks each cone on
+        its own ignores it.
+        """
 
     def rewrite(
         self,
@@ -148,11 +159,15 @@ class Engine(abc.ABC):
         )
         return expression.decode(), stats
 
-    def prepare(self, netlist: Netlist) -> None:
+    def prepare(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
+    ) -> None:
         """Warm whatever per-netlist state the backend keeps (no-op
         here).  The extraction driver calls it once before the first
         cone, so a compiling backend's one-time ``compile`` span is a
-        sibling of the per-bit ``cone`` spans, not nested in one."""
+        sibling of the per-bit ``cone`` spans, not nested in one.
+        ``scope`` names the outputs the run rewrites when it is not
+        the whole netlist (see :meth:`rewrite_cone`)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -161,11 +176,12 @@ class Engine(abc.ABC):
 class CompilingEngine(Engine):
     """Shared machinery for backends with a per-netlist compile step.
 
-    Subclasses implement :meth:`_compile` (netlist → program object;
-    the program must expose ``n_gates`` for the staleness check) and
-    set :attr:`Engine.compile_schema`.  The weak in-process memo is
-    inherited.  The bitpack program compiles the netlist's memoized
-    live AIG, so it does not strash again.
+    Subclasses implement :meth:`_compile` (netlist and scope →
+    program object; the program must expose ``n_gates`` and ``scope``
+    for the staleness check) and set :attr:`Engine.compile_schema`.
+    The weak in-process memo, one program per netlist, is inherited.
+    The bitpack program compiles the netlist's memoized live AIG, or
+    a cut of it, so it does not strash again.
     """
 
     def __init__(self) -> None:
@@ -174,20 +190,31 @@ class CompilingEngine(Engine):
         )
 
     @abc.abstractmethod
-    def _compile(self, netlist: Netlist) -> Any:
-        """Build the backend's compiled program for one netlist."""
+    def _compile(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]]
+    ) -> Any:
+        """Build the backend's compiled program for one netlist,
+        holding the fan-in of ``scope`` (None: of every output)."""
 
-    def _compiled_for(self, netlist: Netlist) -> Any:
+    def _compiled_for(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
+    ) -> Any:
         compiled = self._compiled.get(netlist)
-        if compiled is not None and compiled.n_gates == len(netlist):
+        if (
+            compiled is not None
+            and compiled.n_gates == len(netlist)
+            and compiled.scope == scope
+        ):
             return compiled
         with _telemetry.current().span(
             "compile", engine=self.name, gates=len(netlist)
         ):
-            compiled = self._compile(netlist)
+            compiled = self._compile(netlist, scope)
         self._compiled[netlist] = compiled
         return compiled
 
-    def prepare(self, netlist: Netlist) -> None:
+    def prepare(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
+    ) -> None:
         """Ensure the compiled program exists."""
-        self._compiled_for(netlist)
+        self._compiled_for(netlist, scope)

@@ -19,7 +19,9 @@ The program (compiled once per netlist)
 The program is built from the netlist's memoized live AIG
 (:func:`repro.aig.live_aig`), the strash the content fingerprint has
 already paid for: NAND-lowered XORs are XOR nodes there, inverter
-pairs are complement edges and dead structure is swept away.  Leaves
+pairs are complement edges and dead structure is swept away.  A
+program scoped to some outputs is built from the cut of that graph
+holding their fan-in (:meth:`repro.aig.Aig.cut`).  Leaves
 (primary inputs, plus nets read but never driven) take the *global*
 low bit indices, so a fully-rewritten monomial is a small integer
 whose packing every cone shares.  One forward pass over the node ids
@@ -172,14 +174,20 @@ class _CompiledProgram:
         "undeclared_bits",
         "flats",
         "n_gates",
+        "scope",
         "_models",
     )
 
-    def __init__(self, netlist: Netlist):
+    def __init__(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
+    ):
         aig = live_aig(netlist)
+        if scope is not None:
+            aig = aig.cut(scope)
         self.aig = aig
         self.net_literal = aig.net_literal
         self.n_gates = len(netlist)
+        self.scope = scope
 
         #: Leaves occupy the low bit indices, shared by every cone.
         self.leaf_names: List[str] = []
@@ -309,8 +317,10 @@ class BitpackEngine(CompilingEngine):
     #: Recorded in cone entries as provenance.
     compile_schema = 2
 
-    def _compile(self, netlist: Netlist) -> _CompiledProgram:
-        return _CompiledProgram(netlist)
+    def _compile(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]]
+    ) -> _CompiledProgram:
+        return _CompiledProgram(netlist, scope)
 
     def _check_residue(
         self,
@@ -360,12 +370,13 @@ class BitpackEngine(CompilingEngine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
+        scope: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
         with _telemetry.current().span(
             "cone", engine=self.name, output=output
         ) as span:
             expression, stats = self._rewrite_cone_impl(
-                netlist, output, trace, term_limit
+                netlist, output, trace, term_limit, scope
             )
             span.annotate(
                 iterations=stats.iterations, peak_terms=stats.peak_terms
@@ -379,10 +390,11 @@ class BitpackEngine(CompilingEngine):
         output: str,
         trace: bool,
         term_limit: Optional[int],
+        scope: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[PackedExpression, RewriteStats]:
         stats = RewriteStats(output=output)
 
-        compiled = self._compiled_for(netlist)
+        compiled = self._compiled_for(netlist, scope)
         literal = compiled.net_literal.get(output)
         if literal is None:
             if netlist.driver_of(output) is None:

@@ -58,7 +58,9 @@ class ReferenceEngine(Engine):
         output: str,
         trace: bool = False,
         term_limit: Optional[int] = None,
+        scope: Optional[Tuple[str, ...]] = None,
     ) -> Tuple[ReferenceExpression, RewriteStats]:
+        # The rewrite walks ``output``'s own cone: no scope to honour.
         poly, stats = backward_rewrite(
             netlist,
             output,

@@ -228,25 +228,24 @@ def extract_expressions(
 
         # Backward rewriting of a bit only ever consults its own
         # transitive fan-in (Theorem 2), so when the cache served part
-        # of the run the backend is handed just the dirty cones'
-        # sub-netlist: a compiling engine then prices the *edit*, not
-        # the design — on a single-gate ECO of a NAND-mapped m=64
-        # multiplier that is one cone's compile instead of 50k gates.
-        # The canonical expressions extracted from the restriction are
-        # identical to the full netlist's.
-        work = netlist
-        if hit_outputs and dirty:
-            work = netlist.restrict(dirty)
+        # of the run the backend is scoped to the dirty outputs: a
+        # compiling engine builds its program from the cut of the
+        # netlist's live AIG that holds just their fan-in.  It prices
+        # the *edit*, not the design (on a single-gate ECO of a
+        # NAND-mapped m=64 multiplier, one cone of 50k gates), and it
+        # strashes nothing a second time.  The canonical expressions
+        # are identical to the full netlist's.
+        scope = tuple(dirty) if hit_outputs and dirty else None
 
         if dirty:
             # The one-time compile gets its own span, a sibling of the
             # first ``cone`` rather than a child of it.  A fully
             # cone-cached run skips it: that is the warm ECO path.
-            backend.prepare(work)
-            work.gate_order()
+            backend.prepare(netlist, scope)
+            netlist.gate_order()
             for output in dirty:
                 expression, stats = backend.rewrite_cone(
-                    work, output, term_limit=term_limit
+                    netlist, output, term_limit=term_limit, scope=scope
                 )
                 results.append((output, expression, stats))
                 if on_result is not None:

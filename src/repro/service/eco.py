@@ -11,13 +11,20 @@ re-extraction:
    baseline and the edited netlist (one ``eco.diff`` span; digests
    come from the stat-validated file memo when the file is unchanged,
    so a repeated diff never strashes at all);
-2. the baseline's extraction — cached, or computed now — warms the
-   per-cone store (a netlist-level cache hit back-fills the cone
-   entries without rewriting a gate);
-3. the edited netlist runs the request pipeline of batch and HTTP
+2. the edited netlist's answer is looked up first
+   (:func:`repro.service.pipeline.cached_outcome`, the checked verdict
+   sidecar): a cached answer is returned without consulting the
+   baseline at all;
+3. otherwise the per-cone store must hold the cones the edit left
+   clean — the only baseline cones the edit reads.  When one is
+   missing, the baseline's extraction (cached, or computed now) warms
+   them (a netlist-level cache hit back-fills the cone entries without
+   rewriting a gate);
+4. the edited netlist runs the request pipeline of batch and HTTP
    (:func:`repro.service.pipeline.run_mode`) on the same cache: clean
-   cones are served, only dirty cones are rewritten;
-4. on an audit failure, its ``diagnose`` mode runs on the same cache,
+   cones are served, only dirty cones are rewritten, from the cut of
+   the edited netlist's live AIG that holds their fan-in;
+5. on an audit failure, its ``diagnose`` mode runs on the same cache,
    so blame analysis starts from the cached good version.
 
 Full re-extraction still happens when the edit changes what the cone
@@ -43,6 +50,7 @@ from repro.service.cache import ResultCache
 from repro.service.pipeline import (
     NETLIST_READERS,
     NetlistFile,
+    cached_outcome,
     fingerprint_file,
     run_mode,
 )
@@ -182,8 +190,9 @@ class EcoReport:
     edited_path: str
     diff: ConeDiff
     #: "cache" when the baseline's cones were already servable (from
-    #: the per-cone tier or its stored extraction), "extracted" when
-    #: this call had to compute them.
+    #: the per-cone tier or its stored extraction) or not needed (the
+    #: edit's answer was cached), "extracted" when this call had to
+    #: compute them.
     baseline_source: str
     #: P(x) recovered from the edited netlist, in paper notation.
     polynomial: Optional[str] = None
@@ -198,8 +207,9 @@ class EcoReport:
     equivalent: Optional[bool] = None
     #: Bits of the edited extraction served from the per-cone cache.
     cones_reused: int = 0
-    #: Cone entries back-filled from the baseline's netlist-level
-    #: cache entry (0 when the cone store was already warm).
+    #: Clean cones' entries back-filled from the baseline's
+    #: netlist-level cache entry (0 when the cone store already held
+    #: them or the edit's answer was cached).
     cones_warmed: int = 0
     #: Full triage of the edited netlist, when the audit failed.
     diagnosis: Any = None
@@ -255,14 +265,15 @@ def eco_reverify(
     """Re-audit an edited netlist against its verified baseline.
 
     The driver behind ``repro eco BASELINE EDITED`` (and
-    ``extract/audit --baseline``): diff the cone digests, make sure
-    the baseline's cones are in the per-cone cache (from its cached
-    extraction when possible, extracting it otherwise), then
-    re-extract the edited netlist — clean cones come from the cache,
-    only the cones the edit touched are rewritten.  ``audit=True``
-    additionally checks the edited design against the golden model
-    and, on failure, diagnoses it on the same cache so blame starts
-    from the cached good version — both through
+    ``extract/audit --baseline``): diff the cone digests and answer
+    from the cache when the edit's verdict is stored.  Otherwise make
+    sure the baseline's cones the edit left clean are in the per-cone
+    cache (from its cached extraction when possible, extracting it
+    otherwise), then re-extract the edited netlist — clean cones come
+    from the cache, only the cones the edit touched are rewritten.
+    ``audit=True`` additionally checks the edited design against the
+    golden model and, on failure, diagnoses it on the same cache so
+    blame starts from the cached good version — both through
     :func:`~repro.service.pipeline.run_mode`.  The whole call runs
     under :data:`~repro.netlist.netlist.GC_PAUSE`.
     """
@@ -278,32 +289,39 @@ def eco_reverify(
             base.fingerprint, base.cones, edit.fingerprint, edit.cones, tel
         )
 
-        # Make sure the baseline's cones are servable.  Presence
-        # probes first (the warm path touches nothing bigger than a
-        # stat); then a cached whole-netlist extraction back-fills
-        # missing cone entries without rewriting; only a never-seen
-        # baseline actually extracts.
+        # A repeat is answered from the result cache's checked verdict
+        # before anything of the baseline is read: no parse, no cone
+        # probe.
+        mode = "audit" if audit else "extract"
         cones_warmed = 0
         baseline_source = "cache"
-        if not all(
-            cache.cone_path_for(digest).exists()
-            for digest in base.cones.values()
-        ):
-            baseline = run_mode(
-                "extract", base.load, base.fingerprint, cache, **options
-            )
-            if baseline.cache == "hit":
-                cones_warmed = warm_cones_from_extraction(
-                    cache, base.cones, baseline.extraction.result()
+        outcome = cached_outcome(cache, mode, edit.fingerprint)
+        if outcome is None:
+            # The edit reads the baseline's clean cones only.  Presence
+            # probes first (a warm store costs a stat per clean cone);
+            # then a cached whole-netlist extraction back-fills the
+            # missing entries without rewriting; only a never-seen
+            # baseline actually extracts.
+            clean = {output: base.cones[output] for output in diff.clean}
+            if not all(
+                cache.cone_path_for(digest).exists()
+                for digest in clean.values()
+            ):
+                baseline = run_mode(
+                    "extract", base.load, base.fingerprint, cache, **options
                 )
-            else:
-                baseline_source = "extracted"
+                if baseline.cache == "hit":
+                    cones_warmed = warm_cones_from_extraction(
+                        cache, clean, baseline.extraction.result()
+                    )
+                else:
+                    baseline_source = "extracted"
 
-        # Re-verify the edited version: the cone cache turns this
-        # into (diff + dirty cones) work, and a repeat is served from
-        # the result cache's checked verdict without parsing the file.
-        mode = "audit" if audit else "extract"
-        outcome = run_mode(mode, edit.load, edit.fingerprint, cache, **options)
+            # Re-verify the edited version: the cone cache turns this
+            # into (diff + dirty cones) work.
+            outcome = run_mode(
+                mode, edit.load, edit.fingerprint, cache, **options
+            )
         result = None if outcome.cache == "hit" else outcome.extraction
         report = outcome.verification
         polynomial = outcome.extraction.polynomial_str

@@ -52,8 +52,9 @@ DEFAULT_POLICY: Dict[str, Any] = {
     # A span name regresses when its normalized total-wall ratio
     # (current/base, divided by the calibration factor) exceeds this.
     "max_ratio": 2.0,
-    # Span names whose wall total is below this in the *baseline* are
-    # never flagged — micro-spans are noise-dominated.
+    # Span names whose wall total is below this in the baseline *and*
+    # (normalized) in the current trace are never flagged — micro-spans
+    # are noise-dominated.
     "min_wall_s": 0.01,
     # Normalize by the calibrate spans when both traces carry one.
     "calibrate": True,
@@ -382,10 +383,12 @@ def diff_traces(
             normalized = raw / max(factor, 1e-9)
             row["raw_ratio"] = round(raw, 4)
             row["ratio"] = round(normalized, 4)
-            checkable = (
-                name not in ignored
-                and base_entry["wall_total_s"] >= min_wall
-            )
+            # The floor skips spans too small to time on both sides: a
+            # span that grew from below it to far above it is checked.
+            checkable = name not in ignored and max(
+                base_entry["wall_total_s"],
+                current_entry["wall_total_s"] / max(factor, 1e-9),
+            ) >= min_wall
             if checkable and normalized > max_ratio:
                 row["status"] = "regression"
                 regressions.append(name)

@@ -333,7 +333,8 @@ class TestEcoReverify:
 
     def test_baseline_cached_without_cone_entries_backfills(self, tmp_path):
         """A baseline extracted before the cone tier existed still
-        warms the per-cone store from its whole-netlist entry."""
+        warms the per-cone store from its whole-netlist entry — the
+        cones the edit left clean, the only ones it reads."""
         base = generate_mastrovito(P5)
         mutant, _ = flip_gate(base, base.gates[10].output)
         bpath = self._write(tmp_path, "base", base)
@@ -345,8 +346,12 @@ class TestEcoReverify:
         cache.put_extraction(base, extract_irreducible_polynomial(base))
         report = eco_reverify(bpath, epath, cache, engine="bitpack")
         assert report.baseline_source == "cache"
-        assert report.cones_warmed == len(base.outputs)
-        assert report.cones_reused == len(report.diff.clean) > 0
+        assert report.cones_warmed == len(report.diff.clean) > 0
+        assert report.cones_reused == len(report.diff.clean)
+        base_cones = cone_fingerprints(base)
+        assert report.diff.dirty
+        for output in report.diff.dirty:
+            assert not cache.cone_path_for(base_cones[output]).exists()
 
 
     @pytest.mark.parametrize(
@@ -444,10 +449,10 @@ def identity_edit(netlist: Netlist, output: str, operand: str) -> Netlist:
 
 
 class TestStrashCount:
-    def test_fresh_edit_strashes_twice(self, tmp_path, monkeypatch):
-        """One strash for the edited netlist (fingerprint, cone
-        digests and partition share it) and one for the dirty cone's
-        sub-netlist, whose fingerprint keys the compiled program."""
+    def test_fresh_edit_strashes_once(self, tmp_path, monkeypatch):
+        """One strash for the edited netlist: its fingerprint, cone
+        digests, cone-cache partition and the dirty cone's program
+        (a cut of its live AIG) share it."""
         base = generate_mastrovito(P8)
         paths = {}
         for name, netlist in (
@@ -473,4 +478,204 @@ class TestStrashCount:
         )
         assert report.ok and report.equivalent
         assert report.diff.dirty == ["z5"]
-        assert calls == [sorted(base.outputs), ["z5"]]
+        assert calls == [sorted(base.outputs)]
+
+
+def zoo_with_dirty_sets():
+    """Zoo netlists (flat, NAND-mapped, a fault mutant) with the
+    output sets a partly cone-cached run could leave dirty."""
+    from repro.gen.faults import random_fault
+    from repro.synth.pipeline import synthesize
+
+    for name, generator in ZOO:
+        for modulus in (P5, P8):
+            flat = generator(modulus)
+            mapped = synthesize(flat, use_xor_cells=False)
+            for form, netlist in (
+                ("flat", flat),
+                ("nand", mapped),
+                ("fault", random_fault(mapped, seed=3)[0]),
+            ):
+                outputs = list(netlist.outputs)
+                sets = [[output] for output in outputs]
+                sets.append(outputs[1::2])
+                for dirty in sets:
+                    yield f"{name}-{modulus:b}-{form}", netlist, dirty
+
+
+class TestLiveAigCut:
+    """A partly cone-cached run compiles the dirty outputs from a cut
+    of the netlist's live AIG instead of strashing
+    ``netlist.restrict(dirty)``: same graph, same answers, same stats."""
+
+    @staticmethod
+    def _rewrites(engine, netlist, dirty, scope=None):
+        rows = {}
+        for output in dirty:
+            expression, stats = engine.rewrite_cone(
+                netlist, output, scope=scope
+            )
+            fields = dict(vars(stats))
+            fields.pop("runtime_s")
+            rows[output] = (expression.to_json(), fields)
+        return rows
+
+    @staticmethod
+    def _shape(aig, table):
+        """Node set and outputs of ``aig`` as structural ids interned
+        in ``table`` (shared by the graphs compared): equal shapes are
+        the same hash-consed graph, whatever its node numbering."""
+        ids = []
+        for node, kind in enumerate(aig.kinds):
+            if node in aig.pi_name:
+                key = ("leaf", aig.pi_name[node])
+            elif node == 0:
+                key = ("const",)
+            else:
+                fanins = aig.fanins(node)
+                key = (kind,) + tuple(
+                    sorted((ids[lit >> 1], lit & 1) for lit in fanins)
+                )
+            ids.append(table.setdefault(key, len(table)))
+        outputs = [(name, ids[lit >> 1], lit & 1) for name, lit in aig.outputs]
+        return sorted(ids), outputs
+
+    def test_cut_is_the_restricted_live_aig(self):
+        from repro.aig import live_aig
+
+        renumbered = 0
+        for label, netlist, dirty in zoo_with_dirty_sets():
+            cut = live_aig(netlist).cut(dirty)
+            alone = Aig.from_netlist(netlist.restrict(dirty)).swept()
+            table = {}
+            assert self._shape(cut, table) == self._shape(alone, table), (
+                label,
+                dirty,
+            )
+            # Ids keep the whole graph's order: a node a gate outside
+            # the cones built first may sit earlier than it would in
+            # the restriction's own strash.
+            renumbered += cut.fanin0 != alone.fanin0
+        assert renumbered  # the corner the rewrite test below covers
+
+    @pytest.mark.parametrize("engine", ["bitpack", "reference"])
+    def test_scoped_rewrite_matches_restricted_strash(self, engine):
+        from repro.engine import get_engine
+
+        backend = type(get_engine(engine))
+        for label, netlist, dirty in zoo_with_dirty_sets():
+            alone = self._rewrites(
+                backend(), netlist.restrict(dirty), dirty
+            )
+            scoped = self._rewrites(
+                backend(), netlist, dirty, scope=tuple(dirty)
+            )
+            assert scoped == alone, (label, dirty)
+
+    def test_scoped_program_is_not_served_to_a_whole_netlist_run(self):
+        from repro.engine.bitpack import BitpackEngine
+
+        netlist = generate_mastrovito(P8)
+        engine = BitpackEngine()
+        engine.prepare(netlist, ("z3",))
+        scoped = engine._compiled_for(netlist, ("z3",))
+        assert [name for name, _ in scoped.aig.outputs] == ["z3"]
+        whole = engine._compiled_for(netlist)
+        assert whole is not scoped and whole.scope is None
+        assert len(whole.aig.outputs) == len(netlist.outputs)
+
+
+class TestAnswerFirst:
+    """A cached edit is answered before anything of the baseline is
+    touched; a fresh edit warms only the baseline cones it reads."""
+
+    @staticmethod
+    def _setup(tmp_path):
+        base = generate_mastrovito(P8)
+        paths = {}
+        for name, netlist in (
+            ("base", base),
+            ("first", identity_edit(base, "z2", "a0")),
+            ("second", identity_edit(base, "z5", "b3")),
+        ):
+            paths[name] = tmp_path / f"{name}.eqn"
+            write_eqn(netlist, paths[name])
+        cache = ResultCache(tmp_path / "cache")
+        first = eco_reverify(
+            paths["base"], paths["first"], cache, engine="bitpack"
+        )
+        assert first.ok and first.diff.dirty == ["z2"]
+        return base, paths, cache, first
+
+    @staticmethod
+    def _count_reads(monkeypatch):
+        import repro.netlist
+
+        reads = []
+        original = repro.netlist.read_eqn
+
+        def counting(source):
+            reads.append(str(source))
+            return original(source)
+
+        monkeypatch.setattr(repro.netlist, "read_eqn", counting)
+        return reads
+
+    def test_warm_repeat_probes_no_cone_and_parses_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        _, paths, cache, first = self._setup(tmp_path)
+        probes = []
+        original = ResultCache.cone_path_for
+
+        def counting(self, digest):
+            probes.append(digest)
+            return original(self, digest)
+
+        monkeypatch.setattr(ResultCache, "cone_path_for", counting)
+        reads = self._count_reads(monkeypatch)
+        again = eco_reverify(
+            paths["base"], paths["first"], cache, engine="bitpack"
+        )
+        assert probes == [] and reads == []
+        assert again.baseline_source == "cache" and again.cones_warmed == 0
+        assert again.result is None
+        assert (again.polynomial, again.equivalent) == (
+            first.polynomial,
+            first.equivalent,
+        )
+        assert again.cones_reused == first.cones_reused
+
+    def test_repeat_after_cone_eviction_writes_no_cone(self, tmp_path):
+        import shutil
+
+        _, paths, cache, first = self._setup(tmp_path)
+        some_digest = first.diff.baseline_fingerprint  # any digest
+        cone_dir = cache.cone_path_for(some_digest).parent.parent
+        shutil.rmtree(cone_dir)
+        again = eco_reverify(
+            paths["base"], paths["first"], cache, engine="bitpack"
+        )
+        assert again.cones_warmed == 0
+        assert again.baseline_source == "cache"
+        assert again.ok and again.polynomial == first.polynomial
+        assert not cone_dir.exists()
+
+    def test_missing_dirty_baseline_cone_does_not_rewarm(
+        self, tmp_path, monkeypatch
+    ):
+        base, paths, cache, _ = self._setup(tmp_path)
+        dirty_digest = cone_fingerprints(base)["z5"]
+        entry = cache.cone_path_for(dirty_digest)
+        entry.unlink()
+        reads = self._count_reads(monkeypatch)
+        report = eco_reverify(
+            paths["base"], paths["second"], cache, engine="bitpack"
+        )
+        assert report.ok and report.diff.dirty == ["z5"]
+        assert report.baseline_source == "cache"
+        assert report.cones_warmed == 0
+        assert report.cones_reused == len(report.diff.clean)
+        # Only the edit was parsed; the baseline entry stays evicted.
+        assert reads == [str(paths["second"])]
+        assert not entry.exists()

@@ -220,6 +220,23 @@ def test_diff_min_wall_filters_micro_spans():
     assert report["ok"]
 
 
+def test_diff_min_wall_checks_a_span_that_grew_past_the_floor():
+    """The floor applies to the larger side: a span that was below it
+    in the baseline and is far above it now is a regression, while a
+    span below it on both sides stays unchecked."""
+    base = _workload() + [
+        _span("cone", 70, wall_s=0.0046, start=12.0),
+        _span("tiny", 71, wall_s=0.001, start=12.5),
+    ]
+    current = _workload() + [
+        _span("cone", 70, wall_s=0.8, start=12.0),
+        _span("tiny", 71, wall_s=0.0015, start=12.5),
+    ]
+    report = analyze.diff_traces(base, current)
+    assert report["regressions"] == ["cone"]
+    assert report["spans"]["tiny"]["status"] == "ok"
+
+
 def test_run_calibration_emits_span():
     registry = telemetry.Telemetry()
     sink = registry.add_sink(telemetry.MemorySink())
