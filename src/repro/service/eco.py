@@ -191,8 +191,8 @@ class EcoReport:
     diff: ConeDiff
     #: "cache" when the baseline's cones were already servable (from
     #: the per-cone tier or its stored extraction) or not needed (the
-    #: edit's answer was cached), "extracted" when this call had to
-    #: compute them.
+    #: edit's answer was cached, or the edit left no cone clean),
+    #: "extracted" when this call had to compute them.
     baseline_source: str
     #: P(x) recovered from the edited netlist, in paper notation.
     polynomial: Optional[str] = None

@@ -448,23 +448,32 @@ def identity_edit(netlist: Netlist, output: str, operand: str) -> Netlist:
     return edited
 
 
+def verified_with_two_edits(tmp_path):
+    """A P8 baseline and two function-preserving edits on disk (the
+    ``first`` one, of z2, already re-audited on a fresh cache)."""
+    base = generate_mastrovito(P8)
+    paths = {}
+    for name, netlist in (
+        ("base", base),
+        ("first", identity_edit(base, "z2", "a0")),
+        ("second", identity_edit(base, "z5", "b3")),
+    ):
+        paths[name] = tmp_path / f"{name}.eqn"
+        write_eqn(netlist, paths[name])
+    cache = ResultCache(tmp_path / "cache")
+    first = eco_reverify(
+        paths["base"], paths["first"], cache, engine="bitpack"
+    )
+    assert first.ok and first.diff.dirty == ["z2"]
+    return base, paths, cache, first
+
+
 class TestStrashCount:
     def test_fresh_edit_strashes_once(self, tmp_path, monkeypatch):
         """One strash for the edited netlist: its fingerprint, cone
         digests, cone-cache partition and the dirty cone's program
         (a cut of its live AIG) share it."""
-        base = generate_mastrovito(P8)
-        paths = {}
-        for name, netlist in (
-            ("base", base),
-            ("first", identity_edit(base, "z2", "a0")),
-            ("second", identity_edit(base, "z5", "b3")),
-        ):
-            paths[name] = tmp_path / f"{name}.eqn"
-            write_eqn(netlist, paths[name])
-        cache = ResultCache(tmp_path / "cache")
-        eco_reverify(paths["base"], paths["first"], cache, engine="bitpack")
-
+        base, paths, cache, _ = verified_with_two_edits(tmp_path)
         calls = []
         original = Aig.from_netlist.__func__
 
@@ -590,24 +599,6 @@ class TestAnswerFirst:
     touched; a fresh edit warms only the baseline cones it reads."""
 
     @staticmethod
-    def _setup(tmp_path):
-        base = generate_mastrovito(P8)
-        paths = {}
-        for name, netlist in (
-            ("base", base),
-            ("first", identity_edit(base, "z2", "a0")),
-            ("second", identity_edit(base, "z5", "b3")),
-        ):
-            paths[name] = tmp_path / f"{name}.eqn"
-            write_eqn(netlist, paths[name])
-        cache = ResultCache(tmp_path / "cache")
-        first = eco_reverify(
-            paths["base"], paths["first"], cache, engine="bitpack"
-        )
-        assert first.ok and first.diff.dirty == ["z2"]
-        return base, paths, cache, first
-
-    @staticmethod
     def _count_reads(monkeypatch):
         import repro.netlist
 
@@ -624,7 +615,7 @@ class TestAnswerFirst:
     def test_warm_repeat_probes_no_cone_and_parses_nothing(
         self, tmp_path, monkeypatch
     ):
-        _, paths, cache, first = self._setup(tmp_path)
+        _, paths, cache, first = verified_with_two_edits(tmp_path)
         probes = []
         original = ResultCache.cone_path_for
 
@@ -649,9 +640,10 @@ class TestAnswerFirst:
     def test_repeat_after_cone_eviction_writes_no_cone(self, tmp_path):
         import shutil
 
-        _, paths, cache, first = self._setup(tmp_path)
-        some_digest = first.diff.baseline_fingerprint  # any digest
-        cone_dir = cache.cone_path_for(some_digest).parent.parent
+        from repro.service.cache import CONE_KIND
+
+        _, paths, cache, first = verified_with_two_edits(tmp_path)
+        cone_dir = cache.version_dir / CONE_KIND
         shutil.rmtree(cone_dir)
         again = eco_reverify(
             paths["base"], paths["first"], cache, engine="bitpack"
@@ -664,7 +656,7 @@ class TestAnswerFirst:
     def test_missing_dirty_baseline_cone_does_not_rewarm(
         self, tmp_path, monkeypatch
     ):
-        base, paths, cache, _ = self._setup(tmp_path)
+        base, paths, cache, _ = verified_with_two_edits(tmp_path)
         dirty_digest = cone_fingerprints(base)["z5"]
         entry = cache.cone_path_for(dirty_digest)
         entry.unlink()
