@@ -28,9 +28,8 @@ Sites used by the stack:
     resubmitted netlist draws a *fresh* schedule instead of replaying
     the crash forever.
 ``io_error``
-    Raises :class:`ChaosIOError` (an ``OSError``) before cache and
-    checkpoint IO — the transient-failure class the retry policy
-    retries.
+    Raises :class:`ChaosIOError` (an ``OSError``) before cache IO —
+    the transient-failure class the retry policy retries.
 ``corrupt_cache``
     Deterministically mangles a cache payload on write, exercising the
     quarantine path on the next read.

@@ -21,7 +21,7 @@ Commands mirror the paper's tool flow:
     list irreducible trinomials/pentanomials of a degree;
 ``batch``
     audit a directory (or manifest) of netlists through the cached,
-    checkpointed campaign runner, emitting a JSONL report;
+    resumable campaign runner, emitting a JSONL report;
 ``serve``
     run the HTTP verification API (:mod:`repro.service.api`);
 ``cache``
@@ -29,8 +29,7 @@ Commands mirror the paper's tool flow:
     (``prune``, oldest-mtime-first; see ``REPRO_CACHE_MAX_ENTRIES``
     and ``REPRO_CACHE_MAX_BYTES``) or empty (``clear``) the
     content-addressed result cache (``REPRO_CACHE_DIR``, default
-    ``~/.cache/repro``) — which also holds the engines' compiled
-    programs (``stats`` reports them as the ``compiled`` kind);
+    ``~/.cache/repro``);
 ``trace``
     render a JSONL trace file (written by ``--trace``) as a span tree
     with per-phase wall/CPU times and the merged counters/gauges/
@@ -416,7 +415,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             term_limit=args.term_limit,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
-            checkpoint=not args.no_checkpoint,
             retries=args.retries,
             deadline_s=args.deadline,
             max_rss_bytes=args.max_rss,
@@ -752,11 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--no-cache", action="store_true", help="bypass the result cache"
-    )
-    batch.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help="disable mid-extraction checkpoints",
     )
     batch.add_argument(
         "--retries",

@@ -35,12 +35,11 @@ design.
 
 Encoded expressions
 -------------------
-Every cache entry and checkpoint line stores a cone's expression in
-one engine-neutral JSON form (:func:`poly_to_json`: a sorted list of
-sorted variable lists).  :meth:`ConeExpression.to_json` computes that
-form once per expression and memoizes it, so the checkpoint line, the
-cone entry and the extraction entry of one cold run share a single
-encoding.
+Every cache entry stores a cone's expression in one engine-neutral
+JSON form (:func:`poly_to_json`: a sorted list of sorted variable
+lists).  :meth:`ConeExpression.to_json` computes that form once per
+expression and memoizes it, so the cone entry and the extraction
+entry of one cold run share a single encoding.
 """
 
 from __future__ import annotations

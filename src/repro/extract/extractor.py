@@ -124,8 +124,8 @@ def result_from_run(
     """Algorithm 2's analysis phase on an existing extraction run.
 
     Shared by the direct entry point below and the service layer's
-    checkpointed jobs (:mod:`repro.service.jobs`), which assemble the
-    run themselves from resumed + fresh shards.
+    request pipeline (:mod:`repro.service.pipeline`), which runs the
+    extraction itself.
     """
     if run.cones:
         modulus, member_bits = extract_from_cones(run.cones, m)

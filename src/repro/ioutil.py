@@ -1,14 +1,15 @@
 """Atomic file-write helpers shared by every artifact producer, and
 the strict UTF-8 read the netlist readers share.
 
-Batch campaigns and checkpointed extractions can be killed at any
-moment (that is the point of checkpointing), so nothing in the system
-may ever leave a half-written netlist, report, checkpoint or cache
-entry behind.  The recipe is the classic POSIX one: write the full
-payload to a temporary file *in the destination directory* (same
-filesystem, so the final step is a metadata operation), flush, then
-``os.replace`` over the target — readers observe either the old file
-or the complete new one, never a truncation.
+Batch campaigns and extractions can be killed at any moment (a
+killed extraction resumes from the cone entries it already stored),
+so nothing in the system may ever leave a half-written netlist,
+report or cache entry behind.  The recipe is the classic POSIX one:
+write the full payload to a temporary file *in the destination
+directory* (same filesystem, so the final step is a metadata
+operation), flush, then ``os.replace`` over the target — readers
+observe either the old file or the complete new one, never a
+truncation.
 """
 
 from __future__ import annotations
@@ -114,25 +115,16 @@ def atomic_write_bytes(path: PathLike, payload: bytes) -> None:
 
 
 def atomic_append_line(
-    path: PathLike,
-    line: str,
-    encoding: str = "utf-8",
-    fsync: bool = False,
+    path: PathLike, line: str, encoding: str = "utf-8"
 ) -> None:
     """Append one newline-terminated record to ``path`` in a single write.
 
     A single ``write()`` of a short line is atomic enough for JSONL
     reports (O_APPEND semantics); callers that need full-file
-    atomicity use :func:`atomic_write_text` instead.  ``fsync=True``
-    additionally forces the appended record to stable storage before
-    returning — the durability knob checkpoint writers expose for
-    power-loss (not just SIGKILL) safety, at the cost of one disk
-    flush per record.
+    atomicity use :func:`atomic_write_text` instead.
     """
     if not line.endswith("\n"):
         line += "\n"
     with open(path, "a", encoding=encoding) as handle:
         handle.write(line)
         handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())

@@ -104,10 +104,9 @@ class ExtractionRun:
     #: never decode just to answer a membership/equality question.
     cones: Dict[str, "ConeExpression"] = field(default_factory=dict)
     #: Where each bit came from when a cone cache was in play:
-    #: ``"cone_hit"`` (served from the per-cone cache), ``"computed"``
-    #: (rewritten this run), or ``"checkpoint"`` (resumed by
-    #: :mod:`repro.service.jobs`).  Empty when no cone cache was
-    #: consulted.
+    #: ``"cone_hit"`` (served from the per-cone cache, including the
+    #: bits an interrupted earlier run finished) or ``"computed"``
+    #: (rewritten this run).  Empty when no cone cache was consulted.
     cache_provenance: Dict[str, str] = field(default_factory=dict)
 
     def per_bit_runtimes(self) -> List[Tuple[int, float]]:
@@ -124,8 +123,8 @@ class ExtractionRun:
         return sum(stats.iterations for stats in self.stats.values())
 
 
-#: Checkpoint hook: called with ``(output, cone, stats)`` as soon as a
-#: bit's rewriting completes.  See :mod:`repro.service.jobs`.
+#: Per-bit hook: called with ``(output, cone, stats)`` as soon as a
+#: bit is served or rewritten.  See :mod:`repro.service.jobs`.
 ResultHook = Callable[[str, "ConeExpression", RewriteStats], None]
 
 
@@ -148,18 +147,21 @@ def extract_expressions(
     ``tracemalloc`` peak.  ``engine`` selects the rewriting backend
     (see :mod:`repro.engine`); results are backend-independent.
 
-    ``on_result`` is the checkpoint hook of :mod:`repro.service.jobs`:
-    it fires the moment each bit finishes, so a killed run loses at
-    most the bit in flight.  The returned run is independent of the
+    ``on_result`` is the per-bit hook of :mod:`repro.service.jobs`
+    (progress, deadline, cancellation): it fires the moment each bit
+    is served or rewritten.  The returned run is independent of the
     hook.
 
     ``cache`` (a :class:`repro.service.cache.ResultCache`) serves the
     per-cone tier: the requested outputs are partitioned by Merkle
     cone digest (:func:`repro.service.fingerprint.cone_fingerprints`);
     cached bits are served under a ``cone.cached`` span, only the dirty
-    ones are rewritten and stored back — Theorem 1 makes the entries
-    engine-neutral — and the run, bit-identical to a cold one, carries
-    per-bit :attr:`ExtractionRun.cache_provenance`.
+    ones are rewritten, each stored back before its ``on_result``
+    fires — Theorem 1 makes the entries engine-neutral — and the run,
+    bit-identical to a cold one, carries per-bit
+    :attr:`ExtractionRun.cache_provenance`.  The store is the resume
+    state: a run that dies after k bits leaves them cached, and the
+    rerun serves them as cone hits.
 
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
@@ -192,7 +194,7 @@ def extract_expressions(
         # fingerprint) and read inside the span, so the warm path's
         # true cost is what the trace shows.
         dirty = chosen
-        cone_digests: Optional[Dict[str, str]] = None
+        cone_digests: Dict[str, str] = {}
         hit_outputs: List[str] = []
         if cache is not None and chosen:
             from repro.engine.reference import ReferenceExpression
@@ -243,33 +245,29 @@ def extract_expressions(
             # cone-cached run skips it: that is the warm ECO path.
             backend.prepare(netlist, scope)
             netlist.gate_order()
+            schema = getattr(backend, "compile_schema", None)
             for output in dirty:
                 expression, stats = backend.rewrite_cone(
                     netlist, output, term_limit=term_limit, scope=scope
                 )
                 results.append((output, expression, stats))
+                digest = cone_digests.get(output)
+                if digest is not None:
+                    # Stored the moment the bit completes, in the
+                    # engine-neutral encoded form (Theorem 1: every
+                    # backend produces the same canonical expression),
+                    # so a run killed, cancelled or term-limited later
+                    # resumes this bit as a cone hit.
+                    cache.put_cone(
+                        digest,
+                        output,
+                        expression.to_json(),
+                        stats,
+                        engine=backend.name,
+                        compile_schema=schema,
+                    )
                 if on_result is not None:
                     on_result(output, expression, stats)
-
-        if cone_digests is not None and dirty:
-            # Store back what this run actually rewrote, in the
-            # engine-neutral encoded form (Theorem 1: every backend
-            # produces the same canonical expression, so the entry is
-            # valid for all of them).
-            rewritten = set(dirty)
-            schema = getattr(backend, "compile_schema", None)
-            for output, cone, st in results:
-                digest = cone_digests.get(output)
-                if output not in rewritten or digest is None:
-                    continue
-                cache.put_cone(
-                    digest,
-                    output,
-                    cone.to_json(),
-                    st,
-                    engine=backend.name,
-                    compile_schema=schema,
-                )
 
         # Deterministic composition regardless of hit/dirty interleave.
         position = {output: idx for idx, output in enumerate(chosen)}

@@ -1,4 +1,4 @@
-"""repro.service — the serving layer: caching, checkpointed jobs, batch
+"""repro.service — the serving layer: caching, resumable jobs, batch
 campaigns and an HTTP verification API.
 
 Why a subsystem
@@ -21,12 +21,14 @@ system around one primitive:
     :class:`~repro.extract.extractor.ExtractionResult`,
     :class:`~repro.extract.verify.VerificationReport` and
     :class:`~repro.extract.diagnose.Diagnosis` artifacts, with
-    hit/miss statistics and ``clear()``.
+    hit/miss statistics and ``clear()``, plus a per-output-cone tier
+    written as each bit completes: a killed extraction resumes from
+    its completed bits and produces results bit-identical to an
+    uninterrupted run.
 
 :mod:`~repro.service.jobs`
-    per-output-bit shard scheduling with persisted checkpoints: a
-    killed extraction resumes from its completed bits and produces
-    results bit-identical to an uninterrupted run.
+    the per-bit hook every pipeline extraction runs under (deadline,
+    progress, ``job.*`` telemetry).
 
 :mod:`~repro.service.pipeline`
     the one request pipeline (extract/audit/diagnose over the cache)
@@ -67,8 +69,6 @@ _EXPORTS = {
     "EcoReport": "repro.service.eco",
     "diff_cones": "repro.service.eco",
     "eco_reverify": "repro.service.eco",
-    "CheckpointedExtraction": "repro.service.jobs",
-    "ExtractionCheckpoint": "repro.service.jobs",
     "checkpointed_extract": "repro.service.jobs",
     "CampaignReport": "repro.service.runner",
     "CampaignRunner": "repro.service.runner",

@@ -194,8 +194,8 @@ class ReproAPIServer:
         #: progress gauge lands in; ``GET /metrics`` snapshots it.
         self.telemetry = _telemetry.resolve(telemetry)
         self._worker_count = max(1, worker_threads)
-        # Entries are ``[job, netlist]`` lists, emptied by the worker
-        # that takes them (see :meth:`_run_job`).
+        # Entries are ``[job, netlist, cached]`` lists, emptied by the
+        # worker that takes them (see :meth:`_run_job`).
         self._queue: "queue.Queue[Optional[List[Any]]]" = queue.Queue(
             maxsize=max(1, max_queue)
         )
@@ -242,8 +242,7 @@ class ReproAPIServer:
         """Stop accepting requests; finish or cancel queued work.
 
         ``drain=True`` (the default) lets the worker threads finish
-        every queued and in-flight job — in-flight checkpointed chunks
-        complete and land durably — before returning.  ``drain=False``
+        every queued and in-flight job before returning.  ``drain=False``
         cancels everything still queued (in-flight jobs see their
         cancel flag at the next progress tick) and returns as soon as
         the workers exit.
@@ -302,10 +301,15 @@ class ReproAPIServer:
             )
             self._table[job.job_id] = job
             self._evict_finished_locked()
-        if self._serve_from_cache(job, fingerprint):
+        cached = cached_outcome(self.cache, mode, fingerprint)
+        if cached.cache == "hit":
+            job.status = "done"
+            job.cache = "hit"
+            job.wall_time_s = 0.0
+            job.result = _summary(mode, cached)
             return job
         try:
-            self._queue.put_nowait([job, netlist])
+            self._queue.put_nowait([job, netlist, cached])
         except queue.Full:
             with self._lock:
                 self._table.pop(job.job_id, None)
@@ -347,16 +351,6 @@ class ReproAPIServer:
             job.status = "cancelling"
         return "accepted", job
 
-    def _serve_from_cache(self, job: Job, fingerprint: str) -> bool:
-        outcome = cached_outcome(self.cache, job.mode, fingerprint)
-        if outcome is None:
-            return False
-        job.status = "done"
-        job.cache = "hit"
-        job.wall_time_s = 0.0
-        job.result = _summary(job.mode, outcome)
-        return True
-
     def _worker_loop(self) -> None:
         while True:
             item = self._queue.get()
@@ -366,14 +360,16 @@ class ReproAPIServer:
 
     @GC_PAUSE
     def _run_job(self, item: List[Any]) -> None:
-        """Run one dequeued ``[job, netlist]`` entry under
-        :data:`~repro.netlist.netlist.GC_PAUSE`.
+        """Run one dequeued ``[job, netlist, cached]`` entry under
+        :data:`~repro.netlist.netlist.GC_PAUSE`; ``cached`` is what
+        the submission's cache lookup found, so nothing is looked up
+        twice.
 
         The entry is emptied first: this frame then holds the only
         reference to the netlist, which is freed with the frame,
         before the pause ends.
         """
-        job, netlist = item
+        job, netlist, cached = item
         item.clear()
         if job.status == "cancelled":
             return  # cancelled while queued; nothing to run
@@ -404,6 +400,7 @@ class ReproAPIServer:
                 self.cache,
                 engine=engine,
                 progress=advance,
+                cached=cached,
             )
 
         ladder = engine_ladder(job.engine, fallback=job.fallback)
@@ -690,7 +687,9 @@ def _make_handler(server: "ReproAPIServer"):
             else:
                 mode = "extract" if kind == "extraction" else "diagnose"
                 outcome = cached_outcome(server.cache, mode, fingerprint)
-                summary = None if outcome is None else _summary(mode, outcome)
+                summary = (
+                    _summary(mode, outcome) if outcome.cache == "hit" else None
+                )
             if summary is None:
                 self._error(404, f"no cached {kind} for {fingerprint}")
             else:

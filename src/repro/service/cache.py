@@ -22,13 +22,15 @@ Layout (all JSON, all written atomically)::
         diagnosis/<aa>/<fingerprint>.json
         squarer/<aa>/<fingerprint>.json
         cone/<aa>/<cone digest>.json       (per-output-cone results)
-        jobs/<fingerprint>.jsonl           (checkpoints; repro.service.jobs)
 
 where ``<aa>`` is a two-hex-digit shard of the fingerprint digest (so
-no directory grows unboundedly).  Entries carry the schema version and
-their kind inline; a schema bump changes the directory, so stale
-entries are never *misread* — they are simply invisible until
-``clear()`` reclaims them.
+no directory grows unboundedly).  A cone entry is written the moment
+its output bit completes, so the cone tier is also the resume state
+of an interrupted extraction.  A ``jobs/`` directory left by versions
+that kept separate JSONL checkpoints is ignored; ``clear()`` removes
+it.  Entries carry the schema version and their kind inline; a schema
+bump changes the directory, so stale entries are never *misread* —
+they are simply invisible until ``clear()`` reclaims them.
 
 The artifact population is bounded by an optional entry budget
 (``REPRO_CACHE_MAX_ENTRIES`` or the ``max_entries`` constructor
@@ -660,10 +662,6 @@ class ResultCache:
         digest = fingerprint.rsplit("-", 1)[-1]
         return self.version_dir / kind / digest[:2] / f"{fingerprint}.json"
 
-    def jobs_dir(self) -> Path:
-        """Directory for extraction checkpoints (repro.service.jobs)."""
-        return self.version_dir / "jobs"
-
     # -- file fingerprint memo ------------------------------------------
     #
     # Fingerprinting is content-addressed, but campaigns address
@@ -1090,7 +1088,9 @@ class ResultCache:
         :meth:`~repro.engine.base.ConeExpression.to_json` memoizes it.
         A failed store is swallowed: population happens per bit
         inside extraction, and losing one cache entry must not abort
-        (and force a retry of) the surrounding design.
+        (and force a retry of) the surrounding design.  A stored entry
+        is the resume state of its bit; the chaos ``crash_worker``
+        site fires right after it.
         """
         path = self.cone_path_for(digest)
         entry = {
@@ -1118,6 +1118,9 @@ class ResultCache:
             return path
         _telemetry.current().counter("cache.put")
         self._after_budgeted_write(path, replaced)
+        # Post-write crash site: the bit is durably stored, so a killed
+        # worker demonstrably resumes past it.
+        chaos.crash()
         return path
 
     def cone_compiled_path_for(
@@ -1322,9 +1325,9 @@ class ResultCache:
         """Every budgeted artifact file as ``(kind, path)`` — the JSON
         kinds plus the compiled-program blobs.  An extraction entry's
         verdict sidecar is not listed: it counts and is evicted with
-        its main entry.  File-fingerprint memos and job checkpoints are
-        deliberately excluded (tiny, and rebuilding them costs a
-        re-parse, not a re-extraction)."""
+        its main entry.  File-fingerprint memos are deliberately
+        excluded (tiny, and rebuilding one costs a re-parse, not a
+        re-extraction)."""
         for kind in KINDS:
             kind_dir = self.version_dir / kind
             if kind_dir.is_dir():
@@ -1388,8 +1391,8 @@ class ResultCache:
         entries).  Compiled-program blobs count and are evicted like
         any other artifact; an extraction's verdict sidecar counts and
         goes with its main entry, and a sidecar whose main entry is
-        gone is deleted.  File-fingerprint memos and job checkpoints
-        are not counted and not evicted.  Returns the eviction count.
+        gone is deleted.  File-fingerprint memos are not counted and
+        not evicted.  Returns the eviction count.
         """
         if max_entries is None:
             max_entries = self.max_entries

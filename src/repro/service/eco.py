@@ -15,15 +15,17 @@ re-extraction:
    (:func:`repro.service.pipeline.cached_outcome`, the checked verdict
    sidecar): a cached answer is returned without consulting the
    baseline at all;
-3. otherwise the per-cone store must hold the cones the edit left
-   clean — the only baseline cones the edit reads.  When one is
-   missing, the baseline's extraction (cached, or computed now) warms
-   them (a netlist-level cache hit back-fills the cone entries without
-   rewriting a gate);
+3. when the edit's extraction is not cached, the per-cone store must
+   hold the cones the edit left clean — the only baseline cones the
+   edit reads.  When one is missing, the baseline's extraction
+   (cached, or computed now) warms them (a netlist-level cache hit
+   back-fills the cone entries without rewriting a gate);
 4. the edited netlist runs the request pipeline of batch and HTTP
-   (:func:`repro.service.pipeline.run_mode`) on the same cache: clean
-   cones are served, only dirty cones are rewritten, from the cut of
-   the edited netlist's live AIG that holds their fan-in;
+   (:func:`repro.service.pipeline.run_mode`) on the same cache,
+   starting from what step 2 found, so no artifact is looked up
+   twice: clean cones are served, only dirty cones are rewritten,
+   from the cut of the edited netlist's live AIG that holds their
+   fan-in;
 5. on an audit failure, its ``diagnose`` mode runs on the same cache,
    so blame analysis starts from the cached good version.
 
@@ -191,7 +193,7 @@ class EcoReport:
     diff: ConeDiff
     #: "cache" when the baseline's cones were already servable (from
     #: the per-cone tier or its stored extraction) or not needed (the
-    #: edit's answer was cached, or the edit left no cone clean),
+    #: edit's extraction was cached, or the edit left no cone clean),
     #: "extracted" when this call had to compute them.
     baseline_source: str
     #: P(x) recovered from the edited netlist, in paper notation.
@@ -209,7 +211,7 @@ class EcoReport:
     cones_reused: int = 0
     #: Clean cones' entries back-filled from the baseline's
     #: netlist-level cache entry (0 when the cone store already held
-    #: them or the edit's answer was cached).
+    #: them or the edit's extraction was cached).
     cones_warmed: int = 0
     #: Full triage of the edited netlist, when the audit failed.
     diagnosis: Any = None
@@ -296,12 +298,12 @@ def eco_reverify(
         cones_warmed = 0
         baseline_source = "cache"
         outcome = cached_outcome(cache, mode, edit.fingerprint)
-        if outcome is None:
-            # The edit reads the baseline's clean cones only.  Presence
-            # probes first (a warm store costs a stat per clean cone);
-            # then a cached whole-netlist extraction back-fills the
-            # missing entries without rewriting; only a never-seen
-            # baseline actually extracts.
+        if outcome.extraction is None:
+            # Extracting the edit reads the baseline's clean cones
+            # only.  Presence probes first (a warm store costs a stat
+            # per clean cone); then a cached whole-netlist extraction
+            # back-fills the missing entries without rewriting; only a
+            # never-seen baseline actually extracts.
             clean = {output: base.cones[output] for output in diff.clean}
             if not all(
                 cache.cone_path_for(digest).exists()
@@ -316,11 +318,12 @@ def eco_reverify(
                     )
                 else:
                     baseline_source = "extracted"
-
-            # Re-verify the edited version: the cone cache turns this
-            # into (diff + dirty cones) work.
+        if outcome.cache != "hit":
+            # Re-verify the edited version from what the cache held:
+            # the cone cache turns this into (diff + dirty cones) work.
             outcome = run_mode(
-                mode, edit.load, edit.fingerprint, cache, **options
+                mode, edit.load, edit.fingerprint, cache, cached=outcome,
+                **options,
             )
         result = None if outcome.cache == "hit" else outcome.extraction
         report = outcome.verification

@@ -13,7 +13,7 @@ shape, supervision and cancellation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
@@ -70,11 +70,10 @@ class ModeOutcome:
     #: ``partial`` (audit: extraction cached, verdict computed) or
     #: ``off`` (no cache).
     cache: str = "off"
-    #: Bits served from the per-cone cache; set only when this call
+    #: Bits served from the per-cone cache, the bits an interrupted
+    #: earlier attempt finished among them; set only when this call
     #: extracted (for diagnose: only with a cache).
     cones_reused: Optional[int] = None
-    #: Bits resumed from a checkpoint (extract/audit only).
-    resumed_bits: Optional[int] = None
 
     def fields(self) -> Dict[str, Any]:
         """The verdict fields of a report on this outcome (the batch
@@ -113,9 +112,9 @@ def run_mode(
     *,
     engine: str,
     term_limit: Optional[int] = None,
-    checkpoint: bool = False,
     deadline=None,
     progress=None,
+    cached: Optional[ModeOutcome] = None,
 ) -> ModeOutcome:
     """Run ``mode`` on one netlist: cached artifacts first, then compute.
 
@@ -123,14 +122,18 @@ def run_mode(
     something must be computed, so a fully cached request never
     parses.  ``fingerprint`` keys every whole-netlist cache entry;
     ``cache`` (a :class:`~repro.service.cache.ResultCache`, or None)
-    also serves the per-cone tier to the extraction.
-    ``checkpoint=True`` (with a cache) extracts through
-    :func:`~repro.service.jobs.checkpointed_extract`, so a killed run
-    resumes mid-netlist; the checkpoint is dropped only once the
-    result is stored.  ``deadline`` (a
-    :class:`~repro.service.resilience.Deadline`) is checked on entry
-    and at every checkpoint persist.  ``progress`` is the per-bit
-    ``on_result`` hook of an un-checkpointed extraction.
+    also serves the per-cone tier to the extraction.  ``cached`` is
+    what :func:`cached_outcome` already found for this request (a
+    caller that looked first passes it on); without it the lookups
+    happen here, so every artifact is looked up once per request.
+
+    Every extraction runs under the per-bit service hook
+    (:func:`~repro.service.jobs.checkpointed_extract`), which stores
+    each cone as its bit completes: a killed, cancelled or
+    term-limited run resumes its finished bits as cone hits.
+    ``deadline`` (a :class:`~repro.service.resilience.Deadline`) is
+    checked on entry and at every bit; ``progress`` is called with
+    ``(output, cone, stats)`` at every bit.
 
     Diagnose runs without ``term_limit``: its verdict is cached by
     fingerprint alone, and a stored memory-out verdict would answer
@@ -139,77 +142,62 @@ def run_mode(
     from repro.extract.diagnose import diagnose
     from repro.extract.extractor import multiplier_field_size, result_from_run
     from repro.extract.verify import verify_multiplier
-    from repro.rewrite.parallel import extract_expressions
     from repro.service.jobs import checkpointed_extract
 
     if deadline is not None:
         deadline.check()
-    outcome = ModeOutcome(cache="off" if cache is None else "miss")
+    if cached is None:
+        cached = (
+            ModeOutcome() if cache is None
+            else cached_outcome(cache, mode, fingerprint)
+        )
+    if cached.cache == "hit":
+        return cached
+    # A copy: a retried attempt starts again from what the cache held.
+    outcome = replace(cached)
     if mode == "diagnose":
-        diagnosis = cache.get_diagnosis(fingerprint) if cache else None
-        if diagnosis is not None:
-            outcome.cache = "hit"
-        else:
-            diagnosis = diagnose(load(), engine=engine, cache=cache)
-            if cache is not None:
-                cache.put_diagnosis(fingerprint, diagnosis)
-                if diagnosis.extraction is not None:
-                    outcome.cones_reused = _cones_reused(
-                        diagnosis.extraction.run
-                    )
+        diagnosis = diagnose(load(), engine=engine, cache=cache)
+        if cache is not None:
+            cache.put_diagnosis(fingerprint, diagnosis)
+            if diagnosis.extraction is not None:
+                outcome.cones_reused = _cones_reused(diagnosis.extraction.run)
         outcome.diagnosis = diagnosis
         return outcome
 
-    # extract / audit share the extraction phase; a hit decodes no
-    # expression unless the audit must verify it
-    result = cache.get_verdict(fingerprint) if cache else None
-    if result is not None:
-        outcome.cache = "hit"
-    outcome.resumed_bits = 0
-    if result is None:
+    # extract / audit share the extraction phase; a cached one decodes
+    # no expression unless the audit must verify it
+    if outcome.extraction is None:
         netlist = load()
         m = multiplier_field_size(netlist)
-        options = dict(
+        run = checkpointed_extract(
+            netlist,
+            fingerprint=fingerprint,
+            progress=progress,
+            deadline=deadline,
             outputs=[f"z{i}" for i in range(m)],
             engine=engine,
             term_limit=term_limit,
             cache=cache,
         )
-        sharded = None
-        if checkpoint and cache is not None:
-            # keep_checkpoint: the checkpoint may only die once the
-            # result is durably in the cache — a kill between discard
-            # and put would lose every bit.
-            sharded = checkpointed_extract(
-                netlist,
-                checkpoint_dir=cache.jobs_dir(),
-                fingerprint=fingerprint,
-                keep_checkpoint=True,
-                deadline=deadline,
-                **options,
-            )
-            run = sharded.run
-            outcome.resumed_bits = len(sharded.resumed_bits)
-        else:
-            run = extract_expressions(netlist, on_result=progress, **options)
         outcome.cones_reused = _cones_reused(run)
-        result = result_from_run(run, m, total_time_s=run.wall_time_s)
+        outcome.extraction = result_from_run(
+            run, m, total_time_s=run.wall_time_s
+        )
         if cache is not None:
-            cache.put_extraction(fingerprint, result)
-        if sharded is not None:  # result is durable now; checkpoint may go
-            sharded.checkpoint_path.unlink(missing_ok=True)
-    outcome.extraction = result
+            cache.put_extraction(fingerprint, outcome.extraction)
+            if mode == "audit":
+                outcome.verification = _verification(
+                    cache, fingerprint, outcome.extraction
+                )
+    elif mode == "audit":  # partial: verify the cached extraction
+        outcome.extraction = outcome.extraction.result()
 
-    if mode == "audit":
-        report = _verification(cache, fingerprint, result) if cache else None
-        if report is None:
-            if outcome.cache == "hit":
-                outcome.cache = "partial"
-                result = outcome.extraction = result.result()
-            report = verify_multiplier(load(), result, engine=engine)
-            if cache is not None:
-                cache.put_verification(fingerprint, report)
-        outcome.verification = report
+    if mode == "audit" and outcome.verification is None:
+        outcome.verification = verify_multiplier(
+            load(), outcome.extraction, engine=engine
+        )
+        if cache is not None:
+            cache.put_verification(fingerprint, outcome.verification)
     return outcome
 
 
@@ -229,27 +217,29 @@ def _verification(cache, fingerprint: str, result):
     return report
 
 
-def cached_outcome(
-    cache, mode: str, fingerprint: str
-) -> Optional[ModeOutcome]:
-    """A mode's outcome from cached artifacts alone (lookups only).
+def cached_outcome(cache, mode: str, fingerprint: str) -> ModeOutcome:
+    """What the cache holds for ``mode`` (lookups only).
 
-    None unless every artifact the mode needs is cached — for audit,
-    the extraction *and* its verdict.
+    ``cache`` is ``hit`` when every artifact the mode needs is cached,
+    ``partial`` for an audit whose extraction is cached but whose
+    golden-model verdict is not (the outcome keeps the extraction),
+    else ``miss``.  An audit's verdict is looked up only beside a
+    cached extraction, the P(x) it must be a verdict on; after a fresh
+    extraction :func:`run_mode` looks it up.
     """
     if mode == "diagnose":
         diagnosis = cache.get_diagnosis(fingerprint)
-        if diagnosis is None:
-            return None
-        return ModeOutcome(diagnosis=diagnosis, cache="hit")
+        return ModeOutcome(
+            diagnosis=diagnosis, cache="miss" if diagnosis is None else "hit"
+        )
     result = cache.get_verdict(fingerprint)
     if result is None:
-        return None
+        return ModeOutcome(cache="miss")
     outcome = ModeOutcome(extraction=result, cache="hit")
     if mode == "audit":
         outcome.verification = _verification(cache, fingerprint, result)
         if outcome.verification is None:
-            return None
+            outcome.cache = "partial"
     return outcome
 
 

@@ -1,8 +1,8 @@
 """Supervised execution: retries, deadlines, fallback, quarantine.
 
-The checkpoint/resume machinery (:mod:`repro.service.jobs`) and the
-strash-invariant fingerprints already make every unit of work safely
-re-runnable; this module is the supervision layer that exploits that.
+The per-cone cache tier, written as each output bit completes, and
+the strash-invariant fingerprints already make every unit of work
+safely re-runnable; this module is the supervision layer that exploits that.
 Three primitives, composed by :func:`run_supervised`:
 
 :class:`RetryPolicy`
@@ -16,8 +16,8 @@ Three primitives, composed by :func:`run_supervised`:
     A wall-clock and/or RSS budget.  The RSS watchdog is a daemon
     monitor thread sampling ``/proc`` for the whole attempt; the work
     cooperates by calling :meth:`Deadline.check` at natural yield
-    points — the per-bit/per-chunk persist hooks of checkpointed
-    extraction, which exist on every code path already.
+    points — the per-bit hook of every pipeline extraction
+    (:mod:`repro.service.jobs`).
 
 :func:`run_supervised`
     The attempt loop: per engine rung × per attempt, emitting a
@@ -151,7 +151,7 @@ class Deadline:
     Use as a context manager; with an RSS budget a daemon monitor
     thread samples resident memory every ``interval_s``.  The budget
     is *cooperative*: the work calls :meth:`check` at yield points
-    (checkpoint persist hooks, chunk boundaries, attempt boundaries)
+    (per-bit extraction hooks, attempt boundaries)
     and gets :class:`DeadlineExceeded` once either budget is blown.
     Both budgets ``None`` makes every method a no-op.
     """

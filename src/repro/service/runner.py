@@ -9,8 +9,9 @@ composes the rest of the service layer:
 * every netlist runs the request pipeline of the HTTP API and ECO
   (:func:`repro.service.pipeline.run_mode`): cached artifacts first —
   a repeated campaign over unchanged designs is pure cache traffic —
-  and misses extract through checkpointed jobs, so a killed campaign
-  resumes mid-netlist, not just mid-directory;
+  and every extracted bit is stored in the per-cone tier as it
+  completes, so a killed campaign resumes mid-netlist, not just
+  mid-directory;
 * netlists are sharded over *supervised* worker processes
   (``workers`` forked processes, one per in-flight netlist; each
   extraction rewrites its output bits one after another in its
@@ -27,9 +28,9 @@ recorded per-record as ``engine_used``/``fallback_reason``.  The
 multi-worker scheduler is process-per-task with a result pipe per
 worker: a worker that dies (SIGKILL, OOM, injected
 :mod:`repro.chaos` crash) is *detected* via pipe EOF + process
-liveness and its netlist is resubmitted — resuming from the
-per-bit checkpoints the dead worker already persisted — instead
-of hanging a shared ``imap_unordered``.  A netlist that exhausts its
+liveness and its netlist is resubmitted — resuming from the cone
+entries the dead worker already stored — instead of hanging a shared
+``imap_unordered``.  A netlist that exhausts its
 budget is recorded as ``status: "quarantined"`` (or
 ``"worker_died"`` when every resubmission crashed) with a structured
 reason, and the campaign always completes its report.
@@ -182,8 +183,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         def work(eng: Optional[str]) -> None:
             # What the record reports if this attempt fails.
             record["cache"] = "off" if cache is None else "miss"
-            if mode != "diagnose":
-                record["resumed_bits"] = 0
             outcome = run_mode(
                 mode,
                 source.load,
@@ -191,12 +190,9 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 cache,
                 engine=eng,
                 term_limit=task["term_limit"],
-                checkpoint=task["checkpoint"],
                 deadline=deadline if deadline.armed else None,
             )
             record.update(outcome.fields(), cache=outcome.cache)
-            if outcome.resumed_bits is not None:
-                record["resumed_bits"] = outcome.resumed_bits
 
         with deadline:
             supervised = run_supervised(
@@ -336,7 +332,6 @@ class CampaignRunner:
         term_limit: Optional[int] = None,
         cache_dir: Optional[PathLike] = None,
         use_cache: bool = True,
-        checkpoint: bool = True,
         fused: bool = False,
         telemetry: Optional["_telemetry.Telemetry"] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -382,7 +377,6 @@ class CampaignRunner:
             )
         else:
             self.cache_dir = None
-        self.checkpoint = checkpoint and use_cache
 
     def _task(self, path: Path) -> Dict[str, Any]:
         return {
@@ -391,7 +385,6 @@ class CampaignRunner:
             "engine": self.engine,
             "term_limit": self.term_limit,
             "cache_dir": self.cache_dir,
-            "checkpoint": self.checkpoint,
             "retry_policy": self.retry_policy,
             "deadline_s": self.deadline_s,
             "max_rss_bytes": self.max_rss_bytes,
@@ -469,7 +462,7 @@ class CampaignRunner:
         EOF when the child died mid-task) and ``Process.is_alive`` /
         ``exitcode``.  A dead worker's netlist is resubmitted up to
         the retry policy's attempt budget — resuming from whatever
-        per-bit checkpoints the dead worker persisted — and then
+        cone entries the dead worker stored — and then
         recorded as ``status: "worker_died"``.
         """
         import multiprocessing

@@ -510,8 +510,8 @@ def resolve(telemetry: Optional[Telemetry] = None) -> Telemetry:
 
 
 def load_trace(path: Union[str, os.PathLike]) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace; a torn trailing line is skipped, mirroring
-    the checkpoint loader's crash tolerance."""
+    """Parse a JSONL trace; a torn trailing line (a writer killed
+    mid-append) is skipped."""
     events: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:

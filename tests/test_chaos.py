@@ -182,7 +182,7 @@ class TestTelemetryDelays:
 #: Fields that legitimately differ between a calm and a chaotic run
 #: (timing, retry bookkeeping, cache temperature) — everything else,
 #: polynomials above all, must match bit for bit.
-_VOLATILE_FIELDS = ("wall_time_s", "attempts", "cache", "resumed_bits")
+_VOLATILE_FIELDS = ("wall_time_s", "attempts", "cache", "cones_reused")
 
 
 def _normalized(records):
@@ -205,60 +205,98 @@ def six_designs(tmp_path):
     return designs
 
 
-class TestCampaignUnderChaos:
-    def test_chaotic_campaign_matches_calm_run(self, six_designs, tmp_path):
-        calm = run_campaign(
-            six_designs,
-            report_path=tmp_path / "calm.jsonl",
-            cache_dir=tmp_path / "cache_calm",
-            workers=2,
-            mode="audit",
-        )
-        assert calm.ok == 6
-
-        # Seeded so the schedule is reproducible: crashes, IO errors
-        # and cache corruption all fire (see the counter asserts), yet
-        # every netlist completes within the retry budget.
-        chaos_mod.configure(
-            "crash_worker=0.25,io_error=0.15,corrupt_cache=1.0@seed=13"
-        )
-        telemetry = _telemetry.Telemetry()
-        chaotic = run_campaign(
-            six_designs,
-            report_path=tmp_path / "chaos.jsonl",
-            cache_dir=tmp_path / "cache_chaos",
+def _chaotic_campaign(designs, tmp_path, name, spec):
+    """Audit ``designs`` under the chaos ``spec`` with 5 attempts."""
+    chaos_mod.configure(spec)
+    telemetry = _telemetry.Telemetry()
+    try:
+        report = run_campaign(
+            designs,
+            report_path=tmp_path / f"{name}.jsonl",
+            cache_dir=tmp_path / f"cache_{name}",
             workers=2,
             retries=5,
             telemetry=telemetry,
             mode="audit",
         )
+    finally:
         chaos_mod.configure(None)
+    # The streamed JSONL report agrees with the in-memory records.
+    lines = (tmp_path / f"{name}.jsonl").read_text().splitlines()
+    assert _normalized([json.loads(l) for l in lines]) == _normalized(
+        report.records
+    )
+    # The cone tier is the only resume state: no checkpoint directory.
+    cache = ResultCache(tmp_path / f"cache_{name}")
+    assert not (cache.version_dir / "jobs").exists()
+    return report, telemetry.metrics()["counters"], cache
 
-        assert chaotic.ok == 6
-        assert chaotic.quarantined == 0
-        assert _normalized(chaotic.records) == _normalized(calm.records)
 
-        # The supervisor really did resubmit dead workers.
-        counters = telemetry.metrics()["counters"]
-        assert counters.get("resilience.retry", 0) >= 1
+@pytest.fixture
+def calm(six_designs, tmp_path):
+    report = run_campaign(
+        six_designs,
+        report_path=tmp_path / "calm.jsonl",
+        cache_dir=tmp_path / "cache_calm",
+        workers=2,
+        mode="audit",
+    )
+    assert report.ok == 6
+    return report
 
-        # The streamed JSONL report agrees with the in-memory records.
-        lines = (tmp_path / "chaos.jsonl").read_text().splitlines()
-        assert _normalized([json.loads(l) for l in lines]) == _normalized(
-            chaotic.records
+
+class TestCampaignUnderChaos:
+    def test_chaotic_campaign_matches_calm_run(
+        self, six_designs, tmp_path, calm
+    ):
+        # Seeded so the schedules are reproducible: crashes, IO errors
+        # and cache corruption all fire (see the counter asserts), yet
+        # every netlist completes within the retry budget.
+        crashing, counters, _ = _chaotic_campaign(
+            six_designs, tmp_path, "crash",
+            "crash_worker=0.25,io_error=0.15@seed=13",
         )
+        assert crashing.ok == 6
+        assert crashing.quarantined == 0
+        assert _normalized(crashing.records) == _normalized(calm.records)
+        # The supervisor really did resubmit dead workers, and the
+        # resubmissions resumed finished bits from the cone tier.
+        assert counters.get("resilience.retry", 0) >= 1
+        assert sum(r.get("cones_reused", 0) for r in crashing.records) > 0
 
-        # No orphaned checkpoints: every resumed extraction cleaned up
-        # once its result landed durably in the cache.
-        cache = ResultCache(tmp_path / "cache_chaos")
-        assert list(cache.jobs_dir().glob("*")) == []
-
+        corrupting, _, cache = _chaotic_campaign(
+            six_designs, tmp_path, "corrupt",
+            "io_error=0.15,corrupt_cache=1.0@seed=13",
+        )
+        assert corrupting.ok == 6
+        assert _normalized(corrupting.records) == _normalized(calm.records)
         # corrupt_cache=1.0 mangled every written entry; with chaos
         # off, reading one quarantines it instead of crashing.
-        fingerprint = chaotic.records[0]["fingerprint"]
+        fingerprint = corrupting.records[0]["fingerprint"]
         assert cache.get_extraction(fingerprint) is None
         assert cache.corrupt >= 1
         assert list(cache.quarantine_dir().glob("*"))
+
+    def test_crashes_over_a_corrupting_cache_never_answer_wrong(
+        self, six_designs, tmp_path, calm
+    ):
+        """With every cone write mangled, a crashed worker's finished
+        bits cannot be resumed, so a netlist may exhaust its
+        resubmissions: it then ends ``worker_died``, never with a
+        wrong answer."""
+        chaotic, _, _ = _chaotic_campaign(
+            six_designs, tmp_path, "both",
+            "crash_worker=0.25,io_error=0.15,corrupt_cache=1.0@seed=13",
+        )
+        expected = _normalized(calm.records)
+        for record, want in zip(_normalized(chaotic.records), expected):
+            if record["status"] == "ok":
+                assert record == want
+            else:
+                assert record["status"] == "worker_died"
+                assert record["path"] == want["path"]
+                assert "polynomial" not in record
+        assert chaotic.ok + chaotic.quarantined == 6
 
     def test_every_submission_crashing_yields_worker_died(
         self, tmp_path

@@ -88,6 +88,31 @@ class TestBatch:
         with pytest.raises(SystemExit, match="no netlists"):
             main(["batch", str(empty)])
 
+    def test_the_retired_checkpoint_flag_is_rejected(self, designs, capsys):
+        """The cone tier is the only resume state; the flag that
+        switched the separate checkpoint off is gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", str(designs), "--no-checkpoint"])
+        assert excinfo.value.code == 2
+        assert "--no-checkpoint" in capsys.readouterr().err
+
+    def test_clear_removes_leftover_checkpoint_files(
+        self, designs, tmp_path, capsys
+    ):
+        """Checkpoint files of earlier versions are ignored, and
+        ``cache clear`` removes them with everything else."""
+        cache_dir = tmp_path / "cache"
+        leftover = cache_dir / "v1" / "jobs" / "v3-abc.jsonl"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_text('{"schema": 1}\n')
+        report = tmp_path / "report.jsonl"
+        argv = ["batch", str(designs), "-o", str(report)]
+        assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
+        lines = report.read_text().splitlines()
+        assert [json.loads(l)["status"] for l in lines] == ["ok", "ok"]
+        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert not leftover.exists()
+
 
 class TestCacheVerb:
     def test_stats_and_clear(self, designs, tmp_path, capsys):

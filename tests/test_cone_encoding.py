@@ -1,9 +1,9 @@
 """One encoding per cone.
 
 Every cone's expression is stored in one engine-neutral JSON form
-(``poly_to_json``): in its checkpoint line, its cone entry and the
-extraction entry.  ``ConeExpression.to_json`` computes that form once
-and every consumer shares it.  These tests pin that the memoized form
+(``poly_to_json``): in its cone entry and the extraction entry.
+``ConeExpression.to_json`` computes that form once and every consumer
+shares it.  These tests pin that the memoized form
 is the ``poly_to_json`` of the decoded expression on every engine, that
 a cold bitpack audit never decodes a packed expression, and that the
 bytes written are the ones earlier versions wrote.
@@ -15,7 +15,6 @@ import re
 
 import pytest
 
-import repro.service.jobs as jobs_module
 from repro.engine import PackedExpression, ReferenceExpression
 from repro.gen.karatsuba import generate_karatsuba
 from repro.gen.mastrovito import generate_mastrovito
@@ -23,7 +22,7 @@ from repro.gen.montgomery import generate_montgomery
 from repro.gen.schoolbook import generate_schoolbook
 from repro.netlist.eqn_io import write_eqn
 from repro.rewrite.parallel import extract_expressions
-from repro.service.cache import ResultCache, poly_to_json
+from repro.service.cache import ResultCache, poly_to_json, stats_to_json
 from repro.service.runner import CampaignRunner
 from repro.synth.pipeline import synthesize
 
@@ -36,9 +35,11 @@ GENERATORS = {
     "schoolbook": generate_schoolbook,
 }
 
-#: sha256 of the m=8 NAND-mapped bitpack audit's cone entries,
-#: checkpoint lines and extraction-entry expressions (timestamps and
-#: timings zeroed), as the encoding before memoization wrote them.
+#: sha256 of the m=8 NAND-mapped bitpack audit's cone entries, the
+#: per-bit records its cone puts carry (in the JSON-line form earlier
+#: versions also appended to a per-job checkpoint) and the
+#: extraction-entry expressions (timestamps and timings zeroed), as
+#: the encoding before memoization wrote them.
 M8_AUDIT_DIGEST = (
     "40b6a3554234efaa59bb29f755b3bf22a927944524ee7d215f73ea47907cdc7f"
 )
@@ -96,23 +97,36 @@ def test_a_cold_bitpack_audit_decodes_no_packed_expression(
 
 
 def test_the_m8_audit_writes_the_bytes_it_always_wrote(tmp_path, monkeypatch):
-    lines = []
-    append = jobs_module.atomic_append_line
+    puts = []
+    put_cone = ResultCache.put_cone
 
-    def spy(path, line, **kwargs):
-        lines.append(line)
-        return append(path, line, **kwargs)
+    def spy(cache, digest, output, expression, stats, **kwargs):
+        puts.append((output, expression, stats))
+        return put_cone(cache, digest, output, expression, stats, **kwargs)
 
-    monkeypatch.setattr(jobs_module, "atomic_append_line", spy)
+    monkeypatch.setattr(ResultCache, "put_cone", spy)
     path = tmp_path / "m8.eqn"
     write_eqn(_nand_m8(), path)
     record = CampaignRunner(
         mode="audit", engine="bitpack", cache_dir=tmp_path / "cache"
     ).run([path]).records[0]
     assert record["status"] == "ok"
-    assert len(lines) == 8
+    # One put per bit, in bit order, each as its bit completes.
+    assert [output for output, _, _ in puts] == [f"z{i}" for i in range(8)]
+    lines = [
+        json.dumps(
+            {
+                "output": output,
+                "expression": expression,
+                "stats": stats_to_json(stats),
+            },
+            sort_keys=True,
+        )
+        for output, expression, stats in puts
+    ]
 
     cache = ResultCache(tmp_path / "cache")
+    assert not (cache.version_dir / "jobs").exists()
     digest = hashlib.sha256()
     cones = sorted((cache.version_dir / "cone").rglob("*.json"))
     assert len(cones) == 8

@@ -375,6 +375,57 @@ class TestCancellation:
         view = delete(f"{base_url}/v1/jobs/{running['job_id']}", expect=200)
         assert view["status"] == "cancelled"
 
+    def test_a_cancelled_job_leaves_its_finished_bits_cached(
+        self, tmp_path, monkeypatch
+    ):
+        """A job cancelled after k bits keeps them in the cone tier:
+        the resubmission reuses at least those k."""
+        from repro.service import api as api_mod
+
+        k = 3
+        run_mode = api_mod.run_mode
+        calls = []
+
+        def cancel_first_job_after_k_bits(*args, progress, **kwargs):
+            calls.append(None)
+            ticks = []
+
+            def tick(output, cone, stats):
+                if len(calls) == 1 and len(ticks) == k:
+                    api.cancel("job-1")
+                ticks.append(output)
+                progress(output, cone, stats)
+
+            return run_mode(*args, progress=tick, **kwargs)
+
+        monkeypatch.setattr(api_mod, "run_mode", cancel_first_job_after_k_bits)
+        api = api_mod.serve(
+            host="127.0.0.1",
+            port=0,
+            cache_dir=str(tmp_path / "cache"),
+            engine="bitpack",
+            worker_threads=1,
+        )
+        api.start()
+        try:
+            host, port = api.address
+            url = f"http://{host}:{port}"
+            text = format_eqn(generate_mastrovito(0b100011011))
+            first = post(f"{url}/v1/jobs", {"netlist": text})
+            deadline = time.monotonic() + 20
+            while get(f"{url}/v1/jobs/{first['job_id']}")["status"] != (
+                "cancelled"
+            ):
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            again = post(f"{url}/v1/jobs", {"netlist": text})
+            view = wait_done(url, again["job_id"])
+        finally:
+            api.shutdown()
+        assert view["status"] == "done"
+        assert view["result"]["polynomial"] == "x^8 + x^4 + x^3 + x + 1"
+        assert view["cones_reused"] >= k
+
     def test_delete_finished_job_conflicts(self, base):
         text = format_eqn(generate_mastrovito(0b1011))
         job = post(f"{base}/v1/jobs", {"netlist": text, "mode": "extract"})

@@ -221,48 +221,55 @@ class Killed(RuntimeError):
 
 class TestKillAndResumeWithConeCache:
     def test_resume_merges_checkpoint_and_cone_provenance(self, tmp_path):
-        from repro.service.jobs import (
-            ExtractionCheckpoint,
-            checkpointed_extract,
-        )
+        """An ECO extraction killed mid-run resumes through the one
+        cone tier: the baseline's clean cones and the bits the killed
+        run finished are both cone hits, and only the rest is
+        rewritten."""
+        from repro.service.jobs import checkpointed_extract
+        from repro.service.pipeline import run_mode
 
         base = generate_mastrovito(P8)
         mutant, _ = flip_gate(base, base.gates[60].output)
         cache = ResultCache(tmp_path / "cache")
         extract_expressions(base, engine="bitpack", cache=cache)
         cold = extract_expressions(mutant, engine="bitpack")
+        clean = [
+            output for output, digest in cone_fingerprints(mutant).items()
+            if digest in set(cone_fingerprints(base).values())
+        ]
+        assert len(clean) == 4  # z3, z4, z6, z7 are dirty
 
-        path = tmp_path / "job.json"
-        fingerprint = fingerprint_netlist(mutant)
-        checkpoint = ExtractionCheckpoint.load(
-            path, fingerprint, "bitpack", None
-        )
-        count = [0]
+        # Hits are reported first, then rewritten bits in order: die
+        # after the clean cones and two rewritten ones.
+        seen = []
 
-        def persist_then_die(output, cone, stats):
-            checkpoint.record(output, cone.to_json(), stats)
-            count[0] += 1
-            if count[0] >= 3:
+        def die_after_two_rewrites(output, cone, stats):
+            seen.append(output)
+            if len(seen) == len(clean) + 2:
                 raise Killed("simulated kill")
 
         with pytest.raises(Killed):
-            extract_expressions(
-                mutant, engine="bitpack", on_result=persist_then_die
+            checkpointed_extract(
+                mutant,
+                progress=die_after_two_rewrites,
+                engine="bitpack",
+                cache=cache,
             )
-        resumed = checkpointed_extract(
-            mutant,
+        resumed = run_mode(
+            "extract",
+            lambda: mutant,
+            fingerprint_netlist(mutant),
+            cache,
             engine="bitpack",
-            checkpoint_path=path,
-            cache=cache,
         )
-        assert len(resumed.resumed_bits) == 3
+        assert resumed.cones_reused == len(clean) + 2
+        run = resumed.extraction.run
         for output in cold.expressions:
-            assert (
-                resumed.run.expressions[output] == cold.expressions[output]
-            )
-        origins = set(resumed.run.cache_provenance.values())
-        assert "checkpoint" in origins
-        assert origins <= {"checkpoint", "cone_hit", "computed"}
+            assert run.expressions[output] == cold.expressions[output]
+        assert [
+            output for output, origin in run.cache_provenance.items()
+            if origin == "computed"
+        ] == ["z6", "z7"]
 
 
 class TestDiffCones:

@@ -199,3 +199,76 @@ def test_http_job_and_batch_record_leave_the_same_entries(tmp_path):
     assert _entries(cache) == batch
     assert any(entry.startswith("cone/") for entry in batch)
     assert not any(entry.startswith("compiled/") for entry in batch)
+
+
+#: Cached artifacts a fresh request looks up: the extraction's verdict,
+#: plus the golden-model report for an audit.
+LOOKUPS = {"extract": 1, "audit": 2}
+
+
+class TestOneLookupPerArtifact:
+    """A request looks each cached artifact up once: the entry point's
+    own answer-first lookup is what the pipeline starts from."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        base, edit = tmp_path / "base.eqn", tmp_path / "edit.eqn"
+        write_eqn(clean(), base)
+        write_eqn(single_fault(), edit)
+        return base, edit, tmp_path / "cache"
+
+    @pytest.mark.parametrize("mode", sorted(LOOKUPS))
+    def test_a_fresh_eco_edit(self, files, mode):
+        base, edit, cache_dir = files
+        CampaignRunner(mode="audit", cache_dir=cache_dir).run([base])
+        cache = ResultCache(cache_dir)
+        eco_reverify(
+            base, edit, cache, audit=mode == "audit",
+            diagnose_on_failure=False,
+        )
+        assert (cache.hits, cache.misses) == (0, LOOKUPS[mode])
+
+    @pytest.mark.parametrize("mode", sorted(LOOKUPS))
+    def test_a_fresh_http_submit(self, files, mode):
+        _, edit, cache_dir = files
+        server = ReproAPIServer(
+            port=0, cache=ResultCache(cache_dir), worker_threads=1
+        )
+        server.start()
+        try:
+            job = server.submit(
+                parse_eqn(edit.read_text()), mode=mode, engine="bitpack"
+            )
+            deadline = time.monotonic() + 20
+            while job.status not in TERMINAL_STATUSES:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            server.shutdown()
+        assert job.status == "done"
+        cache = server.cache
+        assert (cache.hits, cache.misses) == (0, LOOKUPS[mode])
+
+    def test_batch_counts(self, files, monkeypatch):
+        """Fresh, repeated and partial audits: one lookup per artifact."""
+        base, _, cache_dir = files
+        lookups = []
+        count = ResultCache._count_lookup
+
+        def spy(cache, hit):
+            lookups.append(hit)
+            return count(cache, hit)
+
+        monkeypatch.setattr(ResultCache, "_count_lookup", spy)
+
+        def audit():
+            lookups.clear()
+            runner = CampaignRunner(mode="audit", cache_dir=cache_dir)
+            record = runner.run([base]).records[0]
+            return record["cache"], sorted(lookups)
+
+        assert audit() == ("miss", [False, False])
+        assert audit() == ("hit", [True, True])
+        fingerprint = ResultCache(cache_dir).fingerprint(clean())
+        ResultCache(cache_dir).path_for("verification", fingerprint).unlink()
+        assert audit() == ("partial", [False, True])

@@ -224,11 +224,11 @@ class TestModesAndRecords:
         assert all(r["equivalent"] for r in report.records)
 
     def test_resumes_mid_netlist_from_checkpoint(self, tmp_path):
-        """A killed campaign leaves a checkpoint; the rerun resumes it."""
-        from repro.rewrite.parallel import extract_expressions
+        """A killed campaign leaves its finished bits in the cone tier
+        (the only checkpoint); the rerun resumes them as cone hits."""
         from repro.service.cache import ResultCache
         from repro.service.fingerprint import fingerprint_netlist
-        from repro.service.jobs import ExtractionCheckpoint, checkpoint_path_for
+        from repro.service.jobs import checkpointed_extract
 
         designs = tmp_path / "d"
         designs.mkdir()
@@ -236,18 +236,22 @@ class TestModesAndRecords:
         write_eqn(net, designs / "m8.eqn")
         cache = ResultCache(tmp_path / "c")
 
-        # Simulate the kill: checkpoint half the bits by hand.
-        fingerprint = fingerprint_netlist(net)
-        path = checkpoint_path_for(cache.jobs_dir(), fingerprint, None)
-        checkpoint = ExtractionCheckpoint.load(
-            path, fingerprint, "bitpack", None
-        )
-        extract_expressions(
-            net,
-            outputs=["z0", "z1", "z2", "z3"],
-            engine="bitpack",
-            on_result=lambda o, c, s: checkpoint.record(o, c.to_json(), s),
-        )
+        # Simulate the kill: the worker dies after 4 bits.
+        done = []
+
+        def die_after_four(output, cone, stats):
+            done.append(output)
+            if len(done) == 4:
+                raise InterruptedError("killed")
+
+        with pytest.raises(InterruptedError):
+            checkpointed_extract(
+                net,
+                fingerprint=fingerprint_netlist(net),
+                progress=die_after_four,
+                engine="bitpack",
+                cache=cache,
+            )
 
         report = run_campaign(
             designs, cache_dir=tmp_path / "c", engine="bitpack"
@@ -255,7 +259,7 @@ class TestModesAndRecords:
         record = report.records[0]
         assert record["status"] == "ok"
         assert record["cache"] == "miss"
-        assert record["resumed_bits"] == 4
+        assert record["cones_reused"] == 4
         assert record["polynomial"] == "x^8 + x^4 + x^3 + x + 1"
         assert record["equivalent"] is True
-        assert not path.exists()  # consumed on completion
+        assert not (cache.version_dir / "jobs").exists()

@@ -205,7 +205,9 @@ def test_a_verification_of_another_polynomial_is_recomputed(tmp_path, net):
     entry = json.loads(entry_path.read_text())
     entry["payload"]["modulus"] = 0b100011101
     entry_path.write_text(json.dumps(entry))
-    assert cached_outcome(cache, "audit", first["fingerprint"]) is None
+    stored = cached_outcome(cache, "audit", first["fingerprint"])
+    assert (stored.cache, stored.verification) == ("partial", None)
+    assert stored.extraction.modulus == P8
 
     again = audit()
     assert (again["cache"], again["equivalent"]) == ("partial", True)

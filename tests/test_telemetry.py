@@ -375,18 +375,17 @@ def test_campaign_spans(tmp_path, tel):
     assert registry.counters()["campaign.netlists"] == 1
 
 
-def test_checkpointed_job_gauges(tmp_path, tel):
+def test_checkpointed_job_gauges(tel):
     from repro.service.jobs import checkpointed_extract
 
     registry, sink = tel
     netlist = generate_mastrovito(0b10011)
-    sharded = checkpointed_extract(
+    run = checkpointed_extract(
         netlist,
-        checkpoint_dir=tmp_path / "jobs",
         fingerprint="fp-telemetrytest",
         telemetry=registry,
     )
-    assert sharded.run.stats
+    assert run.stats
     gauges = registry.gauges()
     prefix = "fp-telemetryt"[:12]
     assert gauges[f"job.{prefix}.done_bits"] == len(netlist.outputs)
