@@ -32,10 +32,10 @@ from repro.extract.extractor import (
 from repro.extract.verify import (
     VerificationReport,
     first_mismatch,
+    grid_lanes,
     verify_multiplier,
 )
 from repro.fieldmath.bitpoly import bitpoly_str
-from repro.fieldmath.gf2m import GF2m
 from repro.gen.naming import input_nets, value_assignment
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import BackwardRewriteError, TermLimitExceeded
@@ -291,17 +291,21 @@ def _find_counterexample(
     Exhaustive for small m, bounded sweep otherwise; the algebraic
     verdict already proved a mismatch exists, the sweep just makes it
     concrete (it can miss one when the operand space is large).  The
-    ``bound x bound`` window is simulated in one bit-parallel pass;
-    the first disagreeing pair in row-major ``(a, b)`` order wins.
+    ``bound x bound`` window is one bit-parallel pass on both sides:
+    its operand lanes come in closed form from
+    :func:`~repro.extract.verify.grid_lanes`, the golden products are
+    bit-sliced from them, and the lowest disagreeing lane, the first
+    pair in row-major ``(a, b)`` order, maps back with ``divmod``.
     """
     m = result.m
-    field = GF2m(result.modulus, check_irreducible=False)
     bound = min(1 << m, max_values)
-    pairs = [(a, b) for a in range(bound) for b in range(bound)]
-    lane = first_mismatch(netlist, field, m, pairs)
+    a_lanes, b_lanes = grid_lanes(m, bound)
+    lane = first_mismatch(
+        netlist, result.modulus, a_lanes, b_lanes, bound * bound
+    )
     if lane is None:
         return None
-    a_value, b_value = pairs[lane]
+    a_value, b_value = divmod(lane, bound)
     assignment = dict(value_assignment(input_nets(m, "a"), a_value))
     assignment.update(value_assignment(input_nets(m, "b"), b_value))
     return assignment

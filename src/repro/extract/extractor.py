@@ -161,7 +161,9 @@ def extract_irreducible_polynomial(
     answers a structurally identical netlist without rewriting a gate
     and stores fresh results; on a miss it serves the per-cone tier of
     :func:`~repro.rewrite.parallel.extract_expressions`, so an edited
-    netlist rewrites only its dirty cones (the ECO path).
+    netlist rewrites only its dirty cones (the ECO path).  Under a
+    ``term_limit`` neither tier is read, only written: a stored result
+    says nothing about whether rewriting fits under the limit.
 
     ``on_result`` fires once per completed bit with ``(output, cone,
     stats)`` — the progress feed of the HTTP API's job endpoints —
@@ -183,7 +185,7 @@ def extract_irreducible_polynomial(
     key = None
     if cache is not None:
         key = cache.fingerprint(netlist)  # once: strash + hash is O(n)
-        cached = cache.get_extraction(key)
+        cached = None if term_limit is not None else cache.get_extraction(key)
         if cached is not None:
             return cached
     run = extract_expressions(

@@ -8,9 +8,17 @@ equivalence check is a per-bit comparison against the specification
 expressions of ``A·B mod P(x)`` (the golden Mastrovito implementation's
 canonical form) — no additional rewriting needed.
 
-An independent bit-parallel simulation cross-check (exhaustive for
-small m, randomised otherwise) guards the verifier itself against
-modelling bugs: algebraic equivalence and simulation must agree.
+An independent simulation cross-check (exhaustive for small m,
+randomised otherwise) guards the verifier itself against modelling
+bugs: algebraic equivalence and simulation must agree.  Both of its
+sides are bit-parallel over up to :data:`LANE_WIDTH` operand pairs: the
+netlist is simulated once per window, and the golden model computes
+``A·B mod P(x)`` bit-sliced on the same lane ints
+(:func:`golden_lanes`) instead of one pair at a time.  A grid of pairs
+gets its operand lanes in closed form (:func:`grid_lanes`), random
+pairs are packed from a per-pair draw (:func:`pack_lanes`).
+:func:`first_mismatch` is the shared pass, also behind the triage
+counterexample search of :mod:`repro.extract.diagnose`.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.engine import get_engine
 from repro.extract.extractor import ExtractionResult
 from repro.fieldmath.bitpoly import bitpoly_str
-from repro.fieldmath.gf2m import GF2m
 from repro.gen.naming import input_nets, output_nets
 from repro.netlist.netlist import Netlist
 from repro.rewrite.signature import spec_expressions
@@ -83,8 +90,9 @@ def verify_multiplier(
     Algebraic check: the canonical per-bit expressions from backward
     rewriting must equal the specification expressions derived from
     P(x).  Simulation check: exhaustive for ``m <= max_exhaustive_m``,
-    otherwise ``random_vectors`` random operand pairs, compared against
-    the word-level :class:`~repro.fieldmath.gf2m.GF2m` reference.
+    otherwise ``random_vectors`` random operand pairs plus four corner
+    pairs, compared against the bit-sliced golden model (the same
+    products :class:`~repro.fieldmath.gf2m.GF2m` computes per pair).
 
     ``engine`` selects the representation of the algebraic comparison:
     ``None`` (default) keeps the backend of the extraction run — for a
@@ -148,17 +156,30 @@ def _simulation_check(
     random_vectors: int,
     seed: int,
 ) -> tuple:
-    """Compare the netlist against GF2m.mul on concrete operands.
+    """Compare the netlist against ``A·B mod modulus`` on concrete
+    operands.
 
-    Uses bit-parallel simulation: many operand pairs are packed into
-    the lanes of each net value, so even the exhaustive m=6 check
-    (4096 pairs) is a handful of netlist traversals.
+    Both sides are bit-parallel: many operand pairs ride in the lanes
+    of each net value, the netlist is simulated once per
+    :data:`LANE_WIDTH` window, and the golden products of the whole
+    window come from :func:`golden_lanes` on the same operand lanes.
+    The exhaustive grid (``m <= max_exhaustive_m``) gets its operand
+    lanes in closed form from :func:`grid_lanes`; random pairs are
+    drawn per pair from ``seed`` and packed with :func:`pack_lanes`.
+    Returns ``(ok, vectors)``: on a mismatch, ``vectors`` counts the
+    pairs up to and including the first failing one.
     """
-    field = GF2m(modulus, check_irreducible=False)
     if m <= max_exhaustive_m:
-        pairs = [
-            (a, b) for a in range(1 << m) for b in range(1 << m)
-        ]
+        side = 1 << m
+        count = side * side
+        grid_a, grid_b = grid_lanes(m, side)
+
+        def window(start: int, width: int):
+            mask = (1 << width) - 1
+            return (
+                [lane >> start & mask for lane in grid_a],
+                [lane >> start & mask for lane in grid_b],
+            )
     else:
         rng = random.Random(seed)
         top = (1 << m) - 1
@@ -168,51 +189,141 @@ def _simulation_check(
         ]
         # Always include the classic corner operands.
         pairs.extend([(0, 0), (1, 1), (top, top), (1, top)])
+        count = len(pairs)
 
-    for start in range(0, len(pairs), LANE_WIDTH):
-        chunk = pairs[start : start + LANE_WIDTH]
-        lane = first_mismatch(netlist, field, m, chunk)
+        def window(start: int, width: int):
+            chunk = pairs[start : start + width]
+            return (
+                pack_lanes([a for a, _ in chunk], m),
+                pack_lanes([b for _, b in chunk], m),
+            )
+
+    for start in range(0, count, LANE_WIDTH):
+        width = min(LANE_WIDTH, count - start)
+        a_lanes, b_lanes = window(start, width)
+        lane = first_mismatch(netlist, modulus, a_lanes, b_lanes, width)
         if lane is not None:
             return False, start + lane + 1
-    return True, len(pairs)
+    return True, count
 
 
-def pack_lanes(nets: Sequence[str], values: Sequence[int]) -> Dict[str, int]:
-    """Bit-parallel net values: lane ``i`` of ``nets[j]`` carries bit
-    ``j`` of ``values[i]`` (every value must fit in ``len(nets)`` bits).
+def pack_lanes(values: Sequence[int], bits: int) -> List[int]:
+    """Bit-parallel operand lanes: entry ``j`` holds bit ``j`` of
+    ``values[i]`` in lane ``i`` (every value must fit in ``bits``).
 
-    >>> pack_lanes(["a0", "a1"], [0b01, 0b10, 0b11])
-    {'a0': 5, 'a1': 6}
+    >>> pack_lanes([0b01, 0b10, 0b11], 2)
+    [5, 6]
     """
     if not values:
-        return {net: 0 for net in nets}
+        return [0] * bits
     # One binary string per lane, highest lane first: column c of the
-    # transposed rows is bit len(nets)-1-c of every lane, and reads as
-    # a binary number with lane 0 in its least significant bit.
-    rows = [format(value, f"0{len(nets)}b") for value in reversed(values)]
-    columns = list(zip(*rows))[::-1]
-    return {
-        net: int("".join(column), 2) for net, column in zip(nets, columns)
-    }
+    # transposed rows is bit bits-1-c of every lane, and reads as a
+    # binary number with lane 0 in its least significant bit.
+    rows = [format(value, f"0{bits}b") for value in reversed(values)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
+def grid_lanes(m: int, bound: int) -> Tuple[List[int], List[int]]:
+    """Operand lanes of the row-major ``bound x bound`` grid: lane
+    ``a * bound + b`` carries the pair ``(a, b)`` for ``0 <= a, b <
+    bound <= 2**m``, so a lane index maps back with ``divmod(lane,
+    bound)``.
+
+    Equal to :func:`pack_lanes` of the enumerated grid, but built in
+    closed form by block replication: no per-pair list is made.
+
+    >>> grid_lanes(2, 2)
+    ([12, 0], [10, 0])
+    """
+    width = bound * bound
+    rows = _counting_lanes(m, bound, width)  # bits of a = lane // bound
+    column = _counting_lanes(m, 1, bound)  # bits of b within one row
+    # One set bit at the start of every row: multiplying a row's
+    # pattern by it copies the pattern into all ``bound`` rows.
+    every_row = ((1 << width) - 1) // ((1 << bound) - 1)
+    return rows, [lane * every_row for lane in column]
+
+
+def _counting_lanes(bits: int, stride: int, width: int) -> List[int]:
+    """Entry ``j`` has lane ``i`` set when bit ``j`` of ``i // stride``
+    is, over ``width`` lanes: a period of ``2 * stride << j`` lanes
+    whose upper half is set, replicated by a repunit multiply."""
+    everything = (1 << width) - 1
+    lanes = []
+    for j in range(bits):
+        half = stride << j
+        if half >= width:  # i // stride < 2**j in every lane
+            lanes.append(0)
+            continue
+        period = half << 1
+        span = -(-width // period) * period
+        repunit = ((1 << span) - 1) // ((1 << period) - 1)
+        lanes.append((((1 << half) - 1) << half) * repunit & everything)
+    return lanes
+
+
+def golden_lanes(
+    modulus: int, a_lanes: Sequence[int], b_lanes: Sequence[int]
+) -> List[int]:
+    """Bit-sliced golden model: the lanes of ``z = A·B mod modulus``.
+
+    ``a_lanes[i]`` / ``b_lanes[j]`` hold operand bit ``i`` / ``j`` of
+    every lane, and entry ``k`` of the result holds product bit ``k``
+    of every lane.  The schoolbook partial products ``c[i+j] ^= a_i &
+    b_j`` and the reduction (``c[k]`` for ``k = 2m-2 .. m`` folded into
+    ``c[k-m+t]`` for each tap ``t`` of the modulus below ``x^m``) are
+    plain ``&``/``^`` on the lane ints, so one pass costs about m²
+    big-int operations whatever the lane count.  Any modulus of degree
+    m works, reducible or not: the result is the polynomial remainder,
+    exactly what :meth:`~repro.fieldmath.gf2m.GF2m.mul` computes per
+    pair.
+
+    Lane 0 below is ``x · x^2 = x + 1`` and lane 1 is ``(x+1)^2 =
+    x^2 + 1``, modulo ``x^3 + x + 1``:
+
+    >>> golden_lanes(0b1011, [0b10, 0b11, 0], [0b10, 0b10, 0b01])
+    [3, 1, 2]
+    """
+    m = modulus.bit_length() - 1
+    partial = [0] * (2 * m - 1)
+    rhs = [(j, lane) for j, lane in enumerate(b_lanes) if lane]
+    for i, lhs in enumerate(a_lanes):
+        if lhs:
+            for j, lane in rhs:
+                partial[i + j] ^= lhs & lane
+    taps = [t for t in range(m) if modulus >> t & 1]
+    for k in range(2 * m - 2, m - 1, -1):
+        high = partial[k]
+        if high:
+            for t in taps:
+                partial[k - m + t] ^= high
+    return partial[:m]
 
 
 def first_mismatch(
     netlist: Netlist,
-    field: GF2m,
-    m: int,
-    pairs: Sequence[Tuple[int, int]],
+    modulus: int,
+    a_lanes: Sequence[int],
+    b_lanes: Sequence[int],
+    width: int,
 ) -> Optional[int]:
-    """Index of the first operand pair ``(a, b)`` on which the
-    netlist's ``z`` outputs differ from ``field.mul(a, b)``, or
-    ``None``.  All pairs are simulated in one bit-parallel pass."""
-    assignment = pack_lanes(input_nets(m, "a"), [a for a, _ in pairs])
-    assignment.update(pack_lanes(input_nets(m, "b"), [b for _, b in pairs]))
-    outputs = netlist.simulate(assignment, width=len(pairs))
-    z_nets = output_nets(m)
-    expected = pack_lanes(z_nets, [field.mul(a, b) for a, b in pairs])
+    """Lowest of ``width`` lanes on which the netlist's ``z`` outputs
+    differ from ``A·B mod modulus``, or ``None``.
+
+    ``a_lanes`` / ``b_lanes`` are the operand lanes (see
+    :func:`pack_lanes` and :func:`grid_lanes`); the netlist is
+    simulated and the golden products computed (:func:`golden_lanes`)
+    in one bit-parallel pass each.
+    """
+    m = modulus.bit_length() - 1
+    assignment = dict(zip(input_nets(m, "a"), a_lanes))
+    assignment.update(zip(input_nets(m, "b"), b_lanes))
+    outputs = netlist.simulate(assignment, width=width)
     diff = 0
-    for net in z_nets:
-        diff |= outputs[net] ^ expected[net]
+    for net, expected in zip(
+        output_nets(m), golden_lanes(modulus, a_lanes, b_lanes)
+    ):
+        diff |= outputs[net] ^ expected
     if not diff:
         return None
     return (diff & -diff).bit_length() - 1

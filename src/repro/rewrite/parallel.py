@@ -161,7 +161,9 @@ def extract_expressions(
     bit-identical to a cold one, carries per-bit
     :attr:`ExtractionRun.cache_provenance`.  The store is the resume
     state: a run that dies after k bits leaves them cached, and the
-    rerun serves them as cone hits.
+    rerun serves them as cone hits.  Under a ``term_limit`` nothing is
+    served, only stored: a cached cone says nothing about whether its
+    rewriting fits under the limit.
 
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
@@ -203,7 +205,7 @@ def extract_expressions(
 
             cone_digests = cone_fingerprints(netlist)
             entries = {}
-            for output in chosen:
+            for output in chosen if term_limit is None else ():
                 digest = cone_digests.get(output)
                 if digest is None:
                     continue

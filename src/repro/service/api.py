@@ -22,11 +22,14 @@ Endpoints (all JSON)::
          body: {"netlist": "<text>", "format": "eqn"|"blif"|"v",
                 "mode": "extract"|"audit"|"diagnose",
                 "engine": "<name>"?, "fallback": true?,
-                "baseline_fingerprint": "<v3-...>"?}
+                "baseline_fingerprint": "<v3-...>"?,
+                "term_limit": <positive int>?}
          -> 202 {"job_id": ..., "fingerprint": ..., "status": ...}
             (status is "done" immediately on a cache hit; ECO
             re-submissions of an edited netlist reuse cached output
-            cones and report "cones_reused" on completion)
+            cones and report "cones_reused" on completion; an
+            extract or audit with a term_limit is never served from
+            the cache, so it fails or answers as it would cold)
          -> 429 + Retry-After when the bounded job queue is full
             (backpressure instead of unbounded memory growth)
     GET  /v1/jobs/<job_id>             poll a job (summary result)
@@ -146,6 +149,10 @@ class Job:
     #: an ECO edit of (advisory — cone reuse is automatic either way;
     #: recorded so the response names what the edit was diffed against).
     baseline_fingerprint: Optional[str] = None
+    #: Bound on intermediate expression size per bit (memory-out
+    #: beyond it); an extract or audit under one is never served from
+    #: the cache.
+    term_limit: Optional[int] = None
     #: How many output cones the extraction served from the per-cone
     #: cache instead of rewriting (set when a fresh extraction ran).
     cones_reused: Optional[int] = None
@@ -282,6 +289,7 @@ class ReproAPIServer:
         engine: str,
         fallback: Optional[bool] = None,
         baseline_fingerprint: Optional[str] = None,
+        term_limit: Optional[int] = None,
     ) -> Job:
         """Register a job; cache hits complete synchronously.
 
@@ -298,10 +306,11 @@ class ReproAPIServer:
                 fingerprint=fingerprint,
                 fallback=self.fallback if fallback is None else fallback,
                 baseline_fingerprint=baseline_fingerprint,
+                term_limit=term_limit,
             )
             self._table[job.job_id] = job
             self._evict_finished_locked()
-        cached = cached_outcome(self.cache, mode, fingerprint)
+        cached = cached_outcome(self.cache, mode, fingerprint, term_limit)
         if cached.cache == "hit":
             job.status = "done"
             job.cache = "hit"
@@ -399,6 +408,7 @@ class ReproAPIServer:
                 job.fingerprint,
                 self.cache,
                 engine=engine,
+                term_limit=job.term_limit,
                 progress=advance,
                 cached=cached,
             )
@@ -752,6 +762,12 @@ def _make_handler(server: "ReproAPIServer"):
             if baseline is not None and not isinstance(baseline, str):
                 self._error(400, "'baseline_fingerprint' must be a string")
                 return
+            term_limit = body.get("term_limit")
+            if term_limit is not None and (
+                type(term_limit) is not int or term_limit < 1
+            ):
+                self._error(400, "'term_limit' must be a positive integer")
+                return
             if engine not in registered_engines():
                 self._error(400, f"unknown engine {engine!r}")
                 return
@@ -770,6 +786,7 @@ def _make_handler(server: "ReproAPIServer"):
                     engine=engine,
                     fallback=fallback,
                     baseline_fingerprint=baseline,
+                    term_limit=term_limit,
                 )
             except ServiceSaturated as busy:
                 server.telemetry.counter("http.rejected")

@@ -193,8 +193,9 @@ class EcoReport:
     diff: ConeDiff
     #: "cache" when the baseline's cones were already servable (from
     #: the per-cone tier or its stored extraction) or not needed (the
-    #: edit's extraction was cached, or the edit left no cone clean),
-    #: "extracted" when this call had to compute them.
+    #: edit's extraction was cached, the edit left no cone clean, or a
+    #: term limit keeps the cone tier from serving any), "extracted"
+    #: when this call had to compute them.
     baseline_source: str
     #: P(x) recovered from the edited netlist, in paper notation.
     polynomial: Optional[str] = None
@@ -297,10 +298,11 @@ def eco_reverify(
         mode = "audit" if audit else "extract"
         cones_warmed = 0
         baseline_source = "cache"
-        outcome = cached_outcome(cache, mode, edit.fingerprint)
-        if outcome.extraction is None:
+        outcome = cached_outcome(cache, mode, edit.fingerprint, term_limit)
+        if outcome.extraction is None and term_limit is None:
             # Extracting the edit reads the baseline's clean cones
-            # only.  Presence probes first (a warm store costs a stat
+            # only (none under a term limit, which rewrites every
+            # cone).  Presence probes first (a warm store costs a stat
             # per clean cone); then a cached whole-netlist extraction
             # back-fills the missing entries without rewriting; only a
             # never-seen baseline actually extracts.

@@ -135,9 +135,14 @@ def run_mode(
     checked on entry and at every bit; ``progress`` is called with
     ``(output, cone, stats)`` at every bit.
 
-    Diagnose runs without ``term_limit``: its verdict is cached by
-    fingerprint alone, and a stored memory-out verdict would answer
-    later unbounded requests.
+    An extract or audit with a ``term_limit`` is served nothing from
+    the verdict, extraction or cone tiers: a stored answer says
+    nothing about whether rewriting fits under the limit, so the same
+    request answers the same on a warm and a cold cache.  Its writes
+    are those of any run, and an unbounded rerun resumes from the
+    cones it stored.  Diagnose runs without ``term_limit``: its
+    verdict is cached by fingerprint alone, and a stored memory-out
+    verdict would answer later unbounded requests.
     """
     from repro.extract.diagnose import diagnose
     from repro.extract.extractor import multiplier_field_size, result_from_run
@@ -149,7 +154,7 @@ def run_mode(
     if cached is None:
         cached = (
             ModeOutcome() if cache is None
-            else cached_outcome(cache, mode, fingerprint)
+            else cached_outcome(cache, mode, fingerprint, term_limit)
         )
     if cached.cache == "hit":
         return cached
@@ -217,7 +222,9 @@ def _verification(cache, fingerprint: str, result):
     return report
 
 
-def cached_outcome(cache, mode: str, fingerprint: str) -> ModeOutcome:
+def cached_outcome(
+    cache, mode: str, fingerprint: str, term_limit: Optional[int] = None
+) -> ModeOutcome:
     """What the cache holds for ``mode`` (lookups only).
 
     ``cache`` is ``hit`` when every artifact the mode needs is cached,
@@ -225,13 +232,16 @@ def cached_outcome(cache, mode: str, fingerprint: str) -> ModeOutcome:
     golden-model verdict is not (the outcome keeps the extraction),
     else ``miss``.  An audit's verdict is looked up only beside a
     cached extraction, the P(x) it must be a verdict on; after a fresh
-    extraction :func:`run_mode` looks it up.
+    extraction :func:`run_mode` looks it up.  An extract or audit
+    under a ``term_limit`` is always a ``miss`` (see :func:`run_mode`).
     """
     if mode == "diagnose":
         diagnosis = cache.get_diagnosis(fingerprint)
         return ModeOutcome(
             diagnosis=diagnosis, cache="miss" if diagnosis is None else "hit"
         )
+    if term_limit is not None:
+        return ModeOutcome(cache="miss")
     result = cache.get_verdict(fingerprint)
     if result is None:
         return ModeOutcome(cache="miss")

@@ -18,6 +18,7 @@ from repro.gen.faults import flip_gate
 from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.squarer import generate_squarer
 from repro.netlist.eqn_io import format_eqn, parse_eqn, write_eqn
+from repro.rewrite.backward import TermLimitExceeded
 from repro.service.api import TERMINAL_STATUSES, ReproAPIServer
 from repro.service.cache import ResultCache
 from repro.service.eco import eco_reverify
@@ -272,3 +273,137 @@ class TestOneLookupPerArtifact:
         fingerprint = ResultCache(cache_dir).fingerprint(clean())
         ResultCache(cache_dir).path_for("verification", fingerprint).unlink()
         assert audit() == ("partial", [False, True])
+
+
+#: Below the 13-term peak of z0 of the m=8 Mastrovito multiplier.
+LIMIT = 3
+#: Above every peak: the limit holds and the run succeeds.
+GENEROUS = 10**6
+
+
+class TestTermLimitAnswersAlikeWarmOrCold:
+    """A request with a term limit is served nothing from the verdict,
+    extraction or cone tiers: after an unbounded run has filled the
+    cache it fails or answers exactly as on an empty cache."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        base, edit = tmp_path / "base.eqn", tmp_path / "edit.eqn"
+        write_eqn(clean(), base)
+        write_eqn(single_fault(), edit)
+        return base, edit
+
+    @staticmethod
+    def batch(path, mode, cache_dir, term_limit):
+        record = CampaignRunner(
+            mode=mode, engine="bitpack", cache_dir=cache_dir,
+            term_limit=term_limit,
+        ).run([path]).records[0]
+        return answer(mode, record, record.get("error")), record
+
+    @pytest.mark.parametrize("mode", ["extract", "audit"])
+    def test_batch(self, files, tmp_path, mode):
+        path, _ = files
+        cold, _ = self.batch(path, mode, tmp_path / "cold", LIMIT)
+        assert cold == {"error": "TermLimitExceeded"}
+        warm = tmp_path / "warm"
+        unbounded, _ = self.batch(path, mode, warm, None)
+        assert "error" not in unbounded
+        assert self.batch(path, mode, warm, LIMIT)[0] == cold
+        answered, record = self.batch(path, mode, warm, GENEROUS)
+        assert answered == unbounded
+        assert (record["cache"], record["cones_reused"]) == ("miss", 0)
+        # the unbounded request is still answered from the cache
+        answered, record = self.batch(path, mode, warm, None)
+        assert (answered, record["cache"]) == (unbounded, "hit")
+
+    @staticmethod
+    def post(server, body):
+        host, port = server.address
+        base = f"http://{host}:{port}"
+        request = urllib.request.Request(
+            f"{base}/v1/jobs",
+            data=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with urllib.request.urlopen(request) as response:
+            job = json.load(response)
+        deadline = time.monotonic() + 30
+        while job["status"] not in TERMINAL_STATUSES:
+            assert time.monotonic() < deadline, job
+            time.sleep(0.01)
+            with urllib.request.urlopen(
+                f"{base}/v1/jobs/{job['job_id']}"
+            ) as response:
+                job = json.load(response)
+        return job
+
+    @pytest.mark.parametrize("mode", ["extract", "audit"])
+    def test_http_submit(self, tmp_path, mode):
+        body = {"netlist": format_eqn(clean()), "format": "eqn", "mode": mode}
+        limited = dict(body, term_limit=LIMIT)
+        answers = {}
+        for name in ("cold", "warm"):
+            server = ReproAPIServer(
+                port=0, cache=ResultCache(tmp_path / name), engine="bitpack",
+                worker_threads=1,
+            )
+            server.start()
+            try:
+                if name == "warm":
+                    assert self.post(server, body)["status"] == "done"
+                job = self.post(server, limited)
+                answers[name] = answer(mode, {}, job.get("error"))
+                assert job["term_limit"] == LIMIT
+                assert job["cache"] == "miss"
+                if name == "warm":
+                    job = self.post(server, dict(body, term_limit=GENEROUS))
+                    assert (job["status"], job["cones_reused"]) == ("done", 0)
+                    assert self.post(server, body)["cache"] == "hit"
+            finally:
+                server.shutdown()
+        assert answers["warm"] == answers["cold"] == {
+            "error": "TermLimitExceeded"
+        }
+
+    @pytest.mark.parametrize("bad", [0, -1, "3", 2.5, True])
+    def test_http_rejects_a_bad_term_limit(self, tmp_path, bad):
+        server = ReproAPIServer(
+            port=0, cache=ResultCache(tmp_path / "cache"), worker_threads=1
+        )
+        server.start()
+        try:
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                self.post(server, {
+                    "netlist": format_eqn(clean()), "term_limit": bad,
+                })
+        finally:
+            server.shutdown()
+        assert caught.value.code == 400
+        assert "term_limit" in json.load(caught.value)["error"]
+
+    @pytest.mark.parametrize("mode", ["extract", "audit"])
+    def test_eco_reverify(self, files, tmp_path, mode):
+        base, edit = files
+
+        def eco(cache_dir, term_limit):
+            try:
+                report = eco_reverify(
+                    base, edit, ResultCache(cache_dir), engine="bitpack",
+                    term_limit=term_limit, audit=mode == "audit",
+                    diagnose_on_failure=False,
+                )
+            except TermLimitExceeded as error:
+                return type(error).__name__
+            return report
+
+        assert eco(tmp_path / "cold", LIMIT) == "TermLimitExceeded"
+        warm = tmp_path / "warm"
+        unbounded = eco(warm, None)
+        assert eco(warm, LIMIT) == "TermLimitExceeded"
+        generous = eco(warm, GENEROUS)
+        assert generous.polynomial == unbounded.polynomial
+        assert generous.equivalent == unbounded.equivalent
+        assert generous.cones_reused == 0
+        assert eco(warm, None).result is None  # answered from the cache

@@ -472,13 +472,19 @@ def test_metrics_and_progress_endpoints(api):
     assert metrics["counters"]["http.requests"] >= 1
     assert metrics["gauges"][f"job.{job_id}.progress"] == 1.0
 
-    # the registry recorded the job + request spans
-    sink = telemetry.MemorySink()  # late sink sees nothing; check live
+    # the registry recorded the job + request spans; the server closes
+    # the http.request span after it has written the response, so the
+    # sink is polled (bounded) until the span lands
+    sink = telemetry.MemorySink()
     names = set()
     registry.add_sink(sink)
     _get(f"{base}/v1/health")
+    for _ in range(500):
+        names = {e["name"] for e in sink.events if e.get("type") == "span"}
+        if "http.request" in names:
+            break
+        time.sleep(0.01)
     registry.remove_sink(sink)
-    names = {e["name"] for e in sink.events if e.get("type") == "span"}
     assert "http.request" in names
 
 
