@@ -48,10 +48,10 @@ and the README's Observability section.
 The ``--engine`` choices come from the backend registry
 (:mod:`repro.engine`): ``bitpack`` (the default: interned bitmask
 monomials over the strashed AIG), ``reference`` (the oracle) and
-``vector`` (another name for ``bitpack``).  With ``--fallback`` an
-engine that fails at run time degrades down the ladder
-``bitpack -> reference``, with a note on stderr.  Every command
-rewrites the output bits one after another in this process.
+``vector`` (another name for ``bitpack``).  An engine that fails at
+run time is one ``error: EngineError: ...`` line on stderr and exit
+code 2; no other engine is tried.  Every command rewrites the output
+bits one after another in this process.
 """
 
 from __future__ import annotations
@@ -164,19 +164,6 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _add_fallback_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fallback",
-        action="store_true",
-        help=(
-            "degrade gracefully instead of failing: when the selected "
-            "engine fails at run time walk the fallback ladder "
-            "bitpack -> reference to the next backend (results are "
-            "bit-identical; the substitution is reported)"
-        ),
-    )
-
-
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
@@ -243,32 +230,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _with_fallback(args: argparse.Namespace, call):
-    """``call(engine)`` on ``--engine``; with ``--fallback``, an engine
-    that fails at run time degrades down the ladder, noted on stderr.
-    """
-    if not getattr(args, "fallback", False):
-        return call(args.engine)
-    from repro.service.resilience import (
-        RetryPolicy,
-        engine_ladder,
-        run_supervised,
-    )
-
-    supervised = run_supervised(
-        call,
-        engines=engine_ladder(args.engine, fallback=True),
-        policy=RetryPolicy(max_attempts=1, retryable_types=()),
-    )
-    if supervised.fallback_reason is not None:
-        print(
-            f"warning: {supervised.fallback_reason}; using engine "
-            f"{supervised.engine_used!r}",
-            file=sys.stderr,
-        )
-    return supervised.value
-
-
 def _run_eco(
     args: argparse.Namespace,
     baseline: str,
@@ -280,18 +241,15 @@ def _run_eco(
 
     cache = ResultCache(getattr(args, "cache_dir", None))
     try:
-        report = _with_fallback(
-            args,
-            lambda engine: eco_reverify(
-                baseline,
-                edited,
-                cache,
-                engine=engine,
-                term_limit=args.term_limit,
-                audit=audit,
-                diagnose_on_failure=(
-                    audit and not getattr(args, "no_diagnose", False)
-                ),
+        report = eco_reverify(
+            baseline,
+            edited,
+            cache,
+            engine=args.engine,
+            term_limit=args.term_limit,
+            audit=audit,
+            diagnose_on_failure=(
+                audit and not getattr(args, "no_diagnose", False)
             ),
         )
     except EcoError as error:
@@ -312,11 +270,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         # verified baseline and rewrite only the dirty cones.
         return _run_eco(args, args.baseline, args.netlist, audit=False)
     netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    result = _with_fallback(
-        args,
-        lambda engine: extract_irreducible_polynomial(
-            netlist, term_limit=args.term_limit, engine=engine
-        ),
+    result = extract_irreducible_polynomial(
+        netlist, term_limit=args.term_limit, engine=args.engine
     )
     print(f"P(x) = {result.polynomial_str}")
     if not result.irreducible:
@@ -330,16 +285,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         return _run_eco(args, args.baseline, args.netlist, audit=True)
     netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
 
-    def audit(engine):
-        result = extract_irreducible_polynomial(
-            netlist,
-            term_limit=args.term_limit,
-            measure_memory=True,
-            engine=engine,
-        )
-        return result, verify_multiplier(netlist, result, engine=engine)
-
-    result, verification = _with_fallback(args, audit)
+    result = extract_irreducible_polynomial(
+        netlist,
+        term_limit=args.term_limit,
+        measure_memory=True,
+        engine=args.engine,
+    )
+    verification = verify_multiplier(netlist, result, engine=args.engine)
     print(
         format_extraction_report(
             result, verification, netlist_gates=len(netlist)
@@ -367,14 +319,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    diagnosis = _with_fallback(
-        args,
-        lambda engine: diagnose(
-            netlist,
-            term_limit=args.term_limit,
-            find_counterexample=not args.no_counterexample,
-            engine=engine,
-        ),
+    diagnosis = diagnose(
+        netlist,
+        term_limit=args.term_limit,
+        find_counterexample=not args.no_counterexample,
+        engine=args.engine,
     )
     print(diagnosis.render())
     return 0 if diagnosis.is_clean else 1
@@ -418,7 +367,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             retries=args.retries,
             deadline_s=args.deadline,
             max_rss_bytes=args.max_rss,
-            fallback=args.fallback,
         )
     except CampaignError as error:
         raise SystemExit(str(error))
@@ -439,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         worker_threads=args.worker_threads,
         max_queue=args.max_queue,
         retries=args.retries,
-        fallback=args.fallback,
     )
     host, port = server.address
     print(f"repro service listening on http://{host}:{port}/v1/health")
@@ -628,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--term-limit", type=int, default=None)
     extract.add_argument("--format", choices=sorted(_READERS), default=None)
     _add_baseline_arguments(extract)
-    _add_fallback_argument(extract)
     _add_engine_argument(extract)
     _add_trace_argument(extract)
     extract.set_defaults(func=_cmd_extract)
@@ -640,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--term-limit", type=int, default=None)
     audit.add_argument("--format", choices=sorted(_READERS), default=None)
     _add_baseline_arguments(audit)
-    _add_fallback_argument(audit)
     _add_engine_argument(audit)
     _add_trace_argument(audit)
     audit.set_defaults(func=_cmd_audit)
@@ -668,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="on an audit failure, skip the full diagnose pass",
     )
-    _add_fallback_argument(eco)
     _add_engine_argument(eco)
     _add_trace_argument(eco)
     eco.set_defaults(func=_cmd_eco)
@@ -688,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--term-limit", type=int, default=None)
     diag.add_argument("--no-counterexample", action="store_true")
     diag.add_argument("--format", choices=sorted(_READERS), default=None)
-    _add_fallback_argument(diag)
     _add_engine_argument(diag)
     _add_trace_argument(diag)
     diag.set_defaults(func=_cmd_diagnose)
@@ -783,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
             "whose extraction exceeds it is quarantined"
         ),
     )
-    _add_fallback_argument(batch)
     _add_engine_argument(batch)
     _add_trace_argument(batch)
     batch.set_defaults(func=_cmd_batch)
@@ -820,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reason (default: 3 attempts)"
         ),
     )
-    _add_fallback_argument(serve)
     _add_engine_argument(serve)
     _add_trace_argument(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -910,9 +851,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_command(args: argparse.Namespace) -> int:
     """Run the subcommand; a netlist that does not parse or is not a
-    multiplier, or an engine that fails without ``--fallback``, is one
-    stderr line and exit code 2 (1 means reducible or not
-    equivalent)."""
+    multiplier, or an engine that fails at run time, is one stderr line
+    and exit code 2 (1 means reducible or not equivalent)."""
     try:
         return args.func(args)
     except (NetlistError, ExtractionError, EngineError) as error:

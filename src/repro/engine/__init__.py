@@ -49,9 +49,9 @@ that is negligible next to rewriting.
 Backends
 --------
 ``reference``
-    the original ``Gf2Poly`` path (the differential-testing oracle,
-    the last fallback rung, and the engine the paper tables pin for
-    their ``peak_terms`` memory proxy);
+    the original ``Gf2Poly`` path (the differential-testing oracle and
+    the engine the paper tables pin for their ``peak_terms`` memory
+    proxy);
 ``bitpack`` (the default)
     interned bitmask monomials over the live AIG: nodes are flattened
     forward into packed leaf-space polynomials below a size bound, and
@@ -90,10 +90,8 @@ from repro.engine.interning import SignalInterner
 from repro.engine.reference import ReferenceEngine, ReferenceExpression
 from repro.engine.registry import (
     DEFAULT_ENGINE,
-    FALLBACK_LADDER,
     engine_availability,
     engine_name,
-    fallback_chain,
     get_engine,
     register_engine,
     registered_engines,
@@ -116,10 +114,8 @@ __all__ = [
     "ReferenceEngine",
     "ReferenceExpression",
     "DEFAULT_ENGINE",
-    "FALLBACK_LADDER",
     "engine_availability",
     "engine_name",
-    "fallback_chain",
     "get_engine",
     "register_engine",
     "registered_engines",

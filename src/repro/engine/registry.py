@@ -7,8 +7,8 @@ Third-party backends register themselves with :func:`register_engine`
 — the only requirement is the :class:`~repro.engine.base.Engine`
 interface and exception contract.  Every registered backend is usable:
 both built-ins are pure Python, so there is nothing to probe at
-startup, and a backend that fails at run time degrades down
-:data:`FALLBACK_LADDER` where the caller asks for it.
+startup.  A backend that fails at run time fails the request with its
+own error; no other backend is tried in its place.
 """
 
 from __future__ import annotations
@@ -18,34 +18,9 @@ from typing import Callable, Dict, Tuple, Union
 from repro.engine.base import Engine, EngineError
 
 #: The backend used when callers do not ask for one explicitly.
-#: ``reference`` stays the oracle and the last fallback rung; the paper
-#: tables pin it because its ``peak_terms`` is the paper's memory proxy.
+#: ``reference`` stays the oracle; the paper tables pin it because its
+#: ``peak_terms`` is the paper's memory proxy.
 DEFAULT_ENGINE = "bitpack"
-
-#: Graceful-degradation ladder, most capable first.  When fallback is
-#: enabled, a backend that fails at run time degrades to the next
-#: registered rung; every rung produces bit-identical results, so
-#: degradation trades only speed, never answers.
-FALLBACK_LADDER: Tuple[str, ...] = ("bitpack", "reference")
-
-
-def fallback_chain(engine: str) -> Tuple[str, ...]:
-    """The degradation ladder starting at ``engine``.
-
-    An engine on the ladder degrades to the rungs *below* it; an
-    unknown/custom engine degrades to the whole built-in ladder (most
-    capable first).  The chain always starts with ``engine`` itself
-    and never repeats a name.
-
-    >>> fallback_chain("bitpack")
-    ('bitpack', 'reference')
-    >>> fallback_chain("reference")
-    ('reference',)
-    """
-    if engine in FALLBACK_LADDER:
-        index = FALLBACK_LADDER.index(engine)
-        return FALLBACK_LADDER[index:]
-    return (engine,) + FALLBACK_LADDER
 
 _FACTORIES: Dict[str, Callable[[], Engine]] = {}
 _INSTANCES: Dict[str, Engine] = {}

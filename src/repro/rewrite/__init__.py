@@ -8,9 +8,8 @@
     cancellation, statistics (iteration counts, peak term counts,
     per-step timing) and an optional Figure-3 style trace;
 ``parallel``
-    the n-thread driver ("reverse engineer the irreducible polynomial
-    of an n-bit GF multiplier in n threads") — a process pool in
-    Python, with a sequential fallback;
+    the per-output-bit driver: the paper runs the bits in n threads;
+    this port rewrites them one after another in the calling process;
 ``signature``
     output/input signatures ``Sig_out = Σ z_i x^i`` and the
     specification expressions of ``A·B mod P(x)`` per output bit.

@@ -21,7 +21,7 @@ Endpoints (all JSON)::
     POST /v1/jobs                      submit a netlist
          body: {"netlist": "<text>", "format": "eqn"|"blif"|"v",
                 "mode": "extract"|"audit"|"diagnose",
-                "engine": "<name>"?, "fallback": true?,
+                "engine": "<name>"?,
                 "baseline_fingerprint": "<v3-...>"?,
                 "term_limit": <positive int>?}
          -> 202 {"job_id": ..., "fingerprint": ..., "status": ...}
@@ -29,7 +29,9 @@ Endpoints (all JSON)::
             re-submissions of an edited netlist reuse cached output
             cones and report "cones_reused" on completion; an
             extract or audit with a term_limit is never served from
-            the cache, so it fails or answers as it would cold)
+            the cache, so it fails or answers as it would cold; an
+            engine that fails at run time makes an "error" job;
+            body keys not listed here are ignored)
          -> 429 + Retry-After when the bounded job queue is full
             (backpressure instead of unbounded memory growth)
     GET  /v1/jobs/<job_id>             poll a job (summary result)
@@ -81,7 +83,6 @@ from repro.service.pipeline import (
 from repro.service.resilience import (
     Quarantined,
     RetryPolicy,
-    engine_ladder,
     run_supervised,
 )
 
@@ -137,11 +138,7 @@ class Job:
     #: ``{"done_bits": n, "total_bits": m}`` while an extraction runs
     #: (fed per completed bit by the pipeline's ``on_result`` hook).
     progress: Optional[Dict[str, Any]] = None
-    #: Resolved backend + why it differs from the requested one (only
-    #: set when fallback degraded the request), and how many attempts
-    #: the supervision layer spent.
-    engine_used: Optional[str] = None
-    fallback_reason: Optional[str] = None
+    #: How many attempts the supervision layer spent (set above one).
     attempts: Optional[int] = None
     #: Structured quarantine reason (status == "quarantined").
     reason: Optional[Dict[str, Any]] = None
@@ -156,8 +153,6 @@ class Job:
     #: How many output cones the extraction served from the per-cone
     #: cache instead of rewriting (set when a fresh extraction ran).
     cones_reused: Optional[int] = None
-    #: Whether engine-ladder fallback applies to this job.
-    fallback: bool = False
     #: Cooperative cancellation flag, observed at progress ticks and
     #: attempt boundaries (not JSON-serializable; excluded from views).
     cancel_event: threading.Event = field(
@@ -165,12 +160,11 @@ class Job:
     )
 
     def view(self) -> Dict[str, Any]:
-        """The JSON view: every set field but the fallback flag and
-        the cancel event."""
+        """The JSON view: every set field but the cancel event."""
         return {
             spec.name: getattr(self, spec.name)
             for spec in fields(self)
-            if spec.name not in ("fallback", "cancel_event")
+            if spec.name != "cancel_event"
             and getattr(self, spec.name) is not None
         }
 
@@ -188,15 +182,11 @@ class ReproAPIServer:
         telemetry: Optional[_telemetry.Telemetry] = None,
         max_queue: int = MAX_QUEUE_DEPTH,
         retry_policy: Optional[RetryPolicy] = None,
-        fallback: bool = False,
     ):
         self.cache = cache if cache is not None else ResultCache()
         self.engine = engine
-        #: Per-job supervision policy (attempt budget + backoff) and
-        #: whether the engine ladder applies by default (a submission
-        #: may override with ``"fallback": true/false``).
+        #: Per-job supervision policy (attempt budget + backoff).
         self.retry_policy = retry_policy or RetryPolicy()
-        self.fallback = fallback
         #: Registry every request span, job span, cache counter and
         #: progress gauge lands in; ``GET /metrics`` snapshots it.
         self.telemetry = _telemetry.resolve(telemetry)
@@ -287,7 +277,6 @@ class ReproAPIServer:
         netlist,
         mode: str,
         engine: str,
-        fallback: Optional[bool] = None,
         baseline_fingerprint: Optional[str] = None,
         term_limit: Optional[int] = None,
     ) -> Job:
@@ -304,7 +293,6 @@ class ReproAPIServer:
                 mode=mode,
                 engine=engine,
                 fingerprint=fingerprint,
-                fallback=self.fallback if fallback is None else fallback,
                 baseline_fingerprint=baseline_fingerprint,
                 term_limit=term_limit,
             )
@@ -399,7 +387,7 @@ class ReproAPIServer:
             total = job.progress["total_bits"] or 1
             self.telemetry.gauge(gauge, done / total)
 
-        def attempt(engine):
+        def attempt():
             if job.cancel_event.is_set():
                 raise _JobCancelled(job.job_id)
             return run_mode(
@@ -407,13 +395,12 @@ class ReproAPIServer:
                 lambda: netlist,
                 job.fingerprint,
                 self.cache,
-                engine=engine,
+                engine=job.engine,
                 term_limit=job.term_limit,
                 progress=advance,
                 cached=cached,
             )
 
-        ladder = engine_ladder(job.engine, fallback=job.fallback)
         with _telemetry.use(self.telemetry), self.telemetry.span(
             "job",
             job_id=job.job_id,
@@ -424,15 +411,12 @@ class ReproAPIServer:
             try:
                 outcome = run_supervised(
                     attempt,
-                    engines=ladder,
                     policy=self.retry_policy,
                     telemetry=self.telemetry,
                     label=job.job_id,
                 )
                 job.result = _summary(job.mode, outcome.value)
                 job.cones_reused = outcome.value.cones_reused
-                job.engine_used = outcome.engine_used
-                job.fallback_reason = outcome.fallback_reason
                 if outcome.attempts > 1:
                     job.attempts = outcome.attempts
                 job.status = "done"
@@ -757,7 +741,6 @@ def _make_handler(server: "ReproAPIServer"):
                 self._error(400, f"unknown mode {mode!r}; one of {MODES}")
                 return
             engine = body.get("engine", server.engine)
-            fallback = bool(body.get("fallback", server.fallback))
             baseline = body.get("baseline_fingerprint")
             if baseline is not None and not isinstance(baseline, str):
                 self._error(400, "'baseline_fingerprint' must be a string")
@@ -784,7 +767,6 @@ def _make_handler(server: "ReproAPIServer"):
                     netlist,
                     mode=mode,
                     engine=engine,
-                    fallback=fallback,
                     baseline_fingerprint=baseline,
                     term_limit=term_limit,
                 )
@@ -843,14 +825,12 @@ def serve(
     telemetry: Optional[_telemetry.Telemetry] = None,
     max_queue: int = MAX_QUEUE_DEPTH,
     retries: Optional[int] = None,
-    fallback: bool = False,
 ) -> ReproAPIServer:
     """Build (but do not start) a configured server — the CLI entry.
 
     ``retries`` caps the supervision layer's attempt budget per job
-    (``None`` keeps the :class:`RetryPolicy` default); ``fallback``
-    turns on the engine ladder for submissions that do not say
-    otherwise.  Call :meth:`ReproAPIServer.serve_forever` to block, or
+    (``None`` keeps the :class:`RetryPolicy` default).  Call
+    :meth:`ReproAPIServer.serve_forever` to block, or
     :meth:`ReproAPIServer.start` to run in background threads (tests).
     """
     cache = ResultCache(cache_dir) if cache_dir is not None else ResultCache()
@@ -866,5 +846,4 @@ def serve(
         telemetry=telemetry,
         max_queue=max_queue,
         retry_policy=policy,
-        fallback=fallback,
     )

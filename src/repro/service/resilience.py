@@ -1,4 +1,4 @@
-"""Supervised execution: retries, deadlines, fallback, quarantine.
+"""Supervised execution: retries, deadlines, quarantine.
 
 The per-cone cache tier, written as each output bit completes, and
 the strash-invariant fingerprints already make every unit of work
@@ -7,10 +7,10 @@ Three primitives, composed by :func:`run_supervised`:
 
 :class:`RetryPolicy`
     How many attempts a unit of work gets, which errors are worth a
-    new attempt (transient ``OSError`` yes; a parse error or a term-
-    limit verdict no — they are deterministic), and how long to back
-    off between attempts (exponential, capped, with *seeded* jitter so
-    schedules stay reproducible).
+    new attempt (transient ``OSError`` yes; a parse error, an engine
+    error or a term-limit verdict no — they are deterministic), and
+    how long to back off between attempts (exponential, capped, with
+    *seeded* jitter so schedules stay reproducible).
 
 :class:`Deadline`
     A wall-clock and/or RSS budget.  The RSS watchdog is a daemon
@@ -20,18 +20,11 @@ Three primitives, composed by :func:`run_supervised`:
     (:mod:`repro.service.jobs`).
 
 :func:`run_supervised`
-    The attempt loop: per engine rung × per attempt, emitting a
-    ``job.attempt`` span each try, counting ``resilience.retry`` /
-    ``resilience.fallback``, and raising :class:`Quarantined` (with a
-    structured reason, counted as ``resilience.quarantined``) when
-    every rung and attempt is exhausted — the caller records the
-    poison unit and *keeps going* instead of killing the run.
-
-Engine degradation happens at run time: when a backend blows up
-mid-attempt with an engine-shaped error, the loop moves down the
-:data:`~repro.engine.registry.FALLBACK_LADDER` (:func:`engine_ladder`)
-and records why.  Every rung is bit-identical by the differential
-contract, so degradation trades speed, never answers.
+    The attempt loop: emits a ``job.attempt`` span each try, counts
+    ``resilience.retry``, and raises :class:`Quarantined` (with a
+    structured reason, counted as ``resilience.quarantined``) when the
+    attempt budget or the deadline is exhausted — the caller records
+    the poison unit and *keeps going* instead of killing the run.
 """
 
 from __future__ import annotations
@@ -40,10 +33,9 @@ import hashlib
 import os
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.engine import EngineError, fallback_chain, registered_engines
 from repro.telemetry import Telemetry, current as current_telemetry
 
 #: OSError subclasses that are deterministic facts about the
@@ -55,21 +47,13 @@ _DETERMINISTIC_OS_ERRORS: Tuple[type, ...] = (
     PermissionError,
 )
 
-#: Errors that justify moving down the engine ladder: the backend (or
-#: its resources) failed, not the netlist.
-DEFAULT_FALLBACK_ERRORS: Tuple[type, ...] = (
-    EngineError,
-    MemoryError,
-    ImportError,
-)
-
 
 class DeadlineExceeded(RuntimeError):
     """A supervised attempt ran past its wall or RSS budget."""
 
 
 class Quarantined(RuntimeError):
-    """A unit of work exhausted every attempt and fallback rung.
+    """A unit of work exhausted its attempt budget or its deadline.
 
     Carries a structured ``reason`` dict (kind, error, attempts, ...)
     destined for the JSONL report — poison is recorded, not fatal.
@@ -230,55 +214,33 @@ class Deadline:
             raise DeadlineExceeded(self.exceeded)
 
 
-def engine_ladder(engine: Optional[str], fallback: bool = False) -> Tuple[str, ...]:
-    """The runtime degradation ladder to hand :func:`run_supervised`.
-
-    Without fallback the ladder is just the engine itself.  With it,
-    the chain below ``engine`` filtered to registered rungs (a rung
-    that fails at runtime is skipped by the loop anyway).
-    """
-    from repro.engine.registry import DEFAULT_ENGINE
-
-    name = engine or DEFAULT_ENGINE
-    if not fallback:
-        return (name,)
-    registered = registered_engines()
-    return tuple(
-        candidate
-        for candidate in fallback_chain(name)
-        if candidate == name or candidate in registered
-    )
-
-
 @dataclass
 class SupervisedResult:
     """What :func:`run_supervised` hands back alongside the value."""
 
     value: Any
-    engine_used: Optional[str]
-    fallback_reason: Optional[str] = None
     attempts: int = 1
-    retries: int = 0
-    fallbacks: int = 0
+
+    @property
+    def retries(self) -> int:
+        """Attempts that failed with a retryable error before this one."""
+        return self.attempts - 1
 
 
 def run_supervised(
-    fn: Callable[[Optional[str]], Any],
+    fn: Callable[[], Any],
     *,
-    engines: Sequence[Optional[str]] = (None,),
     policy: Optional[RetryPolicy] = None,
     deadline: Optional[Deadline] = None,
     telemetry: Optional[Telemetry] = None,
     label: str = "",
     sleep: Callable[[float], None] = time.sleep,
-    fallback_on: Tuple[type, ...] = DEFAULT_FALLBACK_ERRORS,
 ) -> SupervisedResult:
-    """Run ``fn(engine)`` under retries, deadline, and the ladder.
+    """Run ``fn()`` under retries and a deadline.
 
-    The loop, per engine rung: up to ``policy.max_attempts`` attempts,
-    sleeping the policy's backoff between them when the error is
-    retryable.  An error in ``fallback_on`` moves to the next rung
-    (``resilience.fallback``); a retryable error that exhausts the
+    Up to ``policy.max_attempts`` attempts, sleeping the policy's
+    backoff between them when the error is retryable
+    (``resilience.retry``).  A retryable error that exhausts the
     attempt budget — or a blown deadline — raises :class:`Quarantined`
     (``resilience.quarantined``) with a structured reason; anything
     else propagates unchanged, preserving the caller's existing
@@ -287,113 +249,53 @@ def run_supervised(
     """
     policy = policy or RetryPolicy()
     tel = telemetry or current_telemetry()
-    rungs = list(engines) or [None]
-    attempts = 0
-    retries = 0
-    fallbacks = 0
-    fallback_reason: Optional[str] = None
-
-    for position, engine in enumerate(rungs):
-        last_error: Optional[BaseException] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            if deadline is not None:
-                _checked(deadline, label, attempts, tel)
-            attempts += 1
-            attrs: Dict[str, Any] = {
-                "engine": engine or "",
-                "attempt": attempt,
-                "total_attempt": attempts,
-            }
-            if label:
-                attrs["label"] = label
-            try:
-                with tel.span("job.attempt", **attrs):
-                    value = fn(engine)
-                return SupervisedResult(
-                    value=value,
-                    engine_used=engine,
-                    fallback_reason=fallback_reason,
-                    attempts=attempts,
-                    retries=retries,
-                    fallbacks=fallbacks,
-                )
-            except DeadlineExceeded as error:
-                tel.counter("resilience.quarantined")
-                raise Quarantined(
-                    {
-                        "kind": "deadline",
-                        "error": str(error),
-                        "attempts": attempts,
-                        "engine": engine,
-                    }
+    budget = max(1, policy.max_attempts)
+    for attempt in range(1, budget + 1):
+        if deadline is not None:
+            _checked(deadline, attempt - 1, tel)
+        attrs: Dict[str, Any] = {"attempt": attempt}
+        if label:
+            attrs["label"] = label
+        try:
+            with tel.span("job.attempt", **attrs):
+                value = fn()
+            return SupervisedResult(value=value, attempts=attempt)
+        except DeadlineExceeded as error:
+            raise _quarantine(tel, "deadline", str(error), attempt) from error
+        except Quarantined:
+            raise
+        except Exception as error:  # noqa: BLE001 - classified below
+            if not policy.retryable(error):
+                raise
+            if attempt == budget:
+                raise _quarantine(
+                    tel,
+                    "retry_exhausted",
+                    f"{type(error).__name__}: {error}",
+                    attempt,
                 ) from error
-            except Quarantined:
-                raise
-            except Exception as error:  # noqa: BLE001 - classified below
-                last_error = error
-                if policy.retryable(error) and attempt < policy.max_attempts:
-                    retries += 1
-                    tel.counter("resilience.retry")
-                    delay = policy.delay_s(attempt, token=label)
-                    if deadline is not None:
-                        remaining = deadline.remaining_s()
-                        if remaining is not None:
-                            delay = max(0.0, min(delay, remaining))
-                    if delay:
-                        sleep(delay)
-                    continue
-                if (
-                    isinstance(error, fallback_on)
-                    and position + 1 < len(rungs)
-                ):
-                    fallbacks += 1
-                    tel.counter("resilience.fallback")
-                    fallback_reason = (
-                        f"engine {engine!r} failed: "
-                        f"{type(error).__name__}: {error}"
-                    )
-                    break  # next rung
-                if policy.retryable(error):
-                    tel.counter("resilience.quarantined")
-                    raise Quarantined(
-                        {
-                            "kind": "retry_exhausted",
-                            "error": f"{type(error).__name__}: {error}",
-                            "attempts": attempts,
-                            "engine": engine,
-                        }
-                    ) from error
-                raise
-    # Defensive: the loop only ``break``s to a rung that exists, so
-    # normal control flow returns or raises above.
-    tel.counter("resilience.quarantined")  # pragma: no cover
-    raise Quarantined(
-        {
-            "kind": "fallback_exhausted",
-            "error": (
-                f"{type(last_error).__name__}: {last_error}"
-                if last_error is not None
-                else "no engine rung succeeded"
-            ),
-            "attempts": attempts,
-            "engine": rungs[-1],
-        }
-    )
+            tel.counter("resilience.retry")
+            delay = policy.delay_s(attempt, token=label)
+            if deadline is not None:
+                remaining = deadline.remaining_s()
+                if remaining is not None:
+                    delay = max(0.0, min(delay, remaining))
+            if delay:
+                sleep(delay)
+    raise AssertionError("unreachable: the last attempt returns or raises")
 
 
-def _checked(
-    deadline: Deadline, label: str, attempts: int, tel: Telemetry
-) -> None:
+def _quarantine(
+    tel: Telemetry, kind: str, error: str, attempts: int
+) -> Quarantined:
+    """Count one quarantine and build its structured reason."""
+    tel.counter("resilience.quarantined")
+    return Quarantined({"kind": kind, "error": error, "attempts": attempts})
+
+
+def _checked(deadline: Deadline, attempts: int, tel: Telemetry) -> None:
     """Attempt-boundary deadline check that quarantines, not crashes."""
     try:
         deadline.check()
     except DeadlineExceeded as error:
-        tel.counter("resilience.quarantined")
-        raise Quarantined(
-            {
-                "kind": "deadline",
-                "error": str(error),
-                "attempts": attempts,
-                "engine": None,
-            }
-        ) from error
+        raise _quarantine(tel, "deadline", str(error), attempts) from error

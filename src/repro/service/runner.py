@@ -21,10 +21,9 @@ composes the rest of the service layer:
 
 **Supervision.** Every netlist runs under the
 :mod:`repro.service.resilience` tier: a :class:`RetryPolicy` retries
-transient failures (with exponential backoff and seeded jitter), a
-:class:`Deadline` bounds wall time and RSS, and with ``fallback=True``
-an engine that fails at run time degrades down the registry ladder —
-recorded per-record as ``engine_used``/``fallback_reason``.  The
+transient failures (with exponential backoff and seeded jitter) and
+a :class:`Deadline` bounds wall time and RSS; an engine that fails at
+run time is a deterministic ``status: "error"`` record.  The
 multi-worker scheduler is process-per-task with a result pipe per
 worker: a worker that dies (SIGKILL, OOM, injected
 :mod:`repro.chaos` crash) is *detected* via pipe EOF + process
@@ -65,7 +64,6 @@ from repro.service.resilience import (
     Deadline,
     Quarantined,
     RetryPolicy,
-    engine_ladder,
     run_supervised,
 )
 
@@ -123,11 +121,10 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     broken design must not kill a thousand-netlist campaign.  The
     mode runs through :func:`~repro.service.pipeline.run_mode` under
     :func:`run_supervised` — transient failures retry per the task's
-    policy, engine failures walk the fallback ladder when enabled, and
-    an exhausted budget yields a ``status: "quarantined"`` record with
-    a structured reason.  Deterministic failures (parse errors,
-    term-limit verdicts, a failing engine without fallback) keep
-    their single-attempt ``status: "error"`` record, whose ``cache``
+    policy, and an exhausted budget yields a ``status: "quarantined"``
+    record with a structured reason.  Deterministic failures (parse
+    errors, term-limit verdicts, a failing engine) keep their
+    single-attempt ``status: "error"`` record, whose ``cache``
     is ``miss`` whenever a cache is configured.  The whole call runs
     under :data:`~repro.netlist.netlist.GC_PAUSE`.
     """
@@ -136,7 +133,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     path = Path(task["path"])
     mode = task["mode"]
     engine = task["engine"]
-    fallback = bool(task.get("fallback"))
     policy: RetryPolicy = task.get("retry_policy") or RetryPolicy()
     started = time.perf_counter()
     record: Dict[str, Any] = {
@@ -168,8 +164,6 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         if path.suffix not in NETLIST_READERS:
             raise CampaignError(f"unknown netlist format {path.suffix!r}")
 
-        ladder = engine_ladder(engine, fallback=fallback)
-
         # A warm rerun whose file stat matches the fingerprint memo
         # never parses the netlist unless something must be computed.
         if cache is not None:
@@ -180,7 +174,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         record["gates"] = source.gates
         record["fingerprint"] = source.fingerprint
 
-        def work(eng: Optional[str]) -> None:
+        def work() -> None:
             # What the record reports if this attempt fails.
             record["cache"] = "off" if cache is None else "miss"
             outcome = run_mode(
@@ -188,7 +182,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 source.load,
                 source.fingerprint,
                 cache,
-                engine=eng,
+                engine=engine,
                 term_limit=task["term_limit"],
                 deadline=deadline if deadline.armed else None,
             )
@@ -197,15 +191,11 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         with deadline:
             supervised = run_supervised(
                 work,
-                engines=ladder,
                 policy=policy,
                 deadline=deadline if deadline.armed else None,
                 telemetry=telemetry,
                 label=path.stem,
             )
-        record["engine_used"] = supervised.engine_used
-        if supervised.fallback_reason is not None:
-            record["fallback_reason"] = supervised.fallback_reason
         if supervised.attempts > 1:
             record["attempts"] = supervised.attempts
     except Quarantined as poison:
@@ -334,11 +324,9 @@ class CampaignRunner:
         use_cache: bool = True,
         fused: bool = False,
         telemetry: Optional["_telemetry.Telemetry"] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         retries: Optional[int] = None,
         deadline_s: Optional[float] = None,
         max_rss_bytes: Optional[int] = None,
-        fallback: bool = False,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown campaign mode {mode!r}")
@@ -355,19 +343,16 @@ class CampaignRunner:
         self.engine = engine
         self.workers = max(1, workers)
         self.term_limit = term_limit
-        #: Per-netlist supervision: attempt budget/backoff (``retries``
-        #: is shorthand for ``RetryPolicy(max_attempts=retries)``),
-        #: wall/RSS deadline, and engine-ladder fallback.
-        if retry_policy is None:
-            retry_policy = (
-                RetryPolicy(max_attempts=max(1, retries))
-                if retries is not None
-                else RetryPolicy()
-            )
-        self.retry_policy = retry_policy
+        #: Per-netlist supervision: the attempt budget (``retries``
+        #: attempts, else the :class:`RetryPolicy` default) and the
+        #: wall/RSS deadline.
+        self.retry_policy = (
+            RetryPolicy(max_attempts=max(1, retries))
+            if retries is not None
+            else RetryPolicy()
+        )
         self.deadline_s = deadline_s
         self.max_rss_bytes = max_rss_bytes
-        self.fallback = fallback
         if use_cache:
             from repro.service.cache import default_cache_dir
 
@@ -388,7 +373,6 @@ class CampaignRunner:
             "retry_policy": self.retry_policy,
             "deadline_s": self.deadline_s,
             "max_rss_bytes": self.max_rss_bytes,
-            "fallback": self.fallback,
         }
 
     def run(

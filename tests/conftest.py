@@ -56,8 +56,8 @@ def unusable_engine():
 
     It is a :class:`BitpackEngine` whose ``rewrite_cone`` raises
     ``EngineError(UNUSABLE_REASON)``, as a backend that breaks
-    mid-job; the fallback ladder degrades it to ``bitpack``.  Yields
-    its name and unregisters it afterwards.
+    mid-job; every entry point reports that error and tries no other
+    engine.  Yields its name and unregisters it afterwards.
     """
     from repro.engine import BitpackEngine, EngineError, register_engine
     from repro.engine import registry

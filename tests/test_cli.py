@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.cli import _byte_size, main
+from repro.cli import _byte_size, build_parser, main
 
 
 class TestGen:
@@ -71,23 +71,36 @@ class TestAudit:
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
+_WORKLOAD_COMMANDS = [
+    ["extract", "m.eqn"],
+    ["audit", "m.eqn"],
+    ["eco", "base.eqn", "edit.eqn"],
+    ["diagnose", "m.eqn"],
+    ["batch", "designs"],
+    ["serve"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["extract", "m.eqn"],
-        ["audit", "m.eqn"],
-        ["eco", "base.eqn", "edit.eqn"],
-        ["diagnose", "m.eqn"],
-        ["batch", "designs"],
-        ["serve"],
+        pytest.param(argv, ["--jobs", "2"], id=argv[0])
+        for argv in _WORKLOAD_COMMANDS
+    ]
+    + [
+        pytest.param(argv, ["--fallback"], id=f"{argv[0]}-fallback")
+        for argv in _WORKLOAD_COMMANDS
     ],
-    ids=lambda argv: argv[0],
 )
-def test_jobs_flag_is_an_argparse_error(argv, capsys):
+def test_jobs_flag_is_an_argparse_error(argv, flag, capsys):
+    """Retired flags no longer parse: ``--jobs`` (the per-bit pool) and
+    ``--fallback`` (the engine ladder).  Only the parser runs, so no
+    command starts."""
     with pytest.raises(SystemExit) as caught:
-        main(argv + ["--jobs", "2"])
+        build_parser().parse_args(argv + flag)
     assert caught.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(flag) in err
 
 
 class TestSynth:

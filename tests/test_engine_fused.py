@@ -211,7 +211,7 @@ def _records(tmp_path, paths, mode, **options):
         {
             key: value
             for key, value in record.items()
-            if key not in ("engine", "engine_used", "wall_time_s")
+            if key not in ("engine", "wall_time_s")
         }
         for record in report.records
     ]

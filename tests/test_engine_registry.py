@@ -52,40 +52,26 @@ class TestRegistryDiagnostics:
     def test_cli_unusable_engine_fails_with_reason(
         self, tmp_path, capsys, unusable_engine
     ):
-        """Without ``--fallback`` an engine that fails at run time is
-        one stderr line and exit code 2, not a traceback with exit 1
-        (which means reducible / not equivalent)."""
+        """An engine that fails at run time is one stderr line and
+        exit code 2, not a traceback with exit 1 (which means reducible
+        / not equivalent); no other engine is tried."""
         from repro.cli import main
         from repro.netlist.eqn_io import write_eqn
 
-        path = tmp_path / "m4.eqn"
+        path = str(tmp_path / "m4.eqn")
         write_eqn(generate_mastrovito(0b10011), path)
-        for command in ("extract", "audit", "diagnose"):
-            code = main([command, str(path), "--engine", unusable_engine])
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        for argv in (
+            ["extract", path],
+            ["audit", path],
+            ["diagnose", path],
+            ["eco", path, path] + cache,
+        ):
+            code = main(argv + ["--engine", unusable_engine])
             captured = capsys.readouterr()
-            assert code == 2, command
+            assert code == 2, argv
             assert captured.err == f"error: EngineError: {REASON}\n"
             assert captured.out == ""
-
-    @pytest.mark.parametrize("command", ["extract", "audit", "diagnose"])
-    def test_cli_fallback_degrades_at_run_time(
-        self, tmp_path, capsys, unusable_engine, command
-    ):
-        from repro.cli import main
-        from repro.netlist.eqn_io import write_eqn
-
-        path = tmp_path / "m4.eqn"
-        write_eqn(generate_mastrovito(0b10011), path)
-        code = main(
-            [command, str(path), "--engine", unusable_engine, "--fallback"]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "x^4 + x + 1" in captured.out
-        assert (
-            f"warning: engine {unusable_engine!r} failed: EngineError: "
-            f"{REASON}; using engine 'bitpack'"
-        ) in captured.err
 
 
 class TestRetiredAigName:

@@ -1,11 +1,12 @@
-"""Supervision tier: retry policy, deadlines, engine fallback ladder."""
+"""Supervision tier: retry policy, deadlines, quarantine, and the error
+record of an engine that fails at run time."""
 
 import time
 
 import pytest
 
 from repro import telemetry as _telemetry
-from repro.engine import EngineError, FALLBACK_LADDER, fallback_chain
+from repro.engine import EngineError
 from repro.gen.mastrovito import generate_mastrovito
 from repro.netlist.eqn_io import write_eqn
 from repro.service.resilience import (
@@ -13,7 +14,6 @@ from repro.service.resilience import (
     DeadlineExceeded,
     Quarantined,
     RetryPolicy,
-    engine_ladder,
     run_supervised,
 )
 from repro.service.runner import run_campaign
@@ -77,8 +77,8 @@ class TestRunSupervised:
     def test_retries_then_succeeds(self):
         calls = []
 
-        def flaky(engine):
-            calls.append(engine)
+        def flaky():
+            calls.append(None)
             if len(calls) < 3:
                 raise OSError("transient")
             return "value"
@@ -97,7 +97,7 @@ class TestRunSupervised:
         assert counters["resilience.retry"] == 2
 
     def test_exhausted_budget_quarantines(self):
-        def broken(engine):
+        def broken():
             raise OSError("still broken")
 
         telemetry = _telemetry.Telemetry()
@@ -113,52 +113,16 @@ class TestRunSupervised:
         assert telemetry.metrics()["counters"]["resilience.quarantined"] == 1
 
     def test_deterministic_error_propagates_unchanged(self):
-        def bad(engine):
+        def bad():
             raise ValueError("malformed netlist")
 
         with pytest.raises(ValueError, match="malformed netlist"):
             run_supervised(bad, policy=RetryPolicy(max_attempts=3))
 
-    def test_engine_failure_walks_ladder(self):
-        def work(engine):
-            if engine == "bitpack":
-                raise EngineError("simulated backend death")
-            return f"ran on {engine}"
-
-        telemetry = _telemetry.Telemetry()
-        outcome = run_supervised(
-            work,
-            engines=("bitpack", "reference"),
-            policy=RetryPolicy(max_attempts=1),
-            telemetry=telemetry,
-        )
-        assert outcome.value == "ran on reference"
-        assert outcome.engine_used == "reference"
-        assert "bitpack" in outcome.fallback_reason
-        assert outcome.fallbacks == 1
-        assert telemetry.metrics()["counters"]["resilience.fallback"] == 1
-
-    def test_last_rung_failure_propagates(self):
-        # The bottom of the ladder has nowhere to degrade to; its
-        # failure surfaces unchanged (exactly what a single-rung,
-        # fallback-off run would do), after one recorded fallback.
-        def work(engine):
-            raise EngineError(f"{engine} died")
-
-        telemetry = _telemetry.Telemetry()
-        with pytest.raises(EngineError, match="reference died"):
-            run_supervised(
-                work,
-                engines=("bitpack", "reference"),
-                policy=RetryPolicy(max_attempts=1),
-                telemetry=telemetry,
-            )
-        assert telemetry.metrics()["counters"]["resilience.fallback"] == 1
-
     def test_blown_deadline_quarantines(self):
         deadline = Deadline(wall_s=0.01)
 
-        def slow(engine):
+        def slow():
             time.sleep(0.02)
             deadline.check()
 
@@ -173,7 +137,7 @@ class TestRunSupervised:
         sink = _telemetry.MemorySink()
         telemetry.add_sink(sink)
         run_supervised(
-            lambda engine: "ok", telemetry=telemetry, label="m4"
+            lambda: "ok", telemetry=telemetry, label="m4"
         )
         attempts = [
             event for event in sink.events
@@ -183,82 +147,8 @@ class TestRunSupervised:
         assert attempts[0]["attrs"]["label"] == "m4"
 
 
-class TestFallbackLadder:
-    def test_ladder_shape(self):
-        assert FALLBACK_LADDER[-1] == "reference"
-        assert FALLBACK_LADDER == ("bitpack", "reference")
-        assert fallback_chain("bitpack") == FALLBACK_LADDER
-        assert fallback_chain("reference") == ("reference",)
-        # Unknown engines degrade through the whole ladder.
-        assert fallback_chain("warp9")[0] == "warp9"
-        assert fallback_chain("warp9")[1:] == FALLBACK_LADDER
-
-    def test_unavailable_engine_degrades_only_with_fallback(
-        self, unusable_engine
-    ):
-        # Registered, but every rewrite raises: the broken-backend
-        # scenario.  The runtime ladder is the only degradation.
-        from repro.extract.extractor import extract_irreducible_polynomial
-
-        netlist = generate_mastrovito(0b10011)
-
-        def extract(engine):
-            return extract_irreducible_polynomial(netlist, engine=engine)
-
-        with pytest.raises(EngineError, match=UNUSABLE_REASON):
-            run_supervised(extract, engines=engine_ladder(unusable_engine))
-        outcome = run_supervised(
-            extract, engines=engine_ladder(unusable_engine, fallback=True)
-        )
-        assert outcome.engine_used == "bitpack"
-        assert outcome.value.polynomial_str == "x^4 + x + 1"
-        why = outcome.fallback_reason
-        assert unusable_engine in why and UNUSABLE_REASON in why
-
-    def test_engine_ladder(self, unusable_engine, monkeypatch):
-        assert engine_ladder(unusable_engine) == (unusable_engine,)
-        ladder = engine_ladder(unusable_engine, fallback=True)
-        assert ladder == (unusable_engine,) + FALLBACK_LADDER
-        # Unregistered rungs are filtered; the head survives regardless.
-        monkeypatch.setattr(
-            "repro.engine.registry.FALLBACK_LADDER",
-            ("ghost",) + FALLBACK_LADDER,
-        )
-        assert engine_ladder("warp9", fallback=True) == (
-            ("warp9",) + FALLBACK_LADDER
-        )
-
-
-class TestCampaignFallback:
-    def test_degraded_campaign_bit_identical_with_reason(
-        self, tmp_path, unusable_engine
-    ):
-        designs = tmp_path / "designs"
-        designs.mkdir()
-        write_eqn(generate_mastrovito(0b10011), designs / "m4.eqn")
-
-        baseline = run_campaign(
-            designs,
-            cache_dir=tmp_path / "cache_bitpack",
-            engine="bitpack",
-            mode="extract",
-        )
-        degraded = run_campaign(
-            designs,
-            cache_dir=tmp_path / "cache_degraded",
-            engine=unusable_engine,
-            fallback=True,
-            mode="extract",
-        )
-        assert degraded.ok == 1
-        record = degraded.records[0]
-        assert record["engine_used"] == "bitpack"
-        assert unusable_engine in record["fallback_reason"]
-        assert UNUSABLE_REASON in record["fallback_reason"]
-        assert record["polynomial"] == baseline.records[0]["polynomial"]
-        assert record["member_bits"] == baseline.records[0]["member_bits"]
-
-    def test_unavailable_engine_campaign_errors_without_fallback(
+class TestCampaignEngineFailure:
+    def test_failing_engine_is_an_error_record(
         self, tmp_path, unusable_engine
     ):
         designs = tmp_path / "designs"
@@ -273,4 +163,3 @@ class TestCampaignFallback:
         record = report.records[0]
         assert record["status"] == "error"
         assert record["error"] == f"EngineError: {UNUSABLE_REASON}"
-        assert "engine_used" not in record

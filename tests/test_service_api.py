@@ -545,45 +545,26 @@ class TestSupervisedJobs:
             api.shutdown()
 
 
-class TestEngineFallbackSubmissions:
-    def test_unavailable_engine_degrades_when_asked(
-        self, base, unusable_engine
-    ):
+class TestEngineFailureSubmissions:
+    def test_failing_engine_job_errors(self, base, unusable_engine):
+        """An engine that fails at run time makes an ``error`` job; a
+        ``"fallback"`` key is ignored like any other unknown key."""
         text = format_eqn(generate_mastrovito(0b1011))
         job = post(
             f"{base}/v1/jobs",
-            {"netlist": text, "mode": "extract", "engine": unusable_engine,
-             "fallback": True},
-        )
-        assert job["engine"] == unusable_engine
-        view = wait_done(base, job["job_id"])
-        assert view["status"] == "done"
-        assert view["engine_used"] == "bitpack"
-        assert unusable_engine in view["fallback_reason"]
-        assert UNUSABLE_REASON in view["fallback_reason"]
-        assert view["result"]["polynomial"] == "x^3 + x + 1"
-
-    def test_unavailable_engine_job_errors_without_fallback(
-        self, base, unusable_engine
-    ):
-        text = format_eqn(generate_mastrovito(0b1011))
-        job = post(
-            f"{base}/v1/jobs",
-            {"netlist": text, "engine": unusable_engine},
+            {"netlist": text, "engine": unusable_engine, "fallback": True},
         )
         view = wait_done(base, job["job_id"])
         assert view["status"] == "error"
         assert view["error"] == f"EngineError: {UNUSABLE_REASON}"
-        assert "fallback_reason" not in view
+        assert view["engine"] == unusable_engine
 
-    def test_unavailable_engine_still_400_without_fallback(self, base):
-        """A name nobody registered is rejected up front, with or
-        without ``fallback``."""
+    def test_unknown_engine_is_400(self, base):
+        """A name nobody registered is rejected up front."""
         text = format_eqn(generate_mastrovito(0b1011))
-        for fallback in (False, True):
-            body = post(
-                f"{base}/v1/jobs",
-                {"netlist": text, "engine": "warp9", "fallback": fallback},
-                expect=(400,),
-            )
-            assert body["error"] == "unknown engine 'warp9'"
+        body = post(
+            f"{base}/v1/jobs",
+            {"netlist": text, "engine": "warp9"},
+            expect=(400,),
+        )
+        assert body["error"] == "unknown engine 'warp9'"
