@@ -36,6 +36,14 @@ node variables — and a flat node read as such a variable substitutes
 its flat polynomial.  The models are built at compile time, so the
 program is complete before the first cone.
 
+Flattening works in place: a node read by one consumer hands its set
+to that consumer, which XORs into it (undoing the XOR if the sum
+outgrows the bound) instead of copying it.  Once the models are built,
+the program keeps only the flats rewriting reads: the outputs' and the
+leaves'.  A live net that is not an output is rewritten through
+direct-fanin models (its answer is the same; its statistics may not
+be).
+
 Rewriting (per output bit)
 --------------------------
 Node variables are interned per cone *above* the leaf region —
@@ -205,13 +213,20 @@ class _CompiledProgram:
                 undeclared |= 1 << bit
         self.undeclared_bits = undeclared
 
-        self.flats: Dict[int, Set[int]] = self._flatten()
+        flats = self._flatten()
+        self.flats = flats
         self._models: Dict[int, _Model] = {}
         self._complete()
+        # Rewriting reads only the outputs' flats (and a leaf's, which
+        # is its own bit); every other node is answered by its model.
+        keep = [0, *self.leaf_bits, *(lit >> 1 for _, lit in aig.outputs)]
+        self.flats = {
+            node: flats[node] for node in keep if flats.get(node) is not None
+        }
 
     # -- forward flattening ---------------------------------------------
 
-    def _flatten(self) -> Dict[int, Set[int]]:
+    def _flatten(self) -> Dict[int, Optional[Set[int]]]:
         """Packed leaf-space polynomial of every node below its bound.
 
         Exact mod-2 algebra: XOR nodes are symmetric differences,
@@ -219,6 +234,12 @@ class _CompiledProgram:
         multiply with cancellation — so flattening performs the same
         cancellations backward rewriting would, just once per node
         instead of once per cone.
+
+        A gate read by one consumer *owns* its flat: an XOR reader
+        accumulates into that set instead of copying it (undoing the
+        XOR when the sum outgrows the bound), and a reader that
+        flattens consumes it.  A consumed flat is dead: its entry is
+        ``None``, so :meth:`_complete` builds no model for it.
         """
         aig = self.aig
         # Read at call time, so a patched bound reaches a fresh compile.
@@ -229,36 +250,62 @@ class _CompiledProgram:
             node for node in range(1, len(aig)) if node not in aig.pi_name
         ]
         readers = [0] * len(aig)
-        if shared_bound < bound:
-            for node in gates:
-                readers[fanin0[node] >> 1] += 1
-                readers[fanin1[node] >> 1] += 1
-            for _, lit in aig.outputs:
-                readers[lit >> 1] += 1
-        flats: Dict[int, Set[int]] = {0: set()}
+        for node in gates:
+            readers[fanin0[node] >> 1] += 1
+            readers[fanin1[node] >> 1] += 1
+        for _, lit in aig.outputs:
+            readers[lit >> 1] += 1
+        # The constant's and the leaves' flats are never consumed.
+        flats: Dict[int, Optional[Set[int]]] = {0: set()}
+        readers[0] = 0
         for node, bit in self.leaf_bits.items():
             flats[node] = {1 << bit}
+            readers[node] = 0
         flats_get = flats.get
         for node in gates:
             limit = shared_bound if readers[node] > 1 else bound
             f0, f1 = fanin0[node], fanin1[node]
-            p0 = flats_get(f0 >> 1)
-            p1 = flats_get(f1 >> 1)
-            xor = is_xor(node)
+            c0, c1 = f0 >> 1, f1 >> 1
+            p0 = flats_get(c0)
+            p1 = flats_get(c1)
+            if p0 is None or p1 is None:
+                continue
+            owned0 = readers[c0] == 1
+            owned1 = readers[c1] == 1
             poly: Optional[Set[int]] = None
-            if p0 is not None and p1 is not None:
-                if xor:
+            if is_xor(node):
+                toggle = (f0 ^ f1) & 1
+                if owned1 and (not owned0 or len(p1) > len(p0)):
+                    p0, p1 = p1, p0  # accumulate into the larger owned set
+                    owned0 = True
+                if owned0:
+                    p0 ^= p1
+                    if toggle:
+                        p0.symmetric_difference_update((0,))
+                    if len(p0) > limit:
+                        p0 ^= p1  # XOR is its own inverse: undo
+                        if toggle:
+                            p0.symmetric_difference_update((0,))
+                        continue
+                    poly = p0
+                else:
                     poly = p0.symmetric_difference(p1)
-                    if (f0 ^ f1) & 1:
+                    if toggle:
                         poly.symmetric_difference_update((0,))
-                elif len(p0) * len(p1) <= _PAIR_BUDGET:
-                    if f0 & 1:
-                        p0 = p0.symmetric_difference((0,))
-                    if f1 & 1:
-                        p1 = p1.symmetric_difference((0,))
-                    poly = _flat_product([p0, p1], limit)
+            elif len(p0) == 1 == len(p1) and not (f0 | f1) & 1:
+                poly = {next(iter(p0)) | next(iter(p1))}
+            elif len(p0) * len(p1) <= _PAIR_BUDGET:
+                if f0 & 1:
+                    p0 = p0.symmetric_difference((0,))
+                if f1 & 1:
+                    p1 = p1.symmetric_difference((0,))
+                poly = _flat_product([p0, p1], limit)
             if poly is not None and len(poly) <= limit:
                 flats[node] = poly
+                if readers[c0] == 1:
+                    flats[c0] = None
+                if readers[c1] == 1:
+                    flats[c1] = None
         return flats
 
     # -- substitution models ---------------------------------------------

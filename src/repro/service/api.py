@@ -725,8 +725,11 @@ def _make_handler(server: "ReproAPIServer"):
                 return
             try:
                 body = json.loads(self.rfile.read(length) or b"{}")
-            except json.JSONDecodeError:
+            except ValueError:  # not JSON, or not UTF-8
                 self._error(400, "request body is not valid JSON")
+                return
+            if not isinstance(body, dict):
+                self._error(400, "request body is not a JSON object")
                 return
             text = body.get("netlist")
             if not isinstance(text, str) or not text.strip():

@@ -74,9 +74,12 @@ An entry that does not parse as JSON, parses to something other than
 an object, lacks its ``payload``, or whose payload the decoder rejects
 is *corrupt*: it is moved to ``quarantine/``, counted in
 ``cache.corrupt`` and read as a miss, so the recomputed artifact
-replaces it.  A verdict sidecar that is not an object, or whose fields
-are mistyped or contradict each other or their main entry, is
-quarantined the same way.
+replaces it.  So is an entry whose recorded ``kind`` and
+``fingerprint`` (a cone entry's ``cone`` digest) differ from the key
+it was looked up under: a file copied or renamed to another key's
+path answers nothing.  A verdict sidecar that is not an object, or
+whose fields are mistyped or contradict each other or their main
+entry, is quarantined the same way.
 
 Decoded polynomials are stored as sorted lists of sorted variable
 lists (the canonical set-of-monomials form), so cached expressions are
@@ -765,9 +768,13 @@ class ResultCache:
         """
         started = time.perf_counter()
         try:
-            path = self.path_for(kind, key)
+            fingerprint = self.fingerprint(key)
+            path = self.path_for(kind, fingerprint)
             data = self._read_entry(kind, path)
-            artifact = None if data is None else self._decode(kind, path, data)
+            artifact = (
+                None if data is None
+                else self._decode(kind, fingerprint, path, data)
+            )
             self._count_lookup(artifact is not None)
             return artifact
         finally:
@@ -786,9 +793,12 @@ class ResultCache:
         except FileNotFoundError:
             return None
 
-    def _decode(self, kind: str, path: Path, data: bytes) -> Optional[Any]:
+    def _decode(
+        self, kind: str, fingerprint: str, path: Path, data: bytes
+    ) -> Optional[Any]:
         """Decode entry bytes; None for an entry of another schema, and
-        None after quarantining a corrupt one."""
+        None after quarantining a corrupt one or one recorded under
+        another kind or fingerprint."""
         try:
             entry = json.loads(data.decode("utf-8"))
         except ValueError:  # not JSON, or not UTF-8
@@ -799,6 +809,8 @@ class ResultCache:
             return None
         try:
             # Unparsed (None) and non-object entries raise here too.
+            if (entry["kind"], entry["fingerprint"]) != (kind, fingerprint):
+                raise ValueError("entry recorded under another key")
             return _DECODERS[kind](entry["payload"])
         except _MALFORMED:
             self._quarantine_corrupt(kind, path)
@@ -928,13 +940,20 @@ class ResultCache:
         return self.path_for(kind, key).exists()
 
     def get_raw(self, kind: str, key: Union[str, Netlist]) -> Optional[Dict]:
-        """The raw JSON entry (for the HTTP API's ``full`` view)."""
-        path = self.path_for(kind, key)
+        """The raw JSON entry (for the HTTP API's ``full`` view); None
+        when it is absent, unreadable or recorded under another key."""
+        fingerprint = self.fingerprint(key)
+        path = self.path_for(kind, fingerprint)
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
+                entry = json.load(handle)
+        except (FileNotFoundError, ValueError):
             return None
+        if not isinstance(entry, dict) or (
+            entry.get("kind"), entry.get("fingerprint")
+        ) != (kind, fingerprint):
+            return None
+        return entry
 
     # -- compiled engine programs ---------------------------------------
 
@@ -1027,8 +1046,9 @@ class ResultCache:
         (``poly_to_json`` form), ``stats`` (``stats_to_json`` form),
         plus ``engine``/``compile_schema`` provenance.  Decoding to a
         backend expression belongs to the extraction driver.  An entry
-        whose payload has no decodable ``stats`` or no ``expression``
-        list is quarantined and read as a miss.
+        recorded under another digest, or whose payload has no
+        decodable ``stats`` or no ``expression`` list, is quarantined
+        and read as a miss.
         """
         started = time.perf_counter()
         try:
@@ -1056,6 +1076,8 @@ class ResultCache:
                 return None
             try:
                 # Unparsed (None) and non-object entries raise here too.
+                if (entry["kind"], entry["cone"]) != (CONE_KIND, digest):
+                    raise ValueError("entry recorded under another digest")
                 payload = entry["payload"]
                 stats_from_json(payload["stats"])
                 if not isinstance(payload["expression"], list):
@@ -1287,7 +1309,7 @@ class ResultCache:
                     source=data,
                 )
             self._quarantine_corrupt("extraction", path.with_suffix(".sum"))
-        result = self._decode("extraction", path, data)
+        result = self._decode("extraction", fingerprint, path, data)
         if result is None:
             return None
         fields = {

@@ -17,6 +17,7 @@ from repro.gen.karatsuba import generate_karatsuba
 from repro.gen.mastrovito import generate_mastrovito
 from repro.gen.montgomery import generate_montgomery
 from repro.gen.schoolbook import generate_schoolbook
+from repro.rewrite.backward import backward_rewrite
 from repro.rewrite.parallel import extract_expressions
 from repro.synth.pipeline import synthesize
 
@@ -36,14 +37,106 @@ class TestCompleteAtCompileTime:
         program = engine._compiled_for(netlist)
         models = dict(program._models)
         if forced:
+            # An output left unflattened is rewritten through models.
             assert any(
-                node not in program.flats
-                for node in program.aig.live_nodes()
+                program.net_literal[output] >> 1 not in program.flats
+                for output in netlist.outputs
             )
         for output in netlist.outputs:
             engine.rewrite_cone(netlist, output)
         assert engine._compiled_for(netlist) is program
         assert program._models == models
+
+
+class TestKeptFlats:
+    """After compile the program keeps only the flats rewriting reads,
+    the outputs' and the leaves'; every read past them matches the
+    reference engine."""
+
+    @staticmethod
+    def _netlist():
+        return synthesize(
+            generate_mastrovito(0b100011011), use_xor_cells=False
+        )
+
+    @staticmethod
+    def _output_nodes(program, outputs):
+        return {program.net_literal[output] >> 1 for output in outputs}
+
+    def test_only_output_and_leaf_flats_are_kept(self):
+        netlist = self._netlist()
+        engine = BitpackEngine()
+        program = engine._compiled_for(netlist)
+        roots = self._output_nodes(program, netlist.outputs)
+        assert roots <= set(program.flats)  # m=8 cones all flatten
+        assert set(program.flats) <= {0} | set(program.leaf_bits) | roots
+
+    def test_a_live_net_that_is_no_output_matches_reference(self):
+        netlist = self._netlist()
+        engine = BitpackEngine()
+        program = engine._compiled_for(netlist)
+        # The compile-time flats: None marks one its reader consumed.
+        flats = program._flatten()
+        skip = {0} | set(program.leaf_bits)
+        skip |= self._output_nodes(program, netlist.outputs)
+        consumed, dropped = [], []
+        for net, literal in sorted(program.net_literal.items()):
+            node = literal >> 1
+            if node in skip or node not in flats:
+                continue
+            (consumed if flats[node] is None else dropped).append(net)
+        assert consumed and dropped
+        for net in consumed[:25] + dropped[:25]:
+            expected, _ = backward_rewrite(netlist, net, engine="reference")
+            actual, _ = backward_rewrite(netlist, net, engine=engine)
+            assert actual == expected, net
+        assert engine._compiled_for(netlist) is program
+
+    def test_traced_outputs_match_reference(self):
+        netlist = self._netlist()
+        engine = BitpackEngine()
+        for output in netlist.outputs:
+            actual, stats = backward_rewrite(
+                netlist, output, engine=engine, trace=True
+            )
+            expected, _ = backward_rewrite(
+                netlist, output, engine="reference"
+            )
+            assert actual == expected
+            assert stats.trace[-1].expression == str(expected)
+            # A flat output is substituted from its kept flat, in one
+            # recorded step.
+            assert stats.iterations == len(stats.trace) == 1
+
+    def test_the_eco_scope_cut_matches_reference(self):
+        netlist = self._netlist()
+        scope = ("z1", "z6")
+        engine = BitpackEngine()
+        engine.prepare(netlist, scope)
+        program = engine._compiled_for(netlist, scope)
+        roots = self._output_nodes(program, scope)
+        assert set(program.flats) <= {0} | set(program.leaf_bits) | roots
+        for output in scope:
+            expression, _ = engine.rewrite_cone(netlist, output, scope=scope)
+            expected, _ = backward_rewrite(
+                netlist, output, engine="reference"
+            )
+            assert expression.decode() == expected
+
+    @pytest.mark.parametrize(
+        "bound, shared", [(1, 1), (2, 2), (8, 2), (16, 16), (64, 8)]
+    )
+    def test_patched_bounds_match_reference(self, bound, shared, monkeypatch):
+        # Small bounds make readers undo in-place sums past the bound
+        # and leave outputs to the substitution loop.
+        monkeypatch.setattr(bitpack_module, "_FLAT_BOUND", bound)
+        monkeypatch.setattr(bitpack_module, "_FLAT_SHARED_BOUND", shared)
+        for netlist in (self._netlist(), generate_montgomery(0b100011011)):
+            run = extract_expressions(netlist, engine=BitpackEngine())
+            expected = extract_expressions(netlist, engine="reference")
+            assert dict(run.expressions.items()) == dict(
+                expected.expressions.items()
+            )
 
 
 GENERATORS = (

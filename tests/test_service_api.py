@@ -203,6 +203,22 @@ class TestRejections:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize(
+        "body", [b"[1, 2]", b'"text"', b"42", b"\xff"],
+        ids=["list", "string", "number", "not-utf8"],
+    )
+    def test_a_body_that_is_no_json_object_is_a_400(self, base, body):
+        request = urllib.request.Request(
+            f"{base}/v1/jobs",
+            data=body,
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert set(json.load(excinfo.value)) == {"error"}
+
     def test_negative_content_length_rejected_not_hung(self, base, server):
         import http.client
 

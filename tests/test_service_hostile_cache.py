@@ -4,20 +4,26 @@ answer.
 Valid JSON of the wrong shape in an entry is corrupt like unparsable
 bytes: it is quarantined and read as a miss.  A verdict sidecar of the
 wrong shape, or with fields that contradict each other, is quarantined
-too; the main extraction entry then answers.  Compiled-program blobs
+too; the main extraction entry then answers.  An entry copied to
+another key's path is quarantined as well: its recorded key differs
+from the one it was looked up under.  Compiled-program blobs
 left by earlier versions are counted and evicted but never unpickled.
 """
 
 import json
 import os
 import pickle
+import shutil
 
 import pytest
 
 from repro.engine import BitpackEngine
+from repro.extract.extractor import extract_irreducible_polynomial
+from repro.gen.faults import random_fault
 from repro.gen.mastrovito import generate_mastrovito
 from repro.netlist.eqn_io import write_eqn
 from repro.service.cache import ResultCache
+from repro.service.fingerprint import cone_fingerprints
 from repro.service.runner import CampaignRunner
 from repro.synth.pipeline import synthesize
 
@@ -105,6 +111,66 @@ def test_an_inconsistent_sidecar_is_a_quarantined_decode(tmp_path, fields):
     assert again["cache"] == "hit"
     assert cache.stats().quarantined == 1
     assert json.loads(sidecar.read_text(encoding="utf-8"))["modulus"] == M8
+
+
+def test_a_cone_entry_under_another_digest_is_a_quarantined_miss(tmp_path):
+    """z1's cone entry copied over z3's path must not answer for z3:
+    served, it would recover a reducible P(x) for x^4 + x + 1."""
+    netlist = generate_mastrovito(0b10011)
+    cache = ResultCache(tmp_path / "cache")
+    first = extract_irreducible_polynomial(netlist, cache=cache)
+    assert first.modulus == 0b10011
+    cones = cone_fingerprints(netlist)
+    shutil.copyfile(
+        cache.cone_path_for(cones["z1"]), cache.cone_path_for(cones["z3"])
+    )
+    shutil.rmtree(cache.version_dir / "extraction")
+
+    cache = ResultCache(tmp_path / "cache")
+    again = extract_irreducible_polynomial(netlist, cache=cache)
+    assert again.modulus == 0b10011 and again.irreducible
+    assert again.run.cache_provenance["z3"] == "computed"
+    assert cache.corrupt == 1
+    assert cache.stats().quarantined == 1
+    # The recomputed cone replaced the misplaced one.
+    stored = json.loads(
+        cache.cone_path_for(cones["z3"]).read_text(encoding="utf-8")
+    )
+    assert stored["cone"] == cones["z3"]
+
+
+def test_a_diagnosis_under_another_fingerprint_is_a_quarantined_miss(
+    tmp_path,
+):
+    """A faulty design's diagnosis copied over a clean design's path
+    must not answer for the clean one."""
+    clean = tmp_path / "clean.eqn"
+    write_eqn(generate_mastrovito(0b10011), clean)
+    faulty = tmp_path / "faulty.eqn"
+    write_eqn(random_fault(generate_mastrovito(0b10011), seed=1)[0], faulty)
+    cache_dir = tmp_path / "cache"
+
+    def diagnose(path):
+        return CampaignRunner(mode="diagnose", cache_dir=cache_dir).run(
+            [path]
+        ).records[0]
+
+    first = diagnose(clean)
+    assert first["clean"] is True
+    assert diagnose(faulty)["clean"] is False
+    cache = ResultCache(cache_dir)
+    faulty_fingerprint = cache.file_fingerprint(faulty)["fingerprint"]
+    shutil.copyfile(
+        cache.path_for("diagnosis", faulty_fingerprint),
+        cache.path_for("diagnosis", first["fingerprint"]),
+    )
+    assert cache.get_raw("diagnosis", first["fingerprint"]) is None
+
+    again = diagnose(clean)
+    assert again["clean"] is True
+    assert again["verdict"] == first["verdict"]
+    assert again["cache"] == "miss"
+    assert cache.stats().quarantined == 1
 
 
 class _Tripwire:
