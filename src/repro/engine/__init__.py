@@ -62,7 +62,7 @@ Backends
 
 The compiling backend (bitpack) keeps its one-time per-netlist
 compile in a weak in-process memo
-(:class:`~repro.engine.base.CompilingEngine`) and never persist it:
+(:class:`~repro.engine.bitpack.BitpackEngine`) and never persists it:
 the program is built from the live AIG the content fingerprint
 already strashed, which is cheaper than loading a stored copy.  The
 program is complete at compile time: every model a rewrite can ask
@@ -79,12 +79,7 @@ intermediates smaller).  New backends register via
 :func:`register_engine`.
 """
 
-from repro.engine.base import (
-    CompilingEngine,
-    ConeExpression,
-    Engine,
-    EngineError,
-)
+from repro.engine.base import ConeExpression, Engine, EngineError
 from repro.engine.bitpack import BitpackEngine, PackedExpression
 from repro.engine.interning import SignalInterner
 from repro.engine.reference import ReferenceEngine, ReferenceExpression
@@ -104,7 +99,6 @@ register_engine(BitpackEngine.name, BitpackEngine)
 register_engine("vector", lambda: get_engine(BitpackEngine.name))
 
 __all__ = [
-    "CompilingEngine",
     "ConeExpression",
     "Engine",
     "EngineError",

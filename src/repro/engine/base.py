@@ -22,9 +22,9 @@ their *internal* expression representation; the contract is:
 
 Compiled programs
 -----------------
-Backends that precompile a netlist into a reusable *program* (bitpack)
-derive from :class:`CompilingEngine`, which keeps one
-program per live netlist in a weak in-process memo.  The program is
+A backend may precompile a netlist into a reusable *program*
+(bitpack does, :class:`~repro.engine.bitpack.BitpackEngine`), keeping
+one program per live netlist in a weak in-process memo.  The program is
 built from the netlist's memoized live AIG, which the content
 fingerprint has already paid for; compiling it costs less than
 loading a stored copy did, so nothing is persisted.  A program may be
@@ -45,18 +45,8 @@ entry of one cold run share a single encoding.
 from __future__ import annotations
 
 import abc
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    ClassVar,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
-from weakref import WeakKeyDictionary
+from typing import TYPE_CHECKING, ClassVar, Iterable, List, Optional, Tuple
 
-from repro import telemetry as _telemetry
 from repro.gf2.monomial import Monomial
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
@@ -125,7 +115,7 @@ class Engine(abc.ABC):
 
     #: Layout version of the backend's compiled program, recorded as
     #: provenance in cone entries; ``None`` for backends that do not
-    #: compile (see :class:`CompilingEngine`).
+    #: compile.
     compile_schema: ClassVar[Optional[int]] = None
 
     @abc.abstractmethod
@@ -170,50 +160,3 @@ class Engine(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class CompilingEngine(Engine):
-    """Shared machinery for backends with a per-netlist compile step.
-
-    Subclasses implement :meth:`_compile` (netlist and scope →
-    program object; the program must expose ``n_gates`` and ``scope``
-    for the staleness check) and set :attr:`Engine.compile_schema`.
-    The weak in-process memo, one program per netlist, is inherited.
-    The bitpack program compiles the netlist's memoized live AIG, or
-    a cut of it, so it does not strash again.
-    """
-
-    def __init__(self) -> None:
-        self._compiled: "WeakKeyDictionary[Netlist, Any]" = (
-            WeakKeyDictionary()
-        )
-
-    @abc.abstractmethod
-    def _compile(
-        self, netlist: Netlist, scope: Optional[Tuple[str, ...]]
-    ) -> Any:
-        """Build the backend's compiled program for one netlist,
-        holding the fan-in of ``scope`` (None: of every output)."""
-
-    def _compiled_for(
-        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
-    ) -> Any:
-        compiled = self._compiled.get(netlist)
-        if (
-            compiled is not None
-            and compiled.n_gates == len(netlist)
-            and compiled.scope == scope
-        ):
-            return compiled
-        with _telemetry.current().span(
-            "compile", engine=self.name, gates=len(netlist)
-        ):
-            compiled = self._compile(netlist, scope)
-        self._compiled[netlist] = compiled
-        return compiled
-
-    def prepare(
-        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
-    ) -> None:
-        """Ensure the compiled program exists."""
-        self._compiled_for(netlist, scope)

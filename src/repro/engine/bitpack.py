@@ -73,10 +73,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Set, Tuple
+from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
 from repro.aig import live_aig
-from repro.engine.base import CompilingEngine, ConeExpression
+from repro.engine.base import ConeExpression, Engine
 from repro.engine.interning import SignalInterner
 from repro.gf2.monomial import Monomial
 from repro.gf2.polynomial import Gf2Poly
@@ -357,17 +358,45 @@ class _CompiledProgram:
         return tuple(key for key, parity in counts.items() if parity)
 
 
-class BitpackEngine(CompilingEngine):
-    """Backward rewriting over interned bitmask monomials."""
+class BitpackEngine(Engine):
+    """Backward rewriting over interned bitmask monomials.
+
+    One compiled program per live netlist is kept in a weak
+    in-process memo; a program compiled for another gate count or
+    scope is rebuilt.
+    """
 
     name = "bitpack"
     #: Recorded in cone entries as provenance.
     compile_schema = 2
 
-    def _compile(
-        self, netlist: Netlist, scope: Optional[Tuple[str, ...]]
+    def __init__(self) -> None:
+        self._compiled: "WeakKeyDictionary[Netlist, _CompiledProgram]" = (
+            WeakKeyDictionary()
+        )
+
+    def _compiled_for(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
     ) -> _CompiledProgram:
-        return _CompiledProgram(netlist, scope)
+        compiled = self._compiled.get(netlist)
+        if (
+            compiled is not None
+            and compiled.n_gates == len(netlist)
+            and compiled.scope == scope
+        ):
+            return compiled
+        with _telemetry.current().span(
+            "compile", engine=self.name, gates=len(netlist)
+        ):
+            compiled = _CompiledProgram(netlist, scope)
+        self._compiled[netlist] = compiled
+        return compiled
+
+    def prepare(
+        self, netlist: Netlist, scope: Optional[Tuple[str, ...]] = None
+    ) -> None:
+        """Ensure the compiled program exists."""
+        self._compiled_for(netlist, scope)
 
     def _check_residue(
         self,

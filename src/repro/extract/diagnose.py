@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.engine import DEFAULT_ENGINE
 from repro.extract.extractor import (
@@ -123,18 +123,16 @@ def diagnose(
     term_limit: Optional[int] = None,
     find_counterexample: bool = True,
     engine: str = DEFAULT_ENGINE,
-    cache=None,
+    extract: Callable[..., ExtractionResult] = extract_irreducible_polynomial,
 ) -> Diagnosis:
     """Triage a netlist: verified multiplier, buggy, or out of scope.
 
     ``engine`` selects the rewriting backend (see :mod:`repro.engine`);
-    the verdict is backend-independent.  ``cache`` (optionally, a
-    :class:`repro.service.cache.ResultCache`) is threaded through to
-    the extraction phases — the multiplier *and* squarer branches —
-    with every tier they use: a structural duplicate never rewrites a
-    gate, and an edited version of an extracted baseline rewrites only
-    the cones the edit touched (the ECO path — see
-    :mod:`repro.service.eco`).
+    the verdict is backend-independent.  ``extract`` runs the
+    multiplier branch's extraction, called as ``extract(netlist,
+    term_limit=, engine=)``; the service pipeline
+    (:func:`repro.service.pipeline.run_mode`) passes its cached phase,
+    supervised per bit.  The squarer branch rewrites its bits itself.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> diagnose(generate_mastrovito(0b10011)).verdict.value
@@ -147,17 +145,10 @@ def diagnose(
         return diagnosis
 
     if _looks_like_squarer(netlist):
-        return finish(
-            _diagnose_squarer(netlist, cache=cache, engine=engine)
-        )
+        return finish(_diagnose_squarer(netlist, engine=engine))
 
     try:
-        result = extract_irreducible_polynomial(
-            netlist,
-            term_limit=term_limit,
-            engine=engine,
-            cache=cache,
-        )
+        result = extract(netlist, term_limit=term_limit, engine=engine)
     except (ExtractionError, BackwardRewriteError) as error:
         return finish(
             Diagnosis(
@@ -239,9 +230,7 @@ def _looks_like_squarer(netlist: Netlist) -> bool:
 
 
 def _diagnose_squarer(
-    netlist: Netlist,
-    cache=None,
-    engine: str = DEFAULT_ENGINE,
+    netlist: Netlist, engine: str = DEFAULT_ENGINE
 ) -> Diagnosis:
     """The squarer branch of the decision tree."""
     from repro.extract.squarer import (
@@ -250,9 +239,7 @@ def _diagnose_squarer(
     )
 
     try:
-        result = extract_squarer_polynomial(
-            netlist, cache=cache, engine=engine
-        )
+        result = extract_squarer_polynomial(netlist, engine=engine)
     except (SquarerExtractionError, BackwardRewriteError) as error:
         return Diagnosis(
             verdict=(

@@ -146,8 +146,6 @@ def extract_irreducible_polynomial(
     term_limit: Optional[int] = None,
     measure_memory: bool = False,
     engine: str = DEFAULT_ENGINE,
-    cache=None,
-    on_result=None,
     telemetry=None,
 ) -> ExtractionResult:
     """Reverse engineer P(x) from a gate-level GF(2^m) multiplier.
@@ -155,21 +153,11 @@ def extract_irreducible_polynomial(
     ``term_limit`` bounds intermediate expression size per bit (the
     paper's memory-out condition).  ``engine`` selects the rewriting
     backend (see :mod:`repro.engine`); every backend recovers the same
-    P(x).
-
-    ``cache`` (optionally, a :class:`repro.service.cache.ResultCache`)
-    answers a structurally identical netlist without rewriting a gate
-    and stores fresh results; on a miss it serves the per-cone tier of
-    :func:`~repro.rewrite.parallel.extract_expressions`, so an edited
-    netlist rewrites only its dirty cones (the ECO path).  Under a
-    ``term_limit`` neither tier is read, only written: a stored result
-    says nothing about whether rewriting fits under the limit.
-
-    ``on_result`` fires once per completed bit with ``(output, cone,
-    stats)`` — the progress feed of the HTTP API's job endpoints —
-    and ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
+    P(x).  ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry the run's spans and counters land in (default: the
-    active one).  A cache hit short-circuits both.
+    active one).  Nothing is cached here: the service pipeline
+    (:func:`repro.service.pipeline.run_mode`) runs the same phases
+    behind the result cache.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> result = extract_irreducible_polynomial(generate_mastrovito(0b10011))
@@ -182,26 +170,16 @@ def extract_irreducible_polynomial(
     """
     started = time.perf_counter()
     m = multiplier_field_size(netlist)
-    key = None
-    if cache is not None:
-        key = cache.fingerprint(netlist)  # once: strash + hash is O(n)
-        cached = None if term_limit is not None else cache.get_extraction(key)
-        if cached is not None:
-            return cached
     run = extract_expressions(
         netlist,
         outputs=[f"z{i}" for i in range(m)],
         term_limit=term_limit,
         measure_memory=measure_memory,
         engine=engine,
-        on_result=on_result,
-        cache=cache,
         telemetry=telemetry,
     )
     result = result_from_run(run, m)
     # Stamp after the Algorithm-2 analysis phase so the total covers
     # rewriting *and* membership/irreducibility, as it always has.
     result.total_time_s = time.perf_counter() - started
-    if cache is not None:
-        cache.put_extraction(key, result)
     return result

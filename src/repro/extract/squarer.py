@@ -59,29 +59,15 @@ class SquarerExtractionResult:
 
 
 def extract_squarer_polynomial(
-    netlist: Netlist,
-    cache=None,
-    engine: str = DEFAULT_ENGINE,
+    netlist: Netlist, engine: str = DEFAULT_ENGINE
 ) -> SquarerExtractionResult:
     """Recover P(x) from a gate-level squarer.
-
-    ``cache`` (optionally) is a
-    :class:`repro.service.cache.ResultCache` holding the squarer
-    entry, keyed like every other artifact by the strash-invariant
-    content fingerprint: a structurally identical squarer is answered
-    without rewriting a single gate.
 
     >>> from repro.gen.squarer import generate_squarer
     >>> extract_squarer_polynomial(generate_squarer(0b10011)).polynomial_str
     'x^4 + x + 1'
     """
     started = time.perf_counter()
-    key = None
-    if cache is not None:
-        key = cache.fingerprint(netlist)  # once: AIG lowering is O(n)
-        cached = cache.get_squarer(key)
-        if cached is not None:
-            return cached
     m = len(netlist.outputs)
     expected_inputs = {f"a{i}" for i in range(m)}
     if set(netlist.inputs) != expected_inputs:
@@ -113,7 +99,7 @@ def extract_squarer_polynomial(
     verified = (
         modulus is not None and squaring_matrix(modulus) == columns
     )
-    result = SquarerExtractionResult(
+    return SquarerExtractionResult(
         modulus=modulus,
         m=m,
         observed_columns=columns,
@@ -121,9 +107,6 @@ def extract_squarer_polynomial(
         verified=verified,
         total_time_s=time.perf_counter() - started,
     )
-    if cache is not None:
-        cache.put_squarer(key, result)
-    return result
 
 
 def _polynomial_from_columns(columns: List[int], m: int) -> Optional[int]:

@@ -20,15 +20,15 @@ Layout (all JSON, all written atomically)::
         extraction/<aa>/<fingerprint>.sum   (verdict sidecar; see below)
         verification/<aa>/<fingerprint>.json
         diagnosis/<aa>/<fingerprint>.json
-        squarer/<aa>/<fingerprint>.json
         cone/<aa>/<cone digest>.json       (per-output-cone results)
 
 where ``<aa>`` is a two-hex-digit shard of the fingerprint digest (so
 no directory grows unboundedly).  A cone entry is written the moment
 its output bit completes, so the cone tier is also the resume state
 of an interrupted extraction.  A ``jobs/`` directory left by versions
-that kept separate JSONL checkpoints is ignored; ``clear()`` removes
-it.  Entries carry the schema version and their kind inline; a schema
+that kept separate JSONL checkpoints, and a ``squarer/`` directory
+left by versions that cached squarer extractions beside their
+diagnoses, are ignored; ``clear()`` removes them.  Entries carry the schema version and their kind inline; a schema
 bump changes the directory, so stale entries are never *misread* —
 they are simply invisible until ``clear()`` reclaims them.
 
@@ -154,7 +154,7 @@ CACHE_MAX_BYTES_ENV = "REPRO_CACHE_MAX_BYTES"
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError)
 
 #: The JSON artifact kinds the cache stores.
-KINDS = ("extraction", "verification", "diagnosis", "squarer")
+KINDS = ("extraction", "verification", "diagnosis")
 
 #: Binary compiled-program entries (see the module docstring); listed
 #: separately from :data:`KINDS` because they are pickles, not JSON.
@@ -375,41 +375,15 @@ def decode_diagnosis(data: Dict[str, Any]) -> Diagnosis:
     )
 
 
-def encode_squarer_result(result) -> Dict[str, Any]:
-    return {
-        "modulus": result.modulus,
-        "m": result.m,
-        "observed_columns": list(result.observed_columns),
-        "irreducible": result.irreducible,
-        "verified": result.verified,
-        "total_time_s": result.total_time_s,
-    }
-
-
-def decode_squarer_result(data: Dict[str, Any]):
-    from repro.extract.squarer import SquarerExtractionResult
-
-    return SquarerExtractionResult(
-        modulus=data["modulus"],
-        m=data["m"],
-        observed_columns=list(data["observed_columns"]),
-        irreducible=data["irreducible"],
-        verified=data["verified"],
-        total_time_s=data["total_time_s"],
-    )
-
-
 _ENCODERS = {
     "extraction": encode_extraction_result,
     "verification": encode_verification_report,
     "diagnosis": encode_diagnosis,
-    "squarer": encode_squarer_result,
 }
 _DECODERS = {
     "extraction": decode_extraction_result,
     "verification": decode_verification_report,
     "diagnosis": decode_diagnosis,
-    "squarer": decode_squarer_result,
 }
 
 
@@ -1334,12 +1308,6 @@ class ResultCache:
 
     def put_diagnosis(self, key, diagnosis: Diagnosis) -> None:
         self.put("diagnosis", key, diagnosis)
-
-    def get_squarer(self, key):
-        return self.get("squarer", key)
-
-    def put_squarer(self, key, result) -> None:
-        self.put("squarer", key, result)
 
     # -- stats / maintenance --------------------------------------------
 

@@ -127,13 +127,16 @@ def run_mode(
     caller that looked first passes it on); without it the lookups
     happen here, so every artifact is looked up once per request.
 
-    Every extraction runs under the per-bit service hook
+    Every mode's extraction, diagnose's among them, is one phase: the
+    verdict tier, then the per-bit service hook
     (:func:`~repro.service.jobs.checkpointed_extract`), which stores
-    each cone as its bit completes: a killed, cancelled or
-    term-limited run resumes its finished bits as cone hits.
-    ``deadline`` (a :class:`~repro.service.resilience.Deadline`) is
-    checked on entry and at every bit; ``progress`` is called with
-    ``(output, cone, stats)`` at every bit.
+    each cone as its bit completes, then the extraction entry.  A
+    killed, cancelled or term-limited run resumes its finished bits
+    as cone hits.  ``deadline`` (a
+    :class:`~repro.service.resilience.Deadline`) is checked on entry
+    and at every bit; ``progress`` is called with ``(output, cone,
+    stats)`` at every bit.  A squarer's diagnosis rewrites its bits in
+    its own loop, without the hook.
 
     An extract or audit with a ``term_limit`` is served nothing from
     the verdict, extraction or cone tiers: a stored answer says
@@ -160,19 +163,19 @@ def run_mode(
         return cached
     # A copy: a retried attempt starts again from what the cache held.
     outcome = replace(cached)
-    if mode == "diagnose":
-        diagnosis = diagnose(load(), engine=engine, cache=cache)
-        if cache is not None:
-            cache.put_diagnosis(fingerprint, diagnosis)
-            if diagnosis.extraction is not None:
-                outcome.cones_reused = _cones_reused(diagnosis.extraction.run)
-        outcome.diagnosis = diagnosis
-        return outcome
 
-    # extract / audit share the extraction phase; a cached one decodes
-    # no expression unless the audit must verify it
-    if outcome.extraction is None:
-        netlist = load()
+    def extract(netlist: Netlist, term_limit=None, engine=engine):
+        """The extraction phase of every mode; diagnose runs it as
+        ``diagnose(extract=)``.  Extract and audit looked the verdict
+        tier up in :func:`cached_outcome`, diagnose looks it up here."""
+        verdict = outcome.extraction
+        if (
+            verdict is None and mode == "diagnose"
+            and cache is not None and term_limit is None
+        ):
+            verdict = cache.get_verdict(fingerprint)
+        if verdict is not None:
+            return verdict.result()
         m = multiplier_field_size(netlist)
         run = checkpointed_extract(
             netlist,
@@ -184,19 +187,30 @@ def run_mode(
             term_limit=term_limit,
             cache=cache,
         )
-        outcome.cones_reused = _cones_reused(run)
-        outcome.extraction = result_from_run(
-            run, m, total_time_s=run.wall_time_s
-        )
+        result = result_from_run(run, m, total_time_s=run.wall_time_s)
         if cache is not None:
-            cache.put_extraction(fingerprint, outcome.extraction)
-            if mode == "audit":
-                outcome.verification = _verification(
-                    cache, fingerprint, outcome.extraction
-                )
-    elif mode == "audit":  # partial: verify the cached extraction
-        outcome.extraction = outcome.extraction.result()
+            cache.put_extraction(fingerprint, result)
+        return result
 
+    if mode == "diagnose":
+        diagnosis = diagnose(load(), engine=engine, extract=extract)
+        if cache is not None:
+            cache.put_diagnosis(fingerprint, diagnosis)
+            if diagnosis.extraction is not None:
+                outcome.cones_reused = _cones_reused(diagnosis.extraction.run)
+        outcome.diagnosis = diagnosis
+        return outcome
+
+    # An extract reaches here on a miss; an audit also on a cached
+    # extraction whose golden-model verdict is not cached (partial).
+    fresh = outcome.extraction is None
+    outcome.extraction = extract(load(), term_limit=term_limit)
+    if fresh:
+        outcome.cones_reused = _cones_reused(outcome.extraction.run)
+        if mode == "audit" and cache is not None:
+            outcome.verification = _verification(
+                cache, fingerprint, outcome.extraction
+            )
     if mode == "audit" and outcome.verification is None:
         outcome.verification = verify_multiplier(
             load(), outcome.extraction, engine=engine

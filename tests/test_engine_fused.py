@@ -160,31 +160,6 @@ class TestMultiRootEntryPoints:
 
 
 class TestSquarerFused:
-    def test_squarer_fused_with_result_cache(self, tmp_path):
-        """The squarer through ``vector``, stored and then answered
-        from the squarer entry without compiling."""
-        from repro.extract.squarer import extract_squarer_polynomial
-        from repro.service.cache import ResultCache
-
-        cache = ResultCache(tmp_path)
-        squarer = generate_squarer(0b10011)
-        baseline = extract_squarer_polynomial(squarer)
-        vector = extract_squarer_polynomial(
-            squarer, engine="vector", cache=cache
-        )
-        assert vector.modulus == baseline.modulus
-        assert vector.verified and vector.irreducible
-        assert cache.stats().entries["squarer"] == 1
-
-        # a repeat is answered by the squarer entry, without rewriting
-        fresh = BitpackEngine()
-        fresh._compile = lambda n: pytest.fail("should hit, not compile")
-        again = extract_squarer_polynomial(
-            squarer, engine=fresh, cache=cache
-        )
-        assert again.modulus == baseline.modulus
-        assert cache.hits == 1
-
     def test_diagnose_squarer_branch_threads_fused(self, tmp_path):
         """A diagnose campaign's ``fused=True`` reaches the squarer
         branch as a no-op: the verdict is the per-bit one."""

@@ -189,6 +189,16 @@ class TestRejections:
             f"{base}/v1/results/v1-{'0' * 64}?kind=frob", expect=400
         )
 
+    def test_squarer_is_not_a_result_kind(self, base):
+        """Squarers are cached as diagnoses only: ``kind=squarer`` is an
+        unknown kind, not another name for the diagnosis."""
+        text = format_eqn(generate_mastrovito(0b10011))
+        job = post(f"{base}/v1/jobs", {"netlist": text, "mode": "diagnose"})
+        assert wait_done(base, job["job_id"])["status"] == "done"
+        url = f"{base}/v1/results/{job['fingerprint']}"
+        assert get(f"{url}?kind=diagnosis")["kind"] == "diagnosis"
+        assert "squarer" in get(f"{url}?kind=squarer", expect=400)["error"]
+
     def test_missing_netlist_field(self, base):
         assert "error" in post(f"{base}/v1/jobs", {}, expect=(400,))
 
@@ -391,11 +401,13 @@ class TestCancellation:
         view = delete(f"{base_url}/v1/jobs/{running['job_id']}", expect=200)
         assert view["status"] == "cancelled"
 
+    @pytest.mark.parametrize("mode", ["extract", "diagnose"])
     def test_a_cancelled_job_leaves_its_finished_bits_cached(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, mode
     ):
         """A job cancelled after k bits keeps them in the cone tier:
-        the resubmission reuses at least those k."""
+        the resubmission reuses at least those k.  A diagnose job
+        extracts under the same per-bit hook."""
         from repro.service import api as api_mod
 
         k = 3
@@ -427,14 +439,15 @@ class TestCancellation:
             host, port = api.address
             url = f"http://{host}:{port}"
             text = format_eqn(generate_mastrovito(0b100011011))
-            first = post(f"{url}/v1/jobs", {"netlist": text})
+            payload = {"netlist": text, "mode": mode}
+            first = post(f"{url}/v1/jobs", payload)
             deadline = time.monotonic() + 20
             while get(f"{url}/v1/jobs/{first['job_id']}")["status"] != (
                 "cancelled"
             ):
                 assert time.monotonic() < deadline
                 time.sleep(0.02)
-            again = post(f"{url}/v1/jobs", {"netlist": text})
+            again = post(f"{url}/v1/jobs", payload)
             view = wait_done(url, again["job_id"])
         finally:
             api.shutdown()

@@ -15,6 +15,7 @@ from repro.service.cache import (
     ResultCache,
     default_cache_dir,
 )
+from repro.service.pipeline import run_mode
 
 
 @pytest.fixture
@@ -170,45 +171,46 @@ class TestStoreSemantics:
 
 
 class TestExtractorCacheParam:
+    """The pipeline is the one extraction path behind the cache."""
+
     def test_extract_irreducible_polynomial_uses_cache(self, cache, net):
-        first = extract_irreducible_polynomial(net, cache=cache)
-        again = extract_irreducible_polynomial(net, cache=cache)
-        assert again.polynomial_str == first.polynomial_str == "x^4 + x + 1"
+        fingerprint = cache.fingerprint(net)
+        first = run_mode(
+            "extract", lambda: net, fingerprint, cache, engine="bitpack"
+        )
+        again = run_mode(
+            "extract",
+            lambda: pytest.fail("a repeat must not parse"),
+            fingerprint,
+            cache,
+            engine="bitpack",
+        )
+        assert first.cache == "miss" and again.cache == "hit"
+        assert again.extraction.polynomial_str == "x^4 + x + 1"
+        assert first.extraction.polynomial_str == "x^4 + x + 1"
         assert cache.hits == 1  # second call served from disk
 
 
 class TestSquarerRoundTrip:
-    def test_result_survives_and_hits(self, cache):
-        from repro.extract.squarer import extract_squarer_polynomial
-        from repro.gen.squarer import generate_squarer
-
-        squarer = generate_squarer(0b10011)
-        first = extract_squarer_polynomial(squarer, cache=cache)
-        assert cache.stats().entries["squarer"] == 1
-        second = extract_squarer_polynomial(squarer, cache=cache)
-        assert cache.hits == 1
-        assert second.modulus == first.modulus
-        assert second.observed_columns == first.observed_columns
-        assert second.verified and second.irreducible
-
-    def test_key_is_structural(self, cache):
-        from repro.extract.squarer import extract_squarer_polynomial
-        from repro.gen.squarer import generate_squarer
-        from repro.synth.strash import structural_hash
-
-        squarer = generate_squarer(0b1011)
-        extract_squarer_polynomial(squarer, cache=cache)
-        extract_squarer_polynomial(structural_hash(squarer), cache=cache)
-        assert cache.hits == 1
-
     def test_diagnose_threads_the_cache(self, cache):
+        """A squarer's repeat is served from its diagnosis entry; no
+        separate squarer entry is written."""
         from repro.gen.squarer import generate_squarer
 
         squarer = generate_squarer(0b10011)
-        assert diagnose(squarer, cache=cache).is_clean
-        assert cache.stats().entries["squarer"] == 1
-        assert diagnose(squarer, cache=cache).is_clean
+        fingerprint = cache.fingerprint(squarer)
+        first = run_mode(
+            "diagnose", lambda: squarer, fingerprint, cache, engine="bitpack"
+        )
+        assert first.diagnosis.is_clean and first.cache == "miss"
+        assert cache.stats().entries["diagnosis"] == 1
+        assert "squarer" not in cache.stats().entries
+        again = run_mode(
+            "diagnose", lambda: squarer, fingerprint, cache, engine="bitpack"
+        )
+        assert again.diagnosis.is_clean and again.cache == "hit"
         assert cache.hits == 1
+        assert not (cache.version_dir / "squarer").exists()
 
 
 class TestEviction:

@@ -18,12 +18,12 @@ import shutil
 import pytest
 
 from repro.engine import BitpackEngine
-from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.faults import random_fault
 from repro.gen.mastrovito import generate_mastrovito
 from repro.netlist.eqn_io import write_eqn
 from repro.service.cache import ResultCache
 from repro.service.fingerprint import cone_fingerprints
+from repro.service.pipeline import run_mode
 from repro.service.runner import CampaignRunner
 from repro.synth.pipeline import synthesize
 
@@ -118,7 +118,17 @@ def test_a_cone_entry_under_another_digest_is_a_quarantined_miss(tmp_path):
     served, it would recover a reducible P(x) for x^4 + x + 1."""
     netlist = generate_mastrovito(0b10011)
     cache = ResultCache(tmp_path / "cache")
-    first = extract_irreducible_polynomial(netlist, cache=cache)
+
+    def extract():
+        return run_mode(
+            "extract",
+            lambda: netlist,
+            cache.fingerprint(netlist),
+            cache,
+            engine="bitpack",
+        ).extraction
+
+    first = extract()
     assert first.modulus == 0b10011
     cones = cone_fingerprints(netlist)
     shutil.copyfile(
@@ -127,7 +137,7 @@ def test_a_cone_entry_under_another_digest_is_a_quarantined_miss(tmp_path):
     shutil.rmtree(cache.version_dir / "extraction")
 
     cache = ResultCache(tmp_path / "cache")
-    again = extract_irreducible_polynomial(netlist, cache=cache)
+    again = extract()
     assert again.modulus == 0b10011 and again.irreducible
     assert again.run.cache_provenance["z3"] == "computed"
     assert cache.corrupt == 1

@@ -22,7 +22,7 @@ from repro.rewrite.backward import TermLimitExceeded
 from repro.service.api import TERMINAL_STATUSES, ReproAPIServer
 from repro.service.cache import ResultCache
 from repro.service.eco import eco_reverify
-from repro.service.pipeline import MODES
+from repro.service.pipeline import MODES, run_mode
 from repro.service.runner import CampaignRunner
 
 P8 = 0b100011011
@@ -407,3 +407,97 @@ class TestTermLimitAnswersAlikeWarmOrCold:
         assert generous.equivalent == unbounded.equivalent
         assert generous.cones_reused == 0
         assert eco(warm, None).result is None  # answered from the cache
+
+
+class CountingDeadline:
+    """A :class:`~repro.service.resilience.Deadline` stand-in that
+    counts its checks and never runs out."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+
+
+class TestDiagnoseExtractsPerBit:
+    """Diagnose's extraction runs under the same per-bit hook as an
+    audit's: progress, deadline checks, cancellation and resume."""
+
+    @pytest.mark.parametrize("with_cache", [True, False])
+    @pytest.mark.parametrize("mode", ["audit", "diagnose"])
+    def test_progress_and_deadline_once_per_bit(
+        self, tmp_path, mode, with_cache
+    ):
+        netlist = clean()
+        cache = ResultCache(tmp_path / "cache") if with_cache else None
+        fingerprint = cache.fingerprint(netlist) if with_cache else None
+        deadline, ticks = CountingDeadline(), []
+        outcome = run_mode(
+            mode, lambda: netlist, fingerprint, cache, engine="bitpack",
+            deadline=deadline,
+            progress=lambda output, cone, stats: ticks.append(output),
+        )
+        m = len(netlist.outputs)
+        assert sorted(ticks) == sorted(f"z{i}" for i in range(m))
+        assert deadline.checks == m + 1
+        if mode == "diagnose":
+            assert outcome.diagnosis.is_clean
+            assert outcome.diagnosis.extraction.modulus == P8
+
+    def test_a_cold_diagnose_writes_cones_extraction_and_diagnosis(
+        self, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        netlist = clean()
+        run_mode(
+            "diagnose", lambda: netlist, cache.fingerprint(netlist), cache,
+            engine="bitpack",
+        )
+        kinds = {entry.split("/")[0] for entry in _entries(cache)}
+        assert kinds == {"cone", "extraction", "diagnosis"}
+        assert any(entry.endswith(".sum") for entry in _entries(cache))
+
+    def test_a_diagnose_reuses_a_cached_extraction(self, tmp_path):
+        """The verdict tier serves a diagnose: no bit is rewritten."""
+        cache = ResultCache(tmp_path / "cache")
+        netlist = clean()
+        fingerprint = cache.fingerprint(netlist)
+        run_mode(
+            "extract", lambda: netlist, fingerprint, cache, engine="bitpack"
+        )
+        ticks = []
+        outcome = run_mode(
+            "diagnose", lambda: netlist, fingerprint, cache, engine="bitpack",
+            progress=lambda *args: ticks.append(args),
+        )
+        assert outcome.diagnosis.is_clean and ticks == []
+        assert (cache.hits, cache.misses) == (1, 2)
+
+    def test_a_batch_deadline_stops_a_diagnose_between_bits(
+        self, tmp_path, monkeypatch
+    ):
+        """The wall budget runs out while the first bit rewrites: the
+        record is quarantined at the next bit, which leaves one cone
+        stored."""
+        from repro.engine import BitpackEngine
+
+        rewrite_cone = BitpackEngine.rewrite_cone
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.6)
+            return rewrite_cone(self, *args, **kwargs)
+
+        monkeypatch.setattr(BitpackEngine, "rewrite_cone", slow)
+        path = tmp_path / "m4.eqn"
+        write_eqn(generate_mastrovito(0b10011), path)
+        cache_dir = tmp_path / "cache"
+        record = CampaignRunner(
+            mode="diagnose", engine="bitpack", cache_dir=cache_dir,
+            deadline_s=0.5,
+        ).run([path]).records[0]
+        assert record["status"] == "quarantined"
+        assert record["reason"]["kind"] == "deadline"
+        entries = _entries(ResultCache(cache_dir))
+        assert sum(entry.startswith("cone/") for entry in entries) == 1
+        assert not any(entry.startswith("diagnosis/") for entry in entries)
