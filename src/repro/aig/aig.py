@@ -153,7 +153,7 @@ class Aig:
         :meth:`_detect_xor_mux`), so NAND-lowered netlists strash back
         to first-class XOR nodes instead of opaque AND clusters.
         """
-        if a == CONST0 or b == CONST0 or a == lit_complement(b):
+        if a == CONST0 or b == CONST0 or a == b ^ 1:
             return CONST0
         if a == CONST1 or a == b:
             return b
@@ -166,11 +166,17 @@ class Aig:
         if a > b:
             a, b = b, a
         key = (KIND_AND, a, b)
-        node = self._strash.get(key)
+        strash = self._strash
+        node = strash.get(key)
         if node is None:
-            node = self._new_node(KIND_AND, a, b)
-            self._strash[key] = node
-        return make_lit(node)
+            # A new node as _new_node adds one, inlined: this runs
+            # once per node of every strash.
+            kinds = self.kinds
+            node = strash[key] = len(kinds)
+            kinds.append(KIND_AND)
+            self.fanin0.append(a)
+            self.fanin1.append(b)
+        return node << 1
 
     def _detect_xor_mux(self, a: int, b: int) -> Optional[int]:
         """Structural XOR/XNOR/MUX recovery for ``AND(!X, !Y)`` shapes.
@@ -190,33 +196,32 @@ class Aig:
         cluster simply goes dead unless shared elsewhere.  Returns the
         equivalent literal, or ``None`` when no shape matches.
         """
+        kinds, fanin0, fanin1 = self.kinds, self.fanin0, self.fanin1
         na, nb = a >> 1, b >> 1
-        if self.kinds[na] != KIND_AND or self.kinds[nb] != KIND_AND:
+        if kinds[na] != KIND_AND or kinds[nb] != KIND_AND:
             return None
-        p, q = self.fanin0[na], self.fanin1[na]
-        r, s = self.fanin0[nb], self.fanin1[nb]
+        p, q = fanin0[na], fanin1[na]
+        r, s = fanin0[nb], fanin1[nb]
         # XOR: the two product terms cover complementary minterm pairs.
-        if (r == lit_complement(p) and s == lit_complement(q)) or (
-            r == lit_complement(q) and s == lit_complement(p)
-        ):
+        if (r == p ^ 1 and s == q ^ 1) or (r == q ^ 1 and s == p ^ 1):
             return self.aig_xor(p, q)
         # XNOR: both terms share w = !(p·q); !(p·w)·!(q·w) = ¬(p ⊕ q).
         for w in (r, s):
             if w not in (p, q) or not (w & 1):
                 continue
             m = w >> 1
-            if self.kinds[m] != KIND_AND:
+            if kinds[m] != KIND_AND:
                 continue
             other_a = q if w == p else p
             other_b = s if w == r else r
-            g0, g1 = self.fanin0[m], self.fanin1[m]
+            g0, g1 = fanin0[m], fanin1[m]
             if {g0, g1} == {other_a, other_b}:
                 return lit_complement(self.aig_xor(other_a, other_b))
         # MUX: exactly one complementary literal across the two terms
         # is the select; !(d1·s)·!(d0·!s) = s·!d1 + !s·!d0.
         for sel, d1 in ((p, q), (q, p)):
             for v, d0 in ((r, s), (s, r)):
-                if v == lit_complement(sel):
+                if v == sel ^ 1:
                     return self.aig_mux(
                         sel, lit_complement(d1), lit_complement(d0)
                     )
@@ -236,11 +241,15 @@ class Aig:
         if a > b:
             a, b = b, a
         key = (KIND_XOR, a, b)
-        node = self._strash.get(key)
-        if node is None:
-            node = self._new_node(KIND_XOR, a, b)
-            self._strash[key] = node
-        return make_lit(node) ^ out
+        strash = self._strash
+        node = strash.get(key)
+        if node is None:  # a new node, inlined as in aig_and
+            kinds = self.kinds
+            node = strash[key] = len(kinds)
+            kinds.append(KIND_XOR)
+            self.fanin0.append(a)
+            self.fanin1.append(b)
+        return (node << 1) ^ out
 
     def aig_not(self, a: int) -> int:
         """Edge complement (free — no node is ever created)."""

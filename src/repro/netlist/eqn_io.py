@@ -21,8 +21,8 @@ declarations may repeat and may appear anywhere before use.
 from __future__ import annotations
 
 import io
+import itertools
 import os
-import re
 import sys
 from typing import Iterable, List, TextIO, Union
 
@@ -62,18 +62,13 @@ def _write_decl(out: TextIO, keyword: str, names: List[str]) -> None:
             out.write(f"{keyword} {chunk}\n")
 
 
-#: A net name on the fast path: ASCII, no whitespace and none of the
-#: characters the grammar gives meaning to (``=(),#/``).
-_NET = r"[\w.\[\]$:<>-]+"
-
-#: A plain gate line ``lhs = TYPE(arg, ...)`` with no comment.  Any line
-#: that does not match takes the general path below, which also writes
-#: every parse error.  The lookahead leaves ``INPUT = ...``-style lines
-#: (a declaration keyword as the first word) to the general path.
-_GATE_LINE = re.compile(
-    rf"\s*(?!(?i:input|output)\s)({_NET})\s*=\s*(\w+)\s*"
-    rf"\(\s*({_NET}(?: *, *{_NET})*)?\s*\)\s*",
-    re.ASCII,
+#: First words that make a line a declaration, in every letter case
+#: (the general path upper-cases the first word).  A gate line whose
+#: output net is one of them takes the general path.
+_KEYWORDS = frozenset(
+    "".join(letters)
+    for word in ("input", "output")
+    for letters in itertools.product(*zip(word, word.upper()))
 )
 
 #: Gate type name -> (type code, least and most inputs): the arity rule
@@ -89,15 +84,21 @@ _GATE_TYPES = {
 def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     """Parse equations-format text into a :class:`Netlist`.
 
-    One pass over the lines builds and checks the netlist: plain gate
-    lines go through one precompiled regex and are appended straight
-    to the netlist's integer core (net ids, type code, fan-in ids; the
-    arity and the driver checks are inline), every other line through
-    the general line parser.  A plain line that fails a check takes
-    the general path too, which raises the error.  The closing
-    :meth:`~Netlist.validate` is the single topological sort, so the
-    netlist, its gate order and every error (type, message and which
-    comes first) are those of a line-by-line parse.
+    One pass over the lines builds and checks the netlist.  A gate line
+    in the form :func:`format_eqn` writes, ``out = TYPE(a, b)``, is
+    split at ``" = "``, the first ``"("`` and ``", "`` and appended
+    straight to the netlist's integer core (net ids, type code, fan-in
+    ids; the arity and the driver checks are inline).  It takes this
+    path only when every net name is an ASCII identifier, the type name
+    is ASCII and known in some letter case, and the output net is not a
+    declaration keyword.  Every other line (other spacing, a comment,
+    other name characters, a declaration) goes through the general line
+    parser, which reads it the same way, only more slowly.  A split
+    line that fails a check takes the general path too, which raises
+    the error.
+    The closing :meth:`~Netlist.validate` is the single topological
+    sort, so the netlist, its gate order and every error (type, message
+    and which comes first) are those of a line-by-line parse.
 
     >>> net = parse_eqn('''
     ... INPUT a b
@@ -107,8 +108,8 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
     >>> net.simulate({"a": 1, "b": 0})
     {'z': 1}
     """
-    match_gate = _GATE_LINE.fullmatch
     types = _GATE_TYPES
+    keywords = _KEYWORDS
     with GC_PAUSE:
         netlist = Netlist(name)
         # The core of the netlist, appended to in place as add_gate
@@ -123,13 +124,26 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
         outs = netlist._outs
         fanins = netlist._fanins
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            match = match_gate(raw)
-            if match is not None:
-                output, type_name, arg_text = match.groups()
-                kind = types.get(type_name) or types.get(type_name.upper())
-                # Names hold no spaces and separators are " *, *".
-                args = arg_text.replace(" ", "").split(",") if arg_text else ()
-                if kind is not None and kind[1] <= len(args) <= kind[2]:
+            output, _, rhs = raw.partition(" = ")
+            type_name, _, rest = rhs.partition("(")
+            kind = types.get(type_name)
+            if kind is None and type_name.isascii():
+                kind = types.get(type_name.upper())
+            if kind is not None and rest[-1:] == ")":
+                args = rest[:-1].split(", ") if len(rest) > 1 else ()
+                arity = len(args)
+                # One identifier test covers every name: ASCII
+                # identifier characters hold no space, separator,
+                # comment or paren, and no name may be empty.
+                probe = output + "".join(args)
+                if (
+                    output
+                    and "" not in args
+                    and kind[1] <= arity <= kind[2]
+                    and probe.isascii()
+                    and probe.isidentifier()
+                    and output not in keywords
+                ):
                     out = lookup(output)
                     if out is None:  # a new net, interned inline
                         out = nets[output] = len(names)
@@ -144,7 +158,12 @@ def parse_eqn(text: str, name: str = "netlist") -> Netlist:
                     if out is not None:
                         codes.append(kind[0])
                         outs.append(out)
-                        fanins.append(tuple(map(intern, args)))
+                        # Two operands, the common cell, are interned by
+                        # subscript (as intern does), without a map.
+                        fanins.append(
+                            (nets[args[0]], nets[args[1]]) if arity == 2
+                            else tuple(map(intern, args))
+                        )
                         continue
             line = raw.split("#", 1)[0].split("//", 1)[0].strip()
             if not line:

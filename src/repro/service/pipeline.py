@@ -163,11 +163,15 @@ def run_mode(
         return cached
     # A copy: a retried attempt starts again from what the cache held.
     outcome = replace(cached)
+    # Whether extract() answered from the verdict tier: then this call
+    # rewrote nothing and reports no cones_reused.
+    served = False
 
     def extract(netlist: Netlist, term_limit=None, engine=engine):
         """The extraction phase of every mode; diagnose runs it as
         ``diagnose(extract=)``.  Extract and audit looked the verdict
         tier up in :func:`cached_outcome`, diagnose looks it up here."""
+        nonlocal served
         verdict = outcome.extraction
         if (
             verdict is None and mode == "diagnose"
@@ -175,6 +179,7 @@ def run_mode(
         ):
             verdict = cache.get_verdict(fingerprint)
         if verdict is not None:
+            served = True
             return verdict.result()
         m = multiplier_field_size(netlist)
         run = checkpointed_extract(
@@ -196,16 +201,15 @@ def run_mode(
         diagnosis = diagnose(load(), engine=engine, extract=extract)
         if cache is not None:
             cache.put_diagnosis(fingerprint, diagnosis)
-            if diagnosis.extraction is not None:
+            if diagnosis.extraction is not None and not served:
                 outcome.cones_reused = _cones_reused(diagnosis.extraction.run)
         outcome.diagnosis = diagnosis
         return outcome
 
     # An extract reaches here on a miss; an audit also on a cached
     # extraction whose golden-model verdict is not cached (partial).
-    fresh = outcome.extraction is None
     outcome.extraction = extract(load(), term_limit=term_limit)
-    if fresh:
+    if not served:
         outcome.cones_reused = _cones_reused(outcome.extraction.run)
         if mode == "audit" and cache is not None:
             outcome.verification = _verification(

@@ -7,10 +7,14 @@ and a string-keyed Kahn sort.  The one-pass reader must produce the
 same inputs, outputs, gates and topological order, or raise the same
 exception type with the same message, on every input: the generator
 zoo as written by ``format_eqn``, the same files with their gate lines
-shuffled (non-topological), and Hypothesis-built hostile text.
+shuffled (non-topological), hostile lines in the writer's canonical
+spacing, and Hypothesis-built hostile text.  ``SEED_GATE_LINE`` is the
+regex that chose the reader's fast path before lines were split: every
+gate line the split path reads must match it.
 """
 
 import random
+import re
 from collections import deque
 from typing import Dict, List
 
@@ -269,6 +273,121 @@ def test_hostile_lines(text):
     assert_same(text)
 
 
+#: Lines in the writer's canonical spacing, ``out = TYPE(a, b)``, that
+#: the split fast path must leave to the general parser (or read the
+#: same way it would).
+CANONICAL_SPACING = {
+    "hash in an operand": "INPUT a b\nOUTPUT z\nz = AND(a#b, b)\n",
+    "hash in the output": "INPUT a b\nOUTPUT z\nz#1 = AND(a, b)\n",
+    "slashes in an operand": "INPUT a b\nOUTPUT z\nz = AND(a//b, b)\n",
+    "slashes in the output": "INPUT a b\nOUTPUT z\nz//1 = AND(a, b)\n",
+    "equals in an operand": "INPUT a b\nOUTPUT z\nz = AND(a=b, b)\n",
+    "equals in the output": "INPUT a b\nOUTPUT z\nz=1 = AND(a, b)\n",
+    "open paren in an operand": "INPUT a b\nOUTPUT z\nz = AND(a(b, b)\n",
+    "close paren in an operand": "INPUT a b\nOUTPUT z\nz = AND(a)b, b)\n",
+    "parens in the output": "INPUT a b\nOUTPUT z\nz(1) = AND(a, b)\n",
+    "comma in an operand": "INPUT a b\nOUTPUT z\nz = AND(a,b, b)\n",
+    "comma in the output": "INPUT a b\nOUTPUT z\nz,1 = AND(a, b)\n",
+    "declared odd names": (
+        "INPUT a(b a,b\nOUTPUT z\nz = AND(a(b, b)\n"
+    ),
+    "empty last operand": "INPUT a b\nOUTPUT z\nz = AND(a, )\n",
+    "empty first operand": "INPUT a b\nOUTPUT z\nz = AND(, a)\n",
+    "empty middle operand": "INPUT a b\nOUTPUT z\nz = AND(a, , b)\n",
+    "empty output": "INPUT a b\nOUTPUT z\n = AND(a, b)\n",
+    "tab in the operands": "INPUT a b\nOUTPUT z\nz = AND(a,\tb)\n",
+    "tab indent": "INPUT a b\nOUTPUT z\n\tz = AND(a, b)\n",
+    "tab after the line": "INPUT a b\nOUTPUT z\nz = AND(a, b)\t\n",
+    "tab in a name": "INPUT a b\nOUTPUT z\nz = AND(a\tb, b)\n",
+    "INPUT as the output": (
+        "INPUT a b\nOUTPUT z\nINPUT = AND(a, b)\nz = BUF(a)\n"
+    ),
+    "input as the output": (
+        "INPUT a b\nOUTPUT z\ninput = AND(a, b)\nz = BUF(a)\n"
+    ),
+    "OutPut as the output": (
+        "INPUT a b\nOUTPUT z\nOutPut = AND(a, b)\nz = BUF(a)\n"
+    ),
+    "inputs as the output": (
+        "INPUT a b\nOUTPUT z\ninputs = AND(a, b)\nz = BUF(inputs)\n"
+    ),
+    "lowercase type": "INPUT a b\nOUTPUT z\nz = nand(a, b)\n",
+    "mixed-case type": "INPUT a b\nOUTPUT z\nz = Aoi21(a, b, a)\n",
+    "non-ASCII type": "INPUT a\nOUTPUT z\nz = \u0131nv(a)\n",
+    "unknown type": "INPUT a b\nOUTPUT z\nz = FROB(a, b)\n",
+    "empty type": "INPUT a b\nOUTPUT z\nz = (a, b)\n",
+    "too few operands": "INPUT a b\nOUTPUT z\nz = AND(a)\n",
+    "too many operands": "INPUT a b\nOUTPUT z\nz = INV(a, b)\n",
+    "operands for a constant": "INPUT a\nOUTPUT z\nz = CONST1(a)\n",
+    "constant": "INPUT a\nOUTPUT z y\nz = CONST0()\ny = const1()\n",
+    "redriven net": (
+        "INPUT a b\nOUTPUT z\nz = AND(a, b)\nz = OR(a, b)\n"
+    ),
+    "driven primary input": "INPUT a b\nOUTPUT z\na = INV(b)\nz = BUF(a)\n",
+    "input declared after its driver": (
+        "INPUT a b\nOUTPUT z\nz = AND(a, b)\nINPUT z\n"
+    ),
+    "non-ASCII names": "INPUT \xe9 b\nOUTPUT z\nz = AND(\xe9, b)\n",
+    "digit-first names": "INPUT 1a b\nOUTPUT 2z\n2z = AND(1a, b)\n",
+    "bus and dotted names": (
+        "INPUT a[0] b.c\nOUTPUT z$1\nz$1 = AND(a[0], b.c)\n"
+    ),
+    "trailing comment": "INPUT a b\nOUTPUT z\nz = AND(a, b) # (note)\n",
+    "trailing close paren": "INPUT a b\nOUTPUT z\nz = AND(a, b))\n",
+    "second equals": "INPUT a b\nOUTPUT y z\ny = z = AND(a, b)\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_SPACING))
+def test_canonical_spacing_lines(case):
+    assert_same(CANONICAL_SPACING[case])
+
+
+#: The regex that chose the fast path before the split reader: a
+#: plain gate line with no comment and no declaration keyword first.
+SEED_NET = r"[\w.\[\]$:<>-]+"
+SEED_GATE_LINE = re.compile(
+    rf"\s*(?!(?i:input|output)\s)({SEED_NET})\s*=\s*(\w+)\s*"
+    rf"\(\s*({SEED_NET}(?: *, *{SEED_NET})*)?\s*\)\s*",
+    re.ASCII,
+)
+
+
+def split_path_lines(text, monkeypatch):
+    """The gate lines of a file that parses that the split path read:
+    every gate line the general line parser did not see."""
+    from repro.netlist import eqn_io
+
+    general = []
+    parse_line = eqn_io._parse_gate_line
+
+    def spy(line, lineno):
+        general.append(lineno)
+        return parse_line(line, lineno)
+
+    monkeypatch.setattr(eqn_io, "_parse_gate_line", spy)
+    parse_eqn(text)
+    gate_lines = {
+        lineno: raw
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.split("#", 1)[0].split("//", 1)[0].strip())
+        and line.split(None, 1)[0].upper() not in ("INPUT", "OUTPUT")
+    }
+    return [raw for lineno, raw in gate_lines.items() if lineno not in general]
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(
+        case for case, text in CANONICAL_SPACING.items()
+        if outcome(parse_eqn, text)[0] != "error"
+    ),
+)
+def test_split_path_reads_only_lines_the_regex_read(case, monkeypatch):
+    for raw in split_path_lines(CANONICAL_SPACING[case], monkeypatch):
+        assert SEED_GATE_LINE.fullmatch(raw), raw
+
+
 NAMES = ["a", "b", "c", "n1", "n2", "n3", "n4", "z", "input", "Output",
          "x.y", "q[0]"]
 #: Names no ``INPUT a b c`` line declares.
@@ -304,6 +423,19 @@ well_formed = st.sampled_from(list(GateType)).flatmap(
     )
 )
 
+#: Names with the characters the grammar gives meaning to, empty and
+#: non-ASCII names and declaration keywords, for lines in the writer's
+#: canonical spacing that the split fast path must not misread.
+ODD_NAMES = NAMES + ["", "a#b", "a//b", "a=b", "a(b", "b)", "a,b", "a\tb",
+                     "a b", "\xe9", "1n", "INPUT", "OUTPUT"]
+
+canonical_lines = st.builds(
+    lambda lhs, gtype, args: f"{lhs} = {gtype}({', '.join(args)})",
+    st.sampled_from(ODD_NAMES),
+    st.sampled_from(TYPES + ["\u0131nv", "x = AND"]),
+    st.lists(st.sampled_from(ODD_NAMES), max_size=5),
+)
+
 declarations = st.builds(
     lambda keyword, nets, sep: f"{keyword} {sep.join(nets)}".rstrip(),
     st.sampled_from(["INPUT", "OUTPUT", "input", "Output"]),
@@ -329,7 +461,8 @@ def with_junk(line_strategy):
 hostile_text = st.lists(
     st.one_of(
         well_formed, well_formed, well_formed, gate_lines, declarations,
-        soup, with_junk(well_formed), st.just(""), st.just("# comment"),
+        canonical_lines, canonical_lines, soup, with_junk(well_formed),
+        st.just(""), st.just("# comment"),
     ),
     max_size=14,
 ).map(lambda lines: "\n".join(["INPUT a b c"] + lines))
@@ -350,3 +483,12 @@ structural_text = st.lists(
 @given(st.one_of(hostile_text, structural_text))
 def test_hostile_text_reads_identically(text):
     assert_same(text)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_written_files_take_the_split_path(name, monkeypatch):
+    """Every gate line :func:`format_eqn` writes is read without the
+    general line parser."""
+    text = format_eqn(ZOO[name]())
+    gate_lines = [line for line in text.splitlines() if " = " in line]
+    assert split_path_lines(text, monkeypatch) == gate_lines

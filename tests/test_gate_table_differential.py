@@ -11,7 +11,11 @@ table-driven simulation must return equal values at every width, on
 every gate type at every arity, on hand-made corner cases and on the
 generator zoo with its synthesized, NAND-mapped and fault-mutant forms.
 The last tests break one table entry at a time and check that the
-comparison notices.
+comparison notices.  ``SeedAig`` keeps the constructor as it was before
+node creation was inlined into :meth:`Aig.aig_and`/:meth:`Aig.aig_xor`
+(one ``_new_node``, ``make_lit`` and ``lit_complement`` call each), so
+the seed side of every comparison builds its graph through it; two
+broken constructors check that node identity is what gets compared.
 """
 
 import random
@@ -20,7 +24,16 @@ from typing import Dict, List
 import pytest
 
 from repro.aig import aig as aig_module
-from repro.aig.aig import CONST0, CONST1, Aig, AigError, lit_complement
+from repro.aig.aig import (
+    CONST0,
+    CONST1,
+    KIND_AND,
+    KIND_XOR,
+    Aig,
+    AigError,
+    lit_complement,
+    make_lit,
+)
 from repro.fieldmath.irreducible import default_irreducible
 from repro.gen.digit_serial import generate_digit_serial
 from repro.gen.faults import random_fault
@@ -35,6 +48,84 @@ from repro.netlist import gate as gate_module
 from repro.netlist.gate import Gate, GateType, evaluate_gate, gate_arity
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.synth.pipeline import synthesize
+
+
+class SeedAig(Aig):
+    """:class:`Aig` with the seed's hash-consing constructor."""
+
+    __slots__ = ()
+
+    def aig_and(self, a, b):
+        if a == CONST0 or b == CONST0 or a == lit_complement(b):
+            return CONST0
+        if a == CONST1 or a == b:
+            return b
+        if b == CONST1:
+            return a
+        if a & 1 and b & 1:
+            detected = self._detect_xor_mux(a, b)
+            if detected is not None:
+                return detected
+        if a > b:
+            a, b = b, a
+        key = (KIND_AND, a, b)
+        node = self._strash.get(key)
+        if node is None:
+            node = self._new_node(KIND_AND, a, b)
+            self._strash[key] = node
+        return make_lit(node)
+
+    def _detect_xor_mux(self, a, b):
+        na, nb = a >> 1, b >> 1
+        if self.kinds[na] != KIND_AND or self.kinds[nb] != KIND_AND:
+            return None
+        p, q = self.fanin0[na], self.fanin1[na]
+        r, s = self.fanin0[nb], self.fanin1[nb]
+        # XOR: the two product terms cover complementary minterm pairs.
+        if (r == lit_complement(p) and s == lit_complement(q)) or (
+            r == lit_complement(q) and s == lit_complement(p)
+        ):
+            return self.aig_xor(p, q)
+        # XNOR: both terms share w = !(p·q); !(p·w)·!(q·w) = ¬(p ⊕ q).
+        for w in (r, s):
+            if w not in (p, q) or not (w & 1):
+                continue
+            m = w >> 1
+            if self.kinds[m] != KIND_AND:
+                continue
+            other_a = q if w == p else p
+            other_b = s if w == r else r
+            g0, g1 = self.fanin0[m], self.fanin1[m]
+            if {g0, g1} == {other_a, other_b}:
+                return lit_complement(self.aig_xor(other_a, other_b))
+        # MUX: exactly one complementary literal across the two terms
+        # is the select; !(d1·s)·!(d0·!s) = s·!d1 + !s·!d0.
+        for sel, d1 in ((p, q), (q, p)):
+            for v, d0 in ((r, s), (s, r)):
+                if v == lit_complement(sel):
+                    return self.aig_mux(
+                        sel, lit_complement(d1), lit_complement(d0)
+                    )
+        return None
+
+    def aig_xor(self, a, b):
+        out = (a & 1) ^ (b & 1)
+        a &= ~1
+        b &= ~1
+        if a == b:
+            return out
+        if a == CONST0:
+            return b ^ out
+        if b == CONST0:
+            return a ^ out
+        if a > b:
+            a, b = b, a
+        key = (KIND_XOR, a, b)
+        node = self._strash.get(key)
+        if node is None:
+            node = self._new_node(KIND_XOR, a, b)
+            self._strash[key] = node
+        return make_lit(node) ^ out
 
 
 def seed_gate_literal(aig, gtype, operands):
@@ -90,7 +181,7 @@ def seed_gate_literal(aig, gtype, operands):
 
 def seed_from_netlist(netlist):
     """Build the hash-consed AIG of a netlist."""
-    aig = Aig(netlist.name)
+    aig = SeedAig(netlist.name)
     literal: Dict[str, int] = {}
     for name in netlist.inputs:
         literal[name] = aig.add_input(name)
@@ -452,3 +543,46 @@ def test_comparison_catches_a_broken_entry(mutant, monkeypatch):
     with pytest.raises(AssertionError):
         for cell in EVERY_CELL:
             assert_same(single_cell(*cell))
+
+
+def broken_aig_and(order=True, lookup=True):
+    """:meth:`Aig.aig_and` without its operand ordering or without its
+    strash lookup: the same functions, other node identities."""
+
+    def aig_and(aig, a, b):
+        if a == CONST0 or b == CONST0 or a == b ^ 1:
+            return CONST0
+        if a == CONST1 or a == b:
+            return b
+        if b == CONST1:
+            return a
+        if a & 1 and b & 1:
+            detected = aig._detect_xor_mux(a, b)
+            if detected is not None:
+                return detected
+        if order and a > b:
+            a, b = b, a
+        key = (KIND_AND, a, b)
+        node = aig._strash.get(key) if lookup else None
+        if node is None:
+            node = aig._strash[key] = len(aig.kinds)
+            aig.kinds.append(KIND_AND)
+            aig.fanin0.append(a)
+            aig.fanin1.append(b)
+        return node << 1
+
+    return aig_and
+
+
+CONSTRUCTOR_MUTANTS = {
+    "aig_and without operand ordering": broken_aig_and(order=False),
+    "aig_and without the strash lookup": broken_aig_and(lookup=False),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CONSTRUCTOR_MUTANTS))
+def test_comparison_catches_a_broken_constructor(mutant, monkeypatch):
+    monkeypatch.setattr(Aig, "aig_and", CONSTRUCTOR_MUTANTS[mutant])
+    with pytest.raises(AssertionError):
+        for name in sorted(ZOO):
+            assert_same_aig(ZOO[name]())

@@ -474,6 +474,26 @@ class TestDiagnoseExtractsPerBit:
         assert outcome.diagnosis.is_clean and ticks == []
         assert (cache.hits, cache.misses) == (1, 2)
 
+    def test_a_batch_diagnose_served_an_extraction_reports_no_reuse(
+        self, tmp_path
+    ):
+        """``cones_reused`` counts this request's cone hits: a diagnose
+        answered from a stored extraction rewrote nothing, so its record
+        has none, and not the count of the run that stored the entry."""
+        path = tmp_path / "m8.eqn"
+        write_eqn(clean(), path)
+        cache_dir = tmp_path / "cache"
+
+        def record(mode):
+            return CampaignRunner(
+                mode=mode, engine="bitpack", cache_dir=cache_dir
+            ).run([path]).records[0]
+
+        assert record("extract")["cones_reused"] == 0
+        served = record("diagnose")
+        assert served["status"] == "ok" and served["clean"]
+        assert "cones_reused" not in served
+
     def test_a_batch_deadline_stops_a_diagnose_between_bits(
         self, tmp_path, monkeypatch
     ):
