@@ -20,7 +20,8 @@ compared in alternating pairs:
   hashes (sha256) every cone's encoding and, separately, its
   ``RewriteStats`` without the runtime;
 * the **audit probe** runs a cold ``audit`` (empty cache, default
-  engine) and reports the interpreter's peak RSS.
+  engine) and reports the interpreter's peak RSS and the seconds of
+  the golden-model check (``verify_multiplier``'s own runtime).
 
 A row whose estimated peak does not fit in the host's available memory,
 or whose probe fails, is recorded as skipped with the reason.
@@ -68,10 +69,13 @@ ROWS = {
 SMOKE_ROWS = {"ladder-m8": ("mastrovito", "nand-mapped", 8, 200)}
 
 #: The bars at the largest Montgomery row: compile falls by at least
-#: 30% and the cold audit's peak RSS by at least 40% (paired medians).
+#: 30% and the cold audit's peak RSS by at least 40% (paired medians),
+#: set when compile was made to work in place; the golden-model check
+#: falls by at least half, set when it stopped building the spec.
 GATED_ROW = "montgomery-409"
 COMPILE_CUT = 0.30
 RSS_CUT = 0.40
+VERIFY_CUT = 0.50
 
 
 # ----------------------------------------------------------------------
@@ -115,17 +119,31 @@ def _probe_compile(path: str) -> dict:
 def _probe_audit(path: str) -> dict:
     import resource
 
+    import repro.extract.verify as verify_mod
     from repro.service.runner import CampaignRunner
 
+    # The pipeline looks verify_multiplier up at call time, so this
+    # wrapper sees the audit's check; it adds no work to the check.
+    reports = []
+    verify = verify_mod.verify_multiplier
+
+    def recorded(*args, **kwargs):
+        reports.append(verify(*args, **kwargs))
+        return reports[-1]
+
+    verify_mod.verify_multiplier = recorded
     with tempfile.TemporaryDirectory(prefix="bench_compile_") as cache:
         record = CampaignRunner(mode="audit", cache_dir=cache).run(
             [path]
         ).records[0]
     if record["status"] != "ok" or record["equivalent"] is not True:
         raise RuntimeError(f"audit of {path} failed: {record}")
+    if len(reports) != 1:
+        raise RuntimeError(f"audit of {path} verified {len(reports)} times")
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "peak_rss_mb": round(peak_kb / 1024, 1),
+        "verify_s": round(reports[0].runtime_s, 4),
         "polynomial": record["polynomial"],
     }
 
@@ -249,6 +267,10 @@ def _measure(sides: Dict[str, pathlib.Path], path: pathlib.Path,
             "peak_rss_median_mb": round(
                 statistics.median(row["peak_rss_mb"] for row in rows), 1
             ),
+            "verify_s": [row["verify_s"] for row in rows],
+            "verify_median_s": round(
+                statistics.median(row["verify_s"] for row in rows), 4
+            ),
             **{key: first[key] for key in (
                 "flats_kept", "monomials_kept", "cones_sha256",
                 "stats_sha256", "polynomial")},
@@ -298,8 +320,9 @@ def _acceptance(rows: List[dict], sides: List[str]) -> dict:
         "criterion": (
             "every cone's encoding identical on every side; with a "
             f"baseline, {GATED_ROW}'s median compile falls by at least "
-            f"{COMPILE_CUT:.0%} and its cold-audit peak RSS by at least "
-            f"{RSS_CUT:.0%}"
+            f"{COMPILE_CUT:.0%}, its cold-audit peak RSS by at least "
+            f"{RSS_CUT:.0%} and its golden-model check by at least "
+            f"{VERIFY_CUT:.0%}"
         ),
         "identical": identical,
     }
@@ -312,10 +335,14 @@ def _acceptance(rows: List[dict], sides: List[str]) -> dict:
         verdict["peak_rss_ratio"] = round(
             change["peak_rss_median_mb"] / base["peak_rss_median_mb"], 3
         )
+        verdict["verify_ratio"] = round(
+            change["verify_median_s"] / base["verify_median_s"], 3
+        )
         verdict["passed"] = (
             identical
             and verdict["compile_ratio"] <= 1 - COMPILE_CUT
             and verdict["peak_rss_ratio"] <= 1 - RSS_CUT
+            and verdict["verify_ratio"] <= 1 - VERIFY_CUT
         )
     else:
         verdict["passed"] = identical

@@ -92,7 +92,8 @@ class Aig:
         "name",
         "_leaf_lit",
         "_strash",
-        "net_literal",
+        "_net_literal",
+        "_net_literals",
     )
 
     def __init__(self, name: str = "aig"):
@@ -109,9 +110,42 @@ class Aig:
         self.outputs: List[Tuple[str, int]] = []
         self._leaf_lit: Dict[str, int] = {}
         self._strash: Dict[Tuple[int, int, int], int] = {}
-        #: net name -> literal for every net of the source netlist
-        #: (populated by from_netlist; empty for hand-built graphs).
-        self.net_literal: Dict[str, int] = {}
+        self._net_literal: Optional[Dict[str, int]] = {}
+        #: ``(net names, literal by net id)`` while :attr:`net_literal`
+        #: is not built yet (see :meth:`from_netlist`).
+        self._net_literals: Optional[
+            Tuple[Sequence[str], List[Optional[int]]]
+        ] = None
+
+    @property
+    def net_literal(self) -> Dict[str, int]:
+        """Net name -> literal for every net of the source netlist
+        (filled by :meth:`from_netlist`; empty for hand-built graphs).
+
+        :meth:`from_netlist` keeps its per-net literal list and builds
+        this map on first read, so a graph that is only swept (see
+        :func:`live_aig`) never builds it.
+        """
+        if self._net_literal is None:
+            self._net_literal = {
+                net: lit
+                for net, lit in self._net_literal_pairs()
+                if lit is not None
+            }
+            self._net_literals = None
+        return self._net_literal
+
+    @net_literal.setter
+    def net_literal(self, value: Dict[str, int]) -> None:
+        self._net_literal = value
+        self._net_literals = None
+
+    def _net_literal_pairs(self) -> Iterable[Tuple[str, Optional[int]]]:
+        """:attr:`net_literal`'s items in order, without building it,
+        plus ``None`` for each net the strash never computed."""
+        if self._net_literal is not None:
+            return self._net_literal.items()
+        return zip(*self._net_literals)
 
     # ------------------------------------------------------------------
     # Construction
@@ -332,7 +366,8 @@ class Aig:
         graph is node-for-node the one the balanced-tree lowering
         builds (same node ids, fanins, leaves and leaf order, outputs
         and :attr:`net_literal`), which the fingerprint schema and every
-        cached cone digest rely on.
+        cached cone digest rely on.  The literal list is kept, and
+        :attr:`net_literal` built from it on first read.
 
         >>> from repro.gen.mastrovito import generate_mastrovito
         >>> aig = Aig.from_netlist(generate_mastrovito(0b10011))
@@ -381,11 +416,8 @@ class Aig:
             if lit is None:
                 lit = literal[net_id(name)] = leaf(name, False)
             aig.add_output(name, lit)
-        aig.net_literal = {
-            name: lit
-            for name, lit in zip(names, literal)
-            if lit is not None
-        }
+        aig._net_literal = None
+        aig._net_literals = (names, literal)
         return aig
 
     def to_netlist(self, name: Optional[str] = None) -> Netlist:
@@ -552,8 +584,8 @@ class Aig:
         ]
         swept.net_literal = {
             net: new_lit[lit >> 1] | (lit & 1)
-            for net, lit in self.net_literal.items()
-            if new_lit[lit >> 1] >= 0
+            for net, lit in self._net_literal_pairs()
+            if lit is not None and new_lit[lit >> 1] >= 0
         }
         return swept
 
@@ -752,8 +784,11 @@ def live_aig(netlist: Netlist) -> Aig:
     :meth:`Aig.from_netlist` followed by :meth:`Aig.swept`, memoized in
     :meth:`Netlist.memo <repro.netlist.netlist.Netlist.memo>` so the
     fingerprint, the cone digests and the bitpack compile of one
-    netlist share a single strash.  The graph is read-only; a mutation
-    of the netlist clears the memo and the next call re-derives it.
+    netlist share a single strash.  The unswept graph's
+    :attr:`~Aig.net_literal` is never built: the sweep maps the
+    strash's per-net literal list straight to the swept graph's map.
+    The graph is read-only; a mutation of the netlist clears the memo
+    and the next call re-derives it.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> net = generate_mastrovito(0b10011)

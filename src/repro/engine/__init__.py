@@ -37,9 +37,10 @@ Decode boundary
 ---------------
 Packed expressions stay packed for as long as the caller's question can
 be answered natively: the Algorithm-2 out-field membership test and the
-verifier's spec-equality test run directly on the ``set[int]``
+verifier's spec check run directly on the ``set[int]``
 (:meth:`~repro.engine.bitpack.PackedExpression.contains_products`,
-:meth:`~repro.engine.bitpack.PackedExpression.equals_poly`).  Only at
+:meth:`~repro.engine.bitpack.PackedExpression.equals_product`, which
+reads P(x)'s reduction rows and builds no spec polynomial).  Only at
 the public API boundary — :class:`~repro.rewrite.parallel.ExtractionRun`
 expressions, traces, reports — does
 :meth:`~repro.engine.bitpack.PackedExpression.decode` rebuild

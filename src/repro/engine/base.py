@@ -8,8 +8,8 @@ their *internal* expression representation; the contract is:
   backend-native form — plus the usual
   :class:`~repro.rewrite.backward.RewriteStats`;
 * a :class:`ConeExpression` answers the two questions Algorithm 2 and
-  the verifier ask (out-field membership, equality against a
-  specification polynomial) *without* leaving the native representation,
+  the verifier ask (out-field membership, equality against the golden
+  model's output bit) *without* leaving the native representation,
   and :meth:`ConeExpression.decode`\\ s to a
   :class:`~repro.gf2.polynomial.Gf2Poly` at the API boundary;
 * every backend signals failures with the reference exception types —
@@ -53,6 +53,7 @@ from repro.netlist.netlist import Netlist
 
 if TYPE_CHECKING:  # a runtime import would cycle through repro.rewrite
     from repro.rewrite.backward import RewriteStats
+    from repro.rewrite.signature import ProductSpec
 
 
 class EngineError(ValueError):
@@ -88,8 +89,13 @@ class ConeExpression(abc.ABC):
         """Algorithm 2 line 6: is every given monomial present?"""
 
     @abc.abstractmethod
-    def equals_poly(self, poly: Gf2Poly) -> bool:
-        """Equality against a specification polynomial (verifier)."""
+    def equals_product(self, spec: "ProductSpec", bit: int) -> bool:
+        """Is this output bit ``bit`` of ``spec``'s ``A·B mod P(x)``?
+
+        The verifier's algebraic check, read off P(x)'s reduction rows
+        (see :class:`~repro.rewrite.signature.ProductSpec`) without
+        building the specification polynomial.
+        """
 
     def to_json(self) -> List[List[str]]:
         """``poly_to_json(self.decode())``, computed once.

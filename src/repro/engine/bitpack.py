@@ -72,7 +72,7 @@ monomials, cone gate counts), the trace step text and the
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
 from repro import telemetry as _telemetry
@@ -88,6 +88,9 @@ from repro.rewrite.backward import (
     TermLimitExceeded,
     TraceStep,
 )
+
+if TYPE_CHECKING:
+    from repro.rewrite.signature import ProductSpec
 
 #: Largest packed polynomial a single-consumer node may flatten to.
 _FLAT_BOUND = 256
@@ -105,13 +108,26 @@ _Model = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
 
 class PackedExpression(ConeExpression):
-    """A canonical expression as a set of interned bitmasks."""
+    """A canonical expression as a set of interned bitmasks.
 
-    __slots__ = ("masks", "interner")
+    ``leaf_names`` names the low bits a rewritten cone lives in; the
+    cones of one compiled program share a single list (it defaults to
+    the interner's names).
+    """
 
-    def __init__(self, masks: Set[int], interner: SignalInterner):
+    __slots__ = ("masks", "interner", "leaf_names")
+
+    def __init__(
+        self,
+        masks: Set[int],
+        interner: SignalInterner,
+        leaf_names: Optional[List[str]] = None,
+    ):
         self.masks = masks
         self.interner = interner
+        self.leaf_names = (
+            interner.names if leaf_names is None else leaf_names
+        )
 
     def decode(self) -> Gf2Poly:
         unpack = self.interner.unpack
@@ -138,16 +154,27 @@ class PackedExpression(ConeExpression):
                 return False
         return True
 
-    def equals_poly(self, poly: Gf2Poly) -> bool:
-        """Equality against a reference polynomial, without decoding."""
-        monomials = poly.monomials
-        if len(self.masks) != len(monomials):
-            return False
-        try_pack = self.interner.try_pack
+    def equals_product(self, spec: "ProductSpec", bit: int) -> bool:
+        """The spec check on the packed set: every mask must hold
+        exactly two leaf bits, whose codes (one table per program, see
+        :meth:`~repro.rewrite.signature.ProductSpec.leaf_codes`) sum to
+        a degree whose row covers ``bit``."""
         masks = self.masks
-        for mono in monomials:
-            mask = try_pack(mono)
-            if mask is None or mask not in masks:
+        if len(masks) != spec.counts[bit]:
+            return False
+        codes = spec.leaf_codes(self.leaf_names)
+        leaves = len(codes)
+        cover = spec.covers[bit]
+        for mask in masks:
+            low = mask & -mask
+            high = mask ^ low
+            if not high or high & (high - 1):
+                return False  # not two variables
+            top = high.bit_length() - 1
+            if top >= leaves:
+                return False  # a node variable survived
+            degree = codes[low.bit_length() - 1] + codes[top]
+            if degree < 0 or not cover >> degree & 1:
                 return False
         return True
 
@@ -513,7 +540,7 @@ class BitpackEngine(Engine):
         interner = SignalInterner.adopt(
             dict(compiled.leaf_index), list(compiled.leaf_names)
         )
-        return PackedExpression(current, interner), stats
+        return PackedExpression(current, interner, compiled.leaf_names), stats
 
     def _substitute(
         self,

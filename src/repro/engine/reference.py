@@ -10,13 +10,16 @@ the differential-testing oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.engine.base import ConeExpression, Engine, poly_from_json
 from repro.gf2.monomial import Monomial
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.netlist import Netlist
 from repro.rewrite.backward import RewriteStats, backward_rewrite
+
+if TYPE_CHECKING:
+    from repro.rewrite.signature import ProductSpec
 
 
 class ReferenceExpression(ConeExpression):
@@ -43,8 +46,20 @@ class ReferenceExpression(ConeExpression):
     def contains_products(self, products: Iterable[Monomial]) -> bool:
         return self.poly.contains_all(products)
 
-    def equals_poly(self, poly: Gf2Poly) -> bool:
-        return self.poly == poly
+    def equals_product(self, spec: "ProductSpec", bit: int) -> bool:
+        monomials = self.poly.monomials
+        if len(monomials) != spec.counts[bit]:
+            return False
+        code, other = spec.codes.get, spec.other
+        cover = spec.covers[bit]
+        for mono in monomials:
+            if len(mono) != 2:
+                return False
+            name, partner = mono
+            degree = code(name, other) + code(partner, other)
+            if degree < 0 or not cover >> degree & 1:
+                return False
+        return True
 
 
 class ReferenceEngine(Engine):

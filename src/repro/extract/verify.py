@@ -4,9 +4,16 @@ The paper's flow "automatically checks the equivalence between the
 implementation with a golden implementation constructed using the
 extracted irreducible polynomial P(x)".  Because backward rewriting
 already produced the *canonical* expression of every output bit, the
-equivalence check is a per-bit comparison against the specification
-expressions of ``A·B mod P(x)`` (the golden Mastrovito implementation's
-canonical form) — no additional rewriting needed.
+equivalence check is a per-bit comparison against the canonical form
+of ``A·B mod P(x)`` — no additional rewriting needed.  That form is
+read off P(x)'s reduction rows ``x^d mod P(x)``
+(:class:`~repro.rewrite.signature.ProductSpec`): a cone is output bit
+``z_i`` of the golden model exactly when it has as many monomials as
+the rows covering ``i`` hold partial products, and each is one
+``a_j·b_k`` whose row ``j + k`` covers ``i``.  Each cone answers that
+in its own representation, so no specification polynomial is built;
+``engine="reference"`` still compares against
+:func:`~repro.rewrite.signature.spec_expressions`, the oracle.
 
 An independent simulation cross-check (exhaustive for small m,
 randomised otherwise) guards the verifier itself against modelling
@@ -26,6 +33,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine import get_engine
@@ -33,7 +41,7 @@ from repro.extract.extractor import ExtractionResult
 from repro.fieldmath.bitpoly import bitpoly_str
 from repro.gen.naming import input_nets, output_nets
 from repro.netlist.netlist import Netlist
-from repro.rewrite.signature import spec_expressions
+from repro.rewrite.signature import ProductSpec
 
 #: Operand pairs simulated per bit-parallel pass.
 LANE_WIDTH = 1 << 12
@@ -88,18 +96,20 @@ def verify_multiplier(
     extracted P(x).
 
     Algebraic check: the canonical per-bit expressions from backward
-    rewriting must equal the specification expressions derived from
-    P(x).  Simulation check: exhaustive for ``m <= max_exhaustive_m``,
+    rewriting must equal the canonical form of ``A·B mod P(x)``.
+    Simulation check: exhaustive for ``m <= max_exhaustive_m``,
     otherwise ``random_vectors`` random operand pairs plus four corner
     pairs, compared against the bit-sliced golden model (the same
     products :class:`~repro.fieldmath.gf2m.GF2m` computes per pair).
 
     ``engine`` selects the representation of the algebraic comparison:
-    ``None`` (default) keeps the backend of the extraction run — for a
-    ``bitpack`` run the spec monomials are packed through each cone's
-    interner and compared against the packed sets, never decoding the
-    implementation expressions; ``"reference"`` forces the decoded
-    :class:`~repro.gf2.polynomial.Gf2Poly` comparison.  The verdict is
+    ``None`` (default) keeps the backend of the extraction run — each
+    cone (a packed set for a ``bitpack`` run, a decoded polynomial for
+    a cone-cache hit) is checked against P(x)'s reduction rows
+    (:meth:`~repro.engine.base.ConeExpression.equals_product`) with
+    no specification polynomial built; ``"reference"`` compares the
+    decoded :class:`~repro.gf2.polynomial.Gf2Poly` expressions against
+    :func:`~repro.rewrite.signature.spec_expressions`.  The verdict is
     backend-independent.
 
     >>> from repro.gen.montgomery import generate_montgomery
@@ -113,14 +123,17 @@ def verify_multiplier(
     if engine is not None:
         engine = get_engine(engine).name  # validate the selector
     m = result.m
-    spec = spec_expressions(result.modulus)
     cones = result.run.cones
     if cones and engine != "reference":
+        spec = ProductSpec(result.modulus)
         algebraic = {
-            bit: cones[f"z{bit}"].equals_poly(spec[bit])
+            bit: cones[f"z{bit}"].equals_product(spec, bit)
             for bit in range(m)
         }
     else:
+        from repro.rewrite.signature import spec_expressions
+
+        spec = spec_expressions(result.modulus)
         algebraic = {
             bit: result.run.expressions[f"z{bit}"] == spec[bit]
             for bit in range(m)
@@ -164,8 +177,8 @@ def _simulation_check(
     :data:`LANE_WIDTH` window, and the golden products of the whole
     window come from :func:`golden_lanes` on the same operand lanes.
     The exhaustive grid (``m <= max_exhaustive_m``) gets its operand
-    lanes in closed form from :func:`grid_lanes`; random pairs are
-    drawn per pair from ``seed`` and packed with :func:`pack_lanes`.
+    lanes in closed form from :func:`grid_lanes`; random pairs come
+    drawn and packed from :func:`_random_windows`.
     Returns ``(ok, vectors)``: on a mismatch, ``vectors`` counts the
     pairs up to and including the first failing one.
     """
@@ -181,22 +194,11 @@ def _simulation_check(
                 [lane >> start & mask for lane in grid_b],
             )
     else:
-        rng = random.Random(seed)
-        top = (1 << m) - 1
-        pairs = [
-            (rng.randint(0, top), rng.randint(0, top))
-            for _ in range(random_vectors)
-        ]
-        # Always include the classic corner operands.
-        pairs.extend([(0, 0), (1, 1), (top, top), (1, top)])
-        count = len(pairs)
+        windows = _random_windows(m, seed, random_vectors)
+        count = max(random_vectors, 0) + 4  # the draws, then 4 corners
 
         def window(start: int, width: int):
-            chunk = pairs[start : start + width]
-            return (
-                pack_lanes([a for a, _ in chunk], m),
-                pack_lanes([b for _, b in chunk], m),
-            )
+            return windows[start // LANE_WIDTH]
 
     for start in range(0, count, LANE_WIDTH):
         width = min(LANE_WIDTH, count - start)
@@ -205,6 +207,36 @@ def _simulation_check(
         if lane is not None:
             return False, start + lane + 1
     return True, count
+
+
+@lru_cache(maxsize=16)
+def _random_windows(
+    m: int, seed: int, random_vectors: int
+) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """The random operand lanes of :func:`_simulation_check`, one
+    ``(a_lanes, b_lanes)`` pair per :data:`LANE_WIDTH` window.
+
+    ``random_vectors`` pairs drawn from ``seed``, then the four corner
+    pairs ``(0, 0)``, ``(1, 1)``, ``(top, top)``, ``(1, top)``.  A pure
+    function of its arguments, so the lanes are drawn and packed once
+    per ``(m, seed, random_vectors)`` and shared as tuples.
+    """
+    rng = random.Random(seed)
+    top = (1 << m) - 1
+    pairs = [
+        (rng.randint(0, top), rng.randint(0, top))
+        for _ in range(random_vectors)
+    ]
+    # Always include the classic corner operands.
+    pairs.extend([(0, 0), (1, 1), (top, top), (1, top)])
+    windows = []
+    for start in range(0, len(pairs), LANE_WIDTH):
+        chunk = pairs[start : start + LANE_WIDTH]
+        windows.append((
+            tuple(pack_lanes([a for a, _ in chunk], m)),
+            tuple(pack_lanes([b for _, b in chunk], m)),
+        ))
+    return tuple(windows)
 
 
 def pack_lanes(values: Sequence[int], bits: int) -> List[int]:

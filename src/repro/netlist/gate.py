@@ -207,3 +207,17 @@ EVALUATION: Dict[GateType, Callable[..., int]] = {
     GateType.OAI22: lambda mask, a, b, c, d: ~((a | b) & (c | d)) & mask,
     GateType.MUX2: lambda mask, sel, d1, d0: ((sel & d1) | (~sel & d0)) & mask,
 }
+
+#: Fixed-arity entries ``entry(mask, a, b)`` of the two-operand cells:
+#: :data:`EVALUATION`'s n-ary entries at two operands, without the
+#: varargs fold, for operands already masked (as every value of
+#: :meth:`Netlist.simulate <repro.netlist.netlist.Netlist.simulate>`
+#: is), so AND, OR and XOR need no mask.
+EVALUATION_2: Dict[GateType, Callable[[int, int, int], int]] = {
+    GateType.AND: lambda mask, a, b: a & b,
+    GateType.NAND: lambda mask, a, b: (a & b) ^ mask,
+    GateType.OR: lambda mask, a, b: a | b,
+    GateType.NOR: lambda mask, a, b: (a | b) ^ mask,
+    GateType.XOR: lambda mask, a, b: a ^ b,
+    GateType.XNOR: lambda mask, a, b: a ^ b ^ mask,
+}

@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.netlist.gate import (
     EVALUATION,
+    EVALUATION_2,
     GATE_CODE,
     GATE_TYPES,
     Gate,
@@ -533,8 +534,9 @@ class Netlist:
         :meth:`simulate_all_nets`, keeps the values in a list indexed
         by net id and calls each gate's
         :data:`~repro.netlist.gate.EVALUATION` entry with its operand
-        values; one- and two-operand cells take a single ``&``/``^``
-        on the lane ints and no operand list.
+        values; two-operand cells call their fixed-arity
+        :data:`~repro.netlist.gate.EVALUATION_2` entry instead, and no
+        one- or two-operand cell builds an operand list.
         """
         values = self._net_values(assignment, width)
         ids = self._nets
@@ -570,6 +572,9 @@ class Netlist:
             except KeyError:
                 raise NetlistError(f"missing value for input {net!r}") from None
         evaluation = [EVALUATION[gtype] for gtype in GATE_TYPES]
+        two_operand = [
+            EVALUATION_2.get(gtype, EVALUATION[gtype]) for gtype in GATE_TYPES
+        ]
         codes = self._codes
         outs = self._outs
         fanins = self._fanins
@@ -577,14 +582,17 @@ class Netlist:
         try:
             for index in order:
                 fanin = fanins[index]
-                evaluate = evaluation[codes[index]]
                 if len(fanin) == 2:
                     a, b = fanin
-                    values[outs[index]] = evaluate(mask, values[a], values[b])
+                    values[outs[index]] = two_operand[codes[index]](
+                        mask, values[a], values[b]
+                    )
                 elif len(fanin) == 1:
-                    values[outs[index]] = evaluate(mask, values[fanin[0]])
+                    values[outs[index]] = evaluation[codes[index]](
+                        mask, values[fanin[0]]
+                    )
                 else:
-                    values[outs[index]] = evaluate(
+                    values[outs[index]] = evaluation[codes[index]](
                         mask, *[values[net] for net in fanin]
                     )
         except TypeError:

@@ -34,6 +34,7 @@ from repro.rewrite.backward import (
     TermLimitExceeded,
     backward_rewrite,
 )
+from repro.rewrite.signature import ProductSpec
 
 
 class TestSignalInterner:
@@ -145,16 +146,13 @@ class TestPackedExpression:
             monos + [frozenset({"a0", "never_seen"})]
         )
 
-    def test_equals_poly(self):
+    def test_equals_product(self):
+        """z1 of the x^4+x+1 Mastrovito multiplier is z1 of A*B mod
+        x^4+x+1, and neither z0 of it nor z1 modulo x^4+x^3+1."""
         expression = self._expression()
-        poly = expression.decode()
-        assert expression.equals_poly(poly)
-        assert not expression.equals_poly(poly + Gf2Poly.one())
-        assert not expression.equals_poly(
-            Gf2Poly.from_monomials(
-                frozenset({frozenset({"ghost"})})
-            )
-        )
+        assert expression.equals_product(ProductSpec(0b10011), 1)
+        assert not expression.equals_product(ProductSpec(0b10011), 0)
+        assert not expression.equals_product(ProductSpec(0b11001), 1)
 
 
 class TestBitpackRewriting:
