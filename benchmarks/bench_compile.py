@@ -186,8 +186,22 @@ def _ladder_polynomial(m: int) -> int:
     raise ValueError(f"m={m} is not a perfbench ladder rung")
 
 
-def _write_input(name: str, spec, work: pathlib.Path) -> pathlib.Path:
-    """The row's EQN file, generated on first use."""
+def _write_input(name: str, work: pathlib.Path) -> pathlib.Path:
+    """The row's EQN file, generated on first use in a child process:
+    a probe inherits its parent's peak RSS (``ru_maxrss`` survives
+    fork and exec), so the process that spawns probes holds no netlist."""
+    path = work / f"{name}.eqn"
+    if not path.is_file():
+        work.mkdir(parents=True, exist_ok=True)
+        subprocess.run(
+            [sys.executable, __file__, "--generate", name, str(path)],
+            check=True,
+        )
+    return path
+
+
+def _generate(name: str, path: str) -> None:
+    """Write row ``name``'s netlist to ``path`` (``--generate``)."""
     from repro.fieldmath.irreducible import default_irreducible
     from repro.fieldmath.polynomial_db import PAPER_POLYNOMIALS
     from repro.gen.mastrovito import generate_mastrovito
@@ -195,10 +209,7 @@ def _write_input(name: str, spec, work: pathlib.Path) -> pathlib.Path:
     from repro.netlist.eqn_io import write_eqn
     from repro.synth.pipeline import synthesize
 
-    generator, variant, m, _ = spec
-    path = work / f"{name}.eqn"
-    if path.is_file():
-        return path
+    generator, variant, m, _ = {**ROWS, **SMOKE_ROWS}[name]
     if name.startswith("ladder-m") and m in (32, 48, 64):
         modulus = _ladder_polynomial(m)
     else:
@@ -208,11 +219,9 @@ def _write_input(name: str, spec, work: pathlib.Path) -> pathlib.Path:
     netlist = make(modulus)
     if variant == "nand-mapped":
         netlist = synthesize(netlist, use_xor_cells=False)
-    work.mkdir(parents=True, exist_ok=True)
-    partial = path.with_suffix(".tmp")
+    partial = pathlib.Path(path).with_suffix(".tmp")
     write_eqn(netlist, partial)
     partial.replace(path)
-    return path
 
 
 def _cpu_model() -> str:
@@ -292,7 +301,7 @@ def run_benchmark(rows: dict, sides: Dict[str, pathlib.Path], pairs: int,
             )
         else:
             try:
-                row.update(_measure(sides, _write_input(name, spec, work),
+                row.update(_measure(sides, _write_input(name, work),
                                     pairs))
             except (RuntimeError, MemoryError) as error:
                 row["skipped"] = str(error)
@@ -409,9 +418,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--probe", choices=sorted(PROBES),
                         help=argparse.SUPPRESS)
     parser.add_argument("--src", help=argparse.SUPPRESS)
+    parser.add_argument("--generate", metavar="ROW", help=argparse.SUPPRESS)
     parser.add_argument("file", nargs="?", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
+    if args.generate:
+        _generate(args.generate, args.file)
+        return 0
     if args.probe:
         sys.path.insert(0, args.src)
         print(json.dumps(PROBES[args.probe](args.file)))

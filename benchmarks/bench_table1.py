@@ -43,9 +43,7 @@ def test_table1_mastrovito(benchmark, m):
     netlist = generate_mastrovito(modulus)
 
     def run():
-        return extract_irreducible_polynomial(
-            netlist, engine="reference", measure_memory=False
-        )
+        return extract_irreducible_polynomial(netlist, engine="reference")
 
     measured = measure(lambda: benchmark.pedantic(run, rounds=1, iterations=1))
     result = measured.value

@@ -48,10 +48,13 @@ and the README's Observability section.
 The ``--engine`` choices come from the backend registry
 (:mod:`repro.engine`): ``bitpack`` (the default: interned bitmask
 monomials over the strashed AIG), ``reference`` (the oracle) and
-``vector`` (another name for ``bitpack``).  An engine that fails at
-run time is one ``error: EngineError: ...`` line on stderr and exit
-code 2; no other engine is tried.  Every command rewrites the output
-bits one after another in this process.
+``vector`` (another name for ``bitpack``); no other engine is tried
+when one fails.  ``extract``, ``audit`` and ``diagnose`` run the
+request pipeline of batch, HTTP and ``eco`` (``run_mode`` in
+:mod:`repro.service.pipeline`) with no cache unless ``--baseline`` is
+given.  A failed run is exit code 2 and one ``error: <Type>:
+<message>`` line, the text a batch record's or HTTP job's ``error``
+holds (see :func:`_run_command`).
 """
 
 from __future__ import annotations
@@ -63,20 +66,16 @@ from typing import Optional, Sequence
 import repro.gen
 import repro.netlist
 from repro.engine import DEFAULT_ENGINE, EngineError, registered_engines
-from repro.extract.extractor import (
-    ExtractionError,
-    extract_irreducible_polynomial,
-)
+from repro.extract.extractor import ExtractionError
 from repro.extract.report import format_extraction_report
-from repro.extract.verify import verify_multiplier
 from repro.fieldmath.bitpoly import bitpoly_parse, bitpoly_str
 from repro.fieldmath.irreducible import (
     find_irreducible_pentanomials,
     find_irreducible_trinomials,
     is_irreducible,
 )
-from repro.extract.diagnose import diagnose
-from repro.netlist.netlist import NetlistError
+from repro.netlist.netlist import GC_PAUSE, NetlistError
+from repro.rewrite.backward import BackwardRewriteError
 
 # Generators, readers and writers are named here and resolved through
 # the lazy ``repro.gen`` and ``repro.netlist`` packages, so a command
@@ -264,15 +263,27 @@ def _cmd_eco(args: argparse.Namespace) -> int:
     )
 
 
+@GC_PAUSE
+def _run_verb(args: argparse.Namespace, mode: str, **options):
+    """``(gates, outcome)``: the netlist file parsed once, with the
+    reader ``--format`` picks, and ``mode`` run on it through the
+    request pipeline with no cache, as a ``batch --no-cache`` record
+    runs it (the netlist is freed before the collector comes back)."""
+    from repro.service.pipeline import run_mode
+
+    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
+    return len(netlist), run_mode(
+        mode, lambda: netlist, None, None, engine=args.engine,
+        term_limit=args.term_limit, **options,
+    )
+
+
 def _cmd_extract(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         # Incremental path: diff output-cone fingerprints against the
         # verified baseline and rewrite only the dirty cones.
         return _run_eco(args, args.baseline, args.netlist, audit=False)
-    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    result = extract_irreducible_polynomial(
-        netlist, term_limit=args.term_limit, engine=args.engine
-    )
+    result = _run_verb(args, "extract")[1].extraction
     print(f"P(x) = {result.polynomial_str}")
     if not result.irreducible:
         print("warning: extracted polynomial is NOT irreducible")
@@ -283,21 +294,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         return _run_eco(args, args.baseline, args.netlist, audit=True)
-    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-
-    result = extract_irreducible_polynomial(
-        netlist,
-        term_limit=args.term_limit,
-        measure_memory=True,
-        engine=args.engine,
-    )
-    verification = verify_multiplier(netlist, result, engine=args.engine)
-    print(
-        format_extraction_report(
-            result, verification, netlist_gates=len(netlist)
-        )
-    )
-    return 0 if verification.equivalent else 1
+    gates, outcome = _run_verb(args, "audit")
+    report = outcome.verification
+    print(format_extraction_report(
+        outcome.extraction, report, netlist_gates=gates
+    ))
+    return 0 if report.equivalent else 1
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -318,13 +320,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    netlist = _read(_infer_format(args.netlist, args.format), args.netlist)
-    diagnosis = diagnose(
-        netlist,
-        term_limit=args.term_limit,
-        find_counterexample=not args.no_counterexample,
-        engine=args.engine,
-    )
+    diagnosis = _run_verb(
+        args, "diagnose", find_counterexample=not args.no_counterexample
+    )[1].diagnosis
     print(diagnosis.render())
     return 0 if diagnosis.is_clean else 1
 
@@ -850,12 +848,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    """Run the subcommand; a netlist that does not parse or is not a
-    multiplier, or an engine that fails at run time, is one stderr line
-    and exit code 2 (1 means reducible or not equivalent)."""
+    """Run the subcommand.  A failed run is one ``error: <Type>:
+    <message>`` stderr line and exit code 2: a netlist that does not
+    parse or is not a multiplier, an engine that fails at run time, a
+    rewrite that fails (``TermLimitExceeded``, the paper's memory-out,
+    among them).  1 means reducible, not equivalent or not clean;
+    ``diagnose`` answers a term limit with its memory-out verdict."""
     try:
         return args.func(args)
-    except (NetlistError, ExtractionError, EngineError) as error:
+    except (
+        NetlistError, ExtractionError, EngineError, BackwardRewriteError
+    ) as error:
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 2
 

@@ -204,7 +204,7 @@ class _CompiledProgram:
     __slots__ = (
         "aig",
         "net_literal",
-        "leaf_index",
+        "interner",
         "leaf_names",
         "leaf_bits",
         "undeclared_bits",
@@ -227,19 +227,22 @@ class _CompiledProgram:
 
         #: Leaves occupy the low bit indices, shared by every cone.
         self.leaf_names: List[str] = []
-        self.leaf_index: Dict[str, int] = {}
+        leaf_index: Dict[str, int] = {}
         self.leaf_bits: Dict[int, int] = {}
         declared = set(netlist.inputs)
         undeclared = 0
         for node in sorted(aig.pi_name):
             bit = len(self.leaf_names)
             name = aig.pi_name[node]
-            self.leaf_index[name] = bit
+            leaf_index[name] = bit
             self.leaf_names.append(name)
             self.leaf_bits[node] = bit
             if name not in declared:
                 undeclared |= 1 << bit
         self.undeclared_bits = undeclared
+        #: The one interner every cone's result reads its leaf names
+        #: through; nothing interns into it after this.
+        self.interner = SignalInterner.adopt(leaf_index, self.leaf_names)
 
         flats = self._flatten()
         self.flats = flats
@@ -537,10 +540,10 @@ class BitpackEngine(Engine):
         stats.final_terms = len(current)
         # Every node variable is substituted away: the result lives in
         # the leaf region alone.
-        interner = SignalInterner.adopt(
-            dict(compiled.leaf_index), list(compiled.leaf_names)
+        return (
+            PackedExpression(current, compiled.interner, compiled.leaf_names),
+            stats,
         )
-        return PackedExpression(current, interner, compiled.leaf_names), stats
 
     def _substitute(
         self,

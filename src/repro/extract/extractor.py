@@ -144,7 +144,6 @@ def result_from_run(
 def extract_irreducible_polynomial(
     netlist: Netlist,
     term_limit: Optional[int] = None,
-    measure_memory: bool = False,
     engine: str = DEFAULT_ENGINE,
     telemetry=None,
 ) -> ExtractionResult:
@@ -174,7 +173,6 @@ def extract_irreducible_polynomial(
         netlist,
         outputs=[f"z{i}" for i in range(m)],
         term_limit=term_limit,
-        measure_memory=measure_memory,
         engine=engine,
         telemetry=telemetry,
     )

@@ -7,6 +7,7 @@ rows.
 
 from __future__ import annotations
 
+import resource
 from typing import Optional
 
 from repro.extract.extractor import ExtractionResult
@@ -47,9 +48,8 @@ def format_extraction_report(
     lines.append(f"engine                : {result.run.engine}")
     lines.append(f"extraction runtime    : {result.total_time_s:.3f} s")
     lines.append(f"peak expression terms : {result.run.peak_terms}")
-    if result.run.peak_memory_bytes is not None:
-        mem_mb = result.run.peak_memory_bytes / (1024 * 1024)
-        lines.append(f"peak traced memory    : {mem_mb:.1f} MB")
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    lines.append(f"peak RSS              : {peak_kib / 1024:.1f} MB")
     if verification is not None:
         lines.append(f"verification          : {verification}")
         if verification.simulation_ok is not None:

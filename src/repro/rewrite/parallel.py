@@ -96,7 +96,6 @@ class ExtractionRun:
     wall_time_s: float
     cpu_time_s: float
     peak_terms: int
-    peak_memory_bytes: Optional[int] = None
     #: Backend that produced the run (see :mod:`repro.engine`).
     engine: str = DEFAULT_ENGINE
     #: Backend-native expressions (``ConeExpression`` per output);
@@ -132,7 +131,6 @@ def extract_expressions(
     netlist: Netlist,
     outputs: Optional[List[str]] = None,
     term_limit: Optional[int] = None,
-    measure_memory: bool = False,
     engine: str = DEFAULT_ENGINE,
     on_result: Optional[ResultHook] = None,
     cache=None,
@@ -143,8 +141,7 @@ def extract_expressions(
     ``term_limit`` bounds the intermediate expression size per bit,
     converting runaway runs into
     :class:`~repro.rewrite.backward.TermLimitExceeded` — the paper's
-    "MO" outcome.  ``measure_memory`` additionally tracks the
-    ``tracemalloc`` peak.  ``engine`` selects the rewriting backend
+    "MO" outcome.  ``engine`` selects the rewriting backend
     (see :mod:`repro.engine`); results are backend-independent.
 
     ``on_result`` is the per-bit hook of :mod:`repro.service.jobs`
@@ -168,9 +165,7 @@ def extract_expressions(
     ``telemetry`` selects the :class:`repro.telemetry.Telemetry`
     registry this run reports to (default: the active one).  The whole
     run is one ``extract`` span; the engine's one-time ``compile``
-    span and its per-bit ``cone`` spans are its children, and ``measure_memory`` rides on the span's
-    tracemalloc handling — nested-measurement safe, stopped even when
-    a bit raises.
+    span and its per-bit ``cone`` spans are its children.
     """
     chosen = list(outputs) if outputs is not None else list(netlist.outputs)
     backend = _resolve_engine(engine)
@@ -178,11 +173,9 @@ def extract_expressions(
     tel = _telemetry.resolve(telemetry)
     results: List[Tuple[str, "ConeExpression", RewriteStats]] = []
     # The span is the timed region: engines deep below resolve the
-    # same registry through use(), and the tracemalloc peak rides on
-    # the span (nested-measurement safe, stopped even on a raise).
+    # same registry through use().
     with _telemetry.use(tel), tel.span(
         "extract",
-        memory=measure_memory,
         netlist=netlist.name,
         engine=backend.name,
         bits=len(chosen),
@@ -277,7 +270,6 @@ def extract_expressions(
 
         wall = span.elapsed()
         cpu = time.process_time() - started_cpu
-    peak_memory = span.peak_bytes if measure_memory else None
 
     # Decode boundary: the run's expressions read as Gf2Poly but are
     # decoded lazily from the backend-native cones, which Algorithm 2
@@ -301,7 +293,6 @@ def extract_expressions(
         wall_time_s=wall,
         cpu_time_s=cpu,
         peak_terms=max((st.peak_terms for st in stats.values()), default=0),
-        peak_memory_bytes=peak_memory,
         engine=backend.name,
         cones=cones,
         cache_provenance=provenance,

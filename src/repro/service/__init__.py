@@ -32,7 +32,7 @@ system around one primitive:
 
 :mod:`~repro.service.pipeline`
     the one request pipeline (extract/audit/diagnose over the cache)
-    that the runner, the API and ECO re-audit all call.
+    that the CLI verbs, the runner, the API and ECO re-audit all call.
 
 :mod:`~repro.service.runner`
     a campaign runner batching a directory (or manifest) of netlists

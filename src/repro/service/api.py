@@ -27,9 +27,9 @@ Endpoints (all JSON)::
          -> 202 {"job_id": ..., "fingerprint": ..., "status": ...}
             (status is "done" immediately on a cache hit; ECO
             re-submissions of an edited netlist reuse cached output
-            cones and report "cones_reused" on completion; an
-            extract or audit with a term_limit is never served from
-            the cache, so it fails or answers as it would cold; an
+            cones and report "cones_reused" on completion; a job
+            with a term_limit is never served from the cache, so it
+            fails (a diagnose: answers memory-out) as it would cold; an
             engine that fails at run time makes an "error" job;
             body keys not listed here are ignored)
          -> 429 + Retry-After when the bounded job queue is full

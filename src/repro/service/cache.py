@@ -216,7 +216,6 @@ def encode_extraction_run(run: ExtractionRun) -> Dict[str, Any]:
         "wall_time_s": run.wall_time_s,
         "cpu_time_s": run.cpu_time_s,
         "peak_terms": run.peak_terms,
-        "peak_memory_bytes": run.peak_memory_bytes,
         "engine": run.engine,
         "expressions": {
             output: (
@@ -276,7 +275,6 @@ def decode_extraction_run(data: Dict[str, Any]) -> ExtractionRun:
         wall_time_s=data["wall_time_s"],
         cpu_time_s=data["cpu_time_s"],
         peak_terms=data["peak_terms"],
-        peak_memory_bytes=data.get("peak_memory_bytes"),
         engine=data["engine"],
         cones=cones,
         cache_provenance=dict(data.get("cache_provenance", {})),

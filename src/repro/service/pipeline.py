@@ -1,4 +1,4 @@
-"""The request pipeline the batch runner, the HTTP API and ECO share.
+"""The request pipeline the CLI verbs, batch, HTTP and ECO share.
 
 The paper's flow is one pipeline: rewrite every output cone
 (Algorithm 1), read P(x) off the out-field products (Algorithm 2),
@@ -112,6 +112,7 @@ def run_mode(
     *,
     engine: str,
     term_limit: Optional[int] = None,
+    find_counterexample: bool = True,
     deadline=None,
     progress=None,
     cached: Optional[ModeOutcome] = None,
@@ -138,14 +139,14 @@ def run_mode(
     stats)`` at every bit.  A squarer's diagnosis rewrites its bits in
     its own loop, without the hook.
 
-    An extract or audit with a ``term_limit`` is served nothing from
-    the verdict, extraction or cone tiers: a stored answer says
+    A request with a ``term_limit`` is served nothing from the
+    diagnosis, verdict, extraction or cone tiers: a stored answer says
     nothing about whether rewriting fits under the limit, so the same
-    request answers the same on a warm and a cold cache.  Its writes
-    are those of any run, and an unbounded rerun resumes from the
-    cones it stored.  Diagnose runs without ``term_limit``: its
-    verdict is cached by fingerprint alone, and a stored memory-out
-    verdict would answer later unbounded requests.
+    request answers the same on a warm and a cold cache.  An extract
+    or audit stores what any run stores; an unbounded rerun resumes
+    from its cones.  A diagnose under a limit stores only its cones,
+    as its diagnosis (memory-out, say) would answer later unbounded
+    requests; nor is a ``find_counterexample=False`` one stored.
     """
     from repro.extract.diagnose import diagnose
     from repro.extract.extractor import multiplier_field_size, result_from_run
@@ -166,6 +167,8 @@ def run_mode(
     # Whether extract() answered from the verdict tier: then this call
     # rewrote nothing and reports no cones_reused.
     served = False
+    # Whether whole-netlist entries are read and written (see above).
+    keyed = cache is not None and (mode != "diagnose" or term_limit is None)
 
     def extract(netlist: Netlist, term_limit=None, engine=engine):
         """The extraction phase of every mode; diagnose runs it as
@@ -173,10 +176,7 @@ def run_mode(
         tier up in :func:`cached_outcome`, diagnose looks it up here."""
         nonlocal served
         verdict = outcome.extraction
-        if (
-            verdict is None and mode == "diagnose"
-            and cache is not None and term_limit is None
-        ):
+        if verdict is None and mode == "diagnose" and keyed:
             verdict = cache.get_verdict(fingerprint)
         if verdict is not None:
             served = True
@@ -193,16 +193,22 @@ def run_mode(
             cache=cache,
         )
         result = result_from_run(run, m, total_time_s=run.wall_time_s)
-        if cache is not None:
+        if keyed:
             cache.put_extraction(fingerprint, result)
         return result
 
     if mode == "diagnose":
-        diagnosis = diagnose(load(), engine=engine, extract=extract)
-        if cache is not None:
+        diagnosis = diagnose(
+            load(), term_limit=term_limit, engine=engine, extract=extract,
+            find_counterexample=find_counterexample,
+        )
+        if keyed and find_counterexample:
             cache.put_diagnosis(fingerprint, diagnosis)
-            if diagnosis.extraction is not None and not served:
-                outcome.cones_reused = _cones_reused(diagnosis.extraction.run)
+        if (
+            cache is not None and diagnosis.extraction is not None
+            and not served
+        ):
+            outcome.cones_reused = _cones_reused(diagnosis.extraction.run)
         outcome.diagnosis = diagnosis
         return outcome
 
@@ -250,16 +256,16 @@ def cached_outcome(
     golden-model verdict is not (the outcome keeps the extraction),
     else ``miss``.  An audit's verdict is looked up only beside a
     cached extraction, the P(x) it must be a verdict on; after a fresh
-    extraction :func:`run_mode` looks it up.  An extract or audit
-    under a ``term_limit`` is always a ``miss`` (see :func:`run_mode`).
+    extraction :func:`run_mode` looks it up.  A request under a
+    ``term_limit`` is always a ``miss`` (see :func:`run_mode`).
     """
+    if term_limit is not None:
+        return ModeOutcome(cache="miss")
     if mode == "diagnose":
         diagnosis = cache.get_diagnosis(fingerprint)
         return ModeOutcome(
             diagnosis=diagnosis, cache="miss" if diagnosis is None else "hit"
         )
-    if term_limit is not None:
-        return ModeOutcome(cache="miss")
     result = cache.get_verdict(fingerprint)
     if result is None:
         return ModeOutcome(cache="miss")

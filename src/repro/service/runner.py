@@ -123,9 +123,9 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     :func:`run_supervised` — transient failures retry per the task's
     policy, and an exhausted budget yields a ``status: "quarantined"``
     record with a structured reason.  Deterministic failures (parse
-    errors, term-limit verdicts, a failing engine) keep their
-    single-attempt ``status: "error"`` record, whose ``cache``
-    is ``miss`` whenever a cache is configured.  The whole call runs
+    errors, an extract or audit past its term limit, a failing
+    engine) keep their single-attempt ``status: "error"`` record,
+    whose ``cache`` is ``miss`` whenever a cache is configured.  The whole call runs
     under :data:`~repro.netlist.netlist.GC_PAUSE`.
     """
     from repro.service.cache import ResultCache

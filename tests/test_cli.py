@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import argparse
+import re
 
 import pytest
 
@@ -59,6 +60,8 @@ class TestAudit:
         assert "reverse engineering report" in out
         assert "x^4 + x^3 + 1" in out
         assert "EQUIVALENT" in out
+        # The process's peak resident set, not a tracemalloc figure.
+        assert re.search(r"^peak RSS +: \d+\.\d MB$", out, re.M)
 
     def test_audit_jobs_flag(self, tmp_path, capsys):
         """The per-bit pool is retired: ``--jobs`` no longer parses."""

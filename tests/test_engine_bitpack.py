@@ -26,6 +26,7 @@ from repro.engine import (
 from repro.engine.registry import _FACTORIES, _INSTANCES
 from repro.extract.extractor import extract_irreducible_polynomial
 from repro.gen.mastrovito import generate_mastrovito
+from repro.gen.montgomery import generate_montgomery
 from repro.gf2.polynomial import Gf2Poly
 from repro.netlist.gate import Gate, GateType
 from repro.netlist.netlist import Netlist
@@ -231,6 +232,20 @@ class TestBitpackRewriting:
         second, _ = backward_rewrite(netlist, "w", engine="bitpack")
         assert first == Gf2Poly.variable("a") + Gf2Poly.variable("b")
         assert second == Gf2Poly.variable("a") * Gf2Poly.variable("b")
+
+    def test_cones_of_one_run_share_one_interner(self):
+        """Every cone of a run reads its leaf names through the one
+        interner of the compiled program, which no cone grows."""
+        netlist = generate_montgomery(0b100011011)
+        cones = extract_irreducible_polynomial(
+            netlist, engine="bitpack"
+        ).run.cones
+        interners = {id(cone.interner) for cone in cones.values()}
+        assert len(cones) == 8 and len(interners) == 1
+        interner = cones["z0"].interner
+        for cone in cones.values():
+            cone.decode()
+        assert sorted(interner.names) == sorted(netlist.inputs)
 
 
 class TestEngineSelectionAPIs:

@@ -19,12 +19,6 @@ class TestSequential:
         run = extract_expressions(netlist, outputs=["z2"])
         assert set(run.expressions) == {"z2"}
 
-    def test_memory_measurement(self):
-        netlist = generate_mastrovito(0b10011)
-        run = extract_expressions(netlist, measure_memory=True)
-        assert run.peak_memory_bytes is not None
-        assert run.peak_memory_bytes > 0
-
     def test_aggregate_stats(self):
         # Gate-granular counts: bitpack flattens these cones at compile
         # time and reports zero iterations.

@@ -556,6 +556,20 @@ class TestCompactEntries:
         assert raw["payload"] == json.loads(LEGACY_VERIFICATION)["payload"]
         assert fresh.get_verification(LEGACY_FINGERPRINT) == report
 
+    def test_extraction_with_a_traced_peak_decodes(self, cache, net):
+        """Runs no longer carry ``peak_memory_bytes``; an entry written
+        while they did still decodes, the key ignored."""
+        result = extract_irreducible_polynomial(net)
+        path = cache.put("extraction", net, result)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        assert "peak_memory_bytes" not in entry["payload"]["run"]
+        entry["payload"]["run"]["peak_memory_bytes"] = 123456
+        path.write_text(json.dumps(entry), encoding="utf-8")
+        stored = cache.get_extraction(net)
+        assert cache.corrupt == 0 and stored is not None
+        assert stored.modulus == result.modulus
+        assert stored.run.expressions == result.run.expressions
+
     def test_indented_cone_is_a_hit(self, cache, tmp_path):
         from repro.service.cache import stats_from_json
 

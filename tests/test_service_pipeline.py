@@ -521,3 +521,44 @@ class TestDiagnoseExtractsPerBit:
         entries = _entries(ResultCache(cache_dir))
         assert sum(entry.startswith("cone/") for entry in entries) == 1
         assert not any(entry.startswith("diagnosis/") for entry in entries)
+
+
+def test_diagnose_under_a_term_limit_reads_and_stores_no_verdict(tmp_path):
+    """A term-limited diagnose is served no stored diagnosis or
+    extraction verdict and stores neither, so its memory-out verdict
+    never answers an unbounded request; a diagnosis made without the
+    counterexample search is not stored either."""
+    netlist = clean()
+    warm = ResultCache(tmp_path / "warm")
+    key = warm.fingerprint(netlist)
+    assert run_mode(
+        "diagnose", lambda: netlist, key, warm, engine="bitpack"
+    ).cache == "miss"
+    limited = run_mode(
+        "diagnose", lambda: netlist, key, warm, engine="bitpack",
+        term_limit=LIMIT,
+    )
+    assert (limited.cache, limited.diagnosis.verdict.value) == (
+        "miss", "memory-out"
+    )
+    served = run_mode("diagnose", lambda: netlist, key, warm, engine="bitpack")
+    assert (served.cache, served.diagnosis.verdict.value) == (
+        "hit", "verified-multiplier"
+    )
+
+    cold = ResultCache(tmp_path / "cold")
+    generous = run_mode(
+        "diagnose", lambda: netlist, key, cold, engine="bitpack",
+        term_limit=GENEROUS,
+    )
+    assert generous.diagnosis.verdict.value == "verified-multiplier"
+    faulty = single_fault()
+    faulty_key = cold.fingerprint(faulty)
+    quick = run_mode(
+        "diagnose", lambda: faulty, faulty_key, cold, engine="bitpack",
+        find_counterexample=False,
+    )
+    assert quick.diagnosis.counterexample is None
+    assert cold.get_diagnosis(key) is None
+    assert cold.get_verdict(key) is None
+    assert cold.get_diagnosis(faulty_key) is None
