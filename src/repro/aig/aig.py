@@ -788,7 +788,8 @@ def live_aig(netlist: Netlist) -> Aig:
     :attr:`~Aig.net_literal` is never built: the sweep maps the
     strash's per-net literal list straight to the swept graph's map.
     The graph is read-only; a mutation of the netlist clears the memo
-    and the next call re-derives it.
+    and the next call re-derives it.  A derivation is one
+    ``aig.strash`` span, the sweep included.
 
     >>> from repro.gen.mastrovito import generate_mastrovito
     >>> net = generate_mastrovito(0b10011)
@@ -798,5 +799,8 @@ def live_aig(netlist: Netlist) -> Aig:
     memo = netlist.memo()
     aig = memo.get("aig")
     if aig is None:
-        aig = memo["aig"] = Aig.from_netlist(netlist).swept()
+        from repro import telemetry
+
+        with telemetry.current().span("aig.strash"):
+            aig = memo["aig"] = Aig.from_netlist(netlist).swept()
     return aig

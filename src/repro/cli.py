@@ -299,7 +299,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     print(format_extraction_report(
         outcome.extraction, report, netlist_gates=gates
     ))
-    return 0 if report.equivalent else 1
+    return 0 if report.equivalent and outcome.extraction.irreducible else 1
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -145,7 +145,9 @@ def diagnose(
         return diagnosis
 
     if _looks_like_squarer(netlist):
-        return finish(_diagnose_squarer(netlist, engine=engine))
+        return finish(
+            _diagnose_squarer(netlist, term_limit=term_limit, engine=engine)
+        )
 
     try:
         result = extract(netlist, term_limit=term_limit, engine=engine)
@@ -230,22 +232,28 @@ def _looks_like_squarer(netlist: Netlist) -> bool:
 
 
 def _diagnose_squarer(
-    netlist: Netlist, engine: str = DEFAULT_ENGINE
+    netlist: Netlist,
+    term_limit: Optional[int] = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> Diagnosis:
-    """The squarer branch of the decision tree."""
+    """The squarer branch of the decision tree; a rewrite past
+    ``term_limit`` answers :attr:`Verdict.MEMORY_OUT`, as the
+    multiplier branch does."""
     from repro.extract.squarer import (
         SquarerExtractionError,
         extract_squarer_polynomial,
     )
 
     try:
-        result = extract_squarer_polynomial(netlist, engine=engine)
+        result = extract_squarer_polynomial(
+            netlist, engine=engine, term_limit=term_limit
+        )
     except (SquarerExtractionError, BackwardRewriteError) as error:
         return Diagnosis(
             verdict=(
                 Verdict.NOT_A_SQUARER
                 if isinstance(error, SquarerExtractionError)
-                else Verdict.REWRITE_FAILED
+                else _failure_verdict(error)
             ),
             netlist_name=netlist.name,
             reason=str(error),

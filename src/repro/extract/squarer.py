@@ -59,9 +59,15 @@ class SquarerExtractionResult:
 
 
 def extract_squarer_polynomial(
-    netlist: Netlist, engine: str = DEFAULT_ENGINE
+    netlist: Netlist,
+    engine: str = DEFAULT_ENGINE,
+    term_limit: Optional[int] = None,
 ) -> SquarerExtractionResult:
     """Recover P(x) from a gate-level squarer.
+
+    ``term_limit`` bounds each bit's rewriting as in
+    :func:`~repro.rewrite.backward.backward_rewrite`, which raises
+    :class:`~repro.rewrite.backward.TermLimitExceeded` past it.
 
     >>> from repro.gen.squarer import generate_squarer
     >>> extract_squarer_polynomial(generate_squarer(0b10011)).polynomial_str
@@ -85,7 +91,9 @@ def extract_squarer_polynomial(
     # bit at a time so a non-squarer fails fast.
     columns = [0] * m
     for j in range(m):
-        poly, _stats = backward_rewrite(netlist, f"z{j}", engine=engine)
+        poly, _stats = backward_rewrite(
+            netlist, f"z{j}", term_limit=term_limit, engine=engine
+        )
         for monomial in poly.monomials:
             if len(monomial) != 1:
                 raise SquarerExtractionError(

@@ -32,6 +32,14 @@ diagnoses, are ignored; ``clear()`` removes them.  Entries carry the schema vers
 bump changes the directory, so stale entries are never *misread* —
 they are simply invisible until ``clear()`` reclaims them.
 
+A lookup derives one string path per entry it reads (a verdict
+sidecar's from its main entry's, a file memo's from one ``abspath``
+and its sha256) and reads it with one binary ``read()``; no
+:class:`~pathlib.Path` is built on the way.  The public helpers
+(:meth:`ResultCache.path_for`, :meth:`~ResultCache.cone_path_for`,
+:meth:`~ResultCache.extraction_summary_path`) return the same
+locations as :class:`~pathlib.Path` objects.
+
 The artifact population is bounded by an optional entry budget
 (``REPRO_CACHE_MAX_ENTRIES`` or the ``max_entries`` constructor
 argument) and an optional size-in-bytes budget
@@ -170,10 +178,15 @@ CONE_KIND = "cone"
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
+    return Path(_default_root())
+
+
+def _default_root() -> str:
+    """:func:`default_cache_dir` as a string."""
     env = os.environ.get(CACHE_DIR_ENV)
     if env:
-        return Path(env).expanduser()
-    return Path.home() / ".cache" / "repro"
+        return os.path.expanduser(env)
+    return os.path.join(os.path.expanduser("~"), ".cache", "repro")
 
 
 def _check_budgets(**budgets: Optional[int]) -> None:
@@ -424,23 +437,38 @@ def _check_verdict(data: Dict[str, Any]) -> None:
         raise TypeError("digest is not a string")
 
 
-def _sidecar_bytes(kind: Optional[str], path: Path) -> int:
+def _sidecar_of(path: Union[str, os.PathLike]) -> str:
+    """The verdict sidecar path of the extraction entry at ``path``."""
+    return os.path.splitext(path)[0] + ".sum"
+
+
+def _sidecar_bytes(kind: Optional[str], path: Union[str, os.PathLike]) -> int:
     """Size of the verdict sidecar of an extraction entry (else 0)."""
     if kind != "extraction":
         return 0
     try:
-        return path.with_suffix(".sum").stat().st_size
+        return os.stat(_sidecar_of(path)).st_size
     except OSError:
         return 0
 
 
-def _unlink(path: Path) -> bool:
+def _unlink(path: Union[str, os.PathLike]) -> bool:
     """Delete a file; False when it is already gone or cannot go."""
     try:
-        path.unlink()
+        os.unlink(path)
     except OSError:
         return False
     return True
+
+
+def _read_json(path: str) -> Any:
+    """The JSON document in the file ``path``: one binary read, decoded
+    as strict UTF-8 (as a text-mode read would, so a byte-order mark
+    is not JSON).  Raises :class:`OSError` when the file cannot be
+    read and :class:`ValueError` when it is not UTF-8 JSON."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    return json.loads(data.decode("utf-8"))
 
 
 def _begins_with(data: bytes, fingerprint: str, fields) -> bool:
@@ -575,8 +603,10 @@ class ResultCache:
         max_entries: Optional[int] = None,
         max_bytes: Optional[int] = None,
     ):
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.version_dir = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        # Strings, not paths: every lookup derives its file's location
+        # from ``_dir`` with one f-string (see :meth:`_entry_path`).
+        self._root = os.fspath(root) if root is not None else _default_root()
+        self._dir = os.path.join(self._root, f"v{CACHE_SCHEMA_VERSION}")
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -617,6 +647,16 @@ class ResultCache:
             )
         return value
 
+    @property
+    def root(self) -> Path:
+        """The cache directory."""
+        return Path(self._root)
+
+    @property
+    def version_dir(self) -> Path:
+        """The directory of this schema version's entries."""
+        return Path(self._dir)
+
     # -- key handling ---------------------------------------------------
 
     def fingerprint(self, key: Union[str, Netlist]) -> str:
@@ -631,11 +671,15 @@ class ResultCache:
         return key
 
     def path_for(self, kind: str, key: Union[str, Netlist]) -> Path:
+        """Location of the ``kind`` entry of ``key``."""
+        return Path(self._entry_path(kind, self.fingerprint(key)))
+
+    def _entry_path(self, kind: str, fingerprint: str) -> str:
+        """:meth:`path_for` as a string, which is what lookups open."""
         if kind not in KINDS:
             raise ValueError(f"unknown artifact kind {kind!r}")
-        fingerprint = self.fingerprint(key)
         digest = fingerprint.rsplit("-", 1)[-1]
-        return self.version_dir / kind / digest[:2] / f"{fingerprint}.json"
+        return f"{self._dir}/{kind}/{digest[:2]}/{fingerprint}.json"
 
     # -- file fingerprint memo ------------------------------------------
     #
@@ -648,10 +692,15 @@ class ResultCache:
     # falls back to a full fingerprint.
 
     def _file_memo_path(self, path: Union[str, os.PathLike]) -> Path:
+        """Location of the file fingerprint memo of ``path``."""
+        return Path(self._memo_path(os.path.abspath(path)))
+
+    def _memo_path(self, absolute: Union[str, bytes]) -> str:
+        """:meth:`_file_memo_path` of an absolute path, as a string."""
         digest = hashlib.sha256(
-            os.fsdecode(os.path.abspath(path)).encode("utf-8")
+            os.fsdecode(absolute).encode("utf-8")
         ).hexdigest()
-        return self.version_dir / "files" / digest[:2] / f"{digest}.json"
+        return f"{self._dir}/files/{digest[:2]}/{digest}.json"
 
     def file_fingerprint(
         self, path: Union[str, os.PathLike]
@@ -665,10 +714,9 @@ class ResultCache:
             stat = os.stat(path)
         except OSError:
             return None
-        memo_path = self._file_memo_path(path)
+        memo_path = self._memo_path(os.path.abspath(path))
         try:
-            with open(memo_path, "r", encoding="utf-8") as handle:
-                memo = json.load(handle)
+            memo = _read_json(memo_path)
         except FileNotFoundError:
             return None
         except ValueError:  # not JSON, or not UTF-8
@@ -714,10 +762,11 @@ class ResultCache:
                 stat = os.stat(path)
             except OSError:
                 return
-        memo_path = self._file_memo_path(path)
-        memo_path.parent.mkdir(parents=True, exist_ok=True)
+        absolute = os.path.abspath(path)
+        memo_path = self._memo_path(absolute)
+        os.makedirs(os.path.dirname(memo_path), exist_ok=True)
         memo = {
-            "path": os.fsdecode(os.path.abspath(path)),
+            "path": os.fsdecode(absolute),
             "mtime_ns": stat.st_mtime_ns,
             "size": stat.st_size,
             "schema": FINGERPRINT_SCHEMA,
@@ -741,7 +790,7 @@ class ResultCache:
         started = time.perf_counter()
         try:
             fingerprint = self.fingerprint(key)
-            path = self.path_for(kind, fingerprint)
+            path = self._entry_path(kind, fingerprint)
             data = self._read_entry(kind, path)
             artifact = (
                 None if data is None
@@ -754,19 +803,20 @@ class ResultCache:
                 "cache.lookup", time.perf_counter() - started
             )
 
-    def _read_entry(self, kind: str, path: Path) -> Optional[bytes]:
+    def _read_entry(self, kind: str, path: str) -> Optional[bytes]:
         """An entry's bytes, or None when it does not exist."""
         # Chaos site: a transient read failure here is retryable by
         # the supervision layer, unlike the corrupt-entry path of
         # _decode, which is a deterministic fact about the disk.
         _chaos.get_chaos().io_error(where=f"cache.get {kind}")
         try:
-            return path.read_bytes()
+            with open(path, "rb") as handle:
+                return handle.read()
         except FileNotFoundError:
             return None
 
     def _decode(
-        self, kind: str, fingerprint: str, path: Path, data: bytes
+        self, kind: str, fingerprint: str, path: str, data: bytes
     ) -> Optional[Any]:
         """Decode entry bytes; None for an entry of another schema, and
         None after quarantining a corrupt one or one recorded under
@@ -807,8 +857,8 @@ class ResultCache:
         docstring).
         """
         fingerprint = self.fingerprint(key)  # once: strash+hash is O(n)
-        path = self.path_for(kind, fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        path = self._entry_path(kind, fingerprint)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "kind": kind,
@@ -831,10 +881,10 @@ class ResultCache:
             # fails the digest and is decoded (and quarantined).
             self._put_sidecar(path, entry["payload"], payload)
         self._after_budgeted_write(path, replaced, kind)
-        return path
+        return Path(path)
 
     def _size_before_write(
-        self, path: Path, kind: Optional[str] = None
+        self, path: str, kind: Optional[str] = None
     ) -> Optional[int]:
         """Size of the entry a write is about to replace (None = new).
 
@@ -845,13 +895,13 @@ class ResultCache:
         if self.max_entries is None and self.max_bytes is None:
             return None
         try:
-            return path.stat().st_size + _sidecar_bytes(kind, path)
+            return os.stat(path).st_size + _sidecar_bytes(kind, path)
         except OSError:
             return None
 
     def _after_budgeted_write(
         self,
-        path: Path,
+        path: str,
         replaced: Optional[int] = None,
         kind: Optional[str] = None,
     ) -> None:
@@ -866,7 +916,7 @@ class ResultCache:
         try:
             self._bytes_estimate = (
                 (self._bytes_estimate or 0)
-                + path.stat().st_size
+                + os.stat(path).st_size
                 + _sidecar_bytes(kind, path)
                 - (replaced or 0)
             )
@@ -883,9 +933,9 @@ class ResultCache:
 
     def quarantine_dir(self) -> Path:
         """Where corrupted entries are moved for post-mortem."""
-        return self.version_dir / "quarantine"
+        return Path(self._dir, "quarantine")
 
-    def _quarantine_corrupt(self, kind: str, path: Path) -> None:
+    def _quarantine_corrupt(self, kind: str, path: str) -> None:
         """Move an undecodable entry out of the artifact tree.
 
         A corrupted entry left in place is a *permanent* miss for its
@@ -895,13 +945,14 @@ class ResultCache:
         turns the next lookup into a clean miss (so the recompute
         lands normally) while keeping the bytes for diagnosis.
         """
-        target = self.quarantine_dir() / f"{kind}.{path.name}"
+        quarantine = os.path.join(self._dir, "quarantine")
+        target = os.path.join(quarantine, f"{kind}.{os.path.basename(path)}")
         try:
-            target.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(quarantine, exist_ok=True)
             os.replace(path, target)
         except OSError:
             try:  # can't move it — dropping it still unwedges the key
-                path.unlink()
+                os.unlink(path)
             except OSError:  # pragma: no cover - raced/unwritable
                 return
         self.corrupt += 1
@@ -909,16 +960,14 @@ class ResultCache:
 
     def contains(self, kind: str, key: Union[str, Netlist]) -> bool:
         """Presence test without decoding (does not count hit/miss)."""
-        return self.path_for(kind, key).exists()
+        return os.path.exists(self._entry_path(kind, self.fingerprint(key)))
 
     def get_raw(self, kind: str, key: Union[str, Netlist]) -> Optional[Dict]:
         """The raw JSON entry (for the HTTP API's ``full`` view); None
         when it is absent, unreadable or recorded under another key."""
         fingerprint = self.fingerprint(key)
-        path = self.path_for(kind, fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            entry = _read_json(self._entry_path(kind, fingerprint))
         except (FileNotFoundError, ValueError):
             return None
         if not isinstance(entry, dict) or (
@@ -940,11 +989,9 @@ class ResultCache:
         """
         fingerprint = self.fingerprint(key)
         digest = fingerprint.rsplit("-", 1)[-1]
-        return (
-            self.version_dir
-            / COMPILED_KIND
-            / digest[:2]
-            / f"{fingerprint}.{engine}.s{schema}.bin"
+        return Path(
+            f"{self._dir}/{COMPILED_KIND}/{digest[:2]}/"
+            f"{fingerprint}.{engine}.s{schema}.bin"
         )
 
     def get_compiled(
@@ -1009,7 +1056,15 @@ class ResultCache:
 
     def cone_path_for(self, digest: str) -> Path:
         """Location of one output cone's cached result."""
-        return self.version_dir / CONE_KIND / digest[:2] / f"{digest}.json"
+        return Path(self._cone_path(digest))
+
+    def _cone_path(self, digest: str) -> str:
+        """:meth:`cone_path_for` as a string, which is what lookups open."""
+        return f"{self._dir}/{CONE_KIND}/{digest[:2]}/{digest}.json"
+
+    def has_cone(self, digest: str) -> bool:
+        """Presence test of a cone entry (does not count hit/miss)."""
+        return os.path.exists(self._cone_path(digest))
 
     def get_cone(self, digest: str) -> Optional[Dict[str, Any]]:
         """The cached cone payload, or ``None`` (a miss).
@@ -1024,11 +1079,10 @@ class ResultCache:
         """
         started = time.perf_counter()
         try:
-            path = self.cone_path_for(digest)
+            path = self._cone_path(digest)
             try:
                 _chaos.get_chaos().io_error(where=f"cache.get {CONE_KIND}")
-                with open(path, "r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
+                entry = _read_json(path)
             except OSError:
                 # Any unreadable entry — missing, or a flaky read —
                 # is a miss: the driver recomputes the cone.  Reads
@@ -1086,7 +1140,7 @@ class ResultCache:
         is the resume state of its bit; the chaos ``crash_worker``
         site fires right after it.
         """
-        path = self.cone_path_for(digest)
+        path = self._cone_path(digest)
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "kind": CONE_KIND,
@@ -1101,7 +1155,7 @@ class ResultCache:
             },
         }
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             replaced = self._size_before_write(path)
             chaos = _chaos.get_chaos()
             chaos.io_error(where=f"cache.put {CONE_KIND}")
@@ -1109,13 +1163,13 @@ class ResultCache:
             payload = chaos.corrupt(payload, key=f"{CONE_KIND}:{digest}")
             atomic_write_bytes(path, payload)
         except OSError:
-            return path
+            return Path(path)
         _telemetry.current().counter("cache.put")
         self._after_budgeted_write(path, replaced)
         # Post-write crash site: the bit is durably stored, so a killed
         # worker demonstrably resumes past it.
         chaos.crash()
-        return path
+        return Path(path)
 
     def cone_compiled_path_for(
         self, digest: str, engine: str, schema: Optional[int]
@@ -1126,11 +1180,9 @@ class ResultCache:
         schema are part of the file name, so a schema bump retires
         that engine's fragments without touching the cone results.
         """
-        return (
-            self.version_dir
-            / CONE_KIND
-            / digest[:2]
-            / f"{digest}.{engine}.s{schema}.bin"
+        return Path(
+            f"{self._dir}/{CONE_KIND}/{digest[:2]}/"
+            f"{digest}.{engine}.s{schema}.bin"
         )
 
     def get_cone_compiled(
@@ -1191,10 +1243,12 @@ class ResultCache:
 
     def extraction_summary_path(self, key) -> Path:
         """Location of an extraction's verdict sidecar."""
-        return self.path_for("extraction", key).with_suffix(".sum")
+        return Path(_sidecar_of(
+            self._entry_path("extraction", self.fingerprint(key))
+        ))
 
     def _put_sidecar(
-        self, path: Path, fields: Dict[str, Any], entry: bytes
+        self, path: str, fields: Dict[str, Any], entry: bytes
     ) -> None:
         """Write the verdict sidecar of the main entry ``path``, bound
         to the entry bytes ``entry`` (best-effort: without a sidecar a
@@ -1204,25 +1258,29 @@ class ResultCache:
         sidecar["digest"] = hashlib.sha256(entry).hexdigest()
         try:
             atomic_write_text(
-                path.with_suffix(".sum"), json.dumps(sidecar, sort_keys=True)
+                _sidecar_of(path), json.dumps(sidecar, sort_keys=True)
             )
         except OSError:
             pass
 
-    def get_extraction_summary(self, key) -> Optional[Dict[str, Any]]:
+    def get_extraction_summary(
+        self, key, *, entry_path: Optional[str] = None
+    ) -> Optional[Dict[str, Any]]:
         """The verdict sidecar of a stored extraction, or None.
 
         Holds ``modulus``/``m``/``irreducible``/``member_bits`` and the
         ``digest`` of the main entry it was written with (absent in
         sidecars of earlier versions).  Only :meth:`get_verdict`, which
-        checks that binding, may serve it.  A sidecar that is not a JSON
-        object, or whose fields are mistyped or inconsistent, is
-        quarantined and read as None; one of another schema is None.
+        checks that binding, may serve it, and passes the main entry's
+        path as ``entry_path``.  A sidecar that is not a JSON object, or
+        whose fields are mistyped or inconsistent, is quarantined and
+        read as None; one of another schema is None.
         """
-        path = self.extraction_summary_path(key)
+        if entry_path is None:
+            entry_path = self._entry_path("extraction", self.fingerprint(key))
+        path = _sidecar_of(entry_path)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
+            data = _read_json(path)
         except OSError:
             return None
         except ValueError:  # not JSON, or not UTF-8
@@ -1255,7 +1313,7 @@ class ResultCache:
         started = time.perf_counter()
         try:
             fingerprint = self.fingerprint(key)
-            path = self.path_for("extraction", fingerprint)
+            path = self._entry_path("extraction", fingerprint)
             data = self._read_entry("extraction", path)
             verdict = (
                 None if data is None
@@ -1269,9 +1327,9 @@ class ResultCache:
             )
 
     def _verdict_of_entry(
-        self, fingerprint: str, path: Path, data: bytes
+        self, fingerprint: str, path: str, data: bytes
     ) -> Optional[ExtractionVerdict]:
-        sidecar = self.get_extraction_summary(fingerprint)
+        sidecar = self.get_extraction_summary(fingerprint, entry_path=path)
         if sidecar is not None and (
             sidecar.get("digest") == hashlib.sha256(data).hexdigest()
         ):
@@ -1280,7 +1338,7 @@ class ResultCache:
                     **{name: sidecar[name] for name in _VERDICT_FIELDS},
                     source=data,
                 )
-            self._quarantine_corrupt("extraction", path.with_suffix(".sum"))
+            self._quarantine_corrupt("extraction", _sidecar_of(path))
         result = self._decode("extraction", fingerprint, path, data)
         if result is None:
             return None

@@ -42,7 +42,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import telemetry as _telemetry
@@ -55,6 +54,7 @@ from repro.service.pipeline import (
     cached_outcome,
     fingerprint_file,
     run_mode,
+    split_name,
 )
 
 PathLike = Union[str, os.PathLike]
@@ -145,9 +145,9 @@ def diff_cones(
 
 def _fingerprint(path: PathLike, cache: ResultCache) -> NetlistFile:
     """:func:`fingerprint_file`, with unreadable input as :class:`EcoError`."""
-    path = Path(path)
-    if path.suffix not in NETLIST_READERS:
-        raise EcoError(f"unknown netlist format {path.suffix!r}: {path}")
+    suffix = split_name(path)[1]
+    if suffix not in NETLIST_READERS:
+        raise EcoError(f"unknown netlist format {suffix!r}: {path}")
     try:
         return fingerprint_file(path, cache)
     except OSError as error:
@@ -171,7 +171,7 @@ def warm_cones_from_extraction(
     for output, digest in cones.items():
         if output not in run.stats:
             continue
-        if cache.cone_path_for(digest).exists():
+        if cache.has_cone(digest):
             continue  # presence probe: no hit/miss counter noise
         cache.put_cone(
             digest,
@@ -307,10 +307,7 @@ def eco_reverify(
             # back-fills the missing entries without rewriting; only a
             # never-seen baseline actually extracts.
             clean = {output: base.cones[output] for output in diff.clean}
-            if not all(
-                cache.cone_path_for(digest).exists()
-                for digest in clean.values()
-            ):
+            if not all(cache.has_cone(digest) for digest in clean.values()):
                 baseline = run_mode(
                     "extract", base.load, base.fingerprint, cache, **options
                 )

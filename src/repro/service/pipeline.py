@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import repro.netlist
 from repro.netlist.netlist import Netlist
@@ -37,7 +36,7 @@ def _reader(name: str) -> Callable[[Any], Netlist]:
 #: File suffix → reader.  A format's parser loads with the first file
 #: of that format, so a service that reads only EQN never imports the
 #: BLIF or Verilog reader.
-NETLIST_READERS: Dict[str, Callable[[Path], Netlist]] = {
+NETLIST_READERS: Dict[str, Callable[[Any], Netlist]] = {
     ".eqn": _reader("read_eqn"),
     ".blif": _reader("read_blif"),
     ".v": _reader("read_verilog"),
@@ -51,6 +50,16 @@ NETLIST_PARSERS: Dict[str, Callable[[str], Netlist]] = {
 }
 
 MODES = ("extract", "audit", "diagnose")
+
+
+def split_name(path: Union[str, os.PathLike]) -> Tuple[str, str]:
+    """``(stem, suffix)`` of ``path``'s file name, split as
+    :class:`pathlib.PurePath` splits it, without building one."""
+    name = os.path.basename(os.fspath(path).rstrip(os.sep))
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        return name[:dot], name[dot:]
+    return name, ""
 
 
 @dataclass
@@ -281,7 +290,7 @@ def cached_outcome(
 class NetlistFile:
     """A netlist file, parsed at most once (see :func:`fingerprint_file`)."""
 
-    path: Path
+    path: Union[str, os.PathLike]
     fingerprint: Optional[str] = None
     #: Per-output-cone Merkle digests.
     cones: Optional[Dict[str, str]] = None
@@ -297,7 +306,8 @@ class NetlistFile:
         never strash it again.
         """
         if self.netlist is None:
-            self.netlist = NETLIST_READERS[self.path.suffix](self.path)
+            suffix = split_name(self.path)[1]
+            self.netlist = NETLIST_READERS[suffix](self.path)
             if self.fingerprint is not None:
                 remember_fingerprint(
                     self.netlist, self.fingerprint, self.cones
@@ -316,13 +326,13 @@ def fingerprint_file(path: Union[str, os.PathLike], cache) -> NetlistFile:
     and both are memoized for the next visit.  The caller checks the
     suffix against :data:`NETLIST_READERS`.
     """
-    source = NetlistFile(Path(path))
+    source = NetlistFile(path)
     memo = cache.file_fingerprint(path)
     if memo is not None and isinstance(memo.get("cones"), dict):
         source.fingerprint, source.cones = memo["fingerprint"], memo["cones"]
         source.gates = memo.get("gates")
         return source
-    stat = os.stat(source.path)  # before the read: overwrite-safe
+    stat = os.stat(path)  # before the read: overwrite-safe
     netlist = source.load()
     source.fingerprint, source.cones = fingerprint_with_cones(netlist)
     source.gates = len(netlist)

@@ -151,7 +151,9 @@ class Deadline:
         self.interval_s = interval_s
         self.exceeded: Optional[str] = None
         self._started: Optional[float] = None
-        self._stop = threading.Event()
+        # The RSS monitor's stop signal, made with the monitor: a
+        # wall-only or unarmed deadline allocates no event.
+        self._stop: Optional[threading.Event] = None
         self._monitor: Optional[threading.Thread] = None
 
     @property
@@ -169,20 +171,21 @@ class Deadline:
         self._started = time.monotonic()
         self.exceeded = None
         if self.max_rss_bytes is not None and self._monitor is None:
-            self._stop.clear()
+            self._stop = threading.Event()
             self._monitor = threading.Thread(
-                target=self._watch, name="repro-deadline-rss", daemon=True
+                target=self._watch, args=(self._stop,),
+                name="repro-deadline-rss", daemon=True,
             )
             self._monitor.start()
 
     def stop(self) -> None:
-        self._stop.set()
         if self._monitor is not None:
+            self._stop.set()
             self._monitor.join(timeout=1.0)
             self._monitor = None
 
-    def _watch(self) -> None:
-        while not self._stop.wait(self.interval_s):
+    def _watch(self, stop: threading.Event) -> None:
+        while not stop.wait(self.interval_s):
             rss = _process_rss_bytes()
             if rss is not None and rss > self.max_rss_bytes:  # type: ignore[operator]
                 self.exceeded = (

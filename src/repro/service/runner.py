@@ -59,6 +59,7 @@ from repro.service.pipeline import (
     NetlistFile,
     fingerprint_file,
     run_mode,
+    split_name,
 )
 from repro.service.resilience import (
     Deadline,
@@ -130,14 +131,15 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     """
     from repro.service.cache import ResultCache
 
-    path = Path(task["path"])
+    path: str = task["path"]
+    stem, suffix = split_name(path)
     mode = task["mode"]
     engine = task["engine"]
     policy: RetryPolicy = task.get("retry_policy") or RetryPolicy()
     started = time.perf_counter()
     record: Dict[str, Any] = {
-        "path": str(path),
-        "netlist": path.stem,
+        "path": path,
+        "netlist": stem,
         "mode": mode,
         "engine": engine,
         "status": "ok",
@@ -153,7 +155,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
     # same trace; counters stay per-process.
     telemetry = _telemetry.current()
     span = telemetry.span(
-        "campaign.netlist", netlist=path.stem, mode=mode, engine=engine
+        "campaign.netlist", netlist=stem, mode=mode, engine=engine
     )
     span.__enter__()
     deadline = Deadline(
@@ -161,8 +163,8 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
         max_rss_bytes=task.get("max_rss_bytes"),
     )
     try:
-        if path.suffix not in NETLIST_READERS:
-            raise CampaignError(f"unknown netlist format {path.suffix!r}")
+        if suffix not in NETLIST_READERS:
+            raise CampaignError(f"unknown netlist format {suffix!r}")
 
         # A warm rerun whose file stat matches the fingerprint memo
         # never parses the netlist unless something must be computed.
@@ -194,7 +196,7 @@ def _process_netlist(task: Dict[str, Any]) -> Dict[str, Any]:
                 policy=policy,
                 deadline=deadline if deadline.armed else None,
                 telemetry=telemetry,
-                label=path.stem,
+                label=stem,
             )
         if supervised.attempts > 1:
             record["attempts"] = supervised.attempts
@@ -283,16 +285,17 @@ class CampaignReport:
 
     @property
     def failing(self) -> List[str]:
-        """Designs that audited as not equivalent / not clean."""
-        bad = []
-        for record in self.records:
-            if record["status"] != "ok":
-                bad.append(record["netlist"])
-            elif record.get("equivalent") is False:
-                bad.append(record["netlist"])
-            elif record.get("clean") is False:
-                bad.append(record["netlist"])
-        return bad
+        """Designs that failed, or extracted a reducible P(x), or
+        audited as not equivalent, or diagnosed as not clean."""
+        return [
+            record["netlist"]
+            for record in self.records
+            if record["status"] != "ok"
+            or any(
+                record.get(verdict) is False
+                for verdict in ("irreducible", "equivalent", "clean")
+            )
+        ]
 
     def summary(self) -> str:
         where = f" -> {self.report_path}" if self.report_path else ""
@@ -353,19 +356,17 @@ class CampaignRunner:
         )
         self.deadline_s = deadline_s
         self.max_rss_bytes = max_rss_bytes
+        self.cache_dir: Optional[str] = None
         if use_cache:
             from repro.service.cache import default_cache_dir
 
-            self.cache_dir: Optional[str] = str(
-                Path(cache_dir) if cache_dir is not None
-                else default_cache_dir()
+            self.cache_dir = os.fspath(
+                cache_dir if cache_dir is not None else default_cache_dir()
             )
-        else:
-            self.cache_dir = None
 
-    def _task(self, path: Path) -> Dict[str, Any]:
+    def _task(self, path: PathLike) -> Dict[str, Any]:
         return {
-            "path": str(path),
+            "path": os.fspath(path),
             "mode": self.mode,
             "engine": self.engine,
             "term_limit": self.term_limit,
@@ -384,7 +385,7 @@ class CampaignRunner:
         if isinstance(target, (str, os.PathLike)):
             paths = discover_netlists(target)
         else:
-            paths = [Path(p) for p in target]
+            paths = list(target)
         report_file = Path(report_path) if report_path is not None else None
         if report_file is not None:
             report_file.parent.mkdir(parents=True, exist_ok=True)
@@ -416,7 +417,9 @@ class CampaignRunner:
                 self._run_supervised_pool(tasks, emit, tel)
                 # Deterministic report order regardless of completion
                 # order.
-                order = {str(path): idx for idx, path in enumerate(paths)}
+                order = {
+                    task["path"]: idx for idx, task in enumerate(tasks)
+                }
                 records.sort(key=lambda record: order[record["path"]])
                 if report_file is not None:
                     atomic_write_text(

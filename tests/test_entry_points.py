@@ -9,8 +9,9 @@ batch record's and the HTTP job's status, ``error`` and verdict
 fields.  A failed run (a file that does not parse, the term limit's
 memory-out, an engine failure) is exit code 2 on the CLI and an error
 record or job elsewhere, with the same ``<Type>: <message>`` text;
-exit code 1 means reducible, not equivalent or not clean.  Diagnose
-answers a term limit with its memory-out verdict everywhere.
+exit code 1 means reducible, not equivalent or not clean (a batch of
+such records exits 1 too).  Diagnose answers a term limit with its
+memory-out verdict everywhere, on a squarer as on a multiplier.
 """
 
 import json
@@ -25,6 +26,7 @@ from repro.engine import BitpackEngine, EngineError, register_engine
 from repro.engine.registry import _FACTORIES, _INSTANCES
 from repro.gen.faults import flip_gate
 from repro.gen.mastrovito import generate_mastrovito
+from repro.gen.squarer import generate_squarer
 from repro.netlist.eqn_io import write_eqn
 from repro.service.api import TERMINAL_STATUSES, ReproAPIServer
 from repro.service.cache import ResultCache
@@ -37,6 +39,10 @@ MEMORY_OUT = (
 )
 ENGINE_DOWN = "EngineError: disabled for the entry-point check"
 UNPARSABLE = "EqnFormatError: line 1: expected GATE(...) in 'a0;'"
+NOT_A_MULTIPLIER = (
+    "ExtractionError: inputs must be named a0..a7, b0..b7; got "
+    "['a0', 'a1', 'a2', 'a3', 'a4', 'a5']..."
+)
 
 
 class _Broken(BitpackEngine):
@@ -71,6 +77,7 @@ CASES = {
     ),
     "term_limit": (lambda: generate_mastrovito(P8), "bitpack", 3),
     "engine_failure": (lambda: generate_mastrovito(P8), "broken", None),
+    "squarer_term_limit": (lambda: generate_squarer(P8), "bitpack", 1),
 }
 
 #: (case, mode) -> (CLI exit code, error text or verdict fields).  The
@@ -80,7 +87,7 @@ EXPECTED = {
     ("ok", "audit"): (0, {"irreducible": True, "equivalent": True}),
     ("ok", "diagnose"): (0, {"verdict": "verified-multiplier"}),
     ("reducible", "extract"): (1, {"irreducible": False}),
-    ("reducible", "audit"): (0, {"irreducible": False, "equivalent": True}),
+    ("reducible", "audit"): (1, {"irreducible": False, "equivalent": True}),
     ("reducible", "diagnose"): (1, {"verdict": "reducible-polynomial"}),
     ("not_equivalent", "extract"): (0, {"irreducible": True}),
     ("not_equivalent", "audit"): (
@@ -96,6 +103,9 @@ EXPECTED = {
     ("engine_failure", "extract"): (2, ENGINE_DOWN),
     ("engine_failure", "audit"): (2, ENGINE_DOWN),
     ("engine_failure", "diagnose"): (2, ENGINE_DOWN),
+    ("squarer_term_limit", "extract"): (2, NOT_A_MULTIPLIER),
+    ("squarer_term_limit", "audit"): (2, NOT_A_MULTIPLIER),
+    ("squarer_term_limit", "diagnose"): (1, {"verdict": "memory-out"}),
 }
 
 
@@ -148,11 +158,14 @@ def test_entry_points_answer_alike(tmp_path, capsys, case, mode):
         if "verdict" in expected:
             assert f"verdict : {expected['verdict']}\n" in captured.out
 
-    # batch: one record, "error" with the CLI's text after "error: ".
-    record = CampaignRunner(
+    # batch: one record, "error" with the CLI's text after "error: ";
+    # the record is failing (batch exits 1) when the verb exits non-zero.
+    report = CampaignRunner(
         mode=mode, engine=engine, cache_dir=tmp_path / "batch",
         term_limit=term_limit,
-    ).run([path]).records[0]
+    ).run([path])
+    record = report.records[0]
+    assert report.failing == ([] if code == 0 else [case])
     if isinstance(expected, str):
         assert (record["status"], record["error"]) == ("error", expected)
     else:

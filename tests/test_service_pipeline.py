@@ -9,6 +9,7 @@ parse is its reader's format error through every entry point.
 
 import json
 import time
+from pathlib import PurePath
 import urllib.error
 import urllib.request
 
@@ -22,7 +23,7 @@ from repro.rewrite.backward import TermLimitExceeded
 from repro.service.api import TERMINAL_STATUSES, ReproAPIServer
 from repro.service.cache import ResultCache
 from repro.service.eco import eco_reverify
-from repro.service.pipeline import MODES, run_mode
+from repro.service.pipeline import MODES, run_mode, split_name
 from repro.service.runner import CampaignRunner
 
 P8 = 0b100011011
@@ -562,3 +563,14 @@ def test_diagnose_under_a_term_limit_reads_and_stores_no_verdict(tmp_path):
     assert cold.get_diagnosis(key) is None
     assert cold.get_verdict(key) is None
     assert cold.get_diagnosis(faulty_key) is None
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "m8.eqn", "dir/m8.eqn", "/abs/dir/m8.v", "a.b.blif", "dir/m8.eqn/",
+        ".eqn", "dir/.hidden.eqn", "noext", "trailing.", "dir.d/noext", "",
+    ],
+)
+def test_split_name_splits_as_pathlib(path):
+    assert split_name(path) == (PurePath(path).stem, PurePath(path).suffix)

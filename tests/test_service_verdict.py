@@ -7,8 +7,11 @@ and the same verdict fields at the head of its payload); anything else
 falls back to decoding the main entry.
 """
 
+import builtins
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.gen.montgomery import generate_montgomery
 from repro.netlist.eqn_io import format_eqn, write_eqn
 from repro.service.api import serve
 from repro.service.cache import ExtractionVerdict, ResultCache
+from repro.service.eco import eco_reverify
 from repro.service.pipeline import cached_outcome
 from repro.service.runner import CampaignRunner
 from tests.test_service_api import get, post
@@ -278,3 +282,69 @@ def test_repeats_decode_no_extraction(tmp_path, monkeypatch, generate):
     decoded = requests(lambda: sidecar.unlink(missing_ok=True))
     assert len(decodes) == 7
     assert served == decoded
+
+
+def _opened_files(monkeypatch):
+    """Record the path of every file ``open`` opens; returns the list."""
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(Path(os.fspath(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    return opened
+
+
+def test_warm_repeats_read_only_their_entries(tmp_path, monkeypatch, net):
+    """A warm audit repeat opens four files: the file memo, the verdict
+    sidecar, the extraction entry and the verification entry; a warm
+    ECO re-audit opens five, a memo per version.  The public path
+    helpers name exactly the files the lookups open."""
+    baseline = tmp_path / "baseline.eqn"
+    edited = tmp_path / "edited.eqn"
+    write_eqn(net, baseline)
+    write_eqn(generate_mastrovito(P8), edited)
+    cache_dir = tmp_path / "cache"
+
+    def audit():
+        runner = CampaignRunner(
+            mode="audit", engine="bitpack", cache_dir=cache_dir
+        )
+        return runner.run([edited]).records[0]
+
+    def reaudit():
+        return eco_reverify(baseline, edited, ResultCache(cache_dir))
+
+    cold, _ = audit(), reaudit()
+    cache = ResultCache(cache_dir)
+    fingerprint = cold["fingerprint"]
+    with monkeypatch.context() as patch:
+        opened = _opened_files(patch)
+        warm = audit()
+    assert (warm["cache"], warm["equivalent"]) == ("hit", True)
+    assert sorted(opened) == sorted([
+        cache._file_memo_path(edited),
+        cache.extraction_summary_path(fingerprint),
+        cache.path_for("extraction", fingerprint),
+        cache.path_for("verification", fingerprint),
+    ])
+
+    with monkeypatch.context() as patch:
+        opened = _opened_files(patch)
+        report = reaudit()
+    assert (report.equivalent, report.result) == (True, None)
+    assert sorted(opened) == sorted([
+        cache._file_memo_path(baseline),
+        cache._file_memo_path(edited),
+        cache.extraction_summary_path(fingerprint),
+        cache.path_for("extraction", fingerprint),
+        cache.path_for("verification", fingerprint),
+    ])
+
+    digest = cache.file_fingerprint(edited)["cones"]["z0"]
+    with monkeypatch.context() as patch:
+        opened = _opened_files(patch)
+        assert cache.get_cone(digest) is not None
+    assert opened == [cache.cone_path_for(digest)]

@@ -375,6 +375,37 @@ def test_campaign_spans(tmp_path, tel):
     assert registry.counters()["campaign.netlists"] == 1
 
 
+def test_strash_span_holds_the_sweep(tmp_path, tel, monkeypatch):
+    """A fresh request strashes once, under one ``aig.strash`` span
+    that holds the dead-node sweep too; a warm repeat strashes
+    nothing."""
+    from repro.aig.aig import Aig
+    from repro.netlist.eqn_io import write_eqn
+    from repro.service.runner import run_campaign
+
+    registry, sink = tel
+    swept_under = []
+    sweep = Aig.swept
+
+    def traced_sweep(aig):
+        swept_under.append(registry.active_span().name)
+        return sweep(aig)
+
+    monkeypatch.setattr(Aig, "swept", traced_sweep)
+    write_eqn(generate_mastrovito(0b10011), tmp_path / "m4.eqn")
+    for _ in range(2):
+        report = run_campaign(
+            tmp_path / "m4.eqn",
+            cache_dir=tmp_path / "cache",
+            telemetry=registry,
+        )
+        assert report.ok == 1
+    assert swept_under == ["aig.strash"]
+    (strash,) = spans_named(sink, "aig.strash")
+    first_netlist = spans_named(sink, "campaign.netlist")[0]
+    assert strash["parent_id"] == first_netlist["span_id"]
+
+
 def test_checkpointed_job_gauges(tel):
     from repro.service.jobs import checkpointed_extract
 
